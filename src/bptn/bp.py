@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (DegenerateInnerProduct, NumericalCollapse,
                      SingularJacobian, ZeroLocalFactor)
 from .network import TensorNetwork
-from .tensor import DenseTensor, Leg, contract_pair, inner
+from .tensor import DenseTensor, Leg, contract_network, contract_pair, inner
 
 I_FLOOR = 1e-12
 Z_FLOOR = 1e-12
@@ -39,7 +39,8 @@ def _normalize(data: np.ndarray) -> np.ndarray:
 
 
 class MessageSet:
-    """Directed-edge messages plus cached bond inner products."""
+    """Directed-edge messages plus cached bond inner products, edge
+    projectors and dressed site tensors."""
 
     convention = "unit-2-norm/argmax-phase"
 
@@ -54,6 +55,8 @@ class MessageSet:
             self.messages[(v, w)] = m
         self._inner = {}
         self._sqrt = {}
+        self._proj = {}
+        self._dressed = {}
 
     def message(self, v, w) -> DenseTensor:
         return self.messages[(str(v), str(w))]
@@ -76,6 +79,38 @@ class MessageSet:
         if e not in self._sqrt:
             self._sqrt[e] = cmath.sqrt(self.inner_product(e))
         return self._sqrt[e]
+
+    def projector(self, e) -> DenseTensor:
+        """``edge_projector`` on edge e (cached)."""
+        e = str(e)
+        if e not in self._proj:
+            self._proj[e] = edge_projector(self, e)
+        return self._proj[e]
+
+    def dressed(self, v, tensor: DenseTensor, kept) -> DenseTensor:
+        """``tensor`` at vertex v with mu_{n->v}/sqrt(I_e) absorbed on every
+        incident edge e not in ``kept``; each kept leg e is renamed
+        ``'<e>@<v>'``, the leg name ``edge_projector`` uses at v.
+
+        Cached per (v, tensor object, kept edges).  The entry holds the
+        tensor itself, so its id cannot be reused while the entry lives:
+        networks that share these messages but swap one site tensor (the
+        decorated networks of an insertion) get entries of their own.
+        """
+        v = str(v)
+        kept = frozenset(kept)
+        key = (v, id(tensor), kept)
+        hit = self._dressed.get(key)
+        if hit is not None:
+            return hit[1]
+        pieces = [tensor.relabel({e: f"{e}@{v}" for e in kept})]
+        for (e, n) in self.tn.graph.incident(v):
+            if e not in kept:
+                pieces.append(
+                    self.message(n, v).scale(1.0 / self.sqrt_inner(e)))
+        out = contract_network(pieces)
+        self._dressed[key] = (tensor, out)
+        return out
 
     def copy(self) -> "MessageSet":
         return MessageSet(self.tn, dict(self.messages))

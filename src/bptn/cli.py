@@ -36,7 +36,7 @@ from .models import (IsingParams, ising_exact_logZ, ising_insertion,
                      ising_network, random_peps, random_tree_network,
                      single_loop_network)
 from .network import (OperatorInsertion, TensorNetwork, build_norm_network,
-                      exact_contract, graph_distance)
+                      bfs, exact_contract)
 from .observables import (correlation_length, correlator_derivative_tensors,
                           correlator_ratio_tensors, expval_bp_tensors,
                           expval_cumulant_tensors, expval_derivative_tensors,
@@ -139,9 +139,16 @@ def _load_problem(args) -> Problem:
     return generate(args.generate, args.seed)
 
 
+# Options removed from the CLI, with the value they always had.  They stay
+# in the fingerprint payload, so a configuration keeps its fingerprint
+# across the removal.
+_RETIRED_OPTIONS = {"threads": 1}
+
+
 def _fingerprint(args) -> str:
-    payload = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("out", "func")}
+    payload = dict(_RETIRED_OPTIONS)
+    payload.update((k, v) for k, v in vars(args).items()
+                   if k not in ("out", "func"))
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
@@ -231,8 +238,7 @@ def cmd_loops(args):
     prob = _load_problem(args)
     res = _converge(prob, args)
     loops = enumerate_loops(prob.tn.graph, args.max_weight)
-    weights = evaluate_weights(prob.tn, res.messages, loops,
-                               threads=args.threads)
+    weights = evaluate_weights(prob.tn, res.messages, loops)
     rows, notes = loop_decay_profile(weights)
     out = [{k: _fmt(v) for k, v in r.items()} for r in rows]
     _emit(args, ["weight", "parity", "n_loops", "max_abs", "c_estimate"],
@@ -247,8 +253,7 @@ def cmd_free_energy(args):
     m = args.max_weight
     loops = enumerate_loops(prob.tn.graph, m)
     table = {w.loop.key: w.value
-             for w in evaluate_weights(prob.tn, res.messages, loops,
-                                       threads=args.threads)}
+             for w in evaluate_weights(prob.tn, res.messages, loops)}
     fr = free_energy_truncated(prob.tn, res.messages, loops, m,
                                weight_table=table)
     f_cum, _, _ = cumulant_free_energy(prob.tn, res.messages, loops, m, table)
@@ -313,20 +318,23 @@ def cmd_correlator(args):
     prob = _load_problem(args)
     res = _converge(prob, args)
     a = args.site or prob.tn.graph.vertices[0]
+    if a not in prob.tn.graph.vertices:
+        raise ConfigError(f"site {a!r} not in the network")
+    dist, _ = bfs(prob.tn.graph, {a})
     if args.site_b:
         pairs = [(a, args.site_b)]
     else:
-        # distance scan: nearest representative vertex at each distance
+        # distance scan: first vertex at each distance, in vertex order
         pairs = []
         for d in range(1, args.distances + 1):
-            found = [v for v in prob.tn.graph.vertices
-                     if graph_distance(prob.tn.graph, {a}, {v}) == d]
+            found = [v for v in prob.tn.graph.vertices if dist.get(v) == d]
             if found:
                 pairs.append((a, found[0]))
+    z = exact_contract(prob.tn) if args.reference == "exact" else None
     rows, ests = [], []
     for u, v in pairs:
         ra, rb = prob.insertion(u), prob.insertion(v)
-        m = args.max_weight + graph_distance(prob.tn.graph, {u}, {v})
+        m = args.max_weight + dist.get(v, math.inf)
         cd = correlator_derivative_tensors(prob.tn, res.messages, ra, rb, m)
         try:
             cr = correlator_ratio_tensors(prob.tn, res.messages, ra, rb, m)
@@ -337,8 +345,7 @@ def cmd_correlator(args):
         row = {"site_a": u, "site_b": v, "distance": cd.distance,
                "truncation": m, "derivative_re": _fmt(cd.value.real),
                "derivative_im": _fmt(cd.value.imag), "ratio_re": ratio_re}
-        if args.reference == "exact":
-            z = exact_contract(prob.tn)
+        if z is not None:
             za = exact_contract(prob.tn.replace_tensors(ra)) / z
             zb = exact_contract(prob.tn.replace_tensors(rb)) / z
             both = dict(ra)
@@ -395,8 +402,7 @@ def cmd_scan(args):
         res = _converge(prob, sub)
         m = args.max_weight
         loops = enumerate_loops(prob.tn.graph, m)
-        weights = evaluate_weights(prob.tn, res.messages, loops,
-                                   threads=args.threads)
+        weights = evaluate_weights(prob.tn, res.messages, loops)
         profile, _ = loop_decay_profile(weights)
         c_even = min((r["c_estimate"] for r in profile
                       if r["parity"] == "even"), default=math.nan)
@@ -427,7 +433,6 @@ def _add_common(p):
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="CSV output path (default: stdout)")
     p.add_argument("--reference", help="'exact' or a JSON file with a "
                    "log_partition field")

@@ -397,14 +397,13 @@ def region_partition(tn: TensorNetwork, messages: MessageSet, R: Region,
     its BP-normalized value.  ``replacements`` substitutes site tensors
     (operator insertions) inside the region."""
     replacements = replacements or {}
+    g = tn.graph
     pieces = []
     for v in sorted(R.vertices):
-        pieces.append(replacements.get(v, tn.tensors[v]))
-        for (e, n) in tn.graph.incident(v):
-            if n in R.vertices:
-                continue
-            pieces.append(messages.message(n, v).scale(
-                1.0 / messages.sqrt_inner(e)))
+        internal = [e for (e, n) in g.incident(v) if n in R.vertices]
+        pieces.append(messages.dressed(
+            v, replacements.get(v, tn.tensors[v]), internal).relabel(
+                {f"{e}@{v}": e for e in internal}))
     raw = contract_network(pieces, size_cap=size_cap).item()
     denom = 1.0 + 0j
     for z in local_factors(tn, messages, R.vertices).values():

@@ -6,18 +6,20 @@ Enumeration grows connected edge sets from a lexicographically smallest
 root edge with a take-or-leave rule, so every subset is produced exactly
 once.
 
-Weights are evaluated locally on the loop support: excitation projectors
-on the loop edges, incoming messages mu/sqrt(I) on every other edge end
-touching the support, site tensors at support vertices, normalized by the
-product of BP local factors over the support.  By locality of the BP
-background this equals the globally defined normalized excitation.
+Weights are evaluated locally on the loop support, in the BP gauge: each
+support vertex is its dressed tensor (the site tensor with the incoming
+messages mu/sqrt(I) absorbed on every leg off the loop, cached on the
+MessageSet), joined by excitation projectors on the loop edges, and the
+result is normalized by the product of BP local factors over the support.
+By locality of the BP background this equals the globally defined
+normalized excitation.
 """
 
 from __future__ import annotations
 
 import math
 
-from .bp import MessageSet, bp_local_factor, edge_projector
+from .bp import MessageSet, bp_local_factor
 from .errors import CombinatorialBudgetExceeded, ZeroLocalFactor
 from .network import Graph, TensorNetwork
 from .tensor import contract_network
@@ -182,20 +184,13 @@ def excitation_weight(tn: TensorNetwork, messages: MessageSet,
     background network evaluates the bar-normalized weights used by the
     derivative-form estimators.
     """
-    g = tn.graph
     if factors is None:
         factors = local_factors(tn, messages, loop.vertices)
-    pieces = []
-    for v in sorted(loop.vertices):
-        relab = {e: f"{e}@{v}" for (e, _) in g.incident(v)}
-        pieces.append(tn.tensors[v].relabel(relab))
-        for (e, n) in g.incident(v):
-            if e in loop.edges:
-                continue
-            vec = messages.message(n, v).relabel({e: f"{e}@{v}"})
-            pieces.append(vec.scale(1.0 / messages.sqrt_inner(e)))
-    for e in loop.edges:
-        pieces.append(edge_projector(messages, e))
+    g = tn.graph
+    pieces = [messages.dressed(
+        v, tn.tensors[v], [e for (e, _) in g.incident(v) if e in loop.edges])
+        for v in sorted(loop.vertices)]
+    pieces += [messages.projector(e) for e in sorted(loop.edges)]
     raw = contract_network(pieces).item()
     denom = 1.0 + 0j
     for v in loop.vertices:
@@ -203,16 +198,8 @@ def excitation_weight(tn: TensorNetwork, messages: MessageSet,
     return ExcitationWeight(loop, raw / denom, network_tag)
 
 
-def evaluate_weights(tn, messages, loops, factors=None, network_tag="",
-                     threads: int = 1):
-    """Weight table for a loop list; optionally thread-parallel."""
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda l: excitation_weight(tn, messages, l, factors,
-                                            network_tag), loops))
+def evaluate_weights(tn, messages, loops, factors=None, network_tag=""):
+    """Weight table for a loop list."""
     return [excitation_weight(tn, messages, l, factors, network_tag)
             for l in loops]
 

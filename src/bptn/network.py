@@ -340,8 +340,28 @@ def merge_region(tn: TensorNetwork, region, supertensor: DenseTensor | None = No
     return merged, fused, new_id
 
 
+def bfs(g: Graph, A):
+    """Breadth-first search from vertex set A over its component.
+
+    Returns ({vertex: distance}, {vertex: number of shortest paths}).
+    """
+    dist = {a: 0 for a in A}
+    paths = {a: 1 for a in A}
+    q = deque(dist)
+    while q:
+        v = q.popleft()
+        for w in g.neighbors(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                paths[w] = 0
+                q.append(w)
+            if dist[w] == dist[v] + 1:
+                paths[w] += paths[v]
+    return dist, paths
+
+
 def shortest_paths(g: Graph, A, B):
-    """BFS from vertex set A: (distance to B, number of shortest paths).
+    """Distance from vertex set A to B and the number of shortest paths.
 
     (0, |A & B|) for overlapping sets, (inf, 0) when disconnected.
     """
@@ -349,21 +369,7 @@ def shortest_paths(g: Graph, A, B):
     B = {str(b) for b in B}
     if not A or not B:
         raise RegionMismatch("shortest_paths needs nonempty vertex sets")
-    if A & B:
-        return 0, len(A & B)
-    dist = {a: 0 for a in A}
-    paths = {a: 1 for a in A}
-    q = deque(A)
-    while q:
-        v = q.popleft()
-        for w in g.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                paths[w] = 0
-                if w not in B:
-                    q.append(w)
-            if dist[w] == dist[v] + 1:
-                paths[w] += paths[v]
+    dist, paths = bfs(g, A)
     d = min((dist[b] for b in B if b in dist), default=math.inf)
     return d, sum(paths[b] for b in B if dist.get(b) == d)
 

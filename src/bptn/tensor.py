@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, LegCollision
+from .errors import DimensionMismatch, LegCollision, TooLarge
 
 
 class Leg:
@@ -149,41 +149,98 @@ def inner(a: DenseTensor, b: DenseTensor) -> complex:
     return complex(np.sum(a.data * b.data))
 
 
-def contract_network(tensors: Iterable[DenseTensor], size_cap: int | None = None) -> DenseTensor:
+# Greedy pair plans, keyed by network structure (see ``_plan``).  A plan
+# depends only on the structure, never on values, so sharing it between
+# callers is safe; the dict is emptied when it reaches _PLAN_CACHE_MAX.
+_PLANS: dict = {}
+_PLAN_CACHE_MAX = 4096
+
+
+def _plan(struct, dims):
+    """Greedy pair order for tensors with integer legs ``struct``.
+
+    Repeatedly picks the pair whose result has the fewest entries,
+    preferring pairs that share legs; ties go to the first pair in pool
+    order.  The contracted pair leaves the pool and its result is
+    appended.  Returns (steps, legs of the result), each step
+    (i, j, axes of i, axes of j, result entries); axes are positions in
+    the tensordot leg order (i's open legs, then j's).
+    """
+    pool = list(struct)
+    steps = []
+    while len(pool) > 1:
+        best = None
+        for i in range(len(pool)):
+            set_i = set(pool[i])
+            for j in range(i + 1, len(pool)):
+                shared = set_i.intersection(pool[j])
+                out_size = 1
+                for x in pool[i] + pool[j]:
+                    if x not in shared:
+                        out_size *= dims[x]
+                key = (0 if shared else 1, out_size)
+                if best is None or key < best[0]:
+                    best = (key, i, j, shared)
+        (_, out_size), i, j, shared = best
+        a, b = pool[i], pool[j]
+        common = [x for x in a if x in shared]
+        steps.append((i, j, tuple(a.index(x) for x in common),
+                      tuple(b.index(x) for x in common), out_size))
+        del pool[j], pool[i]
+        pool.append(tuple(x for x in a + b if x not in shared))
+    return tuple(steps), pool[0]
+
+
+def contract_network(tensors: Iterable[DenseTensor],
+                     size_cap: int | None = None) -> DenseTensor:
     """Contract a list of tensors pairwise under a greedy size heuristic.
 
     Repeatedly contracts the pair whose result has the fewest entries
     (preferring pairs that actually share legs); disconnected pieces end up
-    combined by outer products of scalars/tensors at the end.  ``size_cap``
-    bounds the entry count of any intermediate.
-    """
-    from .errors import TooLarge
+    combined by outer products at the end.  ``size_cap`` bounds the entry
+    count of any intermediate.
 
+    Leg ids are interned to integers in order of first appearance, so two
+    networks of the same shape share one pair order, computed once and
+    cached by structure (per-tensor integer legs plus dims).  The pairs are
+    contracted with ``np.tensordot`` on the raw arrays; one DenseTensor is
+    built at the end.  A leg id on more than two tensors is contracted by
+    the first pair that shares it and stays open on the others.
+    """
     pool = list(tensors)
     if not pool:
         return scalar(1.0)
-    while len(pool) > 1:
-        best = None
-        for i in range(len(pool)):
-            ids_i = set(pool[i].leg_ids)
-            for j in range(i + 1, len(pool)):
-                shared = ids_i & set(pool[j].leg_ids)
-                out_size = 1
-                for t in (pool[i], pool[j]):
-                    for l in t.legs:
-                        if l.id not in shared:
-                            out_size *= l.dim
-                key = (0 if shared else 1, out_size)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        key, i, j = best
-        if size_cap is not None and key[1] > size_cap:
+    if len(pool) == 1:
+        return pool[0]
+    index, dims, ids = {}, [], []
+    struct = []
+    for t in pool:
+        legs = []
+        for l in t.legs:
+            x = index.get(l.id)
+            if x is None:
+                x = index[l.id] = len(dims)
+                dims.append(l.dim)
+                ids.append(l.id)
+            elif dims[x] != l.dim:
+                raise DimensionMismatch(
+                    f"leg {l.id!r}: dim {dims[x]} vs {l.dim}")
+            legs.append(x)
+        struct.append(tuple(legs))
+    key = (tuple(struct), tuple(dims))
+    plan = _PLANS.get(key)
+    if plan is None:
+        if len(_PLANS) >= _PLAN_CACHE_MAX:
+            _PLANS.clear()
+        plan = _PLANS[key] = _plan(struct, dims)
+    steps, out = plan
+    arrays = [t.data for t in pool]
+    for i, j, ax_i, ax_j, out_size in steps:
+        if size_cap is not None and out_size > size_cap:
             raise TooLarge(
-                f"intermediate with {key[1]} entries exceeds cap {size_cap}")
-        tj = pool.pop(j)
-        ti = pool.pop(i)
-        if key[0] == 0:
-            pool.append(contract_pair(ti, tj))
-        else:
-            pool.append(outer(ti, tj))
-    return pool[0]
+                f"intermediate with {out_size} entries exceeds cap {size_cap}")
+        b = arrays.pop(j)
+        a = arrays.pop(i)
+        arrays.append(np.tensordot(a, b, axes=(ax_i, ax_j)) if ax_i
+                      else np.multiply.outer(a, b))
+    return DenseTensor([Leg(ids[x], dims[x]) for x in out], arrays[0])

@@ -242,7 +242,7 @@ def test_acceptance_5_loop_decay(ising66):
     weights vanish to 1e-12; under two minutes."""
     t0 = time.perf_counter()
     ms = ising_paramagnetic_messages(ising66.params, ising66.tn)
-    weights = evaluate_weights(ising66.tn, ms, ising66.loops, threads=2)
+    weights = evaluate_weights(ising66.tn, ms, ising66.loops)
     for w in weights:
         if w.loop.weight % 2 == 1:
             assert abs(w.value) <= 1e-12, w.loop
@@ -576,7 +576,7 @@ def test_acceptance_10_error_monotone_toward_critical(ising66):
         tn = ising_network(p)
         ms = ising_paramagnetic_messages(p, tn)
         table = {w.loop.key: w.value
-                 for w in evaluate_weights(tn, ms, ising66.loops, threads=2)}
+                 for w in evaluate_weights(tn, ms, ising66.loops)}
         fr = free_energy_truncated(tn, ms, ising66.loops, 8,
                                    weight_table=table,
                                    clusters=ising66.clusters)

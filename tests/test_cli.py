@@ -94,6 +94,9 @@ def test_correlator_scan_and_fixed_pair(tmp_path, capsys):
                 "--out", str(out)]) == 0
     rows = _rows(out)
     assert [r["distance"] for r in rows] == ["1", "2", "3"]
+    # partner: first vertex in vertex order at each distance; m = 4 + d
+    assert [r["site_b"] for r in rows] == ["0,1", "0,2", "1,2"]
+    assert [r["truncation"] for r in rows] == ["5", "6", "7"]
     # the summary names the fit model and gives both fits' R^2
     err = capsys.readouterr().err
     assert "A*N_d*exp(-d/xi)" in err and err.count("R^2 = ") == 2
@@ -159,6 +162,11 @@ def test_exit_2_on_missing_file(tmp_path):
 def test_exit_2_on_conflicting_sources():
     assert run(["bp", "--generate", "ising:L=3,beta=0.2",
                 "--input", "x.json"]) == 2
+
+
+def test_exit_2_on_unknown_correlator_site():
+    assert run(["correlator", "--generate", "ising:L=3,beta=0.2",
+                "--site", "9,9"]) == 2
 
 
 def test_exit_2_on_bad_generator():

@@ -151,17 +151,6 @@ def test_weight_locality_matches_global_contraction():
     assert abs(local - (z / z_bp - 1)) < 1e-12
 
 
-def test_evaluate_weights_threaded_matches_serial():
-    p = IsingParams(L=4, beta=0.25)
-    tn = ising_network(p)
-    ms = ising_paramagnetic_messages(p, tn)
-    loops = enumerate_loops(tn.graph, 6)
-    serial = evaluate_weights(tn, ms, loops, threads=1)
-    threaded = evaluate_weights(tn, ms, loops, threads=4)
-    for a, b in zip(serial, threaded):
-        assert a.loop.key == b.loop.key and a.value == b.value
-
-
 def test_loop_decay_profile_analytic():
     p = IsingParams(L=4, beta=0.2)
     tn = ising_network(p)

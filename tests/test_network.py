@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from bptn.errors import (DimensionMismatch, InvalidNetworkFile,
                          MissingPhysicalLeg, OverlappingRegions,
                          RegionMismatch)
-from bptn.models import (IsingParams, ising_network, peps_statevector,
-                         random_peps)
+from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
+                         peps_statevector, random_peps)
 from bptn.network import (Graph, OperatorInsertion, TensorNetwork,
-                          _double_tensor, build_norm_network, exact_contract,
+                          _double_tensor, bfs, build_norm_network,
+                          exact_contract,
                           graph_distance, insert_operator, merge_region,
                           perturbed_network, phys_leg, shortest_paths)
 from bptn.tensor import DenseTensor, Leg
@@ -105,6 +106,30 @@ def test_shortest_paths_match_brute_force(case):
     assert graph_distance(g, A, B) == want[0]
 
 
+_random_graph_case = st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+             max_size=n * (n - 1) // 2),
+    st.sets(st.integers(0, n - 1), min_size=1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_graph_case)
+def test_bfs_matches_brute_force(case):
+    """bfs gives every vertex's distance and shortest-path count from A;
+    vertices in another component are absent."""
+    n, present, A = case
+    pairs = list(itertools.combinations(range(n), 2))
+    g = Graph([str(i) for i in range(n)],
+              {f"{u}-{v}": (str(u), str(v))
+               for (u, v), keep in zip(pairs, present) if keep})
+    A = {str(a) for a in A}
+    dist, paths = bfs(g, A)
+    for b in g.vertices:
+        assert (dist.get(b, math.inf), paths.get(b, 0)) == \
+            _brute_shortest_paths(g, A, {b})
+
+
 # -- network validation -----------------------------------------------------
 
 def test_network_validates_legs():
@@ -132,6 +157,17 @@ def test_exact_contract_vs_brute_force():
             term *= t.data[sel]
         total += term
     assert abs(exact_contract(tn) - total) < 1e-12 * abs(total)
+
+
+def test_exact_contract_6x6_torus_matches_transfer_matrix():
+    """72 edges: more distinct leg labels than np.einsum's sublist form
+    accepts (52), so this guards against routing exact contraction
+    through einsum."""
+    p = IsingParams(L=6, beta=0.3, h=0.1)
+    tn = ising_network(p)
+    assert len(tn.graph.edges) == 72
+    want = ising_exact_logZ(p)
+    assert abs(np.log(exact_contract(tn)) - want) < 1e-12 * abs(want)
 
 
 def test_exact_contract_requires_closed():

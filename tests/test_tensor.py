@@ -126,3 +126,61 @@ def test_inner_symmetric(seed):
     a = t([("e", 3)], rng.standard_normal(3) + 1j * rng.standard_normal(3))
     b = t([("e", 3)], rng.standard_normal(3) + 1j * rng.standard_normal(3))
     assert abs(inner(a, b) - inner(b, a)) < 1e-13
+
+
+def test_contract_network_dim_clash():
+    with pytest.raises(DimensionMismatch):
+        contract_network([t([("x", 2)], np.zeros(2)),
+                          t([("x", 3), ("y", 2)], np.zeros(6))])
+
+
+@st.composite
+def _networks(draw):
+    """Random small networks: each leg sits on one tensor (open) or two
+    (contracted); tensors without legs are scalars, and nothing keeps the
+    network connected."""
+    n = draw(st.integers(1, 6))
+    n_legs = draw(st.integers(0, 8))
+    # ids in an order unrelated to creation, so canonical order matters
+    names = draw(st.permutations([f"l{k}" for k in range(n_legs)]))
+    legs = [(name, draw(st.integers(1, 3)),
+             draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2,
+                           unique=True)))
+            for name in names]
+    return n, legs, draw(st.integers(0, 2 ** 31 - 1))
+
+
+def _einsum_reference(tensors, out_ids, absolute=False):
+    labels = {}
+    args = []
+    for x in tensors:
+        data = x.data.reshape([l.dim for l in x.legs])  # scalars: shape ()
+        args += [np.abs(data) if absolute else data,
+                 [labels.setdefault(i, len(labels)) for i in x.leg_ids]]
+    return np.einsum(*args, [labels[i] for i in out_ids])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_networks())
+def test_contract_network_matches_einsum(net):
+    """contract_network equals one np.einsum over the same network, and a
+    renamed copy (same structure, so the cached pair order is reused)
+    equals it too."""
+    n, legs, seed = net
+    rng = np.random.default_rng(seed)
+    open_ids = sorted(name for name, _, owners in legs if len(owners) == 1)
+    for rename in (lambda i: i, lambda i: f"z{9 - int(i[1:])}"):
+        tens = []
+        for k in range(n):
+            ld = [(rename(name), dim) for name, dim, owners in legs
+                  if k in owners]
+            shape = [d for _, d in ld]
+            tens.append(t(ld, rng.standard_normal(shape)
+                          + 1j * rng.standard_normal(shape)))
+        out_ids = sorted(rename(i) for i in open_ids)
+        got = contract_network(tens)
+        want = _einsum_reference(tens, out_ids)
+        # a bound on the rounding of any summation order
+        scale = _einsum_reference(tens, out_ids, absolute=True)
+        assert got.leg_ids == out_ids
+        assert np.all(np.abs(got.data - want) <= 1e-12 * scale)
