@@ -25,8 +25,8 @@ from .bp import (DEFAULT_DAMPING, DEFAULT_TOL, bp_free_energy, bp_iterate,
                  bp_log_partition, random_messages, self_consistency_residual,
                  stability_probe, uniform_messages)
 from .clusters import free_energy_truncated
-from .cumulants import (counting_numbers_regions, cumulant_free_energy,
-                        find_regions, region_free_energy)
+from .cumulants import (counting_numbers, cumulant_free_energy, find_regions,
+                        region_free_energy)
 from .errors import (BranchCrossing, CapExceeded, CombinatorialBudgetExceeded,
                      DegenerateInnerProduct, EngineError, InvalidNetworkFile,
                      NumericalCollapse, PCapExceeded, SingularJacobian,
@@ -35,8 +35,8 @@ from .loops import enumerate_loops, evaluate_weights, loop_decay_profile
 from .models import (IsingParams, ising_exact_logZ, ising_insertion,
                      ising_network, random_peps, random_tree_network,
                      single_loop_network)
-from .network import (OperatorInsertion, TensorNetwork, build_norm_network,
-                      bfs, exact_contract)
+from .network import (OperatorInsertion, bfs, build_norm_network,
+                      exact_contract, peps_replacements)
 from .observables import (correlation_length, correlator_derivative_tensors,
                           correlator_ratio_tensors, expval_bp_tensors,
                           expval_cumulant_tensors, expval_derivative_tensors,
@@ -72,10 +72,7 @@ class Problem:
         if self.ising is not None:
             return ising_insertion(self.tn, self.ising, {site: _SZ})
         if self.peps is not None:
-            from .observables import _peps_replacements
-
-            return _peps_replacements(self.peps,
-                                      OperatorInsertion({site: _SZ}))
+            return peps_replacements(self.peps, OperatorInsertion({site: _SZ}))
         raise ConfigError(
             "expval/correlator need a generated model (ising/peps) or a "
             "PEPS input file; a bare closed network has no observable")
@@ -330,10 +327,13 @@ def cmd_correlator(args):
             found = [v for v in prob.tn.graph.vertices if dist.get(v) == d]
             if found:
                 pairs.append((a, found[0]))
-    z = exact_contract(prob.tn) if args.reference == "exact" else None
+    ra = prob.insertion(a)
+    if args.reference == "exact":
+        z = exact_contract(prob.tn)
+        za = exact_contract(prob.tn.replace_tensors(ra)) / z
     rows, ests = [], []
     for u, v in pairs:
-        ra, rb = prob.insertion(u), prob.insertion(v)
+        rb = prob.insertion(v)
         m = args.max_weight + dist.get(v, math.inf)
         cd = correlator_derivative_tensors(prob.tn, res.messages, ra, rb, m)
         try:
@@ -345,8 +345,7 @@ def cmd_correlator(args):
         row = {"site_a": u, "site_b": v, "distance": cd.distance,
                "truncation": m, "derivative_re": _fmt(cd.value.real),
                "derivative_im": _fmt(cd.value.imag), "ratio_re": ratio_re}
-        if z is not None:
-            za = exact_contract(prob.tn.replace_tensors(ra)) / z
+        if args.reference == "exact":
             zb = exact_contract(prob.tn.replace_tensors(rb)) / z
             both = dict(ra)
             both.update(rb)
@@ -370,7 +369,7 @@ def cmd_correlator(args):
 def cmd_regions(args):
     prob = _load_problem(args)
     poset = find_regions(prob.tn.graph, args.region_size or 4)
-    b = counting_numbers_regions(poset)
+    b = counting_numbers({r.key: r.vertices for r in poset})
     rows = [{"region": "|".join(r.key), "n_vertices": len(r.vertices),
              "n_edges": len(r.edges), "level": r.level,
              "counting_number": b[r.key]} for r in poset]

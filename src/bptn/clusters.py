@@ -21,6 +21,7 @@ from fractions import Fraction
 from .bp import bp_log_partition
 from .errors import CapExceeded, CombinatorialBudgetExceeded
 from .loops import GeneralizedLoop, excitation_weight
+from .network import connected_subsets, is_connected
 
 DEFAULT_URSELL_CAP = 8
 DEFAULT_CLUSTER_BUDGET = 10 ** 7
@@ -49,24 +50,11 @@ class Cluster:
         for l, _ in members:
             sup |= l.vertices
         self.support = frozenset(sup)
-        self.connected = self._connected()
-
-    def _connected(self) -> bool:
-        loops = [l for l, _ in self.members]
-        if not loops:
-            return False
         # copies of one loop are linked, so connectivity reduces to the
         # overlap graph on distinct loops
-        n = len(loops)
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if j not in seen and loops_overlap(loops[i], loops[j]):
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == n
+        loops = [l for l, _ in members]
+        self.connected = is_connected(range(len(loops)),
+                                      overlap_neighbors(loops).__getitem__)
 
     @property
     def key(self):
@@ -140,15 +128,8 @@ def ursell(cluster: Cluster, cap: int = DEFAULT_URSELL_CAP) -> Fraction:
     return Fraction(g[full], denom)
 
 
-def enumerate_clusters(excitations, max_weight: int, anchor=None,
-                       budget: int = DEFAULT_CLUSTER_BUDGET):
-    """All connected clusters of total weight <= max_weight, each once.
-
-    ``anchor`` (optional vertex set) keeps only clusters whose support
-    intersects it.
-    """
-    loops = sorted((l for l in excitations if l.weight <= max_weight),
-                   key=lambda l: l.key)
+def overlap_neighbors(loops):
+    """Neighbour sets of the overlap graph on ``loops``, by list index."""
     n = len(loops)
     nbrs = [set() for _ in range(n)]
     for i in range(n):
@@ -156,48 +137,55 @@ def enumerate_clusters(excitations, max_weight: int, anchor=None,
             if loops_overlap(loops[i], loops[j]):
                 nbrs[i].add(j)
                 nbrs[j].add(i)
+    return nbrs
+
+
+def anchored_loop_sets(excitations, max_weight: int, anchor=None):
+    """Connected sets of distinct loops with total weight <= max_weight,
+    each once, as lists in loop-key order.
+
+    ``anchor`` (optional vertex set) keeps only sets whose support
+    intersects it.
+    """
+    loops = sorted((l for l in excitations if l.weight <= max_weight),
+                   key=lambda l: l.key)
     anchor = {str(v) for v in anchor} if anchor is not None else None
+    for subset in connected_subsets(overlap_neighbors(loops),
+                                    [l.weight for l in loops], max_weight):
+        members = [loops[i] for i in sorted(subset)]
+        if anchor is None or any(l.vertices & anchor for l in members):
+            yield members
+
+
+def _multiplicities(weights, spare):
+    """Every tuple of multiplicities eta_i >= 1 with
+    sum (eta_i - 1) * weights[i] <= spare."""
+    if not weights:
+        yield ()
+        return
+    eta = 1
+    while (eta - 1) * weights[0] <= spare:
+        for rest in _multiplicities(weights[1:],
+                                    spare - (eta - 1) * weights[0]):
+            yield (eta,) + rest
+        eta += 1
+
+
+def enumerate_clusters(excitations, max_weight: int, anchor=None,
+                       budget: int = DEFAULT_CLUSTER_BUDGET):
+    """All connected clusters of total weight <= max_weight, each once.
+
+    ``anchor`` (optional vertex set) keeps only clusters whose support
+    intersects it.
+    """
     out = []
-    count = 0
-
-    def emit(subset):
-        nonlocal count
-        base = sum(loops[i].weight for i in subset)
-        # distribute extra multiplicities within the weight budget
-        def assign(pos, remaining, etas):
-            nonlocal count
-            if pos == len(subset):
-                count += 1
-                if count > budget:
-                    raise CombinatorialBudgetExceeded(
-                        f"cluster enumeration exceeded budget {budget}")
-                out.append(Cluster(
-                    [(loops[i], eta) for i, eta in zip(subset, etas)]))
-                return
-            w = loops[subset[pos]].weight
-            eta = 1
-            while (eta - 1) * w <= remaining:
-                assign(pos + 1, remaining - (eta - 1) * w, etas + [eta])
-                eta += 1
-        assign(0, max_weight - base, [])
-
-    # connected subsets of the loop overlap graph within the weight budget
-    def grow(cur, cand, banned, weight):
-        if anchor is None or any((loops[i].vertices & anchor) for i in cur):
-            emit(cur)
-        for idx, j in enumerate(cand):
-            w2 = weight + loops[j].weight
-            if w2 > max_weight:
-                continue
-            grown = [x for x in sorted(nbrs[j])
-                     if x > cur[0] and x not in cur and x not in banned
-                     and x not in cand]
-            grow(cur + [j], cand[idx + 1:] + grown,
-                 banned | set(cand[:idx]), w2)
-
-    for root in range(n):
-        grow([root], sorted(x for x in nbrs[root] if x > root),
-             frozenset(), loops[root].weight)
+    for members in anchored_loop_sets(excitations, max_weight, anchor):
+        weights = [l.weight for l in members]
+        for etas in _multiplicities(weights, max_weight - sum(weights)):
+            if len(out) >= budget:
+                raise CombinatorialBudgetExceeded(
+                    f"cluster enumeration exceeded budget {budget}")
+            out.append(Cluster(zip(members, etas)))
     out.sort(key=lambda c: (c.weight, c.key))
     return out
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 import cmath
 
 from .bp import MessageSet, bp_log_partition
-from .clusters import loops_overlap
+from .clusters import anchored_loop_sets, loops_overlap, overlap_neighbors
 from .errors import (BranchCrossing, CapExceeded,
                      CombinatorialBudgetExceeded, ZeroLocalFactor)
 from .loops import local_factors
-from .network import Graph, TensorNetwork
+from .network import Graph, TensorNetwork, connected_subsets, is_connected
 from .tensor import contract_network
 
 RESTRICTED_CAP = 20
@@ -31,21 +31,8 @@ class LoopSubset:
 
     def __init__(self, loops):
         self.loops = tuple(sorted(set(loops), key=lambda l: l.key))
-        self.connected = self._connected()
-
-    def _connected(self):
-        ls = self.loops
-        if not ls:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(len(ls)):
-                if j not in seen and loops_overlap(ls[i], ls[j]):
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == len(ls)
+        self.connected = is_connected(
+            range(len(self.loops)), overlap_neighbors(self.loops).__getitem__)
 
     @property
     def key(self):
@@ -105,7 +92,7 @@ def mobius_subset(A, B) -> int:
     return -1 if (len(sb) - len(sa)) % 2 else 1
 
 
-def _guarded_log(xi: complex, what: str) -> complex:
+def guarded_log(xi: complex, what: str) -> complex:
     if xi == 0 or (xi.real <= 0 and abs(xi.imag) <= 1e-14 * abs(xi.real)):
         raise BranchCrossing(
             f"{what} = {xi} on or across the principal-branch cut")
@@ -128,67 +115,37 @@ def cumulant(gamma, weight_table: dict) -> complex:
         sub = [loops[i] for i in range(n) if mask & (1 << i)]
         xi = restricted_partition(sub, weight_table)
         sign = -1 if (n - len(sub)) % 2 else 1
-        total += sign * _guarded_log(xi, f"Xi({len(sub)} loops)")
+        total += sign * guarded_log(xi, f"Xi({len(sub)} loops)")
     return total
 
 
 def connected_loop_subsets(excitations, max_weight: int, anchor=None,
                            budget: int = 10 ** 7):
     """All connected subsets of distinct loops with total weight <= m."""
-    loops = sorted((l for l in excitations if l.weight <= max_weight),
-                   key=lambda l: l.key)
-    n = len(loops)
-    nbrs = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if loops_overlap(loops[i], loops[j]):
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-    anchor = {str(v) for v in anchor} if anchor is not None else None
     out = []
-    count = 0
-
-    def grow(cur, cand, banned, weight):
-        nonlocal count
-        if anchor is None or any((loops[i].vertices & anchor) for i in cur):
-            count += 1
-            if count > budget:
-                raise CombinatorialBudgetExceeded(
-                    f"subset enumeration exceeded budget {budget}")
-            out.append(LoopSubset([loops[i] for i in cur]))
-        for idx, j in enumerate(cand):
-            w2 = weight + loops[j].weight
-            if w2 > max_weight:
-                continue
-            grown = [x for x in sorted(nbrs[j])
-                     if x > cur[0] and x not in cur and x not in banned
-                     and x not in cand]
-            grow(cur + [j], cand[idx + 1:] + grown,
-                 banned | set(cand[:idx]), w2)
-
-    for root in range(n):
-        grow([root], sorted(x for x in nbrs[root] if x > root),
-             frozenset(), loops[root].weight)
+    for members in anchored_loop_sets(excitations, max_weight, anchor):
+        if len(out) >= budget:
+            raise CombinatorialBudgetExceeded(
+                f"subset enumeration exceeded budget {budget}")
+        out.append(LoopSubset(members))
     out.sort(key=lambda s: (s.weight, s.key))
     return out
 
 
-def counting_numbers_loops(subsets) -> dict:
-    """Top-down counting numbers over connected loop subsets in scope.
+def counting_numbers(poset: dict) -> dict:
+    """Top-down counting numbers of a poset given as {key: member set}.
 
-    Parentless subsets get 1; b(B) = 1 - sum over strict supersets in
-    scope of b.  Returns {LoopSubset.key: int}.
+    Maximal elements get 1; b(x) = 1 - sum of b over the strict supersets
+    of x in the poset.  Returns {key: int}.
     """
-    order = sorted(subsets, key=lambda s: (-len(s.loops), s.key))
-    sets = [(s, frozenset(s.loops)) for s in order]
+    order = sorted(poset, key=lambda k: (-len(poset[k]), k))
     b = {}
-    for i, (s, fs) in enumerate(sets):
+    for i, k in enumerate(order):
         total = 1
-        for j in range(i):
-            s2, fs2 = sets[j]
-            if fs < fs2:
-                total -= b[s2.key]
-        b[s.key] = total
+        for k2 in order[:i]:
+            if poset[k] < poset[k2]:
+                total -= b[k2]
+        b[k] = total
     return b
 
 
@@ -210,12 +167,12 @@ def cumulant_free_energy(tn, messages, excitations, m: int,
 
 def counting_number_free_energy(tn, messages, subsets, weight_table):
     """Equivalent counting-number form: F = F_BP - sum b(B) log Xi(B)."""
-    b = counting_numbers_loops(subsets)
+    b = counting_numbers({s.key: frozenset(s.loops) for s in subsets})
     corr = 0.0 + 0j
     for s in subsets:
         if b[s.key] == 0:
             continue
-        corr += b[s.key] * _guarded_log(
+        corr += b[s.key] * guarded_log(
             restricted_partition(s, weight_table), "Xi(B)")
     f_bp = -bp_log_partition(tn, messages)
     return f_bp - corr, corr
@@ -261,106 +218,28 @@ def _induced_degrees(g: Graph, vset):
     return deg
 
 
-def _is_connected(g: Graph, vset) -> bool:
-    vset = set(vset)
-    if not vset:
-        return False
-    start = next(iter(vset))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w in vset and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vset
-
-
-def _connected_vertex_subsets(g: Graph, k: int, budget: int,
-                              must_contain=None):
-    """All connected vertex subsets with <= k vertices, each once."""
+def _vertex_subsets(g: Graph, k: int, budget: int, root=None):
+    """Connected vertex subsets with <= k vertices, each once; with
+    ``root`` given, only those containing it."""
     verts = sorted(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
-    nbrs = [sorted(index[w] for w in g.neighbors(v)) for v in verts]
+    nbrs = [[index[w] for w in g.neighbors(v)] for v in verts]
+    roots = None if root is None else [index[str(root)]]
     count = 0
-    roots = range(len(verts)) if must_contain is None else [index[str(must_contain)]]
-    for root in roots:
-        stack = [((root,),
-                  tuple(x for x in nbrs[root]
-                        if must_contain is not None or x > root),
-                  frozenset())]
-        while stack:
-            cur, cand, banned = stack.pop()
-            count += 1
-            if count > budget:
-                raise CombinatorialBudgetExceeded(
-                    f"vertex-subset enumeration exceeded budget {budget}")
-            yield frozenset(verts[i] for i in cur)
-            if len(cur) >= k:
-                continue
-            cur_set = set(cur)
-            cand_set = set(cand)
-            for i, x in enumerate(cand):
-                grown = tuple(sorted(
-                    y for y in nbrs[x]
-                    if (must_contain is not None or y > root)
-                    and y not in cur_set and y not in banned
-                    and y not in cand_set))
-                stack.append((cur + (x,), cand[i + 1:] + grown,
-                              banned | set(cand[:i])))
+    for cur in connected_subsets(nbrs, [1] * len(verts), k, roots):
+        count += 1
+        if count > budget:
+            raise CombinatorialBudgetExceeded(
+                f"vertex-subset enumeration exceeded budget {budget}")
+        yield frozenset(verts[i] for i in cur)
 
 
-def find_regions(g: Graph, k: int, budget: int = 10 ** 7):
-    """Region poset: maximal connected leafless induced subgraphs up to k
-    vertices, closed under pairwise intersection.  Returns a list of
-    Region with levels (0 = maximal set)."""
-    leafless = []
-    for vset in _connected_vertex_subsets(g, k, budget):
-        deg = _induced_degrees(g, vset)
-        if deg and all(d >= 2 for d in deg.values()):
-            leafless.append(vset)
-    maximal = [s for s in leafless
-               if not any(s < t for t in leafless)]
-    levels = [[Region(g, s, level=0) for s in sorted(maximal, key=sorted)]]
-    known = {r.vertices for r in levels[0]}
-    current = levels[0]
-    while True:
-        fresh = []
-        pool = [r for lvl in levels for r in lvl]
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                p = pool[i].vertices & pool[j].vertices
-                if p in known or not p:
-                    continue
-                deg = _induced_degrees(g, p)
-                if not deg or not any(deg.values()):
-                    continue
-                if not _is_connected(g, p):
-                    continue
-                if not all(d >= 2 for d in deg.values()):
-                    continue
-                known.add(p)
-                fresh.append(Region(g, p, level=len(levels)))
-        if not fresh:
-            break
-        fresh.sort(key=lambda r: r.key)
-        levels.append(fresh)
-        current = fresh
-    return [r for lvl in levels for r in lvl]
-
-
-def find_regions_local(g: Graph, k: int, A, budget: int = 10 ** 7):
-    """Observable-anchored region poset: regions contain A; only A may be
-    a leaf; intersections are pruned of branches not ending on A."""
-    A = str(A)
-    candidates = []
-    for vset in _connected_vertex_subsets(g, k, budget, must_contain=A):
-        deg = _induced_degrees(g, vset)
-        if all(d >= 2 for v, d in deg.items() if v != A):
-            candidates.append(vset)
-    maximal = [s for s in candidates if not any(s < t for t in candidates)]
-    levels = [[Region(g, s, kind="anchored", level=0)
+def _intersection_closure(g: Graph, maximal, kind, keep):
+    """Region poset from the maximal vertex sets, closed under pairwise
+    intersection.  ``keep(p)`` turns an intersection into the region it
+    adds (a frozenset), or None to drop it.  Returns the regions level by
+    level (0 = maximal)."""
+    levels = [[Region(g, s, kind=kind, level=0)
                for s in sorted(maximal, key=sorted)]]
     known = {r.vertices for r in levels[0]}
     while True:
@@ -368,27 +247,69 @@ def find_regions_local(g: Graph, k: int, A, budget: int = 10 ** 7):
         pool = [r for lvl in levels for r in lvl]
         for i in range(len(pool)):
             for j in range(i + 1, len(pool)):
-                p = set(pool[i].vertices & pool[j].vertices)
-                if A not in p or not _is_connected(g, p):
+                p = pool[i].vertices & pool[j].vertices
+                if p in known:  # already a region: adds nothing
                     continue
-                # prune branches not ending on A
-                while True:
-                    deg = _induced_degrees(g, p)
-                    drop = [v for v, d in deg.items() if d <= 1 and v != A
-                            and len(p) > 1]
-                    if not drop:
-                        break
-                    p -= set(drop)
-                p = frozenset(p)
-                if p in known:
+                p = keep(p)
+                if p is None or p in known:
                     continue
                 known.add(p)
-                fresh.append(Region(g, p, kind="anchored", level=len(levels)))
+                fresh.append(Region(g, p, kind=kind, level=len(levels)))
         if not fresh:
             break
         fresh.sort(key=lambda r: r.key)
         levels.append(fresh)
     return [r for lvl in levels for r in lvl]
+
+
+def find_regions(g: Graph, k: int, budget: int = 10 ** 7):
+    """Region poset: maximal connected leafless induced subgraphs up to k
+    vertices, closed under pairwise intersection.  Returns a list of
+    Region with levels (0 = maximal set)."""
+    leafless = []
+    for vset in _vertex_subsets(g, k, budget):
+        deg = _induced_degrees(g, vset)
+        if deg and all(d >= 2 for d in deg.values()):
+            leafless.append(vset)
+    maximal = [s for s in leafless
+               if not any(s < t for t in leafless)]
+
+    def keep(p):
+        # a leafless connected intersection is a region of its own
+        if (p and is_connected(p, g.neighbors)
+                and all(d >= 2 for d in _induced_degrees(g, p).values())):
+            return p
+        return None
+
+    return _intersection_closure(g, maximal, "bulk", keep)
+
+
+def find_regions_local(g: Graph, k: int, A, budget: int = 10 ** 7):
+    """Observable-anchored region poset: regions contain A; only A may be
+    a leaf; intersections are pruned of branches not ending on A."""
+    A = str(A)
+    candidates = []
+    for vset in _vertex_subsets(g, k, budget, root=A):
+        deg = _induced_degrees(g, vset)
+        if all(d >= 2 for v, d in deg.items() if v != A):
+            candidates.append(vset)
+    maximal = [s for s in candidates if not any(s < t for t in candidates)]
+
+    def keep(p):
+        if A not in p or not is_connected(p, g.neighbors):
+            return None
+        p = set(p)
+        # prune branches not ending on A
+        while True:
+            deg = _induced_degrees(g, p)
+            drop = [v for v, d in deg.items() if d <= 1 and v != A
+                    and len(p) > 1]
+            if not drop:
+                break
+            p -= set(drop)
+        return frozenset(p)
+
+    return _intersection_closure(g, maximal, "anchored", keep)
 
 
 def region_partition(tn: TensorNetwork, messages: MessageSet, R: Region,
@@ -411,27 +332,14 @@ def region_partition(tn: TensorNetwork, messages: MessageSet, R: Region,
     return raw, raw / denom
 
 
-def counting_numbers_regions(poset, k=None) -> dict:
-    """b_k(R) = 1 - sum over strict superset regions in the poset."""
-    order = sorted(poset, key=lambda r: (-len(r.vertices), r.key))
-    b = {}
-    for i, r in enumerate(order):
-        total = 1
-        for j in range(i):
-            if r.vertices < order[j].vertices:
-                total -= b[order[j].key]
-        b[r.key] = total
-    return b
-
-
 def region_free_energy(tn, messages, poset):
     """F = F_BP - sum b(R) log Xi(R) over the region poset."""
-    b = counting_numbers_regions(poset)
+    b = counting_numbers({r.key: r.vertices for r in poset})
     corr = 0.0 + 0j
     for r in poset:
         if b[r.key] == 0:
             continue
         _, xi = region_partition(tn, messages, r)
-        corr += b[r.key] * _guarded_log(xi, f"Xi({r.key})")
+        corr += b[r.key] * guarded_log(xi, f"Xi({r.key})")
     f_bp = -bp_log_partition(tn, messages)
     return f_bp - corr, corr

@@ -2,9 +2,10 @@
 
 A generalized loop is a connected edge-induced subgraph of minimum degree
 two; strings relax the degree condition inside marked terminal regions.
-Enumeration grows connected edge sets from a lexicographically smallest
-root edge with a take-or-leave rule, so every subset is produced exactly
-once.
+Enumeration walks the connected edge sets of the line graph (edges are
+adjacent when they share a vertex) with ``network.connected_subsets``,
+each set grown from its smallest edge id, so every subset is produced
+exactly once; loops and strings are the subsets that pass a degree test.
 
 Weights are evaluated locally on the loop support, in the BP gauge: each
 support vertex is its dressed tensor (the site tensor with the incoming
@@ -21,7 +22,7 @@ import math
 
 from .bp import MessageSet, bp_local_factor
 from .errors import CombinatorialBudgetExceeded, ZeroLocalFactor
-from .network import Graph, TensorNetwork
+from .network import Graph, TensorNetwork, connected_subsets
 from .tensor import contract_network
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
@@ -69,28 +70,6 @@ class ExcitationWeight:
         self.network_tag = network_tag
 
 
-def _rec_iter(root, nbrs, max_weight):
-    """Iterative exactly-once enumeration of connected edge sets that
-    contain ``root`` and only edges with index > root."""
-    # stack entries: (cur tuple, cand tuple, banned frozenset)
-    stack = [((root,), tuple(sorted(x for x in nbrs[root] if x > root)),
-              frozenset())]
-    while stack:
-        cur, cand, banned = stack.pop()
-        yield cur
-        if len(cur) >= max_weight:
-            continue
-        cur_set = set(cur)
-        cand_set = set(cand)
-        for i, e in enumerate(cand):
-            grown = tuple(sorted(
-                x for x in nbrs[e]
-                if x > root and x not in cur_set and x not in banned
-                and x not in cand_set))
-            stack.append((cur + (e,), cand[i + 1:] + grown,
-                          banned | set(cand[:i])))
-
-
 def connected_edge_subsets(g: Graph, max_weight: int,
                            budget: int = DEFAULT_ENUM_BUDGET):
     """All connected edge subsets of size <= max_weight, each once."""
@@ -104,13 +83,12 @@ def connected_edge_subsets(g: Graph, max_weight: int,
                 if i != j:
                     nbrs[i].add(j)
     visited = 0
-    for root in range(len(edge_ids)):
-        for cur in _rec_iter(root, nbrs, max_weight):
-            visited += 1
-            if visited > budget:
-                raise CombinatorialBudgetExceeded(
-                    f"edge-subset enumeration exceeded budget {budget}")
-            yield tuple(edge_ids[i] for i in cur)
+    for cur in connected_subsets(nbrs, [1] * len(edge_ids), max_weight):
+        visited += 1
+        if visited > budget:
+            raise CombinatorialBudgetExceeded(
+                f"edge-subset enumeration exceeded budget {budget}")
+        yield tuple(edge_ids[i] for i in cur)
 
 
 def _degree_map(g: Graph, edges):

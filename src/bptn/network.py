@@ -7,6 +7,12 @@ leg per site, with id ``phys_leg(v)``.
 
 Exact contraction is a greedy pairwise contraction used as ground truth at
 desk scale -- correctness over speed.
+
+Every expansion sums over connected objects: loops (edge sets), regions
+(vertex sets), clusters and cumulant subsets (sets in the loop-overlap
+graph).  ``connected_subsets`` is the one walk that enumerates them;
+``peps_replacements`` is the one adapter from a PEPS operator insertion to
+the replacement tensors the estimators take.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from collections import deque
 
 import numpy as np
 
-from .errors import (DimensionMismatch, MissingPhysicalLeg, OverlappingRegions,
-                     RegionMismatch, TooLarge)
+from .errors import (DimensionMismatch, MissingPhysicalLeg, RegionMismatch,
+                     TooLarge)
 from .tensor import DenseTensor, Leg, contract_network
 
 DEFAULT_SIZE_CAP = 2 ** 26
@@ -181,102 +187,34 @@ def build_norm_network(peps: TensorNetwork) -> TensorNetwork:
     return TensorNetwork(peps.graph, bond_dims, tensors)
 
 
-def _check_region(peps: TensorNetwork, ins: OperatorInsertion):
+def peps_replacements(peps: TensorNetwork, ins: OperatorInsertion) -> dict:
+    """Replacement double tensors that insert ``ins`` into the norm network
+    of ``peps``: {vertex: double tensor with O_v sandwiched}."""
     for v in ins.region:
         if v not in peps.phys_dims:
-            raise RegionMismatch(f"vertex {v!r} not in network or not physical")
+            raise RegionMismatch(
+                f"vertex {v!r} not in network or not physical")
         d = peps.phys_dims[v]
         if ins.operator(v).shape != (d, d):
             raise RegionMismatch(
                 f"vertex {v!r}: operator shape {ins.operator(v).shape} "
                 f"!= ({d}, {d})")
+    return {v: _double_tensor(peps.tensors[v], phys_leg(v), ins.operator(v))
+            for v in ins.region}
 
 
 def insert_operator(tn_norm: TensorNetwork, peps: TensorNetwork,
                     ins: OperatorInsertion) -> TensorNetwork:
     """The Z^A network: double tensors on A sandwich O_v; others shared."""
-    _check_region(peps, ins)
-    repl = {v: _double_tensor(peps.tensors[v], phys_leg(v), ins.operator(v))
-            for v in ins.region}
-    return tn_norm.replace_tensors(repl)
+    return tn_norm.replace_tensors(peps_replacements(peps, ins))
 
 
-def _expm(m):
-    """Matrix exponential by eigendecomposition (dense, desk scale)."""
-    w, vr = np.linalg.eig(np.asarray(m, dtype=complex))
-    return (vr * np.exp(w)) @ np.linalg.inv(vr)
-
-
-def perturbed_network(tn_norm: TensorNetwork, peps: TensorNetwork,
-                      ins_list) -> TensorNetwork:
-    """Insert exp(lambda_i O_i) on pairwise disjoint regions.
-
-    Single-site regions get a per-site matrix exponential.  Multi-site
-    regions exponentiate the regional operator (the tensor product of the
-    site matrices) densely; the resulting non-factorized gate is absorbed
-    by merging the region into a supervertex, so the returned network is
-    meant for exact contraction (finite-difference oracles).
-    """
-    seen = set()
-    for ins, _lam in ins_list:
-        _check_region(peps, ins)
-        if seen & ins.region:
-            raise OverlappingRegions(f"regions overlap at {sorted(seen & ins.region)}")
-        seen |= ins.region
-    out = tn_norm
-    for ins, lam in ins_list:
-        if len(ins.region) == 1:
-            (v,) = ins.region
-            gate = _expm(lam * ins.operator(v))
-            out = out.replace_tensors(
-                {v: _double_tensor(peps.tensors[v], phys_leg(v), gate)})
-        else:
-            out = _merge_perturbed_region(out, peps, ins, lam)
-    return out
-
-
-def _merge_perturbed_region(tn_norm, peps, ins, lam):
-    """Replace a multi-site region by one supervertex carrying exp(lam*O)."""
-    region = sorted(ins.region)
-    # joint ket over the region: contract internal bonds, keep physical legs
-    ket = contract_network([peps.tensors[v] for v in region])
-    pids = [phys_leg(v) for v in region]
-    pdims = [peps.phys_dims[v] for v in region]
-    ids = ket.leg_ids
-    p_axes = [ids.index(p) for p in pids]
-    bond_legs = [l for l in ket.legs if l.id not in pids]
-    # move physical axes to the back, in region order
-    rest = [i for i in range(len(ids)) if i not in p_axes]
-    data = np.transpose(ket.data, rest + p_axes)
-    bshape = [l.dim for l in bond_legs]
-    data = data.reshape(bshape + [int(np.prod(pdims))])
-    op = np.array([[1.0 + 0j]])
-    for v in region:
-        op = np.kron(op, ins.operator(v))
-    gate = _expm(lam * op)
-    data = np.tensordot(data, gate, axes=([len(bshape)], [1]))
-    # pair with the conjugate joint ket over the joint physical index
-    bra = np.transpose(ket.data, rest + p_axes).reshape(
-        bshape + [int(np.prod(pdims))])
-    d = np.tensordot(data, np.conj(bra), axes=(len(bshape), len(bshape)))
-    k = len(bond_legs)
-    perm = [x for i in range(k) for x in (i, i + k)]
-    d = np.transpose(d, perm).reshape([l.dim ** 2 for l in bond_legs])
-    super_t = DenseTensor([Leg(l.id, l.dim ** 2) for l in bond_legs], d)
-    merged, fused, new_id = merge_region(
-        tn_norm, region, supertensor=super_t)
-    return merged
-
-
-def merge_region(tn: TensorNetwork, region, supertensor: DenseTensor | None = None,
-                 new_id: str | None = None):
+def merge_region(tn: TensorNetwork, region):
     """Merge a vertex set into one supervertex on a closed network.
 
     Internal edges are contracted exactly; groups of edges from the region
     to a common outside neighbor are fused into a single edge (product
-    dimension) so the result stays a simple graph.  ``supertensor``
-    overrides the contraction of the region's own tensors (it must carry
-    the boundary edge ids as legs, pre-fusion).
+    dimension) so the result stays a simple graph.
 
     Returns (merged network, fused-edge map {kept id: [original ids]},
     supervertex id).
@@ -284,10 +222,8 @@ def merge_region(tn: TensorNetwork, region, supertensor: DenseTensor | None = No
     region = sorted(str(v) for v in region)
     rset = set(region)
     g = tn.graph
-    if new_id is None:
-        new_id = "+".join(region)
-    if supertensor is None:
-        supertensor = contract_network([tn.tensors[v] for v in region])
+    new_id = "+".join(region)
+    supertensor = contract_network([tn.tensors[v] for v in region])
     # boundary edges grouped by outside neighbor
     groups = {}  # outside vertex -> sorted list of edge ids
     internal = set()
@@ -374,6 +310,66 @@ def shortest_paths(g: Graph, A, B):
     return d, sum(paths[b] for b in B if dist.get(b) == d)
 
 
-def graph_distance(g: Graph, A, B):
-    """Min BFS distance between vertex sets; inf when disconnected."""
-    return shortest_paths(g, A, B)[0]
+
+def is_connected(items, neighbors) -> bool:
+    """Whether ``items`` is nonempty and connected, where ``neighbors(x)``
+    gives the neighbours of x (those outside ``items`` are ignored)."""
+    items = set(items)
+    if not items:
+        return False
+    start = next(iter(items))
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in neighbors(x):
+            if y in items and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen == items
+
+
+def connected_subsets(nbrs, weights, max_weight, roots=None):
+    """Yield each connected index subset of total weight <= max_weight once.
+
+    ``nbrs[i]`` holds the indices adjacent to index i and ``weights[i]`` is
+    its positive weight; subsets are yielded as index tuples in the order
+    they were grown.  With ``roots=None`` a subset is grown from its
+    smallest index over higher indices only.  With ``roots`` given, subsets
+    are grown from those roots over all indices, and a root never takes an
+    earlier root, so each connected subset holding a root is yielded once.
+
+    The walk is a take-or-leave stack: a subset's candidates are the
+    neighbours it may still take, and taking one bans the candidates
+    before it, so two branches never grow the same subset.
+    """
+    stop = max_weight - min(weights, default=0)
+    upward = roots is None
+    roots = range(len(weights)) if upward else list(roots)
+    for pos, root in enumerate(roots):
+        if weights[root] > max_weight:
+            continue
+        if upward:
+            low, banned = root, frozenset()
+        else:
+            low, banned = -1, frozenset(roots[:pos])
+        stack = [((root,), tuple(sorted(x for x in nbrs[root]
+                                        if x > low and x not in banned)),
+                  banned, weights[root])]
+        while stack:
+            cur, cand, banned, w = stack.pop()
+            yield cur
+            if w > stop:  # at the weight limit: no index fits
+                continue
+            cur_set = set(cur)
+            cand_set = set(cand)
+            for i, x in enumerate(cand):
+                wx = w + weights[x]
+                if wx > max_weight:
+                    continue
+                grown = tuple(sorted(
+                    y for y in nbrs[x]
+                    if y > low and y not in cur_set and y not in banned
+                    and y not in cand_set))
+                stack.append((cur + (x,), cand[i + 1:] + grown,
+                              banned | set(cand[:i]), wx))

@@ -3,8 +3,8 @@
 All estimators share one mechanism: a closed background network, a
 converged MessageSet, and per-region *replacement tensors* that implement
 the operator insertion (for a PEPS norm network these are double tensors
-with the operator sandwiched; for classical networks any modified site
-tensor).  Multi-site regions are merged into a supervertex first, so the
+with the operator sandwiched, from ``network.peps_replacements``; for
+classical networks any modified site tensor).  Multi-site regions are merged into a supervertex first, so the
 string/cluster machinery always sees single terminal vertices.
 
 Weight conventions: for a decorated network X the bar-normalized weight
@@ -25,14 +25,12 @@ import numpy as np
 
 from .bp import MessageSet, bp_local_factor, merge_messages
 from .clusters import Cluster, enumerate_clusters, ursell
-from .cumulants import (LoopSubset, _guarded_log, connected_loop_subsets,
-                        counting_numbers_regions, find_regions_local,
-                        region_partition, restricted_partition)
+from .cumulants import (connected_loop_subsets, counting_numbers, cumulant,
+                        find_regions_local, guarded_log, region_partition)
 from .errors import (InsufficientPoints, OverlappingRegions, PCapExceeded,
                      ZeroLocalFactor, ZeroRegionValue)
 from .loops import enumerate_strings, excitation_weight, local_factors
-from .network import (OperatorInsertion, TensorNetwork, _double_tensor,
-                      merge_region, phys_leg, shortest_paths)
+from .network import TensorNetwork, merge_region, shortest_paths
 
 P_CAP = 3
 
@@ -277,8 +275,6 @@ def expval_cumulant_tensors(tn, messages, replacements, m,
     base_table = {l.key: prob.bar_weight(l) for l in strings}
     dec_table = {l.key: prob.ratio_weight(l, frozenset([rid]))
                  for l in strings}
-    from .cumulants import cumulant
-
     total = 0.0 + 0j
     for s in subsets:
         total += cumulant(s, dec_table) - cumulant(s, base_table)
@@ -291,7 +287,7 @@ def expval_region_sum_tensors(tn, messages, replacements, k,
     prob = InsertionProblem(tn, messages, [set(replacements)], [replacements])
     (rid,) = prob.region_ids
     poset = find_regions_local(prob.base.graph, k, rid, budget)
-    b = counting_numbers_regions(poset)
+    b = counting_numbers({r.key: r.vertices for r in poset})
     repl = {rid: prob.replacements[rid]}
     total = 0.0 + 0j
     terms = {}
@@ -312,7 +308,7 @@ def expval_region_product_tensors(tn, messages, replacements, k,
     prob = InsertionProblem(tn, messages, [set(replacements)], [replacements])
     (rid,) = prob.region_ids
     poset = find_regions_local(prob.base.graph, k, rid, budget)
-    b = counting_numbers_regions(poset)
+    b = counting_numbers({r.key: r.vertices for r in poset})
     repl = {rid: prob.replacements[rid]}
     log_total = 0.0 + 0j
     for r in poset:
@@ -324,7 +320,7 @@ def expval_region_product_tensors(tn, messages, replacements, k,
         val = raw_o / raw
         if val == 0:
             raise ZeroRegionValue(f"zero region expectation on {r.key}")
-        log_total += b[r.key] * _guarded_log(val, f"<O>_{r.key}")
+        log_total += b[r.key] * guarded_log(val, f"<O>_{r.key}")
     return ExpectationEstimate(cmath.exp(log_total), f"region_product({k})")
 
 
@@ -439,60 +435,3 @@ def correlation_length(estimates):
                    "plain_r_squared": p_r2}
     xi = math.inf if slope >= 0 else -1.0 / slope
     return xi, diagnostics
-
-
-# --- PEPS-facing wrappers --------------------------------------------------
-
-def _peps_replacements(peps: TensorNetwork, ins: OperatorInsertion) -> dict:
-    from .network import _check_region
-
-    _check_region(peps, ins)
-    return {v: _double_tensor(peps.tensors[v], phys_leg(v), ins.operator(v))
-            for v in ins.region}
-
-
-def expval_bp(tn_norm, peps, messages, ins):
-    return expval_bp_tensors(tn_norm, messages, _peps_replacements(peps, ins))
-
-
-def expval_ratio(tn_norm, peps, messages, ins, m, **kw):
-    return expval_ratio_tensors(tn_norm, messages,
-                                _peps_replacements(peps, ins), m, **kw)
-
-
-def expval_derivative(tn_norm, peps, messages, ins, m, **kw):
-    return expval_derivative_tensors(tn_norm, messages,
-                                     _peps_replacements(peps, ins), m, **kw)
-
-
-def expval_cumulant(tn_norm, peps, messages, ins, m, **kw):
-    return expval_cumulant_tensors(tn_norm, messages,
-                                   _peps_replacements(peps, ins), m, **kw)
-
-
-def expval_region_sum(tn_norm, peps, messages, ins, k, **kw):
-    return expval_region_sum_tensors(tn_norm, messages,
-                                     _peps_replacements(peps, ins), k, **kw)
-
-
-def expval_region_product(tn_norm, peps, messages, ins, k, **kw):
-    return expval_region_product_tensors(
-        tn_norm, messages, _peps_replacements(peps, ins), k, **kw)
-
-
-def correlator_ratio(tn_norm, peps, messages, ins_a, ins_b, m, **kw):
-    return correlator_ratio_tensors(
-        tn_norm, messages, _peps_replacements(peps, ins_a),
-        _peps_replacements(peps, ins_b), m, **kw)
-
-
-def correlator_derivative(tn_norm, peps, messages, ins_a, ins_b, m, **kw):
-    return correlator_derivative_tensors(
-        tn_norm, messages, _peps_replacements(peps, ins_a),
-        _peps_replacements(peps, ins_b), m, **kw)
-
-
-def correlator_ppoint(tn_norm, peps, messages, ins_list, m, **kw):
-    return correlator_ppoint_tensors(
-        tn_norm, messages, [_peps_replacements(peps, i) for i in ins_list],
-        m, **kw)

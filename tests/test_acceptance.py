@@ -32,16 +32,14 @@ from bptn.models import (IsingParams, ising_exact_logZ, ising_insertion,
                          peps_statevector, random_peps, random_tree_network,
                          single_loop_network)
 from bptn.network import (Graph, OperatorInsertion, build_norm_network,
-                          exact_contract, graph_distance, insert_operator)
+                          exact_contract, insert_operator, peps_replacements)
 from bptn.observables import (correlation_length,
                               correlator_derivative_tensors,
-                              correlator_ppoint, correlator_ppoint_tensors,
-                              correlator_ratio, correlator_derivative,
-                              expval_bp_tensors, expval_cumulant_tensors,
+                              correlator_ppoint_tensors,
+                              correlator_ratio_tensors, expval_bp_tensors,
+                              expval_cumulant_tensors,
                               expval_derivative_tensors, expval_ratio_tensors,
-                              expval_region_sum_tensors,
-                              expval_ratio, expval_derivative,
-                              expval_cumulant, expval_region_sum, expval_bp)
+                              expval_region_sum_tensors)
 
 SZ = np.diag([1.0, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -338,14 +336,15 @@ def test_acceptance_8_expval_suite_peps():
     ins = OperatorInsertion({"0,1": SZ})
     want = exact_contract(
         insert_operator(tn, peps, ins)) / exact_contract(tn)
-    args = (tn, peps, res.messages, ins)
-    for fn in (expval_ratio, expval_derivative, expval_cumulant):
+    args = (tn, res.messages, peps_replacements(peps, ins))
+    for fn in (expval_ratio_tensors, expval_derivative_tensors,
+               expval_cumulant_tensors):
         errs = [abs(fn(*args, m).value - want) for m in (4, 6, 8)]
         assert errs[0] >= errs[1] >= errs[2], (fn.__name__, errs)
-    errs_k = [abs(expval_region_sum(*args, k).value - want)
+    errs_k = [abs(expval_region_sum_tensors(*args, k).value - want)
               for k in (2, 4, 6)]
     assert errs_k[0] >= errs_k[1] >= errs_k[2]
-    err_bp = abs(expval_bp(*args).value - want)
+    err_bp = abs(expval_bp_tensors(*args).value - want)
     assert errs_k[2] < err_bp
 
 
@@ -533,12 +532,12 @@ def test_acceptance_9_estimator_agreement(corr_scan):
     tn = build_norm_network(peps)
     ms = bp_iterate(tn, uniform_messages(tn), tol=1e-13).messages
     op = SZ + 0.4 * SX
-    a = OperatorInsertion({"0,0": op})
-    b = OperatorInsertion({"0,2": op})
-    r = correlator_ratio(tn, peps, ms, a, b, 6)
-    d = correlator_derivative(tn, peps, ms, a, b, 6)
+    a = peps_replacements(peps, OperatorInsertion({"0,0": op}))
+    b = peps_replacements(peps, OperatorInsertion({"0,2": op}))
+    r = correlator_ratio_tensors(tn, ms, a, b, 6)
+    d = correlator_derivative_tensors(tn, ms, a, b, 6)
     assert abs(r.value - d.value) <= 1e-10
-    p2 = correlator_ppoint(tn, peps, ms, [a, b], 6)
+    p2 = correlator_ppoint_tensors(tn, ms, [a, b], 6)
     assert abs(p2.value - d.value) <= 1e-12
 
 
@@ -549,8 +548,9 @@ def test_acceptance_9_third_joint_cumulant():
     tn = build_norm_network(peps)
     ms = bp_iterate(tn, uniform_messages(tn), tol=1e-13).messages
     sites = ("0,0", "0,2", "1,1")
-    inss = [OperatorInsertion({s: SZ}) for s in sites]
-    got = correlator_ppoint(tn, peps, ms, inss, 8).value
+    repls = [peps_replacements(peps, OperatorInsertion({s: SZ}))
+             for s in sites]
+    got = correlator_ppoint_tensors(tn, ms, repls, 8).value
 
     z = exact_contract(tn)
 

@@ -109,6 +109,30 @@ def test_correlator_scan_and_fixed_pair(tmp_path, capsys):
     assert float(row["rel_error"]) < 0.2
 
 
+def test_correlator_exact_reference_contracts_shared_site_once(
+        tmp_path, monkeypatch):
+    """A scan shares site a, so its decorated network is contracted once:
+    Z and Z_a, then Z_b and Z_ab per pair (8 calls for 3 distances)."""
+    import bptn.cli
+
+    calls = []
+    exact = bptn.cli.exact_contract
+
+    def counting(tn):
+        calls.append(tn)
+        return exact(tn)
+
+    monkeypatch.setattr(bptn.cli, "exact_contract", counting)
+    out = tmp_path / "corr.csv"
+    assert run(["correlator", "--generate", "ising:L=4,beta=0.25,h=0.2",
+                "--site", "0,0", "--distances", "3", "-m", "1",
+                "--reference", "exact", "--out", str(out)]) == 0
+    rows = _rows(out)
+    assert [r["distance"] for r in rows] == ["1", "2", "3"]
+    assert all(r["reference_re"] for r in rows)
+    assert len(calls) == 8
+
+
 def test_regions_subcommand(tmp_path):
     out = tmp_path / "reg.csv"
     assert run(["regions", "--generate", "ising:L=4,beta=0.2", "-k", "4",

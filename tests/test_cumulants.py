@@ -8,8 +8,7 @@ import pytest
 from bptn.clusters import (Cluster, enumerate_clusters, free_energy_truncated,
                            ursell)
 from bptn.cumulants import (LoopSubset, Region, connected_loop_subsets,
-                            counting_number_free_energy,
-                            counting_numbers_loops, counting_numbers_regions,
+                            counting_number_free_energy, counting_numbers,
                             cumulant, cumulant_free_energy, find_regions,
                             find_regions_local, mobius_subset,
                             region_free_energy, region_partition,
@@ -143,8 +142,8 @@ def test_counting_numbers_loops_telescoping():
     """By construction sum of b over supersets-or-equal of any subset is 1."""
     p, tn, ms, loops, table = _ising_setup(L=3, beta=0.2, m=6)
     subs = connected_loop_subsets(loops, 6)
-    b = counting_numbers_loops(subs)
     frozen = {s.key: frozenset(s.loops) for s in subs}
+    b = counting_numbers(frozen)
     for s in subs[:30]:
         total = sum(b[t.key] for t in subs if frozen[s.key] <= frozen[t.key])
         assert total == 1
@@ -179,7 +178,7 @@ def test_counting_numbers_regions_nested():
     p = IsingParams(L=4, beta=0.2)
     tg = ising_network(p).graph
     poset = find_regions(tg, 6)
-    b = counting_numbers_regions(poset)
+    b = counting_numbers({r.key: r.vertices for r in poset})
     # every region's superset sum telescopes to 1
     for r in poset:
         total = sum(b[t.key] for t in poset if r.vertices <= t.vertices)

@@ -14,8 +14,9 @@ from bptn.cumulants import find_regions, find_regions_local, region_partition
 from bptn.loops import enumerate_loops, excitation_weight, local_factors
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          random_peps)
-from bptn.network import OperatorInsertion, build_norm_network
-from bptn.observables import InsertionProblem, _peps_replacements
+from bptn.network import (OperatorInsertion, build_norm_network,
+                          peps_replacements)
+from bptn.observables import InsertionProblem
 
 _SZ = np.diag([1.0, -1.0])
 REL = 1e-12
@@ -109,7 +110,7 @@ def test_bar_weights_on_decorated_networks_match_reference(peps33):
     the dressed cache must keep their entries apart.  Undecorated and
     decorated weights are asked for in alternation."""
     peps, tn, ms = peps33
-    repl = _peps_replacements(peps, OperatorInsertion({"0,1": _SZ}))
+    repl = peps_replacements(peps, OperatorInsertion({"0,1": _SZ}))
     prob = InsertionProblem(tn, ms, [set(repl)], [repl])
     (rid,) = prob.region_ids
     strings = prob.strings(6)

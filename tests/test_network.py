@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bptn.errors import (DimensionMismatch, InvalidNetworkFile,
-                         MissingPhysicalLeg, OverlappingRegions,
-                         RegionMismatch)
+                         MissingPhysicalLeg, RegionMismatch)
 from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
                          peps_statevector, random_peps)
 from bptn.network import (Graph, OperatorInsertion, TensorNetwork,
                           _double_tensor, bfs, build_norm_network,
-                          exact_contract,
-                          graph_distance, insert_operator, merge_region,
-                          perturbed_network, phys_leg, shortest_paths)
+                          connected_subsets, exact_contract, insert_operator,
+                          merge_region, phys_leg, shortest_paths)
 from bptn.tensor import DenseTensor, Leg
 from bptn.tnio import (load_messages, load_network, network_from_dict,
                        network_to_dict, save_network)
@@ -56,10 +54,10 @@ def test_graph_incidence():
 def test_graph_distance_bfs():
     g = Graph(["a", "b", "c", "d"],
               {"1": ("a", "b"), "2": ("b", "c"), "3": ("c", "d")})
-    assert graph_distance(g, {"a"}, {"d"}) == 3
-    assert graph_distance(g, {"a", "b"}, {"b"}) == 0
+    assert shortest_paths(g, {"a"}, {"d"})[0] == 3
+    assert shortest_paths(g, {"a", "b"}, {"b"})[0] == 0
     g2 = Graph(["a", "b"], {})
-    assert graph_distance(g2, {"a"}, {"b"}) == math.inf
+    assert shortest_paths(g2, {"a"}, {"b"})[0] == math.inf
 
 
 def test_shortest_paths_counts_on_torus():
@@ -103,7 +101,6 @@ def test_shortest_paths_match_brute_force(case):
     A, B = {str(a) for a in A}, {str(b) for b in B}
     want = _brute_shortest_paths(g, A, B)
     assert shortest_paths(g, A, B) == want
-    assert graph_distance(g, A, B) == want[0]
 
 
 _random_graph_case = st.integers(2, 7).flatmap(lambda n: st.tuples(
@@ -128,6 +125,54 @@ def test_bfs_matches_brute_force(case):
     for b in g.vertices:
         assert (dist.get(b, math.inf), paths.get(b, 0)) == \
             _brute_shortest_paths(g, A, {b})
+
+
+def _brute_connected_subsets(nbrs, weights, max_weight, roots):
+    """Every connected index subset within the weight limit (holding a
+    root, when roots are given), by scanning all subsets."""
+    n = len(weights)
+    out = set()
+    for r in range(1, n + 1):
+        for combo in itertools.combinations(range(n), r):
+            if sum(weights[i] for i in combo) > max_weight:
+                continue
+            if roots is not None and not set(combo) & set(roots):
+                continue
+            reached = {combo[0]}
+            frontier = [combo[0]]
+            while frontier:
+                x = frontier.pop()
+                for y in nbrs[x]:
+                    if y in combo and y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+            if len(reached) == r:
+                out.add(frozenset(combo))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+             max_size=n * (n - 1) // 2),
+    st.lists(st.integers(1, 3), min_size=n, max_size=n),
+    st.integers(0, 10),
+    st.none() | st.lists(st.integers(0, n - 1), unique=True))))
+def test_connected_subsets_match_brute_force(case):
+    """Every connected subset within the weight limit is yielded exactly
+    once, and nothing else; with roots, only those holding a root."""
+    present, weights, max_weight, roots = case
+    n = len(weights)
+    nbrs = [set() for _ in range(n)]
+    for (u, v), keep in zip(itertools.combinations(range(n), 2), present):
+        if keep:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    got = [frozenset(s) for s in
+           connected_subsets(nbrs, weights, max_weight, roots)]
+    assert len(got) == len(set(got)), "a subset was yielded twice"
+    assert set(got) == _brute_connected_subsets(nbrs, weights, max_weight,
+                                                roots)
 
 
 # -- network validation -----------------------------------------------------
@@ -220,46 +265,6 @@ def test_insert_operator_validates():
         insert_operator(tn, peps, OperatorInsertion({"9,9": np.eye(2)}))
     with pytest.raises(RegionMismatch):
         insert_operator(tn, peps, OperatorInsertion({"0,0": np.eye(3)}))
-
-
-def test_perturbed_network_finite_difference():
-    """d/dlambda log Z_lambda at 0 equals <O> for a single site."""
-    peps = random_peps(2, 2, D=2, perturbation=0.3, seed=5)
-    tn = build_norm_network(peps)
-    sz = np.diag([1.0, -1.0])
-    ins = OperatorInsertion({"1,0": sz})
-    z0 = exact_contract(tn)
-    want = exact_contract(insert_operator(tn, peps, ins)) / z0
-    eps = 1e-5
-    zp = exact_contract(perturbed_network(tn, peps, [(ins, eps)]))
-    zm = exact_contract(perturbed_network(tn, peps, [(ins, -eps)]))
-    fd = (np.log(zp) - np.log(zm)) / (2 * eps)
-    assert abs(fd - want) < 1e-8
-
-
-def test_perturbed_network_multisite_matches_factorized():
-    """exp(lambda A x B) on a 2-site region vs statevector arithmetic."""
-    peps = random_peps(2, 2, D=2, perturbation=0.3, seed=6)
-    tn = build_norm_network(peps)
-    sz = np.diag([1.0, -1.0])
-    ins = OperatorInsertion({"0,0": sz, "0,1": sz})
-    lam = 0.2
-    z = exact_contract(perturbed_network(tn, peps, [(ins, lam)]))
-    psi = peps_statevector(peps).data.reshape(-1)
-    op = np.kron(np.kron(sz, sz), np.eye(4))  # sites sorted: 00,01,10,11
-    from scipy.linalg import expm
-
-    want = np.conj(psi) @ expm(lam * op) @ psi
-    assert abs(z - want) < 1e-10 * abs(want)
-
-
-def test_perturbed_network_rejects_overlap():
-    peps = random_peps(2, 2, D=2, perturbation=0.1)
-    tn = build_norm_network(peps)
-    a = OperatorInsertion({"0,0": np.eye(2)})
-    b = OperatorInsertion({"0,0": np.eye(2), "0,1": np.eye(2)})
-    with pytest.raises(OverlappingRegions):
-        perturbed_network(tn, peps, [(a, 0.1), (b, 0.1)])
 
 
 # -- merging ----------------------------------------------------------------

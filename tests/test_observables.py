@@ -10,17 +10,15 @@ from bptn.errors import (InsufficientPoints, OverlappingRegions,
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          peps_statevector, random_peps)
 from bptn.network import (OperatorInsertion, build_norm_network,
-                          exact_contract, insert_operator)
+                          exact_contract, insert_operator, peps_replacements)
 from bptn.observables import (CorrelatorEstimate, correlation_length,
-                              correlator_derivative, correlator_ppoint,
-                              correlator_ratio, expval_bp, expval_cumulant,
-                              expval_derivative, expval_ratio,
-                              expval_region_product, expval_region_sum,
-                              expval_bp_tensors, expval_cumulant_tensors,
-                              expval_derivative_tensors, expval_ratio_tensors,
-                              expval_region_sum_tensors,
                               correlator_derivative_tensors,
-                              correlator_ppoint_tensors)
+                              correlator_ppoint_tensors,
+                              correlator_ratio_tensors, expval_bp_tensors,
+                              expval_cumulant_tensors,
+                              expval_derivative_tensors, expval_ratio_tensors,
+                              expval_region_product_tensors,
+                              expval_region_sum_tensors)
 
 SZ = np.diag([1.0, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -35,13 +33,13 @@ def _exact_expval(peps, ins):
 
 def test_identity_observable_is_exactly_one(peps23):
     ins = OperatorInsertion({"0,1": np.eye(2)})
-    args = (peps23.tn, peps23.peps, peps23.messages, ins)
-    for est in (expval_bp(*args),
-                expval_ratio(*args, 4),
-                expval_derivative(*args, 4),
-                expval_cumulant(*args, 4),
-                expval_region_sum(*args, 4),
-                expval_region_product(*args, 4)):
+    args = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins))
+    for est in (expval_bp_tensors(*args),
+                expval_ratio_tensors(*args, 4),
+                expval_derivative_tensors(*args, 4),
+                expval_cumulant_tensors(*args, 4),
+                expval_region_sum_tensors(*args, 4),
+                expval_region_product_tensors(*args, 4)):
         assert abs(est.value - 1.0) < 1e-12, est
 
 
@@ -50,24 +48,24 @@ def test_identity_observable_is_exactly_one(peps23):
 def test_expval_estimators_converge_to_exact(peps23):
     ins = OperatorInsertion({"0,1": SZ})
     want = _exact_expval(peps23.peps, ins)
-    args = (peps23.tn, peps23.peps, peps23.messages, ins)
-    for fn, budget_arg, tol in ((expval_ratio, 8, 2e-4),
-                                (expval_derivative, 8, 1e-4),
-                                (expval_cumulant, 8, 1e-4)):
+    args = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins))
+    for fn, budget_arg, tol in ((expval_ratio_tensors, 8, 2e-4),
+                                (expval_derivative_tensors, 8, 1e-4),
+                                (expval_cumulant_tensors, 8, 1e-4)):
         got = fn(*args, budget_arg).value
         assert abs(got - want) < tol * abs(want), (fn.__name__, got, want)
 
 
 def test_region_sum_k1_equals_bp(peps23):
     ins = OperatorInsertion({"1,1": SZ})
-    args = (peps23.tn, peps23.peps, peps23.messages, ins)
-    bp = expval_bp(*args).value
-    rs = expval_region_sum(*args, 1).value
+    args = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins))
+    bp = expval_bp_tensors(*args).value
+    rs = expval_region_sum_tensors(*args, 1).value
     assert abs(rs - bp) < 1e-14
     ins2 = OperatorInsertion({"0,1": SZ})
-    args2 = (peps23.tn, peps23.peps, peps23.messages, ins2)
-    rp = expval_region_product(*args2, 1).value
-    assert abs(rp - expval_bp(*args2).value) < 1e-14
+    args2 = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins2))
+    rp = expval_region_product_tensors(*args2, 1).value
+    assert abs(rp - expval_bp_tensors(*args2).value) < 1e-14
 
 
 def test_region_product_guards_negative_values(peps23):
@@ -76,15 +74,16 @@ def test_region_product_guards_negative_values(peps23):
 
     ins = OperatorInsertion({"1,1": SZ})  # site with negative <O>_BP
     with pytest.raises(BranchCrossing):
-        expval_region_product(peps23.tn, peps23.peps, peps23.messages,
-                              ins, 1)
+        expval_region_product_tensors(
+            peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins), 1)
 
 
 def test_region_estimators_improve_with_k(peps23):
     ins = OperatorInsertion({"0,1": SZ})
     want = _exact_expval(peps23.peps, ins)
-    args = (peps23.tn, peps23.peps, peps23.messages, ins)
-    errs = [abs(expval_region_sum(*args, k).value - want) for k in (2, 4, 6)]
+    args = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins))
+    errs = [abs(expval_region_sum_tensors(*args, k).value - want)
+            for k in (2, 4, 6)]
     assert errs[2] < errs[0]
     assert errs[2] < 2e-3 * abs(want)
 
@@ -111,9 +110,9 @@ def test_classical_magnetization_vs_exact():
 def test_two_site_supervertex_expectation(peps23):
     ins = OperatorInsertion({"0,0": SZ, "0,1": SZ})
     want = _exact_expval(peps23.peps, ins)
-    args = (peps23.tn, peps23.peps, peps23.messages, ins)
-    bp = expval_bp(*args).value
-    got = expval_derivative(*args, 8).value
+    args = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins))
+    bp = expval_bp_tensors(*args).value
+    got = expval_derivative_tensors(*args, 8).value
     assert abs(got - want) < abs(bp - want)
     assert abs(got - want) < 1e-3 * abs(want)
 
@@ -122,18 +121,19 @@ def test_overlapping_regions_rejected(peps23):
     a = OperatorInsertion({"0,0": SZ})
     b = OperatorInsertion({"0,0": SZ, "0,1": SZ})
     with pytest.raises(OverlappingRegions):
-        correlator_derivative(peps23.tn, peps23.peps, peps23.messages,
-                              a, b, 4)
+        correlator_derivative_tensors(
+            peps23.tn, peps23.messages, peps_replacements(peps23.peps, a),
+            peps_replacements(peps23.peps, b), 4)
 
 
 # --- correlators ------------------------------------------------------------
 
 def test_correlator_symmetry(peps23):
-    a = OperatorInsertion({"0,0": SZ})
-    b = OperatorInsertion({"1,2": SZ})
-    args = (peps23.tn, peps23.peps, peps23.messages)
-    ab = correlator_derivative(*args, a, b, 6)
-    ba = correlator_derivative(*args, b, a, 6)
+    a = peps_replacements(peps23.peps, OperatorInsertion({"0,0": SZ}))
+    b = peps_replacements(peps23.peps, OperatorInsertion({"1,2": SZ}))
+    args = (peps23.tn, peps23.messages)
+    ab = correlator_derivative_tensors(*args, a, b, 6)
+    ba = correlator_derivative_tensors(*args, b, a, 6)
     assert abs(ab.value - ba.value) < 1e-12
     assert ab.distance == ba.distance == 3
 
@@ -150,32 +150,34 @@ def test_correlator_derivative_matches_exact_connected():
     eb = _exact_expval(peps, b)
     eab = _exact_expval(peps, OperatorInsertion({"0,0": SZ, "1,1": SZ}))
     want = eab - ea * eb
-    got = correlator_derivative(tn, peps, ms, a, b, 12).value
+    got = correlator_derivative_tensors(
+        tn, ms, peps_replacements(peps, a), peps_replacements(peps, b),
+        12).value
     assert abs(got - want) < 1e-6 * abs(want)
 
 
 def test_ppoint_p1_equals_derivative_estimator(peps23):
-    ins = OperatorInsertion({"0,1": SZ})
-    args = (peps23.tn, peps23.peps, peps23.messages)
-    p1 = correlator_ppoint(*args, [ins], 6)
-    ev = expval_derivative(*args, ins, 6)
+    repl = peps_replacements(peps23.peps, OperatorInsertion({"0,1": SZ}))
+    args = (peps23.tn, peps23.messages)
+    p1 = correlator_ppoint_tensors(*args, [repl], 6)
+    ev = expval_derivative_tensors(*args, repl, 6)
     assert abs(p1.value - ev.value) < 1e-13
 
 
 def test_ppoint_p2_equals_correlator_derivative(peps23):
-    a = OperatorInsertion({"0,0": SZ})
-    b = OperatorInsertion({"1,2": SZ})
-    args = (peps23.tn, peps23.peps, peps23.messages)
-    p2 = correlator_ppoint(*args, [a, b], 6)
-    cd = correlator_derivative(*args, a, b, 6)
+    a = peps_replacements(peps23.peps, OperatorInsertion({"0,0": SZ}))
+    b = peps_replacements(peps23.peps, OperatorInsertion({"1,2": SZ}))
+    args = (peps23.tn, peps23.messages)
+    p2 = correlator_ppoint_tensors(*args, [a, b], 6)
+    cd = correlator_derivative_tensors(*args, a, b, 6)
     assert abs(p2.value - cd.value) < 1e-13
 
 
 def test_ppoint_cap(peps23):
-    inss = [OperatorInsertion({v: SZ})
-            for v in ("0,0", "0,1", "0,2", "1,0")]
+    repls = [peps_replacements(peps23.peps, OperatorInsertion({v: SZ}))
+             for v in ("0,0", "0,1", "0,2", "1,0")]
     with pytest.raises(PCapExceeded):
-        correlator_ppoint(peps23.tn, peps23.peps, peps23.messages, inss, 4)
+        correlator_ppoint_tensors(peps23.tn, peps23.messages, repls, 4)
 
 
 def test_ratio_and_derivative_correlators_agree():
@@ -185,10 +187,10 @@ def test_ratio_and_derivative_correlators_agree():
     tn = build_norm_network(peps)
     ms = bp_iterate(tn, uniform_messages(tn), tol=1e-13).messages
     op = SZ + 0.4 * SX
-    a = OperatorInsertion({"0,0": op})
-    b = OperatorInsertion({"0,2": op})
-    r = correlator_ratio(tn, peps, ms, a, b, 6)
-    d = correlator_derivative(tn, peps, ms, a, b, 6)
+    a = peps_replacements(peps, OperatorInsertion({"0,0": op}))
+    b = peps_replacements(peps, OperatorInsertion({"0,2": op}))
+    r = correlator_ratio_tensors(tn, ms, a, b, 6)
+    d = correlator_derivative_tensors(tn, ms, a, b, 6)
     # the forms differ only in how omitted higher orders are resummed
     assert abs(r.value - d.value) < 1e-10
 
