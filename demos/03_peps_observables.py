@@ -16,7 +16,8 @@ from bptn.bp import bp_iterate, uniform_messages
 from bptn.models import random_peps
 from bptn.network import (OperatorInsertion, build_norm_network,
                           exact_contract, insert_operator, peps_replacements)
-from bptn.observables import (expval_bp_tensors, expval_cumulant_tensors,
+from bptn.observables import (InsertionProblem, expval_bp_tensors,
+                              expval_cumulant_tensors,
                               expval_derivative_tensors, expval_ratio_tensors,
                               expval_region_sum_tensors)
 
@@ -32,17 +33,18 @@ ins = OperatorInsertion({"0,1": SZ})
 exact = exact_contract(insert_operator(tn, peps, ins)) / exact_contract(tn)
 print(f"exact <sigma_z> at site (0,1): {exact.real:.10f}\n")
 
-args = (tn, res.messages, peps_replacements(peps, ins))
+# one expansion object shared by every estimator and truncation
+prob = InsertionProblem(tn, res.messages, [peps_replacements(peps, ins)])
 print(f"{'estimator':>16} {'value':>14} {'abs. error':>12}")
-e = expval_bp_tensors(*args)
+e = expval_bp_tensors(prob)
 print(f"{'BP':>16} {e.value.real:14.10f} {abs(e.value - exact):12.2e}")
 for m in (4, 6, 8):
     for fn in (expval_ratio_tensors, expval_derivative_tensors,
                expval_cumulant_tensors):
-        e = fn(*args, m)
+        e = fn(prob, m)
         print(f"{e.method:>16} {e.value.real:14.10f} "
               f"{abs(e.value - exact):12.2e}")
 for k in (2, 4, 6):
-    e = expval_region_sum_tensors(*args, k)
+    e = expval_region_sum_tensors(prob, k)
     print(f"{e.method:>16} {e.value.real:14.10f} "
           f"{abs(e.value - exact):12.2e}")

@@ -37,7 +37,7 @@ from .models import (IsingParams, ising_exact_logZ, ising_insertion,
                      single_loop_network)
 from .network import (OperatorInsertion, bfs, build_norm_network,
                       exact_contract, peps_replacements)
-from .observables import (correlation_length, correlator_derivative_tensors,
+from .observables import (InsertionProblem, correlation_length,
                           correlator_ratio_tensors, expval_bp_tensors,
                           expval_cumulant_tensors, expval_derivative_tensors,
                           expval_ratio_tensors, expval_region_sum_tensors)
@@ -289,12 +289,13 @@ def cmd_expval(args):
     if args.reference == "exact":
         z = exact_contract(prob.tn)
         ref = exact_contract(prob.tn.replace_tensors(repl)) / z
+    expansion = InsertionProblem(prob.tn, res.messages, [repl])
     estimates = [
-        expval_bp_tensors(prob.tn, res.messages, repl),
-        expval_ratio_tensors(prob.tn, res.messages, repl, m),
-        expval_derivative_tensors(prob.tn, res.messages, repl, m),
-        expval_cumulant_tensors(prob.tn, res.messages, repl, m),
-        expval_region_sum_tensors(prob.tn, res.messages, repl, k),
+        expval_bp_tensors(expansion),
+        expval_ratio_tensors(expansion, m),
+        expval_derivative_tensors(expansion, m),
+        expval_cumulant_tensors(expansion, m),
+        expval_region_sum_tensors(expansion, k),
     ]
     rows = []
     for e in estimates:
@@ -335,9 +336,10 @@ def cmd_correlator(args):
     for u, v in pairs:
         rb = prob.insertion(v)
         m = args.max_weight + dist.get(v, math.inf)
-        cd = correlator_derivative_tensors(prob.tn, res.messages, ra, rb, m)
+        pair = InsertionProblem(prob.tn, res.messages, [ra, rb])
+        cd = expval_derivative_tensors(pair, m)
         try:
-            cr = correlator_ratio_tensors(prob.tn, res.messages, ra, rb, m)
+            cr = correlator_ratio_tensors(pair, m)
             ratio_re = _fmt(cr.value.real)
         except (EngineError, OverflowError):
             ratio_re = "nan"

@@ -62,12 +62,11 @@ class GeneralizedLoop:
 
 
 class ExcitationWeight:
-    __slots__ = ("loop", "value", "network_tag")
+    __slots__ = ("loop", "value")
 
-    def __init__(self, loop, value, network_tag=""):
+    def __init__(self, loop, value):
         self.loop = loop
         self.value = complex(value)
-        self.network_tag = network_tag
 
 
 def connected_edge_subsets(g: Graph, max_weight: int,
@@ -102,14 +101,9 @@ def _degree_map(g: Graph, edges):
 
 def enumerate_loops(g: Graph, max_weight: int,
                     budget: int = DEFAULT_ENUM_BUDGET):
-    """All generalized loops (min degree 2) with |F| <= max_weight."""
-    out = []
-    for edges in connected_edge_subsets(g, max_weight, budget):
-        deg = _degree_map(g, edges)
-        if all(d >= 2 for d in deg.values()):
-            out.append(GeneralizedLoop(g, edges, kind="closed"))
-    out.sort(key=lambda l: (l.weight, l.key))
-    return out
+    """All generalized loops (min degree 2) with |F| <= max_weight: the
+    strings without terminal regions."""
+    return enumerate_strings(g, [], max_weight, budget)
 
 
 def enumerate_strings(g: Graph, regions, max_weight: int,
@@ -153,8 +147,8 @@ def local_factors(tn: TensorNetwork, messages: MessageSet, vertices) -> dict:
 
 
 def excitation_weight(tn: TensorNetwork, messages: MessageSet,
-                      loop: GeneralizedLoop, factors: dict | None = None,
-                      network_tag: str = "") -> ExcitationWeight:
+                      loop: GeneralizedLoop,
+                      factors: dict | None = None) -> ExcitationWeight:
     """Normalized weight Z_l of one excitation, contracted on its support.
 
     ``factors`` supplies the normalizing local factors z_v (computed from
@@ -173,13 +167,12 @@ def excitation_weight(tn: TensorNetwork, messages: MessageSet,
     denom = 1.0 + 0j
     for v in loop.vertices:
         denom *= factors[str(v)]
-    return ExcitationWeight(loop, raw / denom, network_tag)
+    return ExcitationWeight(loop, raw / denom)
 
 
-def evaluate_weights(tn, messages, loops, factors=None, network_tag=""):
+def evaluate_weights(tn, messages, loops, factors=None):
     """Weight table for a loop list."""
-    return [excitation_weight(tn, messages, l, factors, network_tag)
-            for l in loops]
+    return [excitation_weight(tn, messages, l, factors) for l in loops]
 
 
 def loop_decay_profile(weights):

@@ -1,19 +1,23 @@
 """Observable and correlator estimators on a BP background.
 
-All estimators share one mechanism: a closed background network, a
-converged MessageSet, and per-region *replacement tensors* that implement
-the operator insertion (for a PEPS norm network these are double tensors
+Every estimator is a resummation of one expansion, owned by an
+``InsertionProblem``: a closed background network, a converged
+MessageSet, and per-region *replacement tensors* that implement the
+operator insertion (for a PEPS norm network these are double tensors
 with the operator sandwiched, from ``network.peps_replacements``; for
-classical networks any modified site tensor).  Multi-site regions are merged into a supervertex first, so the
-string/cluster machinery always sees single terminal vertices.
+classical networks any modified site tensor).  Multi-site regions are
+merged into a supervertex first, so the string/cluster machinery always
+sees single terminal vertices.  The object enumerates strings, clusters,
+connected loop subsets and regions once per truncation and caches every
+weight, so estimators that share an object share that work.
 
 Weight conventions: for a decorated network X the bar-normalized weight
 Zbar^X_l divides by the *undecorated* local factors; the ratio-normalized
 weight Z^X_l divides by the decorated ones, i.e. Z^X_l =
 Zbar^X_l / prod of BP expectations over the inserted sites in the
-support.  Ratio/cumulant estimators use the ratio normalization;
-derivative (polynomial) estimators use the bar normalization and never
-divide by a loop weight.
+support.  Ratio/cumulant estimators use the ratio normalization; the
+derivative (polynomial) estimator uses the bar normalization and never
+divides by a loop weight.
 """
 
 from __future__ import annotations
@@ -35,45 +39,37 @@ from .network import TensorNetwork, merge_region, shortest_paths
 P_CAP = 3
 
 
-class ExpectationEstimate:
-    def __init__(self, value, method, diagnostics=None):
-        self.value = complex(value)
-        self.method = method
-        self.diagnostics = diagnostics or {}
+class Estimate:
+    """An estimator's value; a correlator also carries the graph
+    ``distance`` between its regions and the number of shortest ``paths``
+    joining them."""
 
-    def __repr__(self):
-        return f"ExpectationEstimate({self.value}, {self.method!r})"
-
-
-class CorrelatorEstimate:
-    """A correlator value at graph distance ``distance`` between regions
-    joined by ``paths`` shortest paths."""
-
-    def __init__(self, value, method, distance, diagnostics=None, paths=1):
+    def __init__(self, value, method, distance=None, paths=1):
         self.value = complex(value)
         self.method = method
         self.distance = distance
         self.paths = paths
-        self.diagnostics = diagnostics or {}
 
     def __repr__(self):
-        return (f"CorrelatorEstimate({self.value}, {self.method!r}, "
-                f"d={self.distance})")
+        return f"Estimate({self.value}, {self.method!r}, d={self.distance})"
 
 
 class InsertionProblem:
-    """Shared state for estimators: merged network, messages, regions.
+    """One insertion's expansion: merged network, messages, regions, and
+    the strings, clusters, loop subsets, regions and weights built on it.
 
-    ``regions`` is a list of vertex sets; ``replacements`` a parallel list
-    of {vertex: replacement DenseTensor} maps.  After construction each
-    region is a single (super)vertex id in ``self.region_ids``.  For two
-    regions ``distance`` and ``paths`` hold their graph distance and the
-    number of shortest paths between them; otherwise both are None.
+    ``replacements`` is a list of {vertex: replacement DenseTensor} maps,
+    one per region; a map's vertices are its region.  After construction
+    each region is a single (super)vertex id in ``self.region_ids``, and
+    ``source`` keeps the unmerged ``(tn, messages, replacements)``.  For
+    two regions ``distance`` and ``paths`` hold their graph distance and
+    the number of shortest paths between them; otherwise both are None.
     """
 
     def __init__(self, tn: TensorNetwork, messages: MessageSet,
-                 regions, replacements):
-        regions = [frozenset(str(v) for v in r) for r in regions]
+                 replacements):
+        replacements = list(replacements)
+        regions = [frozenset(str(v) for v in r) for r in replacements]
         for i in range(len(regions)):
             for j in range(i + 1, len(regions)):
                 if regions[i] & regions[j]:
@@ -83,6 +79,7 @@ class InsertionProblem:
         if len(regions) == 2:
             self.distance, self.paths = shortest_paths(
                 tn.graph, regions[0], regions[1])
+        self.source = (tn, messages, replacements)
         self.base = tn
         self.messages = messages
         self.region_ids = []
@@ -106,20 +103,17 @@ class InsertionProblem:
         self._weights = {}       # (loop key, inserted-region frozenset) -> value
         self._decorated = {}     # inserted-region frozenset -> network
         self._alphas = None
+        self._memo = {}          # (what, truncation) -> enumeration result
 
     # -- BP-level quantities ------------------------------------------------
 
-    def alpha(self, rid) -> complex:
-        """BP expectation of the insertion at one region."""
-        z = bp_local_factor(self.base, self.messages, rid)
-        z_o = bp_local_factor(
-            self.base.replace_tensors({rid: self.replacements[rid]}),
-            self.messages, rid)
-        return z_o / z
-
     def alphas(self):
+        """BP expectation of the insertion at each region."""
         if self._alphas is None:
-            self._alphas = {r: self.alpha(r) for r in self.region_ids}
+            self._alphas = {
+                r: bp_local_factor(self.network([r]), self.messages, r)
+                / bp_local_factor(self.base, self.messages, r)
+                for r in self.region_ids}
         return self._alphas
 
     def factors(self, vertices) -> dict:
@@ -136,10 +130,38 @@ class InsertionProblem:
                 {r: self.replacements[r] for r in key})
         return self._decorated[key]
 
-    def strings(self, max_weight, budget=10 ** 7):
-        return enumerate_strings(
-            self.base.graph, [{r} for r in self.region_ids], max_weight,
-            budget)
+    # -- the expansion, once per truncation ---------------------------------
+
+    def _memoized(self, key, build):
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def strings(self, m):
+        """Strings of weight <= m ending on the regions."""
+        return self._memoized(("strings", m), lambda: enumerate_strings(
+            self.base.graph, [{r} for r in self.region_ids], m))
+
+    def clusters(self, m):
+        """Clusters of weight <= m whose support holds every region."""
+        def build():
+            found = enumerate_clusters(self.strings(m), m,
+                                       anchor={self.region_ids[0]})
+            return [c for c in found
+                    if all(r in c.support for r in self.region_ids)]
+        return self._memoized(("clusters", m), build)
+
+    def loop_subsets(self, m):
+        """Connected string subsets of weight <= m at the first region."""
+        return self._memoized(("subsets", m), lambda: connected_loop_subsets(
+            self.strings(m), m, anchor={self.region_ids[0]}))
+
+    def regions(self, k):
+        """Region poset of size <= k anchored at the first region."""
+        return self._memoized(("regions", k), lambda: find_regions_local(
+            self.base.graph, k, self.region_ids[0]))
+
+    # -- weights ------------------------------------------------------------
 
     def bar_weight(self, loop, inserted=frozenset()) -> complex:
         """Weight on the decorated network, base-z normalized."""
@@ -217,133 +239,93 @@ def _cluster_mixed_coeff(prob, cluster: Cluster, var_regions) -> complex:
 
 # --- expectation estimators ------------------------------------------------
 
-def expval_bp_tensors(tn, messages, replacements) -> ExpectationEstimate:
+def expval_bp_tensors(prob: InsertionProblem) -> Estimate:
     """BP expectation: ratio of local factors on the inserted region."""
-    prob = InsertionProblem(tn, messages, [set(replacements)], [replacements])
     (rid,) = prob.region_ids
-    return ExpectationEstimate(prob.alphas()[rid], "BP")
+    return Estimate(prob.alphas()[rid], "BP")
 
 
-def _anchored_clusters(prob, m, budget=10 ** 7):
-    strings = prob.strings(m, budget)
-    return strings, enumerate_clusters(
-        strings, m, anchor=set(prob.region_ids), budget=budget)
-
-
-def expval_ratio_tensors(tn, messages, replacements, m,
-                         budget=10 ** 7) -> ExpectationEstimate:
-    prob = InsertionProblem(tn, messages, [set(replacements)], [replacements])
+def expval_ratio_tensors(prob: InsertionProblem, m) -> Estimate:
     (rid,) = prob.region_ids
-    _, clusters = _anchored_clusters(prob, m, budget)
     total = 0.0 + 0j
-    per_order = {}
-    for c in clusters:
+    for c in prob.clusters(m):
         zo = 1.0 + 0j
         z = 1.0 + 0j
         for l, eta in c.members:
             zo *= prob.ratio_weight(l, frozenset([rid])) ** eta
             z *= prob.bar_weight(l) ** eta
-        term = float(ursell(c)) * (zo - z)
-        total += term
-        per_order[c.weight] = per_order.get(c.weight, 0.0) + abs(term)
-    val = prob.alphas()[rid] * cmath.exp(total)
-    return ExpectationEstimate(val, f"ratio({m})", {"per_order": per_order})
+        total += float(ursell(c)) * (zo - z)
+    return Estimate(prob.alphas()[rid] * cmath.exp(total), f"ratio({m})")
 
 
-def expval_derivative_tensors(tn, messages, replacements, m,
-                              budget=10 ** 7) -> ExpectationEstimate:
-    prob = InsertionProblem(tn, messages, [set(replacements)], [replacements])
-    (rid,) = prob.region_ids
-    _, clusters = _anchored_clusters(prob, m, budget)
+def expval_derivative_tensors(prob: InsertionProblem, m) -> Estimate:
+    """Joint cumulant of the p <= P_CAP region insertions by multilinear
+    cluster differentiation: the expectation value for p = 1, the
+    connected correlator for p = 2."""
+    rids = tuple(prob.region_ids)
+    if len(rids) > P_CAP:
+        raise PCapExceeded(f"p = {len(rids)} exceeds cap {P_CAP}")
     total = 0.0 + 0j
-    per_order = {}
-    for c in clusters:
-        term = float(ursell(c)) * _cluster_mixed_coeff(prob, c, (rid,))
-        total += term
-        per_order[c.weight] = per_order.get(c.weight, 0.0) + abs(term)
-    val = prob.alphas()[rid] + total
-    return ExpectationEstimate(val, f"derivative({m})",
-                               {"per_order": per_order})
+    for c in prob.clusters(m):
+        total += float(ursell(c)) * _cluster_mixed_coeff(prob, c, rids)
+    if len(rids) == 1:
+        total += prob.alphas()[rids[0]]
+    return Estimate(total, f"derivative({m})", prob.distance, prob.paths)
 
 
-def expval_cumulant_tensors(tn, messages, replacements, m,
-                            budget=10 ** 7) -> ExpectationEstimate:
-    prob = InsertionProblem(tn, messages, [set(replacements)], [replacements])
+def expval_cumulant_tensors(prob: InsertionProblem, m) -> Estimate:
     (rid,) = prob.region_ids
-    strings = prob.strings(m, budget)
-    subsets = connected_loop_subsets(strings, m, anchor={rid}, budget=budget)
+    strings = prob.strings(m)
+    subsets = prob.loop_subsets(m)
     base_table = {l.key: prob.bar_weight(l) for l in strings}
     dec_table = {l.key: prob.ratio_weight(l, frozenset([rid]))
                  for l in strings}
     total = 0.0 + 0j
     for s in subsets:
         total += cumulant(s, dec_table) - cumulant(s, base_table)
-    val = prob.alphas()[rid] * cmath.exp(total)
-    return ExpectationEstimate(val, f"cumulant({m})")
+    return Estimate(prob.alphas()[rid] * cmath.exp(total), f"cumulant({m})")
 
 
-def expval_region_sum_tensors(tn, messages, replacements, k,
-                              budget=10 ** 7) -> ExpectationEstimate:
-    prob = InsertionProblem(tn, messages, [set(replacements)], [replacements])
+def _region_expectations(prob: InsertionProblem, k):
+    """(region, counting number, <O>_R) for the anchored regions of size
+    <= k with a nonzero counting number."""
     (rid,) = prob.region_ids
-    poset = find_regions_local(prob.base.graph, k, rid, budget)
+    poset = prob.regions(k)
     b = counting_numbers({r.key: r.vertices for r in poset})
     repl = {rid: prob.replacements[rid]}
+    for r in poset:
+        if b[r.key] == 0:
+            continue
+        raw, _ = region_partition(prob.base, prob.messages, r)
+        raw_o, _ = region_partition(prob.base, prob.messages, r,
+                                    replacements=repl)
+        yield r, b[r.key], raw_o / raw
+
+
+def expval_region_sum_tensors(prob: InsertionProblem, k) -> Estimate:
     total = 0.0 + 0j
-    terms = {}
-    for r in poset:
-        if b[r.key] == 0:
-            continue
-        raw, _ = region_partition(prob.base, prob.messages, r)
-        raw_o, _ = region_partition(prob.base, prob.messages, r,
-                                    replacements=repl)
-        val = raw_o / raw
-        terms[r.key] = (b[r.key], val)
-        total += b[r.key] * val
-    return ExpectationEstimate(total, f"region_sum({k})", {"terms": terms})
+    for _, b, val in _region_expectations(prob, k):
+        total += b * val
+    return Estimate(total, f"region_sum({k})")
 
 
-def expval_region_product_tensors(tn, messages, replacements, k,
-                                  budget=10 ** 7) -> ExpectationEstimate:
-    prob = InsertionProblem(tn, messages, [set(replacements)], [replacements])
-    (rid,) = prob.region_ids
-    poset = find_regions_local(prob.base.graph, k, rid, budget)
-    b = counting_numbers({r.key: r.vertices for r in poset})
-    repl = {rid: prob.replacements[rid]}
+def expval_region_product_tensors(prob: InsertionProblem, k) -> Estimate:
     log_total = 0.0 + 0j
-    for r in poset:
-        if b[r.key] == 0:
-            continue
-        raw, _ = region_partition(prob.base, prob.messages, r)
-        raw_o, _ = region_partition(prob.base, prob.messages, r,
-                                    replacements=repl)
-        val = raw_o / raw
+    for r, b, val in _region_expectations(prob, k):
         if val == 0:
             raise ZeroRegionValue(f"zero region expectation on {r.key}")
-        log_total += b[r.key] * guarded_log(val, f"<O>_{r.key}")
-    return ExpectationEstimate(cmath.exp(log_total), f"region_product({k})")
+        log_total += b * guarded_log(val, f"<O>_{r.key}")
+    return Estimate(cmath.exp(log_total), f"region_product({k})")
 
 
 # --- correlators -----------------------------------------------------------
 
-def _pair_problem(tn, messages, repl_a, repl_b):
-    return InsertionProblem(tn, messages,
-                            [set(repl_a), set(repl_b)], [repl_a, repl_b])
-
-
-def _linking_clusters(prob, m, budget):
-    strings = prob.strings(m, budget)
-    a, b = prob.region_ids
-    clusters = enumerate_clusters(strings, m, anchor={a}, budget=budget)
-    return [c for c in clusters if b in c.support]
-
-
-def correlator_ratio_tensors(tn, messages, repl_a, repl_b, m,
-                             budget=10 ** 7) -> CorrelatorEstimate:
-    prob = _pair_problem(tn, messages, repl_a, repl_b)
+def correlator_ratio_tensors(prob: InsertionProblem, m) -> Estimate:
+    """Connected two-point correlator in the ratio normalization; the
+    prefactors are the single-region ratio estimates at the same m."""
     a, b = prob.region_ids
     total = 0.0 + 0j
-    for c in _linking_clusters(prob, m, budget):
+    for c in prob.clusters(m):
         z = zo_a = zo_b = zo_ab = 1.0 + 0j
         for l, eta in c.members:
             z *= prob.bar_weight(l) ** eta
@@ -351,45 +333,11 @@ def correlator_ratio_tensors(tn, messages, repl_a, repl_b, m,
             zo_b *= prob.ratio_weight(l, frozenset([b])) ** eta
             zo_ab *= prob.ratio_weight(l, frozenset([a, b])) ** eta
         total += float(ursell(c)) * (zo_ab + z - zo_a - zo_b)
-    # prefactors at the same truncation order
-    ea = expval_ratio_tensors(tn, messages, repl_a, m, budget)
-    eb = expval_ratio_tensors(tn, messages, repl_b, m, budget)
-    val = ea.value * eb.value * (cmath.exp(total) - 1.0)
-    return CorrelatorEstimate(val, f"ratio({m})", prob.distance,
-                              paths=prob.paths)
-
-
-def correlator_derivative_tensors(tn, messages, repl_a, repl_b, m,
-                                  budget=10 ** 7) -> CorrelatorEstimate:
-    prob = _pair_problem(tn, messages, repl_a, repl_b)
-    a, b = prob.region_ids
-    total = 0.0 + 0j
-    for c in _linking_clusters(prob, m, budget):
-        total += float(ursell(c)) * _cluster_mixed_coeff(prob, c, (a, b))
-    return CorrelatorEstimate(total, f"derivative({m})", prob.distance,
-                              paths=prob.paths)
-
-
-def correlator_ppoint_tensors(tn, messages, repl_list, m,
-                              budget=10 ** 7) -> CorrelatorEstimate:
-    """p-th joint cumulant via multilinear cluster differentiation."""
-    p = len(repl_list)
-    if p > P_CAP:
-        raise PCapExceeded(f"p = {p} exceeds cap {P_CAP}")
-    prob = InsertionProblem(tn, messages, [set(r) for r in repl_list],
-                            repl_list)
-    rids = tuple(prob.region_ids)
-    strings = prob.strings(m, budget)
-    clusters = enumerate_clusters(strings, m, anchor={rids[0]}, budget=budget)
-    total = 0.0 + 0j
-    for c in clusters:
-        if not all(r in c.support for r in rids):
-            continue
-        total += float(ursell(c)) * _cluster_mixed_coeff(prob, c, rids)
-    if p == 1:
-        total += prob.alphas()[rids[0]]
-    return CorrelatorEstimate(total, f"ppoint({p},{m})", prob.distance,
-                              paths=prob.paths)
+    tn, messages, replacements = prob.source
+    ea, eb = (expval_ratio_tensors(InsertionProblem(tn, messages, [r]),
+                                   m).value for r in replacements)
+    val = ea * eb * (cmath.exp(total) - 1.0)
+    return Estimate(val, f"ratio({m})", prob.distance, prob.paths)
 
 
 def _log_linear_fit(d, y):
@@ -406,7 +354,7 @@ def correlation_length(estimates):
     """Fit C(d) ~ A * N_d * exp(-d / xi): (xi, diagnostics).
 
     N_d is each estimate's count of shortest paths between its two
-    regions (``CorrelatorEstimate.paths``).  The model is the leading
+    regions (``Estimate.paths``).  The model is the leading
     term of the cluster representation of a connected correlator: the
     lowest-order clusters linking the regions are the N_d strings along
     the shortest paths, each a product of d per-edge factors.  The fit is

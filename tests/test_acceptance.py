@@ -33,9 +33,7 @@ from bptn.models import (IsingParams, ising_exact_logZ, ising_insertion,
                          single_loop_network)
 from bptn.network import (Graph, OperatorInsertion, build_norm_network,
                           exact_contract, insert_operator, peps_replacements)
-from bptn.observables import (correlation_length,
-                              correlator_derivative_tensors,
-                              correlator_ppoint_tensors,
+from bptn.observables import (InsertionProblem, correlation_length,
                               correlator_ratio_tensors, expval_bp_tensors,
                               expval_cumulant_tensors,
                               expval_derivative_tensors, expval_ratio_tensors,
@@ -336,15 +334,15 @@ def test_acceptance_8_expval_suite_peps():
     ins = OperatorInsertion({"0,1": SZ})
     want = exact_contract(
         insert_operator(tn, peps, ins)) / exact_contract(tn)
-    args = (tn, res.messages, peps_replacements(peps, ins))
+    prob = InsertionProblem(tn, res.messages, [peps_replacements(peps, ins)])
     for fn in (expval_ratio_tensors, expval_derivative_tensors,
                expval_cumulant_tensors):
-        errs = [abs(fn(*args, m).value - want) for m in (4, 6, 8)]
+        errs = [abs(fn(prob, m).value - want) for m in (4, 6, 8)]
         assert errs[0] >= errs[1] >= errs[2], (fn.__name__, errs)
-    errs_k = [abs(expval_region_sum_tensors(*args, k).value - want)
+    errs_k = [abs(expval_region_sum_tensors(prob, k).value - want)
               for k in (2, 4, 6)]
     assert errs_k[0] >= errs_k[1] >= errs_k[2]
-    err_bp = abs(expval_bp_tensors(*args).value - want)
+    err_bp = abs(expval_bp_tensors(prob).value - want)
     assert errs_k[2] < err_bp
 
 
@@ -359,17 +357,16 @@ def test_acceptance_8_expval_suite_ising():
     ms = res.messages
     repl = ising_insertion(tn, p, {"1,1": SZ})
     want = exact_contract(tn.replace_tensors(repl)) / exact_contract(tn)
-    estimators = {
-        "ratio": lambda m: expval_ratio_tensors(tn, ms, repl, m),
-        "derivative": lambda m: expval_derivative_tensors(tn, ms, repl, m),
-        "cumulant": lambda m: expval_cumulant_tensors(tn, ms, repl, m),
-    }
+    prob = InsertionProblem(tn, ms, [repl])
+    estimators = {"ratio": expval_ratio_tensors,
+                  "derivative": expval_derivative_tensors,
+                  "cumulant": expval_cumulant_tensors}
     rel = {}
     for name, fn in estimators.items():
-        errs = [abs(fn(m).value - want) / abs(want) for m in (4, 6, 8)]
+        errs = [abs(fn(prob, m).value - want) / abs(want) for m in (4, 6, 8)]
         assert errs[0] >= errs[1] >= errs[2], (name, errs)
         rel[name] = errs[2]
-    errs_k = [abs(expval_region_sum_tensors(tn, ms, repl, k).value - want)
+    errs_k = [abs(expval_region_sum_tensors(prob, k).value - want)
               / abs(want) for k in (2, 4, 6)]
     assert errs_k[0] >= errs_k[1] >= errs_k[2]
     assert rel["ratio"] <= 1e-3
@@ -398,7 +395,8 @@ class CorrScan:
             # <s_a s_b> is the connected correlator at zero field
             self.exact[d] = exact_contract(
                 tn.replace_tensors(both)) / z
-            est = correlator_derivative_tensors(tn, ms, ra, rb, d + 4)
+            est = expval_derivative_tensors(
+                InsertionProblem(tn, ms, [ra, rb]), d + 4)
             assert est.distance == d
             self.estimates.append(est)
 
@@ -522,8 +520,7 @@ def test_acceptance_9_correlation_length_fit(corr_scan):
 
 def test_acceptance_9_estimator_agreement(corr_scan):
     """The correlation length is finite; the ratio and derivative forms
-    agree to 1e-10 where both converge; the two-variable polynomial
-    estimator reproduces the pair correlator identically."""
+    agree to 1e-10 where both converge."""
     xi, diag = correlation_length(corr_scan.estimates)
     assert math.isfinite(xi) and xi > 0
     assert not diag["non_decaying"]
@@ -534,11 +531,10 @@ def test_acceptance_9_estimator_agreement(corr_scan):
     op = SZ + 0.4 * SX
     a = peps_replacements(peps, OperatorInsertion({"0,0": op}))
     b = peps_replacements(peps, OperatorInsertion({"0,2": op}))
-    r = correlator_ratio_tensors(tn, ms, a, b, 6)
-    d = correlator_derivative_tensors(tn, ms, a, b, 6)
+    prob = InsertionProblem(tn, ms, [a, b])
+    r = correlator_ratio_tensors(prob, 6)
+    d = expval_derivative_tensors(prob, 6)
     assert abs(r.value - d.value) <= 1e-10
-    p2 = correlator_ppoint_tensors(tn, ms, [a, b], 6)
-    assert abs(p2.value - d.value) <= 1e-12
 
 
 def test_acceptance_9_third_joint_cumulant():
@@ -550,7 +546,7 @@ def test_acceptance_9_third_joint_cumulant():
     sites = ("0,0", "0,2", "1,1")
     repls = [peps_replacements(peps, OperatorInsertion({s: SZ}))
              for s in sites]
-    got = correlator_ppoint_tensors(tn, ms, repls, 8).value
+    got = expval_derivative_tensors(InsertionProblem(tn, ms, repls), 8).value
 
     z = exact_contract(tn)
 

@@ -133,6 +133,32 @@ def test_correlator_exact_reference_contracts_shared_site_once(
     assert len(calls) == 8
 
 
+def test_estimators_share_one_string_enumeration(tmp_path, monkeypatch):
+    """expval enumerates strings once for all its series estimators.  A
+    correlator pair enumerates them once for the derivative and the ratio
+    form, plus once for each single-region ratio prefactor."""
+    import bptn.observables
+
+    calls = []
+    enumerate_strings = bptn.observables.enumerate_strings
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return enumerate_strings(*args, **kw)
+
+    monkeypatch.setattr(bptn.observables, "enumerate_strings", counting)
+    assert run(["expval", "--generate", "ising:L=3,beta=0.25,h=0.2",
+                "--site", "1,1", "-m", "4", "-k", "2",
+                "--out", str(tmp_path / "ev.csv")]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run(["correlator", "--generate", "ising:L=3,beta=0.25,h=0.2",
+                "--site", "0,0", "--distances", "2", "-m", "2",
+                "--out", str(tmp_path / "corr.csv")]) == 0
+    assert len(_rows(tmp_path / "corr.csv")) == 2
+    assert len(calls) == 6
+
+
 def test_regions_subcommand(tmp_path):
     out = tmp_path / "reg.csv"
     assert run(["regions", "--generate", "ising:L=4,beta=0.2", "-k", "4",

@@ -111,7 +111,7 @@ def test_bar_weights_on_decorated_networks_match_reference(peps33):
     decorated weights are asked for in alternation."""
     peps, tn, ms = peps33
     repl = peps_replacements(peps, OperatorInsertion({"0,1": _SZ}))
-    prob = InsertionProblem(tn, ms, [set(repl)], [repl])
+    prob = InsertionProblem(tn, ms, [repl])
     (rid,) = prob.region_ids
     strings = prob.strings(6)
     decorated = [l for l in strings if rid in l.vertices]

@@ -11,9 +11,7 @@ from bptn.models import (IsingParams, ising_insertion, ising_network,
                          peps_statevector, random_peps)
 from bptn.network import (OperatorInsertion, build_norm_network,
                           exact_contract, insert_operator, peps_replacements)
-from bptn.observables import (CorrelatorEstimate, correlation_length,
-                              correlator_derivative_tensors,
-                              correlator_ppoint_tensors,
+from bptn.observables import (Estimate, InsertionProblem, correlation_length,
                               correlator_ratio_tensors, expval_bp_tensors,
                               expval_cumulant_tensors,
                               expval_derivative_tensors, expval_ratio_tensors,
@@ -29,17 +27,24 @@ def _exact_expval(peps, ins):
     return exact_contract(insert_operator(tn, peps, ins)) / exact_contract(tn)
 
 
+def _problem(peps23, *insertions):
+    """The expansion of one region per insertion on the 2x3 PEPS."""
+    return InsertionProblem(peps23.tn, peps23.messages,
+                            [peps_replacements(peps23.peps, ins)
+                             for ins in insertions])
+
+
 # --- identity invariant -----------------------------------------------------
 
 def test_identity_observable_is_exactly_one(peps23):
     ins = OperatorInsertion({"0,1": np.eye(2)})
-    args = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins))
-    for est in (expval_bp_tensors(*args),
-                expval_ratio_tensors(*args, 4),
-                expval_derivative_tensors(*args, 4),
-                expval_cumulant_tensors(*args, 4),
-                expval_region_sum_tensors(*args, 4),
-                expval_region_product_tensors(*args, 4)):
+    prob = _problem(peps23, ins)
+    for est in (expval_bp_tensors(prob),
+                expval_ratio_tensors(prob, 4),
+                expval_derivative_tensors(prob, 4),
+                expval_cumulant_tensors(prob, 4),
+                expval_region_sum_tensors(prob, 4),
+                expval_region_product_tensors(prob, 4)):
         assert abs(est.value - 1.0) < 1e-12, est
 
 
@@ -48,24 +53,23 @@ def test_identity_observable_is_exactly_one(peps23):
 def test_expval_estimators_converge_to_exact(peps23):
     ins = OperatorInsertion({"0,1": SZ})
     want = _exact_expval(peps23.peps, ins)
-    args = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins))
-    for fn, budget_arg, tol in ((expval_ratio_tensors, 8, 2e-4),
-                                (expval_derivative_tensors, 8, 1e-4),
-                                (expval_cumulant_tensors, 8, 1e-4)):
-        got = fn(*args, budget_arg).value
+    prob = _problem(peps23, ins)
+    for fn, m, tol in ((expval_ratio_tensors, 8, 2e-4),
+                       (expval_derivative_tensors, 8, 1e-4),
+                       (expval_cumulant_tensors, 8, 1e-4)):
+        got = fn(prob, m).value
         assert abs(got - want) < tol * abs(want), (fn.__name__, got, want)
 
 
 def test_region_sum_k1_equals_bp(peps23):
     ins = OperatorInsertion({"1,1": SZ})
-    args = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins))
-    bp = expval_bp_tensors(*args).value
-    rs = expval_region_sum_tensors(*args, 1).value
+    prob = _problem(peps23, ins)
+    bp = expval_bp_tensors(prob).value
+    rs = expval_region_sum_tensors(prob, 1).value
     assert abs(rs - bp) < 1e-14
-    ins2 = OperatorInsertion({"0,1": SZ})
-    args2 = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins2))
-    rp = expval_region_product_tensors(*args2, 1).value
-    assert abs(rp - expval_bp_tensors(*args2).value) < 1e-14
+    prob2 = _problem(peps23, OperatorInsertion({"0,1": SZ}))
+    rp = expval_region_product_tensors(prob2, 1).value
+    assert abs(rp - expval_bp_tensors(prob2).value) < 1e-14
 
 
 def test_region_product_guards_negative_values(peps23):
@@ -74,15 +78,14 @@ def test_region_product_guards_negative_values(peps23):
 
     ins = OperatorInsertion({"1,1": SZ})  # site with negative <O>_BP
     with pytest.raises(BranchCrossing):
-        expval_region_product_tensors(
-            peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins), 1)
+        expval_region_product_tensors(_problem(peps23, ins), 1)
 
 
 def test_region_estimators_improve_with_k(peps23):
     ins = OperatorInsertion({"0,1": SZ})
     want = _exact_expval(peps23.peps, ins)
-    args = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins))
-    errs = [abs(expval_region_sum_tensors(*args, k).value - want)
+    prob = _problem(peps23, ins)
+    errs = [abs(expval_region_sum_tensors(prob, k).value - want)
             for k in (2, 4, 6)]
     assert errs[2] < errs[0]
     assert errs[2] < 2e-3 * abs(want)
@@ -97,9 +100,10 @@ def test_classical_magnetization_vs_exact():
     repl = ising_insertion(tn, p, {"1,1": SZ})
     dec = tn.replace_tensors(repl)
     want = exact_contract(dec) / exact_contract(tn)
-    err6 = abs(expval_derivative_tensors(tn, ms, repl, 6).value - want)
-    err8 = abs(expval_derivative_tensors(tn, ms, repl, 8).value - want)
-    err_bp = abs(expval_bp_tensors(tn, ms, repl).value - want)
+    prob = InsertionProblem(tn, ms, [repl])
+    err6 = abs(expval_derivative_tensors(prob, 6).value - want)
+    err8 = abs(expval_derivative_tensors(prob, 8).value - want)
+    err_bp = abs(expval_bp_tensors(prob).value - want)
     # the series correction improves on bare BP order by order
     assert err8 < err6 < err_bp
     assert err8 < 2e-2 * abs(want)
@@ -110,9 +114,9 @@ def test_classical_magnetization_vs_exact():
 def test_two_site_supervertex_expectation(peps23):
     ins = OperatorInsertion({"0,0": SZ, "0,1": SZ})
     want = _exact_expval(peps23.peps, ins)
-    args = (peps23.tn, peps23.messages, peps_replacements(peps23.peps, ins))
-    bp = expval_bp_tensors(*args).value
-    got = expval_derivative_tensors(*args, 8).value
+    prob = _problem(peps23, ins)
+    bp = expval_bp_tensors(prob).value
+    got = expval_derivative_tensors(prob, 8).value
     assert abs(got - want) < abs(bp - want)
     assert abs(got - want) < 1e-3 * abs(want)
 
@@ -121,19 +125,16 @@ def test_overlapping_regions_rejected(peps23):
     a = OperatorInsertion({"0,0": SZ})
     b = OperatorInsertion({"0,0": SZ, "0,1": SZ})
     with pytest.raises(OverlappingRegions):
-        correlator_derivative_tensors(
-            peps23.tn, peps23.messages, peps_replacements(peps23.peps, a),
-            peps_replacements(peps23.peps, b), 4)
+        _problem(peps23, a, b)
 
 
 # --- correlators ------------------------------------------------------------
 
 def test_correlator_symmetry(peps23):
-    a = peps_replacements(peps23.peps, OperatorInsertion({"0,0": SZ}))
-    b = peps_replacements(peps23.peps, OperatorInsertion({"1,2": SZ}))
-    args = (peps23.tn, peps23.messages)
-    ab = correlator_derivative_tensors(*args, a, b, 6)
-    ba = correlator_derivative_tensors(*args, b, a, 6)
+    a = OperatorInsertion({"0,0": SZ})
+    b = OperatorInsertion({"1,2": SZ})
+    ab = expval_derivative_tensors(_problem(peps23, a, b), 6)
+    ba = expval_derivative_tensors(_problem(peps23, b, a), 6)
     assert abs(ab.value - ba.value) < 1e-12
     assert ab.distance == ba.distance == 3
 
@@ -150,34 +151,17 @@ def test_correlator_derivative_matches_exact_connected():
     eb = _exact_expval(peps, b)
     eab = _exact_expval(peps, OperatorInsertion({"0,0": SZ, "1,1": SZ}))
     want = eab - ea * eb
-    got = correlator_derivative_tensors(
-        tn, ms, peps_replacements(peps, a), peps_replacements(peps, b),
+    got = expval_derivative_tensors(InsertionProblem(
+        tn, ms, [peps_replacements(peps, a), peps_replacements(peps, b)]),
         12).value
     assert abs(got - want) < 1e-6 * abs(want)
 
 
-def test_ppoint_p1_equals_derivative_estimator(peps23):
-    repl = peps_replacements(peps23.peps, OperatorInsertion({"0,1": SZ}))
-    args = (peps23.tn, peps23.messages)
-    p1 = correlator_ppoint_tensors(*args, [repl], 6)
-    ev = expval_derivative_tensors(*args, repl, 6)
-    assert abs(p1.value - ev.value) < 1e-13
-
-
-def test_ppoint_p2_equals_correlator_derivative(peps23):
-    a = peps_replacements(peps23.peps, OperatorInsertion({"0,0": SZ}))
-    b = peps_replacements(peps23.peps, OperatorInsertion({"1,2": SZ}))
-    args = (peps23.tn, peps23.messages)
-    p2 = correlator_ppoint_tensors(*args, [a, b], 6)
-    cd = correlator_derivative_tensors(*args, a, b, 6)
-    assert abs(p2.value - cd.value) < 1e-13
-
-
 def test_ppoint_cap(peps23):
-    repls = [peps_replacements(peps23.peps, OperatorInsertion({v: SZ}))
-             for v in ("0,0", "0,1", "0,2", "1,0")]
+    prob = _problem(peps23, *(OperatorInsertion({v: SZ})
+                              for v in ("0,0", "0,1", "0,2", "1,0")))
     with pytest.raises(PCapExceeded):
-        correlator_ppoint_tensors(peps23.tn, peps23.messages, repls, 4)
+        expval_derivative_tensors(prob, 4)
 
 
 def test_ratio_and_derivative_correlators_agree():
@@ -189,16 +173,51 @@ def test_ratio_and_derivative_correlators_agree():
     op = SZ + 0.4 * SX
     a = peps_replacements(peps, OperatorInsertion({"0,0": op}))
     b = peps_replacements(peps, OperatorInsertion({"0,2": op}))
-    r = correlator_ratio_tensors(tn, ms, a, b, 6)
-    d = correlator_derivative_tensors(tn, ms, a, b, 6)
+    prob = InsertionProblem(tn, ms, [a, b])
+    r = correlator_ratio_tensors(prob, 6)
+    d = expval_derivative_tensors(prob, 6)
     # the forms differ only in how omitted higher orders are resummed
     assert abs(r.value - d.value) < 1e-10
+
+
+# --- one expansion shared by every estimator --------------------------------
+
+_ONE_REGION = [("bp", lambda prob, m: expval_bp_tensors(prob)),
+               ("ratio", expval_ratio_tensors),
+               ("derivative", expval_derivative_tensors),
+               ("cumulant", expval_cumulant_tensors),
+               ("region_sum", expval_region_sum_tensors),
+               ("region_product", expval_region_product_tensors)]
+_TWO_REGIONS = [("derivative", expval_derivative_tensors),
+                ("ratio", correlator_ratio_tensors)]
+
+
+@pytest.mark.parametrize("sites, estimators",
+                         [(("0,1",), _ONE_REGION),
+                          (("0,0", "1,2"), _TWO_REGIONS)],
+                         ids=["one_region", "two_regions"])
+def test_shared_expansion_matches_fresh(peps23, sites, estimators):
+    """An estimator on an object that every other estimator and a second
+    truncation have already used returns exactly its value on a fresh
+    object: the memoized strings, clusters, subsets, regions and weights
+    are the ones a fresh object would build."""
+    insertions = [OperatorInsertion({s: SZ}) for s in sites]
+    m, m_other = 4, 6
+    for name, fn in estimators:
+        shared = _problem(peps23, *insertions)
+        for _, other in estimators:
+            other(shared, m_other)
+        for other_name, other in estimators:
+            if other_name != name:
+                other(shared, m)
+        fresh = fn(_problem(peps23, *insertions), m)
+        assert fn(shared, m).value == fresh.value, name
 
 
 # --- correlation length fit -------------------------------------------------
 
 def _fake(d, v):
-    return CorrelatorEstimate(v, "test", d)
+    return Estimate(v, "test", d)
 
 
 def test_correlation_length_exact_fit():
@@ -213,8 +232,8 @@ def test_correlation_length_exact_fit():
 def test_correlation_length_path_count_fit():
     xi0 = 0.62
     paths = {1: 1, 2: 2, 3: 6, 4: 24}
-    ests = [CorrelatorEstimate(0.9 * n * math.exp(-d / xi0), "test", d,
-                               paths=n) for d, n in paths.items()]
+    ests = [Estimate(0.9 * n * math.exp(-d / xi0), "test", d, paths=n)
+            for d, n in paths.items()]
     xi, diag = correlation_length(ests)
     assert abs(xi - xi0) < 1e-10
     assert diag["r_squared"] > 1 - 1e-12
@@ -227,7 +246,7 @@ def test_correlation_length_plain_diagnostics_ignore_paths():
     values = {1: 0.23, 2: 0.10, 3: 0.061, 4: 0.042}
     paths = {1: 1, 2: 2, 3: 6, 4: 24}
     _, diag = correlation_length(
-        [CorrelatorEstimate(v, "test", d, paths=paths[d])
+        [Estimate(v, "test", d, paths=paths[d])
          for d, v in values.items()])
     _, plain = correlation_length([_fake(d, v) for d, v in values.items()])
     assert diag["plain_slope"] == plain["slope"]
