@@ -327,7 +327,7 @@ def region_partition(tn: TensorNetwork, messages: MessageSet, R: Region,
                 {f"{e}@{v}": e for e in internal}))
     raw = contract_network(pieces, size_cap=size_cap).item()
     denom = 1.0 + 0j
-    for z in local_factors(tn, messages, R.vertices).values():
+    for z in local_factors(tn, messages, sorted(R.vertices)).values():
         denom *= z
     return raw, raw / denom
 

@@ -165,7 +165,7 @@ def excitation_weight(tn: TensorNetwork, messages: MessageSet,
     pieces += [messages.projector(e) for e in sorted(loop.edges)]
     raw = contract_network(pieces).item()
     denom = 1.0 + 0j
-    for v in loop.vertices:
+    for v in sorted(loop.vertices):
         denom *= factors[str(v)]
     return ExcitationWeight(loop, raw / denom)
 

@@ -176,7 +176,7 @@ class InsertionProblem:
     def ratio_weight(self, loop, inserted=frozenset()) -> complex:
         """Weight on the decorated network, decorated-z normalized."""
         val = self.bar_weight(loop, inserted)
-        for r in inserted:
+        for r in sorted(inserted):
             if r in loop.vertices:
                 a = self.alphas()[r]
                 if abs(a) < 1e-12:

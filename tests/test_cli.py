@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,6 +205,30 @@ def test_csv_deterministic_modulo_timestamp(tmp_path):
     assert _body(a) == _body(b)
     assert "# engine=bptn" in a.read_text()
     assert "# config=" in a.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["expval", "--generate", "peps:rows=2,cols=3,D=2,perturbation=0.25",
+     "--site", "0,1", "-m", "4", "-k", "4"],
+    ["correlator", "--generate", "ising:L=3,beta=0.25,h=0.2",
+     "--site", "0,0", "--site-b", "1,1", "-m", "2"],
+], ids=["expval", "correlator"])
+def test_csv_body_independent_of_hash_seed(argv):
+    """Products over vertex and region sets run in sorted order, so the
+    body does not depend on the per-process string hash salt."""
+    root = Path(__file__).resolve().parents[1]
+    bodies = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-m", "bptn.cli"] + argv,
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        bodies.add("\n".join(l for l in proc.stdout.splitlines()
+                             if not l.startswith("# timestamp=")))
+    assert len(bodies) == 1
 
 
 # --- exit codes -------------------------------------------------------------
