@@ -93,7 +93,7 @@ def connected_edge_subsets(g: Graph, max_weight: int,
 def _degree_map(g: Graph, edges):
     deg = {}
     for e in edges:
-        u, v = g.endpoints(e)
+        u, v = g.edges[e]
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
     return deg
