@@ -1,5 +1,5 @@
 """Belief-propagation engine: message iteration, local factors, free
-energy, excitation projectors, Newton refinement and stability probes.
+energy, excitation projectors and stability probes.
 
 Messages live on directed edges (v, w) as vectors on the edge leg and are
 kept at unit 2-norm with the phase fixed so the largest-magnitude
@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateInnerProduct, NumericalCollapse,
-                     SingularJacobian, ZeroLocalFactor)
+from .errors import DegenerateInnerProduct, NumericalCollapse, ZeroLocalFactor
 from .network import TensorNetwork
 from .tensor import DenseTensor, Leg, contract_network, contract_pair, inner
 
@@ -25,6 +24,11 @@ Z_FLOOR = 1e-12
 DEFAULT_TOL = 1e-10
 DEFAULT_DAMPING = 0.2
 DEFAULT_MAX_ITERS = 10000
+# stability_probe: perturbed power iterations, finite-difference step, and
+# sweeps per iteration (the growth factor averages the last 20)
+PROBE_PERTURBATIONS = 2
+PROBE_EPSILON = 1e-7
+PROBE_SWEEPS = 120
 
 
 def _normalize(data: np.ndarray) -> np.ndarray:
@@ -41,8 +45,6 @@ def _normalize(data: np.ndarray) -> np.ndarray:
 class MessageSet:
     """Directed-edge messages plus cached bond inner products, edge
     projectors and dressed site tensors."""
-
-    convention = "unit-2-norm/argmax-phase"
 
     def __init__(self, tn: TensorNetwork, messages: dict):
         self.tn = tn
@@ -112,9 +114,6 @@ class MessageSet:
         self._dressed[key] = (tensor, out)
         return out
 
-    def copy(self) -> "MessageSet":
-        return MessageSet(self.tn, dict(self.messages))
-
 
 class BPResult:
     def __init__(self, messages, residual, iterations, converged):
@@ -177,19 +176,12 @@ def self_consistency_residual(tn, messages: MessageSet) -> float:
     return worst
 
 
-def bp_iterate(tn: TensorNetwork, init="uniform", damping=DEFAULT_DAMPING,
-               tol=DEFAULT_TOL, max_iters=DEFAULT_MAX_ITERS, seed=0) -> BPResult:
-    """Synchronous damped BP iteration to a fixed point."""
-    if isinstance(init, MessageSet):
-        messages = init.copy()
-    elif init == "uniform":
-        messages = uniform_messages(tn)
-    elif init == "random":
-        messages = random_messages(tn, seed)
-    else:
-        raise ValueError(f"unknown seed spec {init!r}")
+def bp_iterate(tn: TensorNetwork, messages: MessageSet,
+               damping=DEFAULT_DAMPING, tol=DEFAULT_TOL) -> BPResult:
+    """Synchronous damped BP iteration to a fixed point, starting from
+    ``messages`` (left unchanged)."""
     residual = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, DEFAULT_MAX_ITERS + 1):
         upd = _sweep(tn, messages)
         residual = 0.0
         mixed = {}
@@ -202,7 +194,7 @@ def bp_iterate(tn: TensorNetwork, init="uniform", damping=DEFAULT_DAMPING,
         messages = MessageSet(tn, mixed)
         if residual <= tol:
             return BPResult(messages, residual, it, True)
-    return BPResult(messages, residual, max_iters, False)
+    return BPResult(messages, residual, DEFAULT_MAX_ITERS, False)
 
 
 def bp_local_factor(tn, messages: MessageSet, v) -> complex:
@@ -250,87 +242,9 @@ def edge_projector(messages: MessageSet, e) -> DenseTensor:
     return DenseTensor([Leg(f"{e}@{u}", d), Leg(f"{e}@{v}", d)], data)
 
 
-# --- Newton refinement and stability ---------------------------------------
+# --- stability -------------------------------------------------------------
 
-def _pack(messages: MessageSet, keys):
-    parts = []
-    for key in keys:
-        d = messages.messages[key].data
-        parts.append(np.concatenate([d.real, d.imag]))
-    return np.concatenate(parts)
-
-
-def _unpack(tn, keys, x) -> MessageSet:
-    msgs = {}
-    pos = 0
-    for key in keys:
-        e = tn.graph.edge_between(*key)
-        d = tn.bond_dims[e]
-        re = x[pos:pos + d]
-        im = x[pos + d:pos + 2 * d]
-        pos += 2 * d
-        msgs[key] = DenseTensor([Leg(e, d)], re + 1j * im)
-    return MessageSet(tn, msgs)
-
-
-def refine_fixed_point(tn, seed: MessageSet, damping_newton=1.0,
-                       tol=DEFAULT_TOL, max_iters=30) -> BPResult:
-    """Damped Newton on the aligned fixed-point residual map.
-
-    The residual is gauge-invariant (messages are normalized and
-    phase-fixed inside it), so the finite-difference Jacobian has exact
-    null directions; the step is the minimum-norm least-squares solution,
-    which fixes the gauge without explicit pinning.  Reaches fixed points
-    that are unstable under plain iteration.
-    """
-    keys = sorted(seed.messages)
-
-    def resid_vec(x):
-        ms = _unpack(tn, keys, x)
-        upd = _sweep(tn, ms)
-        parts = []
-        for key in keys:
-            diff = upd[key].data - _normalize(ms.messages[key].data)
-            parts.append(np.concatenate([diff.real, diff.imag]))
-        return np.concatenate(parts)
-
-    x = _pack(seed, keys)
-    r = resid_vec(x)
-    for it in range(1, max_iters + 1):
-        if np.max(np.abs(r)) <= tol:
-            ms = _unpack(tn, keys, x)
-            norm = {k: DenseTensor(m.legs, _normalize(m.data))
-                    for k, m in ms.messages.items()}
-            return BPResult(MessageSet(tn, norm), float(np.max(np.abs(r))),
-                            it, True)
-        h = 1e-7
-        jac = np.empty((r.size, x.size))
-        for i in range(x.size):
-            xp = x.copy()
-            xp[i] += h
-            jac[:, i] = (resid_vec(xp) - r) / h
-        step, *_ = np.linalg.lstsq(jac, r, rcond=1e-10)
-        if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step")
-        x = x - damping_newton * step
-        r = resid_vec(x)
-    ms = _unpack(tn, keys, x)
-    norm = {k: DenseTensor(m.legs, _normalize(m.data))
-            for k, m in ms.messages.items()}
-    return BPResult(MessageSet(tn, norm), float(np.max(np.abs(r))),
-                    max_iters, False)
-
-
-def _distance(a: MessageSet, b: MessageSet) -> float:
-    worst = 0.0
-    for key, m in a.messages.items():
-        worst = max(worst, float(np.linalg.norm(
-            _normalize(m.data) - _normalize(b.messages[key].data))))
-    return worst
-
-
-def stability_probe(tn, messages: MessageSet, n_perturbations=2,
-                    epsilon=1e-7, sweeps=120, seed=0):
+def stability_probe(tn, messages: MessageSet, seed=0):
     """Classify a fixed point by the dominant eigenvalue of the sweep map.
 
     Finite-difference power iteration on the Jacobian of one normalized
@@ -344,21 +258,22 @@ def stability_probe(tn, messages: MessageSet, n_perturbations=2,
     base = {k: _normalize(messages.messages[k].data) for k in keys}
     legs = {k: messages.messages[k].legs for k in keys}
     growths = []
-    for _ in range(n_perturbations):
+    for _ in range(PROBE_PERTURBATIONS):
         v = {k: rng.standard_normal(base[k].shape)
              + 1j * rng.standard_normal(base[k].shape) for k in keys}
         lams = []
-        for _ in range(sweeps):
+        for _ in range(PROBE_SWEEPS):
             norm = math.sqrt(sum(float(np.sum(np.abs(x) ** 2))
                                  for x in v.values()))
             if norm == 0:
                 break
             cur = MessageSet(tn, {
                 k: DenseTensor(legs[k],
-                               _normalize(base[k] + (epsilon / norm) * v[k]))
+                               _normalize(base[k] + (PROBE_EPSILON / norm)
+                                          * v[k]))
                 for k in keys})
             upd = _sweep(tn, cur)
-            v = {k: (_normalize(upd[k].data) - base[k]) / epsilon
+            v = {k: (_normalize(upd[k].data) - base[k]) / PROBE_EPSILON
                  for k in keys}
             lams.append(math.sqrt(sum(float(np.sum(np.abs(x) ** 2))
                                       for x in v.values())))

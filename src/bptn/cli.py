@@ -22,15 +22,14 @@ import numpy as np
 
 from . import __version__
 from .bp import (DEFAULT_DAMPING, DEFAULT_TOL, bp_free_energy, bp_iterate,
-                 bp_log_partition, random_messages, self_consistency_residual,
-                 stability_probe, uniform_messages)
+                 random_messages, stability_probe, uniform_messages)
 from .clusters import free_energy_truncated
 from .cumulants import (counting_numbers, cumulant_free_energy, find_regions,
                         region_free_energy)
 from .errors import (BranchCrossing, CapExceeded, CombinatorialBudgetExceeded,
                      DegenerateInnerProduct, EngineError, InvalidNetworkFile,
-                     NumericalCollapse, PCapExceeded, SingularJacobian,
-                     TooLarge, ZeroLocalFactor, ZeroRegionValue)
+                     NumericalCollapse, PCapExceeded, TooLarge,
+                     ZeroLocalFactor)
 from .loops import enumerate_loops, evaluate_weights, loop_decay_profile
 from .models import (IsingParams, ising_exact_logZ, ising_insertion,
                      ising_network, random_peps, random_tree_network,
@@ -41,15 +40,14 @@ from .observables import (InsertionProblem, correlation_length,
                           correlator_ratio_tensors, expval_bp_tensors,
                           expval_cumulant_tensors, expval_derivative_tensors,
                           expval_ratio_tensors, expval_region_sum_tensors)
-from .tnio import load_network, save_network
+from .tnio import load_network
 
 _SZ = np.diag([1.0, -1.0])
 
 _CAP_ERRORS = (CombinatorialBudgetExceeded, CapExceeded, TooLarge,
                PCapExceeded)
 _NUMERICAL_ERRORS = (NumericalCollapse, DegenerateInnerProduct,
-                     ZeroLocalFactor, BranchCrossing, ZeroRegionValue,
-                     SingularJacobian)
+                     ZeroLocalFactor, BranchCrossing)
 
 
 class ConfigError(Exception):
@@ -332,7 +330,7 @@ def cmd_correlator(args):
     if args.reference == "exact":
         z = exact_contract(prob.tn)
         za = exact_contract(prob.tn.replace_tensors(ra)) / z
-    rows, ests = [], []
+    rows, ests, summary = [], [], []
     for u, v in pairs:
         rb = prob.insertion(v)
         m = args.max_weight + dist.get(v, math.inf)
@@ -341,8 +339,10 @@ def cmd_correlator(args):
         try:
             cr = correlator_ratio_tensors(pair, m)
             ratio_re = _fmt(cr.value.real)
-        except (EngineError, OverflowError):
+        except (EngineError, OverflowError) as exc:
             ratio_re = "nan"
+            summary.append(f"ratio_re = nan for sites {u!r} and {v!r}: "
+                           f"{type(exc).__name__}: {exc}")
         ests.append(cd)
         row = {"site_a": u, "site_b": v, "distance": cd.distance,
                "truncation": m, "derivative_re": _fmt(cd.value.real),
@@ -357,7 +357,6 @@ def cmd_correlator(args):
             row["rel_error"] = _fmt(abs(cd.value - exact) /
                                     max(abs(exact), 1e-300))
         rows.append(row)
-    summary = []
     if len({e.distance for e in ests}) >= 3:
         xi, diag = correlation_length(ests)
         summary.append(

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .bp import bp_log_partition
 from .errors import CapExceeded, CombinatorialBudgetExceeded
-from .loops import GeneralizedLoop, excitation_weight
+from .loops import GeneralizedLoop
 from .network import connected_subsets, is_connected
 
 DEFAULT_URSELL_CAP = 8
@@ -199,46 +199,22 @@ def cluster_value(cluster: Cluster, weight_table: dict) -> complex:
 
 
 class FreeEnergyResult:
-    def __init__(self, f_bp, f_m, per_order, n_clusters):
+    def __init__(self, f_bp, f_m):
         self.f_bp = f_bp          # complex: -log Z_BP (principal branch)
         self.f_m = f_m            # complex truncated free energy
-        self.per_order = per_order  # weight -> (sum phi Z_W, sum |phi Z_W|)
-        self.n_clusters = n_clusters
 
 
 def free_energy_truncated(tn, messages, excitations, m: int,
-                          weight_table: dict | None = None,
+                          weight_table: dict,
                           clusters=None) -> FreeEnergyResult:
-    """F_m = F_BP - sum over connected clusters |W| <= m of phi(W) Z_W."""
-    if weight_table is None:
-        weight_table = {l.key: excitation_weight(tn, messages, l).value
-                        for l in excitations}
+    """F_m = F_BP - sum over connected clusters |W| <= m of phi(W) Z_W,
+    with each Z_l looked up in ``weight_table`` by loop key."""
     if clusters is None:
         clusters = enumerate_clusters(excitations, m)
     f_bp = -bp_log_partition(tn, messages)
-    per_order = {}
     total = 0.0 + 0j
     for c in clusters:
         if c.weight > m:
             continue
-        term = float(ursell(c)) * cluster_value(c, weight_table)
-        total += term
-        s, a = per_order.get(c.weight, (0.0 + 0j, 0.0))
-        per_order[c.weight] = (s + term, a + abs(term))
-    return FreeEnergyResult(f_bp, f_bp - total, per_order, len(clusters))
-
-
-def tail_bound(profile_rows, m: int, delta: int, n_vertices: int):
-    """Reported tail bound N e^{-(c - c0)(m+1)} with c0 = log(2(delta-1)) + 1/2.
-
-    Uses the smallest even-class decay estimate as c.  Returns
-    (bound, c, c0, vacuous flag).
-    """
-    c0 = math.log(2 * (delta - 1)) + 0.5
-    even = [r["c_estimate"] for r in profile_rows if r["parity"] == "even"]
-    if not even:
-        return math.inf, math.nan, c0, True
-    c = min(even)
-    if c <= c0:
-        return float(n_vertices), c, c0, True
-    return n_vertices * math.exp(-(c - c0) * (m + 1)), c, c0, False
+        total += float(ursell(c)) * cluster_value(c, weight_table)
+    return FreeEnergyResult(f_bp, f_bp - total)

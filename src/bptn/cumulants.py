@@ -15,13 +15,14 @@ import cmath
 
 from .bp import MessageSet, bp_log_partition
 from .clusters import anchored_loop_sets, loops_overlap, overlap_neighbors
-from .errors import (BranchCrossing, CapExceeded,
-                     CombinatorialBudgetExceeded, ZeroLocalFactor)
+from .errors import BranchCrossing, CapExceeded, CombinatorialBudgetExceeded
 from .loops import local_factors
-from .network import Graph, TensorNetwork, connected_subsets, is_connected
+from .network import (DEFAULT_SIZE_CAP, Graph, TensorNetwork,
+                      connected_subsets, is_connected)
 from .tensor import contract_network
 
 RESTRICTED_CAP = 20
+DEFAULT_BUDGET = 10 ** 7  # loop subsets, and vertex subsets for regions
 
 
 class LoopSubset:
@@ -58,12 +59,13 @@ class LoopSubset:
         return f"LoopSubset({[list(l.key) for l in self.loops]})"
 
 
-def restricted_partition(B, weight_table: dict, cap: int = RESTRICTED_CAP) -> complex:
+def restricted_partition(B, weight_table: dict) -> complex:
     """Xi(B) = 1 + sum over compatible sub-families of prod Z_l."""
     loops = B.loops if isinstance(B, LoopSubset) else tuple(B)
     n = len(loops)
-    if n > cap:
-        raise CapExceeded(f"|B| = {n} exceeds restricted-partition cap {cap}")
+    if n > RESTRICTED_CAP:
+        raise CapExceeded(
+            f"|B| = {n} exceeds restricted-partition cap {RESTRICTED_CAP}")
     incompat = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
@@ -83,15 +85,6 @@ def restricted_partition(B, weight_table: dict, cap: int = RESTRICTED_CAP) -> co
     return rec(0, 0)
 
 
-def mobius_subset(A, B) -> int:
-    """Moebius function of the subset lattice: (-1)^{|B|-|A|} if A <= B."""
-    sa = set(A.loops if isinstance(A, LoopSubset) else A)
-    sb = set(B.loops if isinstance(B, LoopSubset) else B)
-    if not sa <= sb:
-        return 0
-    return -1 if (len(sb) - len(sa)) % 2 else 1
-
-
 def guarded_log(xi: complex, what: str) -> complex:
     if xi == 0 or (xi.real <= 0 and abs(xi.imag) <= 1e-14 * abs(xi.real)):
         raise BranchCrossing(
@@ -99,13 +92,11 @@ def guarded_log(xi: complex, what: str) -> complex:
     return cmath.log(xi)
 
 
-def cumulant(gamma, weight_table: dict) -> complex:
+def cumulant(gamma: LoopSubset, weight_table: dict) -> complex:
     """K(Gamma): inclusion-exclusion of log Xi over subsets of Gamma.
 
     Zero for disconnected Gamma by definition.
     """
-    if not isinstance(gamma, LoopSubset):
-        gamma = LoopSubset(gamma)
     if not gamma.connected:
         return 0.0 + 0j
     loops = gamma.loops
@@ -119,14 +110,13 @@ def cumulant(gamma, weight_table: dict) -> complex:
     return total
 
 
-def connected_loop_subsets(excitations, max_weight: int, anchor=None,
-                           budget: int = 10 ** 7):
+def connected_loop_subsets(excitations, max_weight: int, anchor=None):
     """All connected subsets of distinct loops with total weight <= m."""
     out = []
     for members in anchored_loop_sets(excitations, max_weight, anchor):
-        if len(out) >= budget:
+        if len(out) >= DEFAULT_BUDGET:
             raise CombinatorialBudgetExceeded(
-                f"subset enumeration exceeded budget {budget}")
+                f"subset enumeration exceeded budget {DEFAULT_BUDGET}")
         out.append(LoopSubset(members))
     out.sort(key=lambda s: (s.weight, s.key))
     return out
@@ -150,32 +140,17 @@ def counting_numbers(poset: dict) -> dict:
 
 
 def cumulant_free_energy(tn, messages, excitations, m: int,
-                         weight_table: dict, subsets=None):
+                         weight_table: dict):
     """F = F_BP - sum of K(Gamma) over connected subsets, weight <= m.
 
     Returns (F, correction, subsets) with the subset list for reuse.
     """
-    if subsets is None:
-        subsets = connected_loop_subsets(excitations, m)
+    subsets = connected_loop_subsets(excitations, m)
     corr = 0.0 + 0j
     for s in subsets:
-        if s.weight <= m:
-            corr += cumulant(s, weight_table)
+        corr += cumulant(s, weight_table)
     f_bp = -bp_log_partition(tn, messages)
     return f_bp - corr, corr, subsets
-
-
-def counting_number_free_energy(tn, messages, subsets, weight_table):
-    """Equivalent counting-number form: F = F_BP - sum b(B) log Xi(B)."""
-    b = counting_numbers({s.key: frozenset(s.loops) for s in subsets})
-    corr = 0.0 + 0j
-    for s in subsets:
-        if b[s.key] == 0:
-            continue
-        corr += b[s.key] * guarded_log(
-            restricted_partition(s, weight_table), "Xi(B)")
-    f_bp = -bp_log_partition(tn, messages)
-    return f_bp - corr, corr
 
 
 # --- regions ---------------------------------------------------------------
@@ -218,7 +193,7 @@ def _induced_degrees(g: Graph, vset):
     return deg
 
 
-def _vertex_subsets(g: Graph, k: int, budget: int, root=None):
+def _vertex_subsets(g: Graph, k: int, root=None):
     """Connected vertex subsets with <= k vertices, each once; with
     ``root`` given, only those containing it."""
     verts = sorted(g.vertices)
@@ -228,9 +203,9 @@ def _vertex_subsets(g: Graph, k: int, budget: int, root=None):
     count = 0
     for cur in connected_subsets(nbrs, [1] * len(verts), k, roots):
         count += 1
-        if count > budget:
+        if count > DEFAULT_BUDGET:
             raise CombinatorialBudgetExceeded(
-                f"vertex-subset enumeration exceeded budget {budget}")
+                f"vertex-subset enumeration exceeded budget {DEFAULT_BUDGET}")
         yield frozenset(verts[i] for i in cur)
 
 
@@ -262,12 +237,12 @@ def _intersection_closure(g: Graph, maximal, kind, keep):
     return [r for lvl in levels for r in lvl]
 
 
-def find_regions(g: Graph, k: int, budget: int = 10 ** 7):
+def find_regions(g: Graph, k: int):
     """Region poset: maximal connected leafless induced subgraphs up to k
     vertices, closed under pairwise intersection.  Returns a list of
     Region with levels (0 = maximal set)."""
     leafless = []
-    for vset in _vertex_subsets(g, k, budget):
+    for vset in _vertex_subsets(g, k):
         deg = _induced_degrees(g, vset)
         if deg and all(d >= 2 for d in deg.values()):
             leafless.append(vset)
@@ -284,12 +259,12 @@ def find_regions(g: Graph, k: int, budget: int = 10 ** 7):
     return _intersection_closure(g, maximal, "bulk", keep)
 
 
-def find_regions_local(g: Graph, k: int, A, budget: int = 10 ** 7):
+def find_regions_local(g: Graph, k: int, A):
     """Observable-anchored region poset: regions contain A; only A may be
     a leaf; intersections are pruned of branches not ending on A."""
     A = str(A)
     candidates = []
-    for vset in _vertex_subsets(g, k, budget, root=A):
+    for vset in _vertex_subsets(g, k, root=A):
         deg = _induced_degrees(g, vset)
         if all(d >= 2 for v, d in deg.items() if v != A):
             candidates.append(vset)
@@ -313,7 +288,7 @@ def find_regions_local(g: Graph, k: int, A, budget: int = 10 ** 7):
 
 
 def region_partition(tn: TensorNetwork, messages: MessageSet, R: Region,
-                     replacements: dict | None = None, size_cap=2 ** 26):
+                     replacements: dict | None = None):
     """(Xi_tilde(R), Xi(R)): boundary-message contraction of the region and
     its BP-normalized value.  ``replacements`` substitutes site tensors
     (operator insertions) inside the region."""
@@ -325,7 +300,7 @@ def region_partition(tn: TensorNetwork, messages: MessageSet, R: Region,
         pieces.append(messages.dressed(
             v, replacements.get(v, tn.tensors[v]), internal).relabel(
                 {f"{e}@{v}": e for e in internal}))
-    raw = contract_network(pieces, size_cap=size_cap).item()
+    raw = contract_network(pieces, size_cap=DEFAULT_SIZE_CAP).item()
     denom = 1.0 + 0j
     for z in local_factors(tn, messages, sorted(R.vertices)).values():
         denom *= z

@@ -71,16 +71,8 @@ class ZeroLocalFactor(EngineError):
     """Some z_v below floor; normalized excitation weights undefined."""
 
 
-class SingularJacobian(EngineError):
-    """Newton refinement hit a (numerically) singular Jacobian."""
-
-
 class BranchCrossing(EngineError):
     """A principal-branch log left the cut plane (Xi or region value <= 0)."""
-
-
-class ZeroRegionValue(EngineError):
-    """Region estimate with a zero region expectation in the product form."""
 
 
 class FieldNonzero(EngineError):

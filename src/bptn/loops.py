@@ -99,15 +99,13 @@ def _degree_map(g: Graph, edges):
     return deg
 
 
-def enumerate_loops(g: Graph, max_weight: int,
-                    budget: int = DEFAULT_ENUM_BUDGET):
+def enumerate_loops(g: Graph, max_weight: int):
     """All generalized loops (min degree 2) with |F| <= max_weight: the
     strings without terminal regions."""
-    return enumerate_strings(g, [], max_weight, budget)
+    return enumerate_strings(g, [], max_weight)
 
 
-def enumerate_strings(g: Graph, regions, max_weight: int,
-                      budget: int = DEFAULT_ENUM_BUDGET):
+def enumerate_strings(g: Graph, regions, max_weight: int):
     """Strings: connected edge subsets, min degree 2 outside the regions.
 
     ``regions`` is a list of vertex sets (pairwise disjoint).  Closed
@@ -121,7 +119,7 @@ def enumerate_strings(g: Graph, regions, max_weight: int,
                 raise ValueError("terminal regions must be disjoint")
     allowed = set().union(*regions) if regions else set()
     out = []
-    for edges in connected_edge_subsets(g, max_weight, budget):
+    for edges in connected_edge_subsets(g, max_weight):
         deg = _degree_map(g, edges)
         if not all(d >= 2 or v in allowed for v, d in deg.items()):
             continue
@@ -170,9 +168,9 @@ def excitation_weight(tn: TensorNetwork, messages: MessageSet,
     return ExcitationWeight(loop, raw / denom)
 
 
-def evaluate_weights(tn, messages, loops, factors=None):
+def evaluate_weights(tn, messages, loops):
     """Weight table for a loop list."""
-    return [excitation_weight(tn, messages, l, factors) for l in loops]
+    return [excitation_weight(tn, messages, l) for l in loops]
 
 
 def loop_decay_profile(weights):

@@ -74,38 +74,62 @@ def _ising_pairs(p: IsingParams):
     return pairs
 
 
+def _site_fields(p: IsingParams) -> dict:
+    """Field per site: the uniform h plus the site's extra field."""
+    fields = {f"{i},{j}": p.h for i in range(p.L) for j in range(p.L)}
+    for v, extra in p.site_fields.items():
+        fields[str(v)] = fields.get(str(v), 0.0) + extra
+    return fields
+
+
+def _bond_roots(pairs: dict, beta: float) -> dict:
+    """Edge id -> sqrt bond matrix, from a pair->multiplicity map."""
+    roots = {}
+    for key, mult in pairs.items():
+        u, v = sorted(key)
+        roots[f"{u}|{v}"] = _sqrt_bond_matrix(mult * beta)
+    return roots
+
+
+def _site_tensor(graph: Graph, v: str, roots: dict, beta: float, hv: float,
+                 gate: np.ndarray) -> DenseTensor:
+    """T^G_v = sum_{s,t} G[t,s] e^{beta h_v s} prod_e sqrtM_e[t, i_e]:
+    the site tensor with the 2x2 gate G acting on the spin the bonds see."""
+    inc = graph.incident(v)
+    data = np.zeros((2,) * len(inc), dtype=complex)
+    for si, s in enumerate((+1, -1)):
+        w = math.exp(beta * hv * s)
+        for ti in range(2):
+            if gate[ti, si] == 0:
+                continue
+            block = np.array(gate[ti, si] * w, dtype=complex)
+            for (e, _) in inc:
+                block = np.multiply.outer(block, roots[e][ti])
+            data += block
+    return DenseTensor([Leg(e, 2) for (e, _) in inc], data)
+
+
+_IDENTITY = np.eye(2, dtype=complex)
+
+
 def _ising_tn(vertices, pairs: dict, beta: float, fields: dict) -> TensorNetwork:
     """Closed Ising TN from a pair->multiplicity map."""
-    edges, bond_dims, roots = {}, {}, {}
-    for key, mult in sorted(pairs.items(), key=lambda kv: sorted(kv[0])):
+    edges = {}
+    for key in sorted(pairs, key=sorted):
         u, v = sorted(key)
-        e = f"{u}|{v}"
-        edges[e] = (u, v)
-        bond_dims[e] = 2
-        roots[e] = _sqrt_bond_matrix(mult * beta)
+        edges[f"{u}|{v}"] = (u, v)
     graph = Graph(vertices, edges)
-    tensors = {}
-    for v in graph.vertices:
-        inc = graph.incident(v)
-        hv = fields.get(v, 0.0)
-        data = np.zeros((2,) * len(inc), dtype=complex)
-        for si, s in enumerate((+1, -1)):
-            w = math.exp(beta * hv * s)
-            block = np.array(w, dtype=complex)
-            for (e, _) in inc:
-                block = np.multiply.outer(block, roots[e][si])
-            data += block
-        tensors[v] = DenseTensor([Leg(e, 2) for (e, _) in inc], data)
-    return TensorNetwork(graph, bond_dims, tensors)
+    roots = _bond_roots(pairs, beta)
+    tensors = {v: _site_tensor(graph, v, roots, beta, fields.get(v, 0.0),
+                               _IDENTITY)
+               for v in graph.vertices}
+    return TensorNetwork(graph, {e: 2 for e in edges}, tensors)
 
 
 def ising_network(p: IsingParams) -> TensorNetwork:
     """L x L classical Ising partition-function network."""
     vertices = [f"{i},{j}" for i in range(p.L) for j in range(p.L)]
-    fields = {v: p.h for v in vertices}
-    for v, extra in p.site_fields.items():
-        fields[str(v)] = fields.get(str(v), 0.0) + extra
-    return _ising_tn(vertices, _ising_pairs(p), p.beta, fields)
+    return _ising_tn(vertices, _ising_pairs(p), p.beta, _site_fields(p))
 
 
 def ising_network_3d(shape, beta: float) -> TensorNetwork:
@@ -129,12 +153,12 @@ def ising_network_3d(shape, beta: float) -> TensorNetwork:
     return _ising_tn(vertices, pairs, beta, {})
 
 
-def ising_paramagnetic_messages(p: IsingParams, tn=None) -> MessageSet:
-    """The analytic symmetric fixed point: uniform messages on every edge."""
+def ising_paramagnetic_messages(p: IsingParams,
+                                tn: TensorNetwork) -> MessageSet:
+    """The analytic symmetric fixed point of ``tn = ising_network(p)``:
+    uniform messages on every edge."""
     if p.h != 0.0 or any(v != 0.0 for v in p.site_fields.values()):
         raise FieldNonzero("paramagnetic fixed point requires zero field")
-    if tn is None:
-        tn = ising_network(p)
     return uniform_messages(tn)
 
 
@@ -147,40 +171,18 @@ def ising_insertion(tn: TensorNetwork, p: IsingParams, gates: dict) -> dict:
     G = [[0,1],[1,0]] flips the spin seen by the bonds (sigma_x analog);
     G = identity returns the original tensor.
     """
-    # recover per-edge multiplicities to rebuild the sqrt factors
-    pairs = _ising_pairs(p)
-    roots = {}
-    for key, mult in pairs.items():
-        u, v = sorted(key)
-        roots[f"{u}|{v}"] = _sqrt_bond_matrix(mult * p.beta)
-    fields = {f"{i},{j}": p.h for i in range(p.L) for j in range(p.L)}
-    for v, extra in p.site_fields.items():
-        fields[str(v)] = fields.get(str(v), 0.0) + extra
-    out = {}
-    for v, gate in gates.items():
-        v = str(v)
-        gate = np.asarray(gate, dtype=complex)
-        inc = tn.graph.incident(v)
-        data = np.zeros((2,) * len(inc), dtype=complex)
-        for si, s in enumerate((+1, -1)):
-            w = math.exp(p.beta * fields.get(v, 0.0) * s)
-            for ti in range(2):
-                if gate[ti, si] == 0:
-                    continue
-                block = np.array(gate[ti, si] * w, dtype=complex)
-                for (e, _) in inc:
-                    block = np.multiply.outer(block, roots[e][ti])
-                data += block
-        out[v] = DenseTensor([Leg(e, 2) for (e, _) in inc], data)
-    return out
+    roots = _bond_roots(_ising_pairs(p), p.beta)
+    fields = _site_fields(p)
+    return {str(v): _site_tensor(tn.graph, str(v), roots, p.beta,
+                                 fields.get(str(v), 0.0),
+                                 np.asarray(gate, dtype=complex))
+            for v, gate in gates.items()}
 
 
 def ising_exact_logZ(p: IsingParams) -> float:
     """Exact log Z: brute-force spin sum (L <= 4) or transfer matrix."""
     L = p.L
-    fields = {f"{i},{j}": p.h for i in range(L) for j in range(L)}
-    for v, extra in p.site_fields.items():
-        fields[str(v)] = fields.get(str(v), 0.0) + extra
+    fields = _site_fields(p)
     if L * L <= 16:
         pairs = _ising_pairs(p)
         n = L * L

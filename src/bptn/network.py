@@ -22,8 +22,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import (DimensionMismatch, MissingPhysicalLeg, RegionMismatch,
-                     TooLarge)
+from .errors import DimensionMismatch, MissingPhysicalLeg, RegionMismatch
 from .tensor import DenseTensor, Leg, contract_network
 
 DEFAULT_SIZE_CAP = 2 ** 26
@@ -68,19 +67,8 @@ class Graph:
         """Sorted list of (edge id, neighbor) pairs at v."""
         return list(self._adj[str(v)])
 
-    def degree(self, v) -> int:
-        return len(self._adj[str(v)])
-
-    @property
-    def max_degree(self) -> int:
-        return max((self.degree(v) for v in self.vertices), default=0)
-
     def endpoints(self, e):
         return self.edges[str(e)]
-
-    def other_end(self, e, v):
-        u, w = self.edges[str(e)]
-        return w if u == str(v) else u
 
     def edge_between(self, u, v):
         for (e, w) in self._adj[str(u)]:
@@ -146,11 +134,11 @@ class OperatorInsertion:
         return self.site_operators[str(v)]
 
 
-def exact_contract(tn: TensorNetwork, size_cap: int = DEFAULT_SIZE_CAP) -> complex:
+def exact_contract(tn: TensorNetwork) -> complex:
     """Full contraction of a closed network; ground-truth oracle."""
     if not tn.is_closed:
         raise MissingPhysicalLeg("exact_contract needs a closed network")
-    result = contract_network(tn.tensors.values(), size_cap=size_cap)
+    result = contract_network(tn.tensors.values(), size_cap=DEFAULT_SIZE_CAP)
     return result.item()
 
 

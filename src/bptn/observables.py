@@ -30,9 +30,9 @@ import numpy as np
 from .bp import MessageSet, bp_local_factor, merge_messages
 from .clusters import Cluster, enumerate_clusters, ursell
 from .cumulants import (connected_loop_subsets, counting_numbers, cumulant,
-                        find_regions_local, guarded_log, region_partition)
+                        find_regions_local, region_partition)
 from .errors import (InsufficientPoints, OverlappingRegions, PCapExceeded,
-                     ZeroLocalFactor, ZeroRegionValue)
+                     ZeroLocalFactor)
 from .loops import enumerate_strings, excitation_weight, local_factors
 from .network import TensorNetwork, merge_region, shortest_paths
 
@@ -286,36 +286,22 @@ def expval_cumulant_tensors(prob: InsertionProblem, m) -> Estimate:
     return Estimate(prob.alphas()[rid] * cmath.exp(total), f"cumulant({m})")
 
 
-def _region_expectations(prob: InsertionProblem, k):
-    """(region, counting number, <O>_R) for the anchored regions of size
-    <= k with a nonzero counting number."""
+def expval_region_sum_tensors(prob: InsertionProblem, k) -> Estimate:
+    """Counting-number sum of the region expectations <O>_R over the
+    anchored regions of size <= k."""
     (rid,) = prob.region_ids
     poset = prob.regions(k)
     b = counting_numbers({r.key: r.vertices for r in poset})
     repl = {rid: prob.replacements[rid]}
+    total = 0.0 + 0j
     for r in poset:
         if b[r.key] == 0:
             continue
         raw, _ = region_partition(prob.base, prob.messages, r)
         raw_o, _ = region_partition(prob.base, prob.messages, r,
                                     replacements=repl)
-        yield r, b[r.key], raw_o / raw
-
-
-def expval_region_sum_tensors(prob: InsertionProblem, k) -> Estimate:
-    total = 0.0 + 0j
-    for _, b, val in _region_expectations(prob, k):
-        total += b * val
+        total += b[r.key] * (raw_o / raw)
     return Estimate(total, f"region_sum({k})")
-
-
-def expval_region_product_tensors(prob: InsertionProblem, k) -> Estimate:
-    log_total = 0.0 + 0j
-    for r, b, val in _region_expectations(prob, k):
-        if val == 0:
-            raise ZeroRegionValue(f"zero region expectation on {r.key}")
-        log_total += b * guarded_log(val, f"<O>_{r.key}")
-    return Estimate(cmath.exp(log_total), f"region_product({k})")
 
 
 # --- correlators -----------------------------------------------------------

@@ -80,29 +80,13 @@ class DenseTensor:
     def scale(self, c) -> "DenseTensor":
         return DenseTensor(self.legs, self.data * c)
 
-    def conj(self) -> "DenseTensor":
-        return DenseTensor(self.legs, np.conj(self.data))
-
-    def norm2(self) -> float:
-        """Euclidean norm of the coefficient vector."""
-        return float(np.linalg.norm(self.data.ravel()))
-
     def item(self) -> complex:
         if self.legs:
             raise DimensionMismatch("item() on a non-scalar tensor")
         return complex(self.data.item())
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self):
         return f"DenseTensor(legs={self.legs!r}, shape={self.data.shape})"
-
-    def allclose(self, other: "DenseTensor", rtol=1e-12, atol=1e-12) -> bool:
-        return (self.leg_ids == other.leg_ids
-                and all(a.dim == b.dim for a, b in zip(self.legs, other.legs))
-                and np.allclose(self.data, other.data, rtol=rtol, atol=atol))
 
 
 def scalar(value) -> DenseTensor:

@@ -21,10 +21,9 @@ from bptn.bp import (bp_iterate, bp_log_partition, stability_probe,
                      uniform_messages)
 from bptn.clusters import (Cluster, cluster_value, enumerate_clusters,
                            free_energy_truncated, loops_overlap, ursell)
-from bptn.cumulants import (LoopSubset, connected_loop_subsets,
-                            counting_number_free_energy, cumulant,
+from bptn.cumulants import (LoopSubset, connected_loop_subsets, cumulant,
                             cumulant_free_energy, find_regions,
-                            mobius_subset, region_free_energy)
+                            region_free_energy)
 from bptn.loops import (GeneralizedLoop, enumerate_loops, evaluate_weights,
                         excitation_weight, loop_decay_profile)
 from bptn.models import (IsingParams, ising_exact_logZ, ising_insertion,
@@ -38,6 +37,7 @@ from bptn.observables import (InsertionProblem, correlation_length,
                               expval_cumulant_tensors,
                               expval_derivative_tensors, expval_ratio_tensors,
                               expval_region_sum_tensors)
+from oracles import counting_number_free_energy, mobius_subset
 
 SZ = np.diag([1.0, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -113,6 +113,26 @@ def test_correlator_scan_and_fixed_pair(tmp_path, capsys):
     assert float(row["rel_error"]) < 0.2
 
 
+def test_correlator_ratio_failure_is_reported(tmp_path, capsys):
+    """At h = 0 the BP expectation is 0, so the ratio form is undefined at
+    every pair: its column reads nan and stderr names each pair and the
+    error, apart from the fit summary."""
+    out = tmp_path / "corr.csv"
+    assert run(["correlator", "--generate", "ising:L=4,beta=0.2",
+                "--site", "0,0", "-m", "2", "--out", str(out)]) == 0
+    rows = _rows(out)
+    assert [r["ratio_re"] for r in rows] == ["nan"] * 3
+    assert all(math.isfinite(float(r["derivative_re"])) for r in rows)
+    lines = capsys.readouterr().err.splitlines()
+    notes = [l for l in lines if l.startswith("ratio_re = nan")]
+    assert notes == [f"ratio_re = nan for sites '0,0' and {b!r}: "
+                     "ZeroLocalFactor: BP expectation at region '0,0' below "
+                     "floor; ratio normalization undefined"
+                     for b in ("0,1", "0,2", "1,2")]
+    assert not any("R^2 = " in l for l in notes)
+    assert sum("R^2 = " in l for l in lines) == 1
+
+
 def test_correlator_exact_reference_contracts_shared_site_once(
         tmp_path, monkeypatch):
     """A scan shares site a, so its decorated network is contracted once:

@@ -8,8 +8,7 @@ import pytest
 from bptn.bp import bp_log_partition
 from bptn.clusters import (Cluster, FreeEnergyResult, cluster_value,
                            enumerate_clusters, free_energy_truncated,
-                           interaction_graph, loops_overlap, tail_bound,
-                           ursell)
+                           interaction_graph, loops_overlap, ursell)
 from bptn.errors import CapExceeded, CombinatorialBudgetExceeded
 from bptn.loops import GeneralizedLoop, enumerate_loops, evaluate_weights
 from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
@@ -189,21 +188,6 @@ def test_free_energy_per_order_accounting():
     tn = ising_network(p)
     ms = ising_paramagnetic_messages(p, tn)
     loops = enumerate_loops(tn.graph, 6)
-    res = free_energy_truncated(tn, ms, loops, 6)
-    total = sum(s for s, _ in res.per_order.values())
-    assert abs((res.f_bp - res.f_m) - total) < 1e-12
+    table = {w.loop.key: w.value for w in evaluate_weights(tn, ms, loops)}
+    res = free_energy_truncated(tn, ms, loops, 6, weight_table=table)
     assert res.f_bp == -bp_log_partition(tn, ms)
-
-
-def test_tail_bound_behaviour():
-    rows = [{"parity": "even", "c_estimate": 3.0},
-            {"parity": "even", "c_estimate": 2.5}]
-    bound, c, c0, vac = tail_bound(rows, m=8, delta=4, n_vertices=16)
-    assert c == 2.5 and c0 == math.log(6) + 0.5 and not vac
-    assert abs(bound - 16 * math.exp(-(2.5 - c0) * 9)) < 1e-12
-    # decay too slow -> vacuous
-    bound2, _, _, vac2 = tail_bound(
-        [{"parity": "even", "c_estimate": 1.0}], 8, 4, 16)
-    assert vac2 and bound2 == 16.0
-    bound3, _, _, vac3 = tail_bound([], 8, 4, 16)
-    assert vac3 and bound3 == math.inf

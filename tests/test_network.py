@@ -45,8 +45,7 @@ def test_graph_rejects_self_loop_and_parallel():
 def test_graph_incidence():
     g = Graph(["a", "b", "c"], {"x": ("a", "b"), "y": ("b", "c")})
     assert g.neighbors("b") == ["a", "c"]
-    assert g.degree("b") == 2 and g.max_degree == 2
-    assert g.other_end("x", "a") == "b"
+    assert g.incident("b") == [("x", "a"), ("y", "c")]
     assert g.edge_between("a", "b") == "x"
     assert g.edge_between("a", "c") is None
 

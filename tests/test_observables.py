@@ -15,7 +15,6 @@ from bptn.observables import (Estimate, InsertionProblem, correlation_length,
                               correlator_ratio_tensors, expval_bp_tensors,
                               expval_cumulant_tensors,
                               expval_derivative_tensors, expval_ratio_tensors,
-                              expval_region_product_tensors,
                               expval_region_sum_tensors)
 
 SZ = np.diag([1.0, -1.0])
@@ -43,8 +42,7 @@ def test_identity_observable_is_exactly_one(peps23):
                 expval_ratio_tensors(prob, 4),
                 expval_derivative_tensors(prob, 4),
                 expval_cumulant_tensors(prob, 4),
-                expval_region_sum_tensors(prob, 4),
-                expval_region_product_tensors(prob, 4)):
+                expval_region_sum_tensors(prob, 4)):
         assert abs(est.value - 1.0) < 1e-12, est
 
 
@@ -67,18 +65,6 @@ def test_region_sum_k1_equals_bp(peps23):
     bp = expval_bp_tensors(prob).value
     rs = expval_region_sum_tensors(prob, 1).value
     assert abs(rs - bp) < 1e-14
-    prob2 = _problem(peps23, OperatorInsertion({"0,1": SZ}))
-    rp = expval_region_product_tensors(prob2, 1).value
-    assert abs(rp - expval_bp_tensors(prob2).value) < 1e-14
-
-
-def test_region_product_guards_negative_values(peps23):
-    """A real-negative region expectation has no principal-branch log."""
-    from bptn.errors import BranchCrossing
-
-    ins = OperatorInsertion({"1,1": SZ})  # site with negative <O>_BP
-    with pytest.raises(BranchCrossing):
-        expval_region_product_tensors(_problem(peps23, ins), 1)
 
 
 def test_region_estimators_improve_with_k(peps23):
@@ -186,8 +172,7 @@ _ONE_REGION = [("bp", lambda prob, m: expval_bp_tensors(prob)),
                ("ratio", expval_ratio_tensors),
                ("derivative", expval_derivative_tensors),
                ("cumulant", expval_cumulant_tensors),
-               ("region_sum", expval_region_sum_tensors),
-               ("region_product", expval_region_product_tensors)]
+               ("region_sum", expval_region_sum_tensors)]
 _TWO_REGIONS = [("derivative", expval_derivative_tensors),
                 ("ratio", correlator_ratio_tensors)]
 
