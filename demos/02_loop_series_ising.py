@@ -20,7 +20,7 @@ p = IsingParams(L=4, beta=0.2)
 tn = ising_network(p)
 ms = ising_paramagnetic_messages(p, tn)
 loops = enumerate_loops(tn.graph, 8)
-table = {w.loop.key: w.value for w in evaluate_weights(tn, ms, loops)}
+table = evaluate_weights(tn, ms, loops)
 
 print(f"{len(loops)} generalized loops up to weight 8")
 print(f"plaquette weight {table[loops[0].key].real:.8f} "

@@ -14,8 +14,7 @@ import numpy as np
 
 from bptn.bp import bp_iterate, uniform_messages
 from bptn.models import random_peps
-from bptn.network import (OperatorInsertion, build_norm_network,
-                          exact_contract, insert_operator, peps_replacements)
+from bptn.network import build_norm_network, exact_contract, peps_replacements
 from bptn.observables import (InsertionProblem, expval_bp_tensors,
                               expval_cumulant_tensors,
                               expval_derivative_tensors, expval_ratio_tensors,
@@ -29,12 +28,12 @@ res = bp_iterate(tn, uniform_messages(tn), tol=1e-13)
 print(f"BP on the norm network: {res.iterations} sweeps, "
       f"residual {res.residual:.1e}")
 
-ins = OperatorInsertion({"0,1": SZ})
-exact = exact_contract(insert_operator(tn, peps, ins)) / exact_contract(tn)
+repl = peps_replacements(peps, {"0,1": SZ})
+exact = exact_contract(tn.replace_tensors(repl)) / exact_contract(tn)
 print(f"exact <sigma_z> at site (0,1): {exact.real:.10f}\n")
 
 # one expansion object shared by every estimator and truncation
-prob = InsertionProblem(tn, res.messages, [peps_replacements(peps, ins)])
+prob = InsertionProblem(tn, res.messages, [repl])
 print(f"{'estimator':>16} {'value':>14} {'abs. error':>12}")
 e = expval_bp_tensors(prob)
 print(f"{'BP':>16} {e.value.real:14.10f} {abs(e.value - exact):12.2e}")

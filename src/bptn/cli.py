@@ -34,8 +34,8 @@ from .loops import enumerate_loops, evaluate_weights, loop_decay_profile
 from .models import (IsingParams, ising_exact_logZ, ising_insertion,
                      ising_network, random_peps, random_tree_network,
                      single_loop_network)
-from .network import (OperatorInsertion, bfs, build_norm_network,
-                      exact_contract, peps_replacements)
+from .network import (bfs, build_norm_network, exact_contract,
+                      peps_replacements)
 from .observables import (InsertionProblem, correlation_length,
                           correlator_ratio_tensors, expval_bp_tensors,
                           expval_cumulant_tensors, expval_derivative_tensors,
@@ -70,7 +70,7 @@ class Problem:
         if self.ising is not None:
             return ising_insertion(self.tn, self.ising, {site: _SZ})
         if self.peps is not None:
-            return peps_replacements(self.peps, OperatorInsertion({site: _SZ}))
+            return peps_replacements(self.peps, {site: _SZ})
         raise ConfigError(
             "expval/correlator need a generated model (ising/peps) or a "
             "PEPS input file; a bare closed network has no observable")
@@ -233,8 +233,8 @@ def cmd_loops(args):
     prob = _load_problem(args)
     res = _converge(prob, args)
     loops = enumerate_loops(prob.tn.graph, args.max_weight)
-    weights = evaluate_weights(prob.tn, res.messages, loops)
-    rows, notes = loop_decay_profile(weights)
+    table = evaluate_weights(prob.tn, res.messages, loops)
+    rows, notes = loop_decay_profile(table)
     out = [{k: _fmt(v) for k, v in r.items()} for r in rows]
     _emit(args, ["weight", "parity", "n_loops", "max_abs", "c_estimate"],
           out, [f"{len(loops)} loops up to weight {args.max_weight}"] +
@@ -247,8 +247,7 @@ def cmd_free_energy(args):
     res = _converge(prob, args)
     m = args.max_weight
     loops = enumerate_loops(prob.tn.graph, m)
-    table = {w.loop.key: w.value
-             for w in evaluate_weights(prob.tn, res.messages, loops)}
+    table = evaluate_weights(prob.tn, res.messages, loops)
     fr = free_energy_truncated(prob.tn, res.messages, loops, m,
                                weight_table=table)
     f_cum, _, _ = cumulant_free_energy(prob.tn, res.messages, loops, m, table)
@@ -326,6 +325,9 @@ def cmd_correlator(args):
             found = [v for v in prob.tn.graph.vertices if dist.get(v) == d]
             if found:
                 pairs.append((a, found[0]))
+    if not pairs:
+        raise ConfigError(f"no site within --distances {args.distances} "
+                          f"of site {a!r}")
     ra = prob.insertion(a)
     if args.reference == "exact":
         z = exact_contract(prob.tn)
@@ -389,6 +391,8 @@ def cmd_scan(args):
         values = np.linspace(float(start), float(stop), int(steps))
     except ValueError as exc:
         raise ConfigError(f"bad sweep spec {args.sweep!r}") from exc
+    if not values.size:
+        raise ConfigError(f"sweep spec {args.sweep!r} has no steps")
     kind, kv = _parse_spec(args.generate) if args.generate else ("", {})
     if kind != "ising":
         raise ConfigError("scan currently sweeps ising generator parameters")
@@ -402,13 +406,12 @@ def cmd_scan(args):
         res = _converge(prob, sub)
         m = args.max_weight
         loops = enumerate_loops(prob.tn.graph, m)
-        weights = evaluate_weights(prob.tn, res.messages, loops)
-        profile, _ = loop_decay_profile(weights)
+        table = evaluate_weights(prob.tn, res.messages, loops)
+        profile, _ = loop_decay_profile(table)
         c_even = min((r["c_estimate"] for r in profile
                       if r["parity"] == "even"), default=math.nan)
         c_odd = min((r["c_estimate"] for r in profile
                      if r["parity"] == "odd"), default=math.nan)
-        table = {w.loop.key: w.value for w in weights}
         fr = free_energy_truncated(prob.tn, res.messages, loops, m,
                                    weight_table=table)
         row = {name: _fmt(float(val)), "c_even": _fmt(c_even),

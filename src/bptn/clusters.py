@@ -21,7 +21,7 @@ from fractions import Fraction
 from .bp import bp_log_partition
 from .errors import CapExceeded, CombinatorialBudgetExceeded
 from .loops import GeneralizedLoop
-from .network import connected_subsets, is_connected
+from .network import connected_subsets
 
 DEFAULT_URSELL_CAP = 8
 DEFAULT_CLUSTER_BUDGET = 10 ** 7
@@ -33,9 +33,10 @@ def loops_overlap(a: GeneralizedLoop, b: GeneralizedLoop) -> bool:
 
 
 class Cluster:
-    """Multiset of loops with multiplicities."""
+    """Multiset of loops with multiplicities; with every multiplicity 1
+    it is a set of distinct loops, as the cumulant expansion takes."""
 
-    __slots__ = ("members", "weight", "n_loops", "support", "connected")
+    __slots__ = ("members", "weight", "n_loops", "support")
 
     def __init__(self, members):
         """``members``: iterable of (GeneralizedLoop, multiplicity)."""
@@ -50,11 +51,11 @@ class Cluster:
         for l, _ in members:
             sup |= l.vertices
         self.support = frozenset(sup)
-        # copies of one loop are linked, so connectivity reduces to the
-        # overlap graph on distinct loops
-        loops = [l for l, _ in members]
-        self.connected = is_connected(range(len(loops)),
-                                      overlap_neighbors(loops).__getitem__)
+
+    @property
+    def loops(self):
+        """The distinct loops, in key order."""
+        return tuple(l for l, _ in self.members)
 
     @property
     def key(self):
@@ -76,7 +77,7 @@ def interaction_graph(cluster: Cluster):
     for idx, (l, eta) in enumerate(cluster.members):
         nodes.extend([idx] * eta)
     n = len(nodes)
-    loops = [l for l, _ in cluster.members]
+    loops = cluster.loops
     adj = [0] * n
     for a in range(n):
         for b in range(a + 1, n):
@@ -98,12 +99,11 @@ def _edgeless(mask: int, adj) -> bool:
 
 
 def ursell(cluster: Cluster, cap: int = DEFAULT_URSELL_CAP) -> Fraction:
-    """Exact Ursell coefficient phi(W); 0 for disconnected clusters."""
+    """Exact Ursell coefficient phi(W); 0 for disconnected clusters, whose
+    interaction graph has no connected spanning edge subset."""
     if cluster.n_loops > cap:
         raise CapExceeded(
             f"n_loops {cluster.n_loops} exceeds Ursell cap {cap}")
-    if not cluster.connected:
-        return Fraction(0)
     n, adj = interaction_graph(cluster)
     full = (1 << n) - 1
     # g(S) = sum over connected spanning edge subsets of S of (-1)^{|C|}

@@ -14,7 +14,8 @@ from __future__ import annotations
 import cmath
 
 from .bp import MessageSet, bp_log_partition
-from .clusters import anchored_loop_sets, loops_overlap, overlap_neighbors
+from .clusters import (Cluster, anchored_loop_sets, loops_overlap,
+                       overlap_neighbors)
 from .errors import BranchCrossing, CapExceeded, CombinatorialBudgetExceeded
 from .loops import local_factors
 from .network import (DEFAULT_SIZE_CAP, Graph, TensorNetwork,
@@ -25,43 +26,9 @@ RESTRICTED_CAP = 20
 DEFAULT_BUDGET = 10 ** 7  # loop subsets, and vertex subsets for regions
 
 
-class LoopSubset:
-    """A set of distinct loops with its connectivity flag."""
-
-    __slots__ = ("loops", "connected")
-
-    def __init__(self, loops):
-        self.loops = tuple(sorted(set(loops), key=lambda l: l.key))
-        self.connected = is_connected(
-            range(len(self.loops)), overlap_neighbors(self.loops).__getitem__)
-
-    @property
-    def key(self):
-        return tuple(l.key for l in self.loops)
-
-    @property
-    def weight(self):
-        return sum(l.weight for l in self.loops)
-
-    def __len__(self):
-        return len(self.loops)
-
-    def __le__(self, other):
-        return set(self.loops) <= set(other.loops)
-
-    def __eq__(self, other):
-        return isinstance(other, LoopSubset) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"LoopSubset({[list(l.key) for l in self.loops]})"
-
-
-def restricted_partition(B, weight_table: dict) -> complex:
-    """Xi(B) = 1 + sum over compatible sub-families of prod Z_l."""
-    loops = B.loops if isinstance(B, LoopSubset) else tuple(B)
+def restricted_partition(loops, weight_table: dict) -> complex:
+    """Xi(B) = 1 + sum over compatible sub-families of prod Z_l, for the
+    sequence of distinct loops B."""
     n = len(loops)
     if n > RESTRICTED_CAP:
         raise CapExceeded(
@@ -92,15 +59,16 @@ def guarded_log(xi: complex, what: str) -> complex:
     return cmath.log(xi)
 
 
-def cumulant(gamma: LoopSubset, weight_table: dict) -> complex:
-    """K(Gamma): inclusion-exclusion of log Xi over subsets of Gamma.
+def cumulant(gamma: Cluster, weight_table: dict) -> complex:
+    """K(Gamma): inclusion-exclusion of log Xi over subsets of the
+    multiplicity-free cluster Gamma.
 
     Zero for disconnected Gamma by definition.
     """
-    if not gamma.connected:
-        return 0.0 + 0j
     loops = gamma.loops
     n = len(loops)
+    if not is_connected(range(n), overlap_neighbors(loops).__getitem__):
+        return 0.0 + 0j
     total = 0.0 + 0j
     for mask in range(1 << n):
         sub = [loops[i] for i in range(n) if mask & (1 << i)]
@@ -111,13 +79,14 @@ def cumulant(gamma: LoopSubset, weight_table: dict) -> complex:
 
 
 def connected_loop_subsets(excitations, max_weight: int, anchor=None):
-    """All connected subsets of distinct loops with total weight <= m."""
+    """All connected subsets of distinct loops with total weight <= m, as
+    clusters whose multiplicities are all 1."""
     out = []
     for members in anchored_loop_sets(excitations, max_weight, anchor):
         if len(out) >= DEFAULT_BUDGET:
             raise CombinatorialBudgetExceeded(
                 f"subset enumeration exceeded budget {DEFAULT_BUDGET}")
-        out.append(LoopSubset(members))
+        out.append(Cluster((l, 1) for l in members))
     out.sort(key=lambda s: (s.weight, s.key))
     return out
 
@@ -158,12 +127,11 @@ def cumulant_free_energy(tn, messages, excitations, m: int,
 class Region:
     """Connected vertex-induced subgraph used in the region expansion."""
 
-    __slots__ = ("vertices", "edges", "kind", "level")
+    __slots__ = ("vertices", "edges", "level")
 
-    def __init__(self, g: Graph, vertices, kind="bulk", level=0):
+    def __init__(self, g: Graph, vertices, level):
         self.vertices = frozenset(str(v) for v in vertices)
         self.edges = frozenset(_induced_edges(g, self.vertices))
-        self.kind = kind
         self.level = level
 
     @property
@@ -177,7 +145,7 @@ class Region:
         return hash(self.vertices)
 
     def __repr__(self):
-        return f"Region({sorted(self.vertices)}, kind={self.kind!r})"
+        return f"Region({sorted(self.vertices)})"
 
 
 def _induced_edges(g: Graph, vset):
@@ -209,12 +177,12 @@ def _vertex_subsets(g: Graph, k: int, root=None):
         yield frozenset(verts[i] for i in cur)
 
 
-def _intersection_closure(g: Graph, maximal, kind, keep):
+def _intersection_closure(g: Graph, maximal, keep):
     """Region poset from the maximal vertex sets, closed under pairwise
     intersection.  ``keep(p)`` turns an intersection into the region it
     adds (a frozenset), or None to drop it.  Returns the regions level by
     level (0 = maximal)."""
-    levels = [[Region(g, s, kind=kind, level=0)
+    levels = [[Region(g, s, 0)
                for s in sorted(maximal, key=sorted)]]
     known = {r.vertices for r in levels[0]}
     while True:
@@ -229,7 +197,7 @@ def _intersection_closure(g: Graph, maximal, kind, keep):
                 if p is None or p in known:
                     continue
                 known.add(p)
-                fresh.append(Region(g, p, kind=kind, level=len(levels)))
+                fresh.append(Region(g, p, len(levels)))
         if not fresh:
             break
         fresh.sort(key=lambda r: r.key)
@@ -256,7 +224,7 @@ def find_regions(g: Graph, k: int):
             return p
         return None
 
-    return _intersection_closure(g, maximal, "bulk", keep)
+    return _intersection_closure(g, maximal, keep)
 
 
 def find_regions_local(g: Graph, k: int, A):
@@ -284,7 +252,7 @@ def find_regions_local(g: Graph, k: int, A):
             p -= set(drop)
         return frozenset(p)
 
-    return _intersection_closure(g, maximal, "anchored", keep)
+    return _intersection_closure(g, maximal, keep)
 
 
 def region_partition(tn: TensorNetwork, messages: MessageSet, R: Region,

@@ -30,11 +30,11 @@ _Z_FLOOR = 1e-12
 
 
 class GeneralizedLoop:
-    """An excitation: edge set, support, weight and kind."""
+    """An excitation: its edge set, support vertices and weight |l|."""
 
-    __slots__ = ("edges", "vertices", "weight", "kind", "terminals")
+    __slots__ = ("edges", "vertices", "weight")
 
-    def __init__(self, g: Graph, edges, kind="closed", terminals=()):
+    def __init__(self, g: Graph, edges):
         self.edges = frozenset(str(e) for e in edges)
         verts = set()
         for e in self.edges:
@@ -43,8 +43,6 @@ class GeneralizedLoop:
             verts.add(v)
         self.vertices = frozenset(verts)
         self.weight = len(self.edges)
-        self.kind = kind
-        self.terminals = tuple(terminals)
 
     @property
     def key(self):
@@ -58,15 +56,7 @@ class GeneralizedLoop:
         return hash(self.key)
 
     def __repr__(self):
-        return f"GeneralizedLoop({list(self.key)}, kind={self.kind!r})"
-
-
-class ExcitationWeight:
-    __slots__ = ("loop", "value")
-
-    def __init__(self, loop, value):
-        self.loop = loop
-        self.value = complex(value)
+        return f"GeneralizedLoop({list(self.key)})"
 
 
 def connected_edge_subsets(g: Graph, max_weight: int,
@@ -109,8 +99,7 @@ def enumerate_strings(g: Graph, regions, max_weight: int):
     """Strings: connected edge subsets, min degree 2 outside the regions.
 
     ``regions`` is a list of vertex sets (pairwise disjoint).  Closed
-    loops are included; terminal region indices are recorded for subsets
-    whose relaxed vertices lie inside some region.
+    loops are included.
     """
     regions = [frozenset(str(v) for v in r) for r in regions]
     for i in range(len(regions)):
@@ -121,14 +110,8 @@ def enumerate_strings(g: Graph, regions, max_weight: int):
     out = []
     for edges in connected_edge_subsets(g, max_weight):
         deg = _degree_map(g, edges)
-        if not all(d >= 2 or v in allowed for v, d in deg.items()):
-            continue
-        closed = all(d >= 2 for d in deg.values())
-        support = set(deg)
-        terminals = tuple(i for i, r in enumerate(regions) if support & r)
-        out.append(GeneralizedLoop(
-            g, edges, kind="closed" if closed else "string",
-            terminals=terminals))
+        if all(d >= 2 or v in allowed for v, d in deg.items()):
+            out.append(GeneralizedLoop(g, edges))
     out.sort(key=lambda l: (l.weight, l.key))
     return out
 
@@ -146,7 +129,7 @@ def local_factors(tn: TensorNetwork, messages: MessageSet, vertices) -> dict:
 
 def excitation_weight(tn: TensorNetwork, messages: MessageSet,
                       loop: GeneralizedLoop,
-                      factors: dict | None = None) -> ExcitationWeight:
+                      factors: dict | None = None) -> complex:
     """Normalized weight Z_l of one excitation, contracted on its support.
 
     ``factors`` supplies the normalizing local factors z_v (computed from
@@ -165,23 +148,25 @@ def excitation_weight(tn: TensorNetwork, messages: MessageSet,
     denom = 1.0 + 0j
     for v in sorted(loop.vertices):
         denom *= factors[str(v)]
-    return ExcitationWeight(loop, raw / denom)
+    return raw / denom
 
 
-def evaluate_weights(tn, messages, loops):
-    """Weight table for a loop list."""
-    return [excitation_weight(tn, messages, l) for l in loops]
+def evaluate_weights(tn, messages, loops) -> dict:
+    """Weight table {loop.key: Z_l} for a loop list."""
+    return {l.key: excitation_weight(tn, messages, l) for l in loops}
 
 
-def loop_decay_profile(weights):
+def loop_decay_profile(weight_table: dict):
     """Decay-rate table c(|l|) = -log(max |Z_l|)/|l| per weight class.
 
-    Returns (rows, notes): rows are dicts with keys weight, parity,
-    n_loops, max_abs, c_estimate; all-zero classes are omitted and noted.
+    ``weight_table`` maps loop keys to Z_l; a key's length is the loop's
+    weight.  Returns (rows, notes): rows are dicts with keys weight,
+    parity, n_loops, max_abs, c_estimate; all-zero classes are omitted and
+    noted.
     """
     classes = {}
-    for w in weights:
-        classes.setdefault(w.loop.weight, []).append(abs(w.value))
+    for key, z in weight_table.items():
+        classes.setdefault(len(key), []).append(abs(z))
     rows, notes = [], []
     for wt in sorted(classes):
         vals = classes[wt]

@@ -11,8 +11,8 @@ desk scale -- correctness over speed.
 Every expansion sums over connected objects: loops (edge sets), regions
 (vertex sets), clusters and cumulant subsets (sets in the loop-overlap
 graph).  ``connected_subsets`` is the one walk that enumerates them;
-``peps_replacements`` is the one adapter from a PEPS operator insertion to
-the replacement tensors the estimators take.
+``peps_replacements`` is the one adapter from a PEPS operator insertion,
+a {vertex: matrix} map, to the replacement tensors the estimators take.
 """
 
 from __future__ import annotations
@@ -122,18 +122,6 @@ class TensorNetwork:
         return TensorNetwork(self.graph, self.bond_dims, tensors, self.phys_dims)
 
 
-class OperatorInsertion:
-    """A region of vertices with one physical-space matrix per vertex."""
-
-    def __init__(self, site_operators: dict):
-        self.site_operators = {
-            str(v): np.asarray(m, dtype=complex) for v, m in site_operators.items()}
-        self.region = frozenset(self.site_operators)
-
-    def operator(self, v):
-        return self.site_operators[str(v)]
-
-
 def exact_contract(tn: TensorNetwork) -> complex:
     """Full contraction of a closed network; ground-truth oracle."""
     if not tn.is_closed:
@@ -175,26 +163,22 @@ def build_norm_network(peps: TensorNetwork) -> TensorNetwork:
     return TensorNetwork(peps.graph, bond_dims, tensors)
 
 
-def peps_replacements(peps: TensorNetwork, ins: OperatorInsertion) -> dict:
-    """Replacement double tensors that insert ``ins`` into the norm network
-    of ``peps``: {vertex: double tensor with O_v sandwiched}."""
-    for v in ins.region:
+def peps_replacements(peps: TensorNetwork, ops: dict) -> dict:
+    """Replacement double tensors that insert the operators ``ops``
+    ({vertex: physical-space matrix}) into the norm network of ``peps``:
+    {vertex: double tensor with O_v sandwiched}."""
+    out = {}
+    for v, op in ops.items():
+        v, op = str(v), np.asarray(op, dtype=complex)
         if v not in peps.phys_dims:
             raise RegionMismatch(
                 f"vertex {v!r} not in network or not physical")
         d = peps.phys_dims[v]
-        if ins.operator(v).shape != (d, d):
+        if op.shape != (d, d):
             raise RegionMismatch(
-                f"vertex {v!r}: operator shape {ins.operator(v).shape} "
-                f"!= ({d}, {d})")
-    return {v: _double_tensor(peps.tensors[v], phys_leg(v), ins.operator(v))
-            for v in ins.region}
-
-
-def insert_operator(tn_norm: TensorNetwork, peps: TensorNetwork,
-                    ins: OperatorInsertion) -> TensorNetwork:
-    """The Z^A network: double tensors on A sandwich O_v; others shared."""
-    return tn_norm.replace_tensors(peps_replacements(peps, ins))
+                f"vertex {v!r}: operator shape {op.shape} != ({d}, {d})")
+        out[v] = _double_tensor(peps.tensors[v], phys_leg(v), op)
+    return out
 
 
 def merge_region(tn: TensorNetwork, region):

@@ -170,7 +170,7 @@ class InsertionProblem:
         if key not in self._weights:
             fac = self.factors(loop.vertices)
             self._weights[key] = excitation_weight(
-                self.network(inserted), self.messages, loop, factors=fac).value
+                self.network(inserted), self.messages, loop, factors=fac)
         return self._weights[key]
 
     def ratio_weight(self, loop, inserted=frozenset()) -> complex:

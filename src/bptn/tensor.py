@@ -113,15 +113,6 @@ def contract_pair(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     return DenseTensor(legs, data)
 
 
-def outer(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Tensor product; leg id sets must be disjoint."""
-    overlap = set(a.leg_ids) & set(b.leg_ids)
-    if overlap:
-        raise LegCollision(f"outer with shared leg ids {sorted(overlap)}")
-    data = np.multiply.outer(a.data, b.data)
-    return DenseTensor(list(a.legs) + list(b.legs), data)
-
-
 def inner(a: DenseTensor, b: DenseTensor) -> complex:
     """Bilinear full pairing over identical leg sets (no conjugation)."""
     if a.leg_ids != b.leg_ids:

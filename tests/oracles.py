@@ -2,14 +2,13 @@
 engine against; the program itself never evaluates them."""
 
 from bptn.bp import bp_log_partition
-from bptn.cumulants import (LoopSubset, counting_numbers, guarded_log,
-                            restricted_partition)
+from bptn.cumulants import counting_numbers, guarded_log, restricted_partition
 
 
 def mobius_subset(A, B) -> int:
-    """Moebius function of the subset lattice: (-1)^{|B|-|A|} if A <= B."""
-    sa = set(A.loops if isinstance(A, LoopSubset) else A)
-    sb = set(B.loops if isinstance(B, LoopSubset) else B)
+    """Moebius function of the subset lattice: (-1)^{|B|-|A|} if A <= B,
+    for loop sequences A and B."""
+    sa, sb = set(A), set(B)
     if not sa <= sb:
         return 0
     return -1 if (len(sb) - len(sa)) % 2 else 1
@@ -23,6 +22,6 @@ def counting_number_free_energy(tn, messages, subsets, weight_table):
         if b[s.key] == 0:
             continue
         corr += b[s.key] * guarded_log(
-            restricted_partition(s, weight_table), "Xi(B)")
+            restricted_partition(s.loops, weight_table), "Xi(B)")
     f_bp = -bp_log_partition(tn, messages)
     return f_bp - corr, corr

@@ -265,11 +265,17 @@ def test_exit_2_on_conflicting_sources():
 def test_exit_2_on_unknown_correlator_site():
     assert run(["correlator", "--generate", "ising:L=3,beta=0.2",
                 "--site", "9,9"]) == 2
+    # no pair to evaluate
+    assert run(["correlator", "--generate", "ising:L=3,beta=0.2,h=0.1",
+                "--distances", "0", "-m", "2"]) == 2
 
 
 def test_exit_2_on_bad_generator():
     assert run(["bp", "--generate", "nosuch:x=1"]) == 2
     assert run(["bp", "--generate", "ising:L=banana"]) == 2
+    # a sweep of zero steps
+    assert run(["scan", "--generate", "ising:L=3,beta=0.2",
+                "--sweep", "beta=0.1:0.2:0", "-m", "4"]) == 2
 
 
 def test_exit_2_on_invalid_network_file(tmp_path):

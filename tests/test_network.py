@@ -11,10 +11,10 @@ from bptn.errors import (DimensionMismatch, InvalidNetworkFile,
                          MissingPhysicalLeg, RegionMismatch)
 from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
                          peps_statevector, random_peps)
-from bptn.network import (Graph, OperatorInsertion, TensorNetwork,
-                          _double_tensor, bfs, build_norm_network,
-                          connected_subsets, exact_contract, insert_operator,
-                          merge_region, phys_leg, shortest_paths)
+from bptn.network import (Graph, TensorNetwork, _double_tensor, bfs,
+                          build_norm_network, connected_subsets,
+                          exact_contract, merge_region, peps_replacements,
+                          phys_leg, shortest_paths)
 from bptn.tensor import DenseTensor, Leg
 from bptn.tnio import (load_messages, load_network, network_from_dict,
                        network_to_dict, save_network)
@@ -249,8 +249,8 @@ def test_insert_operator_matches_statevector():
     tn = build_norm_network(peps)
     psi = peps_statevector(peps).data  # axes follow sorted site ids
     sz = np.diag([1.0, -1.0])
-    ins = OperatorInsertion({"0,1": sz})
-    num = exact_contract(insert_operator(tn, peps, ins))
+    num = exact_contract(tn.replace_tensors(
+        peps_replacements(peps, {"0,1": sz})))
     # statevector axes sorted: 0,0 0,1 1,0 1,1 -> operator on axis 1
     want = np.einsum("abcd,be,aecd->", np.conj(psi).conj(), sz, psi)
     want = np.einsum("aecd,be,abcd->", psi, sz, np.conj(psi))
@@ -261,9 +261,9 @@ def test_insert_operator_validates():
     peps = random_peps(2, 2, D=2, perturbation=0.1)
     tn = build_norm_network(peps)
     with pytest.raises(RegionMismatch):
-        insert_operator(tn, peps, OperatorInsertion({"9,9": np.eye(2)}))
+        peps_replacements(peps, {"9,9": np.eye(2)})
     with pytest.raises(RegionMismatch):
-        insert_operator(tn, peps, OperatorInsertion({"0,0": np.eye(3)}))
+        peps_replacements(peps, {"0,0": np.eye(3)})
 
 
 # -- merging ----------------------------------------------------------------

@@ -9,8 +9,7 @@ from bptn.errors import (InsufficientPoints, OverlappingRegions,
                          PCapExceeded)
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          peps_statevector, random_peps)
-from bptn.network import (OperatorInsertion, build_norm_network,
-                          exact_contract, insert_operator, peps_replacements)
+from bptn.network import build_norm_network, exact_contract, peps_replacements
 from bptn.observables import (Estimate, InsertionProblem, correlation_length,
                               correlator_ratio_tensors, expval_bp_tensors,
                               expval_cumulant_tensors,
@@ -23,7 +22,8 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 def _exact_expval(peps, ins):
     tn = build_norm_network(peps)
-    return exact_contract(insert_operator(tn, peps, ins)) / exact_contract(tn)
+    return (exact_contract(tn.replace_tensors(peps_replacements(peps, ins)))
+            / exact_contract(tn))
 
 
 def _problem(peps23, *insertions):
@@ -36,7 +36,7 @@ def _problem(peps23, *insertions):
 # --- identity invariant -----------------------------------------------------
 
 def test_identity_observable_is_exactly_one(peps23):
-    ins = OperatorInsertion({"0,1": np.eye(2)})
+    ins = {"0,1": np.eye(2)}
     prob = _problem(peps23, ins)
     for est in (expval_bp_tensors(prob),
                 expval_ratio_tensors(prob, 4),
@@ -49,7 +49,7 @@ def test_identity_observable_is_exactly_one(peps23):
 # --- convergence to the exact statevector value -----------------------------
 
 def test_expval_estimators_converge_to_exact(peps23):
-    ins = OperatorInsertion({"0,1": SZ})
+    ins = {"0,1": SZ}
     want = _exact_expval(peps23.peps, ins)
     prob = _problem(peps23, ins)
     for fn, m, tol in ((expval_ratio_tensors, 8, 2e-4),
@@ -60,7 +60,7 @@ def test_expval_estimators_converge_to_exact(peps23):
 
 
 def test_region_sum_k1_equals_bp(peps23):
-    ins = OperatorInsertion({"1,1": SZ})
+    ins = {"1,1": SZ}
     prob = _problem(peps23, ins)
     bp = expval_bp_tensors(prob).value
     rs = expval_region_sum_tensors(prob, 1).value
@@ -68,7 +68,7 @@ def test_region_sum_k1_equals_bp(peps23):
 
 
 def test_region_estimators_improve_with_k(peps23):
-    ins = OperatorInsertion({"0,1": SZ})
+    ins = {"0,1": SZ}
     want = _exact_expval(peps23.peps, ins)
     prob = _problem(peps23, ins)
     errs = [abs(expval_region_sum_tensors(prob, k).value - want)
@@ -98,7 +98,7 @@ def test_classical_magnetization_vs_exact():
 # --- multi-site regions -----------------------------------------------------
 
 def test_two_site_supervertex_expectation(peps23):
-    ins = OperatorInsertion({"0,0": SZ, "0,1": SZ})
+    ins = {"0,0": SZ, "0,1": SZ}
     want = _exact_expval(peps23.peps, ins)
     prob = _problem(peps23, ins)
     bp = expval_bp_tensors(prob).value
@@ -108,8 +108,8 @@ def test_two_site_supervertex_expectation(peps23):
 
 
 def test_overlapping_regions_rejected(peps23):
-    a = OperatorInsertion({"0,0": SZ})
-    b = OperatorInsertion({"0,0": SZ, "0,1": SZ})
+    a = {"0,0": SZ}
+    b = {"0,0": SZ, "0,1": SZ}
     with pytest.raises(OverlappingRegions):
         _problem(peps23, a, b)
 
@@ -117,8 +117,8 @@ def test_overlapping_regions_rejected(peps23):
 # --- correlators ------------------------------------------------------------
 
 def test_correlator_symmetry(peps23):
-    a = OperatorInsertion({"0,0": SZ})
-    b = OperatorInsertion({"1,2": SZ})
+    a = {"0,0": SZ}
+    b = {"1,2": SZ}
     ab = expval_derivative_tensors(_problem(peps23, a, b), 6)
     ba = expval_derivative_tensors(_problem(peps23, b, a), 6)
     assert abs(ab.value - ba.value) < 1e-12
@@ -131,11 +131,11 @@ def test_correlator_derivative_matches_exact_connected():
     peps = random_peps(2, 2, D=2, perturbation=0.3, seed=12)
     tn = build_norm_network(peps)
     ms = bp_iterate(tn, uniform_messages(tn), tol=1e-13).messages
-    a = OperatorInsertion({"0,0": SZ})
-    b = OperatorInsertion({"1,1": SZ})
+    a = {"0,0": SZ}
+    b = {"1,1": SZ}
     ea = _exact_expval(peps, a)
     eb = _exact_expval(peps, b)
-    eab = _exact_expval(peps, OperatorInsertion({"0,0": SZ, "1,1": SZ}))
+    eab = _exact_expval(peps, {"0,0": SZ, "1,1": SZ})
     want = eab - ea * eb
     got = expval_derivative_tensors(InsertionProblem(
         tn, ms, [peps_replacements(peps, a), peps_replacements(peps, b)]),
@@ -144,7 +144,7 @@ def test_correlator_derivative_matches_exact_connected():
 
 
 def test_ppoint_cap(peps23):
-    prob = _problem(peps23, *(OperatorInsertion({v: SZ})
+    prob = _problem(peps23, *({v: SZ}
                               for v in ("0,0", "0,1", "0,2", "1,0")))
     with pytest.raises(PCapExceeded):
         expval_derivative_tensors(prob, 4)
@@ -157,8 +157,8 @@ def test_ratio_and_derivative_correlators_agree():
     tn = build_norm_network(peps)
     ms = bp_iterate(tn, uniform_messages(tn), tol=1e-13).messages
     op = SZ + 0.4 * SX
-    a = peps_replacements(peps, OperatorInsertion({"0,0": op}))
-    b = peps_replacements(peps, OperatorInsertion({"0,2": op}))
+    a = peps_replacements(peps, {"0,0": op})
+    b = peps_replacements(peps, {"0,2": op})
     prob = InsertionProblem(tn, ms, [a, b])
     r = correlator_ratio_tensors(prob, 6)
     d = expval_derivative_tensors(prob, 6)
@@ -186,7 +186,7 @@ def test_shared_expansion_matches_fresh(peps23, sites, estimators):
     truncation have already used returns exactly its value on a fresh
     object: the memoized strings, clusters, subsets, regions and weights
     are the ones a fresh object would build."""
-    insertions = [OperatorInsertion({s: SZ}) for s in sites]
+    insertions = [{s: SZ} for s in sites]
     m, m_other = 4, 6
     for name, fn in estimators:
         shared = _problem(peps23, *insertions)

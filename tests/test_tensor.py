@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bptn.errors import DimensionMismatch, LegCollision, TooLarge
 from bptn.tensor import (DenseTensor, Leg, contract_network, contract_pair,
-                         inner, outer, scalar)
+                         inner, scalar)
 
 
 def t(ids_dims, data):
@@ -53,14 +53,6 @@ def test_inner_is_bilinear_no_conjugation():
     assert abs(inner(v, v)) < 1e-15
     w = t([("e", 2)], [1.0, -1j])
     assert abs(inner(v, w) - 2.0) < 1e-15
-
-
-def test_outer_disjoint_legs():
-    a = t([("x", 2)], [1.0, 2.0])
-    b = t([("y", 3)], [1.0, 0.0, -1.0])
-    o = outer(a, b)
-    assert sorted(o.leg_ids) == ["x", "y"]
-    assert np.allclose(o.data, np.outer([1, 2], [1, 0, -1]))
 
 
 def test_relabel_and_scale():
