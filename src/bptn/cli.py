@@ -89,6 +89,14 @@ def _parse_spec(spec: str):
     return kind.strip(), params
 
 
+# The parameters each generator reads; any other key is refused, so a
+# misspelled one cannot run silently at its default.
+_GENERATOR_KEYS = {"ising": ("L", "beta", "h", "topology"),
+                   "peps": ("rows", "cols", "D", "phys_dim", "perturbation"),
+                   "tree": ("n", "D"),
+                   "loop": ("n",)}
+
+
 def generate(spec: str, seed: int) -> Problem:
     """Generator specs:
 
@@ -96,6 +104,13 @@ def generate(spec: str, seed: int) -> Problem:
     tree:n=12,D=3             loop:n=6
     """
     kind, kv = _parse_spec(spec)
+    if kind not in _GENERATOR_KEYS:
+        raise ConfigError(f"unknown generator kind {kind!r}")
+    unknown = sorted(set(kv) - set(_GENERATOR_KEYS[kind]))
+    if unknown:
+        raise ConfigError(
+            f"unknown {kind} parameter {', '.join(map(repr, unknown))} in "
+            f"{spec!r}; known: {', '.join(_GENERATOR_KEYS[kind])}")
     try:
         if kind == "ising":
             p = IsingParams(L=int(kv.get("L", 4)),
@@ -119,7 +134,6 @@ def generate(spec: str, seed: int) -> Problem:
                                                seed=seed))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad generator spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown generator kind {kind!r}")
 
 
 def _load_problem(args) -> Problem:
@@ -177,6 +191,12 @@ def _fmt(x) -> str:
 
 
 def _converge(prob: Problem, args):
+    # Settings under which BP cannot converge would run the full sweep cap
+    # twice before failing; refuse them before the first sweep.
+    if not 0.0 <= args.damping < 1.0:
+        raise ConfigError(f"--damping must be in [0, 1), got {args.damping}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
     res = bp_iterate(prob.tn, uniform_messages(prob.tn), damping=args.damping,
                      tol=args.tol)
     if not res.converged:

@@ -1,8 +1,18 @@
-"""Reference forms of the cumulant expansion that the tests compare the
-engine against; the program itself never evaluates them."""
+"""Reference forms that the tests compare the engine against; the
+program itself never evaluates them: the cumulant expansion in its
+counting-number and Moebius forms, and the per-edge BP sweep, iteration
+and stability probe that the compiled sweep in ``bptn.bp`` replaced."""
 
-from bptn.bp import bp_log_partition
+import math
+
+import numpy as np
+
+from bptn.bp import (DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOL,
+                     PROBE_EPSILON, PROBE_PERTURBATIONS, PROBE_SWEEPS,
+                     BPResult, MessageSet, bp_log_partition)
 from bptn.cumulants import counting_numbers, guarded_log, restricted_partition
+from bptn.errors import NumericalCollapse
+from bptn.tensor import DenseTensor, contract_pair
 
 
 def mobius_subset(A, B) -> int:
@@ -25,3 +35,98 @@ def counting_number_free_energy(tn, messages, subsets, weight_table):
             restricted_partition(s.loops, weight_table), "Xi(B)")
     f_bp = -bp_log_partition(tn, messages)
     return f_bp - corr, corr
+
+
+# --- the per-edge BP path ----------------------------------------------------
+
+def normalize(data: np.ndarray) -> np.ndarray:
+    """Unit 2-norm, largest-magnitude component real positive."""
+    n = np.linalg.norm(data)
+    if n < 1e-14:
+        raise NumericalCollapse("message update collapsed to zero")
+    data = data / n
+    k = int(np.argmax(np.abs(data)))
+    phase = data[k] / abs(data[k])
+    return data / phase
+
+
+def raw_update(tn, msgs, v, w, e):
+    """Unnormalized outgoing message v->w: T_v starred with all other
+    incoming messages."""
+    t = tn.tensors[v]
+    for (e2, n) in tn.graph.incident(v):
+        if e2 == e:
+            continue
+        t = contract_pair(t, msgs[(n, v)])
+    return t
+
+
+def sweep(tn, messages: MessageSet):
+    """One synchronous sweep; returns dict of normalized updates."""
+    out = {}
+    msgs = messages.messages
+    for e, (u, v) in tn.graph.edges.items():
+        for (a, b) in ((u, v), (v, u)):
+            upd = raw_update(tn, msgs, a, b, e)
+            out[(a, b)] = DenseTensor(upd.legs, normalize(upd.data))
+    return out
+
+
+def bp_iterate(tn, messages: MessageSet, damping=DEFAULT_DAMPING,
+               tol=DEFAULT_TOL) -> BPResult:
+    """Synchronous damped BP iteration to a fixed point, starting from
+    ``messages`` (left unchanged)."""
+    residual = math.inf
+    for it in range(1, DEFAULT_MAX_ITERS + 1):
+        upd = sweep(tn, messages)
+        residual = 0.0
+        mixed = {}
+        for key, new in upd.items():
+            old = messages.messages[key]
+            residual = max(residual, float(
+                np.linalg.norm(new.data - normalize(old.data))))
+            data = (1.0 - damping) * new.data + damping * old.data
+            mixed[key] = DenseTensor(new.legs, normalize(data))
+        messages = MessageSet(tn, mixed)
+        if residual <= tol:
+            return BPResult(messages, residual, it, True)
+    return BPResult(messages, residual, DEFAULT_MAX_ITERS, False)
+
+
+def stability_probe(tn, messages: MessageSet, seed=0):
+    """Finite-difference power iteration on the Jacobian of one normalized
+    synchronous sweep at the fixed point; (classification, growth)."""
+    rng = np.random.default_rng(seed)
+    keys = sorted(messages.messages)
+    base = {k: normalize(messages.messages[k].data) for k in keys}
+    legs = {k: messages.messages[k].legs for k in keys}
+    growths = []
+    for _ in range(PROBE_PERTURBATIONS):
+        v = {k: rng.standard_normal(base[k].shape)
+             + 1j * rng.standard_normal(base[k].shape) for k in keys}
+        lams = []
+        for _ in range(PROBE_SWEEPS):
+            norm = math.sqrt(sum(float(np.sum(np.abs(x) ** 2))
+                                 for x in v.values()))
+            if norm == 0:
+                break
+            cur = MessageSet(tn, {
+                k: DenseTensor(legs[k],
+                               normalize(base[k] + (PROBE_EPSILON / norm)
+                                         * v[k]))
+                for k in keys})
+            upd = sweep(tn, cur)
+            v = {k: (normalize(upd[k].data) - base[k]) / PROBE_EPSILON
+                 for k in keys}
+            lams.append(math.sqrt(sum(float(np.sum(np.abs(x) ** 2))
+                                      for x in v.values())))
+        if len(lams) >= 20:
+            growths.append(float(np.exp(np.mean(np.log(lams[-20:])))))
+    if not growths:
+        return "inconclusive", float("nan")
+    g = float(np.median(growths))
+    if g > 1.0 + 1e-3:
+        return "unstable", g
+    if g < 1.0 - 1e-3:
+        return "stable", g
+    return "inconclusive", g

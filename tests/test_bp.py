@@ -9,10 +9,11 @@ from bptn.bp import (MessageSet, bp_free_energy, bp_iterate,
                      merge_messages, self_consistency_residual,
                      stability_probe,
                      uniform_messages)
-from bptn.errors import DegenerateInnerProduct, NumericalCollapse
+from bptn.errors import (DegenerateInnerProduct, DimensionMismatch,
+                         NumericalCollapse)
 from bptn.models import (IsingParams, ising_network,
-                         ising_paramagnetic_messages, random_tree_network,
-                         single_loop_network)
+                         ising_paramagnetic_messages, random_peps,
+                         random_tree_network, single_loop_network)
 from bptn.network import exact_contract, merge_region
 from bptn.tensor import DenseTensor, Leg
 
@@ -122,6 +123,14 @@ def test_numerical_collapse_on_zero_tensor():
     tn = TensorNetwork(g, {"e": 2}, {"a": zero, "b": zero})
     with pytest.raises(NumericalCollapse):
         bp_iterate(tn, uniform_messages(tn))
+
+
+def test_bp_refuses_open_network():
+    """Messages live on bond legs only; a PEPS with physical legs must go
+    through build_norm_network first."""
+    peps = random_peps(2, 2, D=2, seed=0)
+    with pytest.raises(DimensionMismatch):
+        bp_iterate(peps, uniform_messages(peps))
 
 
 def test_degenerate_inner_product_guard():

@@ -278,6 +278,38 @@ def test_exit_2_on_bad_generator():
                 "--sweep", "beta=0.1:0.2:0", "-m", "4"]) == 2
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["bp", "--generate", "ising:L=3,betta=0.9"], "'betta'"),
+    # the sweep key goes into the generator spec of every row
+    (["scan", "--generate", "ising:L=3,beta=0.2", "--sweep", "bta=0.1:0.3:2",
+      "-m", "4"], "'bta'"),
+    (["bp", "--generate", "tree:n=5,d=3"], "'d'"),
+])
+def test_exit_2_on_unknown_generator_key(argv, key, capsys):
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: unknown ") and key in out.err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--damping", "1"), ("--damping", "1.5"), ("--damping", "-0.5"),
+    ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf")])
+def test_exit_2_on_impossible_bp_settings(flag, value, capsys, monkeypatch):
+    """Settings under which BP cannot converge are refused before the
+    first sweep, not after the sweep cap."""
+    import bptn.bp
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(bptn.bp, "_sweep", no_sweep)
+    assert run(["bp", "--generate", "ising:L=3,beta=0.2", flag, value]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {flag} must be")
+
+
 def test_exit_2_on_invalid_network_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -2,8 +2,9 @@
 
 Each demo runs as its own process, with ``src`` put first on PYTHONPATH,
 and must exit 0; a renamed or removed function fails it at import or at
-the call.  Demos 01 and 03 take about 1.3 s together.  Demos 02 (about
-9 s) and 04 (about 41 s) are left out for their runtime.
+the call.  Demos 01, 03 and 04 take about 3 s together; demo 04 is the
+stability-probe bisection that brackets log(2)/2.  Demo 02 (about 7 s) is
+left out for its runtime.
 """
 
 import os
@@ -17,7 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_tree_exactness.py",
-                                  "03_peps_observables.py"])
+                                  "03_peps_observables.py",
+                                  "04_stability_and_criticality.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

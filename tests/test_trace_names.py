@@ -4,7 +4,9 @@
 program looks them up by, and reports a missing name as absent instead of
 failing.  A rename inside ``src/bptn`` would then drop a span or counter
 from the benchmark without an error; this test catches it.  The tracer
-module is loaded from its file and only read: nothing is patched.
+module is loaded from its file.  The name checks only read it; one test
+installs the tracer around an in-process ``bp`` run, checks the BP
+counters, and uninstalls it.
 """
 
 import importlib.util
@@ -32,3 +34,24 @@ NAMES = ([dotted for dotted, *_ in tracing.SPANS]
 @pytest.mark.parametrize("dotted", NAMES)
 def test_traced_name_resolves(dotted):
     assert tracing._resolve(dotted) is not None, dotted
+
+
+def test_traced_bp_stability_counts_sweeps(capsys):
+    """The tracer's BP counters still mean what they did: the
+    ``bp_stability`` argv runs 215 iteration sweeps and 240 probe sweeps
+    (``bptn.bp._sweep`` calls inside the probe span), and every wrapped
+    name resolves."""
+    import bptn.cli
+
+    tracer = tracing.Tracer("test")
+    tracer.install()
+    try:
+        code = tracer.run("cli.main", bptn.cli.main,
+                          ["bp", "--generate", "ising:L=3,beta=0.34,h=0.05"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    m = tracer.summary()
+    assert (m["bp.sweeps"], m["bp.stability_sweeps"], m["trace.absent"]) == (
+        215, 240, 0)
