@@ -80,7 +80,7 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
 
 class MessageSet:
     """Directed-edge messages plus cached bond inner products, edge
-    projectors and dressed site tensors."""
+    projectors, BP local factors and dressed site tensors."""
 
     def __init__(self, tn: TensorNetwork, messages: dict):
         self.tn = tn
@@ -94,6 +94,7 @@ class MessageSet:
         self._inner = {}
         self._sqrt = {}
         self._proj = {}
+        self._z = {}
         self._dressed = {}
 
     def message(self, v, w) -> DenseTensor:
@@ -124,6 +125,23 @@ class MessageSet:
         if e not in self._proj:
             self._proj[e] = edge_projector(self, e)
         return self._proj[e]
+
+    def local_factor(self, v, tensor: DenseTensor) -> complex:
+        """z_v = [tensor product of mu_{n->v}/sqrt(I_vn)] * ``tensor`` at v,
+        cached per (v, tensor object) as ``dressed`` caches; unfloored
+        (``local_factors`` applies the floor)."""
+        v = str(v)
+        key = (v, id(tensor))
+        hit = self._z.get(key)
+        if hit is not None:
+            return hit[1]
+        t, denom = tensor, 1.0 + 0j
+        for (e, n) in self.tn.graph.incident(v):
+            t = contract_pair(t, self.message(n, v))
+            denom *= self.sqrt_inner(e)
+        z = t.item() / denom
+        self._z[key] = (tensor, z)
+        return z
 
     def dressed(self, v, tensor: DenseTensor, kept) -> DenseTensor:
         """``tensor`` at vertex v with mu_{n->v}/sqrt(I_e) absorbed on every
@@ -257,6 +275,8 @@ class _Plan:
         """2-norm of all messages together, summed as the per-edge path
         summed it: ``np.sum(np.abs(x) ** 2)`` per message, then a Python
         sum in sorted directed-edge order."""
+        if not self.dims:
+            return 0.0
         flat = np.concatenate([np.sum(np.abs(msgs[d]) ** 2, axis=1)
                                for d in self.dims])
         return math.sqrt(sum(flat[self.sorted_rows].tolist()))
@@ -304,24 +324,22 @@ def bp_iterate(tn: TensorNetwork, messages: MessageSet,
     return BPResult(plan.message_set(old), residual, DEFAULT_MAX_ITERS, False)
 
 
-def bp_local_factor(tn, messages: MessageSet, v) -> complex:
-    """z_v = [tensor product of mu_{n->v}/sqrt(I_vn)] * T_v."""
-    v = str(v)
-    t = tn.tensors[v]
-    denom = 1.0 + 0j
-    for (e, n) in tn.graph.incident(v):
-        t = contract_pair(t, messages.message(n, v))
-        denom *= messages.sqrt_inner(e)
-    return t.item() / denom
+def local_factors(tn, messages: MessageSet, vertices) -> dict:
+    """{v: z_v} of ``tn``'s site tensors at ``vertices``; the one z floor."""
+    out = {}
+    for v in vertices:
+        v = str(v)
+        z = messages.local_factor(v, tn.tensors[v])
+        if abs(z) < Z_FLOOR:
+            raise ZeroLocalFactor(f"|z_v| below floor at vertex {v!r}")
+        out[v] = z
+    return out
 
 
 def bp_log_partition(tn, messages: MessageSet) -> complex:
     """Sum of principal-branch log z_v; Re gives log|Z_BP|."""
     total = 0.0 + 0j
-    for v in tn.graph.vertices:
-        z = bp_local_factor(tn, messages, v)
-        if abs(z) < Z_FLOOR:
-            raise ZeroLocalFactor(f"z_v below floor at vertex {v!r}")
+    for z in local_factors(tn, messages, tn.graph.vertices).values():
         total += cmath.log(z)
     return total
 

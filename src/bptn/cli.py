@@ -148,10 +148,12 @@ def _load_problem(args) -> Problem:
     return generate(args.generate, args.seed)
 
 
-# Options removed from the CLI, with the value they always had.  They stay
-# in the fingerprint payload, so a configuration keeps its fingerprint
-# across the removal.
-_RETIRED_OPTIONS = {"threads": 1}
+# Options removed from the CLI, or from the subcommands that never read
+# them, with the value they always had there.  They stay in the fingerprint
+# payload, so a configuration keeps its fingerprint across the removal.
+_RETIRED_OPTIONS = {"threads": 1, "input": None, "max_weight": 6,
+                    "region_size": 0, "tol": DEFAULT_TOL,
+                    "damping": DEFAULT_DAMPING, "reference": None}
 
 
 def _fingerprint(args) -> str:
@@ -207,15 +209,6 @@ def _converge(prob: Problem, args):
                 f"BP did not converge (residual {res.residual:.3e})")
         res = res2
     return res
-
-
-def _reference_logZ(prob: Problem, args):
-    if args.reference == "exact":
-        return cmath.log(exact_contract(prob.tn))
-    if args.reference:
-        with open(args.reference) as fh:
-            return complex(json.load(fh)["log_partition"])
-    return None
 
 
 # --- subcommands -----------------------------------------------------------
@@ -284,9 +277,9 @@ def cmd_free_energy(args):
         f_reg, _ = region_free_energy(prob.tn, res.messages, poset)
         rows.append({"method": "region", "truncation": args.region_size,
                      "f_re": _fmt(f_reg.real), "f_im": _fmt(f_reg.imag)})
-    ref = _reference_logZ(prob, args)
     fields = ["method", "truncation", "f_re", "f_im"]
-    if ref is not None:
+    if args.reference == "exact":
+        ref = cmath.log(exact_contract(prob.tn))
         fields += ["f_ref_re", "abs_error"]
         for r in rows:
             r["f_ref_re"] = _fmt((-ref).real)
@@ -413,7 +406,7 @@ def cmd_scan(args):
         raise ConfigError(f"bad sweep spec {args.sweep!r}") from exc
     if not values.size:
         raise ConfigError(f"sweep spec {args.sweep!r} has no steps")
-    kind, kv = _parse_spec(args.generate) if args.generate else ("", {})
+    kind, kv = _parse_spec(args.generate)
     if kind != "ising":
         raise ConfigError("scan currently sweeps ising generator parameters")
     rows = []
@@ -421,9 +414,8 @@ def cmd_scan(args):
         kv2 = dict(kv)
         kv2[name] = repr(float(val))
         spec = "ising:" + ",".join(f"{k}={v}" for k, v in kv2.items())
-        sub = argparse.Namespace(**{**vars(args), "generate": spec})
         prob = generate(spec, args.seed)
-        res = _converge(prob, sub)
+        res = _converge(prob, args)
         m = args.max_weight
         loops = enumerate_loops(prob.tn.graph, m)
         table = evaluate_weights(prob.tn, res.messages, loops)
@@ -446,19 +438,52 @@ def cmd_scan(args):
 
 # --- entry point -----------------------------------------------------------
 
-def _add_common(p):
-    p.add_argument("--input", help="TN interchange JSON file")
-    p.add_argument("--generate", help="generator spec, e.g. ising:L=4,beta=0.2")
-    p.add_argument("--max-weight", "-m", type=int, default=6,
-                   help="cluster weight truncation")
-    p.add_argument("--region-size", "-k", type=int, default=0,
-                   help="region size truncation")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="CSV output path (default: stdout)")
-    p.add_argument("--reference", help="'exact' or a JSON file with a "
-                   "log_partition field")
+# Every option: its flags and argparse settings.
+_OPTIONS = {
+    "input": (["--input"], dict(help="TN interchange JSON file")),
+    "generate": (["--generate"],
+                 dict(help="generator spec, e.g. ising:L=4,beta=0.2")),
+    "ising": (["--generate"], dict(required=True, help="ising generator "
+                                   "spec to sweep, e.g. ising:L=4,beta=0.2")),
+    "max_weight": (["--max-weight", "-m"],
+                   dict(type=int, default=6, help="cluster weight truncation")),
+    "region_size": (["--region-size", "-k"],
+                    dict(type=int, default=0, help="region size truncation")),
+    "tol": (["--tol"], dict(type=float, default=DEFAULT_TOL)),
+    "damping": (["--damping"], dict(type=float, default=DEFAULT_DAMPING)),
+    "seed": (["--seed"], dict(type=int, default=0)),
+    "out": (["--out"], dict(help="CSV output path (default: stdout)")),
+    "reference": (["--reference"], dict(choices=["exact"],
+                                        help="compare with exact contraction")),
+    "site": (["--site"], dict(help="observable site (default: first)")),
+    "site_b": (["--site-b"], dict(help="second site (default: scan)")),
+    "distances": (["--distances"], dict(
+        type=int, default=3, help="scan distances 1..N when --site-b absent")),
+    "sweep": (["--sweep"], dict(required=True, help="spec name=start:stop:"
+                                "steps, e.g. beta=0.1:0.4:4")),
+}
+_SOURCE = ("input", "generate", "seed", "out")
+_BP = ("tol", "damping")
+
+# Each subcommand with the options it reads, and no other.
+_SUBCOMMANDS = [
+    ("contract-exact", cmd_contract_exact, "exact contraction oracle",
+     _SOURCE),
+    ("bp", cmd_bp, "BP fixed point, residual, stability", _SOURCE + _BP),
+    ("loops", cmd_loops, "loop enumeration and decay profile",
+     _SOURCE + _BP + ("max_weight",)),
+    ("free-energy", cmd_free_energy, "cluster/cumulant/region free energies",
+     _SOURCE + _BP + ("max_weight", "region_size", "reference")),
+    ("expval", cmd_expval, "all expectation estimators side by side",
+     _SOURCE + _BP + ("max_weight", "region_size", "reference", "site")),
+    ("correlator", cmd_correlator, "two-point correlators and xi fit",
+     _SOURCE + _BP + ("max_weight", "reference", "site", "site_b",
+                      "distances")),
+    ("regions", cmd_regions, "region poset and counting numbers",
+     _SOURCE + ("region_size",)),
+    ("scan", cmd_scan, "sweep a model parameter, one CSV row each",
+     ("ising", "seed", "out") + _BP + ("max_weight", "reference", "sweep")),
+]
 
 
 def build_parser():
@@ -468,31 +493,11 @@ def build_parser():
                     "cumulant/region corrections")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    specs = [
-        ("contract-exact", cmd_contract_exact, "exact contraction oracle"),
-        ("bp", cmd_bp, "BP fixed point, residual, stability"),
-        ("loops", cmd_loops, "loop enumeration and decay profile"),
-        ("free-energy", cmd_free_energy,
-         "cluster/cumulant/region free energies"),
-        ("expval", cmd_expval, "all expectation estimators side by side"),
-        ("correlator", cmd_correlator, "two-point correlators and xi fit"),
-        ("regions", cmd_regions, "region poset and counting numbers"),
-        ("scan", cmd_scan, "sweep a model parameter, one CSV row each"),
-    ]
-    for name, fn, help_ in specs:
+    for name, fn, help_, options in _SUBCOMMANDS:
         p = sub.add_parser(name, help=help_)
-        _add_common(p)
-        if name == "expval":
-            p.add_argument("--site", help="observable site (default: first)")
-        if name == "correlator":
-            p.add_argument("--site", help="first site (default: first)")
-            p.add_argument("--site-b", help="second site (default: scan)")
-            p.add_argument("--distances", type=int, default=3,
-                           help="scan distances 1..N when --site-b absent")
-        if name == "scan":
-            p.add_argument("--sweep", required=True,
-                           help="spec name=start:stop:steps, e.g. "
-                                "beta=0.1:0.4:4")
+        for option in options:
+            flags, settings = _OPTIONS[option]
+            p.add_argument(*flags, **settings)
         p.set_defaults(func=fn)
     return ap
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import cmath
 
-from .bp import MessageSet, bp_log_partition
+from .bp import MessageSet, bp_log_partition, local_factors
 from .clusters import (Cluster, anchored_loop_sets, loops_overlap,
                        overlap_neighbors)
 from .errors import BranchCrossing, CapExceeded, CombinatorialBudgetExceeded
-from .loops import local_factors
 from .network import (DEFAULT_SIZE_CAP, Graph, TensorNetwork,
                       connected_subsets, is_connected)
 from .tensor import contract_network

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 
-from .bp import MessageSet, bp_local_factor
-from .errors import CombinatorialBudgetExceeded, ZeroLocalFactor
+from .bp import MessageSet, local_factors
+from .errors import CombinatorialBudgetExceeded
 from .network import Graph, TensorNetwork, connected_subsets
 from .tensor import contract_network
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
-_Z_FLOOR = 1e-12
 
 
 class GeneralizedLoop:
@@ -113,17 +112,6 @@ def enumerate_strings(g: Graph, regions, max_weight: int):
         if all(d >= 2 or v in allowed for v, d in deg.items()):
             out.append(GeneralizedLoop(g, edges))
     out.sort(key=lambda l: (l.weight, l.key))
-    return out
-
-
-def local_factors(tn: TensorNetwork, messages: MessageSet, vertices) -> dict:
-    """BP local factors z_v for a vertex collection, with a floor guard."""
-    out = {}
-    for v in vertices:
-        z = bp_local_factor(tn, messages, v)
-        if abs(z) < _Z_FLOOR:
-            raise ZeroLocalFactor(f"|z_v| below floor at vertex {v!r}")
-        out[str(v)] = z
     return out
 
 

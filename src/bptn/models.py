@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,6 @@ class IsingParams:
     beta: float
     h: float = 0.0
     topology: str = "torus"
-    site_fields: dict = field(default_factory=dict)  # extra per-site fields
 
     def __post_init__(self):
         if self.L < 2:
@@ -72,14 +71,6 @@ def _ising_pairs(p: IsingParams):
             if p.topology == "torus" or i + 1 < L:
                 add(v, f"{(i + 1) % L},{j}")                 # down
     return pairs
-
-
-def _site_fields(p: IsingParams) -> dict:
-    """Field per site: the uniform h plus the site's extra field."""
-    fields = {f"{i},{j}": p.h for i in range(p.L) for j in range(p.L)}
-    for v, extra in p.site_fields.items():
-        fields[str(v)] = fields.get(str(v), 0.0) + extra
-    return fields
 
 
 def _bond_roots(pairs: dict, beta: float) -> dict:
@@ -129,7 +120,8 @@ def _ising_tn(vertices, pairs: dict, beta: float, fields: dict) -> TensorNetwork
 def ising_network(p: IsingParams) -> TensorNetwork:
     """L x L classical Ising partition-function network."""
     vertices = [f"{i},{j}" for i in range(p.L) for j in range(p.L)]
-    return _ising_tn(vertices, _ising_pairs(p), p.beta, _site_fields(p))
+    return _ising_tn(vertices, _ising_pairs(p), p.beta,
+                     {v: p.h for v in vertices})
 
 
 def ising_network_3d(shape, beta: float) -> TensorNetwork:
@@ -157,7 +149,7 @@ def ising_paramagnetic_messages(p: IsingParams,
                                 tn: TensorNetwork) -> MessageSet:
     """The analytic symmetric fixed point of ``tn = ising_network(p)``:
     uniform messages on every edge."""
-    if p.h != 0.0 or any(v != 0.0 for v in p.site_fields.values()):
+    if p.h != 0.0:
         raise FieldNonzero("paramagnetic fixed point requires zero field")
     return uniform_messages(tn)
 
@@ -172,9 +164,7 @@ def ising_insertion(tn: TensorNetwork, p: IsingParams, gates: dict) -> dict:
     G = identity returns the original tensor.
     """
     roots = _bond_roots(_ising_pairs(p), p.beta)
-    fields = _site_fields(p)
-    return {str(v): _site_tensor(tn.graph, str(v), roots, p.beta,
-                                 fields.get(str(v), 0.0),
+    return {str(v): _site_tensor(tn.graph, str(v), roots, p.beta, p.h,
                                  np.asarray(gate, dtype=complex))
             for v, gate in gates.items()}
 
@@ -182,7 +172,6 @@ def ising_insertion(tn: TensorNetwork, p: IsingParams, gates: dict) -> dict:
 def ising_exact_logZ(p: IsingParams) -> float:
     """Exact log Z: brute-force spin sum (L <= 4) or transfer matrix."""
     L = p.L
-    fields = _site_fields(p)
     if L * L <= 16:
         pairs = _ising_pairs(p)
         n = L * L
@@ -193,12 +182,12 @@ def ising_exact_logZ(p: IsingParams) -> float:
             u, v = sorted(key)
             energy += mult * spins[:, idx[u]] * spins[:, idx[v]]
         site = np.zeros(2 ** n)
-        for v, hv in fields.items():
-            site += hv * spins[:, idx[v]]
+        for v in idx:
+            site += p.h * spins[:, idx[v]]
         w = p.beta * (energy + site)
         wmax = w.max()
         return float(wmax + math.log(np.exp(w - wmax).sum()))
-    if p.site_fields or p.topology != "torus":
+    if p.topology != "torus":
         raise ValueError("transfer-matrix oracle: uniform torus only")
     # column-to-column transfer matrix on the torus
     confs = np.array(list(itertools.product((1, -1), repeat=L)))

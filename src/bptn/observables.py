@@ -27,13 +27,13 @@ import math
 
 import numpy as np
 
-from .bp import MessageSet, bp_local_factor, merge_messages
+from .bp import MessageSet, local_factors, merge_messages
 from .clusters import Cluster, enumerate_clusters, ursell
 from .cumulants import (connected_loop_subsets, counting_numbers, cumulant,
                         find_regions_local, region_partition)
 from .errors import (InsufficientPoints, OverlappingRegions, PCapExceeded,
                      ZeroLocalFactor)
-from .loops import enumerate_strings, excitation_weight, local_factors
+from .loops import enumerate_strings, excitation_weight
 from .network import TensorNetwork, merge_region, shortest_paths
 
 P_CAP = 3
@@ -99,7 +99,6 @@ class InsertionProblem:
                 self.base = merged
                 self.region_ids.append(new_id)
                 self.replacements[new_id] = repl_merged.tensors[new_id]
-        self._factors = {}       # vertex -> base z_v
         self._weights = {}       # (loop key, inserted-region frozenset) -> value
         self._decorated = {}     # inserted-region frozenset -> network
         self._alphas = None
@@ -108,20 +107,15 @@ class InsertionProblem:
     # -- BP-level quantities ------------------------------------------------
 
     def alphas(self):
-        """BP expectation of the insertion at each region."""
+        """BP expectation of the insertion at each region; the decorated
+        z_v is unfloored, since 0 is an expectation (``ratio_weight``
+        refuses to divide by it)."""
         if self._alphas is None:
+            base = local_factors(self.base, self.messages, self.region_ids)
             self._alphas = {
-                r: bp_local_factor(self.network([r]), self.messages, r)
-                / bp_local_factor(self.base, self.messages, r)
-                for r in self.region_ids}
+                r: self.messages.local_factor(r, self.replacements[r])
+                / base[r] for r in self.region_ids}
         return self._alphas
-
-    def factors(self, vertices) -> dict:
-        missing = [v for v in vertices if str(v) not in self._factors]
-        if missing:
-            self._factors.update(
-                local_factors(self.base, self.messages, missing))
-        return self._factors
 
     def network(self, inserted) -> TensorNetwork:
         key = frozenset(inserted)
@@ -168,7 +162,7 @@ class InsertionProblem:
         inserted = frozenset(r for r in inserted if r in loop.vertices)
         key = (loop.key, inserted)
         if key not in self._weights:
-            fac = self.factors(loop.vertices)
+            fac = local_factors(self.base, self.messages, loop.vertices)
             self._weights[key] = excitation_weight(
                 self.network(inserted), self.messages, loop, factors=fac)
         return self._weights[key]

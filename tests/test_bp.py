@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from bptn.bp import (MessageSet, bp_free_energy, bp_iterate,
-                     bp_local_factor, bp_log_partition, edge_projector,
+                     bp_log_partition, edge_projector,
                      merge_messages, self_consistency_residual,
                      stability_probe,
                      uniform_messages)
 from bptn.errors import (DegenerateInnerProduct, DimensionMismatch,
                          NumericalCollapse)
-from bptn.models import (IsingParams, ising_network,
+from bptn.models import (IsingParams, ising_insertion, ising_network,
                          ising_paramagnetic_messages, random_peps,
                          random_tree_network, single_loop_network)
 from bptn.network import exact_contract, merge_region
@@ -93,9 +93,39 @@ def test_local_factor_cancellation_on_edge():
     p = IsingParams(L=4, beta=0.2)
     tn = ising_network(p)
     ms = ising_paramagnetic_messages(p, tn)
-    z = bp_local_factor(tn, ms, "0,0")
+    z = ms.local_factor("0,0", tn.tensors["0,0"])
     # paramagnetic point: z_v = 2 * prod_e lambda_+(beta)/... just nonzero
     assert abs(z) > 0.1
+
+
+def test_local_factor_cached_per_tensor_object(monkeypatch):
+    """A decorated site tensor gets a z_v entry of its own, and the base
+    entry stays as it was; both are what an empty cache computes."""
+    import bptn.bp
+
+    p = IsingParams(L=4, beta=0.3, h=0.2)
+    tn = ising_network(p)
+    ms = bp_iterate(tn, uniform_messages(tn)).messages
+    site = "1,1"
+    sz = ising_insertion(tn, p, {site: np.diag([1.0, -1.0])})[site]
+    calls = []
+    contract_pair = bptn.bp.contract_pair
+
+    def counting(*args):
+        calls.append(1)
+        return contract_pair(*args)
+
+    monkeypatch.setattr(bptn.bp, "contract_pair", counting)
+    base = ms.local_factor(site, tn.tensors[site])
+    decorated = ms.local_factor(site, sz)
+    assert len(calls) == 8      # four incident edges, once per tensor
+    assert decorated != base
+    assert ms.local_factor(site, tn.tensors[site]) == base
+    assert ms.local_factor(site, sz) == decorated
+    assert len(calls) == 8
+    fresh = MessageSet(tn, ms.messages)
+    assert fresh.local_factor(site, sz) == decorated
+    assert fresh.local_factor(site, tn.tensors[site]) == base
 
 
 def test_merge_messages_keeps_fixed_point_elsewhere():
@@ -107,11 +137,11 @@ def test_merge_messages_keeps_fixed_point_elsewhere():
     ms2 = merge_messages(merged, fused, ms, region, new_id)
     # local factors at vertices not adjacent to the region are unchanged
     far = "2,2"
-    assert abs(bp_local_factor(merged, ms2, far)
-               - bp_local_factor(tn, ms, far)) < 1e-12
+    assert abs(ms2.local_factor(far, merged.tensors[far])
+               - ms.local_factor(far, tn.tensors[far])) < 1e-12
     # the merged message set reproduces the same z at the supervertex as
     # the local excitation-free contraction of the region
-    z_super = bp_local_factor(merged, ms2, new_id)
+    z_super = ms2.local_factor(new_id, merged.tensors[new_id])
     assert np.isfinite(abs(z_super)) and abs(z_super) > 0
 
 

@@ -183,6 +183,25 @@ def test_estimators_share_one_string_enumeration(tmp_path, monkeypatch):
     assert len(calls) == 6
 
 
+def test_free_energy_computes_each_local_factor_once(tmp_path, monkeypatch):
+    """Every layer reads z_v from the one MessageSet cache: on the
+    benchmark's 5x5 torus each of the 25 z_v contracts its 4 incoming
+    messages once, 100 ``contract_pair`` calls in all."""
+    import bptn.bp
+
+    calls = []
+    contract_pair = bptn.bp.contract_pair
+
+    def counting(*args):
+        calls.append(1)
+        return contract_pair(*args)
+
+    monkeypatch.setattr(bptn.bp, "contract_pair", counting)
+    assert run(["free-energy", "--generate", "ising:L=5,beta=0.2", "-m", "6",
+                "-k", "6", "--out", str(tmp_path / "fe.csv")]) == 0
+    assert len(calls) == 100
+
+
 def test_regions_subcommand(tmp_path):
     out = tmp_path / "reg.csv"
     assert run(["regions", "--generate", "ising:L=4,beta=0.2", "-k", "4",
@@ -202,6 +221,17 @@ def test_scan_subcommand(tmp_path):
         [0.15, 0.225, 0.3])
     errs = [float(r["abs_error"]) for r in rows]
     assert errs[0] < errs[1] < errs[2]  # error grows toward criticality
+
+
+@pytest.mark.parametrize("spec", ["tree:n=1", "peps:rows=1,cols=1"])
+def test_bp_on_edgeless_network(tmp_path, spec):
+    """One vertex and no edge: BP converges at once, and the stability
+    probe has no message to perturb."""
+    out = tmp_path / "bp.csv"
+    assert run(["bp", "--generate", spec, "--out", str(out)]) == 0
+    (row,) = _rows(out)
+    assert (row["converged"], row["stability"], row["growth_ratio"]) == (
+        "True", "inconclusive", "nan")
 
 
 def test_input_file_roundtrip(tmp_path):
@@ -251,7 +281,53 @@ def test_csv_body_independent_of_hash_seed(argv):
     assert len(bodies) == 1
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["contract-exact", "--generate", "ising:L=3,beta=0.3"],
+     "298a84ab56710f50"),
+    (["regions", "--generate", "ising:L=4,beta=0.2", "-k", "4"],
+     "7ebb7b1202ff057d"),
+])
+def test_config_fingerprint_survives_option_removal(tmp_path, argv, config):
+    """Options a subcommand never read are gone from it; their former
+    defaults stay in the fingerprint, so the ``# config=`` line of an
+    accepted argv does not move."""
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert f"# config={config}\n" in out.read_text()
+
+
 # --- exit codes -------------------------------------------------------------
+
+_GEN = ["--generate", "ising:L=3,beta=0.3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["contract-exact", *_GEN, "-m", "4"],
+    ["contract-exact", *_GEN, "-k", "2"],
+    ["contract-exact", *_GEN, "--tol", "1e-9"],
+    ["contract-exact", *_GEN, "--damping", "0.1"],
+    ["contract-exact", *_GEN, "--reference", "exact"],
+    ["bp", *_GEN, "-m", "4"],
+    ["bp", *_GEN, "-k", "2"],
+    ["bp", *_GEN, "--reference", "exact"],
+    ["loops", *_GEN, "-k", "2"],
+    ["loops", *_GEN, "--reference", "exact"],
+    ["regions", *_GEN, "-m", "4"],
+    ["regions", *_GEN, "--tol", "1e-9"],
+    ["regions", *_GEN, "--damping", "0.1"],
+    ["regions", *_GEN, "--reference", "exact"],
+    ["correlator", *_GEN, "-k", "2"],
+    ["scan", *_GEN, "--sweep", "beta=0.1:0.2:2", "-k", "2"],
+    ["scan", *_GEN, "--sweep", "beta=0.1:0.2:2", "--input", "x.json"],
+    ["scan", "--sweep", "beta=0.1:0.2:2"],
+    ["free-energy", *_GEN, "--reference", "ref.json"],
+])
+def test_exit_2_on_option_the_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
 
 def test_exit_2_on_missing_file(tmp_path):
     assert run(["bp", "--input", str(tmp_path / "nope.json")]) == 2

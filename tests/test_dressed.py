@@ -9,10 +9,10 @@ and of the dressed-tensor cache.
 import numpy as np
 import pytest
 
-from bptn.bp import bp_iterate, edge_projector, uniform_messages
+from bptn.bp import (bp_iterate, edge_projector, local_factors,
+                     uniform_messages)
 from bptn.cumulants import find_regions, find_regions_local, region_partition
-from bptn.loops import (_degree_map, enumerate_loops, excitation_weight,
-                        local_factors)
+from bptn.loops import _degree_map, enumerate_loops, excitation_weight
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          random_peps)
 from bptn.network import build_norm_network, peps_replacements

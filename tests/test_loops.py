@@ -8,7 +8,7 @@ from bptn.bp import bp_iterate, bp_log_partition, uniform_messages
 from bptn.errors import CombinatorialBudgetExceeded
 from bptn.loops import (GeneralizedLoop, connected_edge_subsets,
                         enumerate_loops, enumerate_strings,
-                        evaluate_weights, excitation_weight, local_factors,
+                        evaluate_weights, excitation_weight,
                         loop_decay_profile)
 from bptn.models import (IsingParams, ising_network,
                          ising_paramagnetic_messages, random_tree_network,

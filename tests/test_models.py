@@ -72,18 +72,16 @@ def test_paramagnetic_messages_are_fixed_point():
 
 
 def test_paramagnetic_messages_require_zero_field():
-    for p in (IsingParams(L=4, beta=0.3, h=0.1),
-              IsingParams(L=4, beta=0.3, site_fields={"0,0": 0.2})):
-        with pytest.raises(FieldNonzero):
-            ising_paramagnetic_messages(p, ising_network(p))
+    p = IsingParams(L=4, beta=0.3, h=0.1)
+    with pytest.raises(FieldNonzero):
+        ising_paramagnetic_messages(p, ising_network(p))
 
 
 def test_ising_insertion_identity_gate_is_noop():
     """The identity gate rebuilds every site tensor bit for bit, on a torus
-    and on a cylinder with per-site fields."""
+    and on a cylinder."""
     for p in (IsingParams(L=3, beta=0.3, h=0.1),
-              IsingParams(L=3, beta=0.3, h=0.1, topology="cylinder",
-                          site_fields={"0,1": 0.25, "2,2": -0.4})):
+              IsingParams(L=3, beta=0.3, h=0.1, topology="cylinder")):
         tn = ising_network(p)
         out = ising_insertion(tn, p,
                               {v: np.eye(2) for v in tn.graph.vertices})
