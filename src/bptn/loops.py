@@ -4,8 +4,11 @@ A generalized loop is a connected edge-induced subgraph of minimum degree
 two; strings relax the degree condition inside marked terminal regions.
 Enumeration walks the connected edge sets of the line graph (edges are
 adjacent when they share a vertex) with ``network.connected_subsets``,
-each set grown from its smallest edge id, so every subset is produced
-exactly once; loops and strings are the subsets that pass a degree test.
+each set grown from its smallest edge id, so no subset is visited twice.
+A leaf is a dangling end: a degree-one vertex outside the terminal
+regions.  A set stops growing once its leaves can no longer all close
+within the weight limit, and loops and strings are the visited sets
+without leaves.
 
 Weights are evaluated locally on the loop support, in the BP gauge: each
 support vertex is its dressed tensor (the site tensor with the incoming
@@ -58,34 +61,54 @@ class GeneralizedLoop:
         return f"GeneralizedLoop({list(self.key)})"
 
 
-def connected_edge_subsets(g: Graph, max_weight: int,
+def connected_edge_subsets(g: Graph, max_weight: int, terminals=(),
                            budget: int = DEFAULT_ENUM_BUDGET):
-    """All connected edge subsets of size <= max_weight, each once."""
+    """Connected edge subsets of size <= max_weight, each at most once, as
+    (edge ids, is a string) pairs; every string is among them.
+
+    A leaf is a degree-one vertex outside ``terminals``, and a string is a
+    subset without leaves.  A subset stops growing once its leaves cannot
+    all close: one edge closes at most two leaves, and a leaf with no
+    incident edge left to take stays open in every subset grown from it.
+    ``budget`` bounds the subsets visited.
+    """
     edge_ids = sorted(g.edges)
     index = {e: i for i, e in enumerate(edge_ids)}
-    nbrs = [set() for _ in edge_ids]
-    for v in g.vertices:
-        inc = [index[e] for (e, _) in g.incident(v)]
-        for i in inc:
-            for j in inc:
-                if i != j:
-                    nbrs[i].add(j)
+    vindex = {v: i for i, v in enumerate(g.vertices)}
+    ends = [[vindex[v] for v in g.edges[e]] for e in edge_ids]
+    incident = [{index[e] for (e, _) in g.incident(v)} for v in g.vertices]
+    nbrs = [(incident[a] | incident[b]) - {i}
+            for i, (a, b) in enumerate(ends)]
+    # The degree map packed into one integer: vertex v's degree sits in
+    # bits [k*v, k*v + k), so a subset's map is the sum of its edges'
+    # entries, and v is a leaf when bit k*v is the only one set there.
+    k = max((len(inc) for inc in incident), default=1).bit_length()
+    packed = [(1 << k * a) | (1 << k * b) for a, b in ends]
+    free = sum(1 << k * v for v, name in enumerate(g.vertices)
+               if name not in terminals)  # the vertices that may be leaves
+    leaves = 0  # leaf bits of the subset last yielded, which grow judges
+
+    def grow(cur, cand):
+        if len(cur) + (leaves.bit_count() + 1) // 2 > max_weight:
+            return False
+        reach = 0  # the vertices that the edges in ``cand`` touch
+        for i in cand:
+            reach |= packed[i]
+        return not leaves & ~reach
+
     visited = 0
-    for cur in connected_subsets(nbrs, [1] * len(edge_ids), max_weight):
+    for cur in connected_subsets(nbrs, [1] * len(edge_ids), max_weight,
+                                 grow=grow):
         visited += 1
         if visited > budget:
             raise CombinatorialBudgetExceeded(
                 f"edge-subset enumeration exceeded budget {budget}")
-        yield tuple(edge_ids[i] for i in cur)
-
-
-def _degree_map(g: Graph, edges):
-    deg = {}
-    for e in edges:
-        u, v = g.edges[e]
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return deg
+        deg = sum(map(packed.__getitem__, cur))
+        high = 0
+        for j in range(1, k):
+            high |= deg >> j
+        leaves = deg & free & ~high
+        yield tuple(map(edge_ids.__getitem__, cur)), not leaves
 
 
 def enumerate_loops(g: Graph, max_weight: int):
@@ -105,12 +128,9 @@ def enumerate_strings(g: Graph, regions, max_weight: int):
         for j in range(i + 1, len(regions)):
             if regions[i] & regions[j]:
                 raise ValueError("terminal regions must be disjoint")
-    allowed = set().union(*regions) if regions else set()
-    out = []
-    for edges in connected_edge_subsets(g, max_weight):
-        deg = _degree_map(g, edges)
-        if all(d >= 2 or v in allowed for v, d in deg.items()):
-            out.append(GeneralizedLoop(g, edges))
+    terminals = frozenset().union(*regions)
+    out = [GeneralizedLoop(g, edges) for edges, is_string
+           in connected_edge_subsets(g, max_weight, terminals) if is_string]
     out.sort(key=lambda l: (l.weight, l.key))
     return out
 

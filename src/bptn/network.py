@@ -301,7 +301,7 @@ def is_connected(items, neighbors) -> bool:
     return seen == items
 
 
-def connected_subsets(nbrs, weights, max_weight, roots=None):
+def connected_subsets(nbrs, weights, max_weight, roots=None, grow=None):
     """Yield each connected index subset of total weight <= max_weight once.
 
     ``nbrs[i]`` holds the indices adjacent to index i and ``weights[i]`` is
@@ -311,9 +311,15 @@ def connected_subsets(nbrs, weights, max_weight, roots=None):
     are grown from those roots over all indices, and a root never takes an
     earlier root, so each connected subset holding a root is yielded once.
 
-    The walk is a take-or-leave stack: a subset's candidates are the
-    neighbours it may still take, and taking one bans the candidates
-    before it, so two branches never grow the same subset.
+    The walk is a take-or-leave stack: a subset's candidates ``cand`` are
+    the neighbours it may still take, and taking one bans the candidates
+    before it, so two branches never grow the same subset.  ``seen`` holds
+    every index a subset has taken, banned or made a candidate; only an
+    unseen neighbour of a newly taken index becomes a candidate, so no
+    subset grown from ``cur`` takes a neighbour of ``cur`` outside
+    ``cand``.  ``grow(cur, cand)``, when given, runs after ``cur`` is
+    yielded and before it grows; a false answer prunes every subset grown
+    from it.
     """
     stop = max_weight - min(weights, default=0)
     upward = roots is None
@@ -325,23 +331,21 @@ def connected_subsets(nbrs, weights, max_weight, roots=None):
             low, banned = root, frozenset()
         else:
             low, banned = -1, frozenset(roots[:pos])
-        stack = [((root,), tuple(sorted(x for x in nbrs[root]
-                                        if x > low and x not in banned)),
-                  banned, weights[root])]
+        cand = tuple(sorted(x for x in nbrs[root]
+                            if x > low and x not in banned))
+        stack = [((root,), cand, banned.union(cand, (root,)), weights[root])]
         while stack:
-            cur, cand, banned, w = stack.pop()
+            cur, cand, seen, w = stack.pop()
             yield cur
             if w > stop:  # at the weight limit: no index fits
                 continue
-            cur_set = set(cur)
-            cand_set = set(cand)
+            if grow is not None and not grow(cur, cand):
+                continue
             for i, x in enumerate(cand):
                 wx = w + weights[x]
                 if wx > max_weight:
                     continue
-                grown = tuple(sorted(
-                    y for y in nbrs[x]
-                    if y > low and y not in cur_set and y not in banned
-                    and y not in cand_set))
+                grown = tuple(sorted(y for y in nbrs[x]
+                                     if y > low and y not in seen))
                 stack.append((cur + (x,), cand[i + 1:] + grown,
-                              banned | set(cand[:i]), wx))
+                              seen.union(grown), wx))

@@ -1,7 +1,9 @@
 """Reference forms that the tests compare the engine against; the
 program itself never evaluates them: the cumulant expansion in its
-counting-number and Moebius forms, and the per-edge BP sweep, iteration
-and stability probe that the compiled sweep in ``bptn.bp`` replaced."""
+counting-number and Moebius forms, the per-edge BP sweep, iteration
+and stability probe that the compiled sweep in ``bptn.bp`` replaced, and
+the unpruned string enumeration that the leaf-pruned walk in
+``bptn.loops`` replaced."""
 
 import math
 
@@ -12,6 +14,8 @@ from bptn.bp import (DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOL,
                      BPResult, MessageSet, bp_log_partition)
 from bptn.cumulants import counting_numbers, guarded_log, restricted_partition
 from bptn.errors import NumericalCollapse
+from bptn.loops import GeneralizedLoop
+from bptn.network import connected_subsets
 from bptn.tensor import DenseTensor, contract_pair
 
 
@@ -130,3 +134,36 @@ def stability_probe(tn, messages: MessageSet, seed=0):
     if g < 1.0 - 1e-3:
         return "stable", g
     return "inconclusive", g
+
+
+# --- the unpruned string enumeration ----------------------------------------
+
+def enumerate_strings(g, regions, max_weight):
+    """Every connected edge subset of size <= max_weight, kept when each
+    vertex outside the regions has degree at least two; sorted like
+    ``bptn.loops.enumerate_strings``."""
+    allowed = {str(v) for r in regions for v in r}
+    edge_ids = sorted(g.edges)
+    index = {e: i for i, e in enumerate(edge_ids)}
+    nbrs = [set() for _ in edge_ids]
+    for v in g.vertices:
+        inc = [index[e] for (e, _) in g.incident(v)]
+        for i in inc:
+            nbrs[i].update(j for j in inc if j != i)
+    out = []
+    for cur in connected_subsets(nbrs, [1] * len(edge_ids), max_weight):
+        edges = [edge_ids[i] for i in cur]
+        if all(d >= 2 or v in allowed
+               for v, d in degree_map(g, edges).items()):
+            out.append(GeneralizedLoop(g, edges))
+    out.sort(key=lambda l: (l.weight, l.key))
+    return out
+
+
+def degree_map(g, edges):
+    """{vertex: number of ``edges`` incident to it}."""
+    deg = {}
+    for e in edges:
+        for v in g.endpoints(e):
+            deg[v] = deg.get(v, 0) + 1
+    return deg

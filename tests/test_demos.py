@@ -2,9 +2,9 @@
 
 Each demo runs as its own process, with ``src`` put first on PYTHONPATH,
 and must exit 0; a renamed or removed function fails it at import or at
-the call.  Demos 01, 03 and 04 take about 3 s together; demo 04 is the
-stability-probe bisection that brackets log(2)/2.  Demo 02 (about 7 s) is
-left out for its runtime.
+the call.  All four take about 5 s together; demo 02 is the loop series
+on Ising tori, and demo 04 is the stability-probe bisection that brackets
+log(2)/2.
 """
 
 import os
@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("demo", ["01_tree_exactness.py",
+                                  "02_loop_series_ising.py",
                                   "03_peps_observables.py",
                                   "04_stability_and_criticality.py"])
 def test_demo_runs(demo):

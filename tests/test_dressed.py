@@ -12,11 +12,12 @@ import pytest
 from bptn.bp import (bp_iterate, edge_projector, local_factors,
                      uniform_messages)
 from bptn.cumulants import find_regions, find_regions_local, region_partition
-from bptn.loops import _degree_map, enumerate_loops, excitation_weight
+from bptn.loops import enumerate_loops, excitation_weight
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          random_peps)
 from bptn.network import build_norm_network, peps_replacements
 from bptn.observables import InsertionProblem
+from oracles import degree_map
 
 _SZ = np.diag([1.0, -1.0])
 REL = 1e-12
@@ -117,7 +118,7 @@ def test_bar_weights_on_decorated_networks_match_reference(peps33):
     decorated = [l for l in strings if rid in l.vertices]
     assert decorated and len(decorated) < len(strings)
     open_strings = {l for l in strings
-             if min(_degree_map(prob.base.graph, l.edges).values()) < 2}
+             if min(degree_map(prob.base.graph, l.edges).values()) < 2}
     assert open_strings
     for loop in strings:
         fac = local_factors(prob.base, prob.messages, loop.vertices)

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from bptn.bp import bp_iterate, bp_log_partition, uniform_messages
 from bptn.errors import CombinatorialBudgetExceeded
 from bptn.loops import (GeneralizedLoop, connected_edge_subsets,
@@ -11,9 +14,9 @@ from bptn.loops import (GeneralizedLoop, connected_edge_subsets,
                         evaluate_weights, excitation_weight,
                         loop_decay_profile)
 from bptn.models import (IsingParams, ising_network,
-                         ising_paramagnetic_messages, random_tree_network,
-                         single_loop_network)
-from bptn.network import exact_contract
+                         ising_paramagnetic_messages, random_peps,
+                         random_tree_network, single_loop_network)
+from bptn.network import Graph, exact_contract
 
 
 def brute_force_connected_subsets(g, max_weight):
@@ -45,12 +48,55 @@ def brute_force_connected_subsets(g, max_weight):
 
 
 def test_connected_subsets_exactly_once_vs_brute_force():
-    p = IsingParams(L=3, beta=0.2)
-    g = ising_network(p).graph
-    got = list(connected_edge_subsets(g, 4))
-    want = brute_force_connected_subsets(g, 4)
-    assert len(got) == len(set(map(frozenset, got))), "duplicates emitted"
-    assert set(map(frozenset, got)) == want
+    """The pruned walk yields no subset twice and only connected subsets,
+    among them every brute-force string, flagged as one; with and without
+    terminals."""
+    g = ising_network(IsingParams(L=3, beta=0.2)).graph
+    connected = brute_force_connected_subsets(g, 5)
+    for terminals in (frozenset(), frozenset({"0,0", "1,2"})):
+        got = list(connected_edge_subsets(g, 5, terminals))
+        sets = [frozenset(edges) for edges, _ in got]
+        assert len(sets) == len(set(sets)), "duplicates emitted"
+        assert set(sets) <= connected
+        strings = {s for s in connected
+                   if all(d >= 2 or v in terminals
+                          for v, d in oracles.degree_map(g, s).items())}
+        assert {frozenset(edges) for edges, is_string in got
+                if is_string} == strings
+
+
+@pytest.mark.parametrize("graph, terminals, m, visited, strings", [
+    (ising_network(IsingParams(L=5, beta=0.2)).graph, frozenset(), 6,
+     6012, 85),
+    (random_peps(5, 5, D=2, seed=0).graph, frozenset({"2,2"}), 7,
+     3897, 116),
+])
+def test_leaf_prune_visit_counts(graph, terminals, m, visited, strings):
+    """The benchmark graphs (the ``ising_free_energy`` loops and the
+    ``peps_expval`` strings) visit these many subsets; the unpruned walk
+    visited 52,360 and 46,665.  A weaker prune visits more."""
+    flags = [s for _, s in connected_edge_subsets(graph, m, terminals)]
+    assert (len(flags), sum(flags)) == (visited, strings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+             max_size=n * (n - 1) // 2),
+    st.lists(st.integers(0, 2), min_size=n, max_size=n),
+    st.integers(0, 2),
+    st.integers(0, 7))))
+def test_strings_match_unpruned_enumeration(case):
+    """The leaf-pruned walk finds the strings the unpruned degree filter
+    finds, on random graphs with up to two disjoint terminal regions."""
+    present, labels, n_regions, m = case
+    n = len(labels)
+    g = Graph(range(n), {f"{u}-{v}": (u, v) for (u, v), keep in zip(
+        itertools.combinations(range(n), 2), present) if keep})
+    regions = [{v for v in range(n) if labels[v] == r + 1}
+               for r in range(n_regions)]
+    assert [l.key for l in enumerate_strings(g, regions, m)] == [
+        l.key for l in oracles.enumerate_strings(g, regions, m)]
 
 
 def test_enumerate_loops_min_degree_two():
@@ -62,17 +108,8 @@ def test_enumerate_loops_min_degree_two():
     assert all(l.weight == 4 for l in loops)
     # against the brute-force degree filter
     want = {s for s in brute_force_connected_subsets(g, 4)
-            if all(d >= 2 for d in _degrees(g, s).values())}
+            if all(d >= 2 for d in oracles.degree_map(g, s).values())}
     assert {l.edges for l in loops} == want
-
-
-def _degrees(g, edges):
-    deg = {}
-    for e in edges:
-        u, v = g.endpoints(e)
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return deg
 
 
 def test_enumeration_budget():
@@ -120,8 +157,8 @@ def test_open_strings_vanish_without_insertion():
     tn = ising_network(p)
     ms = ising_paramagnetic_messages(p, tn)
     strings = enumerate_strings(tn.graph, [{"0,0"}, {"2,2"}], 5)
-    opens = [s for s in strings
-             if any(d < 2 for d in _degrees(tn.graph, s.edges).values())]
+    opens = [s for s in strings if any(
+        d < 2 for d in oracles.degree_map(tn.graph, s.edges).values())]
     assert opens, "expected open strings in scope"
     for s in opens[:40]:
         assert abs(excitation_weight(tn, ms, s)) < 1e-13
@@ -131,8 +168,8 @@ def test_enumerate_strings_includes_closed_loops():
     p = IsingParams(L=4, beta=0.2)
     g = ising_network(p).graph
     strings = enumerate_strings(g, [{"0,0"}], 4)
-    closed = [s for s in strings
-              if all(d >= 2 for d in _degrees(g, s.edges).values())]
+    closed = [s for s in strings if all(
+        d >= 2 for d in oracles.degree_map(g, s.edges).values())]
     assert {s.edges for s in closed} == {l.edges
                                          for l in enumerate_loops(g, 4)}
 

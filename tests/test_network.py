@@ -159,7 +159,8 @@ def _brute_connected_subsets(nbrs, weights, max_weight, roots):
     st.none() | st.lists(st.integers(0, n - 1), unique=True))))
 def test_connected_subsets_match_brute_force(case):
     """Every connected subset within the weight limit is yielded exactly
-    once, and nothing else; with roots, only those holding a root."""
+    once, and nothing else; with roots, only those holding a root.  A
+    ``grow`` that always answers true changes nothing."""
     present, weights, max_weight, roots = case
     n = len(weights)
     nbrs = [set() for _ in range(n)]
@@ -172,6 +173,8 @@ def test_connected_subsets_match_brute_force(case):
     assert len(got) == len(set(got)), "a subset was yielded twice"
     assert set(got) == _brute_connected_subsets(nbrs, weights, max_weight,
                                                 roots)
+    assert [frozenset(s) for s in connected_subsets(
+        nbrs, weights, max_weight, roots, grow=lambda cur, cand: True)] == got
 
 
 # -- network validation -----------------------------------------------------
