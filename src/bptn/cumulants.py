@@ -7,11 +7,16 @@ a loop set at once.  The region formulation evaluates Xi directly as a
 small tensor contraction with BP messages on the region boundary, with
 integer counting numbers assigned top-down through the intersection-closed
 region poset.
+
+One routine, ``find_regions``, builds that poset, optionally anchored at
+an observable's vertex, from a leaf-pruned vertex walk and a semi-naive
+intersection closure.
 """
 
 from __future__ import annotations
 
 import cmath
+from itertools import chain, combinations, product
 
 from .bp import MessageSet, bp_log_partition, local_factors
 from .clusters import (Cluster, anchored_loop_sets, loops_overlap,
@@ -123,6 +128,14 @@ def cumulant_free_energy(tn, messages, excitations, m: int,
 
 # --- regions ---------------------------------------------------------------
 
+def _bits(mask):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Region:
     """Connected vertex-induced subgraph used in the region expansion."""
 
@@ -130,7 +143,9 @@ class Region:
 
     def __init__(self, g: Graph, vertices, level):
         self.vertices = frozenset(str(v) for v in vertices)
-        self.edges = frozenset(_induced_edges(g, self.vertices))
+        self.edges = frozenset(e for v in self.vertices
+                               for (e, w) in g.incident(v)
+                               if w in self.vertices)
         self.level = level
 
     @property
@@ -147,111 +162,104 @@ class Region:
         return f"Region({sorted(self.vertices)})"
 
 
-def _induced_edges(g: Graph, vset):
-    return [e for e, (u, v) in g.edges.items() if u in vset and v in vset]
+def find_regions(g: Graph, k: int, anchor=None):
+    """Region poset up to k vertices, as a list of Region by level.
 
+    Level 0 holds the maximal connected vertex sets in which no vertex but
+    ``anchor`` is a leaf (has induced degree < 2).  Each further level
+    holds the new regions among the pairwise intersections of the levels
+    before it.  Without an anchor an intersection is a region when it is
+    connected and leafless; with one, when it is connected and holds the
+    anchor, once the branches that do not end on the anchor are cut off.
 
-def _induced_degrees(g: Graph, vset):
-    deg = {v: 0 for v in vset}
-    for e in _induced_edges(g, vset):
-        u, v = g.endpoints(e)
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+    Vertex sets are bit masks over ``g.vertices``.  The walk stops growing
+    a set once a leaf can no longer close: it has no neighbour left to
+    take, or taking the ones it needs would exceed k vertices.  The
+    closure is semi-naive: a level pairs only the newest regions with the
+    earlier ones and with each other, and judges each intersection once.
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
+    adj = [sum(1 << j for j in nb) for nb in nbrs]
+    roots = None if anchor is None else [index[str(anchor)]]
+    pinned = sum(1 << r for r in roots or ())
 
+    def leaves(mask):
+        """The vertices of ``mask`` other than the anchor with induced
+        degree < 2, and the most neighbours one of them still needs."""
+        out, need = 0, 0
+        for i in _bits(mask & ~pinned):
+            x = adj[i] & mask
+            if not x & (x - 1):
+                out |= 1 << i
+                need = max(need, 1 if x else 2)
+        return out, need
 
-def _vertex_subsets(g: Graph, k: int, root=None):
-    """Connected vertex subsets with <= k vertices, each once; with
-    ``root`` given, only those containing it."""
-    verts = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    nbrs = [[index[w] for w in g.neighbors(v)] for v in verts]
-    roots = None if root is None else [index[str(root)]]
-    count = 0
-    for cur in connected_subsets(nbrs, [1] * len(verts), k, roots):
-        count += 1
-        if count > DEFAULT_BUDGET:
+    short, need = 0, 0  # of the set last yielded, which grow judges
+
+    def grow(cur, cand):
+        if len(cur) + need > k:
+            return False
+        takeable = 0
+        for x in cand:
+            takeable |= 1 << x
+        return all(adj[i] & takeable for i in _bits(short))
+
+    sets, visited = [], 0
+    for cur in connected_subsets(nbrs, [1] * len(nbrs), k, roots, grow):
+        visited += 1
+        if visited > DEFAULT_BUDGET:
             raise CombinatorialBudgetExceeded(
                 f"vertex-subset enumeration exceeded budget {DEFAULT_BUDGET}")
-        yield frozenset(verts[i] for i in cur)
+        mask = 0
+        for i in cur:
+            mask |= 1 << i
+        short, need = leaves(mask)
+        if not short:
+            sets.append(mask)
+    # largest first, so a set is maximal unless it lies in an earlier
+    # maximal one
+    maximal = []
+    for p in sorted(sets, key=int.bit_count, reverse=True):
+        if not any(p & q == p for q in maximal):
+            maximal.append(p)
 
+    def keep(p):
+        if not is_connected(_bits(p), nbrs.__getitem__):
+            return None
+        if anchor is None:
+            return None if leaves(p)[0] else p
+        if not p & pinned:
+            return None
+        while drop := leaves(p)[0]:
+            p &= ~drop
+        return p
 
-def _intersection_closure(g: Graph, maximal, keep):
-    """Region poset from the maximal vertex sets, closed under pairwise
-    intersection.  ``keep(p)`` turns an intersection into the region it
-    adds (a frozenset), or None to drop it.  Returns the regions level by
-    level (0 = maximal)."""
-    levels = [[Region(g, s, 0)
-               for s in sorted(maximal, key=sorted)]]
-    known = {r.vertices for r in levels[0]}
+    levels = [maximal]
+    known, judged = set(maximal), set(maximal)
     while True:
+        new = levels[-1]
+        older = [s for lvl in levels[:-1] for s in lvl]
         fresh = []
-        pool = [r for lvl in levels for r in lvl]
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                p = pool[i].vertices & pool[j].vertices
-                if p in known:  # already a region: adds nothing
-                    continue
-                p = keep(p)
-                if p is None or p in known:
-                    continue
-                known.add(p)
-                fresh.append(Region(g, p, len(levels)))
+        for a, b in chain(product(new, older), combinations(new, 2)):
+            p = a & b
+            if p in judged:
+                continue
+            judged.add(p)
+            p = keep(p)
+            if p is None or p in known:
+                continue
+            known.add(p)
+            fresh.append(p)
         if not fresh:
             break
-        fresh.sort(key=lambda r: r.key)
         levels.append(fresh)
-    return [r for lvl in levels for r in lvl]
-
-
-def find_regions(g: Graph, k: int):
-    """Region poset: maximal connected leafless induced subgraphs up to k
-    vertices, closed under pairwise intersection.  Returns a list of
-    Region with levels (0 = maximal set)."""
-    leafless = []
-    for vset in _vertex_subsets(g, k):
-        deg = _induced_degrees(g, vset)
-        if deg and all(d >= 2 for d in deg.values()):
-            leafless.append(vset)
-    maximal = [s for s in leafless
-               if not any(s < t for t in leafless)]
-
-    def keep(p):
-        # a leafless connected intersection is a region of its own
-        if (p and is_connected(p, g.neighbors)
-                and all(d >= 2 for d in _induced_degrees(g, p).values())):
-            return p
-        return None
-
-    return _intersection_closure(g, maximal, keep)
-
-
-def find_regions_local(g: Graph, k: int, A):
-    """Observable-anchored region poset: regions contain A; only A may be
-    a leaf; intersections are pruned of branches not ending on A."""
-    A = str(A)
-    candidates = []
-    for vset in _vertex_subsets(g, k, root=A):
-        deg = _induced_degrees(g, vset)
-        if all(d >= 2 for v, d in deg.items() if v != A):
-            candidates.append(vset)
-    maximal = [s for s in candidates if not any(s < t for t in candidates)]
-
-    def keep(p):
-        if A not in p or not is_connected(p, g.neighbors):
-            return None
-        p = set(p)
-        # prune branches not ending on A
-        while True:
-            deg = _induced_degrees(g, p)
-            drop = [v for v, d in deg.items() if d <= 1 and v != A
-                    and len(p) > 1]
-            if not drop:
-                break
-            p -= set(drop)
-        return frozenset(p)
-
-    return _intersection_closure(g, maximal, keep)
+    out = []
+    for level, masks in enumerate(levels):
+        regions = [Region(g, map(g.vertices.__getitem__, _bits(s)), level)
+                   for s in masks]
+        out += sorted(regions, key=lambda r: r.key)
+    return out
 
 
 def region_partition(tn: TensorNetwork, messages: MessageSet, R: Region,

@@ -124,27 +124,6 @@ def ising_network(p: IsingParams) -> TensorNetwork:
                      {v: p.h for v in vertices})
 
 
-def ising_network_3d(shape, beta: float) -> TensorNetwork:
-    """Small cubic-torus Ising variant (max degree 6) for enumeration tests."""
-    nx, ny, nz = shape
-    vertices = [f"{x},{y},{z}" for x in range(nx) for y in range(ny)
-                for z in range(nz)]
-    pairs = {}
-
-    def add(a, b):
-        key = frozenset((a, b))
-        pairs[key] = pairs.get(key, 0) + 1
-
-    for x in range(nx):
-        for y in range(ny):
-            for z in range(nz):
-                v = f"{x},{y},{z}"
-                add(v, f"{(x + 1) % nx},{y},{z}")
-                add(v, f"{x},{(y + 1) % ny},{z}")
-                add(v, f"{x},{y},{(z + 1) % nz}")
-    return _ising_tn(vertices, pairs, beta, {})
-
-
 def ising_paramagnetic_messages(p: IsingParams,
                                 tn: TensorNetwork) -> MessageSet:
     """The analytic symmetric fixed point of ``tn = ising_network(p)``:

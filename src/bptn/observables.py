@@ -29,8 +29,10 @@ import numpy as np
 
 from .bp import MessageSet, local_factors, merge_messages
 from .clusters import Cluster, enumerate_clusters, ursell
-from .cumulants import (connected_loop_subsets, counting_numbers, cumulant,
-                        find_regions_local, region_partition)
+from .cumulants import connected_loop_subsets, counting_numbers, cumulant
+# the name perfbench/tracing.py wraps
+from .cumulants import find_regions as find_regions_local
+from .cumulants import region_partition
 from .errors import (InsufficientPoints, OverlappingRegions, PCapExceeded,
                      ZeroLocalFactor)
 from .loops import enumerate_strings, excitation_weight

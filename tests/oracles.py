@@ -1,9 +1,12 @@
 """Reference forms that the tests compare the engine against; the
 program itself never evaluates them: the cumulant expansion in its
-counting-number and Moebius forms, the per-edge BP sweep, iteration
-and stability probe that the compiled sweep in ``bptn.bp`` replaced, and
-the unpruned string enumeration that the leaf-pruned walk in
-``bptn.loops`` replaced."""
+counting-number and Moebius forms; the per-edge BP sweep, iteration
+and stability probe that the compiled sweep in ``bptn.bp`` replaced; the
+unpruned string enumeration that the leaf-pruned walk in ``bptn.loops``
+replaced; and the global and anchored region finders that
+``bptn.cumulants.find_regions`` replaced, with an unpruned vertex walk,
+degrees from a scan of every edge, and an intersection closure that
+re-intersects the whole pool at every level."""
 
 import math
 
@@ -12,10 +15,11 @@ import numpy as np
 from bptn.bp import (DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOL,
                      PROBE_EPSILON, PROBE_PERTURBATIONS, PROBE_SWEEPS,
                      BPResult, MessageSet, bp_log_partition)
-from bptn.cumulants import counting_numbers, guarded_log, restricted_partition
-from bptn.errors import NumericalCollapse
+from bptn.cumulants import (DEFAULT_BUDGET, Region, counting_numbers,
+                            guarded_log, restricted_partition)
+from bptn.errors import CombinatorialBudgetExceeded, NumericalCollapse
 from bptn.loops import GeneralizedLoop
-from bptn.network import connected_subsets
+from bptn.network import connected_subsets, is_connected
 from bptn.tensor import DenseTensor, contract_pair
 
 
@@ -167,3 +171,112 @@ def degree_map(g, edges):
         for v in g.endpoints(e):
             deg[v] = deg.get(v, 0) + 1
     return deg
+
+
+# --- the region finders before the leaf prune and the semi-naive closure -----
+
+def _induced_edges(g, vset):
+    return [e for e, (u, v) in g.edges.items() if u in vset and v in vset]
+
+
+def _induced_degrees(g, vset):
+    deg = {v: 0 for v in vset}
+    for e in _induced_edges(g, vset):
+        u, v = g.endpoints(e)
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def _vertex_subsets(g, k: int, root=None):
+    """Connected vertex subsets with <= k vertices, each once; with
+    ``root`` given, only those containing it."""
+    verts = sorted(g.vertices)
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs = [[index[w] for w in g.neighbors(v)] for v in verts]
+    roots = None if root is None else [index[str(root)]]
+    count = 0
+    for cur in connected_subsets(nbrs, [1] * len(verts), k, roots):
+        count += 1
+        if count > DEFAULT_BUDGET:
+            raise CombinatorialBudgetExceeded(
+                f"vertex-subset enumeration exceeded budget {DEFAULT_BUDGET}")
+        yield frozenset(verts[i] for i in cur)
+
+
+def _intersection_closure(g, maximal, keep):
+    """Region poset from the maximal vertex sets, closed under pairwise
+    intersection.  ``keep(p)`` turns an intersection into the region it
+    adds (a frozenset), or None to drop it.  Returns the regions level by
+    level (0 = maximal)."""
+    levels = [[Region(g, s, 0)
+               for s in sorted(maximal, key=sorted)]]
+    known = {r.vertices for r in levels[0]}
+    while True:
+        fresh = []
+        pool = [r for lvl in levels for r in lvl]
+        for i in range(len(pool)):
+            for j in range(i + 1, len(pool)):
+                p = pool[i].vertices & pool[j].vertices
+                if p in known:  # already a region: adds nothing
+                    continue
+                p = keep(p)
+                if p is None or p in known:
+                    continue
+                known.add(p)
+                fresh.append(Region(g, p, len(levels)))
+        if not fresh:
+            break
+        fresh.sort(key=lambda r: r.key)
+        levels.append(fresh)
+    return [r for lvl in levels for r in lvl]
+
+
+def find_regions(g, k: int):
+    """Region poset: maximal connected leafless induced subgraphs up to k
+    vertices, closed under pairwise intersection.  Returns a list of
+    Region with levels (0 = maximal set)."""
+    leafless = []
+    for vset in _vertex_subsets(g, k):
+        deg = _induced_degrees(g, vset)
+        if deg and all(d >= 2 for d in deg.values()):
+            leafless.append(vset)
+    maximal = [s for s in leafless
+               if not any(s < t for t in leafless)]
+
+    def keep(p):
+        # a leafless connected intersection is a region of its own
+        if (p and is_connected(p, g.neighbors)
+                and all(d >= 2 for d in _induced_degrees(g, p).values())):
+            return p
+        return None
+
+    return _intersection_closure(g, maximal, keep)
+
+
+def find_regions_local(g, k: int, A):
+    """Observable-anchored region poset: regions contain A; only A may be
+    a leaf; intersections are pruned of branches not ending on A."""
+    A = str(A)
+    candidates = []
+    for vset in _vertex_subsets(g, k, root=A):
+        deg = _induced_degrees(g, vset)
+        if all(d >= 2 for v, d in deg.items() if v != A):
+            candidates.append(vset)
+    maximal = [s for s in candidates if not any(s < t for t in candidates)]
+
+    def keep(p):
+        if A not in p or not is_connected(p, g.neighbors):
+            return None
+        p = set(p)
+        # prune branches not ending on A
+        while True:
+            deg = _induced_degrees(g, p)
+            drop = [v for v, d in deg.items() if d <= 1 and v != A
+                    and len(p) > 1]
+            if not drop:
+                break
+            p -= set(drop)
+        return frozenset(p)
+
+    return _intersection_closure(g, maximal, keep)

@@ -4,19 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bptn.cumulants
+from bptn.cli import main
 from bptn.clusters import (Cluster, enumerate_clusters, free_energy_truncated,
                            ursell)
 from bptn.cumulants import (Region, connected_loop_subsets,
                             counting_numbers, cumulant, cumulant_free_energy,
-                            find_regions, find_regions_local,
-                            region_free_energy, region_partition,
+                            find_regions, region_free_energy, region_partition,
                             restricted_partition)
-from bptn.errors import BranchCrossing, CapExceeded
+from bptn.errors import (BranchCrossing, CapExceeded,
+                         CombinatorialBudgetExceeded)
 from bptn.loops import GeneralizedLoop, enumerate_loops, evaluate_weights
 from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
                          ising_paramagnetic_messages)
 from bptn.network import Graph
+import oracles
 from oracles import counting_number_free_energy, mobius_subset
 
 
@@ -171,7 +176,6 @@ def test_find_regions_torus_counts():
 
 
 def test_counting_numbers_regions_nested():
-    g = _chain_graph(1)  # unused; construct regions on a torus instead
     p = IsingParams(L=4, beta=0.2)
     tg = ising_network(p).graph
     poset = find_regions(tg, 6)
@@ -211,11 +215,92 @@ def test_region_free_energy_matches_matched_cumulants():
 def test_find_regions_local_anchoring():
     p = IsingParams(L=4, beta=0.2)
     g = ising_network(p).graph
-    poset = find_regions_local(g, 5, "1,1")
+    poset = find_regions(g, 5, "1,1")
     assert poset
     for r in poset:
         assert "1,1" in r.vertices
-        from bptn.cumulants import _induced_degrees
-
-        deg = _induced_degrees(g, r.vertices)
+        deg = {v: sum(w in r.vertices for w in g.neighbors(v))
+               for v in r.vertices}
         assert all(d >= 2 for v, d in deg.items() if v != "1,1")
+
+
+def _region_rows(poset):
+    return [(r.key, r.level, tuple(sorted(r.edges))) for r in poset]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+             max_size=n * (n - 1) // 2),
+    st.one_of(st.none(), st.integers(0, n - 1)),
+    st.integers(0, 6))))
+def test_find_regions_matches_oracle(case):
+    """The leaf-pruned walk and the semi-naive closure give the regions,
+    levels and edges of the unpruned finders, on random graphs with and
+    without an anchor."""
+    n, present, anchor, k = case
+    g = Graph(range(n), {f"{u}-{v}": (u, v) for (u, v), keep in zip(
+        itertools.combinations(range(n), 2), present) if keep})
+    want = (oracles.find_regions(g, k) if anchor is None
+            else oracles.find_regions_local(g, k, anchor))
+    assert _region_rows(find_regions(g, k, anchor)) == _region_rows(want)
+
+
+@pytest.mark.parametrize("anchor", [None, "a2"])
+def test_find_regions_drops_disconnected_intersections(anchor):
+    """Two triangles joined through x and through y: the two maximal sets
+    that hold both triangles meet in the triangles alone, a leafless but
+    disconnected set, which is no region."""
+    pairs = [("a0", "a1"), ("a1", "a2"), ("a0", "a2"), ("b0", "b1"),
+             ("b1", "b2"), ("b0", "b2"), ("x", "a0"), ("x", "b0"),
+             ("y", "a1"), ("y", "b1")]
+    g = Graph({v for p in pairs for v in p},
+              {f"{u}-{v}": (u, v) for u, v in pairs})
+    poset = find_regions(g, 7, anchor)
+    triangles = frozenset(["a0", "a1", "a2", "b0", "b1", "b2"])
+    assert triangles not in {r.vertices for r in poset}
+    want = (oracles.find_regions(g, 7) if anchor is None
+            else oracles.find_regions_local(g, 7, anchor))
+    assert _region_rows(poset) == _region_rows(want)
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_find_regions_matches_oracle_on_torus(k):
+    g = ising_network(IsingParams(L=5, beta=0.2)).graph
+    assert _region_rows(find_regions(g, k)) == _region_rows(
+        oracles.find_regions(g, k))
+
+
+@pytest.mark.parametrize("k, visited, regions", [(6, 2154, 85),
+                                                 (8, 17215, 810)])
+def test_region_walk_visit_counts(monkeypatch, k, visited, regions):
+    """The region walk on the 5x5 torus (the ``ising_free_energy``
+    benchmark graph) visits these many vertex subsets; the unpruned walk
+    visited 7,185 at k = 6 and 68,110 at k = 8.  A weaker prune visits
+    more."""
+    walk = bptn.cumulants.connected_subsets
+    seen = []
+
+    def counted(*args, **kwargs):
+        for cur in walk(*args, **kwargs):
+            seen.append(cur)
+            yield cur
+
+    monkeypatch.setattr(bptn.cumulants, "connected_subsets", counted)
+    g = ising_network(IsingParams(L=5, beta=0.2)).graph
+    assert len(find_regions(g, k)) == regions
+    assert len(seen) == visited
+
+
+def test_region_walk_budget(monkeypatch, capsys):
+    """The vertex walk stops at the budget, and ``bptn regions`` exits 4."""
+    monkeypatch.setattr(bptn.cumulants, "DEFAULT_BUDGET", 50)
+    g = ising_network(IsingParams(L=4, beta=0.2)).graph
+    with pytest.raises(CombinatorialBudgetExceeded,
+                       match="vertex-subset enumeration exceeded budget 50"):
+        find_regions(g, 4)
+    with pytest.raises(CombinatorialBudgetExceeded):
+        find_regions(g, 4, "0,0")
+    assert main(["regions", "--generate", "ising:L=4,beta=0.2",
+                 "-k", "4"]) == 4
+    capsys.readouterr()

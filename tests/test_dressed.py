@@ -11,7 +11,7 @@ import pytest
 
 from bptn.bp import (bp_iterate, edge_projector, local_factors,
                      uniform_messages)
-from bptn.cumulants import find_regions, find_regions_local, region_partition
+from bptn.cumulants import find_regions, region_partition
 from bptn.loops import enumerate_loops, excitation_weight
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          random_peps)
@@ -149,7 +149,7 @@ def test_region_partition_with_replacements_matches_reference(ising_field):
     p, tn, ms = ising_field
     site = "1,1"
     repl = ising_insertion(tn, p, {site: _SZ})
-    poset = find_regions_local(tn.graph, 5, site)
+    poset = find_regions(tn.graph, 5, site)
     assert len(poset) > 1
     for R in poset:
         for replacements in ({}, repl):

@@ -6,8 +6,8 @@ import pytest
 
 from bptn.bp import bp_iterate, self_consistency_residual, uniform_messages
 from bptn.errors import FieldNonzero
-from bptn.models import (IsingParams, ising_exact_logZ, ising_insertion,
-                         ising_network, ising_network_3d,
+from bptn.models import (IsingParams, _ising_tn, ising_exact_logZ,
+                         ising_insertion, ising_network,
                          ising_paramagnetic_messages, peps_statevector,
                          random_peps, random_tree_network,
                          single_loop_network)
@@ -123,6 +123,27 @@ def test_ising_insertion_flip_gate_identity_at_zero_field():
     dec = tn.replace_tensors(gates)
     z0, z1 = exact_contract(tn), exact_contract(dec)
     assert abs(z1 - z0) < 1e-10 * abs(z0)
+
+
+def ising_network_3d(shape, beta: float):
+    """Small cubic-torus Ising variant (max degree 6) for enumeration tests."""
+    nx, ny, nz = shape
+    vertices = [f"{x},{y},{z}" for x in range(nx) for y in range(ny)
+                for z in range(nz)]
+    pairs = {}
+
+    def add(a, b):
+        key = frozenset((a, b))
+        pairs[key] = pairs.get(key, 0) + 1
+
+    for x in range(nx):
+        for y in range(ny):
+            for z in range(nz):
+                v = f"{x},{y},{z}"
+                add(v, f"{(x + 1) % nx},{y},{z}")
+                add(v, f"{x},{(y + 1) % ny},{z}")
+                add(v, f"{x},{y},{(z + 1) % nz}")
+    return _ising_tn(vertices, pairs, beta, {})
 
 
 def test_ising_3d_degree_six():

@@ -30,7 +30,6 @@ ALLOWED = {
                      "test_acceptance_11",
     "save_network": "the writer of that round trip; the CLI reads network "
                     "files but never writes one",
-    "ising_network_3d": "the paper's 3D model, waiting for a generator spec",
 }
 
 _DOTTED = re.compile(r"bptn(\.\w+)+")
