@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (DegenerateInnerProduct, DimensionMismatch,
                      NumericalCollapse, ZeroLocalFactor)
 from .network import TensorNetwork
-from .tensor import DenseTensor, Leg, contract_network, contract_pair, inner
+from .tensor import DenseTensor, Leg, contract_many, contract_pair, inner
 
 I_FLOOR = 1e-12
 Z_FLOOR = 1e-12
@@ -96,6 +96,7 @@ class MessageSet:
         self._proj = {}
         self._z = {}
         self._dressed = {}
+        self._scaled = {}
 
     def message(self, v, w) -> DenseTensor:
         return self.messages[(str(v), str(w))]
@@ -119,11 +120,12 @@ class MessageSet:
             self._sqrt[e] = cmath.sqrt(self.inner_product(e))
         return self._sqrt[e]
 
-    def projector(self, e) -> DenseTensor:
-        """``edge_projector`` on edge e (cached)."""
+    def projector(self, e) -> tuple:
+        """``edge_projector`` on edge e as (leg ids, array) (cached)."""
         e = str(e)
         if e not in self._proj:
-            self._proj[e] = edge_projector(self, e)
+            p = edge_projector(self, e)
+            self._proj[e] = (tuple(p.leg_ids), p.data)
         return self._proj[e]
 
     def local_factor(self, v, tensor: DenseTensor) -> complex:
@@ -143,30 +145,45 @@ class MessageSet:
         self._z[key] = (tensor, z)
         return z
 
-    def dressed(self, v, tensor: DenseTensor, kept) -> DenseTensor:
-        """``tensor`` at vertex v with mu_{n->v}/sqrt(I_e) absorbed on every
-        incident edge e not in ``kept``; each kept leg e is renamed
-        ``'<e>@<v>'``, the leg name ``edge_projector`` uses at v.
+    def dressed(self, requests, by_edge=False) -> list:
+        """(leg ids, array) of each (v, tensor, kept) request: ``tensor`` at
+        vertex v with mu_{n->v}/sqrt(I_e) absorbed on every incident edge
+        e not in the frozenset ``kept``.  Kept legs are in sorted order and
+        named ``'<e>@<v>'``, the name ``edge_projector`` uses at v, or
+        ``e`` with ``by_edge``.
 
-        Cached per (v, tensor object, kept edges).  The entry holds the
-        tensor itself, so its id cannot be reused while the entry lives:
+        The requests not cached are built in one ``contract_many`` call,
+        one stacked one-leg matmul per message and tensor structure.
+        Cached per (v, tensor object, kept edges); the entry holds the
+        tensor, so its id cannot be reused while the entry lives, and
         networks that share these messages but swap one site tensor (the
         decorated networks of an insertion) get entries of their own.
         """
-        v = str(v)
-        kept = frozenset(kept)
-        key = (v, id(tensor), kept)
-        hit = self._dressed.get(key)
-        if hit is not None:
-            return hit[1]
-        pieces = [tensor.relabel({e: f"{e}@{v}" for e in kept})]
-        for (e, n) in self.tn.graph.incident(v):
-            if e not in kept:
-                pieces.append(
-                    self.message(n, v).scale(1.0 / self.sqrt_inner(e)))
-        out = contract_network(pieces)
-        self._dressed[key] = (tensor, out)
-        return out
+        todo = {(v, id(t), kept): (v, t, kept) for v, t, kept in requests
+                if (v, id(t), kept) not in self._dressed}
+        pools = []
+        for v, tensor, kept in todo.values():
+            t = tensor.relabel({e: f"{e}@{v}" for e in kept})
+            pools.append([(tuple(t.leg_ids), t.data)] + [
+                ((e,), self._into(n, v, e))
+                for (e, n) in self.tn.graph.incident(v) if e not in kept])
+        for (key, (v, tensor, _)), (ids, data) in zip(todo.items(),
+                                                      contract_many(pools)):
+            # ids are the kept legs '<e>@<v>', in the relabeled tensor's
+            # sorted order
+            edges = [i[:-len(v) - 1] for i in ids]
+            order = sorted(range(len(ids)), key=edges.__getitem__)
+            self._dressed[key] = (tensor, (ids, data), (
+                tuple(edges[i] for i in order), data.transpose(order)))
+        return [self._dressed[v, id(t), kept][2 if by_edge else 1]
+                for v, t, kept in requests]
+
+    def _into(self, n, v, e):
+        """mu_{n->v} / sqrt(I_e) on edge e (cached)."""
+        if (n, v) not in self._scaled:
+            self._scaled[n, v] = self.message(n, v).scale(
+                1.0 / self.sqrt_inner(e)).data
+        return self._scaled[n, v]
 
 
 class BPResult:

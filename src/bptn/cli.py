@@ -211,6 +211,14 @@ def _converge(prob: Problem, args):
     return res
 
 
+def _weighed_loops(prob: Problem, args):
+    """BP messages, the loops up to weight ``-m`` and their weight table:
+    the start of ``loops``, ``free-energy`` and each ``scan`` point."""
+    messages = _converge(prob, args).messages
+    loops = enumerate_loops(prob.tn.graph, args.max_weight)
+    return messages, loops, evaluate_weights(prob.tn, messages, loops)
+
+
 # --- subcommands -----------------------------------------------------------
 
 def cmd_contract_exact(args):
@@ -243,10 +251,7 @@ def cmd_bp(args):
 
 
 def cmd_loops(args):
-    prob = _load_problem(args)
-    res = _converge(prob, args)
-    loops = enumerate_loops(prob.tn.graph, args.max_weight)
-    table = evaluate_weights(prob.tn, res.messages, loops)
+    _, loops, table = _weighed_loops(_load_problem(args), args)
     rows, notes = loop_decay_profile(table)
     out = [{k: _fmt(v) for k, v in r.items()} for r in rows]
     _emit(args, ["weight", "parity", "n_loops", "max_abs", "c_estimate"],
@@ -257,13 +262,11 @@ def cmd_loops(args):
 
 def cmd_free_energy(args):
     prob = _load_problem(args)
-    res = _converge(prob, args)
+    messages, loops, table = _weighed_loops(prob, args)
     m = args.max_weight
-    loops = enumerate_loops(prob.tn.graph, m)
-    table = evaluate_weights(prob.tn, res.messages, loops)
-    fr = free_energy_truncated(prob.tn, res.messages, loops, m,
+    fr = free_energy_truncated(prob.tn, messages, loops, m,
                                weight_table=table)
-    f_cum, _, _ = cumulant_free_energy(prob.tn, res.messages, loops, m, table)
+    f_cum, _, _ = cumulant_free_energy(prob.tn, messages, loops, m, table)
     rows = [
         {"method": "bp", "truncation": 0, "f_re": _fmt(fr.f_bp.real),
          "f_im": _fmt(fr.f_bp.imag)},
@@ -274,7 +277,7 @@ def cmd_free_energy(args):
     ]
     if args.region_size:
         poset = find_regions(prob.tn.graph, args.region_size)
-        f_reg, _ = region_free_energy(prob.tn, res.messages, poset)
+        f_reg, _ = region_free_energy(prob.tn, messages, poset)
         rows.append({"method": "region", "truncation": args.region_size,
                      "f_re": _fmt(f_reg.real), "f_im": _fmt(f_reg.imag)})
     fields = ["method", "truncation", "f_re", "f_im"]
@@ -415,16 +418,13 @@ def cmd_scan(args):
         kv2[name] = repr(float(val))
         spec = "ising:" + ",".join(f"{k}={v}" for k, v in kv2.items())
         prob = generate(spec, args.seed)
-        res = _converge(prob, args)
-        m = args.max_weight
-        loops = enumerate_loops(prob.tn.graph, m)
-        table = evaluate_weights(prob.tn, res.messages, loops)
+        messages, loops, table = _weighed_loops(prob, args)
         profile, _ = loop_decay_profile(table)
         c_even = min((r["c_estimate"] for r in profile
                       if r["parity"] == "even"), default=math.nan)
         c_odd = min((r["c_estimate"] for r in profile
                      if r["parity"] == "odd"), default=math.nan)
-        fr = free_energy_truncated(prob.tn, res.messages, loops, m,
+        fr = free_energy_truncated(prob.tn, messages, loops, args.max_weight,
                                    weight_table=table)
         row = {name: _fmt(float(val)), "c_even": _fmt(c_even),
                "c_odd": _fmt(c_odd), "f_m_re": _fmt(fr.f_m.real)}

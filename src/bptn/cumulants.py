@@ -6,7 +6,8 @@ finite loop subset; cumulants K(Gamma) are their inclusion-exclusion
 a loop set at once.  The region formulation evaluates Xi directly as a
 small tensor contraction with BP messages on the region boundary, with
 integer counting numbers assigned top-down through the intersection-closed
-region poset.
+region poset; the values a resummation needs are one bulk contraction
+(``tensor.contract_many``).
 
 One routine, ``find_regions``, builds that poset, optionally anchored at
 an observable's vertex, from a leaf-pruned vertex walk and a semi-naive
@@ -16,6 +17,7 @@ intersection closure.
 from __future__ import annotations
 
 import cmath
+import math
 from itertools import chain, combinations, product
 
 from .bp import MessageSet, bp_log_partition, local_factors
@@ -24,7 +26,8 @@ from .clusters import (Cluster, anchored_loop_sets, loops_overlap,
 from .errors import BranchCrossing, CapExceeded, CombinatorialBudgetExceeded
 from .network import (DEFAULT_SIZE_CAP, Graph, TensorNetwork,
                       connected_subsets, is_connected)
-from .tensor import contract_network
+# under the name perfbench/tracing.py wraps
+from .tensor import contract_closed as contract_network
 
 RESTRICTED_CAP = 20
 DEFAULT_BUDGET = 10 ** 7  # loop subsets, and vertex subsets for regions
@@ -262,34 +265,36 @@ def find_regions(g: Graph, k: int, anchor=None):
     return out
 
 
-def region_partition(tn: TensorNetwork, messages: MessageSet, R: Region,
-                     replacements: dict | None = None):
-    """(Xi_tilde(R), Xi(R)): boundary-message contraction of the region and
-    its BP-normalized value.  ``replacements`` substitutes site tensors
-    (operator insertions) inside the region."""
-    replacements = replacements or {}
+def region_partition(tn: TensorNetwork, messages: MessageSet, jobs) -> list:
+    """(Xi_tilde(R), Xi(R)) for each (region R, replacements) job: the
+    boundary-message contraction of the region and its BP-normalized value,
+    all in one ``contract_closed`` call.  ``replacements`` substitutes site
+    tensors (operator insertions) inside the region; the region legs are
+    named by edge id."""
     g = tn.graph
-    pieces = []
-    for v in sorted(R.vertices):
-        internal = [e for (e, n) in g.incident(v) if n in R.vertices]
-        pieces.append(messages.dressed(
-            v, replacements.get(v, tn.tensors[v]), internal).relabel(
-                {f"{e}@{v}": e for e in internal}))
-    raw = contract_network(pieces, size_cap=DEFAULT_SIZE_CAP).item()
-    denom = 1.0 + 0j
-    for z in local_factors(tn, messages, sorted(R.vertices)).values():
-        denom *= z
-    return raw, raw / denom
+    supports = [sorted(R.vertices) for R, _ in jobs]
+    pieces = iter(messages.dressed([
+        (v, replacements.get(v, tn.tensors[v]),
+         frozenset(e for (e, _) in g.incident(v) if e in R.edges))
+        for (R, replacements), support in zip(jobs, supports)
+        for v in support], by_edge=True))
+    raws = contract_network([[next(pieces) for _ in support]
+                             for support in supports],
+                            size_cap=DEFAULT_SIZE_CAP)
+    factors = local_factors(tn, messages, dict.fromkeys(
+        v for support in supports for v in support))
+    return [(raw, raw / math.prod((factors[v] for v in support),
+                                  start=1.0 + 0j))
+            for raw, support in zip(raws, supports)]
 
 
 def region_free_energy(tn, messages, poset):
     """F = F_BP - sum b(R) log Xi(R) over the region poset."""
     b = counting_numbers({r.key: r.vertices for r in poset})
+    poset = [r for r in poset if b[r.key] != 0]
     corr = 0.0 + 0j
-    for r in poset:
-        if b[r.key] == 0:
-            continue
-        _, xi = region_partition(tn, messages, r)
+    for r, (_, xi) in zip(poset, region_partition(
+            tn, messages, [(r, {}) for r in poset])):
         corr += b[r.key] * guarded_log(xi, f"Xi({r.key})")
     f_bp = -bp_log_partition(tn, messages)
     return f_bp - corr, corr

@@ -16,7 +16,9 @@ messages mu/sqrt(I) absorbed on every leg off the loop, cached on the
 MessageSet), joined by excitation projectors on the loop edges, and the
 result is normalized by the product of BP local factors over the support.
 By locality of the BP background this equals the globally defined
-normalized excitation.
+normalized excitation.  A weight table is one bulk contraction: every
+support network is gathered first, and networks of the same structure are
+contracted together (``tensor.contract_many``).
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ import math
 
 from .bp import MessageSet, local_factors
 from .errors import CombinatorialBudgetExceeded
-from .network import Graph, TensorNetwork, connected_subsets
-from .tensor import contract_network
+from .network import Graph, connected_subsets
+# under the name perfbench/tracing.py wraps
+from .tensor import contract_closed as contract_network
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
 
@@ -135,33 +138,32 @@ def enumerate_strings(g: Graph, regions, max_weight: int):
     return out
 
 
-def excitation_weight(tn: TensorNetwork, messages: MessageSet,
-                      loop: GeneralizedLoop,
-                      factors: dict | None = None) -> complex:
-    """Normalized weight Z_l of one excitation, contracted on its support.
+def excitation_weight(messages: MessageSet, jobs, base) -> list:
+    """Normalized weights Z_l of (network, loop) jobs, each contracted on
+    its loop's support, all in one ``contract_closed`` call.
 
-    ``factors`` supplies the normalizing local factors z_v (computed from
-    ``tn`` itself when omitted); passing factors of an undecorated
-    background network evaluates the bar-normalized weights used by the
-    derivative-form estimators.
+    The local factors z_v that normalize them are those of the network
+    ``base``; an undecorated background for decorated jobs gives the
+    bar-normalized weights used by the derivative-form estimators.
     """
-    if factors is None:
-        factors = local_factors(tn, messages, loop.vertices)
-    g = tn.graph
-    pieces = [messages.dressed(
-        v, tn.tensors[v], [e for (e, _) in g.incident(v) if e in loop.edges])
-        for v in sorted(loop.vertices)]
-    pieces += [messages.projector(e) for e in sorted(loop.edges)]
-    raw = contract_network(pieces).item()
-    denom = 1.0 + 0j
-    for v in sorted(loop.vertices):
-        denom *= factors[str(v)]
-    return raw / denom
+    factors = local_factors(base, messages, dict.fromkeys(
+        v for _, loop in jobs for v in loop.vertices))
+    supports = [sorted(loop.vertices) for _, loop in jobs]
+    dressed = iter(messages.dressed([
+        (v, tn.tensors[v], frozenset(
+            e for (e, _) in tn.graph.incident(v) if e in loop.edges))
+        for (tn, loop), support in zip(jobs, supports) for v in support]))
+    pools = [[next(dressed) for _ in support]
+             + [messages.projector(e) for e in sorted(loop.edges)]
+             for (_, loop), support in zip(jobs, supports)]
+    return [raw / math.prod((factors[v] for v in support), start=1.0 + 0j)
+            for raw, support in zip(contract_network(pools), supports)]
 
 
 def evaluate_weights(tn, messages, loops) -> dict:
     """Weight table {loop.key: Z_l} for a loop list."""
-    return {l.key: excitation_weight(tn, messages, l) for l in loops}
+    return dict(zip([l.key for l in loops], excitation_weight(
+        messages, [(tn, l) for l in loops], tn)))
 
 
 def loop_decay_profile(weight_table: dict):

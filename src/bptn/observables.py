@@ -9,7 +9,9 @@ classical networks any modified site tensor).  Multi-site regions are
 merged into a supervertex first, so the string/cluster machinery always
 sees single terminal vertices.  The object enumerates strings, clusters,
 connected loop subsets and regions once per truncation and caches every
-weight, so estimators that share an object share that work.
+weight, so estimators that share an object share that work.  Each
+estimator asks for its whole weight table first (``weigh``), which the
+object computes in one bulk contraction; its sums then read the cache.
 
 Weight conventions: for a decorated network X the bar-normalized weight
 Zbar^X_l divides by the *undecorated* local factors; the ratio-normalized
@@ -159,15 +161,27 @@ class InsertionProblem:
 
     # -- weights ------------------------------------------------------------
 
+    def weigh(self, loops, regions):
+        """Bar weights of each loop with every subset of the ``regions``
+        on it inserted: the table an estimator reads, computed in one bulk
+        call for the entries not cached yet."""
+        todo = {}
+        for loop in loops:
+            on = [r for r in regions if r in loop.vertices]
+            for mask in range(1 << len(on)):
+                inserted = frozenset(r for k, r in enumerate(on)
+                                     if mask >> k & 1)
+                if (loop.key, inserted) not in self._weights:
+                    todo[loop.key, inserted] = (self.network(inserted), loop)
+        if todo:
+            self._weights.update(zip(todo, excitation_weight(
+                self.messages, list(todo.values()), self.base)))
+
     def bar_weight(self, loop, inserted=frozenset()) -> complex:
-        """Weight on the decorated network, base-z normalized."""
-        inserted = frozenset(r for r in inserted if r in loop.vertices)
-        key = (loop.key, inserted)
-        if key not in self._weights:
-            fac = local_factors(self.base, self.messages, loop.vertices)
-            self._weights[key] = excitation_weight(
-                self.network(inserted), self.messages, loop, factors=fac)
-        return self._weights[key]
+        """Weight on the decorated network, base-z normalized: an entry of
+        the table ``weigh`` computed."""
+        return self._weights[loop.key, frozenset(
+            r for r in inserted if r in loop.vertices)]
 
     def ratio_weight(self, loop, inserted=frozenset()) -> complex:
         """Weight on the decorated network, decorated-z normalized."""
@@ -243,6 +257,7 @@ def expval_bp_tensors(prob: InsertionProblem) -> Estimate:
 
 def expval_ratio_tensors(prob: InsertionProblem, m) -> Estimate:
     (rid,) = prob.region_ids
+    prob.weigh((l for c in prob.clusters(m) for l, _ in c.members), [rid])
     total = 0.0 + 0j
     for c in prob.clusters(m):
         zo = 1.0 + 0j
@@ -261,6 +276,7 @@ def expval_derivative_tensors(prob: InsertionProblem, m) -> Estimate:
     rids = tuple(prob.region_ids)
     if len(rids) > P_CAP:
         raise PCapExceeded(f"p = {len(rids)} exceeds cap {P_CAP}")
+    prob.weigh((l for c in prob.clusters(m) for l, _ in c.members), rids)
     total = 0.0 + 0j
     for c in prob.clusters(m):
         total += float(ursell(c)) * _cluster_mixed_coeff(prob, c, rids)
@@ -273,6 +289,7 @@ def expval_cumulant_tensors(prob: InsertionProblem, m) -> Estimate:
     (rid,) = prob.region_ids
     strings = prob.strings(m)
     subsets = prob.loop_subsets(m)
+    prob.weigh(strings, [rid])
     base_table = {l.key: prob.bar_weight(l) for l in strings}
     dec_table = {l.key: prob.ratio_weight(l, frozenset([rid]))
                  for l in strings}
@@ -289,13 +306,11 @@ def expval_region_sum_tensors(prob: InsertionProblem, k) -> Estimate:
     poset = prob.regions(k)
     b = counting_numbers({r.key: r.vertices for r in poset})
     repl = {rid: prob.replacements[rid]}
+    poset = [r for r in poset if b[r.key] != 0]
+    values = region_partition(prob.base, prob.messages, [
+        (r, replacements) for replacements in ({}, repl) for r in poset])
     total = 0.0 + 0j
-    for r in poset:
-        if b[r.key] == 0:
-            continue
-        raw, _ = region_partition(prob.base, prob.messages, r)
-        raw_o, _ = region_partition(prob.base, prob.messages, r,
-                                    replacements=repl)
+    for r, (raw, _), (raw_o, _) in zip(poset, values, values[len(poset):]):
         total += b[r.key] * (raw_o / raw)
     return Estimate(total, f"region_sum({k})")
 
@@ -306,6 +321,7 @@ def correlator_ratio_tensors(prob: InsertionProblem, m) -> Estimate:
     """Connected two-point correlator in the ratio normalization; the
     prefactors are the single-region ratio estimates at the same m."""
     a, b = prob.region_ids
+    prob.weigh((l for c in prob.clusters(m) for l, _ in c.members), [a, b])
     total = 0.0 + 0j
     for c in prob.clusters(m):
         z = zo_a = zo_b = zo_ab = 1.0 + 0j

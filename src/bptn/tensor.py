@@ -5,12 +5,18 @@ and a complex ndarray whose axes follow the leg order.  After every
 operation legs are brought to canonical (sorted-by-id) order, so equality
 of tensors is independent of construction history.
 
+``contract_many`` is the one contraction kernel: it groups many small
+networks by structure and runs each step of a group's greedy pair plan
+once, as a stacked matmul on raw arrays, bit for bit what ``np.tensordot``
+gives one pair at a time (the per-call form ``tests/oracles.py`` keeps).
+
 The pairing used throughout is the *bilinear* star contraction -- no
 complex conjugation is ever implied.  All operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,14 +57,17 @@ class DenseTensor:
             raise LegCollision(f"duplicate leg ids on one tensor: {ids}")
         data = np.asarray(data, dtype=complex)
         shape = tuple(l.dim for l in legs)
-        if data.size != int(np.prod(shape, dtype=np.int64)):
+        if data.size != math.prod(shape):
             raise DimensionMismatch(
                 f"data size {data.size} does not match leg dims {shape}")
         data = data.reshape(shape)
         # canonical order: sort legs by id, permute axes accordingly
-        order = sorted(range(len(legs)), key=lambda i: legs[i].id)
-        self.legs = [legs[i] for i in order]
-        self.data = np.ascontiguousarray(np.transpose(data, order))
+        order = sorted(range(len(legs)), key=ids.__getitem__)
+        if order != list(range(len(legs))):
+            legs = [legs[i] for i in order]
+            data = np.transpose(data, order)
+        self.legs = legs
+        self.data = np.ascontiguousarray(data)
 
     # -- conveniences -------------------------------------------------------
 
@@ -89,28 +98,10 @@ class DenseTensor:
         return f"DenseTensor(legs={self.legs!r}, shape={self.data.shape})"
 
 
-def scalar(value) -> DenseTensor:
-    return DenseTensor([], np.asarray(value, dtype=complex))
-
-
 def contract_pair(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    """Contract all shared legs of a and b (star operation).
-
-    Returns a tensor over the symmetric difference of the leg sets; a full
-    overlap yields a scalar tensor.
-    """
-    a_ids, b_ids = a.leg_ids, b.leg_ids
-    shared = [i for i in a_ids if i in set(b_ids)]
-    for s in shared:
-        if a.dim(s) != b.dim(s):
-            raise DimensionMismatch(
-                f"leg {s!r}: dim {a.dim(s)} vs {b.dim(s)}")
-    ax_a = [a_ids.index(s) for s in shared]
-    ax_b = [b_ids.index(s) for s in shared]
-    data = np.tensordot(a.data, b.data, axes=(ax_a, ax_b))
-    legs = ([l for l in a.legs if l.id not in shared]
-            + [l for l in b.legs if l.id not in shared])
-    return DenseTensor(legs, data)
+    """Contract all shared legs of a and b (star operation): a tensor over
+    the symmetric difference of the leg sets, a scalar on full overlap."""
+    return contract_network([a, b])
 
 
 def inner(a: DenseTensor, b: DenseTensor) -> complex:
@@ -124,7 +115,7 @@ def inner(a: DenseTensor, b: DenseTensor) -> complex:
     return complex(np.sum(a.data * b.data))
 
 
-# Greedy pair plans, keyed by network structure (see ``_plan``).  A plan
+# Greedy pair plans, keyed by network structure (see ``_groups``).  A plan
 # depends only on the structure, never on values, so sharing it between
 # callers is safe; the dict is emptied when it reaches _PLAN_CACHE_MAX.
 _PLANS: dict = {}
@@ -134,88 +125,136 @@ _PLAN_CACHE_MAX = 4096
 def _plan(struct, dims):
     """Greedy pair order for tensors with integer legs ``struct``.
 
-    Repeatedly picks the pair whose result has the fewest entries,
-    preferring pairs that share legs; ties go to the first pair in pool
-    order.  The contracted pair leaves the pool and its result is
-    appended.  Returns (steps, legs of the result), each step
-    (i, j, axes of i, axes of j, result entries); axes are positions in
-    the tensordot leg order (i's open legs, then j's).
+    Repeatedly picks the pair whose result has the fewest entries among
+    the pairs that share a leg, or among all pairs when none does; ties go
+    to the first pair in pool order.  The contracted pair leaves the pool
+    and its result is appended.  Returns (steps, legs of the result), each
+    step (i, j, axes of i, axes of j, result entries, matmul), the axes
+    in tensordot order (i's open legs, then j's).  ``matmul`` runs the
+    step on arrays stacked along axis 0: (axes permutation and matrix
+    shape of i, the same of j, result shape), or None for an outer
+    product.
     """
-    pool = list(struct)
+    pool = dict(enumerate(struct))  # by id; ids grow, so in pool order
+    sizes = {k: math.prod(dims[x] for x in legs) for k, legs in pool.items()}
+    owners, shared = {}, {}  # leg -> ids; (id, id) -> common dims product
+    for k, legs in pool.items():
+        for x in legs:
+            for o in owners.setdefault(x, []):
+                shared[o, k] = shared.get((o, k), 1) * dims[x]
+            owners[x].append(k)
     steps = []
     while len(pool) > 1:
-        best = None
-        for i in range(len(pool)):
-            set_i = set(pool[i])
-            for j in range(i + 1, len(pool)):
-                shared = set_i.intersection(pool[j])
-                out_size = 1
-                for x in pool[i] + pool[j]:
-                    if x not in shared:
-                        out_size *= dims[x]
-                key = (0 if shared else 1, out_size)
-                if best is None or key < best[0]:
-                    best = (key, i, j, shared)
-        (_, out_size), i, j, shared = best
-        a, b = pool[i], pool[j]
-        common = [x for x in a if x in shared]
-        steps.append((i, j, tuple(a.index(x) for x in common),
-                      tuple(b.index(x) for x in common), out_size))
-        del pool[j], pool[i]
-        pool.append(tuple(x for x in a + b if x not in shared))
-    return tuple(steps), pool[0]
+        pairs = shared or {(p, q): 1 for p in pool for q in pool if p < q}
+        out_size, p, q = min((sizes[p] * sizes[q] // (c * c), p, q)
+                             for (p, q), c in pairs.items())
+        order = list(pool)
+        i, j = order.index(p), order.index(q)
+        a, b, c = pool.pop(p), pool.pop(q), pairs[p, q]
+        common = [x for x in a if x in b]
+        ax_i = [a.index(x) for x in common]
+        ax_j = [b.index(x) for x in common]
+        free_a = [k for k, x in enumerate(a) if x not in common]
+        free_b = [k for k, x in enumerate(b) if x not in common]
+        rest = tuple(a[k] for k in free_a) + tuple(b[k] for k in free_b)
+        steps.append((i, j, tuple(ax_i), tuple(ax_j), out_size, (
+            (0, *[k + 1 for k in free_a + ax_i]), (-1, sizes[p] // c, c),
+            (0, *[k + 1 for k in ax_j + free_b]), (-1, c, sizes[q] // c),
+            (-1, *[dims[x] for x in rest])) if common else None))
+        t = len(struct) + len(steps)
+        pool[t], sizes[t] = rest, out_size
+        shared = {k: v for k, v in shared.items() if p not in k and q not in k}
+        for x in a + b:
+            owners[x] = [k for k in owners[x] if k != p and k != q]
+        for x in rest:
+            for o in owners[x]:
+                shared[o, t] = shared.get((o, t), 1) * dims[x]
+            owners[x].append(t)
+    return tuple(steps), next(iter(pool.values()), ())
+
+
+def _groups(pools) -> dict:
+    """{structure: [(pool index, {leg id: integer})]}: each pool's leg ids
+    interned to integers in order of first appearance, and a structure
+    the per-array integer legs plus the dims."""
+    found = {}
+    for n, pool in enumerate(pools):
+        index = {}
+        struct = tuple([tuple([index.setdefault(leg, len(index))
+                               for leg in ids]) for ids, _ in pool])
+        found.setdefault((struct, tuple([data.shape for _, data in pool])),
+                         []).append((n, index))
+    groups = {}
+    for (struct, shapes), members in found.items():
+        dims = {}
+        for legs, shape in zip(struct, shapes):
+            for x, dim in zip(legs, shape):
+                if dims.setdefault(x, dim) != dim:
+                    raise DimensionMismatch(f"leg {list(members[0][1])[x]!r}: "
+                                            f"dim {dims[x]} vs {dim}")
+        key = (struct, tuple(dims[x] for x in range(len(dims))))
+        groups.setdefault(key, []).extend(members)
+    return groups
+
+
+def contract_many(pools, size_cap: int | None = None) -> list:
+    """Contract many networks at once: (open leg ids, array) per pool.
+
+    A pool is a sequence of (leg ids, array) pairs.  Pools of one
+    structure share a greedy pair plan, computed once and cached, and
+    each plan step runs once per structure on the stacked arrays: a pair
+    sharing legs is one batched matmul of the matrices ``np.tensordot``
+    forms for one pair.  ``size_cap`` bounds the entry count of any
+    intermediate.  A leg id on more than two arrays is contracted by the
+    first pair that shares it and stays open on the others.
+    """
+    out = [None] * len(pools)
+    for key, members in _groups(pools).items():
+        if key not in _PLANS and len(_PLANS) >= _PLAN_CACHE_MAX:
+            _PLANS.clear()
+        steps, legs = _PLANS.get(key) or _PLANS.setdefault(key, _plan(*key))
+        # scalars (no legs) stay lists of their arrays, and so do outer
+        # products, row by row: np.multiply.outer rounds by memory layout
+        arrays = [np.array([pools[n][k][1] for n, _ in members]) if legs_k
+                  else [pools[n][k][1] for n, _ in members]
+                  for k, legs_k in enumerate(key[0])] or [
+                      [np.ones(1, dtype=complex)] * len(members)]
+        for i, j, _, _, out_size, matmul in steps:
+            if size_cap is not None and out_size > size_cap:
+                raise TooLarge(f"intermediate with {out_size} entries "
+                               f"exceeds cap {size_cap}")
+            b = arrays.pop(j)
+            a = arrays.pop(i)
+            if matmul is None:
+                arrays.append([np.multiply.outer(x, y) for x, y in zip(a, b)])
+                continue
+            perm_a, mat_a, perm_b, mat_b, shape = matmul
+            a = a.transpose(perm_a).reshape(mat_a)
+            b = b.transpose(perm_b).reshape(mat_b)
+            # a sum of one term is a scaling to np.dot, not to np.matmul
+            arrays.append((np.matmul(a, b) if mat_a[2] > 1 else np.array(
+                [np.dot(x, y) for x, y in zip(a, b)])).reshape(shape))
+        rows = arrays[0]
+        if isinstance(rows, list):
+            rows = [np.reshape(r, [key[1][x] for x in legs]) for r in rows]
+        for row, (n, index) in enumerate(members):
+            ids = list(index) if legs else ()
+            out[n] = (tuple(ids[x] for x in legs), rows[row])
+    return out
+
+
+def contract_closed(pools, size_cap: int | None = None) -> list:
+    """The scalar value of each closed pool (see ``contract_many``)."""
+    out = contract_many(pools, size_cap)
+    if any(ids for ids, _ in out):
+        raise DimensionMismatch("open legs on a closed network")
+    return [complex(data.item()) for _, data in out]
 
 
 def contract_network(tensors: Iterable[DenseTensor],
                      size_cap: int | None = None) -> DenseTensor:
-    """Contract a list of tensors pairwise under a greedy size heuristic.
-
-    Repeatedly contracts the pair whose result has the fewest entries
-    (preferring pairs that actually share legs); disconnected pieces end up
-    combined by outer products at the end.  ``size_cap`` bounds the entry
-    count of any intermediate.
-
-    Leg ids are interned to integers in order of first appearance, so two
-    networks of the same shape share one pair order, computed once and
-    cached by structure (per-tensor integer legs plus dims).  The pairs are
-    contracted with ``np.tensordot`` on the raw arrays; one DenseTensor is
-    built at the end.  A leg id on more than two tensors is contracted by
-    the first pair that shares it and stays open on the others.
-    """
-    pool = list(tensors)
-    if not pool:
-        return scalar(1.0)
-    if len(pool) == 1:
-        return pool[0]
-    index, dims, ids = {}, [], []
-    struct = []
-    for t in pool:
-        legs = []
-        for l in t.legs:
-            x = index.get(l.id)
-            if x is None:
-                x = index[l.id] = len(dims)
-                dims.append(l.dim)
-                ids.append(l.id)
-            elif dims[x] != l.dim:
-                raise DimensionMismatch(
-                    f"leg {l.id!r}: dim {dims[x]} vs {l.dim}")
-            legs.append(x)
-        struct.append(tuple(legs))
-    key = (tuple(struct), tuple(dims))
-    plan = _PLANS.get(key)
-    if plan is None:
-        if len(_PLANS) >= _PLAN_CACHE_MAX:
-            _PLANS.clear()
-        plan = _PLANS[key] = _plan(struct, dims)
-    steps, out = plan
-    arrays = [t.data for t in pool]
-    for i, j, ax_i, ax_j, out_size in steps:
-        if size_cap is not None and out_size > size_cap:
-            raise TooLarge(
-                f"intermediate with {out_size} entries exceeds cap {size_cap}")
-        b = arrays.pop(j)
-        a = arrays.pop(i)
-        arrays.append(np.tensordot(a, b, axes=(ax_i, ax_j)) if ax_i
-                      else np.multiply.outer(a, b))
-    return DenseTensor([Leg(ids[x], dims[x]) for x in out], arrays[0])
+    """Contract one network (see ``contract_many``); disconnected pieces
+    end up combined by outer products at the end."""
+    ((ids, data),) = contract_many(
+        [[(t.leg_ids, t.data) for t in tensors]], size_cap)
+    return DenseTensor(list(zip(ids, data.shape)), data)

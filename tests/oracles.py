@@ -3,10 +3,13 @@ program itself never evaluates them: the cumulant expansion in its
 counting-number and Moebius forms; the per-edge BP sweep, iteration
 and stability probe that the compiled sweep in ``bptn.bp`` replaced; the
 unpruned string enumeration that the leaf-pruned walk in ``bptn.loops``
-replaced; and the global and anchored region finders that
+replaced; the global and anchored region finders that
 ``bptn.cumulants.find_regions`` replaced, with an unpruned vertex walk,
 degrees from a scan of every edge, and an intersection closure that
-re-intersects the whole pool at every level."""
+re-intersects the whole pool at every level; and the per-call
+contractions that the bulk ones replaced: the greedy plan search over
+every pair, ``np.tensordot`` one pair at a time, one dressed tensor, one
+loop weight and one region value per call."""
 
 import math
 
@@ -14,13 +17,15 @@ import numpy as np
 
 from bptn.bp import (DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOL,
                      PROBE_EPSILON, PROBE_PERTURBATIONS, PROBE_SWEEPS,
-                     BPResult, MessageSet, bp_log_partition)
+                     BPResult, MessageSet, bp_log_partition, edge_projector,
+                     local_factors)
 from bptn.cumulants import (DEFAULT_BUDGET, Region, counting_numbers,
                             guarded_log, restricted_partition)
-from bptn.errors import CombinatorialBudgetExceeded, NumericalCollapse
+from bptn.errors import (CombinatorialBudgetExceeded, DimensionMismatch,
+                         NumericalCollapse, TooLarge)
 from bptn.loops import GeneralizedLoop
-from bptn.network import connected_subsets, is_connected
-from bptn.tensor import DenseTensor, contract_pair
+from bptn.network import DEFAULT_SIZE_CAP, connected_subsets, is_connected
+from bptn.tensor import DenseTensor, Leg, contract_pair
 
 
 def mobius_subset(A, B) -> int:
@@ -280,3 +285,124 @@ def find_regions_local(g, k: int, A):
         return frozenset(p)
 
     return _intersection_closure(g, maximal, keep)
+
+
+# --- the per-call contractions --------------------------------------------
+
+def plan(struct, dims):
+    """Greedy pair order for tensors with integer legs ``struct``.
+
+    Repeatedly picks the pair whose result has the fewest entries,
+    preferring pairs that share legs; ties go to the first pair in pool
+    order.  The contracted pair leaves the pool and its result is
+    appended.  Returns (steps, legs of the result), each step
+    (i, j, axes of i, axes of j, result entries); axes are positions in
+    the tensordot leg order (i's open legs, then j's).
+    """
+    pool = list(struct)
+    steps = []
+    while len(pool) > 1:
+        best = None
+        for i in range(len(pool)):
+            set_i = set(pool[i])
+            for j in range(i + 1, len(pool)):
+                shared = set_i.intersection(pool[j])
+                out_size = 1
+                for x in pool[i] + pool[j]:
+                    if x not in shared:
+                        out_size *= dims[x]
+                key = (0 if shared else 1, out_size)
+                if best is None or key < best[0]:
+                    best = (key, i, j, shared)
+        (_, out_size), i, j, shared = best
+        a, b = pool[i], pool[j]
+        common = [x for x in a if x in shared]
+        steps.append((i, j, tuple(a.index(x) for x in common),
+                      tuple(b.index(x) for x in common), out_size))
+        del pool[j], pool[i]
+        pool.append(tuple(x for x in a + b if x not in shared))
+    return tuple(steps), pool[0]
+
+
+def contract_network(tensors, size_cap=None) -> DenseTensor:
+    """One network, contracted pair by pair with ``np.tensordot`` in the
+    order ``plan`` gives."""
+    pool = list(tensors)
+    if not pool:
+        return DenseTensor([], 1.0)
+    if len(pool) == 1:
+        return pool[0]
+    index, dims, ids = {}, [], []
+    struct = []
+    for t in pool:
+        legs = []
+        for l in t.legs:
+            x = index.get(l.id)
+            if x is None:
+                x = index[l.id] = len(dims)
+                dims.append(l.dim)
+                ids.append(l.id)
+            elif dims[x] != l.dim:
+                raise DimensionMismatch(
+                    f"leg {l.id!r}: dim {dims[x]} vs {l.dim}")
+            legs.append(x)
+        struct.append(tuple(legs))
+    steps, out = plan(struct, dims)
+    arrays = [t.data for t in pool]
+    for i, j, ax_i, ax_j, out_size in steps:
+        if size_cap is not None and out_size > size_cap:
+            raise TooLarge(
+                f"intermediate with {out_size} entries exceeds cap {size_cap}")
+        b = arrays.pop(j)
+        a = arrays.pop(i)
+        arrays.append(np.tensordot(a, b, axes=(ax_i, ax_j)) if ax_i
+                      else np.multiply.outer(a, b))
+    return DenseTensor([Leg(ids[x], dims[x]) for x in out], arrays[0])
+
+
+def dressed(messages, v, tensor, kept) -> DenseTensor:
+    """``tensor`` at vertex v with mu_{n->v}/sqrt(I_e) absorbed on every
+    incident edge e not in ``kept``; each kept leg e is renamed
+    ``'<e>@<v>'``."""
+    pieces = [tensor.relabel({e: f"{e}@{v}" for e in kept})]
+    for (e, n) in messages.tn.graph.incident(v):
+        if e not in kept:
+            pieces.append(
+                messages.message(n, v).scale(1.0 / messages.sqrt_inner(e)))
+    return contract_network(pieces)
+
+
+def excitation_weight(tn, messages, loop, factors=None) -> complex:
+    """Normalized weight Z_l of one excitation, contracted on its
+    support; ``factors`` defaults to ``tn``'s own local factors."""
+    if factors is None:
+        factors = local_factors(tn, messages, loop.vertices)
+    g = tn.graph
+    pieces = [dressed(
+        messages, v, tn.tensors[v],
+        [e for (e, _) in g.incident(v) if e in loop.edges])
+        for v in sorted(loop.vertices)]
+    pieces += [edge_projector(messages, e) for e in sorted(loop.edges)]
+    raw = contract_network(pieces).item()
+    denom = 1.0 + 0j
+    for v in sorted(loop.vertices):
+        denom *= factors[str(v)]
+    return raw / denom
+
+
+def region_partition(tn, messages, R, replacements=None):
+    """(Xi_tilde(R), Xi(R)) of one region, with the region legs renamed
+    back from ``'<e>@<v>'`` to ``e``."""
+    replacements = replacements or {}
+    g = tn.graph
+    pieces = []
+    for v in sorted(R.vertices):
+        internal = [e for (e, n) in g.incident(v) if n in R.vertices]
+        pieces.append(dressed(
+            messages, v, replacements.get(v, tn.tensors[v]),
+            internal).relabel({f"{e}@{v}": e for e in internal}))
+    raw = contract_network(pieces, size_cap=DEFAULT_SIZE_CAP).item()
+    denom = 1.0 + 0j
+    for z in local_factors(tn, messages, sorted(R.vertices)).values():
+        denom *= z
+    return raw, raw / denom

@@ -25,7 +25,7 @@ from bptn.cumulants import (connected_loop_subsets, cumulant,
                             cumulant_free_energy, find_regions,
                             region_free_energy)
 from bptn.loops import (GeneralizedLoop, enumerate_loops, evaluate_weights,
-                        excitation_weight, loop_decay_profile)
+                        loop_decay_profile)
 from bptn.models import (IsingParams, ising_exact_logZ, ising_insertion,
                          ising_network, ising_paramagnetic_messages,
                          peps_statevector, random_peps, random_tree_network,
@@ -72,7 +72,7 @@ def test_acceptance_2_single_loop_identity():
         assert res.converged
         loops = enumerate_loops(tn.graph, n)
         assert len(loops) == 1
-        zl = excitation_weight(tn, res.messages, loops[0])
+        zl = evaluate_weights(tn, res.messages, loops)[loops[0].key]
         z_bp = cmath.exp(bp_log_partition(tn, res.messages))
         z = exact_contract(tn)
         assert abs(z - z_bp * (1 + zl)) <= 1e-10 * abs(z), n

@@ -191,8 +191,8 @@ def test_region_partition_equals_loop_gas():
     loop-gas sum over loops contained in the region."""
     p, tn, ms, loops, table = _ising_setup(L=4, beta=0.2, m=8)
     poset = find_regions(tn.graph, 4)
-    for r in poset[:6]:
-        _, xi = region_partition(tn, ms, r)
+    values = region_partition(tn, ms, [(r, {}) for r in poset[:6]])
+    for r, (_, xi) in zip(poset, values):
         inside = [l for l in loops if l.vertices <= r.vertices
                   and l.edges <= r.edges]
         want = restricted_partition(inside, table)

@@ -1,18 +1,30 @@
-"""Dressed-tensor weights and regions against the piece lists they replace.
+"""Dressed-tensor weights and regions against the piece lists they replace,
+and the bulk contractions against the per-call ones.
 
 The reference builds the full piece list of a support -- its site tensors,
 mu/sqrt(I) on every boundary leg, and (for loops) the edge projectors --
-and contracts it with one np.einsum call, independent of contract_network
-and of the dressed-tensor cache.
+and contracts it with one np.einsum call, independent of the contraction
+kernel and of the dressed-tensor cache.  The per-call oracle
+(``tests/oracles.py``) contracts one dressed tensor, one weight and one
+region at a time with ``np.tensordot``; the bulk path must equal it bit
+for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import bptn.cumulants
+import bptn.loops
+import bptn.tensor
+import oracles
 from bptn.bp import (bp_iterate, edge_projector, local_factors,
                      uniform_messages)
+from bptn.cli import main
 from bptn.cumulants import find_regions, region_partition
-from bptn.loops import enumerate_loops, excitation_weight
+from bptn.errors import TooLarge
+from bptn.loops import enumerate_loops, evaluate_weights
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          random_peps)
 from bptn.network import build_norm_network, peps_replacements
@@ -88,8 +100,9 @@ def test_weights_match_reference_ising_field(ising_field):
     _, tn, ms = ising_field
     loops = enumerate_loops(tn.graph, 6)
     assert len(loops) == 152
+    table = evaluate_weights(tn, ms, loops)
     for loop in loops:
-        got = excitation_weight(tn, ms, loop)
+        got = table[loop.key]
         want = _reference_weight(
             tn, ms, loop, local_factors(tn, ms, loop.vertices))
         assert want != 0 and _close(got, want), loop
@@ -99,8 +112,9 @@ def test_weights_match_reference_peps_norm(peps33):
     _, tn, ms = peps33
     loops = enumerate_loops(tn.graph, 12)  # every loop of the 3x3 grid
     assert len(loops) == 42
+    table = evaluate_weights(tn, ms, loops)
     for loop in loops:
-        got = excitation_weight(tn, ms, loop)
+        got = table[loop.key]
         want = _reference_weight(
             tn, ms, loop, local_factors(tn, ms, loop.vertices))
         assert want != 0 and _close(got, want), loop
@@ -109,7 +123,8 @@ def test_weights_match_reference_peps_norm(peps33):
 def test_bar_weights_on_decorated_networks_match_reference(peps33):
     """Decorated networks share the messages but swap one site tensor;
     the dressed cache must keep their entries apart.  Undecorated and
-    decorated weights are asked for in alternation."""
+    decorated weights are asked for in alternation, one loop per
+    ``weigh`` call."""
     peps, tn, ms = peps33
     repl = peps_replacements(peps, {"0,1": _SZ})
     prob = InsertionProblem(tn, ms, [repl])
@@ -121,6 +136,7 @@ def test_bar_weights_on_decorated_networks_match_reference(peps33):
              if min(degree_map(prob.base.graph, l.edges).values()) < 2}
     assert open_strings
     for loop in strings:
+        prob.weigh([loop], [rid])
         fac = local_factors(prob.base, prob.messages, loop.vertices)
         for inserted in ({frozenset()} | ({frozenset([rid])}
                                            if loop in decorated else set())):
@@ -138,8 +154,8 @@ def test_region_partition_matches_reference(ising_field):
     _, tn, ms = ising_field
     poset = find_regions(tn.graph, 6)
     assert poset
-    for R in poset:
-        raw, xi = region_partition(tn, ms, R)
+    values = region_partition(tn, ms, [(R, {}) for R in poset])
+    for R, (raw, xi) in zip(poset, values):
         want = _reference_region(tn, ms, R, {})
         denom = np.prod(list(local_factors(tn, ms, R.vertices).values()))
         assert _close(raw, want) and _close(xi, want / denom), R
@@ -151,8 +167,169 @@ def test_region_partition_with_replacements_matches_reference(ising_field):
     repl = ising_insertion(tn, p, {site: _SZ})
     poset = find_regions(tn.graph, 5, site)
     assert len(poset) > 1
-    for R in poset:
-        for replacements in ({}, repl):
-            raw, _ = region_partition(tn, ms, R, replacements=replacements)
-            want = _reference_region(tn, ms, R, replacements)
-            assert _close(raw, want), (R, replacements)
+    jobs = [(R, replacements) for R in poset for replacements in ({}, repl)]
+    for (R, replacements), (raw, _) in zip(
+            jobs, region_partition(tn, ms, jobs)):
+        want = _reference_region(tn, ms, R, replacements)
+        assert _close(raw, want), (R, replacements)
+
+
+# --- the bulk contractions against the per-call oracle ----------------------
+
+_PEPS_SITE = "2,2"
+
+
+def _benchmark_problem(name):
+    """The network, messages and expansion of a benchmark workload:
+    ``ising_free_energy`` (5x5 torus, m = 6, k = 6) or ``peps_expval``
+    (5x5 PEPS norm at seed 11, site 2,2, m = 7, k = 6)."""
+    if name == "ising_free_energy":
+        tn = ising_network(IsingParams(L=5, beta=0.2))
+        res = bp_iterate(tn, uniform_messages(tn))
+        return tn, res.messages, None
+    peps = random_peps(5, 5, D=2, perturbation=0.25, seed=11)
+    tn = build_norm_network(peps)
+    res = bp_iterate(tn, uniform_messages(tn))
+    return tn, res.messages, peps_replacements(peps, {_PEPS_SITE: _SZ})
+
+
+def _assert_bar_weights_match_oracle(prob, loops, regions):
+    """One ``weigh`` call caches every bar weight of the loops with and
+    without the regions, each equal to the per-call oracle's bit for
+    bit."""
+    prob.weigh(loops, regions)
+    for loop in loops:
+        fac = local_factors(prob.base, prob.messages, loop.vertices)
+        on = [r for r in regions if r in loop.vertices]
+        for inserted in (frozenset(), frozenset(on)):
+            want = oracles.excitation_weight(
+                prob.network(inserted), prob.messages, loop, factors=fac)
+            assert prob._weights[loop.key, inserted] == want, (loop, inserted)
+
+
+def _assert_regions_match_oracle(tn, messages, jobs):
+    for (R, replacements), got in zip(jobs,
+                                      region_partition(tn, messages, jobs)):
+        assert got == oracles.region_partition(
+            tn, messages, R, replacements), (R, replacements)
+
+
+def test_bulk_matches_per_call_oracle_ising_free_energy():
+    tn, ms, _ = _benchmark_problem("ising_free_energy")
+    loops = enumerate_loops(tn.graph, 6)
+    table = evaluate_weights(tn, ms, loops)
+    assert len(table) == 85
+    for loop in loops:
+        assert table[loop.key] == oracles.excitation_weight(tn, ms, loop)
+    poset = find_regions(tn.graph, 6)
+    assert len(poset) == 85
+    _assert_regions_match_oracle(tn, ms, [(R, {}) for R in poset])
+
+
+def test_bulk_matches_per_call_oracle_peps_expval():
+    tn, ms, repl = _benchmark_problem("peps_expval")
+    prob = InsertionProblem(tn, ms, [repl])
+    (rid,) = prob.region_ids
+    strings = prob.strings(7)
+    assert len(strings) == 116
+    _assert_bar_weights_match_oracle(prob, strings, [rid])
+    assert len(prob._weights) == 196
+    poset = prob.regions(6)
+    assert len(poset) == 25
+    _assert_regions_match_oracle(prob.base, prob.messages, [
+        (R, r) for R in poset for r in ({}, {rid: prob.replacements[rid]})])
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(2, 3), cols=st.integers(2, 3),
+       perturbation=st.floats(0.05, 0.4), seed=st.integers(0, 10 ** 6),
+       data=st.data())
+def test_bulk_matches_per_call_oracle_on_random_peps(rows, cols,
+                                                     perturbation, seed,
+                                                     data):
+    """Random strings of a small random PEPS, asked for in a random order
+    with or without the inserted region, and its anchored regions with
+    and without the insertion, all equal the per-call oracle."""
+    peps = random_peps(rows, cols, D=2, perturbation=perturbation,
+                       seed=seed)
+    tn = build_norm_network(peps)
+    res = bp_iterate(tn, uniform_messages(tn), tol=1e-12)
+    assume(res.converged)
+    site = data.draw(st.sampled_from(tn.graph.vertices))
+    prob = InsertionProblem(tn, res.messages, [peps_replacements(
+        peps, {site: _SZ})])
+    (rid,) = prob.region_ids
+    strings = prob.strings(data.draw(st.integers(2, 6)))
+    picked = data.draw(st.lists(st.sampled_from(strings), unique_by=lambda
+                                l: l.key) if strings else st.just([]))
+    regions = data.draw(st.sampled_from([[], [rid]]))
+    _assert_bar_weights_match_oracle(prob, picked, regions)
+    poset = prob.regions(data.draw(st.integers(1, 5)))
+    _assert_regions_match_oracle(prob.base, prob.messages, [
+        (R, r) for R in poset for r in ({}, {rid: prob.replacements[rid]})])
+
+
+def _record_bulk_calls(monkeypatch):
+    """Wrap the bulk contraction under the names ``loops`` and
+    ``cumulants`` call it by; record (caller, pools, groups run) per
+    call and every structure key."""
+    calls, keys = [], set()
+    for module in (bptn.loops, bptn.cumulants):
+        def counting(pools, size_cap=None, module=module,
+                     bulk=module.contract_network):
+            groups = bptn.tensor._groups(pools)
+            calls.append((module.__name__, len(pools), len(groups)))
+            keys.update(groups)
+            return bulk(pools, size_cap)
+        monkeypatch.setattr(module, "contract_network", counting)
+    return calls, keys
+
+
+@pytest.mark.parametrize("argv, want_calls, structures", [
+    (["free-energy", "--generate", "ising:L=5,beta=0.2", "-m", "6", "-k",
+      "6"], [("bptn.loops", 85, 8), ("bptn.cumulants", 85, 8)], 16),
+    (["expval", "--generate", "peps:rows=5,cols=5,D=2,perturbation=0.25",
+      "--site", _PEPS_SITE, "-m", "7", "-k", "6", "--seed", "11"],
+     [("bptn.loops", 160, 53), ("bptn.loops", 36, 5),
+      ("bptn.cumulants", 50, 10)], 63),
+], ids=["ising_free_energy", "peps_expval"])
+def test_bulk_group_counts(argv, want_calls, structures, monkeypatch,
+                           tmp_path):
+    """The benchmark argvs contract 170 weights and regions in 16
+    structures, and 246 in 63.  Each table is one bulk call: the ratio
+    estimator's weights (160), the cumulant estimator's strings outside
+    every cluster (36) and the region values (50, raw and decorated).  A
+    table asked for piece by piece would make more calls and run more
+    groups."""
+    calls, keys = _record_bulk_calls(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == want_calls
+    assert len(keys) == structures
+
+
+def test_region_path_size_cap(monkeypatch, tmp_path):
+    """The bulk region contraction keeps the size cap: at the largest
+    intermediate of the ``ising_free_energy`` regions it runs, one entry
+    below it raises TooLarge, and the CLI exits 4."""
+    argv = ["free-energy", "--generate", "ising:L=5,beta=0.2", "-m", "2",
+            "-k", "6", "--out", str(tmp_path / "fe.csv")]
+    pools = []
+    bulk = bptn.cumulants.contract_network
+
+    def recording(p, size_cap=None):
+        pools.extend(p)
+        return bulk(p, size_cap)
+
+    monkeypatch.setattr(bptn.cumulants, "contract_network", recording)
+    assert main(argv) == 0
+    largest = max(step[4] for key in bptn.tensor._groups(pools)
+                  for step in bptn.tensor._PLANS[key][0])
+    monkeypatch.setattr(bptn.cumulants, "contract_network", bulk)
+    monkeypatch.setattr(bptn.cumulants, "DEFAULT_SIZE_CAP", largest)
+    assert main(argv) == 0
+    monkeypatch.setattr(bptn.cumulants, "DEFAULT_SIZE_CAP", largest - 1)
+    with pytest.raises(TooLarge):
+        region_partition(*_benchmark_problem("ising_free_energy")[:2], [
+            (R, {}) for R in find_regions(ising_network(
+                IsingParams(L=5, beta=0.2)).graph, 6)])
+    assert main(argv) == 4

@@ -11,8 +11,7 @@ from bptn.bp import bp_iterate, bp_log_partition, uniform_messages
 from bptn.errors import CombinatorialBudgetExceeded
 from bptn.loops import (GeneralizedLoop, connected_edge_subsets,
                         enumerate_loops, enumerate_strings,
-                        evaluate_weights, excitation_weight,
-                        loop_decay_profile)
+                        evaluate_weights, loop_decay_profile)
 from bptn.models import (IsingParams, ising_network,
                          ising_paramagnetic_messages, random_peps,
                          random_tree_network, single_loop_network)
@@ -135,7 +134,7 @@ def test_single_loop_weight_is_exact_correction():
     res = bp_iterate(tn, uniform_messages(tn), tol=1e-13)
     assert res.converged
     (loop,) = enumerate_loops(tn.graph, 6)
-    zl = excitation_weight(tn, res.messages, loop)
+    zl = evaluate_weights(tn, res.messages, [loop])[loop.key]
     z = exact_contract(tn)
     z_bp = np.exp(bp_log_partition(tn, res.messages))
     assert abs(z / z_bp - (1 + zl)) < 1e-12
@@ -147,8 +146,7 @@ def test_plaquette_weight_tanh_oracle():
     tn = ising_network(p)
     ms = ising_paramagnetic_messages(p, tn)
     loops = enumerate_loops(tn.graph, 4)
-    for l in loops:
-        w = excitation_weight(tn, ms, l)
+    for w in evaluate_weights(tn, ms, loops).values():
         assert abs(w - math.tanh(0.2) ** 4) < 1e-14
 
 
@@ -160,8 +158,8 @@ def test_open_strings_vanish_without_insertion():
     opens = [s for s in strings if any(
         d < 2 for d in oracles.degree_map(tn.graph, s.edges).values())]
     assert opens, "expected open strings in scope"
-    for s in opens[:40]:
-        assert abs(excitation_weight(tn, ms, s)) < 1e-13
+    for w in evaluate_weights(tn, ms, opens[:40]).values():
+        assert abs(w) < 1e-13
 
 
 def test_enumerate_strings_includes_closed_loops():
@@ -179,7 +177,7 @@ def test_weight_locality_matches_global_contraction():
     tn = single_loop_network(5, seed=4)
     res = bp_iterate(tn, uniform_messages(tn), tol=1e-13)
     (loop,) = enumerate_loops(tn.graph, 5)
-    local = excitation_weight(tn, res.messages, loop)
+    local = evaluate_weights(tn, res.messages, [loop])[loop.key]
     # global: on the single loop the support is the whole network, so the
     # locally computed value must reproduce Z/Z_BP - 1
     z = exact_contract(tn)

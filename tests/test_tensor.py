@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bptn.errors import DimensionMismatch, LegCollision, TooLarge
-from bptn.tensor import (DenseTensor, Leg, contract_network, contract_pair,
-                         inner, scalar)
+from bptn.tensor import (DenseTensor, Leg, _plan, contract_closed,
+                         contract_many, contract_network, contract_pair,
+                         inner)
 
 
 def t(ids_dims, data):
@@ -92,7 +94,7 @@ def test_contract_network_size_cap():
 
 
 def test_scalar_item():
-    assert scalar(3.5 - 1j).item() == 3.5 - 1j
+    assert DenseTensor([], 3.5 - 1j).item() == 3.5 - 1j
     with pytest.raises(DimensionMismatch):
         t([("x", 2)], [1.0, 2.0]).item()
 
@@ -152,23 +154,35 @@ def _einsum_reference(tensors, out_ids, absolute=False):
     return np.einsum(*args, [labels[i] for i in out_ids])
 
 
+def _random_tensors(net, rng, rename=lambda i: i):
+    """The tensors of a ``_networks`` draw, leg ids through ``rename``."""
+    n, legs, _ = net
+    tens = []
+    for k in range(n):
+        ld = [(rename(name), dim) for name, dim, owners in legs
+              if k in owners]
+        shape = [d for _, d in ld]
+        tens.append(t(ld, rng.standard_normal(shape)
+                      + 1j * rng.standard_normal(shape)))
+    return tens
+
+
+def _renamed(i):
+    """A leg id renamed: same structure, the sorted leg order reversed."""
+    return f"z{9 - int(i[1:])}"
+
+
 @settings(max_examples=60, deadline=None)
 @given(_networks())
 def test_contract_network_matches_einsum(net):
     """contract_network equals one np.einsum over the same network, and a
     renamed copy (same structure, so the cached pair order is reused)
     equals it too."""
-    n, legs, seed = net
+    _, legs, seed = net
     rng = np.random.default_rng(seed)
     open_ids = sorted(name for name, _, owners in legs if len(owners) == 1)
-    for rename in (lambda i: i, lambda i: f"z{9 - int(i[1:])}"):
-        tens = []
-        for k in range(n):
-            ld = [(rename(name), dim) for name, dim, owners in legs
-                  if k in owners]
-            shape = [d for _, d in ld]
-            tens.append(t(ld, rng.standard_normal(shape)
-                          + 1j * rng.standard_normal(shape)))
+    for rename in (lambda i: i, _renamed):
+        tens = _random_tensors(net, rng, rename)
         out_ids = sorted(rename(i) for i in open_ids)
         got = contract_network(tens)
         want = _einsum_reference(tens, out_ids)
@@ -176,3 +190,69 @@ def test_contract_network_matches_einsum(net):
         scale = _einsum_reference(tens, out_ids, absolute=True)
         assert got.leg_ids == out_ids
         assert np.all(np.abs(got.data - want) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_networks(), min_size=1, max_size=4))
+def test_contract_many_matches_per_call_oracle(nets):
+    """Each network of a bulk call, and its renamed copy in the same call
+    (same structure, so one group), equals the per-call ``np.tensordot``
+    oracle bit for bit."""
+    tens = []
+    for net in nets:
+        rng = np.random.default_rng(net[2])
+        tens += [_random_tensors(net, rng),
+                 _random_tensors(net, rng, _renamed)]
+    got = contract_many([[(x.leg_ids, x.data) for x in ts] for ts in tens])
+    for ts, (ids, data) in zip(tens, got):
+        want = oracles.contract_network(ts)
+        out = DenseTensor(list(zip(ids, np.shape(data))), data)
+        assert out.leg_ids == want.leg_ids
+        assert np.array_equal(out.data, want.data)
+
+
+@st.composite
+def _structures(draw):
+    """Integer leg structures: each leg on one, two or three tensors;
+    tensors may have no legs, and nothing keeps the network connected."""
+    n = draw(st.integers(1, 7))
+    n_legs = draw(st.integers(0, 10))
+    dims = [draw(st.integers(1, 4)) for _ in range(n_legs)]
+    legs = [[] for _ in range(n)]
+    for x in range(n_legs):
+        for k in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=3, unique=True)):
+            legs[k].append(x)
+    return [tuple(draw(st.permutations(l))) for l in legs], dims
+
+
+@settings(max_examples=200, deadline=None)
+@given(_structures())
+def test_plan_matches_search_over_every_pair(structure):
+    """Searching only the pairs that share a leg, while any do, gives the
+    plan the search over every pair gives."""
+    struct, dims = structure
+    steps, out = _plan(struct, dims)
+    assert (tuple(s[:5] for s in steps), out) == oracles.plan(struct, dims)
+
+
+_CLOSED = [(("x",), np.ones(2)), (("x",), np.ones(2))]
+
+
+def test_contract_many_dim_clash_in_any_pool():
+    with pytest.raises(DimensionMismatch):
+        contract_many([_CLOSED,
+                       [(("x",), np.ones(2)), (("x",), np.ones(3))]])
+
+
+def test_contract_closed_refuses_open_legs():
+    assert contract_closed([_CLOSED]) == [2.0]
+    with pytest.raises(DimensionMismatch):
+        contract_closed([_CLOSED, [(("x", "y"), np.ones((2, 2)))]])
+
+
+def test_contract_many_size_cap():
+    small = [(("x",), np.ones(2)), (("x", "y"), np.ones((2, 3)))]
+    assert contract_many([small], size_cap=3)[0][1].shape == (3,)
+    with pytest.raises(TooLarge):
+        contract_many([small], size_cap=2)
