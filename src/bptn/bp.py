@@ -9,15 +9,19 @@ downstream only closed products of them are used, so branches cancel).
 
 The sweep is compiled once per call of ``bp_iterate``, ``stability_probe``
 or ``self_consistency_residual`` (``_Plan``).  The messages of each bond
-dimension are the rows of one stacked complex array.  Updates that share a
-tensor shape and a sequence of contracted leg positions form a group, and
-a sweep is one batched one-leg matmul per (group, leg) plus one stacked
-normalization per bond dimension.  The three functions work on the stacked
-arrays and build a ``MessageSet`` only for what they return.  The result is
-bit-identical to the per-edge ``contract_pair`` path the compiled sweep
-replaced, which ``tests/oracles.py`` keeps as the reference: the golden
-``bp`` body pins ``residual`` (a difference near ``tol``) and
-``growth_ratio`` (a finite difference at step 1e-7) at 1e-12 relative.
+dimension are the rows of one stacked complex array, (rows, d), or
+(C, rows, d) with a leading chain axis that carries C independent message
+sets; the stability probe advances all its chains in one sweep.  Updates
+that share a tensor shape and a sequence of contracted leg positions form
+a group, and a sweep is one batched one-leg matmul per (group, leg), its
+axis permutation precomputed, plus one stacked normalization per bond
+dimension.  The three functions work on the stacked arrays and build a
+``MessageSet`` only for what they return.  The result is bit-identical
+to the per-edge ``contract_pair`` path the compiled sweep replaced, and
+each probe chain to running it alone, as ``tests/oracles.py`` keeps them
+for reference: the golden ``bp`` body pins ``residual`` (a difference
+near ``tol``) and ``growth_ratio`` (a finite difference at step 1e-7) at
+1e-12 relative.
 """
 
 from __future__ import annotations
@@ -45,22 +49,24 @@ PROBE_SWEEPS = 120
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """2-norm of each row of a (rows, d) complex array.
+    """2-norm of each row (last axis) of a (..., d) complex array.
 
     ``np.linalg.norm`` of one row adds two BLAS ``ddot`` calls, on the
     real and on the imaginary part; a stacked (rows, 1, d) @ (rows, d, 1)
-    matmul makes the same ``ddot`` call for every row, so each norm is the
-    one ``np.linalg.norm`` gives, bit for bit.
+    matmul over the rows reshaped to (rows, d) makes the same ``ddot``
+    call for every row, so each norm is the one ``np.linalg.norm`` gives,
+    bit for bit.
     """
-    re, im = x.real, x.imag
+    flat = x.reshape(-1, x.shape[-1])
+    re, im = flat.real, flat.imag
     sq = (np.matmul(re[:, None, :], re[:, :, None])
           + np.matmul(im[:, None, :], im[:, :, None]))
-    return np.sqrt(sq[:, 0, 0])
+    return np.sqrt(sq[:, 0, 0]).reshape(x.shape[:-1])
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Each row at unit 2-norm, its largest-magnitude component real
-    positive.
+    """Each row (last axis) of a (..., d) array at unit 2-norm, its
+    largest-magnitude component real positive.
 
     Bit for bit what normalizing each row alone gives: divide by
     ``np.linalg.norm(row)`` (see ``_row_norms``), find k by
@@ -70,12 +76,23 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     may round differently, so only the argmax uses it.  The divisions are
     elementwise and round as they do on one row.
     """
+    shape, x = x.shape, x.reshape(-1, x.shape[-1])
     n = _row_norms(x)
     if np.any(n < 1e-14):
         raise NumericalCollapse("message update collapsed to zero")
     x = x / n[:, None]
     top = x[np.arange(len(x)), np.argmax(np.abs(x), axis=1)]
-    return x / (top / np.hypot(top.real, top.imag))[:, None]
+    return (x / (top / np.hypot(top.real, top.imag))[:, None]).reshape(shape)
+
+
+def _median(xs: list) -> float:
+    """``np.median`` of a non-empty list of floats: the middle value, or
+    ``(a + b) / 2`` of the two middle ones, the IEEE operations
+    ``np.median``'s mean makes.  Plain Python, because ``np.median``
+    imports ``numpy.ma`` on first use (about 11 ms and 1.4 MB)."""
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
 
 
 class MessageSet:
@@ -220,13 +237,16 @@ class _Plan:
     """One network's BP sweep, compiled.
 
     The messages of one bond dimension d are the rows of one (rows, d)
-    array; ``slot`` maps a directed edge (v, w) to (d, row), with rows in
-    sorted edge order.  The update of v->w stars T_v with the messages
-    into v on every other incident edge, one leg at a time in ``incident``
-    order.  Updates with the same tensor shape and the same sequence of
-    contracted leg positions form a group; each step of a group is one
-    stacked (B, rest, d) @ (B, d, 1) matmul, the product ``np.tensordot``
-    forms for one update.
+    array, or of a (C, rows, d) array that carries C independent message
+    sets (the stability probe's chains); ``slot`` maps a directed edge
+    (v, w) to (d, row), with rows in sorted edge order.  The update of v->w
+    stars T_v with the messages into v on every other incident edge, one
+    leg at a time in ``incident`` order.  Updates with the same tensor
+    shape and the same sequence of contracted leg positions form a group;
+    each step of a group is one stacked (C, B, rest, d) @ (C, B, d, 1)
+    matmul, the product ``np.tensordot`` forms for one update.  A group's
+    tensors are stacked once with a leading axis of length 1, which the
+    first matmul broadcasts against the chains.
     """
 
     def __init__(self, tn: TensorNetwork):
@@ -261,15 +281,19 @@ class _Plan:
             groups.setdefault((t.data.shape, tuple(positions)), []).append(
                 (t.data, sources, self.slot[(v, w)]))
         # (stacked tensors, steps, output bond dim, output rows), each step
-        # (leg position, leg dim, rows of the messages, shape after it)
+        # (axis permutation that moves the leg last, matrix shape, leg dim,
+        # rows of the messages, shape after it); -1 is the chain axis
         self.groups = []
         for (shape, positions), items in groups.items():
             tensors, sources, outs = zip(*items)
-            shape, steps = list(shape), []
+            shape, steps, b = list(shape), [], len(items)
             for k, rows in zip(positions, zip(*sources)):
+                axes = list(range(len(shape) + 2))
+                perm = tuple(axes[:k + 2] + axes[k + 3:] + [k + 2])
                 d = shape.pop(k)
-                steps.append((k, d, np.array(rows), (len(items), *shape)))
-            self.groups.append((np.stack(tensors), steps, outs[0][0],
+                steps.append((perm, (-1, b, math.prod(shape), d), d,
+                              np.array(rows), (-1, b, *shape)))
+            self.groups.append((np.stack(tensors)[None], steps, outs[0][0],
                                 np.array([r for _, r in outs])))
 
     def stack(self, messages: MessageSet) -> dict:
@@ -288,15 +312,15 @@ class _Plan:
             out[key] = DenseTensor([Leg(e, d)], msgs[d][r])
         return MessageSet(self.tn, out)
 
-    def norm(self, msgs: dict) -> float:
-        """2-norm of all messages together, summed as the per-edge path
-        summed it: ``np.sum(np.abs(x) ** 2)`` per message, then a Python
-        sum in sorted directed-edge order."""
-        if not self.dims:
-            return 0.0
-        flat = np.concatenate([np.sum(np.abs(msgs[d]) ** 2, axis=1)
-                               for d in self.dims])
-        return math.sqrt(sum(flat[self.sorted_rows].tolist()))
+    def norms(self, msgs: dict) -> list:
+        """2-norm of each chain's messages together, for (C, rows, d)
+        stacks, summed as the per-edge path summed it:
+        ``np.sum(np.abs(x) ** 2)`` per message, then a Python sum in
+        sorted directed-edge order."""
+        flat = np.concatenate([np.sum(np.abs(msgs[d]) ** 2, axis=-1)
+                               for d in self.dims], axis=-1)
+        return [math.sqrt(sum(chain))
+                for chain in flat[:, self.sorted_rows].tolist()]
 
 
 def _defect(new: dict, old: dict) -> float:
@@ -307,13 +331,13 @@ def _defect(new: dict, old: dict) -> float:
 
 def _sweep(plan: _Plan, msgs: dict) -> dict:
     """One synchronous sweep: every normalized update, stacked as
-    ``msgs``."""
+    ``msgs``, (rows, d) or (C, rows, d) per bond dimension d."""
     raw = {d: np.empty_like(m) for d, m in msgs.items()}
     for t, steps, out_d, out_rows in plan.groups:
-        for k, d, rows, shape in steps:
-            t = np.matmul(np.moveaxis(t, k + 1, -1).reshape(len(t), -1, d),
-                          msgs[d][rows][:, :, None]).reshape(shape)
-        raw[out_d][out_rows] = t
+        for perm, mat, d, rows, shape in steps:
+            t = np.matmul(t.transpose(perm).reshape(mat),
+                          msgs[d][..., rows, :][..., None]).reshape(shape)
+        raw[out_d][..., out_rows, :] = t
     return {d: _normalize_rows(r) for d, r in raw.items()}
 
 
@@ -393,34 +417,51 @@ def stability_probe(tn, messages: MessageSet, seed=0):
     synchronous sweep at the fixed point: the perturbation direction is
     renormalized every step, so the estimate converges to |lambda_max|
     without transient bias.  Returns (classification, growth factor) with
-    classification in {"stable", "unstable", "inconclusive"}.
+    classification in {"stable", "unstable", "inconclusive"}; the growth
+    factor is the median over PROBE_PERTURBATIONS random starts.
+
+    The starts are independent chains on a leading chain axis, and one
+    ``_sweep`` call advances all of them.  Each chain draws its start, in
+    sorted directed-edge order, after the one before it; it has its own
+    norm, and it stops, dropping out of the stack, once that norm is 0.
+    Each chain's numbers are bit for bit those of running it alone.
     """
     plan = _Plan(tn)
+    if not plan.dims:       # no message to perturb
+        return "inconclusive", float("nan")
     rng = np.random.default_rng(seed)
     base = {d: _normalize_rows(x) for d, x in plan.stack(messages).items()}
-    growths = []
-    for _ in range(PROBE_PERTURBATIONS):
-        v = {d: np.empty_like(x) for d, x in base.items()}
+    v = {d: np.empty((PROBE_PERTURBATIONS, n, d), dtype=complex)
+         for d, n in plan.rows.items()}
+    for c in range(PROBE_PERTURBATIONS):
         for key in sorted(plan.slot):
             d, r = plan.slot[key]
-            v[d][r] = (rng.standard_normal((d,))
-                       + 1j * rng.standard_normal((d,)))
-        lams = []
-        for _ in range(PROBE_SWEEPS):
-            norm = plan.norm(v)
-            if norm == 0:
-                break
-            upd = _sweep(plan, {
-                d: _normalize_rows(x + (PROBE_EPSILON / norm) * v[d])
-                for d, x in base.items()})
-            v = {d: (_normalize_rows(upd[d]) - x) / PROBE_EPSILON
-                 for d, x in base.items()}
-            lams.append(plan.norm(v))
-        if len(lams) >= 20:
-            growths.append(float(np.exp(np.mean(np.log(lams[-20:])))))
+            v[d][c, r] = (rng.standard_normal((d,))
+                          + 1j * rng.standard_normal((d,)))
+    lams = [[] for _ in range(PROBE_PERTURBATIONS)]
+    live = list(range(PROBE_PERTURBATIONS))     # chain of each stack row
+    norms = plan.norms(v)
+    for _ in range(PROBE_SWEEPS):
+        keep = [i for i, norm in enumerate(norms) if norm != 0]
+        if not keep:
+            break
+        if len(keep) < len(live):
+            live = [live[i] for i in keep]
+            norms = [norms[i] for i in keep]
+            v = {d: x[keep] for d, x in v.items()}
+        step = (PROBE_EPSILON / np.array(norms))[:, None, None]
+        upd = _sweep(plan, {d: _normalize_rows(x + step * v[d])
+                            for d, x in base.items()})
+        v = {d: (_normalize_rows(upd[d]) - x) / PROBE_EPSILON
+             for d, x in base.items()}
+        norms = plan.norms(v)
+        for c, lam in zip(live, norms):
+            lams[c].append(lam)
+    growths = [float(np.exp(np.mean(np.log(chain[-20:]))))
+               for chain in lams if len(chain) >= 20]
     if not growths:
         return "inconclusive", float("nan")
-    g = float(np.median(growths))
+    g = _median(growths)
     if g > 1.0 + 1e-3:
         return "unstable", g
     if g < 1.0 - 1e-3:

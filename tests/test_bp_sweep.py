@@ -1,12 +1,19 @@
 """The compiled BP sweep against the per-edge path it replaced.
 
 ``tests/oracles.py`` keeps the per-edge sweep, iteration and stability
-probe as they were: one ``contract_pair`` per incoming message and one
-``normalize`` per directed edge.  The compiled path must agree with it bit
-for bit, because the golden ``bp`` body pins ``residual`` (a difference
-near ``tol``) and ``growth_ratio`` (a finite difference at step 1e-7) at
-1e-12 relative, and one ulp in one message moves either far past that.
+probe as they were: one ``contract_pair`` per incoming message, one
+``normalize`` per directed edge, and the probe's chains one after the
+other.  The compiled path, which advances the chains together, must agree
+with it bit for bit, because the golden ``bp`` body pins ``residual`` (a
+difference near ``tol``) and ``growth_ratio`` (a finite difference at step
+1e-7) at 1e-12 relative, and one ulp in one message moves either far past
+that.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +21,15 @@ import pytest
 import oracles
 import bptn.bp
 from bptn.bp import (PROBE_PERTURBATIONS, PROBE_SWEEPS, _normalize_rows,
-                     bp_iterate, merge_messages, random_messages,
-                     self_consistency_residual, stability_probe,
-                     uniform_messages)
+                     _Plan, _sweep, bp_iterate, merge_messages,
+                     random_messages, self_consistency_residual,
+                     stability_probe, uniform_messages)
 from bptn.cli import generate
 from bptn.models import IsingParams, ising_network
-from bptn.network import merge_region
+from bptn.network import Graph, TensorNetwork, merge_region
+from bptn.tensor import DenseTensor, Leg
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _merged():
@@ -99,18 +109,154 @@ def test_normalize_rows_matches_per_message_normalize(d):
 
 def test_sweep_calls_are_counted_per_sweep(monkeypatch):
     """``perfbench/tracing.py`` counts calls of ``bptn.bp._sweep``: one per
-    iteration sweep and PROBE_PERTURBATIONS * PROBE_SWEEPS per probe."""
+    iteration sweep, and PROBE_SWEEPS per probe, each advancing all
+    PROBE_PERTURBATIONS chains on its leading axis."""
     calls = []
     sweep = bptn.bp._sweep
 
-    def counting(*args):
-        calls.append(1)
-        return sweep(*args)
+    def counting(plan, msgs):
+        calls.append({m.shape[:-2] for m in msgs.values()})
+        return sweep(plan, msgs)
 
     monkeypatch.setattr(bptn.bp, "_sweep", counting)
     tn = generate("ising:L=3,beta=0.34,h=0.05", 0).tn
     res = bp_iterate(tn, uniform_messages(tn))
     assert len(calls) == res.iterations == 215
+    assert calls == [{()}] * 215
     calls.clear()
     stability_probe(tn, res.messages)
-    assert len(calls) == PROBE_PERTURBATIONS * PROBE_SWEEPS
+    assert calls == [{(PROBE_PERTURBATIONS,)}] * PROBE_SWEEPS
+
+
+def _two_dims():
+    """A square with one diagonal, bonds of dimension 2 and 3, positive
+    random tensors."""
+    rng = np.random.default_rng(1)
+    edges = {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"),
+             "da": ("d", "a"), "ac": ("a", "c")}
+    dims = {"ab": 2, "bc": 3, "cd": 2, "da": 3, "ac": 3}
+    g = Graph("abcd", edges)
+    tensors = {}
+    for v in g.vertices:
+        legs = [Leg(e, dims[e]) for e, _ in g.incident(v)]
+        tensors[v] = DenseTensor(
+            legs, 0.5 + rng.random(tuple(l.dim for l in legs)))
+    return TensorNetwork(g, dims, tensors)
+
+
+CHAIN_CASES = {
+    "bp_stability": lambda: generate("ising:L=3,beta=0.34,h=0.05", 0).tn,
+    # bond dimension 4, several tensor-shape groups
+    "peps_3x3": lambda: generate("peps:rows=3,cols=3,D=2", 0).tn,
+    "two_dims": _two_dims,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_chain_stacked_sweep_matches_separate_sweeps(case):
+    """One sweep over C stacked message sets is C sweeps, bit for bit."""
+    tn = CHAIN_CASES[case]()
+    plan = _Plan(tn)
+    chains = [plan.stack(random_messages(tn, seed=s)) for s in range(3)]
+    stacked = _sweep(plan, {d: np.stack([c[d] for c in chains])
+                            for d in plan.dims})
+    assert len(plan.dims) == (2 if case == "two_dims" else 1)
+    for c, msgs in enumerate(chains):
+        alone = _sweep(plan, msgs)
+        for d in plan.dims:
+            assert np.array_equal(stacked[d][c], alone[d]), (c, d)
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_batched_probe_matches_per_chain_oracle(case):
+    tn = CHAIN_CASES[case]()
+    res = bp_iterate(tn, uniform_messages(tn))
+    assert res.converged
+    for seed in (0, 3, 7):
+        np.testing.assert_equal(
+            stability_probe(tn, res.messages, seed=seed),
+            oracles.stability_probe(tn, res.messages, seed=seed))
+
+
+@pytest.mark.parametrize("chains", [1, 2, 3])
+def test_probe_median_over_odd_and_even_chain_counts(monkeypatch, chains):
+    """The plain-Python median is ``np.median``'s, on one middle value and
+    on the mean of two."""
+    monkeypatch.setattr(bptn.bp, "PROBE_PERTURBATIONS", chains)
+    monkeypatch.setattr(oracles, "PROBE_PERTURBATIONS", chains)
+    tn = generate("ising:L=3,beta=0.34,h=0.05", 0).tn
+    res = bp_iterate(tn, uniform_messages(tn))
+    got = stability_probe(tn, res.messages, seed=3)
+    assert got[0] == "stable"
+    np.testing.assert_equal(got,
+                            oracles.stability_probe(tn, res.messages, seed=3))
+
+
+def test_probe_drops_a_chain_whose_norm_is_zero(monkeypatch):
+    """A chain that starts at zero stops at once; the other chain runs on
+    alone and gives the growth factor, as the per-chain oracle does."""
+    make = np.random.default_rng
+
+    class ZeroFirstChain:
+        """A generator whose first ``zeros`` draws are zero vectors."""
+
+        def __init__(self, seed, zeros):
+            self.rng, self.zeros = make(seed), zeros
+
+        def standard_normal(self, size):
+            if self.zeros:
+                self.zeros -= 1
+                return np.zeros(size)
+            return self.rng.standard_normal(size)
+
+    tn = generate("ising:L=3,beta=0.34,h=0.05", 0).tn
+    res = bp_iterate(tn, uniform_messages(tn))
+    # chain 0 draws a real and an imaginary part per directed edge
+    zeros = 2 * 2 * len(tn.graph.edges)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: ZeroFirstChain(seed, zeros))
+    got = stability_probe(tn, res.messages, seed=3)
+    assert got[0] == "stable"
+    np.testing.assert_equal(got,
+                            oracles.stability_probe(tn, res.messages, seed=3))
+
+
+def test_probe_collapses_on_rank_one_tensors():
+    """Outer-product site tensors: every update is a fixed vector times a
+    scalar, so the sweep's normalized output does not depend on its input,
+    each chain's perturbation is exactly zero after one step, and no chain
+    reaches the 20 steps a growth factor needs."""
+    rng = np.random.default_rng(0)
+    g = ising_network(IsingParams(L=3, beta=0.3)).graph
+    e0 = np.array([1.0, 0.0])
+    tensors = {}
+    for v in g.vertices:
+        legs = [Leg(e, 2) for e, _ in g.incident(v)]
+        data = (0.5 + rng.random()) * e0
+        for _ in legs[1:]:
+            data = np.multiply.outer(data, e0)
+        tensors[v] = DenseTensor(legs, data)
+    tn = TensorNetwork(g, {e: 2 for e in g.edges}, tensors)
+    # undamped, the fixed point is e0 on every edge, exactly
+    res = bp_iterate(tn, uniform_messages(tn), damping=0.0)
+    assert res.converged and res.residual == 0.0
+    want = ("inconclusive", float("nan"))
+    np.testing.assert_equal(oracles.stability_probe(tn, res.messages), want)
+    np.testing.assert_equal(stability_probe(tn, res.messages), want)
+
+
+def test_bp_run_does_not_import_numpy_ma():
+    """``np.median`` imports ``numpy.ma`` (about 11 ms and 1.4 MB in a fresh
+    process); the probe's median is plain Python."""
+    code = ("import contextlib, io, sys\n"
+            "from bptn.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['bp', '--generate', "
+            "'ising:L=3,beta=0.34,h=0.05']) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

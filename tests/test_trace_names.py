@@ -37,10 +37,10 @@ def test_traced_name_resolves(dotted):
 
 
 def test_traced_bp_stability_counts_sweeps(capsys):
-    """The tracer's BP counters still mean what they did: the
-    ``bp_stability`` argv runs 215 iteration sweeps and 240 probe sweeps
-    (``bptn.bp._sweep`` calls inside the probe span), and every wrapped
-    name resolves."""
+    """The tracer's BP counters: the ``bp_stability`` argv runs 215
+    iteration sweeps and 120 probe sweeps (``bptn.bp._sweep`` calls inside
+    the probe span, each advancing both chains), and every wrapped name
+    resolves."""
     import bptn.cli
 
     tracer = tracing.Tracer("test")
@@ -54,4 +54,4 @@ def test_traced_bp_stability_counts_sweeps(capsys):
     assert code == 0
     m = tracer.summary()
     assert (m["bp.sweeps"], m["bp.stability_sweeps"], m["trace.absent"]) == (
-        215, 240, 0)
+        215, 120, 0)
