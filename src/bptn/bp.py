@@ -1,5 +1,6 @@
-"""Belief-propagation engine: message iteration, local factors, free
-energy, excitation projectors and stability probes.
+"""Belief-propagation engine: message iteration, dressed site tensors and
+the local factors z_v among them (dressed on every leg), free energy,
+excitation projectors and stability probes.
 
 Messages live on directed edges (v, w) as vectors on the edge leg and are
 kept at unit 2-norm with the phase fixed so the largest-magnitude
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import (DegenerateInnerProduct, DimensionMismatch,
                      NumericalCollapse, ZeroLocalFactor)
 from .network import TensorNetwork
-from .tensor import DenseTensor, Leg, contract_many, contract_pair, inner
+from .tensor import DenseTensor, Leg, contract_many, inner
 
 I_FLOOR = 1e-12
 Z_FLOOR = 1e-12
@@ -97,7 +98,7 @@ def _median(xs: list) -> float:
 
 class MessageSet:
     """Directed-edge messages plus cached bond inner products, edge
-    projectors, BP local factors and dressed site tensors."""
+    projectors and dressed site tensors, the local factors among them."""
 
     def __init__(self, tn: TensorNetwork, messages: dict):
         self.tn = tn
@@ -111,7 +112,6 @@ class MessageSet:
         self._inner = {}
         self._sqrt = {}
         self._proj = {}
-        self._z = {}
         self._dressed = {}
         self._scaled = {}
 
@@ -145,29 +145,12 @@ class MessageSet:
             self._proj[e] = (tuple(p.leg_ids), p.data)
         return self._proj[e]
 
-    def local_factor(self, v, tensor: DenseTensor) -> complex:
-        """z_v = [tensor product of mu_{n->v}/sqrt(I_vn)] * ``tensor`` at v,
-        cached per (v, tensor object) as ``dressed`` caches; unfloored
-        (``local_factors`` applies the floor)."""
-        v = str(v)
-        key = (v, id(tensor))
-        hit = self._z.get(key)
-        if hit is not None:
-            return hit[1]
-        t, denom = tensor, 1.0 + 0j
-        for (e, n) in self.tn.graph.incident(v):
-            t = contract_pair(t, self.message(n, v))
-            denom *= self.sqrt_inner(e)
-        z = t.item() / denom
-        self._z[key] = (tensor, z)
-        return z
-
-    def dressed(self, requests, by_edge=False) -> list:
+    def dressed(self, requests) -> list:
         """(leg ids, array) of each (v, tensor, kept) request: ``tensor`` at
         vertex v with mu_{n->v}/sqrt(I_e) absorbed on every incident edge
-        e not in the frozenset ``kept``.  Kept legs are in sorted order and
-        named ``'<e>@<v>'``, the name ``edge_projector`` uses at v, or
-        ``e`` with ``by_edge``.
+        e not in the frozenset ``kept``.  The kept legs stay open under
+        their edge ids, in the tensor's sorted leg order; with no kept
+        edge the array holds the scalar z_v.
 
         The requests not cached are built in one ``contract_many`` call,
         one stacked one-leg matmul per message and tensor structure.
@@ -178,22 +161,14 @@ class MessageSet:
         """
         todo = {(v, id(t), kept): (v, t, kept) for v, t, kept in requests
                 if (v, id(t), kept) not in self._dressed}
-        pools = []
-        for v, tensor, kept in todo.values():
-            t = tensor.relabel({e: f"{e}@{v}" for e in kept})
-            pools.append([(tuple(t.leg_ids), t.data)] + [
-                ((e,), self._into(n, v, e))
-                for (e, n) in self.tn.graph.incident(v) if e not in kept])
-        for (key, (v, tensor, _)), (ids, data) in zip(todo.items(),
-                                                      contract_many(pools)):
-            # ids are the kept legs '<e>@<v>', in the relabeled tensor's
-            # sorted order
-            edges = [i[:-len(v) - 1] for i in ids]
-            order = sorted(range(len(ids)), key=edges.__getitem__)
-            self._dressed[key] = (tensor, (ids, data), (
-                tuple(edges[i] for i in order), data.transpose(order)))
-        return [self._dressed[v, id(t), kept][2 if by_edge else 1]
-                for v, t, kept in requests]
+        pools = [[(tuple(tensor.leg_ids), tensor.data)] + [
+            ((e,), self._into(n, v, e))
+            for (e, n) in self.tn.graph.incident(v) if e not in kept]
+            for v, tensor, kept in todo.values()]
+        for (key, (_, tensor, _)), out in zip(todo.items(),
+                                              contract_many(pools)):
+            self._dressed[key] = (tensor, out)
+        return [self._dressed[v, id(t), kept][1] for v, t, kept in requests]
 
     def _into(self, n, v, e):
         """mu_{n->v} / sqrt(I_e) on edge e (cached)."""
@@ -366,14 +341,14 @@ def bp_iterate(tn: TensorNetwork, messages: MessageSet,
 
 
 def local_factors(tn, messages: MessageSet, vertices) -> dict:
-    """{v: z_v} of ``tn``'s site tensors at ``vertices``; the one z floor."""
-    out = {}
-    for v in vertices:
-        v = str(v)
-        z = messages.local_factor(v, tn.tensors[v])
+    """{v: z_v} of ``tn``'s site tensors at ``vertices``, each dressed on
+    every leg, from one ``dressed`` call; the one z floor."""
+    vertices = [str(v) for v in vertices]
+    out = {v: complex(z) for v, (_, z) in zip(vertices, messages.dressed(
+        [(v, tn.tensors[v], frozenset()) for v in vertices]))}
+    for v, z in out.items():
         if abs(z) < Z_FLOOR:
             raise ZeroLocalFactor(f"|z_v| below floor at vertex {v!r}")
-        out[v] = z
     return out
 
 
@@ -385,9 +360,11 @@ def bp_log_partition(tn, messages: MessageSet) -> complex:
     return total
 
 def bp_free_energy(tn, messages: MessageSet):
-    """(log|Z_BP|, phase mod 2pi); F_BP = -log Z_BP."""
+    """(log|Z_BP|, phase in (-pi, pi], the exact remainder of Im log Z_BP
+    with a signed zero read as 0.0); F_BP = -log Z_BP."""
     logz = bp_log_partition(tn, messages)
-    return logz.real, logz.imag % (2 * math.pi)
+    phase = math.remainder(logz.imag, 2 * math.pi)
+    return logz.real, math.pi if phase == -math.pi else phase + 0.0
 
 
 def edge_projector(messages: MessageSet, e) -> DenseTensor:

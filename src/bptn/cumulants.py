@@ -277,7 +277,7 @@ def region_partition(tn: TensorNetwork, messages: MessageSet, jobs) -> list:
         (v, replacements.get(v, tn.tensors[v]),
          frozenset(e for (e, _) in g.incident(v) if e in R.edges))
         for (R, replacements), support in zip(jobs, supports)
-        for v in support], by_edge=True))
+        for v in support]))
     raws = contract_network([[next(pieces) for _ in support]
                              for support in supports],
                             size_cap=DEFAULT_SIZE_CAP)

@@ -13,8 +13,9 @@ without leaves.
 Weights are evaluated locally on the loop support, in the BP gauge: each
 support vertex is its dressed tensor (the site tensor with the incoming
 messages mu/sqrt(I) absorbed on every leg off the loop, cached on the
-MessageSet), joined by excitation projectors on the loop edges, and the
-result is normalized by the product of BP local factors over the support.
+MessageSet), its loop legs renamed ``'<e>@<v>'`` and joined by excitation
+projectors on the loop edges, and the result is normalized by the product
+of BP local factors over the support (its tensors dressed on every leg).
 By locality of the BP background this equals the globally defined
 normalized excitation.  A weight table is one bulk contraction: every
 support network is gathered first, and networks of the same structure are
@@ -153,7 +154,8 @@ def excitation_weight(messages: MessageSet, jobs, base) -> list:
         (v, tn.tensors[v], frozenset(
             e for (e, _) in tn.graph.incident(v) if e in loop.edges))
         for (tn, loop), support in zip(jobs, supports) for v in support]))
-    pools = [[next(dressed) for _ in support]
+    pools = [[(tuple(f"{e}@{v}" for e in ids), data)
+              for v, (ids, data) in zip(support, dressed)]
              + [messages.projector(e) for e in sorted(loop.edges)]
              for (_, loop), support in zip(jobs, supports)]
     return [raw / math.prod((factors[v] for v in support), start=1.0 + 0j)

@@ -116,9 +116,10 @@ class InsertionProblem:
         refuses to divide by it)."""
         if self._alphas is None:
             base = local_factors(self.base, self.messages, self.region_ids)
-            self._alphas = {
-                r: self.messages.local_factor(r, self.replacements[r])
-                / base[r] for r in self.region_ids}
+            self._alphas = {r: complex(z) / base[r] for r, (_, z) in zip(
+                self.region_ids, self.messages.dressed([
+                    (r, self.replacements[r], frozenset())
+                    for r in self.region_ids]))}
         return self._alphas
 
     def network(self, inserted) -> TensorNetwork:

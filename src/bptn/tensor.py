@@ -81,11 +81,6 @@ class DenseTensor:
                 return l.dim
         raise KeyError(leg_id)
 
-    def relabel(self, mapping: dict) -> "DenseTensor":
-        """Return a copy with leg ids renamed via ``mapping`` (id -> new id)."""
-        legs = [Leg(mapping.get(l.id, l.id), l.dim) for l in self.legs]
-        return DenseTensor(legs, self.data)
-
     def scale(self, c) -> "DenseTensor":
         return DenseTensor(self.legs, self.data * c)
 

@@ -9,7 +9,9 @@ degrees from a scan of every edge, and an intersection closure that
 re-intersects the whole pool at every level; and the per-call
 contractions that the bulk ones replaced: the greedy plan search over
 every pair, ``np.tensordot`` one pair at a time, one dressed tensor, one
-loop weight and one region value per call."""
+loop weight and one region value per call, and each BP local factor z_v
+contracted one incoming message at a time.  ``relabel`` renames legs for
+the reference forms that name them per endpoint."""
 
 import math
 
@@ -360,11 +362,28 @@ def contract_network(tensors, size_cap=None) -> DenseTensor:
     return DenseTensor([Leg(ids[x], dims[x]) for x in out], arrays[0])
 
 
+def relabel(t: DenseTensor, mapping: dict) -> DenseTensor:
+    """A copy of ``t`` with leg ids renamed via ``mapping`` (id -> new id)."""
+    legs = [Leg(mapping.get(l.id, l.id), l.dim) for l in t.legs]
+    return DenseTensor(legs, t.data)
+
+
+def local_factor(messages, v, tensor) -> complex:
+    """z_v = [tensor product of mu_{n->v}/sqrt(I_vn)] * ``tensor`` at v,
+    one incoming message at a time; unfloored."""
+    v = str(v)
+    t, denom = tensor, 1.0 + 0j
+    for (e, n) in messages.tn.graph.incident(v):
+        t = contract_pair(t, messages.message(n, v))
+        denom *= messages.sqrt_inner(e)
+    return t.item() / denom
+
+
 def dressed(messages, v, tensor, kept) -> DenseTensor:
     """``tensor`` at vertex v with mu_{n->v}/sqrt(I_e) absorbed on every
     incident edge e not in ``kept``; each kept leg e is renamed
     ``'<e>@<v>'``."""
-    pieces = [tensor.relabel({e: f"{e}@{v}" for e in kept})]
+    pieces = [relabel(tensor, {e: f"{e}@{v}" for e in kept})]
     for (e, n) in messages.tn.graph.incident(v):
         if e not in kept:
             pieces.append(
@@ -398,9 +417,9 @@ def region_partition(tn, messages, R, replacements=None):
     pieces = []
     for v in sorted(R.vertices):
         internal = [e for (e, n) in g.incident(v) if n in R.vertices]
-        pieces.append(dressed(
-            messages, v, replacements.get(v, tn.tensors[v]),
-            internal).relabel({f"{e}@{v}": e for e in internal}))
+        pieces.append(relabel(dressed(
+            messages, v, replacements.get(v, tn.tensors[v]), internal),
+            {f"{e}@{v}": e for e in internal}))
     raw = contract_network(pieces, size_cap=DEFAULT_SIZE_CAP).item()
     denom = 1.0 + 0j
     for z in local_factors(tn, messages, sorted(R.vertices)).values():

@@ -4,18 +4,22 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from bptn.bp import (MessageSet, bp_free_energy, bp_iterate,
-                     bp_log_partition, edge_projector,
+                     bp_log_partition, edge_projector, local_factors,
                      merge_messages, self_consistency_residual,
                      stability_probe,
                      uniform_messages)
+from bptn.cli import generate
 from bptn.errors import (DegenerateInnerProduct, DimensionMismatch,
                          NumericalCollapse)
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          ising_paramagnetic_messages, random_peps,
                          random_tree_network, single_loop_network)
 from bptn.network import exact_contract, merge_region
+from bptn.observables import InsertionProblem
 from bptn.tensor import DenseTensor, Leg
+from test_bp_sweep import _merged
 
 
 def test_tree_bp_exact():
@@ -26,6 +30,19 @@ def test_tree_bp_exact():
     z = exact_contract(tn)
     assert abs(log_abs - math.log(abs(z))) < 1e-10
     assert abs(cmath.exp(1j * (phase - cmath.phase(z))) - 1) < 1e-8
+
+
+@pytest.mark.parametrize("im, want", [
+    (-4.2e-18, -4.2e-18), (-0.0, 0.0), (-math.pi, math.pi),
+    (7.0, 7.0 - 2 * math.pi)])
+def test_bp_phase_is_the_principal_value(monkeypatch, im, want):
+    """Im log Z_BP maps to (-pi, pi] exactly, and a signed zero to 0.0."""
+    import bptn.bp
+
+    monkeypatch.setattr(bptn.bp, "bp_log_partition",
+                        lambda tn, messages: complex(1.0, im))
+    _, phase = bp_free_energy(None, None)
+    assert phase == want and str(phase) == str(want)
 
 
 def test_paramagnetic_fixed_point_residual_zero():
@@ -50,16 +67,16 @@ def test_edge_projector_annihilates_messages():
     e = sorted(tn.graph.edges)[0]
     u, v = tn.graph.endpoints(e)
     proj = edge_projector(ms, e)
-    into_u = ms.message(v, u).relabel({e: f"{e}@{u}"})
-    into_v = ms.message(u, v).relabel({e: f"{e}@{v}"})
+    into_u = oracles.relabel(ms.message(v, u), {e: f"{e}@{u}"})
+    into_v = oracles.relabel(ms.message(u, v), {e: f"{e}@{v}"})
     from bptn.tensor import contract_pair
 
     assert np.linalg.norm(contract_pair(proj, into_u).data) < 1e-10
     assert np.linalg.norm(contract_pair(proj, into_v).data) < 1e-10
     # idempotent: P^2 = P (contract the v-side of one copy into the
     # u-side of the other)
-    p2 = contract_pair(proj.relabel({f"{e}@{v}": "mid"}),
-                       proj.relabel({f"{e}@{u}": "mid"}))
+    p2 = contract_pair(oracles.relabel(proj, {f"{e}@{v}": "mid"}),
+                       oracles.relabel(proj, {f"{e}@{u}": "mid"}))
     assert sorted(p2.leg_ids) == sorted(proj.leg_ids)
     assert np.allclose(p2.data, proj.data, atol=1e-10)
 
@@ -93,14 +110,16 @@ def test_local_factor_cancellation_on_edge():
     p = IsingParams(L=4, beta=0.2)
     tn = ising_network(p)
     ms = ising_paramagnetic_messages(p, tn)
-    z = ms.local_factor("0,0", tn.tensors["0,0"])
+    z = local_factors(tn, ms, ["0,0"])["0,0"]
     # paramagnetic point: z_v = 2 * prod_e lambda_+(beta)/... just nonzero
     assert abs(z) > 0.1
 
 
 def test_local_factor_cached_per_tensor_object(monkeypatch):
-    """A decorated site tensor gets a z_v entry of its own, and the base
-    entry stays as it was; both are what an empty cache computes."""
+    """z_v is the dressed tensor with no kept edge: a decorated site tensor
+    gets a cache entry of its own, the base entry stays as it was, the
+    insertion's BP expectation reads both from the cache, and both are
+    what an empty cache computes."""
     import bptn.bp
 
     p = IsingParams(L=4, beta=0.3, h=0.2)
@@ -108,24 +127,68 @@ def test_local_factor_cached_per_tensor_object(monkeypatch):
     ms = bp_iterate(tn, uniform_messages(tn)).messages
     site = "1,1"
     sz = ising_insertion(tn, p, {site: np.diag([1.0, -1.0])})[site]
-    calls = []
-    contract_pair = bptn.bp.contract_pair
+    built = []
+    bulk = bptn.bp.contract_many
 
-    def counting(*args):
-        calls.append(1)
-        return contract_pair(*args)
+    def counting(pools):
+        built.extend(len(pool) for pool in pools)
+        return bulk(pools)
 
-    monkeypatch.setattr(bptn.bp, "contract_pair", counting)
-    base = ms.local_factor(site, tn.tensors[site])
-    decorated = ms.local_factor(site, sz)
-    assert len(calls) == 8      # four incident edges, once per tensor
+    def z(messages, tensor):
+        ((ids, data),) = messages.dressed([(site, tensor, frozenset())])
+        assert ids == ()
+        return complex(data)
+
+    monkeypatch.setattr(bptn.bp, "contract_many", counting)
+    base = local_factors(tn, ms, [site])[site]
+    decorated = z(ms, sz)
+    assert built == [5, 5]      # each tensor and its four messages, once
     assert decorated != base
-    assert ms.local_factor(site, tn.tensors[site]) == base
-    assert ms.local_factor(site, sz) == decorated
-    assert len(calls) == 8
+    assert local_factors(tn, ms, [site])[site] == base
+    assert z(ms, sz) == decorated
+    assert z(ms, tn.tensors[site]) == base
+    prob = InsertionProblem(tn, ms, [{site: sz}])
+    assert prob.alphas() == {site: decorated / base}
+    assert built == [5, 5]
     fresh = MessageSet(tn, ms.messages)
-    assert fresh.local_factor(site, sz) == decorated
-    assert fresh.local_factor(site, tn.tensors[site]) == base
+    assert z(fresh, sz) == decorated
+    assert local_factors(tn, fresh, [site])[site] == base
+
+
+def _zv_case(name):
+    """(network, messages) of a case for the z_v oracle."""
+    if name == "merged_mixed_dims":
+        return _merged()
+    spec = {"bp_stability": "ising:L=3,beta=0.34,h=0.05",
+            "peps_3x3": "peps:rows=3,cols=3,D=2",
+            "tree": "tree:n=12,D=3", "edgeless": "tree:n=1"}[name]
+    tn = generate(spec, 0).tn
+    res = bp_iterate(tn, uniform_messages(tn))
+    assert res.converged
+    return tn, res.messages
+
+
+@pytest.mark.parametrize("name", ["bp_stability", "peps_3x3",
+                                  "merged_mixed_dims", "tree", "edgeless"])
+def test_local_factors_match_per_message_oracle(name):
+    """``local_factors`` (site tensors dressed in bulk) and the insertion's
+    BP expectation (a perturbed site tensor's z_v over the site's) agree
+    with z_v contracted one incoming message at a time."""
+    tn, ms = _zv_case(name)
+    got = local_factors(tn, ms, tn.graph.vertices)
+    assert list(got) == list(tn.graph.vertices)
+    for v, z in got.items():
+        want = oracles.local_factor(ms, v, tn.tensors[v])
+        assert abs(z - want) <= 1e-12 * abs(want), v
+    rng = np.random.default_rng(7)
+    for v in tn.graph.vertices[:3]:
+        t = tn.tensors[v]
+        repl = DenseTensor(t.legs, t.data * (1 + 0.5 * rng.standard_normal(
+            t.data.shape)))
+        (alpha,) = InsertionProblem(tn, ms, [{v: repl}]).alphas().values()
+        want = (oracles.local_factor(ms, v, repl)
+                / oracles.local_factor(ms, v, t))
+        assert abs(alpha - want) <= 1e-12 * abs(want), v
 
 
 def test_merge_messages_keeps_fixed_point_elsewhere():
@@ -137,11 +200,11 @@ def test_merge_messages_keeps_fixed_point_elsewhere():
     ms2 = merge_messages(merged, fused, ms, region, new_id)
     # local factors at vertices not adjacent to the region are unchanged
     far = "2,2"
-    assert abs(ms2.local_factor(far, merged.tensors[far])
-               - ms.local_factor(far, tn.tensors[far])) < 1e-12
+    assert abs(local_factors(merged, ms2, [far])[far]
+               - local_factors(tn, ms, [far])[far]) < 1e-12
     # the merged message set reproduces the same z at the supervertex as
     # the local excitation-free contraction of the region
-    z_super = ms2.local_factor(new_id, merged.tensors[new_id])
+    z_super = local_factors(merged, ms2, [new_id])[new_id]
     assert np.isfinite(abs(z_super)) and abs(z_super) > 0
 
 

@@ -57,6 +57,20 @@ def test_bp_subcommand(tmp_path):
     assert abs(float(row["growth_ratio"]) - 3 * math.tanh(0.3)) < 1e-6
 
 
+@pytest.mark.parametrize("spec, seed", [
+    ("peps:rows=3,cols=3,D=2", "3"),
+    ("peps:rows=5,cols=5,D=2,perturbation=0.25", "11")])
+def test_bp_phase_of_a_positive_norm_is_zero(tmp_path, spec, seed):
+    """A PEPS norm network has real positive Z, and Im log Z_BP is
+    roundoff about 0 (negative on the 5x5 network); the phase is its
+    remainder in (-pi, pi], so it reads near 0, not near 2 pi."""
+    out = tmp_path / "bp.csv"
+    assert run(["bp", "--generate", spec, "--seed", seed,
+                "--out", str(out)]) == 0
+    (row,) = _rows(out)
+    assert abs(float(row["phase"])) < 1e-12
+
+
 def test_loops_subcommand(tmp_path):
     out = tmp_path / "loops.csv"
     assert run(["loops", "--generate", "ising:L=4,beta=0.2", "-m", "6",
@@ -184,22 +198,34 @@ def test_estimators_share_one_string_enumeration(tmp_path, monkeypatch):
 
 
 def test_free_energy_computes_each_local_factor_once(tmp_path, monkeypatch):
-    """Every layer reads z_v from the one MessageSet cache: on the
-    benchmark's 5x5 torus each of the 25 z_v contracts its 4 incoming
-    messages once, 100 ``contract_pair`` calls in all."""
+    """Every layer reads z_v from the one MessageSet cache of dressed
+    tensors: on the benchmark's 5x5 torus each of the 25 z_v is built
+    once, a site tensor and its 4 incoming messages contracted to a
+    scalar in bulk, and no pair is contracted on its own."""
     import bptn.bp
+    import bptn.tensor
 
-    calls = []
-    contract_pair = bptn.bp.contract_pair
+    built, pairs = [], []
+    bulk = bptn.bp.contract_many
 
-    def counting(*args):
-        calls.append(1)
-        return contract_pair(*args)
+    def counting(pools):
+        out = bulk(pools)
+        built.extend(len(pool) for pool, (ids, _) in zip(pools, out)
+                     if not ids)
+        return out
 
-    monkeypatch.setattr(bptn.bp, "contract_pair", counting)
+    def pair(a, b, contract_pair=bptn.tensor.contract_pair):
+        pairs.append(1)
+        return contract_pair(a, b)
+
+    monkeypatch.setattr(bptn.bp, "contract_many", counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bptn" and hasattr(module, "contract_pair"):
+            monkeypatch.setattr(module, "contract_pair", pair)
     assert run(["free-energy", "--generate", "ising:L=5,beta=0.2", "-m", "6",
                 "-k", "6", "--out", str(tmp_path / "fe.csv")]) == 0
-    assert len(calls) == 100
+    assert built == [5] * 25
+    assert not pairs
 
 
 def test_regions_subcommand(tmp_path):

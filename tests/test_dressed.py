@@ -27,9 +27,11 @@ from bptn.errors import TooLarge
 from bptn.loops import enumerate_loops, evaluate_weights
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          random_peps)
-from bptn.network import build_norm_network, peps_replacements
+from bptn.network import (Graph, TensorNetwork, build_norm_network,
+                          peps_replacements)
 from bptn.observables import InsertionProblem
-from oracles import degree_map
+from bptn.tensor import DenseTensor, Leg
+from oracles import degree_map, relabel
 
 _SZ = np.diag([1.0, -1.0])
 REL = 1e-12
@@ -51,12 +53,12 @@ def _reference_weight(tn, messages, loop, factors) -> complex:
     g = tn.graph
     pieces = []
     for v in sorted(loop.vertices):
-        pieces.append(tn.tensors[v].relabel(
-            {e: f"{e}@{v}" for (e, _) in g.incident(v)}))
+        pieces.append(relabel(tn.tensors[v],
+                              {e: f"{e}@{v}" for (e, _) in g.incident(v)}))
         for (e, n) in g.incident(v):
             if e not in loop.edges:
-                pieces.append(messages.message(n, v).relabel(
-                    {e: f"{e}@{v}"}).scale(1.0 / messages.sqrt_inner(e)))
+                pieces.append(relabel(messages.message(n, v), {
+                    e: f"{e}@{v}"}).scale(1.0 / messages.sqrt_inner(e)))
     pieces += [edge_projector(messages, e) for e in loop.edges]
     denom = np.prod([factors[v] for v in loop.vertices])
     return _einsum(pieces) / denom
@@ -172,6 +174,53 @@ def test_region_partition_with_replacements_matches_reference(ising_field):
             jobs, region_partition(tn, ms, jobs)):
         want = _reference_region(tn, ms, R, replacements)
         assert _close(raw, want), (R, replacements)
+
+
+def _prefix_network():
+    """Two triangles a-b-c and b-c-d on the edge b-c, with edge ids that
+    are prefixes of one another and bond dimensions 2 and 3: at b the loop
+    legs e1 and e10 sort as 'e10@b' < 'e1@b', the other way round."""
+    edges = {"e1": ("a", "b"), "e10": ("b", "c"), "e2": ("c", "a"),
+             "e11": ("b", "d"), "e3": ("d", "c")}
+    dims = {"e1": 2, "e10": 3, "e2": 2, "e11": 2, "e3": 3}
+    g = Graph(["a", "b", "c", "d"], edges)
+    rng = np.random.default_rng(3)
+    tensors = {}
+    for v in g.vertices:
+        legs = [Leg(e, dims[e]) for (e, _) in g.incident(v)]
+        tensors[v] = DenseTensor(legs, rng.uniform(
+            0.5, 1.5, [l.dim for l in legs]))
+    tn = TensorNetwork(g, dims, tensors)
+    res = bp_iterate(tn, uniform_messages(tn), tol=1e-13)
+    assert res.converged
+    return tn, res.messages
+
+
+def test_prefix_edge_ids_match_oracle():
+    """Where '<e>@<v>' sorts differently from e, the dressed tensors keep
+    their legs in edge order, and the weights and the region values, with
+    and without a replaced site tensor, equal the oracle forms, which
+    rename the legs before they contract."""
+    tn, ms = _prefix_network()
+    g = tn.graph
+    loops = enumerate_loops(g, 5)
+    assert len(loops) == 4
+    kept = [sorted(e for (e, _) in g.incident(v) if e in loop.edges)
+            for loop in loops for v in loop.vertices]
+    assert any(sorted(f"{e}@v" for e in k) != [f"{e}@v" for e in k]
+               for k in kept)
+    table = evaluate_weights(tn, ms, loops)
+    for loop in loops:
+        want = oracles.excitation_weight(tn, ms, loop)
+        assert want != 0 and _close(table[loop.key], want), loop
+    b = tn.tensors["b"]
+    scale = np.linspace(0.5, 1.5, b.data.size).reshape(b.data.shape)
+    repl = {"b": DenseTensor(b.legs, b.data * scale)}
+    jobs = [(R, r) for R in find_regions(g, 4) for r in ({}, repl)]
+    assert any("b" in R.vertices and len(R.edges) > 1 for R, _ in jobs)
+    for (R, r), got in zip(jobs, region_partition(tn, ms, jobs)):
+        want = oracles.region_partition(tn, ms, R, r)
+        assert all(map(_close, got, want)), (R, r)
 
 
 # --- the bulk contractions against the per-call oracle ----------------------
