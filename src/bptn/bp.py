@@ -444,38 +444,3 @@ def stability_probe(tn, messages: MessageSet, seed=0):
     if g < 1.0 - 1e-3:
         return "stable", g
     return "inconclusive", g
-
-
-def merge_messages(tn_merged, fused: dict, messages: MessageSet,
-                   region, new_id: str) -> MessageSet:
-    """Carry a MessageSet across a merge_region call.
-
-    Surviving edges keep their messages; fused edges get the tensor
-    product of the original messages (kron in the fusion order), which is
-    unit-norm and reproduces the original BP background outside the
-    supervertex.
-    """
-    rset = {str(v) for v in region}
-    old_graph = messages.tn.graph
-    msgs = {}
-    for e, (a, b) in tn_merged.graph.edges.items():
-        if new_id not in (a, b):
-            msgs[(a, b)] = messages.message(a, b)
-            msgs[(b, a)] = messages.message(b, a)
-            continue
-        outside = b if a == new_id else a
-        originals = fused.get(e, [e])
-        into, outof = [], []  # w.r.t. the supervertex
-        for oe in originals:
-            ou, ov = old_graph.endpoints(oe)
-            u = ou if ou in rset else ov  # region-side endpoint
-            into.append(messages.message(outside, u).data)
-            outof.append(messages.message(u, outside).data)
-        for (src, dst), vecs in (((outside, new_id), into),
-                                 ((new_id, outside), outof)):
-            data = vecs[0]
-            for vvec in vecs[1:]:
-                data = np.kron(data, vvec)
-            msgs[(src, dst)] = DenseTensor(
-                [Leg(e, tn_merged.bond_dims[e])], data)
-    return MessageSet(tn_merged, msgs)

@@ -25,11 +25,12 @@ class MissingPhysicalLeg(EngineError):
 
 
 class RegionMismatch(EngineError):
-    """Operator insertion on vertices that do not exist (or wrong dims)."""
+    """Operator insertion on a vertex that does not exist, with the wrong
+    dims, or in a region that is not exactly one site."""
 
 
 class OverlappingRegions(EngineError):
-    """Perturbation/correlator regions must be pairwise disjoint."""
+    """Two insertion regions on the same site."""
 
 
 class InvalidNetworkFile(EngineError):

@@ -181,73 +181,6 @@ def peps_replacements(peps: TensorNetwork, ops: dict) -> dict:
     return out
 
 
-def merge_region(tn: TensorNetwork, region):
-    """Merge a vertex set into one supervertex on a closed network.
-
-    Internal edges are contracted exactly; groups of edges from the region
-    to a common outside neighbor are fused into a single edge (product
-    dimension) so the result stays a simple graph.
-
-    Returns (merged network, fused-edge map {kept id: [original ids]},
-    supervertex id).
-    """
-    region = sorted(str(v) for v in region)
-    rset = set(region)
-    g = tn.graph
-    new_id = "+".join(region)
-    supertensor = contract_network([tn.tensors[v] for v in region])
-    # boundary edges grouped by outside neighbor
-    groups = {}  # outside vertex -> sorted list of edge ids
-    internal = set()
-    for v in region:
-        for (e, w) in g.incident(v):
-            if w in rset:
-                internal.add(e)
-            else:
-                groups.setdefault(w, []).append(e)
-    for w in groups:
-        groups[w].sort()
-    fused = {es[0]: es for es in groups.values() if len(es) > 1}
-
-    def fuse(t: DenseTensor) -> DenseTensor:
-        for kept, es in fused.items():
-            if kept not in t.leg_ids:
-                continue
-            ids = t.leg_ids
-            axes = [ids.index(e) for e in es]
-            rest = [i for i in range(len(ids)) if i not in axes]
-            data = np.transpose(t.data, rest + axes)
-            dims = [t.dim(e) for e in es]
-            data = data.reshape([t.legs[i].dim for i in rest] + [int(np.prod(dims))])
-            legs = [t.legs[i] for i in rest] + [Leg(kept, int(np.prod(dims)))]
-            t = DenseTensor(legs, data)
-        return t
-
-    vertices = [v for v in g.vertices if v not in rset] + [new_id]
-    edges, bond_dims = {}, {}
-    for e, (u, v) in g.edges.items():
-        if e in internal:
-            continue
-        if u in rset or v in rset:
-            w = v if u in rset else u
-            kept = groups[w][0]
-            if e != kept:
-                continue  # absorbed into the fused edge
-            edges[kept] = (new_id, w)
-            bond_dims[kept] = int(np.prod([tn.bond_dims[x] for x in groups[w]]))
-        else:
-            edges[e] = (u, v)
-            bond_dims[e] = tn.bond_dims[e]
-    tensors = {new_id: fuse(supertensor)}
-    touched = set(groups)
-    for v in g.vertices:
-        if v in rset:
-            continue
-        tensors[v] = fuse(tn.tensors[v]) if v in touched else tn.tensors[v]
-    merged = TensorNetwork(Graph(vertices, edges), bond_dims, tensors)
-    return merged, fused, new_id
-
-
 def bfs(g: Graph, A):
     """Breadth-first search from vertex set A over its component.
 

@@ -5,13 +5,12 @@ Every estimator is a resummation of one expansion, owned by an
 MessageSet, and per-region *replacement tensors* that implement the
 operator insertion (for a PEPS norm network these are double tensors
 with the operator sandwiched, from ``network.peps_replacements``; for
-classical networks any modified site tensor).  Multi-site regions are
-merged into a supervertex first, so the string/cluster machinery always
-sees single terminal vertices.  The object enumerates strings, clusters,
-connected loop subsets and regions once per truncation and caches every
-weight, so estimators that share an object share that work.  Each
-estimator asks for its whole weight table first (``weigh``), which the
-object computes in one bulk contraction; its sums then read the cache.
+classical networks any modified site tensor).  The object enumerates
+strings, clusters, connected loop subsets and regions once per truncation
+and caches every weight, so estimators that share an object share that
+work.  Each estimator asks for its whole weight table first (``weigh``),
+which the object computes in one bulk contraction; its sums then read the
+cache.
 
 Weight conventions: for a decorated network X the bar-normalized weight
 Zbar^X_l divides by the *undecorated* local factors; the ratio-normalized
@@ -29,16 +28,16 @@ import math
 
 import numpy as np
 
-from .bp import MessageSet, local_factors, merge_messages
+from .bp import MessageSet, local_factors
 from .clusters import Cluster, enumerate_clusters, ursell
 from .cumulants import connected_loop_subsets, counting_numbers, cumulant
 # the name perfbench/tracing.py wraps
 from .cumulants import find_regions as find_regions_local
 from .cumulants import region_partition
 from .errors import (InsufficientPoints, OverlappingRegions, PCapExceeded,
-                     ZeroLocalFactor)
+                     RegionMismatch, ZeroLocalFactor)
 from .loops import enumerate_strings, excitation_weight
-from .network import TensorNetwork, merge_region, shortest_paths
+from .network import TensorNetwork, shortest_paths
 
 P_CAP = 3
 
@@ -59,50 +58,39 @@ class Estimate:
 
 
 class InsertionProblem:
-    """One insertion's expansion: merged network, messages, regions, and
-    the strings, clusters, loop subsets, regions and weights built on it.
+    """One insertion's expansion: network, messages, regions, and the
+    strings, clusters, loop subsets, regions and weights built on it.
 
     ``replacements`` is a list of {vertex: replacement DenseTensor} maps,
-    one per region; a map's vertices are its region.  After construction
-    each region is a single (super)vertex id in ``self.region_ids``, and
-    ``source`` keeps the unmerged ``(tn, messages, replacements)``.  For
-    two regions ``distance`` and ``paths`` hold their graph distance and
-    the number of shortest paths between them; otherwise both are None.
+    one per region; each map holds exactly one vertex, which is its
+    region.  ``region_ids`` lists those vertices in order and
+    ``replacements`` maps each to its tensor.  For two regions
+    ``distance`` and ``paths`` hold their graph distance and the number
+    of shortest paths between them; otherwise both are None.
     """
 
     def __init__(self, tn: TensorNetwork, messages: MessageSet,
                  replacements):
-        replacements = list(replacements)
-        regions = [frozenset(str(v) for v in r) for r in replacements]
-        for i in range(len(regions)):
-            for j in range(i + 1, len(regions)):
-                if regions[i] & regions[j]:
-                    raise OverlappingRegions(
-                        f"regions {i} and {j} share vertices")
-        self.distance = self.paths = None
-        if len(regions) == 2:
-            self.distance, self.paths = shortest_paths(
-                tn.graph, regions[0], regions[1])
-        self.source = (tn, messages, replacements)
         self.base = tn
         self.messages = messages
         self.region_ids = []
         self.replacements = {}  # region id -> replacement tensor
-        for region, repl in zip(regions, replacements):
-            if len(region) == 1:
-                (v,) = region
-                self.region_ids.append(v)
-                self.replacements[v] = repl[v]
-            else:
-                merged, fused, new_id = merge_region(self.base, region)
-                repl_merged, _, _ = merge_region(
-                    self.base.replace_tensors(repl), region)
-                self.messages = merge_messages(
-                    merged, fused, self.messages, region, new_id)
-                # messages for previously merged regions are unaffected
-                self.base = merged
-                self.region_ids.append(new_id)
-                self.replacements[new_id] = repl_merged.tensors[new_id]
+        for i, repl in enumerate(replacements):
+            if len(repl) != 1:
+                raise RegionMismatch(
+                    f"region {i} has {len(repl)} vertices; an insertion "
+                    "region is one site")
+            ((v, t),) = repl.items()
+            if v in self.replacements:
+                j = self.region_ids.index(v)
+                raise OverlappingRegions(
+                    f"regions {j} and {i} share vertices")
+            self.region_ids.append(v)
+            self.replacements[v] = t
+        self.distance = self.paths = None
+        if len(self.region_ids) == 2:
+            a, b = self.region_ids
+            self.distance, self.paths = shortest_paths(tn.graph, {a}, {b})
         self._weights = {}       # (loop key, inserted-region frozenset) -> value
         self._decorated = {}     # inserted-region frozenset -> network
         self._alphas = None
@@ -332,9 +320,9 @@ def correlator_ratio_tensors(prob: InsertionProblem, m) -> Estimate:
             zo_b *= prob.ratio_weight(l, frozenset([b])) ** eta
             zo_ab *= prob.ratio_weight(l, frozenset([a, b])) ** eta
         total += float(ursell(c)) * (zo_ab + z - zo_a - zo_b)
-    tn, messages, replacements = prob.source
-    ea, eb = (expval_ratio_tensors(InsertionProblem(tn, messages, [r]),
-                                   m).value for r in replacements)
+    ea, eb = (expval_ratio_tensors(InsertionProblem(
+        prob.base, prob.messages, [{r: prob.replacements[r]}]), m).value
+        for r in (a, b))
     val = ea * eb * (cmath.exp(total) - 1.0)
     return Estimate(val, f"ratio({m})", prob.distance, prob.paths)
 

@@ -75,12 +75,6 @@ class DenseTensor:
     def leg_ids(self):
         return [l.id for l in self.legs]
 
-    def dim(self, leg_id: str) -> int:
-        for l in self.legs:
-            if l.id == leg_id:
-                return l.dim
-        raise KeyError(leg_id)
-
     def scale(self, c) -> "DenseTensor":
         return DenseTensor(self.legs, self.data * c)
 

@@ -7,8 +7,7 @@ import pytest
 import oracles
 from bptn.bp import (MessageSet, bp_free_energy, bp_iterate,
                      bp_log_partition, edge_projector, local_factors,
-                     merge_messages, self_consistency_residual,
-                     stability_probe,
+                     self_consistency_residual, stability_probe,
                      uniform_messages)
 from bptn.cli import generate
 from bptn.errors import (DegenerateInnerProduct, DimensionMismatch,
@@ -16,10 +15,10 @@ from bptn.errors import (DegenerateInnerProduct, DimensionMismatch,
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          ising_paramagnetic_messages, random_peps,
                          random_tree_network, single_loop_network)
-from bptn.network import exact_contract, merge_region
+from bptn.network import exact_contract
 from bptn.observables import InsertionProblem
 from bptn.tensor import DenseTensor, Leg
-from test_bp_sweep import _merged
+from test_bp_sweep import _mixed_dims
 
 
 def test_tree_bp_exact():
@@ -157,19 +156,17 @@ def test_local_factor_cached_per_tensor_object(monkeypatch):
 
 def _zv_case(name):
     """(network, messages) of a case for the z_v oracle."""
-    if name == "merged_mixed_dims":
-        return _merged()
     spec = {"bp_stability": "ising:L=3,beta=0.34,h=0.05",
             "peps_3x3": "peps:rows=3,cols=3,D=2",
-            "tree": "tree:n=12,D=3", "edgeless": "tree:n=1"}[name]
-    tn = generate(spec, 0).tn
+            "tree": "tree:n=12,D=3", "edgeless": "tree:n=1"}.get(name)
+    tn = generate(spec, 0).tn if spec else _mixed_dims()
     res = bp_iterate(tn, uniform_messages(tn))
     assert res.converged
     return tn, res.messages
 
 
 @pytest.mark.parametrize("name", ["bp_stability", "peps_3x3",
-                                  "merged_mixed_dims", "tree", "edgeless"])
+                                  "mixed_dims", "tree", "edgeless"])
 def test_local_factors_match_per_message_oracle(name):
     """``local_factors`` (site tensors dressed in bulk) and the insertion's
     BP expectation (a perturbed site tensor's z_v over the site's) agree
@@ -189,23 +186,6 @@ def test_local_factors_match_per_message_oracle(name):
         want = (oracles.local_factor(ms, v, repl)
                 / oracles.local_factor(ms, v, t))
         assert abs(alpha - want) <= 1e-12 * abs(want), v
-
-
-def test_merge_messages_keeps_fixed_point_elsewhere():
-    p = IsingParams(L=4, beta=0.25, h=0.1)
-    tn = ising_network(p)
-    ms = bp_iterate(tn, uniform_messages(tn), tol=1e-12).messages
-    region = ["0,0", "0,1"]
-    merged, fused, new_id = merge_region(tn, region)
-    ms2 = merge_messages(merged, fused, ms, region, new_id)
-    # local factors at vertices not adjacent to the region are unchanged
-    far = "2,2"
-    assert abs(local_factors(merged, ms2, [far])[far]
-               - local_factors(tn, ms, [far])[far]) < 1e-12
-    # the merged message set reproduces the same z at the supervertex as
-    # the local excitation-free contraction of the region
-    z_super = local_factors(merged, ms2, [new_id])[new_id]
-    assert np.isfinite(abs(z_super)) and abs(z_super) > 0
 
 
 def test_numerical_collapse_on_zero_tensor():

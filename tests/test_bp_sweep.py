@@ -21,26 +21,15 @@ import pytest
 import oracles
 import bptn.bp
 from bptn.bp import (PROBE_PERTURBATIONS, PROBE_SWEEPS, _normalize_rows,
-                     _Plan, _sweep, bp_iterate, merge_messages,
-                     random_messages, self_consistency_residual,
-                     stability_probe, uniform_messages)
+                     _Plan, _sweep, bp_iterate, random_messages,
+                     self_consistency_residual, stability_probe,
+                     uniform_messages)
 from bptn.cli import generate
 from bptn.models import IsingParams, ising_network
-from bptn.network import Graph, TensorNetwork, merge_region
+from bptn.network import Graph, TensorNetwork
 from bptn.tensor import DenseTensor, Leg
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _merged():
-    """A merged region whose fused edge has bond dimension 4 among
-    dimension-2 edges, with the messages carried across the merge."""
-    tn = ising_network(IsingParams(L=4, beta=0.25, h=0.1))
-    ms = bp_iterate(tn, uniform_messages(tn), tol=1e-12).messages
-    region = ["0,0", "0,1", "1,1"]
-    merged, fused, new_id = merge_region(tn, region)
-    assert sorted(set(merged.bond_dims.values())) == [2, 4]
-    return merged, merge_messages(merged, fused, ms, region, new_id)
 
 
 def _start(tn):
@@ -63,7 +52,8 @@ CASES = {
         generate("peps:rows=5,cols=5,D=2,perturbation=0.25", 11).tn),
     # several shape groups; a leaf's update contracts no message
     "tree": lambda: _start(generate("tree:n=12,D=3", 0).tn),
-    "merged_mixed_dims": _merged,
+    # bond dimensions 2, 3 and 4 on one loopy graph
+    "mixed_dims": lambda: _start(_mixed_dims()),
     # one vertex, no message to update or perturb
     "edgeless": lambda: _start(generate("tree:n=1", 0).tn),
     "random_complex_start": _random_start,
@@ -128,13 +118,12 @@ def test_sweep_calls_are_counted_per_sweep(monkeypatch):
     assert calls == [{(PROBE_PERTURBATIONS,)}] * PROBE_SWEEPS
 
 
-def _two_dims():
-    """A square with one diagonal, bonds of dimension 2 and 3, positive
-    random tensors."""
+def _square_with_diagonal(dims):
+    """A square with one diagonal, bonds of dimensions ``dims`` (by edge
+    id), positive random tensors."""
     rng = np.random.default_rng(1)
     edges = {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"),
              "da": ("d", "a"), "ac": ("a", "c")}
-    dims = {"ab": 2, "bc": 3, "cd": 2, "da": 3, "ac": 3}
     g = Graph("abcd", edges)
     tensors = {}
     for v in g.vertices:
@@ -142,6 +131,17 @@ def _two_dims():
         tensors[v] = DenseTensor(
             legs, 0.5 + rng.random(tuple(l.dim for l in legs)))
     return TensorNetwork(g, dims, tensors)
+
+
+def _two_dims():
+    return _square_with_diagonal(
+        {"ab": 2, "bc": 3, "cd": 2, "da": 3, "ac": 3})
+
+
+def _mixed_dims():
+    tn = _square_with_diagonal({"ab": 2, "bc": 3, "cd": 4, "da": 2, "ac": 3})
+    assert len(set(tn.bond_dims.values())) >= 3
+    return tn
 
 
 CHAIN_CASES = {

@@ -372,6 +372,17 @@ def test_exit_2_on_unknown_correlator_site():
                 "--distances", "0", "-m", "2"]) == 2
 
 
+def test_exit_2_on_correlator_pair_on_one_site(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run(["correlator", "--generate", "ising:L=4,beta=0.2,h=0.2",
+                "--site", "0,0", "--site-b", "0,0", "-m", "2",
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "share vertices" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_exit_2_on_bad_generator():
     assert run(["bp", "--generate", "nosuch:x=1"]) == 2
     assert run(["bp", "--generate", "ising:L=banana"]) == 2

@@ -13,8 +13,8 @@ from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
                          peps_statevector, random_peps)
 from bptn.network import (Graph, TensorNetwork, _double_tensor, bfs,
                           build_norm_network, connected_subsets,
-                          exact_contract, merge_region, peps_replacements,
-                          phys_leg, shortest_paths)
+                          exact_contract, peps_replacements, phys_leg,
+                          shortest_paths)
 from bptn.tensor import DenseTensor, Leg
 from bptn.tnio import (load_messages, load_network, network_from_dict,
                        network_to_dict, save_network)
@@ -267,27 +267,6 @@ def test_insert_operator_validates():
         peps_replacements(peps, {"9,9": np.eye(2)})
     with pytest.raises(RegionMismatch):
         peps_replacements(peps, {"0,0": np.eye(3)})
-
-
-# -- merging ----------------------------------------------------------------
-
-def test_merge_region_preserves_contraction():
-    p = random_peps(2, 3, D=2, perturbation=0.4, seed=8)
-    tn = build_norm_network(p)
-    want = exact_contract(tn)
-    merged, fused, new_id = merge_region(tn, ["0,0", "0,1", "1,1"])
-    assert new_id in merged.graph.vertices
-    assert abs(exact_contract(merged) - want) < 1e-10 * abs(want)
-    # parallel edges to a common neighbor were fused
-    assert all(len(es) > 1 for es in fused.values())
-
-
-def test_merge_region_single_vertex():
-    tn = ring(4, 2)
-    want = exact_contract(tn)
-    merged, fused, _ = merge_region(tn, ["v0"])
-    assert fused == {}
-    assert abs(exact_contract(merged) - want) < 1e-12 * abs(want)
 
 
 # -- interchange format -----------------------------------------------------

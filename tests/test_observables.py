@@ -6,7 +6,7 @@ import pytest
 
 from bptn.bp import bp_iterate, uniform_messages
 from bptn.errors import (InsufficientPoints, OverlappingRegions,
-                         PCapExceeded)
+                         PCapExceeded, RegionMismatch)
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          peps_statevector, random_peps)
 from bptn.network import build_norm_network, exact_contract, peps_replacements
@@ -95,23 +95,20 @@ def test_classical_magnetization_vs_exact():
     assert err8 < 2e-2 * abs(want)
 
 
-# --- multi-site regions -----------------------------------------------------
-
-def test_two_site_supervertex_expectation(peps23):
-    ins = {"0,0": SZ, "0,1": SZ}
-    want = _exact_expval(peps23.peps, ins)
-    prob = _problem(peps23, ins)
-    bp = expval_bp_tensors(prob).value
-    got = expval_derivative_tensors(prob, 8).value
-    assert abs(got - want) < abs(bp - want)
-    assert abs(got - want) < 1e-3 * abs(want)
-
+# --- regions ----------------------------------------------------------------
 
 def test_overlapping_regions_rejected(peps23):
-    a = {"0,0": SZ}
-    b = {"0,0": SZ, "0,1": SZ}
-    with pytest.raises(OverlappingRegions):
-        _problem(peps23, a, b)
+    with pytest.raises(OverlappingRegions, match="regions 0 and 1 share"):
+        _problem(peps23, {"0,0": SZ}, {"0,0": SX})
+
+
+@pytest.mark.parametrize("insertions", [
+    [{"0,0": SZ, "0,1": SZ}],
+    [{"0,0": SZ}, {}],
+], ids=["two_sites", "no_site"])
+def test_region_must_be_one_site(peps23, insertions):
+    with pytest.raises(RegionMismatch, match="one site"):
+        _problem(peps23, *insertions)
 
 
 # --- correlators ------------------------------------------------------------
