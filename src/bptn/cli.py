@@ -502,9 +502,19 @@ def build_parser():
     return ap
 
 
+def _check_truncations(args):
+    """Refuse a negative ``-m`` or ``-k``; 0 is a valid truncation."""
+    for name in ("max_weight", "region_size"):
+        value = getattr(args, name, 0)
+        if value < 0:
+            raise ConfigError(f"{'/'.join(_OPTIONS[name][0])} must be >= 0, "
+                              f"got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_truncations(args)
         return args.func(args)
     except (ConfigError, InvalidNetworkFile, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

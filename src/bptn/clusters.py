@@ -128,16 +128,21 @@ def ursell(cluster: Cluster, cap: int = DEFAULT_URSELL_CAP) -> Fraction:
     return Fraction(g[full], denom)
 
 
-def overlap_neighbors(loops):
-    """Neighbour sets of the overlap graph on ``loops``, by list index."""
-    n = len(loops)
-    nbrs = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if loops_overlap(loops[i], loops[j]):
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-    return nbrs
+def overlap_neighbors(loops, max_weight=math.inf):
+    """Neighbour sets of the overlap graph on ``loops``, by list index,
+    joining two loops only when their weights sum to at most
+    ``max_weight``: every overlap inside a connected set of weight
+    <= max_weight is such a pair.  Overlaps are found through the loops at
+    each vertex, and a loop that no other loop fits beside gets none."""
+    light = max_weight - min((l.weight for l in loops), default=0)
+    at = {}  # vertex -> the indices of the light loops through it
+    for i, l in enumerate(loops):
+        if l.weight <= light:
+            for v in l.vertices:
+                at.setdefault(v, []).append(i)
+    return [{j for v in l.vertices for j in at[v]
+             if j != i and l.weight + loops[j].weight <= max_weight}
+            if l.weight <= light else set() for i, l in enumerate(loops)]
 
 
 def anchored_loop_sets(excitations, max_weight: int, anchor=None):
@@ -150,8 +155,8 @@ def anchored_loop_sets(excitations, max_weight: int, anchor=None):
     loops = sorted((l for l in excitations if l.weight <= max_weight),
                    key=lambda l: l.key)
     anchor = {str(v) for v in anchor} if anchor is not None else None
-    for subset in connected_subsets(overlap_neighbors(loops),
-                                    [l.weight for l in loops], max_weight):
+    for subset, _ in connected_subsets(overlap_neighbors(loops, max_weight),
+                                       [l.weight for l in loops], max_weight):
         members = [loops[i] for i in sorted(subset)]
         if anchor is None or any(l.vertices & anchor for l in members):
             yield members

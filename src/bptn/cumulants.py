@@ -25,7 +25,7 @@ from .clusters import (Cluster, anchored_loop_sets, loops_overlap,
                        overlap_neighbors)
 from .errors import BranchCrossing, CapExceeded, CombinatorialBudgetExceeded
 from .network import (DEFAULT_SIZE_CAP, Graph, TensorNetwork,
-                      connected_subsets, is_connected)
+                      connected_subsets, is_connected, set_bits)
 # under the name perfbench/tracing.py wraps
 from .tensor import contract_closed as contract_network
 
@@ -131,14 +131,6 @@ def cumulant_free_energy(tn, messages, excitations, m: int,
 
 # --- regions ---------------------------------------------------------------
 
-def _bits(mask):
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class Region:
     """Connected vertex-induced subgraph used in the region expansion."""
 
@@ -175,11 +167,12 @@ def find_regions(g: Graph, k: int, anchor=None):
     connected and leafless; with one, when it is connected and holds the
     anchor, once the branches that do not end on the anchor are cut off.
 
-    Vertex sets are bit masks over ``g.vertices``.  The walk stops growing
-    a set once a leaf can no longer close: it has no neighbour left to
-    take, or taking the ones it needs would exceed k vertices.  The
-    closure is semi-naive: a level pairs only the newest regions with the
-    earlier ones and with each other, and judges each intersection once.
+    Vertex sets are bit masks over ``g.vertices``, summed by the walk from
+    the labels ``1 << i``.  The walk stops growing a set once a leaf can
+    no longer close: it has no neighbour left to take, or taking the ones
+    it needs would exceed k vertices.  The closure is semi-naive: a level
+    pairs only the newest regions with the earlier ones and with each
+    other, and judges each intersection once.
     """
     index = {v: i for i, v in enumerate(g.vertices)}
     nbrs = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
@@ -191,7 +184,7 @@ def find_regions(g: Graph, k: int, anchor=None):
         """The vertices of ``mask`` other than the anchor with induced
         degree < 2, and the most neighbours one of them still needs."""
         out, need = 0, 0
-        for i in _bits(mask & ~pinned):
+        for i in set_bits(mask & ~pinned):
             x = adj[i] & mask
             if not x & (x - 1):
                 out |= 1 << i
@@ -206,17 +199,16 @@ def find_regions(g: Graph, k: int, anchor=None):
         takeable = 0
         for x in cand:
             takeable |= 1 << x
-        return all(adj[i] & takeable for i in _bits(short))
+        return all(adj[i] & takeable for i in set_bits(short))
 
     sets, visited = [], 0
-    for cur in connected_subsets(nbrs, [1] * len(nbrs), k, roots, grow):
+    for cur, mask in connected_subsets(
+            nbrs, [1] * len(nbrs), k, roots, grow,
+            labels=[1 << i for i in range(len(nbrs))]):
         visited += 1
         if visited > DEFAULT_BUDGET:
             raise CombinatorialBudgetExceeded(
                 f"vertex-subset enumeration exceeded budget {DEFAULT_BUDGET}")
-        mask = 0
-        for i in cur:
-            mask |= 1 << i
         short, need = leaves(mask)
         if not short:
             sets.append(mask)
@@ -228,7 +220,7 @@ def find_regions(g: Graph, k: int, anchor=None):
             maximal.append(p)
 
     def keep(p):
-        if not is_connected(_bits(p), nbrs.__getitem__):
+        if not is_connected(set_bits(p), nbrs.__getitem__):
             return None
         if anchor is None:
             return None if leaves(p)[0] else p
@@ -259,7 +251,7 @@ def find_regions(g: Graph, k: int, anchor=None):
         levels.append(fresh)
     out = []
     for level, masks in enumerate(levels):
-        regions = [Region(g, map(g.vertices.__getitem__, _bits(s)), level)
+        regions = [Region(g, map(g.vertices.__getitem__, set_bits(s)), level)
                    for s in masks]
         out += sorted(regions, key=lambda r: r.key)
     return out

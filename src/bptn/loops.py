@@ -4,11 +4,11 @@ A generalized loop is a connected edge-induced subgraph of minimum degree
 two; strings relax the degree condition inside marked terminal regions.
 Enumeration walks the connected edge sets of the line graph (edges are
 adjacent when they share a vertex) with ``network.connected_subsets``,
-each set grown from its smallest edge id, so no subset is visited twice.
-A leaf is a dangling end: a degree-one vertex outside the terminal
-regions.  A set stops growing once its leaves can no longer all close
-within the weight limit, and loops and strings are the visited sets
-without leaves.
+each set grown from its smallest edge id, so no subset is visited twice,
+and handed out with its degree map, summed along the walk.  A leaf is a
+dangling end: a degree-one vertex outside the terminal regions.  A set
+stops growing once its leaves can no longer all close within the weight
+limit; loops and strings are the visited sets without leaves.
 
 Weights are evaluated locally on the loop support, in the BP gauge: each
 support vertex is its dressed tensor (the site tensor with the incoming
@@ -68,7 +68,7 @@ class GeneralizedLoop:
 def connected_edge_subsets(g: Graph, max_weight: int, terminals=(),
                            budget: int = DEFAULT_ENUM_BUDGET):
     """Connected edge subsets of size <= max_weight, each at most once, as
-    (edge ids, is a string) pairs; every string is among them.
+    (``sorted(g.edges)`` indices, is a string) pairs, strings among them.
 
     A leaf is a degree-one vertex outside ``terminals``, and a string is a
     subset without leaves.  A subset stops growing once its leaves cannot
@@ -76,16 +76,15 @@ def connected_edge_subsets(g: Graph, max_weight: int, terminals=(),
     incident edge left to take stays open in every subset grown from it.
     ``budget`` bounds the subsets visited.
     """
-    edge_ids = sorted(g.edges)
-    index = {e: i for i, e in enumerate(edge_ids)}
+    index = {e: i for i, e in enumerate(sorted(g.edges))}
     vindex = {v: i for i, v in enumerate(g.vertices)}
-    ends = [[vindex[v] for v in g.edges[e]] for e in edge_ids]
+    ends = [[vindex[v] for v in g.edges[e]] for e in index]
     incident = [{index[e] for (e, _) in g.incident(v)} for v in g.vertices]
     nbrs = [(incident[a] | incident[b]) - {i}
             for i, (a, b) in enumerate(ends)]
     # The degree map packed into one integer: vertex v's degree sits in
-    # bits [k*v, k*v + k), so a subset's map is the sum of its edges'
-    # entries, and v is a leaf when bit k*v is the only one set there.
+    # bits [k*v, k*v + k), so a subset's map, its label in the walk, is the
+    # sum of its edges' entries; v is a leaf when only bit k*v is set there.
     k = max((len(inc) for inc in incident), default=1).bit_length()
     packed = [(1 << k * a) | (1 << k * b) for a, b in ends]
     free = sum(1 << k * v for v, name in enumerate(g.vertices)
@@ -101,18 +100,17 @@ def connected_edge_subsets(g: Graph, max_weight: int, terminals=(),
         return not leaves & ~reach
 
     visited = 0
-    for cur in connected_subsets(nbrs, [1] * len(edge_ids), max_weight,
-                                 grow=grow):
+    for cur, deg in connected_subsets(nbrs, [1] * len(index), max_weight,
+                                      grow=grow, labels=packed):
         visited += 1
         if visited > budget:
             raise CombinatorialBudgetExceeded(
                 f"edge-subset enumeration exceeded budget {budget}")
-        deg = sum(map(packed.__getitem__, cur))
         high = 0
         for j in range(1, k):
             high |= deg >> j
         leaves = deg & free & ~high
-        yield tuple(map(edge_ids.__getitem__, cur)), not leaves
+        yield cur, not leaves
 
 
 def enumerate_loops(g: Graph, max_weight: int):
@@ -133,7 +131,8 @@ def enumerate_strings(g: Graph, regions, max_weight: int):
             if regions[i] & regions[j]:
                 raise ValueError("terminal regions must be disjoint")
     terminals = frozenset().union(*regions)
-    out = [GeneralizedLoop(g, edges) for edges, is_string
+    edge_ids = sorted(g.edges)
+    out = [GeneralizedLoop(g, [edge_ids[i] for i in cur]) for cur, is_string
            in connected_edge_subsets(g, max_weight, terminals) if is_string]
     out.sort(key=lambda l: (l.weight, l.key))
     return out

@@ -9,14 +9,16 @@ Exact contraction is a greedy pairwise contraction used as ground truth at
 desk scale -- correctness over speed.
 
 Every expansion sums over connected objects: loops (edge sets), regions
-(vertex sets), clusters and cumulant subsets (sets in the loop-overlap
-graph).  ``connected_subsets`` is the one walk that enumerates them;
-``peps_replacements`` is the one adapter from a PEPS operator insertion,
-a {vertex: matrix} map, to the replacement tensors the estimators take.
+(vertex sets), clusters and cumulant subsets (loop-overlap graph sets).
+``connected_subsets``, a bit-mask walk that sums integer labels along the
+way, is the one walk that enumerates them; ``peps_replacements`` is the
+one adapter from a PEPS operator insertion, a {vertex: matrix} map, to
+the replacement tensors the estimators take.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 
@@ -216,6 +218,14 @@ def shortest_paths(g: Graph, A, B):
 
 
 
+def set_bits(mask):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def is_connected(items, neighbors) -> bool:
     """Whether ``items`` is nonempty and connected, where ``neighbors(x)``
     gives the neighbours of x (those outside ``items`` are ignored)."""
@@ -234,42 +244,41 @@ def is_connected(items, neighbors) -> bool:
     return seen == items
 
 
-def connected_subsets(nbrs, weights, max_weight, roots=None, grow=None):
-    """Yield each connected index subset of total weight <= max_weight once.
+def connected_subsets(nbrs, weights, max_weight, roots=None, grow=None,
+                      labels=None):
+    """Yield each connected index subset of total weight <= max_weight once,
+    as (index tuple in the order grown, sum of its integer ``labels``).
 
-    ``nbrs[i]`` holds the indices adjacent to index i and ``weights[i]`` is
-    its positive weight; subsets are yielded as index tuples in the order
-    they were grown.  With ``roots=None`` a subset is grown from its
-    smallest index over higher indices only.  With ``roots`` given, subsets
-    are grown from those roots over all indices, and a root never takes an
-    earlier root, so each connected subset holding a root is yielded once.
+    ``nbrs[i]`` holds each index adjacent to index i once; ``weights[i]``
+    is its positive weight.  A subset grows from the first of ``roots``
+    (default: every index, in order) it holds and never takes an earlier
+    root, so it is yielded once.  Labels default to 0.
 
-    The walk is a take-or-leave stack: a subset's candidates ``cand`` are
-    the neighbours it may still take, and taking one bans the candidates
-    before it, so two branches never grow the same subset.  ``seen`` holds
-    every index a subset has taken, banned or made a candidate; only an
-    unseen neighbour of a newly taken index becomes a candidate, so no
-    subset grown from ``cur`` takes a neighbour of ``cur`` outside
-    ``cand``.  ``grow(cur, cand)``, when given, runs after ``cur`` is
-    yielded and before it grows; a false answer prunes every subset grown
-    from it.
+    The walk is a take-or-leave stack on bit masks: a subset's candidates
+    ``cand`` are the neighbours it may still take, and taking one bans the
+    candidates before it, so two branches never grow the same subset.
+    ``seen`` holds the earlier roots and every index a subset has taken,
+    banned or made a candidate; only an unseen neighbour of a newly taken
+    index becomes a candidate (a mask cached per call as its ascending
+    tuple), so no subset grown from ``cur`` takes a neighbour of ``cur``
+    outside ``cand``.  ``grow(cur, cand)``, when given, runs after ``cur``
+    is yielded and before it grows; a false answer prunes all grown from it.
     """
+    adj = [sum(1 << y for y in nb) for nb in nbrs]
+    labels = labels or [0] * len(weights)
+    ascending = functools.cache(lambda mask: tuple(set_bits(mask)))
     stop = max_weight - min(weights, default=0)
-    upward = roots is None
-    roots = range(len(weights)) if upward else list(roots)
-    for pos, root in enumerate(roots):
+    base = 0  # the roots so far
+    for root in range(len(weights)) if roots is None else roots:
+        base |= 1 << root
         if weights[root] > max_weight:
             continue
-        if upward:
-            low, banned = root, frozenset()
-        else:
-            low, banned = -1, frozenset(roots[:pos])
-        cand = tuple(sorted(x for x in nbrs[root]
-                            if x > low and x not in banned))
-        stack = [((root,), cand, banned.union(cand, (root,)), weights[root])]
+        first = adj[root] & ~base
+        stack = [((root,), ascending(first), base | first, weights[root],
+                  labels[root])]
         while stack:
-            cur, cand, seen, w = stack.pop()
-            yield cur
+            cur, cand, seen, w, label = stack.pop()
+            yield cur, label
             if w > stop:  # at the weight limit: no index fits
                 continue
             if grow is not None and not grow(cur, cand):
@@ -278,7 +287,7 @@ def connected_subsets(nbrs, weights, max_weight, roots=None, grow=None):
                 wx = w + weights[x]
                 if wx > max_weight:
                     continue
-                grown = tuple(sorted(y for y in nbrs[x]
-                                     if y > low and y not in seen))
-                stack.append((cur + (x,), cand[i + 1:] + grown,
-                              seen.union(grown), wx))
+                grown = adj[x] & ~seen
+                stack.append((cur + (x,), cand[i + 1:] + ascending(grown),
+                              seen | grown, wx, label + labels[x]))
+

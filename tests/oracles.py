@@ -2,6 +2,9 @@
 program itself never evaluates them: the cumulant expansion in its
 counting-number and Moebius forms; the per-edge BP sweep, iteration
 and stability probe that the compiled sweep in ``bptn.bp`` replaced; the
+tuple-and-frozenset subset walk that the bit-mask walk in
+``bptn.network`` replaced, and the loop sets it finds on the overlap graph
+of every pair of loops, which ``bptn.clusters`` prunes by weight; the
 unpruned string enumeration that the leaf-pruned walk in ``bptn.loops``
 replaced; the global and anchored region finders that
 ``bptn.cumulants.find_regions`` replaced, with an unpruned vertex walk,
@@ -26,7 +29,7 @@ from bptn.cumulants import (DEFAULT_BUDGET, Region, counting_numbers,
 from bptn.errors import (CombinatorialBudgetExceeded, DimensionMismatch,
                          NumericalCollapse, TooLarge)
 from bptn.loops import GeneralizedLoop
-from bptn.network import DEFAULT_SIZE_CAP, connected_subsets, is_connected
+from bptn.network import DEFAULT_SIZE_CAP, is_connected
 from bptn.tensor import DenseTensor, Leg, contract_pair
 
 
@@ -145,6 +148,87 @@ def stability_probe(tn, messages: MessageSet, seed=0):
     if g < 1.0 - 1e-3:
         return "stable", g
     return "inconclusive", g
+
+
+# --- the tuple-and-frozenset subset walk -------------------------------------
+
+def connected_subsets(nbrs, weights, max_weight, roots=None, grow=None):
+    """Yield each connected index subset of total weight <= max_weight once.
+
+    ``nbrs[i]`` holds the indices adjacent to index i and ``weights[i]`` is
+    its positive weight; subsets are yielded as index tuples in the order
+    they were grown.  With ``roots=None`` a subset is grown from its
+    smallest index over higher indices only.  With ``roots`` given, subsets
+    are grown from those roots over all indices, and a root never takes an
+    earlier root, so each connected subset holding a root is yielded once.
+
+    The walk is a take-or-leave stack: a subset's candidates ``cand`` are
+    the neighbours it may still take, and taking one bans the candidates
+    before it, so two branches never grow the same subset.  ``seen`` holds
+    every index a subset has taken, banned or made a candidate; only an
+    unseen neighbour of a newly taken index becomes a candidate, so no
+    subset grown from ``cur`` takes a neighbour of ``cur`` outside
+    ``cand``.  ``grow(cur, cand)``, when given, runs after ``cur`` is
+    yielded and before it grows; a false answer prunes every subset grown
+    from it.
+    """
+    stop = max_weight - min(weights, default=0)
+    upward = roots is None
+    roots = range(len(weights)) if upward else list(roots)
+    for pos, root in enumerate(roots):
+        if weights[root] > max_weight:
+            continue
+        if upward:
+            low, banned = root, frozenset()
+        else:
+            low, banned = -1, frozenset(roots[:pos])
+        cand = tuple(sorted(x for x in nbrs[root]
+                            if x > low and x not in banned))
+        stack = [((root,), cand, banned.union(cand, (root,)), weights[root])]
+        while stack:
+            cur, cand, seen, w = stack.pop()
+            yield cur
+            if w > stop:  # at the weight limit: no index fits
+                continue
+            if grow is not None and not grow(cur, cand):
+                continue
+            for i, x in enumerate(cand):
+                wx = w + weights[x]
+                if wx > max_weight:
+                    continue
+                grown = tuple(sorted(y for y in nbrs[x]
+                                     if y > low and y not in seen))
+                stack.append((cur + (x,), cand[i + 1:] + grown,
+                              seen.union(grown), wx))
+
+
+# --- the overlap graph over every pair of loops ------------------------------
+
+def overlap_neighbors(loops):
+    """Neighbour sets of the overlap graph on ``loops``, by list index,
+    testing every pair."""
+    n = len(loops)
+    nbrs = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if loops[i].vertices & loops[j].vertices:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+    return nbrs
+
+
+def anchored_loop_sets(excitations, max_weight: int, anchor=None):
+    """Connected sets of distinct loops with total weight <= max_weight,
+    each once, as lists in loop-key order, walked on the all-pairs overlap
+    graph; with ``anchor``, only sets whose support meets it."""
+    loops = sorted((l for l in excitations if l.weight <= max_weight),
+                   key=lambda l: l.key)
+    anchor = {str(v) for v in anchor} if anchor is not None else None
+    for subset in connected_subsets(overlap_neighbors(loops),
+                                    [l.weight for l in loops], max_weight):
+        members = [loops[i] for i in sorted(subset)]
+        if anchor is None or any(l.vertices & anchor for l in members):
+            yield members
 
 
 # --- the unpruned string enumeration ----------------------------------------

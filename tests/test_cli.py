@@ -423,6 +423,27 @@ def test_exit_2_on_impossible_bp_settings(flag, value, capsys, monkeypatch):
     assert out.err.startswith(f"error: {flag} must be")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["loops", "-m", "-1"], "--max-weight/-m"),
+    (["free-energy", "-m", "-3", "-k", "-2"], "--max-weight/-m"),
+    (["free-energy", "-m", "4", "-k", "-2"], "--region-size/-k"),
+    (["expval", "-m", "-2"], "--max-weight/-m"),
+    (["expval", "-k", "-1"], "--region-size/-k"),
+    (["correlator", "-m", "-5"], "--max-weight/-m"),
+    (["regions", "-k", "-1"], "--region-size/-k"),
+])
+def test_exit_2_on_negative_truncation(argv, flag, capsys):
+    """A negative truncation is refused with the option's name, and no CSV
+    is written; 0 stays valid."""
+    assert run([*argv, "--generate", "ising:L=3,beta=0.2,h=0.1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {flag} must be >= 0, got -")
+    zeroed = [("0" if a.startswith("-") and a[1:].isdigit() else a)
+              for a in argv]
+    assert run([*zeroed, "--generate", "ising:L=3,beta=0.2,h=0.1"]) == 0
+
+
 def test_exit_2_on_invalid_network_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

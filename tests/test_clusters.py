@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from bptn.bp import bp_log_partition
-from bptn.clusters import (Cluster, FreeEnergyResult, cluster_value,
-                           enumerate_clusters, free_energy_truncated,
-                           interaction_graph, loops_overlap, ursell)
+from bptn.clusters import (Cluster, FreeEnergyResult, anchored_loop_sets,
+                           cluster_value, enumerate_clusters,
+                           free_energy_truncated, interaction_graph,
+                           loops_overlap, ursell)
 from bptn.errors import CapExceeded, CombinatorialBudgetExceeded
 from bptn.loops import GeneralizedLoop, enumerate_loops, evaluate_weights
 from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
@@ -192,3 +196,25 @@ def test_free_energy_per_order_accounting():
     table = evaluate_weights(tn, ms, loops)
     res = free_energy_truncated(tn, ms, loops, 6, weight_table=table)
     assert res.f_bp == -bp_log_partition(tn, ms)
+
+
+_K6 = Graph(range(6), {f"{u}-{v}": (u, v)
+                       for u, v in itertools.combinations(range(6), 2)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.sampled_from(sorted(_K6.edges)), min_size=1,
+                        max_size=4), max_size=10),
+       st.integers(0, 12),
+       st.none() | st.sets(st.sampled_from(_K6.vertices), max_size=2))
+def test_pruned_overlap_graph_gives_the_all_pairs_sets(edge_sets, m, anchor):
+    """Joining only the overlapping loops whose weights sum to at most m
+    leaves the family of connected loop sets of weight <= m unchanged,
+    with and without an anchor."""
+    loops = list({GeneralizedLoop(_K6, edges) for edges in edge_sets})
+
+    def family(sets):
+        return sorted(tuple(l.key for l in members) for members in sets)
+
+    assert family(anchored_loop_sets(loops, m, anchor)) == family(
+        oracles.anchored_loop_sets(loops, m, anchor))

@@ -52,9 +52,11 @@ def test_connected_subsets_exactly_once_vs_brute_force():
     terminals."""
     g = ising_network(IsingParams(L=3, beta=0.2)).graph
     connected = brute_force_connected_subsets(g, 5)
+    edge_ids = sorted(g.edges)
     for terminals in (frozenset(), frozenset({"0,0", "1,2"})):
-        got = list(connected_edge_subsets(g, 5, terminals))
-        sets = [frozenset(edges) for edges, _ in got]
+        got = [(frozenset(edge_ids[i] for i in cur), is_string) for
+               cur, is_string in connected_edge_subsets(g, 5, terminals)]
+        sets = [edges for edges, _ in got]
         assert len(sets) == len(set(sets)), "duplicates emitted"
         assert set(sets) <= connected
         strings = {s for s in connected

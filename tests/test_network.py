@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from bptn.errors import (DimensionMismatch, InvalidNetworkFile,
                          MissingPhysicalLeg, RegionMismatch)
 from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
@@ -168,13 +169,55 @@ def test_connected_subsets_match_brute_force(case):
         if keep:
             nbrs[u].add(v)
             nbrs[v].add(u)
-    got = [frozenset(s) for s in
+    got = [frozenset(s) for s, _ in
            connected_subsets(nbrs, weights, max_weight, roots)]
     assert len(got) == len(set(got)), "a subset was yielded twice"
     assert set(got) == _brute_connected_subsets(nbrs, weights, max_weight,
                                                 roots)
-    assert [frozenset(s) for s in connected_subsets(
+    assert [frozenset(s) for s, _ in connected_subsets(
         nbrs, weights, max_weight, roots, grow=lambda cur, cand: True)] == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+             max_size=n * (n - 1) // 2),
+    st.lists(st.integers(1, 3), min_size=n, max_size=n),
+    st.integers(0, 10),
+    st.none() | st.lists(st.integers(0, n - 1), unique=True),
+    st.lists(st.integers(-8, 8), min_size=n, max_size=n),
+    st.integers(2, 4))))
+def test_mask_walk_matches_tuple_walk_sequence(case):
+    """The bit-mask walk yields the subsets of the tuple-and-frozenset walk
+    it replaced in the same order, and asks ``grow`` about the same
+    (subset, candidates) pairs in the same order, also when the answer
+    depends on the candidates; each label is the sum over its subset."""
+    present, weights, max_weight, roots, labels, modulus = case
+    n = len(weights)
+    nbrs = [set() for _ in range(n)]
+    for (u, v), keep in zip(itertools.combinations(range(n), 2), present):
+        if keep:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+
+    def judge(asked):
+        def grow(cur, cand):
+            asked.append((cur, cand))
+            return (sum(cand) + len(cur)) % modulus != 0
+        return grow
+
+    for prune in (False, True):
+        want_asked, got_asked = [], []
+        want = list(oracles.connected_subsets(
+            nbrs, weights, max_weight, roots,
+            judge(want_asked) if prune else None))
+        got = list(connected_subsets(
+            nbrs, weights, max_weight, roots,
+            judge(got_asked) if prune else None, labels))
+        assert [cur for cur, _ in got] == want
+        assert got_asked == want_asked
+        assert [label for _, label in got] == [
+            sum(labels[i] for i in cur) for cur in want]
 
 
 # -- network validation -----------------------------------------------------
