@@ -50,19 +50,16 @@ PROBE_SWEEPS = 120
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """2-norm of each row (last axis) of a (..., d) complex array.
+    """2-norm of each row of a (rows, d) complex array.
 
     ``np.linalg.norm`` of one row adds two BLAS ``ddot`` calls, on the
     real and on the imaginary part; a stacked (rows, 1, d) @ (rows, d, 1)
-    matmul over the rows reshaped to (rows, d) makes the same ``ddot``
-    call for every row, so each norm is the one ``np.linalg.norm`` gives,
-    bit for bit.
+    matmul makes the same ``ddot`` call for every row, so each norm is the
+    one ``np.linalg.norm`` gives, bit for bit.
     """
-    flat = x.reshape(-1, x.shape[-1])
-    re, im = flat.real, flat.imag
-    sq = (np.matmul(re[:, None, :], re[:, :, None])
-          + np.matmul(im[:, None, :], im[:, :, None]))
-    return np.sqrt(sq[:, 0, 0]).reshape(x.shape[:-1])
+    re, im = x.real, x.imag
+    return np.sqrt((np.matmul(re[:, None, :], re[:, :, None])
+                    + np.matmul(im[:, None, :], im[:, :, None])).ravel())
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -79,10 +76,10 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     """
     shape, x = x.shape, x.reshape(-1, x.shape[-1])
     n = _row_norms(x)
-    if np.any(n < 1e-14):
+    if (n < 1e-14).any():
         raise NumericalCollapse("message update collapsed to zero")
     x = x / n[:, None]
-    top = x[np.arange(len(x)), np.argmax(np.abs(x), axis=1)]
+    top = x[np.arange(len(x)), np.abs(x).argmax(1)]
     return (x / (top / np.hypot(top.real, top.imag))[:, None]).reshape(shape)
 
 
@@ -137,12 +134,14 @@ class MessageSet:
             self._sqrt[e] = cmath.sqrt(self.inner_product(e))
         return self._sqrt[e]
 
-    def projector(self, e) -> tuple:
-        """``edge_projector`` on edge e as (leg ids, array) (cached)."""
+    def projector(self, e) -> np.ndarray:
+        """``edge_projector`` on edge e as an array, its axes in
+        ``endpoints(e)`` order (cached)."""
         e = str(e)
         if e not in self._proj:
             p = edge_projector(self, e)
-            self._proj[e] = (tuple(p.leg_ids), p.data)
+            u, _ = self.tn.graph.endpoints(e)
+            self._proj[e] = p.data if p.leg_ids[0] == f"{e}@{u}" else p.data.T
         return self._proj[e]
 
     def dressed(self, requests) -> list:

@@ -160,6 +160,8 @@ def _fingerprint(args) -> str:
     payload = dict(_RETIRED_OPTIONS)
     payload.update((k, v) for k, v in vars(args).items()
                    if k not in ("out", "func"))
+    if payload["region_size"] is None:  # -k omitted: the old default 0
+        payload["region_size"] = 0
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
@@ -297,7 +299,8 @@ def cmd_expval(args):
     res = _converge(prob, args)
     site = args.site or prob.tn.graph.vertices[0]
     repl = prob.insertion(site)
-    m, k = args.max_weight, args.region_size or 1
+    m = args.max_weight
+    k = 1 if args.region_size is None else args.region_size
     ref = None
     if args.reference == "exact":
         z = exact_contract(prob.tn)
@@ -308,8 +311,7 @@ def cmd_expval(args):
         expval_ratio_tensors(expansion, m),
         expval_derivative_tensors(expansion, m),
         expval_cumulant_tensors(expansion, m),
-        expval_region_sum_tensors(expansion, k),
-    ]
+    ] + ([expval_region_sum_tensors(expansion, k)] if k else [])
     rows = []
     for e in estimates:
         row = {"method": e.method, "value_re": _fmt(e.value.real),
@@ -387,7 +389,8 @@ def cmd_correlator(args):
 
 def cmd_regions(args):
     prob = _load_problem(args)
-    poset = find_regions(prob.tn.graph, args.region_size or 4)
+    poset = find_regions(prob.tn.graph, 4 if args.region_size is None
+                         else args.region_size)
     b = counting_numbers({r.key: r.vertices for r in poset})
     rows = [{"region": "|".join(r.key), "n_vertices": len(r.vertices),
              "n_edges": len(r.edges), "level": r.level,
@@ -448,7 +451,8 @@ _OPTIONS = {
     "max_weight": (["--max-weight", "-m"],
                    dict(type=int, default=6, help="cluster weight truncation")),
     "region_size": (["--region-size", "-k"],
-                    dict(type=int, default=0, help="region size truncation")),
+                    dict(type=int, help="region size truncation (0: no "
+                         "regions)")),
     "tol": (["--tol"], dict(type=float, default=DEFAULT_TOL)),
     "damping": (["--damping"], dict(type=float, default=DEFAULT_DAMPING)),
     "seed": (["--seed"], dict(type=int, default=0)),
@@ -505,8 +509,8 @@ def build_parser():
 def _check_truncations(args):
     """Refuse a negative ``-m`` or ``-k``; 0 is a valid truncation."""
     for name in ("max_weight", "region_size"):
-        value = getattr(args, name, 0)
-        if value < 0:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
             raise ConfigError(f"{'/'.join(_OPTIONS[name][0])} must be >= 0, "
                               f"got {value}")
 

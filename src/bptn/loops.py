@@ -13,13 +13,22 @@ limit; loops and strings are the visited sets without leaves.
 Weights are evaluated locally on the loop support, in the BP gauge: each
 support vertex is its dressed tensor (the site tensor with the incoming
 messages mu/sqrt(I) absorbed on every leg off the loop, cached on the
-MessageSet), its loop legs renamed ``'<e>@<v>'`` and joined by excitation
+MessageSet), its loop legs split per endpoint and joined by excitation
 projectors on the loop edges, and the result is normalized by the product
 of BP local factors over the support (its tensors dressed on every leg).
 By locality of the BP background this equals the globally defined
 normalized excitation.  A weight table is one bulk contraction: every
 support network is gathered first, and networks of the same structure are
 contracted together (``tensor.contract_many``).
+
+A support network lists its tensors in the order of a depth-first walk of
+its loop (``_walk``), so that rotated, reflected and translated copies of
+one loop shape are one structure, with one contraction plan and one
+stacked matmul chain: the dressed site tensors first, in the order the walk
+reaches them, each with its loop legs in the order the walk crosses them,
+then one projector per edge, in crossing order, its legs oriented along
+the crossing.  The legs are numbered by the walk: the k-th crossing joins
+leg 2k at its from vertex and leg 2k + 1 at its far end.
 """
 
 from __future__ import annotations
@@ -138,27 +147,93 @@ def enumerate_strings(g: Graph, regions, max_weight: int):
     return out
 
 
+def _walk(g: Graph, edges) -> tuple:
+    """Depth-first walk of a connected edge set, ``edges`` in sorted order:
+    (the vertices in the order it reaches them, {vertex: its (edge, leg)
+    pairs in the order it crosses them}, the crossings (edge, from, to) in
+    order).  The k-th crossing's ends are the legs numbered 2k, at its
+    from vertex, and 2k + 1.
+
+    The walk starts at a vertex of lowest degree in the set, the smallest
+    id among them, so a string with one terminal leaf starts there.  It
+    crosses the first edge in id order not crossed yet at the latest
+    vertex that has one, and goes on from the far end when that is new;
+    every edge is crossed once and every vertex reached once.
+    """
+    todo = {}  # vertex -> its (edge, far end) pairs not crossed, next last
+    for e in reversed(edges):
+        u, w = g.edges[e]
+        if u in todo:
+            todo[u].append((e, w))
+        else:
+            todo[u] = [(e, w)]
+        if w in todo:
+            todo[w].append((e, u))
+        else:
+            todo[w] = [(e, u)]
+    start = min([(len(pairs), v) for v, pairs in todo.items()])[1]
+    order, legs, crossings, stack = [start], {start: []}, [], [start]
+    while stack:
+        v = stack[-1]
+        if not todo[v]:
+            stack.pop()
+            continue
+        e, w = todo[v].pop()
+        todo[w].remove((e, v))
+        n = 2 * len(crossings)
+        crossings.append((e, v, w))
+        legs[v].append((e, n))
+        if w in legs:
+            legs[w].append((e, n + 1))
+        else:
+            legs[w] = [(e, n + 1)]
+            order.append(w)
+            stack.append(w)
+    return order, legs, crossings
+
+
 def excitation_weight(messages: MessageSet, jobs, base) -> list:
     """Normalized weights Z_l of (network, loop) jobs, each contracted on
     its loop's support, all in one ``contract_closed`` call.
 
-    The local factors z_v that normalize them are those of the network
-    ``base``; an undecorated background for decorated jobs gives the
-    bar-normalized weights used by the derivative-form estimators.
+    A support network lists its tensors in the order of ``_walk`` on its
+    loop, computed once per loop, with the walk's leg numbers as leg ids:
+    the dressed site tensors, their loop legs in crossing order (a
+    transposed view where that is not the sorted order they come in), then
+    the projectors, transposed where the walk crosses an edge against its
+    endpoint order.  The local
+    factors z_v that normalize the weights are those of the network
+    ``base``, multiplied in sorted vertex order; an undecorated background
+    for decorated jobs gives the bar-normalized weights used by the
+    derivative-form estimators.
     """
     factors = local_factors(base, messages, dict.fromkeys(
         v for _, loop in jobs for v in loop.vertices))
-    supports = [sorted(loop.vertices) for _, loop in jobs]
+    keys = [loop.key for _, loop in jobs]
+    walks = {}  # loop key -> (sites, projectors, support in sorted order)
+    for (tn, _), key in zip(jobs, keys):
+        if key in walks:
+            continue
+        order, legs, crossings = _walk(tn.graph, key)
+        sites = []
+        for v in order:
+            kept = [e for e, _ in legs[v]]
+            ranks = sorted(kept)  # the order of a dressed tensor's legs
+            sites.append((v, kept, tuple([n for _, n in legs[v]]), None if
+                          ranks == kept else [ranks.index(e) for e in kept]))
+        projectors = [((2 * k, 2 * k + 1), messages.projector(e) if
+                       tn.graph.edges[e][0] == a else messages.projector(e).T)
+                      for k, (e, a, _) in enumerate(crossings)]
+        walks[key] = sites, projectors, sorted(order)
     dressed = iter(messages.dressed([
-        (v, tn.tensors[v], frozenset(
-            e for (e, _) in tn.graph.incident(v) if e in loop.edges))
-        for (tn, loop), support in zip(jobs, supports) for v in support]))
-    pools = [[(tuple(f"{e}@{v}" for e in ids), data)
-              for v, (ids, data) in zip(support, dressed)]
-             + [messages.projector(e) for e in sorted(loop.edges)]
-             for (_, loop), support in zip(jobs, supports)]
-    return [raw / math.prod((factors[v] for v in support), start=1.0 + 0j)
-            for raw, support in zip(contract_network(pools), supports)]
+        (v, tn.tensors[v], frozenset(kept)) for (tn, _), key in zip(jobs, keys)
+        for v, kept, _, _ in walks[key][0]]))
+    pools = [[(ids, data if perm is None else data.transpose(perm))
+              for (_, _, ids, perm), (_, data) in zip(walks[key][0], dressed)]
+             + walks[key][1] for key in keys]
+    return [raw / math.prod((factors[v] for v in walks[key][2]),
+                            start=1.0 + 0j)
+            for raw, key in zip(contract_network(pools), keys)]
 
 
 def evaluate_weights(tn, messages, loops) -> dict:

@@ -13,8 +13,11 @@ re-intersects the whole pool at every level; and the per-call
 contractions that the bulk ones replaced: the greedy plan search over
 every pair, ``np.tensordot`` one pair at a time, one dressed tensor, one
 loop weight and one region value per call, and each BP local factor z_v
-contracted one incoming message at a time.  ``relabel`` renames legs for
-the reference forms that name them per endpoint."""
+contracted one incoming message at a time.  A loop weight's support is
+listed in the order of a recursive depth-first walk of the loop, as the
+engine lists it, or in the sorted vertex and edge order that the walk
+replaced.  ``relabel`` renames legs for the reference forms that name
+them per endpoint."""
 
 import math
 
@@ -410,31 +413,32 @@ def plan(struct, dims):
     return tuple(steps), pool[0]
 
 
-def contract_network(tensors, size_cap=None) -> DenseTensor:
-    """One network, contracted pair by pair with ``np.tensordot`` in the
-    order ``plan`` gives."""
-    pool = list(tensors)
-    if not pool:
-        return DenseTensor([], 1.0)
-    if len(pool) == 1:
-        return pool[0]
-    index, dims, ids = {}, [], []
-    struct = []
-    for t in pool:
+def contract_pool(pool, size_cap=None) -> tuple:
+    """(open leg ids, array) of a pool of (leg ids, array) pairs,
+    contracted pair by pair with ``np.tensordot`` in the order ``plan``
+    gives.  The legs keep the order the pool gives them, which a
+    ``DenseTensor`` would sort."""
+    pool = [(tuple(ids), data) for ids, data in pool]
+    if len(pool) < 2:
+        return pool[0] if pool else ((), np.array(1.0 + 0j))
+    index, dims, ids, struct = {}, [], [], []
+    for leg_ids, data in pool:
         legs = []
-        for l in t.legs:
-            x = index.get(l.id)
+        for leg, dim in zip(leg_ids, data.shape):
+            x = index.get(leg)
             if x is None:
-                x = index[l.id] = len(dims)
-                dims.append(l.dim)
-                ids.append(l.id)
-            elif dims[x] != l.dim:
+                x = index[leg] = len(dims)
+                dims.append(dim)
+                ids.append(leg)
+            elif dims[x] != dim:
                 raise DimensionMismatch(
-                    f"leg {l.id!r}: dim {dims[x]} vs {l.dim}")
+                    f"leg {leg!r}: dim {dims[x]} vs {dim}")
             legs.append(x)
         struct.append(tuple(legs))
     steps, out = plan(struct, dims)
-    arrays = [t.data for t in pool]
+    # contiguous copies, as the bulk kernel stacks them: a product of
+    # transposed views may call BLAS with other strides and round otherwise
+    arrays = [np.array(data, order="C") for _, data in pool]
     for i, j, ax_i, ax_j, out_size in steps:
         if size_cap is not None and out_size > size_cap:
             raise TooLarge(
@@ -443,7 +447,17 @@ def contract_network(tensors, size_cap=None) -> DenseTensor:
         a = arrays.pop(i)
         arrays.append(np.tensordot(a, b, axes=(ax_i, ax_j)) if ax_i
                       else np.multiply.outer(a, b))
-    return DenseTensor([Leg(ids[x], dims[x]) for x in out], arrays[0])
+    return (tuple(ids[x] for x in out),
+            arrays[0].reshape([dims[x] for x in out]))
+
+
+def contract_network(tensors, size_cap=None) -> DenseTensor:
+    """One network of ``DenseTensor``s, contracted by ``contract_pool``."""
+    pool = list(tensors)
+    if len(pool) == 1:
+        return pool[0]
+    ids, data = contract_pool([(t.leg_ids, t.data) for t in pool], size_cap)
+    return DenseTensor(list(zip(ids, data.shape)), data)
 
 
 def relabel(t: DenseTensor, mapping: dict) -> DenseTensor:
@@ -475,9 +489,67 @@ def dressed(messages, v, tensor, kept) -> DenseTensor:
     return contract_network(pieces)
 
 
+def walk(g, edges) -> tuple:
+    """Depth-first walk of a connected edge set, by recursion: (the
+    vertices in the order reached, {vertex: its edges in the set in the
+    order crossed}, the crossings (edge, from, to) in order).  It starts
+    at a vertex of lowest degree in the set, the smallest id among them,
+    and each vertex crosses its edges not crossed yet in id order, going
+    on from the far end of an edge when that is new."""
+    edges = set(edges)
+    deg = degree_map(g, edges)
+    start = min(deg, key=lambda v: (deg[v], v))
+    order, legs, crossings, crossed = [start], {start: []}, [], set()
+
+    def visit(v):
+        for e, w in g.incident(v):
+            if e in edges and e not in crossed:
+                crossed.add(e)
+                crossings.append((e, v, w))
+                legs[v].append(e)
+                if w in legs:
+                    legs[w].append(e)
+                else:
+                    legs[w] = [e]
+                    order.append(w)
+                    visit(w)
+
+    visit(start)
+    return order, legs, crossings
+
+
+def _along(t: DenseTensor, ids) -> tuple:
+    """(``ids``, the array of ``t`` with its axes in the order of ``ids``)."""
+    return tuple(ids), t.data.transpose([t.leg_ids.index(x) for x in ids])
+
+
+def _normalized(raw, factors, vertices) -> complex:
+    denom = 1.0 + 0j
+    for v in sorted(vertices):
+        denom *= factors[str(v)]
+    return raw / denom
+
+
 def excitation_weight(tn, messages, loop, factors=None) -> complex:
-    """Normalized weight Z_l of one excitation, contracted on its
-    support; ``factors`` defaults to ``tn``'s own local factors."""
+    """Normalized weight Z_l of one excitation, its support listed in
+    ``walk`` order as the engine lists it: the dressed tensors, their loop
+    legs in crossing order, then the projectors, oriented along the walk.
+    ``factors`` defaults to ``tn``'s own local factors."""
+    if factors is None:
+        factors = local_factors(tn, messages, loop.vertices)
+    order, legs, crossings = walk(tn.graph, loop.edges)
+    pool = [_along(dressed(messages, v, tn.tensors[v], legs[v]),
+                   [f"{e}@{v}" for e in legs[v]]) for v in order]
+    pool += [_along(edge_projector(messages, e), [f"{e}@{a}", f"{e}@{b}"])
+             for e, a, b in crossings]
+    _, raw = contract_pool(pool)
+    return _normalized(complex(raw.item()), factors, loop.vertices)
+
+
+def sorted_excitation_weight(tn, messages, loop, factors=None) -> complex:
+    """``excitation_weight`` with the support listed in the sorted order
+    the walk replaced: the dressed tensors by vertex id, then the
+    projectors by edge id, each with its legs sorted."""
     if factors is None:
         factors = local_factors(tn, messages, loop.vertices)
     g = tn.graph
@@ -487,10 +559,7 @@ def excitation_weight(tn, messages, loop, factors=None) -> complex:
         for v in sorted(loop.vertices)]
     pieces += [edge_projector(messages, e) for e in sorted(loop.edges)]
     raw = contract_network(pieces).item()
-    denom = 1.0 + 0j
-    for v in sorted(loop.vertices):
-        denom *= factors[str(v)]
-    return raw / denom
+    return _normalized(raw, factors, loop.vertices)
 
 
 def region_partition(tn, messages, R, replacements=None):

@@ -237,6 +237,33 @@ def test_regions_subcommand(tmp_path):
     assert all(r["counting_number"] == "1" for r in rows)
 
 
+def test_regions_k0_lists_no_regions(tmp_path):
+    """``-k 0`` means no regions, as in ``free-energy``; without ``-k`` the
+    poset is the k = 4 one."""
+    out = tmp_path / "reg.csv"
+    argv = ["regions", "--generate", "ising:L=4,beta=0.2", "--out", str(out)]
+    assert run(argv + ["-k", "0"]) == 0
+    assert _rows(out) == []
+    assert run(argv) == 0
+    assert len(_rows(out)) == 24
+
+
+def test_expval_k0_runs_no_region_sum(tmp_path):
+    """``-k 0`` drops the region-sum row; without ``-k`` it runs at
+    k = 1, and the other rows are the same either way."""
+    out = tmp_path / "ev.csv"
+    argv = ["expval", "--generate", "ising:L=3,beta=0.25,h=0.2", "--site",
+            "1,1", "-m", "4", "--out", str(out)]
+    assert run(argv + ["-k", "0"]) == 0
+    without = _rows(out)
+    assert [r["method"] for r in without] == [
+        "BP", "ratio(4)", "derivative(4)", "cumulant(4)"]
+    assert run(argv) == 0
+    default = _rows(out)
+    assert default[:4] == without
+    assert [r["method"] for r in default[4:]] == ["region_sum(1)"]
+
+
 def test_scan_subcommand(tmp_path):
     out = tmp_path / "scan.csv"
     assert run(["scan", "--generate", "ising:L=4,beta=0.2",

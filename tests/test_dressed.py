@@ -7,8 +7,12 @@ and contracts it with one np.einsum call, independent of the contraction
 kernel and of the dressed-tensor cache.  The per-call oracle
 (``tests/oracles.py``) contracts one dressed tensor, one weight and one
 region at a time with ``np.tensordot``; the bulk path must equal it bit
-for bit.
+for bit.  A weight's support is listed in the order of a walk along its
+loop; the oracle lists it so too, and the sorted order the walk replaced
+stays within 1e-12 of it.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -24,7 +28,8 @@ from bptn.bp import (bp_iterate, edge_projector, local_factors,
 from bptn.cli import main
 from bptn.cumulants import find_regions, region_partition
 from bptn.errors import TooLarge
-from bptn.loops import enumerate_loops, evaluate_weights
+from bptn.loops import (GeneralizedLoop, enumerate_loops, evaluate_weights,
+                        excitation_weight)
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          random_peps)
 from bptn.network import (Graph, TensorNetwork, build_norm_network,
@@ -318,6 +323,64 @@ def test_bulk_matches_per_call_oracle_on_random_peps(rows, cols,
         (R, r) for R in poset for r in ({}, {rid: prob.replacements[rid]})])
 
 
+def _assert_near_sorted_order(prob, loops, regions):
+    """Each walk-ordered bar weight of the loops, with and without the
+    regions, within 1e-12 relative of the sorted-order oracle; a string
+    with a leaf and no insertion vanishes at the fixed point, so there
+    both are rounding noise below 1e-12 and only that is asserted."""
+    prob.weigh(loops, regions)
+    g = prob.base.graph
+    for loop in loops:
+        fac = local_factors(prob.base, prob.messages, loop.vertices)
+        on = [r for r in regions if r in loop.vertices]
+        leaf = min(degree_map(g, loop.edges).values()) < 2
+        for inserted in (frozenset(), frozenset(on)):
+            got = prob._weights[loop.key, inserted]
+            want = oracles.sorted_excitation_weight(
+                prob.network(inserted), prob.messages, loop, factors=fac)
+            if leaf and not inserted:
+                assert abs(got) < 1e-12 and abs(want) < 1e-12, loop
+            else:
+                assert want != 0 and _close(got, want), (loop, inserted)
+
+
+def test_walk_order_near_sorted_order_ising_free_energy():
+    tn, ms, _ = _benchmark_problem("ising_free_energy")
+    loops = enumerate_loops(tn.graph, 6)
+    table = evaluate_weights(tn, ms, loops)
+    for loop in loops:
+        want = oracles.sorted_excitation_weight(tn, ms, loop)
+        assert want != 0 and _close(table[loop.key], want), loop
+
+
+@pytest.mark.parametrize("inserted", [False, True],
+                         ids=["bare", "inserted"])
+def test_walk_order_near_sorted_order_peps_expval(inserted):
+    tn, ms, repl = _benchmark_problem("peps_expval")
+    prob = InsertionProblem(tn, ms, [repl])
+    _assert_near_sorted_order(prob, prob.strings(7),
+                              prob.region_ids if inserted else [])
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(2, 3), cols=st.integers(2, 3),
+       perturbation=st.floats(0.05, 0.4), seed=st.integers(0, 10 ** 6),
+       data=st.data())
+def test_walk_order_near_sorted_order_on_random_peps(rows, cols,
+                                                     perturbation, seed,
+                                                     data):
+    peps = random_peps(rows, cols, D=2, perturbation=perturbation,
+                       seed=seed)
+    tn = build_norm_network(peps)
+    res = bp_iterate(tn, uniform_messages(tn), tol=1e-12)
+    assume(res.converged)
+    site = data.draw(st.sampled_from(tn.graph.vertices))
+    prob = InsertionProblem(tn, res.messages, [peps_replacements(
+        peps, {site: _SZ})])
+    _assert_near_sorted_order(prob, prob.strings(data.draw(st.integers(
+        2, 6))), data.draw(st.sampled_from([[], prob.region_ids])))
+
+
 def _record_bulk_calls(monkeypatch):
     """Wrap the bulk contraction under the names ``loops`` and
     ``cumulants`` call it by; record (caller, pools, groups run) per
@@ -336,24 +399,94 @@ def _record_bulk_calls(monkeypatch):
 
 @pytest.mark.parametrize("argv, want_calls, structures", [
     (["free-energy", "--generate", "ising:L=5,beta=0.2", "-m", "6", "-k",
-      "6"], [("bptn.loops", 85, 8), ("bptn.cumulants", 85, 8)], 16),
+      "6"], [("bptn.loops", 85, 3), ("bptn.cumulants", 85, 8)], 11),
     (["expval", "--generate", "peps:rows=5,cols=5,D=2,perturbation=0.25",
       "--site", _PEPS_SITE, "-m", "7", "-k", "6", "--seed", "11"],
-     [("bptn.loops", 160, 53), ("bptn.loops", 36, 5),
-      ("bptn.cumulants", 50, 10)], 63),
+     [("bptn.loops", 160, 8), ("bptn.loops", 36, 4),
+      ("bptn.cumulants", 50, 10)], 18),
 ], ids=["ising_free_energy", "peps_expval"])
 def test_bulk_group_counts(argv, want_calls, structures, monkeypatch,
                            tmp_path):
-    """The benchmark argvs contract 170 weights and regions in 16
-    structures, and 246 in 63.  Each table is one bulk call: the ratio
+    """The benchmark argvs contract 170 weights and regions in 11
+    structures, and 246 in 18.  Each table is one bulk call: the ratio
     estimator's weights (160), the cumulant estimator's strings outside
     every cluster (36) and the region values (50, raw and decorated).  A
     table asked for piece by piece would make more calls and run more
-    groups."""
+    groups.  The weights are walk-ordered, so each loop shape is one
+    structure: the 85 Ising loops are rings of 4, 5 and 6 edges, and the
+    160 PEPS pools are 7 string shapes, one of them (the 1x2 rectangle
+    with its middle edge) walked two ways."""
     calls, keys = _record_bulk_calls(monkeypatch)
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
     assert calls == want_calls
     assert len(keys) == structures
+
+
+def test_congruent_strings_share_one_structure(monkeypatch):
+    """The 8 images of one string under the rotations and reflections
+    about site 2,2 of the 5x5 PEPS are 8 edge sets of one structure: a
+    tail from 2,2 to the corner of a plaquette, bent, so that no image is
+    another."""
+    tn, ms, _ = _benchmark_problem("peps_expval")
+    path = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 1), (1, 1)]
+    images = []
+    for swap in (False, True):
+        for sr in (1, -1):
+            for sc in (1, -1):
+                sites = [f"{2 + sr * (c if swap else r)},"
+                         f"{2 + sc * (r if swap else c)}" for r, c in path]
+                images.append(GeneralizedLoop(tn.graph, [
+                    tn.graph.edge_between(a, b)
+                    for a, b in zip(sites, sites[1:])]))
+    assert len({l.key for l in images}) == 8
+    assert all(l.weight == 6 for l in images)
+    calls, _ = _record_bulk_calls(monkeypatch)
+    excitation_weight(ms, [(tn, l) for l in images], tn)
+    assert calls == [("bptn.loops", 8, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+             max_size=n * (n - 1) // 2),
+    st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+             max_size=n * (n - 1) // 2))))
+def test_walk_crosses_each_edge_once(case):
+    """On a random connected edge set of a random graph, the walk reaches
+    each vertex once and crosses each edge once, from a vertex it has
+    reached, starting at the smallest id of lowest degree; the k-th
+    crossing's ends are legs 2k and 2k + 1, and the walk is the recursive
+    walk of the oracle."""
+    n, present, chosen = case
+    pairs = [p for p, keep in zip(itertools.combinations(range(n), 2),
+                                  present) if keep]
+    g = Graph(range(n), {f"{u}-{v}": (u, v) for u, v in pairs})
+    picked = {f"{u}-{v}" for (u, v), keep in zip(pairs, chosen) if keep}
+    assume(picked)
+    edges = {min(picked)}  # the connected component of the smallest edge
+    while True:
+        touched = {v for e in edges for v in g.endpoints(e)}
+        grown = edges | {e for e in picked if set(g.endpoints(e)) & touched}
+        if grown == edges:
+            break
+        edges = grown
+    loop = GeneralizedLoop(g, edges)
+    order, legs, crossings = bptn.loops._walk(g, loop.key)
+    assert sorted(order) == sorted(loop.vertices)
+    assert sorted(e for e, _, _ in crossings) == sorted(edges)
+    reached = {order[0]}
+    for e, a, b in crossings:
+        assert {a, b} == set(g.endpoints(e)) and a in reached
+        reached.add(b)
+    deg = degree_map(g, edges)
+    assert legs == {v: [(e, 2 * k + (v == b))
+                        for k, (e, a, b) in enumerate(crossings)
+                        if v in (a, b)] for v in order}
+    assert all(len(legs[v]) == deg[v] for v in order)
+    assert order[0] == min(deg, key=lambda v: (deg[v], v))
+    assert (order, {v: [e for e, _ in legs[v]] for v in order},
+            crossings) == oracles.walk(g, edges)
 
 
 def test_region_path_size_cap(monkeypatch, tmp_path):
