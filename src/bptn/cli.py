@@ -305,7 +305,7 @@ def cmd_expval(args):
     if args.reference == "exact":
         z = exact_contract(prob.tn)
         ref = exact_contract(prob.tn.replace_tensors(repl)) / z
-    expansion = InsertionProblem(prob.tn, res.messages, [repl])
+    expansion = InsertionProblem(prob.tn, res.messages, repl)
     estimates = [
         expval_bp_tensors(expansion),
         expval_ratio_tensors(expansion, m),
@@ -329,32 +329,33 @@ def cmd_expval(args):
 
 def cmd_correlator(args):
     prob = _load_problem(args)
-    res = _converge(prob, args)
     a = args.site or prob.tn.graph.vertices[0]
-    if a not in prob.tn.graph.vertices:
-        raise ConfigError(f"site {a!r} not in the network")
+    ra = prob.insertion(a)  # refuses a site not in the network
+    if args.site_b == a:
+        raise ConfigError(f"--site-b {a!r} is the site itself: the two "
+                          "insertion regions share vertices")
+    res = _converge(prob, args)
     dist, _ = bfs(prob.tn.graph, {a})
     if args.site_b:
         pairs = [(a, args.site_b)]
-    else:
-        # distance scan: first vertex at each distance, in vertex order
-        pairs = []
-        for d in range(1, args.distances + 1):
-            found = [v for v in prob.tn.graph.vertices if dist.get(v) == d]
-            if found:
-                pairs.append((a, found[0]))
+    else:  # distance scan: first vertex at each distance, in vertex order
+        first = {}
+        for v in prob.tn.graph.vertices:
+            first.setdefault(dist.get(v), v)
+        pairs = [(a, first[d]) for d in range(1, args.distances + 1)
+                 if d in first]
     if not pairs:
         raise ConfigError(f"no site within --distances {args.distances} "
                           f"of site {a!r}")
-    ra = prob.insertion(a)
     if args.reference == "exact":
         z = exact_contract(prob.tn)
         za = exact_contract(prob.tn.replace_tensors(ra)) / z
     rows, ests, summary = [], [], []
     for u, v in pairs:
         rb = prob.insertion(v)
+        both = {**ra, **rb}
         m = args.max_weight + dist.get(v, math.inf)
-        pair = InsertionProblem(prob.tn, res.messages, [ra, rb])
+        pair = InsertionProblem(prob.tn, res.messages, both)
         cd = expval_derivative_tensors(pair, m)
         try:
             cr = correlator_ratio_tensors(pair, m)
@@ -369,8 +370,6 @@ def cmd_correlator(args):
                "derivative_im": _fmt(cd.value.imag), "ratio_re": ratio_re}
         if args.reference == "exact":
             zb = exact_contract(prob.tn.replace_tensors(rb)) / z
-            both = dict(ra)
-            both.update(rb)
             zab = exact_contract(prob.tn.replace_tensors(both)) / z
             exact = zab - za * zb
             row["reference_re"] = _fmt(exact.real)

@@ -176,14 +176,14 @@ def _multiplicities(weights, spare):
         eta += 1
 
 
-def enumerate_clusters(excitations, max_weight: int, anchor=None,
-                       budget: int = DEFAULT_CLUSTER_BUDGET):
-    """All connected clusters of total weight <= max_weight, each once.
+def enumerate_clusters(excitations, max_weight: int, anchor=None):
+    """All connected clusters of total weight <= max_weight, each once,
+    sorted by (weight, key); ``DEFAULT_CLUSTER_BUDGET`` bounds their number.
 
     ``anchor`` (optional vertex set) keeps only clusters whose support
     intersects it.
     """
-    out = []
+    out, budget = [], DEFAULT_CLUSTER_BUDGET
     for members in anchored_loop_sets(excitations, max_weight, anchor):
         weights = [l.weight for l in members]
         for etas in _multiplicities(weights, max_weight - sum(weights)):

@@ -21,7 +21,7 @@ import math
 from itertools import chain, combinations, product
 
 from .bp import MessageSet, bp_log_partition, local_factors
-from .clusters import (Cluster, anchored_loop_sets, loops_overlap,
+from .clusters import (Cluster, enumerate_clusters, loops_overlap,
                        overlap_neighbors)
 from .errors import BranchCrossing, CapExceeded, CombinatorialBudgetExceeded
 from .network import (DEFAULT_SIZE_CAP, Graph, TensorNetwork,
@@ -30,7 +30,7 @@ from .network import (DEFAULT_SIZE_CAP, Graph, TensorNetwork,
 from .tensor import contract_closed as contract_network
 
 RESTRICTED_CAP = 20
-DEFAULT_BUDGET = 10 ** 7  # loop subsets, and vertex subsets for regions
+DEFAULT_BUDGET = 10 ** 7  # vertex subsets of the region walk
 
 
 def restricted_partition(loops, weight_table: dict) -> complex:
@@ -86,16 +86,11 @@ def cumulant(gamma: Cluster, weight_table: dict) -> complex:
 
 
 def connected_loop_subsets(excitations, max_weight: int, anchor=None):
-    """All connected subsets of distinct loops with total weight <= m, as
-    clusters whose multiplicities are all 1."""
-    out = []
-    for members in anchored_loop_sets(excitations, max_weight, anchor):
-        if len(out) >= DEFAULT_BUDGET:
-            raise CombinatorialBudgetExceeded(
-                f"subset enumeration exceeded budget {DEFAULT_BUDGET}")
-        out.append(Cluster((l, 1) for l in members))
-    out.sort(key=lambda s: (s.weight, s.key))
-    return out
+    """All connected subsets of distinct loops with total weight <= m: the
+    clusters of ``enumerate_clusters`` whose multiplicities are all 1, in
+    its order."""
+    return [c for c in enumerate_clusters(excitations, max_weight, anchor)
+            if c.n_loops == len(c.members)]
 
 
 def counting_numbers(poset: dict) -> dict:

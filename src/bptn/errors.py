@@ -25,12 +25,8 @@ class MissingPhysicalLeg(EngineError):
 
 
 class RegionMismatch(EngineError):
-    """Operator insertion on a vertex that does not exist, with the wrong
-    dims, or in a region that is not exactly one site."""
-
-
-class OverlappingRegions(EngineError):
-    """Two insertion regions on the same site."""
+    """Operator insertion on a vertex that does not exist or is not
+    physical, or with the wrong dims."""
 
 
 class InvalidNetworkFile(EngineError):

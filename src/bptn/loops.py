@@ -47,22 +47,14 @@ DEFAULT_ENUM_BUDGET = 10 ** 7
 class GeneralizedLoop:
     """An excitation: its edge set, support vertices and weight |l|."""
 
-    __slots__ = ("edges", "vertices", "weight")
+    __slots__ = ("edges", "vertices", "weight", "key")
 
     def __init__(self, g: Graph, edges):
         self.edges = frozenset(str(e) for e in edges)
-        verts = set()
-        for e in self.edges:
-            u, v = g.endpoints(e)
-            verts.add(u)
-            verts.add(v)
-        self.vertices = frozenset(verts)
+        self.vertices = frozenset(v for e in self.edges
+                                  for v in g.endpoints(e))
         self.weight = len(self.edges)
-
-    @property
-    def key(self):
-        """Canonical identity: the sorted edge tuple."""
-        return tuple(sorted(self.edges))
+        self.key = tuple(sorted(self.edges))  # canonical identity
 
     def __eq__(self, other):
         return isinstance(other, GeneralizedLoop) and self.key == other.key
@@ -74,8 +66,7 @@ class GeneralizedLoop:
         return f"GeneralizedLoop({list(self.key)})"
 
 
-def connected_edge_subsets(g: Graph, max_weight: int, terminals=(),
-                           budget: int = DEFAULT_ENUM_BUDGET):
+def connected_edge_subsets(g: Graph, max_weight: int, terminals=()):
     """Connected edge subsets of size <= max_weight, each at most once, as
     (``sorted(g.edges)`` indices, is a string) pairs, strings among them.
 
@@ -83,7 +74,7 @@ def connected_edge_subsets(g: Graph, max_weight: int, terminals=(),
     subset without leaves.  A subset stops growing once its leaves cannot
     all close: one edge closes at most two leaves, and a leaf with no
     incident edge left to take stays open in every subset grown from it.
-    ``budget`` bounds the subsets visited.
+    ``DEFAULT_ENUM_BUDGET`` bounds the subsets visited.
     """
     index = {e: i for i, e in enumerate(sorted(g.edges))}
     vindex = {v: i for i, v in enumerate(g.vertices)}
@@ -108,7 +99,7 @@ def connected_edge_subsets(g: Graph, max_weight: int, terminals=(),
             reach |= packed[i]
         return not leaves & ~reach
 
-    visited = 0
+    visited, budget = 0, DEFAULT_ENUM_BUDGET
     for cur, deg in connected_subsets(nbrs, [1] * len(index), max_weight,
                                       grow=grow, labels=packed):
         visited += 1
@@ -125,21 +116,13 @@ def connected_edge_subsets(g: Graph, max_weight: int, terminals=(),
 def enumerate_loops(g: Graph, max_weight: int):
     """All generalized loops (min degree 2) with |F| <= max_weight: the
     strings without terminal regions."""
-    return enumerate_strings(g, [], max_weight)
+    return enumerate_strings(g, (), max_weight)
 
 
-def enumerate_strings(g: Graph, regions, max_weight: int):
-    """Strings: connected edge subsets, min degree 2 outside the regions.
-
-    ``regions`` is a list of vertex sets (pairwise disjoint).  Closed
-    loops are included.
-    """
-    regions = [frozenset(str(v) for v in r) for r in regions]
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            if regions[i] & regions[j]:
-                raise ValueError("terminal regions must be disjoint")
-    terminals = frozenset().union(*regions)
+def enumerate_strings(g: Graph, terminals, max_weight: int):
+    """Strings: connected edge subsets, min degree 2 outside the vertex
+    set ``terminals``.  Closed loops are included."""
+    terminals = frozenset(str(v) for v in terminals)
     edge_ids = sorted(g.edges)
     out = [GeneralizedLoop(g, [edge_ids[i] for i in cur]) for cur, is_string
            in connected_edge_subsets(g, max_weight, terminals) if is_string]

@@ -19,7 +19,6 @@ the replacement tensors the estimators take.
 from __future__ import annotations
 
 import functools
-import math
 from collections import deque
 
 import numpy as np
@@ -201,21 +200,6 @@ def bfs(g: Graph, A):
             if dist[w] == dist[v] + 1:
                 paths[w] += paths[v]
     return dist, paths
-
-
-def shortest_paths(g: Graph, A, B):
-    """Distance from vertex set A to B and the number of shortest paths.
-
-    (0, |A & B|) for overlapping sets, (inf, 0) when disconnected.
-    """
-    A = {str(a) for a in A}
-    B = {str(b) for b in B}
-    if not A or not B:
-        raise RegionMismatch("shortest_paths needs nonempty vertex sets")
-    dist, paths = bfs(g, A)
-    d = min((dist[b] for b in B if b in dist), default=math.inf)
-    return d, sum(paths[b] for b in B if dist.get(b) == d)
-
 
 
 def set_bits(mask):

@@ -2,9 +2,9 @@
 
 Every estimator is a resummation of one expansion, owned by an
 ``InsertionProblem``: a closed background network, a converged
-MessageSet, and per-region *replacement tensors* that implement the
-operator insertion (for a PEPS norm network these are double tensors
-with the operator sandwiched, from ``network.peps_replacements``; for
+MessageSet, and the insertion's {site: replacement tensor} map, each site
+one region (for a PEPS norm network the tensors are double tensors with
+the operator sandwiched, from ``network.peps_replacements``; for
 classical networks any modified site tensor).  The object enumerates
 strings, clusters, connected loop subsets and regions once per truncation
 and caches every weight, so estimators that share an object share that
@@ -34,10 +34,9 @@ from .cumulants import connected_loop_subsets, counting_numbers, cumulant
 # the name perfbench/tracing.py wraps
 from .cumulants import find_regions as find_regions_local
 from .cumulants import region_partition
-from .errors import (InsufficientPoints, OverlappingRegions, PCapExceeded,
-                     RegionMismatch, ZeroLocalFactor)
+from .errors import InsufficientPoints, PCapExceeded, ZeroLocalFactor
 from .loops import enumerate_strings, excitation_weight
-from .network import TensorNetwork, shortest_paths
+from .network import TensorNetwork, bfs
 
 P_CAP = 3
 
@@ -61,36 +60,24 @@ class InsertionProblem:
     """One insertion's expansion: network, messages, regions, and the
     strings, clusters, loop subsets, regions and weights built on it.
 
-    ``replacements`` is a list of {vertex: replacement DenseTensor} maps,
-    one per region; each map holds exactly one vertex, which is its
-    region.  ``region_ids`` lists those vertices in order and
-    ``replacements`` maps each to its tensor.  For two regions
-    ``distance`` and ``paths`` hold their graph distance and the number
-    of shortest paths between them; otherwise both are None.
+    ``replacements`` is the {site: replacement DenseTensor} map of the
+    insertion; each site is one region, and ``region_ids`` lists them in
+    the map's key order.  For two regions ``distance`` and ``paths`` hold
+    their graph distance and the number of shortest paths between them
+    (inf and 0 when they are not connected); otherwise both are None.
     """
 
     def __init__(self, tn: TensorNetwork, messages: MessageSet,
-                 replacements):
+                 replacements: dict):
         self.base = tn
         self.messages = messages
-        self.region_ids = []
-        self.replacements = {}  # region id -> replacement tensor
-        for i, repl in enumerate(replacements):
-            if len(repl) != 1:
-                raise RegionMismatch(
-                    f"region {i} has {len(repl)} vertices; an insertion "
-                    "region is one site")
-            ((v, t),) = repl.items()
-            if v in self.replacements:
-                j = self.region_ids.index(v)
-                raise OverlappingRegions(
-                    f"regions {j} and {i} share vertices")
-            self.region_ids.append(v)
-            self.replacements[v] = t
+        self.replacements = dict(replacements)
+        self.region_ids = list(self.replacements)
         self.distance = self.paths = None
         if len(self.region_ids) == 2:
             a, b = self.region_ids
-            self.distance, self.paths = shortest_paths(tn.graph, {a}, {b})
+            dist, paths = bfs(tn.graph, {a})
+            self.distance, self.paths = dist.get(b, math.inf), paths.get(b, 0)
         self._weights = {}       # (loop key, inserted-region frozenset) -> value
         self._decorated = {}     # inserted-region frozenset -> network
         self._alphas = None
@@ -127,7 +114,7 @@ class InsertionProblem:
     def strings(self, m):
         """Strings of weight <= m ending on the regions."""
         return self._memoized(("strings", m), lambda: enumerate_strings(
-            self.base.graph, [{r} for r in self.region_ids], m))
+            self.base.graph, self.region_ids, m))
 
     def clusters(self, m):
         """Clusters of weight <= m whose support holds every region."""
@@ -321,7 +308,7 @@ def correlator_ratio_tensors(prob: InsertionProblem, m) -> Estimate:
             zo_ab *= prob.ratio_weight(l, frozenset([a, b])) ** eta
         total += float(ursell(c)) * (zo_ab + z - zo_a - zo_b)
     ea, eb = (expval_ratio_tensors(InsertionProblem(
-        prob.base, prob.messages, [{r: prob.replacements[r]}]), m).value
+        prob.base, prob.messages, {r: prob.replacements[r]}), m).value
         for r in (a, b))
     val = ea * eb * (cmath.exp(total) - 1.0)
     return Estimate(val, f"ratio({m})", prob.distance, prob.paths)

@@ -63,44 +63,65 @@ def _fail(path, msg):
     raise InvalidNetworkFile(f"{path}: {msg}")
 
 
+def _json(path, value, kind):
+    """``value``, refused unless it is a ``kind`` (list or dict)."""
+    if not isinstance(value, kind):
+        _fail(path, f"expected a {kind.__name__}, got {value!r:.40}")
+    return value
+
+
+def _dim(path, value) -> int:
+    """``value``, refused unless it is an integer >= 1: a dimension."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        _fail(path, f"dim must be an integer >= 1, got {value!r}")
+    return value
+
+
 def network_from_dict(doc: dict) -> TensorNetwork:
+    _json("document", doc, dict)
     for key in ("vertices", "edges", "tensors"):
         if key not in doc:
             _fail(key, "missing required section")
-    vertices = [str(v) for v in doc["vertices"]]
+    vertices = [str(v) for v in _json("vertices", doc["vertices"], list)]
     if len(set(vertices)) != len(vertices):
         _fail("vertices", "duplicate vertex ids")
     edges, bond_dims = {}, {}
-    for i, rec in enumerate(doc["edges"]):
+    for i, rec in enumerate(_json("edges", doc["edges"], list)):
+        _json(f"edges[{i}]", rec, dict)
         for key in ("id", "u", "v", "dim"):
             if key not in rec:
                 _fail(f"edges[{i}]", f"missing field {key!r}")
         e = str(rec["id"])
         if e in edges:
             _fail(f"edges[{i}]", f"duplicate edge id {e!r}")
-        if int(rec["dim"]) < 1:
-            _fail(f"edges[{i}]", f"dim must be >= 1, got {rec['dim']}")
         edges[e] = (str(rec["u"]), str(rec["v"]))
-        bond_dims[e] = int(rec["dim"])
+        bond_dims[e] = _dim(f"edges[{i}]", rec["dim"])
     try:
         graph = Graph(vertices, edges)
     except Exception as exc:
         _fail("edges", str(exc))
-    phys = {str(v): int(d) for v, d in doc.get("physical", {}).items()}
+    phys = {str(v): _dim(f"physical/{v}", d) for v, d in
+            _json("physical", doc.get("physical", {}), dict).items()}
     for v in phys:
         if v not in graph._adj:
             _fail(f"physical/{v}", "unknown vertex")
     tensors = {}
+    records = _json("tensors", doc["tensors"], dict)
     for v in vertices:
-        if v not in doc["tensors"]:
+        if v not in records:
             _fail(f"tensors/{v}", "missing tensor")
-        rec = doc["tensors"][v]
-        legs = [str(x) for x in rec.get("legs", [])]
-        dims = [int(x) for x in rec.get("dims", [])]
+        rec = _json(f"tensors/{v}", records[v], dict)
+        legs = [str(x) for x in _json(f"tensors/{v}/legs",
+                                      rec.get("legs", []), list)]
+        dims = [_dim(f"tensors/{v}/dims[{j}]", x) for j, x in enumerate(
+            _json(f"tensors/{v}/dims", rec.get("dims", []), list))]
         if len(legs) != len(dims):
             _fail(f"tensors/{v}", "legs and dims length mismatch")
-        re = np.asarray(rec.get("re", []), dtype=float)
-        im = np.asarray(rec.get("im", []), dtype=float)
+        try:
+            re = np.asarray(rec.get("re", []), dtype=float)
+            im = np.asarray(rec.get("im", []), dtype=float)
+        except (TypeError, ValueError) as exc:
+            _fail(f"tensors/{v}", f"data is not numeric ({exc})")
         if re.shape != im.shape:
             _fail(f"tensors/{v}", "re and im length mismatch")
         want = int(np.prod(dims)) if dims else 1

@@ -236,11 +236,11 @@ def anchored_loop_sets(excitations, max_weight: int, anchor=None):
 
 # --- the unpruned string enumeration ----------------------------------------
 
-def enumerate_strings(g, regions, max_weight):
+def enumerate_strings(g, terminals, max_weight):
     """Every connected edge subset of size <= max_weight, kept when each
-    vertex outside the regions has degree at least two; sorted like
+    vertex outside ``terminals`` has degree at least two; sorted like
     ``bptn.loops.enumerate_strings``."""
-    allowed = {str(v) for r in regions for v in r}
+    allowed = {str(v) for v in terminals}
     edge_ids = sorted(g.edges)
     index = {e: i for i, e in enumerate(edge_ids)}
     nbrs = [set() for _ in edge_ids]

@@ -331,7 +331,7 @@ def test_acceptance_8_expval_suite_peps():
     assert res.converged
     repl = peps_replacements(peps, {"0,1": SZ})
     want = exact_contract(tn.replace_tensors(repl)) / exact_contract(tn)
-    prob = InsertionProblem(tn, res.messages, [repl])
+    prob = InsertionProblem(tn, res.messages, repl)
     for fn in (expval_ratio_tensors, expval_derivative_tensors,
                expval_cumulant_tensors):
         errs = [abs(fn(prob, m).value - want) for m in (4, 6, 8)]
@@ -354,7 +354,7 @@ def test_acceptance_8_expval_suite_ising():
     ms = res.messages
     repl = ising_insertion(tn, p, {"1,1": SZ})
     want = exact_contract(tn.replace_tensors(repl)) / exact_contract(tn)
-    prob = InsertionProblem(tn, ms, [repl])
+    prob = InsertionProblem(tn, ms, repl)
     estimators = {"ratio": expval_ratio_tensors,
                   "derivative": expval_derivative_tensors,
                   "cumulant": expval_cumulant_tensors}
@@ -393,7 +393,7 @@ class CorrScan:
             self.exact[d] = exact_contract(
                 tn.replace_tensors(both)) / z
             est = expval_derivative_tensors(
-                InsertionProblem(tn, ms, [ra, rb]), d + 4)
+                InsertionProblem(tn, ms, both), d + 4)
             assert est.distance == d
             self.estimates.append(est)
 
@@ -528,7 +528,7 @@ def test_acceptance_9_estimator_agreement(corr_scan):
     op = SZ + 0.4 * SX
     a = peps_replacements(peps, {"0,0": op})
     b = peps_replacements(peps, {"0,2": op})
-    prob = InsertionProblem(tn, ms, [a, b])
+    prob = InsertionProblem(tn, ms, {**a, **b})
     r = correlator_ratio_tensors(prob, 6)
     d = expval_derivative_tensors(prob, 6)
     assert abs(r.value - d.value) <= 1e-10
@@ -541,7 +541,7 @@ def test_acceptance_9_third_joint_cumulant():
     tn = build_norm_network(peps)
     ms = bp_iterate(tn, uniform_messages(tn), tol=1e-13).messages
     sites = ("0,0", "0,2", "1,1")
-    repls = [peps_replacements(peps, {s: SZ}) for s in sites]
+    repls = peps_replacements(peps, {s: SZ for s in sites})
     got = expval_derivative_tensors(InsertionProblem(tn, ms, repls), 8).value
 
     z = exact_contract(tn)

@@ -146,7 +146,7 @@ def test_local_factor_cached_per_tensor_object(monkeypatch):
     assert local_factors(tn, ms, [site])[site] == base
     assert z(ms, sz) == decorated
     assert z(ms, tn.tensors[site]) == base
-    prob = InsertionProblem(tn, ms, [{site: sz}])
+    prob = InsertionProblem(tn, ms, {site: sz})
     assert prob.alphas() == {site: decorated / base}
     assert built == [5, 5]
     fresh = MessageSet(tn, ms.messages)
@@ -182,7 +182,7 @@ def test_local_factors_match_per_message_oracle(name):
         t = tn.tensors[v]
         repl = DenseTensor(t.legs, t.data * (1 + 0.5 * rng.standard_normal(
             t.data.shape)))
-        (alpha,) = InsertionProblem(tn, ms, [{v: repl}]).alphas().values()
+        (alpha,) = InsertionProblem(tn, ms, {v: repl}).alphas().values()
         want = (oracles.local_factor(ms, v, repl)
                 / oracles.local_factor(ms, v, t))
         assert abs(alpha - want) <= 1e-12 * abs(want), v

@@ -12,7 +12,7 @@ from bptn.cli import main
 from bptn.models import IsingParams, ising_network
 from bptn.network import Graph, TensorNetwork
 from bptn.tensor import DenseTensor, Leg
-from bptn.tnio import save_network
+from bptn.tnio import network_to_dict, save_network
 
 
 def run(argv):
@@ -399,7 +399,15 @@ def test_exit_2_on_unknown_correlator_site():
                 "--distances", "0", "-m", "2"]) == 2
 
 
-def test_exit_2_on_correlator_pair_on_one_site(tmp_path, capsys):
+def test_exit_2_on_correlator_pair_on_one_site(tmp_path, capsys,
+                                               monkeypatch):
+    """A pair on one site is refused before BP runs."""
+    import bptn.bp
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(bptn.bp, "_sweep", no_sweep)
     out = tmp_path / "out.csv"
     assert run(["correlator", "--generate", "ising:L=4,beta=0.2,h=0.2",
                 "--site", "0,0", "--site-b", "0,0", "-m", "2",
@@ -477,6 +485,39 @@ def test_exit_2_on_invalid_network_file(tmp_path):
     assert run(["bp", "--input", str(bad)]) == 2
 
 
+def _set(path, value):
+    """A change to an interchange document: set the entry at ``path``."""
+    def change(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return change
+
+
+@pytest.mark.parametrize("change, where", [
+    (_set(["vertices"], 5), "vertices"),
+    (_set(["tensors", "0,0"], [1.0, 2.0]), "tensors/0,0"),
+    (_set(["tensors", "0,0", "re", 0], "x"), "tensors/0,0"),
+    (_set(["edges", 0, "dim"], "two"), "edges[0]"),
+    (_set(["physical"], {"0,0": "x"}), "physical/0,0"),
+    (_set(["tensors", "0,0", "dims", 0], -2), "tensors/0,0/dims[0]"),
+    (_set(["edges", 0, "dim"], 2.5), "edges[0]"),
+], ids=["vertices_number", "tensor_not_object", "re_string", "dim_string",
+        "physical_string", "dims_negative", "dim_fraction"])
+def test_exit_2_on_malformed_network_file(tmp_path, capsys, change, where):
+    """A malformed interchange file exits 2 with a path-qualified message
+    and no CSV, not with a traceback."""
+    doc = network_to_dict(ising_network(IsingParams(L=3, beta=0.2)))
+    change(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["contract-exact", "--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"error: {path}: {where}: ")
+
+
 def test_exit_3_on_numerical_collapse(tmp_path):
     g = Graph(["a", "b"], {"e": ("a", "b")})
     zero = DenseTensor([Leg("e", 2)], [0.0, 0.0])
@@ -498,6 +539,16 @@ def test_exit_4_on_size_cap(monkeypatch):
     assert run(["contract-exact", "--generate", "loop:n=4"]) == 4
 
 
-def test_exit_4_on_enumeration_budget():
+def test_exit_4_on_enumeration_budget(monkeypatch, capsys):
+    """The edge walk stops at its budget with exit 4; the budget is patched
+    down from the shipped 10**7, which ``loops -m 14`` on 6x6 also passes,
+    so that the test does not walk 10**7 subsets."""
+    import bptn.loops
+
+    assert bptn.loops.DEFAULT_ENUM_BUDGET == 10 ** 7
+    monkeypatch.setattr(bptn.loops, "DEFAULT_ENUM_BUDGET", 10 ** 4)
     assert run(["loops", "--generate", "ising:L=6,beta=0.2",
                 "-m", "14"]) == 4
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "edge-subset enumeration exceeded budget" in out.err

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bptn.clusters
 import oracles
 from bptn.bp import bp_log_partition
 from bptn.clusters import (Cluster, FreeEnergyResult, anchored_loop_sets,
@@ -155,12 +156,14 @@ def test_enumerate_clusters_anchor_filter():
     assert 0 < len(anchored) < len(full)
 
 
-def test_enumerate_clusters_budget():
+def test_enumerate_clusters_budget(monkeypatch):
     p = IsingParams(L=4, beta=0.2)
     g = ising_network(p).graph
     loops = enumerate_loops(g, 8)
-    with pytest.raises(CombinatorialBudgetExceeded):
-        enumerate_clusters(loops, 8, budget=10)
+    monkeypatch.setattr(bptn.clusters, "DEFAULT_CLUSTER_BUDGET", 10)
+    with pytest.raises(CombinatorialBudgetExceeded,
+                       match="cluster enumeration exceeded budget 10"):
+        enumerate_clusters(loops, 8)
 
 
 def test_cluster_value_multiplicity():

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import bptn.cumulants
 from bptn.cli import main
-from bptn.clusters import (Cluster, enumerate_clusters, free_energy_truncated,
-                           ursell)
+from bptn.clusters import Cluster, free_energy_truncated, ursell
 from bptn.cumulants import (Region, connected_loop_subsets,
                             counting_numbers, cumulant, cumulant_free_energy,
                             find_regions, region_free_energy, region_partition,
@@ -123,14 +122,15 @@ def test_branch_crossing_guard():
 
 
 def test_connected_loop_subsets_match_multiplicity_free_clusters():
+    """The subsets are the oracle's connected loop sets, each as a cluster
+    with every multiplicity 1, sorted by (weight, key)."""
     p, tn, ms, loops, table = _ising_setup(L=3, beta=0.2, m=6)
-    subs = connected_loop_subsets(loops, 6)
-    keys = {s.key for s in subs}
-    assert len(keys) == len(subs)
-    # same family as clusters with all multiplicities equal to one
-    mult_free = {c.key for c in enumerate_clusters(loops, 6)
-                 if all(eta == 1 for _, eta in c.members)}
-    assert keys == mult_free
+    for anchor in (None, {"1,1"}):
+        subs = connected_loop_subsets(loops, 6, anchor)
+        want = sorted((Cluster((l, 1) for l in members) for members
+                       in oracles.anchored_loop_sets(loops, 6, anchor)),
+                      key=lambda c: (c.weight, c.key))
+        assert [s.key for s in subs] == [c.key for c in want]
 
 
 def test_cumulant_form_equals_counting_number_form():

@@ -134,7 +134,7 @@ def test_bar_weights_on_decorated_networks_match_reference(peps33):
     ``weigh`` call."""
     peps, tn, ms = peps33
     repl = peps_replacements(peps, {"0,1": _SZ})
-    prob = InsertionProblem(tn, ms, [repl])
+    prob = InsertionProblem(tn, ms, repl)
     (rid,) = prob.region_ids
     strings = prob.strings(6)
     decorated = [l for l in strings if rid in l.vertices]
@@ -282,7 +282,7 @@ def test_bulk_matches_per_call_oracle_ising_free_energy():
 
 def test_bulk_matches_per_call_oracle_peps_expval():
     tn, ms, repl = _benchmark_problem("peps_expval")
-    prob = InsertionProblem(tn, ms, [repl])
+    prob = InsertionProblem(tn, ms, repl)
     (rid,) = prob.region_ids
     strings = prob.strings(7)
     assert len(strings) == 116
@@ -310,8 +310,8 @@ def test_bulk_matches_per_call_oracle_on_random_peps(rows, cols,
     res = bp_iterate(tn, uniform_messages(tn), tol=1e-12)
     assume(res.converged)
     site = data.draw(st.sampled_from(tn.graph.vertices))
-    prob = InsertionProblem(tn, res.messages, [peps_replacements(
-        peps, {site: _SZ})])
+    prob = InsertionProblem(tn, res.messages, peps_replacements(
+        peps, {site: _SZ}))
     (rid,) = prob.region_ids
     strings = prob.strings(data.draw(st.integers(2, 6)))
     picked = data.draw(st.lists(st.sampled_from(strings), unique_by=lambda
@@ -357,7 +357,7 @@ def test_walk_order_near_sorted_order_ising_free_energy():
                          ids=["bare", "inserted"])
 def test_walk_order_near_sorted_order_peps_expval(inserted):
     tn, ms, repl = _benchmark_problem("peps_expval")
-    prob = InsertionProblem(tn, ms, [repl])
+    prob = InsertionProblem(tn, ms, repl)
     _assert_near_sorted_order(prob, prob.strings(7),
                               prob.region_ids if inserted else [])
 
@@ -375,8 +375,8 @@ def test_walk_order_near_sorted_order_on_random_peps(rows, cols,
     res = bp_iterate(tn, uniform_messages(tn), tol=1e-12)
     assume(res.converged)
     site = data.draw(st.sampled_from(tn.graph.vertices))
-    prob = InsertionProblem(tn, res.messages, [peps_replacements(
-        peps, {site: _SZ})])
+    prob = InsertionProblem(tn, res.messages, peps_replacements(
+        peps, {site: _SZ}))
     _assert_near_sorted_order(prob, prob.strings(data.draw(st.integers(
         2, 6))), data.draw(st.sampled_from([[], prob.region_ids])))
 

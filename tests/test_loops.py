@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bptn.loops
 import oracles
 from bptn.bp import bp_iterate, bp_log_partition, uniform_messages
 from bptn.errors import CombinatorialBudgetExceeded
@@ -89,15 +90,14 @@ def test_leaf_prune_visit_counts(graph, terminals, m, visited, strings):
     st.integers(0, 7))))
 def test_strings_match_unpruned_enumeration(case):
     """The leaf-pruned walk finds the strings the unpruned degree filter
-    finds, on random graphs with up to two disjoint terminal regions."""
+    finds, on random graphs with the terminals of up to two regions."""
     present, labels, n_regions, m = case
     n = len(labels)
     g = Graph(range(n), {f"{u}-{v}": (u, v) for (u, v), keep in zip(
         itertools.combinations(range(n), 2), present) if keep})
-    regions = [{v for v in range(n) if labels[v] == r + 1}
-               for r in range(n_regions)]
-    assert [l.key for l in enumerate_strings(g, regions, m)] == [
-        l.key for l in oracles.enumerate_strings(g, regions, m)]
+    terminals = {v for v in range(n) if 0 < labels[v] <= n_regions}
+    assert [l.key for l in enumerate_strings(g, terminals, m)] == [
+        l.key for l in oracles.enumerate_strings(g, terminals, m)]
 
 
 def test_enumerate_loops_min_degree_two():
@@ -113,11 +113,13 @@ def test_enumerate_loops_min_degree_two():
     assert {l.edges for l in loops} == want
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(bptn.loops, "DEFAULT_ENUM_BUDGET", 100)
     p = IsingParams(L=4, beta=0.2)
     g = ising_network(p).graph
-    with pytest.raises(CombinatorialBudgetExceeded):
-        list(connected_edge_subsets(g, 8, budget=100))
+    with pytest.raises(CombinatorialBudgetExceeded,
+                       match="edge-subset enumeration exceeded budget 100"):
+        list(connected_edge_subsets(g, 8))
 
 
 def test_tree_has_no_loops():
@@ -156,7 +158,7 @@ def test_open_strings_vanish_without_insertion():
     p = IsingParams(L=4, beta=0.2)
     tn = ising_network(p)
     ms = ising_paramagnetic_messages(p, tn)
-    strings = enumerate_strings(tn.graph, [{"0,0"}, {"2,2"}], 5)
+    strings = enumerate_strings(tn.graph, {"0,0", "2,2"}, 5)
     opens = [s for s in strings if any(
         d < 2 for d in oracles.degree_map(tn.graph, s.edges).values())]
     assert opens, "expected open strings in scope"
@@ -167,7 +169,7 @@ def test_open_strings_vanish_without_insertion():
 def test_enumerate_strings_includes_closed_loops():
     p = IsingParams(L=4, beta=0.2)
     g = ising_network(p).graph
-    strings = enumerate_strings(g, [{"0,0"}], 4)
+    strings = enumerate_strings(g, {"0,0"}, 4)
     closed = [s for s in strings if all(
         d >= 2 for d in oracles.degree_map(g, s.edges).values())]
     assert {s.edges for s in closed} == {l.edges

@@ -14,8 +14,7 @@ from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
                          peps_statevector, random_peps)
 from bptn.network import (Graph, TensorNetwork, _double_tensor, bfs,
                           build_norm_network, connected_subsets,
-                          exact_contract, peps_replacements, phys_leg,
-                          shortest_paths)
+                          exact_contract, peps_replacements, phys_leg)
 from bptn.tensor import DenseTensor, Leg
 from bptn.tnio import (load_messages, load_network, network_from_dict,
                        network_to_dict, save_network)
@@ -54,16 +53,16 @@ def test_graph_incidence():
 def test_graph_distance_bfs():
     g = Graph(["a", "b", "c", "d"],
               {"1": ("a", "b"), "2": ("b", "c"), "3": ("c", "d")})
-    assert shortest_paths(g, {"a"}, {"d"})[0] == 3
-    assert shortest_paths(g, {"a", "b"}, {"b"})[0] == 0
+    assert bfs(g, {"a"})[0]["d"] == 3
+    assert bfs(g, {"a", "b"})[0]["b"] == 0
     g2 = Graph(["a", "b"], {})
-    assert shortest_paths(g2, {"a"}, {"b"})[0] == math.inf
+    assert "b" not in bfs(g2, {"a"})[0]
 
 
 def test_shortest_paths_counts_on_torus():
     g = ising_network(IsingParams(L=4, beta=0.2)).graph
-    got = [shortest_paths(g, {"0,0"}, {b})
-           for b in ("0,1", "0,2", "1,2", "2,2")]
+    dist, paths = bfs(g, {"0,0"})
+    got = [(dist[b], paths[b]) for b in ("0,1", "0,2", "1,2", "2,2")]
     assert got == [(1, 1), (2, 2), (3, 6), (4, 24)]
 
 
@@ -93,14 +92,18 @@ def _brute_shortest_paths(g, A, B):
     st.sets(st.integers(0, n - 1), min_size=1),
     st.sets(st.integers(0, n - 1), min_size=1))))
 def test_shortest_paths_match_brute_force(case):
+    """The distance from A to B is the least bfs distance in B, and the
+    shortest paths are those ending at the B vertices at that distance."""
     n, present, A, B = case
     pairs = list(itertools.combinations(range(n), 2))
     g = Graph([str(i) for i in range(n)],
               {f"{u}-{v}": (str(u), str(v))
                for (u, v), keep in zip(pairs, present) if keep})
     A, B = {str(a) for a in A}, {str(b) for b in B}
-    want = _brute_shortest_paths(g, A, B)
-    assert shortest_paths(g, A, B) == want
+    dist, paths = bfs(g, A)
+    d = min(dist.get(b, math.inf) for b in B)
+    assert (d, sum(paths[b] for b in B if dist.get(b) == d)) == \
+        _brute_shortest_paths(g, A, B)
 
 
 _random_graph_case = st.integers(2, 7).flatmap(lambda n: st.tuples(

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from bptn.bp import bp_iterate, uniform_messages
-from bptn.errors import (InsufficientPoints, OverlappingRegions,
-                         PCapExceeded, RegionMismatch)
+from bptn.errors import InsufficientPoints, PCapExceeded
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          peps_statevector, random_peps)
 from bptn.network import build_norm_network, exact_contract, peps_replacements
@@ -27,10 +26,10 @@ def _exact_expval(peps, ins):
 
 
 def _problem(peps23, *insertions):
-    """The expansion of one region per insertion on the 2x3 PEPS."""
+    """The expansion of one region per insertion site on the 2x3 PEPS."""
+    ops = {v: op for ins in insertions for v, op in ins.items()}
     return InsertionProblem(peps23.tn, peps23.messages,
-                            [peps_replacements(peps23.peps, ins)
-                             for ins in insertions])
+                            peps_replacements(peps23.peps, ops))
 
 
 # --- identity invariant -----------------------------------------------------
@@ -86,29 +85,13 @@ def test_classical_magnetization_vs_exact():
     repl = ising_insertion(tn, p, {"1,1": SZ})
     dec = tn.replace_tensors(repl)
     want = exact_contract(dec) / exact_contract(tn)
-    prob = InsertionProblem(tn, ms, [repl])
+    prob = InsertionProblem(tn, ms, repl)
     err6 = abs(expval_derivative_tensors(prob, 6).value - want)
     err8 = abs(expval_derivative_tensors(prob, 8).value - want)
     err_bp = abs(expval_bp_tensors(prob).value - want)
     # the series correction improves on bare BP order by order
     assert err8 < err6 < err_bp
     assert err8 < 2e-2 * abs(want)
-
-
-# --- regions ----------------------------------------------------------------
-
-def test_overlapping_regions_rejected(peps23):
-    with pytest.raises(OverlappingRegions, match="regions 0 and 1 share"):
-        _problem(peps23, {"0,0": SZ}, {"0,0": SX})
-
-
-@pytest.mark.parametrize("insertions", [
-    [{"0,0": SZ, "0,1": SZ}],
-    [{"0,0": SZ}, {}],
-], ids=["two_sites", "no_site"])
-def test_region_must_be_one_site(peps23, insertions):
-    with pytest.raises(RegionMismatch, match="one site"):
-        _problem(peps23, *insertions)
 
 
 # --- correlators ------------------------------------------------------------
@@ -135,7 +118,7 @@ def test_correlator_derivative_matches_exact_connected():
     eab = _exact_expval(peps, {"0,0": SZ, "1,1": SZ})
     want = eab - ea * eb
     got = expval_derivative_tensors(InsertionProblem(
-        tn, ms, [peps_replacements(peps, a), peps_replacements(peps, b)]),
+        tn, ms, {**peps_replacements(peps, a), **peps_replacements(peps, b)}),
         12).value
     assert abs(got - want) < 1e-6 * abs(want)
 
@@ -156,7 +139,7 @@ def test_ratio_and_derivative_correlators_agree():
     op = SZ + 0.4 * SX
     a = peps_replacements(peps, {"0,0": op})
     b = peps_replacements(peps, {"0,2": op})
-    prob = InsertionProblem(tn, ms, [a, b])
+    prob = InsertionProblem(tn, ms, {**a, **b})
     r = correlator_ratio_tensors(prob, 6)
     d = expval_derivative_tensors(prob, 6)
     # the forms differ only in how omitted higher orders are resummed
