@@ -155,8 +155,8 @@ def anchored_loop_sets(excitations, max_weight: int, anchor=None):
     loops = sorted((l for l in excitations if l.weight <= max_weight),
                    key=lambda l: l.key)
     anchor = {str(v) for v in anchor} if anchor is not None else None
-    for subset, _ in connected_subsets(overlap_neighbors(loops, max_weight),
-                                       [l.weight for l in loops], max_weight):
+    for subset in connected_subsets(overlap_neighbors(loops, max_weight),
+                                    [l.weight for l in loops], max_weight):
         members = [loops[i] for i in sorted(subset)]
         if anchor is None or any(l.vertices & anchor for l in members):
             yield members

@@ -10,27 +10,27 @@ region poset; the values a resummation needs are one bulk contraction
 (``tensor.contract_many``).
 
 One routine, ``find_regions``, builds that poset, optionally anchored at
-an observable's vertex, from a leaf-pruned vertex walk and a semi-naive
-intersection closure.
+an observable's vertex, from the vertex sets ``network.grown_sets`` grows
+from cycles (or from the anchor) and a semi-naive intersection closure.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 
 from .bp import MessageSet, bp_log_partition, local_factors
 from .clusters import (Cluster, enumerate_clusters, loops_overlap,
                        overlap_neighbors)
 from .errors import BranchCrossing, CapExceeded, CombinatorialBudgetExceeded
-from .network import (DEFAULT_SIZE_CAP, Graph, TensorNetwork,
-                      connected_subsets, is_connected, set_bits)
+from .network import (DEFAULT_SIZE_CAP, Graph, TensorNetwork, grown_sets,
+                      is_connected, set_bits)
 # under the name perfbench/tracing.py wraps
 from .tensor import contract_closed as contract_network
 
 RESTRICTED_CAP = 20
-DEFAULT_BUDGET = 10 ** 7  # vertex subsets of the region walk
+DEFAULT_BUDGET = 10 ** 7  # vertex sets the region finder grows
 
 
 def restricted_partition(loops, weight_table: dict) -> complex:
@@ -162,51 +162,32 @@ def find_regions(g: Graph, k: int, anchor=None):
     connected and leafless; with one, when it is connected and holds the
     anchor, once the branches that do not end on the anchor are cut off.
 
-    Vertex sets are bit masks over ``g.vertices``, summed by the walk from
-    the labels ``1 << i``.  The walk stops growing a set once a leaf can
-    no longer close: it has no neighbour left to take, or taking the ones
-    it needs would exceed k vertices.  The closure is semi-naive: a level
-    pairs only the newest regions with the earlier ones and with each
-    other, and judges each intersection once.
+    Vertex sets are bit masks over ``g.vertices``; ``grown_sets`` grows
+    the level-0 candidates by vertex, each connected and without leaves
+    but the anchor.  The closure is semi-naive: a level pairs only the
+    newest regions with the earlier ones and with each other, and judges
+    each intersection once.
     """
     index = {v: i for i, v in enumerate(g.vertices)}
     nbrs = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
     adj = [sum(1 << j for j in nb) for nb in nbrs]
-    roots = None if anchor is None else [index[str(anchor)]]
-    pinned = sum(1 << r for r in roots or ())
+    pinned = 0 if anchor is None else 1 << index[str(anchor)]
 
     def leaves(mask):
         """The vertices of ``mask`` other than the anchor with induced
-        degree < 2, and the most neighbours one of them still needs."""
-        out, need = 0, 0
+        degree < 2."""
+        out = 0
         for i in set_bits(mask & ~pinned):
             x = adj[i] & mask
             if not x & (x - 1):
                 out |= 1 << i
-                need = max(need, 1 if x else 2)
-        return out, need
+        return out
 
-    short, need = 0, 0  # of the set last yielded, which grow judges
-
-    def grow(cur, cand):
-        if len(cur) + need > k:
-            return False
-        takeable = 0
-        for x in cand:
-            takeable |= 1 << x
-        return all(adj[i] & takeable for i in set_bits(short))
-
-    sets, visited = [], 0
-    for cur, mask in connected_subsets(
-            nbrs, [1] * len(nbrs), k, roots, grow,
-            labels=[1 << i for i in range(len(nbrs))]):
-        visited += 1
-        if visited > DEFAULT_BUDGET:
-            raise CombinatorialBudgetExceeded(
-                f"vertex-subset enumeration exceeded budget {DEFAULT_BUDGET}")
-        short, need = leaves(mask)
-        if not short:
-            sets.append(mask)
+    sets = [mask for mask, _ in islice(grown_sets(
+        g, k, anchor=anchor, by_vertex=True), DEFAULT_BUDGET + 1)]
+    if len(sets) > DEFAULT_BUDGET:
+        raise CombinatorialBudgetExceeded(
+            f"vertex-subset enumeration exceeded budget {DEFAULT_BUDGET}")
     # largest first, so a set is maximal unless it lies in an earlier
     # maximal one
     maximal = []
@@ -218,10 +199,10 @@ def find_regions(g: Graph, k: int, anchor=None):
         if not is_connected(set_bits(p), nbrs.__getitem__):
             return None
         if anchor is None:
-            return None if leaves(p)[0] else p
+            return None if leaves(p) else p
         if not p & pinned:
             return None
-        while drop := leaves(p)[0]:
+        while drop := leaves(p):
             p &= ~drop
         return p
 

@@ -2,13 +2,9 @@
 
 A generalized loop is a connected edge-induced subgraph of minimum degree
 two; strings relax the degree condition inside marked terminal regions.
-Enumeration walks the connected edge sets of the line graph (edges are
-adjacent when they share a vertex) with ``network.connected_subsets``,
-each set grown from its smallest edge id, so no subset is visited twice,
-and handed out with its degree map, summed along the walk.  A leaf is a
-dangling end: a degree-one vertex outside the terminal regions.  A set
-stops growing once its leaves can no longer all close within the weight
-limit; loops and strings are the visited sets without leaves.
+``network.grown_sets`` grows them from cycles and terminals, each step
+adding an ear, a lollipop or a path to a new terminal, so every set it
+grows is a string, and it grows each once.
 
 Weights are evaluated locally on the loop support, in the BP gauge: each
 support vertex is its dressed tensor (the site tensor with the incoming
@@ -37,7 +33,7 @@ import math
 
 from .bp import MessageSet, local_factors
 from .errors import CombinatorialBudgetExceeded
-from .network import Graph, connected_subsets
+from .network import Graph, grown_sets, set_bits
 # under the name perfbench/tracing.py wraps
 from .tensor import contract_closed as contract_network
 
@@ -67,50 +63,15 @@ class GeneralizedLoop:
 
 
 def connected_edge_subsets(g: Graph, max_weight: int, terminals=()):
-    """Connected edge subsets of size <= max_weight, each at most once, as
-    (``sorted(g.edges)`` indices, is a string) pairs, strings among them.
-
-    A leaf is a degree-one vertex outside ``terminals``, and a string is a
-    subset without leaves.  A subset stops growing once its leaves cannot
-    all close: one edge closes at most two leaves, and a leaf with no
-    incident edge left to take stays open in every subset grown from it.
-    ``DEFAULT_ENUM_BUDGET`` bounds the subsets visited.
-    """
-    index = {e: i for i, e in enumerate(sorted(g.edges))}
-    vindex = {v: i for i, v in enumerate(g.vertices)}
-    ends = [[vindex[v] for v in g.edges[e]] for e in index]
-    incident = [{index[e] for (e, _) in g.incident(v)} for v in g.vertices]
-    nbrs = [(incident[a] | incident[b]) - {i}
-            for i, (a, b) in enumerate(ends)]
-    # The degree map packed into one integer: vertex v's degree sits in
-    # bits [k*v, k*v + k), so a subset's map, its label in the walk, is the
-    # sum of its edges' entries; v is a leaf when only bit k*v is set there.
-    k = max((len(inc) for inc in incident), default=1).bit_length()
-    packed = [(1 << k * a) | (1 << k * b) for a, b in ends]
-    free = sum(1 << k * v for v, name in enumerate(g.vertices)
-               if name not in terminals)  # the vertices that may be leaves
-    leaves = 0  # leaf bits of the subset last yielded, which grow judges
-
-    def grow(cur, cand):
-        if len(cur) + (leaves.bit_count() + 1) // 2 > max_weight:
-            return False
-        reach = 0  # the vertices that the edges in ``cand`` touch
-        for i in cand:
-            reach |= packed[i]
-        return not leaves & ~reach
-
-    visited, budget = 0, DEFAULT_ENUM_BUDGET
-    for cur, deg in connected_subsets(nbrs, [1] * len(index), max_weight,
-                                      grow=grow, labels=packed):
-        visited += 1
-        if visited > budget:
+    """Each string of at most ``max_weight`` edges once, as its sorted edge
+    ids, grown from cycles and terminals by ``network.grown_sets``.
+    ``DEFAULT_ENUM_BUDGET`` bounds the strings grown."""
+    edge_ids, budget = sorted(g.edges), DEFAULT_ENUM_BUDGET
+    for grown, (_, edges) in enumerate(grown_sets(g, max_weight, terminals)):
+        if grown >= budget:
             raise CombinatorialBudgetExceeded(
                 f"edge-subset enumeration exceeded budget {budget}")
-        high = 0
-        for j in range(1, k):
-            high |= deg >> j
-        leaves = deg & free & ~high
-        yield cur, not leaves
+        yield tuple(edge_ids[i] for i in set_bits(edges))
 
 
 def enumerate_loops(g: Graph, max_weight: int):
@@ -123,9 +84,8 @@ def enumerate_strings(g: Graph, terminals, max_weight: int):
     """Strings: connected edge subsets, min degree 2 outside the vertex
     set ``terminals``.  Closed loops are included."""
     terminals = frozenset(str(v) for v in terminals)
-    edge_ids = sorted(g.edges)
-    out = [GeneralizedLoop(g, [edge_ids[i] for i in cur]) for cur, is_string
-           in connected_edge_subsets(g, max_weight, terminals) if is_string]
+    out = [GeneralizedLoop(g, edges)
+           for edges in connected_edge_subsets(g, max_weight, terminals)]
     out.sort(key=lambda l: (l.weight, l.key))
     return out
 

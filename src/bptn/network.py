@@ -8,10 +8,11 @@ leg per site, with id ``phys_leg(v)``.
 Exact contraction is a greedy pairwise contraction used as ground truth at
 desk scale -- correctness over speed.
 
-Every expansion sums over connected objects: loops (edge sets), regions
-(vertex sets), clusters and cumulant subsets (loop-overlap graph sets).
-``connected_subsets``, a bit-mask walk that sums integer labels along the
-way, is the one walk that enumerates them; ``peps_replacements`` is the
+Every expansion sums over connected objects.  ``grown_sets``, one path
+search that grows sets from cycles by ears, lollipops and terminal paths,
+finds the loops and strings (edge sets) and the regions (vertex sets);
+``connected_subsets``, a bit-mask walk, finds the clusters and cumulant
+subsets (sets on the loop-overlap graph).  ``peps_replacements`` is the
 one adapter from a PEPS operator insertion, a {vertex: matrix} map, to
 the replacement tensors the estimators take.
 """
@@ -228,44 +229,36 @@ def is_connected(items, neighbors) -> bool:
     return seen == items
 
 
-def connected_subsets(nbrs, weights, max_weight, roots=None, grow=None,
-                      labels=None):
+def connected_subsets(nbrs, weights, max_weight):
     """Yield each connected index subset of total weight <= max_weight once,
-    as (index tuple in the order grown, sum of its integer ``labels``).
+    as an index tuple in the order grown.
 
     ``nbrs[i]`` holds each index adjacent to index i once; ``weights[i]``
-    is its positive weight.  A subset grows from the first of ``roots``
-    (default: every index, in order) it holds and never takes an earlier
-    root, so it is yielded once.  Labels default to 0.
+    is its positive weight.  A subset grows from its smallest index over
+    higher ones, so it is yielded once.
 
     The walk is a take-or-leave stack on bit masks: a subset's candidates
     ``cand`` are the neighbours it may still take, and taking one bans the
     candidates before it, so two branches never grow the same subset.
-    ``seen`` holds the earlier roots and every index a subset has taken,
-    banned or made a candidate; only an unseen neighbour of a newly taken
-    index becomes a candidate (a mask cached per call as its ascending
-    tuple), so no subset grown from ``cur`` takes a neighbour of ``cur``
-    outside ``cand``.  ``grow(cur, cand)``, when given, runs after ``cur``
-    is yielded and before it grows; a false answer prunes all grown from it.
+    ``seen`` holds the indices up to the root and every index a subset has
+    taken, banned or made a candidate; only an unseen neighbour of a newly
+    taken index becomes a candidate (a mask cached per call as its
+    ascending tuple), so no subset grown from ``cur`` takes a neighbour of
+    ``cur`` outside ``cand``.
     """
     adj = [sum(1 << y for y in nb) for nb in nbrs]
-    labels = labels or [0] * len(weights)
     ascending = functools.cache(lambda mask: tuple(set_bits(mask)))
     stop = max_weight - min(weights, default=0)
-    base = 0  # the roots so far
-    for root in range(len(weights)) if roots is None else roots:
-        base |= 1 << root
+    for root in range(len(weights)):
         if weights[root] > max_weight:
             continue
+        base = (2 << root) - 1  # the root and every index before it
         first = adj[root] & ~base
-        stack = [((root,), ascending(first), base | first, weights[root],
-                  labels[root])]
+        stack = [((root,), ascending(first), base | first, weights[root])]
         while stack:
-            cur, cand, seen, w, label = stack.pop()
-            yield cur, label
+            cur, cand, seen, w = stack.pop()
+            yield cur
             if w > stop:  # at the weight limit: no index fits
-                continue
-            if grow is not None and not grow(cur, cand):
                 continue
             for i, x in enumerate(cand):
                 wx = w + weights[x]
@@ -273,5 +266,97 @@ def connected_subsets(nbrs, weights, max_weight, roots=None, grow=None,
                     continue
                 grown = adj[x] & ~seen
                 stack.append((cur + (x,), cand[i + 1:] + ascending(grown),
-                              seen | grown, wx, label + labels[x]))
+                              seen | grown, wx))
 
+
+def grown_sets(g: Graph, size: int, terminals=(), anchor=None,
+               by_vertex=False):
+    """Each connected set in which no vertex but a terminal is a leaf,
+    once, as (vertex mask, edge mask) over ``g.vertices`` and
+    ``sorted(g.edges)``.  By edge, a set has at most ``size`` edges.
+    ``by_vertex``, it has at most ``size`` vertices, a leaf has fewer than
+    two neighbours in it, ``anchor`` is the one terminal and in every set,
+    and the edge mask spans the set with no leaf but the anchor.
+
+    Sets grow from roots by steps.  A step adds a path through new
+    vertices from a vertex of the set that ends as an ear, on the set
+    (maybe where it began), as a lollipop, on its own path, or as a
+    terminal path, at a new terminal.  A root is each simple cycle, from
+    its smallest vertex through higher ones, and each terminal as the
+    one-vertex set it grows from (the anchor is itself yielded).  A path
+    goes on only while what could end it is within reach of the size
+    left, or a lollipop may fit; sets are deduplicated by key (the edge
+    mask; by vertex, the vertex mask).
+
+    Every valid set S is grown.  Take a spanning edge set F of S that
+    stays valid and drops no edge it could (S itself, by edge), and call
+    a thread a path of F between vertices of degree other than 2, or the
+    anchor, with inner vertices of degree 2.  Unless S is a root, a piece
+    of F comes off and leaves it valid: if F has a leaf other than the
+    anchor, the thread at it (a terminal path, from the root at the other
+    end if F is a path); else, in the multigraph of threads, where every
+    vertex but the anchor has degree >= 3, a thread that is no bridge and
+    leaves each end degree >= 2 or the anchor (an ear).  That exists
+    unless a leaf block away from the anchor is one vertex with one loop;
+    then that loop and the bridge thread to it come off (a lollipop).  No
+    piece takes the anchor, and as F is minimal each takes a vertex, so a
+    step grows S from a smaller valid set.
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    adj, bond = [0] * len(index), {}
+    for i, e in enumerate(sorted(g.edges)):
+        a, b = (index[v] for v in g.edges[e])
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        bond[a, b] = bond[b, a] = 1 << i
+    ends = sum(1 << index[v] for v in terminals)
+    # (vertex mask, edge mask, the vertices a path may take); a leaf may
+    # form in a set that a path may take every vertex from
+    if anchor is not None:
+        todo = [(1 << index[str(anchor)], 0, -1)] if size > 0 else []
+        yield from (root[:2] for root in todo)
+    else:
+        todo = [(1 << s, 0, -1 if ends >> s & 1 else -2 << s)
+                for s in range(len(index))]
+    seen, key = set(), 0 if by_vertex else 1
+    while todo:
+        vm, em, allow = todo.pop()
+        # the new vertices a path may take (by edge, its edges but the last)
+        room = size - (vm.bit_count() if by_vertex else em.bit_count() + 1)
+        if room < 0:
+            continue
+        leafy = allow == -1
+        lolly = leafy and room >= 3  # a stem and a cycle may fit
+        if not lolly:  # reach[d]: the vertices within d of what ends a path
+            reach = [vm | ends if leafy else vm]
+            for _ in range(room):
+                out = 0
+                for x in set_bits(reach[-1]):
+                    out |= adj[x]
+                reach.append(reach[-1] | out & allow)
+        for v0 in set_bits(vm):
+            # (its end, its new vertices, its edges, length, the one before)
+            stack = [(v0, 0, 0, 0, 0)]
+            while stack:
+                u, pm, pe, n, back = stack.pop()
+                grown = []
+                hit = adj[u] & (vm | pm if leafy else vm) & ~back
+                for w in set_bits(hit):
+                    e = bond[u, w]
+                    if not e & em:
+                        grown.append((vm | pm, em | pe | e))
+                free = adj[u] & allow & ~(vm | pm)
+                if leafy:
+                    for w in set_bits(free & ends):
+                        grown.append((vm | pm | 1 << w, em | pe | bond[u, w]))
+                for new in grown:
+                    if new[key] not in seen:
+                        seen.add(new[key])
+                        yield new
+                        todo.append((*new, -1))
+                if n < room:
+                    if not lolly:
+                        free &= reach[room - n]
+                    for w in set_bits(free):
+                        stack.append((w, pm | 1 << w, pe | bond[u, w],
+                                      n + 1, 1 << u))

@@ -77,6 +77,19 @@ def _dim(path, value) -> int:
     return value
 
 
+def _data(path, rec) -> np.ndarray:
+    """re + 1j * im of ``rec``, both lists of numbers of one length."""
+    for part in ("re", "im"):
+        value = _json(path, rec, dict).get(part)
+        if not isinstance(value, list) or not all(
+                type(x) in (int, float) for x in value):
+            _fail(path, f"{part} is not a list of numbers, got {value!r:.40}")
+    if len(rec["re"]) != len(rec["im"]):
+        _fail(path, "re and im length mismatch")
+    re, im = (np.array(rec[part], dtype=float) for part in ("re", "im"))
+    return re + 1j * im
+
+
 def network_from_dict(doc: dict) -> TensorNetwork:
     _json("document", doc, dict)
     for key in ("vertices", "edges", "tensors"):
@@ -117,20 +130,14 @@ def network_from_dict(doc: dict) -> TensorNetwork:
             _json(f"tensors/{v}/dims", rec.get("dims", []), list))]
         if len(legs) != len(dims):
             _fail(f"tensors/{v}", "legs and dims length mismatch")
-        try:
-            re = np.asarray(rec.get("re", []), dtype=float)
-            im = np.asarray(rec.get("im", []), dtype=float)
-        except (TypeError, ValueError) as exc:
-            _fail(f"tensors/{v}", f"data is not numeric ({exc})")
-        if re.shape != im.shape:
-            _fail(f"tensors/{v}", "re and im length mismatch")
+        data = _data(f"tensors/{v}", rec)
         want = int(np.prod(dims)) if dims else 1
-        if re.size != want:
-            _fail(f"tensors/{v}", f"data length {re.size} != prod(dims) {want}")
+        if data.size != want:
+            _fail(f"tensors/{v}",
+                  f"data length {data.size} != prod(dims) {want}")
         try:
             tensors[v] = DenseTensor(
-                [Leg(l, d) for l, d in zip(legs, dims)],
-                re + 1j * im)
+                [Leg(l, d) for l, d in zip(legs, dims)], data)
         except Exception as exc:
             _fail(f"tensors/{v}", str(exc))
     try:
@@ -139,36 +146,45 @@ def network_from_dict(doc: dict) -> TensorNetwork:
         _fail("network", str(exc))
 
 
-def load_network(path) -> TensorNetwork:
+def _read(path, parse, *args):
+    """``parse(doc, *args)`` of the JSON file ``path``; refusals name it."""
     with open(path) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             _fail(path, f"not valid JSON ({exc})")
     try:
-        return network_from_dict(doc)
+        return parse(doc, *args)
     except InvalidNetworkFile as exc:
         raise InvalidNetworkFile(f"{path}: {exc}") from None
 
 
-def load_messages(path, tn: TensorNetwork):
-    """Load the optional message section; returns a MessageSet or None."""
+def load_network(path) -> TensorNetwork:
+    return _read(path, network_from_dict)
+
+
+def _messages_from_dict(doc, tn: TensorNetwork):
+    """The optional message section as a MessageSet, or None."""
     from .bp import MessageSet
 
-    with open(path) as f:
-        doc = json.load(f)
-    if "messages" not in doc:
+    if "messages" not in _json("document", doc, dict):
         return None
     msgs = {}
-    for key, rec in doc["messages"].items():
+    for key, rec in _json("messages", doc["messages"], dict).items():
+        where = f"messages/{key}"
         if "->" not in key:
-            _fail(f"messages/{key}", "key must be 'v->w'")
+            _fail(where, "key must be 'v->w'")
         v, w = key.split("->", 1)
         e = tn.graph.edge_between(v, w)
         if e is None:
-            _fail(f"messages/{key}", "no such edge")
-        data = np.asarray(rec["re"], dtype=float) + 1j * np.asarray(rec["im"], dtype=float)
+            _fail(where, "no such edge")
+        data = _data(where, rec)
         if data.size != tn.bond_dims[e]:
-            _fail(f"messages/{key}", "length does not match bond dim")
+            _fail(where, "length does not match bond dim")
         msgs[(v, w)] = DenseTensor([Leg(e, tn.bond_dims[e])], data)
     return MessageSet(tn, msgs)
+
+
+def load_messages(path, tn: TensorNetwork):
+    """Load the optional message section; returns a MessageSet or None."""
+    return _read(path, _messages_from_dict, tn)

@@ -5,11 +5,13 @@ and stability probe that the compiled sweep in ``bptn.bp`` replaced; the
 tuple-and-frozenset subset walk that the bit-mask walk in
 ``bptn.network`` replaced, and the loop sets it finds on the overlap graph
 of every pair of loops, which ``bptn.clusters`` prunes by weight; the
-unpruned string enumeration that the leaf-pruned walk in ``bptn.loops``
-replaced; the global and anchored region finders that
-``bptn.cumulants.find_regions`` replaced, with an unpruned vertex walk,
-degrees from a scan of every edge, and an intersection closure that
-re-intersects the whole pool at every level; and the per-call
+unpruned string enumeration that the leaf-pruned walk replaced; the
+global and anchored region finders that ``bptn.cumulants.find_regions``
+replaced, with an unpruned vertex walk, degrees from a scan of every edge,
+and an intersection closure that re-intersects the whole pool at every
+level; the leaf-pruned edge and vertex walks, on the bit-mask walk with
+roots, labels and a prune hook, that the ear grower
+``bptn.network.grown_sets`` replaced; and the per-call
 contractions that the bulk ones replaced: the greedy plan search over
 every pair, ``np.tensordot`` one pair at a time, one dressed tensor, one
 loop weight and one region value per call, and each BP local factor z_v
@@ -19,6 +21,7 @@ engine lists it, or in the sorted vertex and edge order that the walk
 replaced.  ``relabel`` renames legs for the reference forms that name
 them per endpoint."""
 
+import functools
 import math
 
 import numpy as np
@@ -32,7 +35,7 @@ from bptn.cumulants import (DEFAULT_BUDGET, Region, counting_numbers,
 from bptn.errors import (CombinatorialBudgetExceeded, DimensionMismatch,
                          NumericalCollapse, TooLarge)
 from bptn.loops import GeneralizedLoop
-from bptn.network import DEFAULT_SIZE_CAP, is_connected
+from bptn.network import DEFAULT_SIZE_CAP, is_connected, set_bits
 from bptn.tensor import DenseTensor, Leg, contract_pair
 
 
@@ -374,6 +377,139 @@ def find_regions_local(g, k: int, A):
         return frozenset(p)
 
     return _intersection_closure(g, maximal, keep)
+
+
+# --- the leaf-pruned walks that the ear grower replaced ---------------------
+
+def mask_subsets(nbrs, weights, max_weight, roots=None, grow=None,
+                 labels=None):
+    """Yield each connected index subset of total weight <= max_weight once,
+    as (index tuple in the order grown, sum of its integer ``labels``).
+
+    ``nbrs[i]`` holds each index adjacent to index i once; ``weights[i]``
+    is its positive weight.  A subset grows from the first of ``roots``
+    (default: every index, in order) it holds and never takes an earlier
+    root, so it is yielded once.  Labels default to 0.
+
+    The walk of ``connected_subsets`` on integer bit masks: ``seen`` holds
+    the earlier roots and every index a subset has taken, banned or made a
+    candidate.  ``grow(cur, cand)``, when given, runs after ``cur`` is
+    yielded and before it grows; a false answer prunes all grown from it.
+    """
+    adj = [sum(1 << y for y in nb) for nb in nbrs]
+    labels = labels or [0] * len(weights)
+    ascending = functools.cache(lambda mask: tuple(set_bits(mask)))
+    stop = max_weight - min(weights, default=0)
+    base = 0  # the roots so far
+    for root in range(len(weights)) if roots is None else roots:
+        base |= 1 << root
+        if weights[root] > max_weight:
+            continue
+        first = adj[root] & ~base
+        stack = [((root,), ascending(first), base | first, weights[root],
+                  labels[root])]
+        while stack:
+            cur, cand, seen, w, label = stack.pop()
+            yield cur, label
+            if w > stop:  # at the weight limit: no index fits
+                continue
+            if grow is not None and not grow(cur, cand):
+                continue
+            for i, x in enumerate(cand):
+                wx = w + weights[x]
+                if wx > max_weight:
+                    continue
+                grown = adj[x] & ~seen
+                stack.append((cur + (x,), cand[i + 1:] + ascending(grown),
+                              seen | grown, wx, label + labels[x]))
+
+
+def leaf_pruned_edge_subsets(g, max_weight, terminals=()):
+    """Connected edge subsets of size <= max_weight, each at most once, as
+    (``sorted(g.edges)`` indices, is a string) pairs, strings among them.
+
+    A leaf is a degree-one vertex outside ``terminals``, and a string is a
+    subset without leaves.  A subset stops growing once its leaves cannot
+    all close: one edge closes at most two leaves, and a leaf with no
+    incident edge left to take stays open in every subset grown from it.
+    """
+    index = {e: i for i, e in enumerate(sorted(g.edges))}
+    vindex = {v: i for i, v in enumerate(g.vertices)}
+    ends = [[vindex[v] for v in g.edges[e]] for e in index]
+    incident = [{index[e] for (e, _) in g.incident(v)} for v in g.vertices]
+    nbrs = [(incident[a] | incident[b]) - {i}
+            for i, (a, b) in enumerate(ends)]
+    # The degree map packed into one integer: vertex v's degree sits in
+    # bits [k*v, k*v + k), so a subset's map, its label in the walk, is the
+    # sum of its edges' entries; v is a leaf when only bit k*v is set there.
+    k = max((len(inc) for inc in incident), default=1).bit_length()
+    packed = [(1 << k * a) | (1 << k * b) for a, b in ends]
+    free = sum(1 << k * v for v, name in enumerate(g.vertices)
+               if name not in terminals)  # the vertices that may be leaves
+    leaves = 0  # leaf bits of the subset last yielded, which grow judges
+
+    def grow(cur, cand):
+        if len(cur) + (leaves.bit_count() + 1) // 2 > max_weight:
+            return False
+        reach = 0  # the vertices that the edges in ``cand`` touch
+        for i in cand:
+            reach |= packed[i]
+        return not leaves & ~reach
+
+    for cur, deg in mask_subsets(nbrs, [1] * len(index), max_weight,
+                                 grow=grow, labels=packed):
+        high = 0
+        for j in range(1, k):
+            high |= deg >> j
+        leaves = deg & free & ~high
+        yield cur, not leaves
+
+
+def leaf_pruned_strings(g, terminals, max_weight):
+    """The keys of the strings ``leaf_pruned_edge_subsets`` finds, sorted
+    like ``bptn.loops.enumerate_strings``, and the subsets it visits."""
+    terminals = frozenset(str(v) for v in terminals)
+    edge_ids = sorted(g.edges)
+    walked = list(leaf_pruned_edge_subsets(g, max_weight, terminals))
+    keys = [tuple(sorted(edge_ids[i] for i in cur))
+            for cur, is_string in walked if is_string]
+    return sorted(keys, key=lambda key: (len(key), key)), len(walked)
+
+
+def leaf_pruned_vertex_sets(g, k: int, anchor=None):
+    """The connected vertex sets with <= k vertices in which no vertex but
+    ``anchor`` has induced degree < 2, as bit masks over ``g.vertices``
+    (from ``anchor``, when given), and the subsets the walk visits.  A set
+    stops growing once a leaf can no longer close: it has no neighbour
+    left to take, or taking the ones it needs would exceed k vertices."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
+    adj = [sum(1 << j for j in nb) for nb in nbrs]
+    roots = None if anchor is None else [index[str(anchor)]]
+    pinned = sum(1 << r for r in roots or ())
+    short, need = 0, 0  # of the set last yielded, which grow judges
+
+    def grow(cur, cand):
+        if len(cur) + need > k:
+            return False
+        takeable = 0
+        for x in cand:
+            takeable |= 1 << x
+        return all(adj[i] & takeable for i in set_bits(short))
+
+    sets, visited = [], 0
+    for cur, mask in mask_subsets(nbrs, [1] * len(nbrs), k, roots, grow,
+                                  labels=[1 << i for i in range(len(nbrs))]):
+        visited += 1
+        short, need = 0, 0
+        for i in set_bits(mask & ~pinned):
+            x = adj[i] & mask
+            if not x & (x - 1):
+                short |= 1 << i
+                need = max(need, 1 if x else 2)
+        if not short:
+            sets.append(mask)
+    return sets, visited
 
 
 # --- the per-call contractions --------------------------------------------

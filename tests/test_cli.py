@@ -540,9 +540,9 @@ def test_exit_4_on_size_cap(monkeypatch):
 
 
 def test_exit_4_on_enumeration_budget(monkeypatch, capsys):
-    """The edge walk stops at its budget with exit 4; the budget is patched
-    down from the shipped 10**7, which ``loops -m 14`` on 6x6 also passes,
-    so that the test does not walk 10**7 subsets."""
+    """The string grower stops at its budget with exit 4; the budget is
+    patched down from the shipped 10**7 to 10**4, which ``loops -m 14`` on
+    6x6 passes within a second."""
     import bptn.loops
 
     assert bptn.loops.DEFAULT_ENUM_BUDGET == 10 ** 7

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bptn.cumulants
+import bptn.network
 from bptn.cli import main
 from bptn.clusters import Cluster, free_energy_truncated, ursell
 from bptn.cumulants import (Region, connected_loop_subsets,
@@ -235,7 +236,7 @@ def _region_rows(poset):
     st.one_of(st.none(), st.integers(0, n - 1)),
     st.integers(0, 6))))
 def test_find_regions_matches_oracle(case):
-    """The leaf-pruned walk and the semi-naive closure give the regions,
+    """The grower and the semi-naive closure give the regions,
     levels and edges of the unpruned finders, on random graphs with and
     without an anchor."""
     n, present, anchor, k = case
@@ -271,36 +272,56 @@ def test_find_regions_matches_oracle_on_torus(k):
         oracles.find_regions(g, k))
 
 
-@pytest.mark.parametrize("k, visited, regions", [(6, 2154, 85),
-                                                 (8, 17215, 810)])
-def test_region_walk_visit_counts(monkeypatch, k, visited, regions):
-    """The region walk on the 5x5 torus (the ``ising_free_energy``
-    benchmark graph) visits these many vertex subsets; the unpruned walk
-    visited 7,185 at k = 6 and 68,110 at k = 8.  A weaker prune visits
-    more."""
-    walk = bptn.cumulants.connected_subsets
+@pytest.mark.parametrize("k, walked, grown", [(6, 2154, 85),
+                                              (8, 17215, 810)])
+def test_region_walk_visit_counts(monkeypatch, k, walked, grown):
+    """On the 5x5 torus (the ``ising_free_energy`` benchmark graph) the
+    region finder grows only the leafless vertex sets, 85 at k = 6 and
+    810 at k = 8, where the leaf-pruned walk visited 2,154 and 17,215
+    vertex subsets (and the unpruned walk 7,185 and 68,110)."""
+    grower = bptn.cumulants.grown_sets
     seen = []
 
     def counted(*args, **kwargs):
-        for cur in walk(*args, **kwargs):
-            seen.append(cur)
-            yield cur
+        for new in grower(*args, **kwargs):
+            seen.append(new[0])
+            yield new
 
-    monkeypatch.setattr(bptn.cumulants, "connected_subsets", counted)
+    monkeypatch.setattr(bptn.cumulants, "grown_sets", counted)
     g = ising_network(IsingParams(L=5, beta=0.2)).graph
-    assert len(find_regions(g, k)) == regions
-    assert len(seen) == visited
+    assert len(find_regions(g, k)) == {6: 85, 8: 810}[k]  # regions
+    sets, visited = oracles.leaf_pruned_vertex_sets(g, k)
+    assert (len(seen), sorted(seen), visited) == (grown, sorted(sets),
+                                                  walked)
+
+
+def test_find_regions_matches_leaf_pruned_walk_at_readme_scale():
+    """On the 6x6 torus at k = 9 the grower finds the 2,136 leafless
+    vertex sets of the leaf-pruned walk, and the maximal ones are level 0
+    of the poset."""
+    g = ising_network(IsingParams(L=6, beta=0.2)).graph
+    masks = sorted(oracles.leaf_pruned_vertex_sets(g, 9)[0])
+    assert len(masks) == 2136
+    assert sorted(mask for mask, _ in bptn.network.grown_sets(
+        g, 9, by_vertex=True)) == masks
+    sets = [frozenset(g.vertices[i] for i in bptn.network.set_bits(mask))
+            for mask in masks]
+    maximal = sorted(tuple(sorted(s)) for s in sets
+                     if not any(s < t for t in sets))
+    assert [r.key for r in find_regions(g, 9) if r.level == 0] == maximal
 
 
 def test_region_walk_budget(monkeypatch, capsys):
-    """The vertex walk stops at the budget, and ``bptn regions`` exits 4."""
+    """The region finder stops at the budget, and ``bptn regions`` exits 4.
+    At k = 6 the 4x4 torus has 152 leafless vertex sets, 79 of them
+    holding 0,0 with only 0,0 a leaf (at k = 4 only 24 and 7)."""
     monkeypatch.setattr(bptn.cumulants, "DEFAULT_BUDGET", 50)
     g = ising_network(IsingParams(L=4, beta=0.2)).graph
     with pytest.raises(CombinatorialBudgetExceeded,
                        match="vertex-subset enumeration exceeded budget 50"):
-        find_regions(g, 4)
+        find_regions(g, 6)
     with pytest.raises(CombinatorialBudgetExceeded):
-        find_regions(g, 4, "0,0")
+        find_regions(g, 6, "0,0")
     assert main(["regions", "--generate", "ising:L=4,beta=0.2",
-                 "-k", "4"]) == 4
+                 "-k", "6"]) == 4
     capsys.readouterr()

@@ -48,37 +48,51 @@ def brute_force_connected_subsets(g, max_weight):
 
 
 def test_connected_subsets_exactly_once_vs_brute_force():
-    """The pruned walk yields no subset twice and only connected subsets,
-    among them every brute-force string, flagged as one; with and without
-    terminals."""
+    """The grower yields each brute-force string once and nothing else;
+    with and without terminals."""
     g = ising_network(IsingParams(L=3, beta=0.2)).graph
     connected = brute_force_connected_subsets(g, 5)
-    edge_ids = sorted(g.edges)
     for terminals in (frozenset(), frozenset({"0,0", "1,2"})):
-        got = [(frozenset(edge_ids[i] for i in cur), is_string) for
-               cur, is_string in connected_edge_subsets(g, 5, terminals)]
-        sets = [edges for edges, _ in got]
-        assert len(sets) == len(set(sets)), "duplicates emitted"
-        assert set(sets) <= connected
-        strings = {s for s in connected
-                   if all(d >= 2 or v in terminals
-                          for v, d in oracles.degree_map(g, s).items())}
-        assert {frozenset(edges) for edges, is_string in got
-                if is_string} == strings
+        got = [frozenset(edges) for edges
+               in connected_edge_subsets(g, 5, terminals)]
+        assert len(got) == len(set(got)), "duplicates emitted"
+        assert set(got) == {s for s in connected if all(
+            d >= 2 or v in terminals
+            for v, d in oracles.degree_map(g, s).items())}
 
 
-@pytest.mark.parametrize("graph, terminals, m, visited, strings", [
+@pytest.mark.parametrize("graph, terminals, m, walked, strings", [
     (ising_network(IsingParams(L=5, beta=0.2)).graph, frozenset(), 6,
      6012, 85),
     (random_peps(5, 5, D=2, seed=0).graph, frozenset({"2,2"}), 7,
      3897, 116),
 ])
-def test_leaf_prune_visit_counts(graph, terminals, m, visited, strings):
-    """The benchmark graphs (the ``ising_free_energy`` loops and the
-    ``peps_expval`` strings) visit these many subsets; the unpruned walk
-    visited 52,360 and 46,665.  A weaker prune visits more."""
-    flags = [s for _, s in connected_edge_subsets(graph, m, terminals)]
-    assert (len(flags), sum(flags)) == (visited, strings)
+def test_leaf_prune_visit_counts(graph, terminals, m, walked, strings):
+    """On the benchmark graphs (the ``ising_free_energy`` loops and the
+    ``peps_expval`` strings) the grower yields only the 85 and 116
+    strings, where the leaf-pruned walk visited 6,012 and 3,897 subsets
+    (and the unpruned walk 52,360 and 46,665)."""
+    grown = list(connected_edge_subsets(graph, m, terminals))
+    assert len(grown) == len(set(grown)) == strings
+    want, visited = oracles.leaf_pruned_strings(graph, terminals, m)
+    assert (sorted(grown, key=lambda key: (len(key), key)), visited) == (
+        want, walked)
+
+
+@pytest.mark.parametrize("L, terminals, m, strings", [
+    (4, (), 8, 1184),   # README ``free-energy``
+    (6, (), 10, 7788),
+    (5, ("2,2",), 7, 116),  # the PEPS strings, on the 5x5 grid
+], ids=["4x4-m8", "6x6-m10", "peps-5x5-m7"])
+def test_strings_match_leaf_pruned_walk_at_readme_scale(L, terminals, m,
+                                                        strings):
+    """Loops on the L x L torus and PEPS strings grown from cycles and
+    terminals are the strings the leaf-pruned walk finds, in order."""
+    g = (random_peps(L, L, D=2, seed=0) if terminals
+         else ising_network(IsingParams(L=L, beta=0.2))).graph
+    got = [l.key for l in enumerate_strings(g, terminals, m)]
+    assert len(got) == strings
+    assert got == oracles.leaf_pruned_strings(g, terminals, m)[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -89,7 +103,7 @@ def test_leaf_prune_visit_counts(graph, terminals, m, visited, strings):
     st.integers(0, 2),
     st.integers(0, 7))))
 def test_strings_match_unpruned_enumeration(case):
-    """The leaf-pruned walk finds the strings the unpruned degree filter
+    """The grower finds the strings the unpruned degree filter
     finds, on random graphs with the terminals of up to two regions."""
     present, labels, n_regions, m = case
     n = len(labels)

@@ -14,7 +14,8 @@ from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
                          peps_statevector, random_peps)
 from bptn.network import (Graph, TensorNetwork, _double_tensor, bfs,
                           build_norm_network, connected_subsets,
-                          exact_contract, peps_replacements, phys_leg)
+                          exact_contract, grown_sets, peps_replacements,
+                          phys_leg, set_bits)
 from bptn.tensor import DenseTensor, Leg
 from bptn.tnio import (load_messages, load_network, network_from_dict,
                        network_to_dict, save_network)
@@ -163,8 +164,8 @@ def _brute_connected_subsets(nbrs, weights, max_weight, roots):
     st.none() | st.lists(st.integers(0, n - 1), unique=True))))
 def test_connected_subsets_match_brute_force(case):
     """Every connected subset within the weight limit is yielded exactly
-    once, and nothing else; with roots, only those holding a root.  A
-    ``grow`` that always answers true changes nothing."""
+    once, and nothing else; by the bit-mask walk of ``tests/oracles.py``
+    with roots, only those holding a root."""
     present, weights, max_weight, roots = case
     n = len(weights)
     nbrs = [set() for _ in range(n)]
@@ -172,13 +173,15 @@ def test_connected_subsets_match_brute_force(case):
         if keep:
             nbrs[u].add(v)
             nbrs[v].add(u)
+    got = [frozenset(s) for s in connected_subsets(nbrs, weights, max_weight)]
+    assert len(got) == len(set(got)), "a subset was yielded twice"
+    assert set(got) == _brute_connected_subsets(nbrs, weights, max_weight,
+                                                None)
     got = [frozenset(s) for s, _ in
-           connected_subsets(nbrs, weights, max_weight, roots)]
+           oracles.mask_subsets(nbrs, weights, max_weight, roots)]
     assert len(got) == len(set(got)), "a subset was yielded twice"
     assert set(got) == _brute_connected_subsets(nbrs, weights, max_weight,
                                                 roots)
-    assert [frozenset(s) for s, _ in connected_subsets(
-        nbrs, weights, max_weight, roots, grow=lambda cur, cand: True)] == got
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,10 +194,12 @@ def test_connected_subsets_match_brute_force(case):
     st.lists(st.integers(-8, 8), min_size=n, max_size=n),
     st.integers(2, 4))))
 def test_mask_walk_matches_tuple_walk_sequence(case):
-    """The bit-mask walk yields the subsets of the tuple-and-frozenset walk
-    it replaced in the same order, and asks ``grow`` about the same
-    (subset, candidates) pairs in the same order, also when the answer
-    depends on the candidates; each label is the sum over its subset."""
+    """The bit-mask walks yield the subsets of the tuple-and-frozenset walk
+    they replaced in the same order: ``connected_subsets``, and the walk
+    of ``tests/oracles.py`` with roots, labels and a ``grow`` hook, which
+    it asks about the same (subset, candidates) pairs in the same order,
+    also when the answer depends on the candidates; each label is the sum
+    over its subset."""
     present, weights, max_weight, roots, labels, modulus = case
     n = len(weights)
     nbrs = [set() for _ in range(n)]
@@ -202,6 +207,8 @@ def test_mask_walk_matches_tuple_walk_sequence(case):
         if keep:
             nbrs[u].add(v)
             nbrs[v].add(u)
+    assert list(connected_subsets(nbrs, weights, max_weight)) == list(
+        oracles.connected_subsets(nbrs, weights, max_weight))
 
     def judge(asked):
         def grow(cur, cand):
@@ -214,13 +221,60 @@ def test_mask_walk_matches_tuple_walk_sequence(case):
         want = list(oracles.connected_subsets(
             nbrs, weights, max_weight, roots,
             judge(want_asked) if prune else None))
-        got = list(connected_subsets(
+        got = list(oracles.mask_subsets(
             nbrs, weights, max_weight, roots,
             judge(got_asked) if prune else None, labels))
         assert [cur for cur, _ in got] == want
         assert got_asked == want_asked
         assert [label for _, label in got] == [
             sum(labels[i] for i in cur) for cur in want]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 2), min_size=n * (n - 1) // 2,
+             max_size=n * (n - 1) // 2),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.one_of(st.none(), st.integers(0, n - 1)),
+    st.integers(0, 7))))
+def test_grown_sets_match_leaf_pruned_walks(case):
+    """On random graphs of up to 10 vertices (an edge in each third of the
+    pairs), the grower finds the strings of the leaf-pruned edge walk,
+    with random terminals, and the vertex sets of the leaf-pruned vertex
+    walk, with and without an anchor, each once."""
+    present, marked, anchor, size = case
+    n = len(marked)
+    g = Graph(range(n), {f"{u}-{v}": (u, v) for (u, v), keep in zip(
+        itertools.combinations(range(n), 2), present) if keep == 0})
+    terminals = {str(v) for v in range(n) if marked[v]}
+    edge_ids = sorted(g.edges)
+    grown = [tuple(edge_ids[i] for i in bits) for bits in (
+        set_bits(em) for _, em in grown_sets(g, size, terminals))]
+    assert len(grown) == len(set(grown))
+    assert sorted(grown, key=lambda key: (len(key), key)) == \
+        oracles.leaf_pruned_strings(g, terminals, size)[0]
+    anchor = None if anchor is None else str(anchor)
+    grown = [vm for vm, _ in grown_sets(g, size, anchor=anchor,
+                                        by_vertex=True)]
+    assert len(grown) == len(set(grown))
+    assert sorted(grown) == sorted(
+        oracles.leaf_pruned_vertex_sets(g, size, anchor)[0])
+
+
+def test_grown_sets_grow_a_lollipop_at_the_size_limit():
+    """Two triangles joined by an edge: the dumbbell is grown only by a
+    lollipop from either triangle, which takes the whole size left, 4
+    edges or 3 new vertices; so is the triangle with a stem to b0 from the
+    anchor b0."""
+    pairs = [("a0", "a1"), ("a1", "a2"), ("a0", "a2"), ("b0", "b1"),
+             ("b1", "b2"), ("b0", "b2"), ("a0", "b0")]
+    g = Graph({v for p in pairs for v in p},
+              {f"{u}-{v}": (u, v) for u, v in pairs})
+    assert sorted(em.bit_count() for _, em in grown_sets(g, 7)) == [3, 3, 7]
+    assert sorted(vm.bit_count() for vm, _ in grown_sets(
+        g, 6, by_vertex=True)) == [3, 3, 6]
+    assert sorted(vm.bit_count() for vm, _ in grown_sets(
+        g, 4, anchor="b0", by_vertex=True)) == [1, 3, 4]
 
 
 # -- network validation -----------------------------------------------------
@@ -359,6 +413,43 @@ def test_invalid_file_errors_are_path_qualified(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidNetworkFile):
         load_network(path)
+
+
+def _with_messages(doc, change):
+    doc["messages"] = {"v0->v1": {"re": [1.0, 0.0], "im": [0.0, 0.0]}}
+    change(doc["messages"])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text, where", [
+    (lambda doc: "{not json", "not valid JSON"),
+    (lambda doc: _with_messages(
+        doc, lambda m: m.update({"v0->v1": [1.0, 0.0]})), "messages/v0->v1"),
+    (lambda doc: json.dumps({**doc, "messages": [1.0]}), "messages"),
+    (lambda doc: _with_messages(
+        doc, lambda m: m["v0->v1"].update(re="x")), "messages/v0->v1"),
+    (lambda doc: _with_messages(
+        doc, lambda m: m["v0->v1"].update(re=["x", 0.0])), "messages/v0->v1"),
+    (lambda doc: _with_messages(
+        doc, lambda m: m["v0->v1"].update(im=[0.0, None])),
+     "messages/v0->v1"),
+    (lambda doc: _with_messages(
+        doc, lambda m: m["v0->v1"].pop("re")), "messages/v0->v1"),
+    (lambda doc: _with_messages(
+        doc, lambda m: m["v0->v1"].pop("im")), "messages/v0->v1"),
+], ids=["bad-json", "record-not-object", "messages-not-object",
+        "re-string", "re-entry-string", "im-entry-null", "missing-re",
+        "missing-im"])
+def test_load_messages_refusals_are_path_qualified(tmp_path, text, where):
+    """``load_messages`` refuses a malformed message section with an
+    ``InvalidNetworkFile`` that names the file and the place in it."""
+    tn = ring(3, 2)
+    path = tmp_path / "net.json"
+    path.write_text(text(network_to_dict(tn)))
+    with pytest.raises(InvalidNetworkFile) as e:
+        load_messages(path, tn)
+    assert str(e.value).startswith(f"{path}: ")
+    assert where in str(e.value)
 
 
 def test_network_from_dict_rejects_dangling_edge():
