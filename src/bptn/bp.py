@@ -8,21 +8,31 @@ component is real positive.  The bond inner products I_vw use the bilinear
 pairing; square roots take the principal branch (recorded per edge --
 downstream only closed products of them are used, so branches cancel).
 
-The sweep is compiled once per call of ``bp_iterate``, ``stability_probe``
-or ``self_consistency_residual`` (``_Plan``).  The messages of each bond
-dimension are the rows of one stacked complex array, (rows, d), or
-(C, rows, d) with a leading chain axis that carries C independent message
-sets; the stability probe advances all its chains in one sweep.  Updates
-that share a tensor shape and a sequence of contracted leg positions form
-a group, and a sweep is one batched one-leg matmul per (group, leg), its
-axis permutation precomputed, plus one stacked normalization per bond
-dimension.  The three functions work on the stacked arrays and build a
+The sweep is compiled once per call of ``bp_iterate`` or
+``stability_probe`` (``_Plan``).  The messages of each bond dimension are
+the rows of one stacked complex array, (rows, d), or (C, rows, d) with a
+leading chain axis that carries C independent message sets; the stability
+probe advances all its chains in one sweep.  Updates that share a tensor
+shape and a sequence of contracted leg positions form a group.  A sweep
+gathers the message rows its steps read once per bond dimension, then
+runs one batched one-leg matmul per (group, leg), each reading a basic
+slice of that gather, the group's first matrix built once by the plan.
+It returns the raw updates; each caller normalizes them in one stacked
+call per bond dimension, its rows concatenated with whatever else that
+caller normalizes (``bp_iterate``: the messages the sweep read, for the
+defect).  Both functions work on the stacked arrays and build a
 ``MessageSet`` only for what they return.  The result is bit-identical
 to the per-edge ``contract_pair`` path the compiled sweep replaced, and
 each probe chain to running it alone, as ``tests/oracles.py`` keeps them
 for reference: the golden ``bp`` body pins ``residual`` (a difference
 near ``tol``) and ``growth_ratio`` (a finite difference at step 1e-7) at
 1e-12 relative.
+
+Bit for bit is also why shape groups are not merged by permuting every
+tensor so that each step contracts its last axis: a matmul rounds by the
+memory layout of its operands, and a column-major view and a row-major
+copy of one matrix give products that differ in the last bit.  Each
+operand keeps the layout the per-edge path gave it.
 """
 
 from __future__ import annotations
@@ -64,7 +74,8 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
     """Each row (last axis) of a (..., d) array at unit 2-norm, its
-    largest-magnitude component real positive.
+    largest-magnitude component real positive; ``NumericalCollapse``
+    when a row's norm is below 1e-14, infinite or nan.
 
     Bit for bit what normalizing each row alone gives: divide by
     ``np.linalg.norm(row)`` (see ``_row_norms``), find k by
@@ -76,8 +87,11 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     """
     shape, x = x.shape, x.reshape(-1, x.shape[-1])
     n = _row_norms(x)
-    if (n < 1e-14).any():
-        raise NumericalCollapse("message update collapsed to zero")
+    low, high = n.min(), n.max()    # nan if any norm is
+    if not (low >= 1e-14 and high < math.inf):
+        raise NumericalCollapse(
+            "message update collapsed to zero" if low < 1e-14 else
+            "message update is not finite: its norm overflowed or is nan")
     x = x / n[:, None]
     top = x[np.arange(len(x)), np.abs(x).argmax(1)]
     return (x / (top / np.hypot(top.real, top.imag))[:, None]).reshape(shape)
@@ -135,13 +149,18 @@ class MessageSet:
         return self._sqrt[e]
 
     def projector(self, e) -> np.ndarray:
-        """``edge_projector`` on edge e as an array, its axes in
-        ``endpoints(e)`` order (cached)."""
+        """P_perp on edge e = (u, v), its axes in ``endpoints(e)`` order
+        (cached): P[i, j] = delta_ij - mu_{v->u}[i] mu_{u->v}[j] / I.  Each
+        side carries the message flowing *into* that side's vertex, so the
+        contraction with a BP-consistent environment vanishes on either
+        side."""
         e = str(e)
         if e not in self._proj:
-            p = edge_projector(self, e)
-            u, _ = self.tn.graph.endpoints(e)
-            self._proj[e] = p.data if p.leg_ids[0] == f"{e}@{u}" else p.data.T
+            u, v = self.tn.graph.endpoints(e)
+            I = self.inner_product(e)
+            self._proj[e] = (np.eye(self.tn.bond_dims[e], dtype=complex)
+                             - np.outer(self.message(v, u).data,
+                                        self.message(u, v).data) / I)
         return self._proj[e]
 
     def dressed(self, requests) -> list:
@@ -172,8 +191,8 @@ class MessageSet:
     def _into(self, n, v, e):
         """mu_{n->v} / sqrt(I_e) on edge e (cached)."""
         if (n, v) not in self._scaled:
-            self._scaled[n, v] = self.message(n, v).scale(
-                1.0 / self.sqrt_inner(e)).data
+            self._scaled[n, v] = (self.message(n, v).data
+                                  * (1.0 / self.sqrt_inner(e)))
         return self._scaled[n, v]
 
 
@@ -220,7 +239,11 @@ class _Plan:
     each step of a group is one stacked (C, B, rest, d) @ (C, B, d, 1)
     matmul, the product ``np.tensordot`` forms for one update.  A group's
     tensors are stacked once with a leading axis of length 1, which the
-    first matmul broadcasts against the chains.
+    first matmul broadcasts against the chains, and its first matrix is
+    built from that stack here, by the expression the sweep uses for the
+    later ones, so it has their view-or-copy memory layout.  ``reads``
+    lists, per bond dimension, the message rows of every step in group
+    order; each step reads its own slice of them.
     """
 
     def __init__(self, tn: TensorNetwork):
@@ -254,21 +277,29 @@ class _Plan:
                     ids = ids[:k] + ids[k + 1:]
             groups.setdefault((t.data.shape, tuple(positions)), []).append(
                 (t.data, sources, self.slot[(v, w)]))
-        # (stacked tensors, steps, output bond dim, output rows), each step
+        # (first matrix, steps, output bond dim, output rows), each step
         # (axis permutation that moves the leg last, matrix shape, leg dim,
-        # rows of the messages, shape after it); -1 is the chain axis
-        self.groups = []
+        # slice of reads[leg dim], shape after it), the first step's
+        # permutation None; -1 is the chain axis
+        self.groups, reads = [], {}
         for (shape, positions), items in groups.items():
             tensors, sources, outs = zip(*items)
             shape, steps, b = list(shape), [], len(items)
+            t = np.stack(tensors)[None]
             for k, rows in zip(positions, zip(*sources)):
                 axes = list(range(len(shape) + 2))
                 perm = tuple(axes[:k + 2] + axes[k + 3:] + [k + 2])
                 d = shape.pop(k)
-                steps.append((perm, (-1, b, math.prod(shape), d), d,
-                              np.array(rows), (-1, b, *shape)))
-            self.groups.append((np.stack(tensors)[None], steps, outs[0][0],
+                mat = (-1, b, math.prod(shape), d)
+                if not steps:
+                    t, perm = t.transpose(perm).reshape(mat), None
+                seen = reads.setdefault(d, [])
+                steps.append((perm, mat, d, slice(len(seen), len(seen) + b),
+                              (-1, b, *shape)))
+                seen += rows
+            self.groups.append((t, steps, outs[0][0],
                                 np.array([r for _, r in outs])))
+        self.reads = {d: np.array(rows) for d, rows in reads.items()}
 
     def stack(self, messages: MessageSet) -> dict:
         """{d: (rows, d) array} of the messages' data."""
@@ -297,29 +328,35 @@ class _Plan:
                 for chain in flat[:, self.sorted_rows].tolist()]
 
 
+def _normalize_both(raw: dict, old: dict) -> tuple:
+    """(raw, old) with every row normalized, stacked as they are, in one
+    ``_normalize_rows`` call per bond dimension on their rows
+    concatenated; each row as it would be alone."""
+    new, now = {}, {}
+    for d, x in raw.items():
+        both = _normalize_rows(np.concatenate([x, old[d]], axis=-2))
+        new[d], now[d] = both[..., :x.shape[-2], :], both[..., x.shape[-2]:, :]
+    return new, now
+
+
 def _defect(new: dict, old: dict) -> float:
-    """Largest 2-norm of new - normalized old over all messages."""
+    """Largest 2-norm of new - old over all messages, both normalized."""
     return max([0.0] + [x for d in new for x in _row_norms(
-        new[d] - _normalize_rows(old[d])).tolist()])
+        new[d] - old[d]).tolist()])
 
 
 def _sweep(plan: _Plan, msgs: dict) -> dict:
-    """One synchronous sweep: every normalized update, stacked as
+    """One synchronous sweep: every raw (unnormalized) update, stacked as
     ``msgs``, (rows, d) or (C, rows, d) per bond dimension d."""
+    read = {d: msgs[d][..., rows, :, None] for d, rows in plan.reads.items()}
     raw = {d: np.empty_like(m) for d, m in msgs.items()}
     for t, steps, out_d, out_rows in plan.groups:
         for perm, mat, d, rows, shape in steps:
-            t = np.matmul(t.transpose(perm).reshape(mat),
-                          msgs[d][..., rows, :][..., None]).reshape(shape)
+            if perm is not None:
+                t = t.transpose(perm).reshape(mat)
+            t = np.matmul(t, read[d][..., rows, :, :]).reshape(shape)
         raw[out_d][..., out_rows, :] = t
-    return {d: _normalize_rows(r) for d, r in raw.items()}
-
-
-def self_consistency_residual(tn, messages: MessageSet) -> float:
-    """Max aligned 2-norm defect of the fixed-point equations."""
-    plan = _Plan(tn)
-    old = plan.stack(messages)
-    return _defect(_sweep(plan, old), old)
+    return raw
 
 
 def bp_iterate(tn: TensorNetwork, messages: MessageSet,
@@ -330,8 +367,8 @@ def bp_iterate(tn: TensorNetwork, messages: MessageSet,
     old = plan.stack(messages)
     residual = math.inf
     for it in range(1, DEFAULT_MAX_ITERS + 1):
-        new = _sweep(plan, old)
-        residual = _defect(new, old)
+        new, now = _normalize_both(_sweep(plan, old), old)
+        residual = _defect(new, now)
         old = {d: _normalize_rows((1.0 - damping) * x + damping * old[d])
                for d, x in new.items()}
         if residual <= tol:
@@ -364,24 +401,6 @@ def bp_free_energy(tn, messages: MessageSet):
     logz = bp_log_partition(tn, messages)
     phase = math.remainder(logz.imag, 2 * math.pi)
     return logz.real, math.pi if phase == -math.pi else phase + 0.0
-
-
-def edge_projector(messages: MessageSet, e) -> DenseTensor:
-    """P_perp on edge e = (u, v), legs '<e>@<u>' and '<e>@<v>'.
-
-    P[i, j] = delta_ij - mu_{v->u}[i] mu_{u->v}[j] / I; each side carries
-    the message flowing *into* that side's vertex, so the contraction with
-    a BP-consistent environment vanishes on either side.
-    """
-    e = str(e)
-    tn = messages.tn
-    u, v = tn.graph.endpoints(e)
-    d = tn.bond_dims[e]
-    I = messages.inner_product(e)
-    into_u = messages.message(v, u).data
-    into_v = messages.message(u, v).data
-    data = np.eye(d, dtype=complex) - np.outer(into_u, into_v) / I
-    return DenseTensor([Leg(f"{e}@{u}", d), Leg(f"{e}@{v}", d)], data)
 
 
 # --- stability -------------------------------------------------------------
@@ -428,7 +447,9 @@ def stability_probe(tn, messages: MessageSet, seed=0):
         step = (PROBE_EPSILON / np.array(norms))[:, None, None]
         upd = _sweep(plan, {d: _normalize_rows(x + step * v[d])
                             for d, x in base.items()})
-        v = {d: (_normalize_rows(upd[d]) - x) / PROBE_EPSILON
+        # twice, as the per-edge path did: not idempotent in the last bits
+        v = {d: (_normalize_rows(_normalize_rows(upd[d])) - x)
+             / PROBE_EPSILON
              for d, x in base.items()}
         norms = plan.norms(v)
         for c, lam in zip(live, norms):

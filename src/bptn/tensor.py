@@ -75,9 +75,6 @@ class DenseTensor:
     def leg_ids(self):
         return [l.id for l in self.legs]
 
-    def scale(self, c) -> "DenseTensor":
-        return DenseTensor(self.legs, self.data * c)
-
     def item(self) -> complex:
         if self.legs:
             raise DimensionMismatch("item() on a non-scalar tensor")

@@ -28,8 +28,8 @@ import numpy as np
 
 from bptn.bp import (DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOL,
                      PROBE_EPSILON, PROBE_PERTURBATIONS, PROBE_SWEEPS,
-                     BPResult, MessageSet, bp_log_partition, edge_projector,
-                     local_factors)
+                     BPResult, MessageSet, _defect, _normalize_both, _Plan,
+                     _sweep, bp_log_partition, local_factors)
 from bptn.cumulants import (DEFAULT_BUDGET, Region, counting_numbers,
                             guarded_log, restricted_partition)
 from bptn.errors import (CombinatorialBudgetExceeded, DimensionMismatch,
@@ -94,6 +94,28 @@ def sweep(tn, messages: MessageSet):
             upd = raw_update(tn, msgs, a, b, e)
             out[(a, b)] = DenseTensor(upd.legs, normalize(upd.data))
     return out
+
+
+def self_consistency_residual(tn, messages: MessageSet) -> float:
+    """Max aligned 2-norm defect of the fixed-point equations, from one
+    compiled sweep of ``bptn.bp``."""
+    plan = _Plan(tn)
+    old = plan.stack(messages)
+    return _defect(*_normalize_both(_sweep(plan, old), old))
+
+
+def edge_projector(messages: MessageSet, e) -> DenseTensor:
+    """P_perp on edge e = (u, v), legs '<e>@<u>' and '<e>@<v>':
+    P[i, j] = delta_ij - mu_{v->u}[i] mu_{u->v}[j] / I."""
+    e = str(e)
+    tn = messages.tn
+    u, v = tn.graph.endpoints(e)
+    d = tn.bond_dims[e]
+    I = messages.inner_product(e)
+    into_u = messages.message(v, u).data
+    into_v = messages.message(u, v).data
+    data = np.eye(d, dtype=complex) - np.outer(into_u, into_v) / I
+    return DenseTensor([Leg(f"{e}@{u}", d), Leg(f"{e}@{v}", d)], data)
 
 
 def bp_iterate(tn, messages: MessageSet, damping=DEFAULT_DAMPING,
@@ -602,6 +624,11 @@ def relabel(t: DenseTensor, mapping: dict) -> DenseTensor:
     return DenseTensor(legs, t.data)
 
 
+def scale(t: DenseTensor, c) -> DenseTensor:
+    """``t`` times the scalar ``c``."""
+    return DenseTensor(t.legs, t.data * c)
+
+
 def local_factor(messages, v, tensor) -> complex:
     """z_v = [tensor product of mu_{n->v}/sqrt(I_vn)] * ``tensor`` at v,
     one incoming message at a time; unfloored."""
@@ -620,8 +647,8 @@ def dressed(messages, v, tensor, kept) -> DenseTensor:
     pieces = [relabel(tensor, {e: f"{e}@{v}" for e in kept})]
     for (e, n) in messages.tn.graph.incident(v):
         if e not in kept:
-            pieces.append(
-                messages.message(n, v).scale(1.0 / messages.sqrt_inner(e)))
+            pieces.append(scale(messages.message(n, v),
+                                1.0 / messages.sqrt_inner(e)))
     return contract_network(pieces)
 
 

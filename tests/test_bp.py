@@ -6,9 +6,8 @@ import pytest
 
 import oracles
 from bptn.bp import (MessageSet, bp_free_energy, bp_iterate,
-                     bp_log_partition, edge_projector, local_factors,
-                     self_consistency_residual, stability_probe,
-                     uniform_messages)
+                     bp_log_partition, local_factors, random_messages,
+                     stability_probe, uniform_messages)
 from bptn.cli import generate
 from bptn.errors import (DegenerateInnerProduct, DimensionMismatch,
                          NumericalCollapse)
@@ -18,6 +17,7 @@ from bptn.models import (IsingParams, ising_insertion, ising_network,
 from bptn.network import exact_contract
 from bptn.observables import InsertionProblem
 from bptn.tensor import DenseTensor, Leg
+from oracles import edge_projector, self_consistency_residual
 from test_bp_sweep import _mixed_dims
 
 
@@ -57,6 +57,22 @@ def test_bp_iterate_reaches_fixed_point():
     res = bp_iterate(tn, uniform_messages(tn), tol=1e-12)
     assert res.converged
     assert self_consistency_residual(tn, res.messages) < 1e-10
+
+
+@pytest.mark.parametrize("spec", ["ising:L=3,beta=0.3,h=0.1", "loop:n=4",
+                                  "tree:n=12,D=3"])
+def test_projector_is_the_oracle_edge_projector(spec):
+    """``MessageSet.projector`` builds P_perp in ``endpoints(e)`` order
+    itself; the oracle's tensor, turned back from its canonical leg order,
+    is the same array bit for bit.  The loop and the tree each have an
+    edge whose endpoints sort the other way."""
+    tn = generate(spec, 0).tn
+    ms = random_messages(tn, seed=2)
+    for e in tn.graph.edges:
+        u, _ = tn.graph.endpoints(e)
+        p = edge_projector(ms, e)
+        want = p.data if p.leg_ids[0] == f"{e}@{u}" else p.data.T
+        assert np.array_equal(ms.projector(e), want), e
 
 
 def test_edge_projector_annihilates_messages():
@@ -196,6 +212,38 @@ def test_numerical_collapse_on_zero_tensor():
     tn = TensorNetwork(g, {"e": 2}, {"a": zero, "b": zero})
     with pytest.raises(NumericalCollapse):
         bp_iterate(tn, uniform_messages(tn))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+def test_normalize_rows_refuses_a_norm_that_is_not_finite(bad):
+    """A row whose norm overflows or is nan raises, as a zero row does;
+    the other rows are fine, and nan compares false against the floor."""
+    from bptn.bp import _normalize_rows
+
+    x = np.ones((5, 2), dtype=complex)
+    x[3, 1] = bad
+    with np.errstate(all="ignore"), pytest.raises(NumericalCollapse,
+                                                  match="not finite"):
+        _normalize_rows(x)
+
+
+@pytest.mark.parametrize("argv", [
+    # the update norms overflow to inf in the first sweep
+    ["bp", "--generate", "ising:L=3,beta=200"],
+    # the site tensors themselves overflow, and the sweep gives nan
+    ["bp", "--generate", "ising:L=3,beta=400"],
+    ["free-energy", "--generate", "ising:L=3,beta=400", "-m", "4"],
+])
+def test_cli_exits_3_on_messages_that_are_not_finite(argv, capsys):
+    """Not a converged run with nan rows: a numerical error, exit 3."""
+    from bptn.cli import main
+
+    with np.errstate(all="ignore"):
+        assert main(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("numerical error: message update is not "
+                              "finite")
 
 
 def test_bp_refuses_open_network():

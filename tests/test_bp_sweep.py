@@ -22,8 +22,7 @@ import oracles
 import bptn.bp
 from bptn.bp import (PROBE_PERTURBATIONS, PROBE_SWEEPS, _normalize_rows,
                      _Plan, _sweep, bp_iterate, random_messages,
-                     self_consistency_residual, stability_probe,
-                     uniform_messages)
+                     stability_probe, uniform_messages)
 from bptn.cli import generate
 from bptn.models import IsingParams, ising_network
 from bptn.network import Graph, TensorNetwork
@@ -83,7 +82,7 @@ def test_compiled_bp_matches_per_edge_path(case):
     defect = max([0.0] + [float(np.linalg.norm(
         upd[k].data - oracles.normalize(start.messages[k].data)))
         for k in upd])
-    assert self_consistency_residual(tn, start) == defect
+    assert oracles.self_consistency_residual(tn, start) == defect
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
@@ -95,6 +94,23 @@ def test_normalize_rows_matches_per_message_normalize(d):
     x[::13] *= 1e-9                     # small but above the floor
     want = np.stack([oracles.normalize(row) for row in x])
     assert np.array_equal(_normalize_rows(x), want)
+
+
+@pytest.mark.parametrize("chains", [(), (3,)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_normalize_rows_of_concatenated_stacks(d, chains):
+    """Callers normalize a sweep's updates together with other rows in
+    one call; each part comes out as it would alone, for (rows, d) and
+    (C, rows, d) stacks."""
+    rng = np.random.default_rng(10 + d)
+    parts = [rng.standard_normal((*chains, n, d))
+             + 1j * rng.standard_normal((*chains, n, d)) for n in (36, 7, 1)]
+    parts[1][..., ::2, :] *= 1e-9
+    parts[2] = parts[2].real + 0j
+    both = _normalize_rows(np.concatenate(parts, axis=-2))
+    at = np.cumsum([0] + [p.shape[-2] for p in parts])
+    for part, lo, hi in zip(parts, at, at[1:]):
+        assert np.array_equal(both[..., lo:hi, :], _normalize_rows(part))
 
 
 def test_sweep_calls_are_counted_per_sweep(monkeypatch):
@@ -154,7 +170,8 @@ CHAIN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
 def test_chain_stacked_sweep_matches_separate_sweeps(case):
-    """One sweep over C stacked message sets is C sweeps, bit for bit."""
+    """One sweep over C stacked message sets is C sweeps, bit for bit,
+    raw and normalized."""
     tn = CHAIN_CASES[case]()
     plan = _Plan(tn)
     chains = [plan.stack(random_messages(tn, seed=s)) for s in range(3)]
@@ -165,6 +182,43 @@ def test_chain_stacked_sweep_matches_separate_sweeps(case):
         alone = _sweep(plan, msgs)
         for d in plan.dims:
             assert np.array_equal(stacked[d][c], alone[d]), (c, d)
+            assert np.array_equal(_normalize_rows(stacked[d])[c],
+                                  _normalize_rows(alone[d])), (c, d)
+
+
+def _first_matrices(tn, plan):
+    """(the plan's first matrix, the same built from the group's site
+    tensors) per group with a step: the stack moved so the first
+    contracted leg is last, reshaped to (1, B, rest, leg dim)."""
+    key = {slot: k for k, slot in plan.slot.items()}
+    edge = dict(plan.keys)
+    for t, steps, out_d, out_rows in plan.groups:
+        if not steps:
+            continue
+        updates = [key[out_d, r] for r in out_rows]
+        v, w = updates[0]
+        first = next(e for e, _ in tn.graph.incident(v) if e != edge[v, w])
+        k = tn.tensors[v].leg_ids.index(first)
+        stack = np.stack([tn.tensors[u].data for u, _ in updates])[None]
+        d = stack.shape[k + 2]
+        yield t, np.moveaxis(stack, k + 2, -1).reshape(
+            -1, len(updates), stack[0, 0].size // d, d)
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + [
+    f"chain:{c}" for c in sorted(CHAIN_CASES)])
+def test_first_matrix_keeps_the_layout_of_the_sweep_expression(case):
+    """A matmul rounds by the memory layout of its operands, so the first
+    matrix built once per plan must be the view or the copy that
+    ``transpose(perm).reshape(mat)`` gives, values and strides alike."""
+    tn = (CHAIN_CASES[case[6:]]() if case.startswith("chain:")
+          else CASES[case]()[0])
+    plan = _Plan(tn)
+    found = list(_first_matrices(tn, plan))
+    assert len(found) == sum(1 for g in plan.groups if g[1])
+    for got, want in found:
+        assert got.shape == want.shape and got.strides == want.strides
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))

@@ -23,8 +23,7 @@ import bptn.cumulants
 import bptn.loops
 import bptn.tensor
 import oracles
-from bptn.bp import (bp_iterate, edge_projector, local_factors,
-                     uniform_messages)
+from bptn.bp import bp_iterate, local_factors, uniform_messages
 from bptn.cli import main
 from bptn.cumulants import find_regions, region_partition
 from bptn.errors import TooLarge
@@ -36,7 +35,7 @@ from bptn.network import (Graph, TensorNetwork, build_norm_network,
                           peps_replacements)
 from bptn.observables import InsertionProblem
 from bptn.tensor import DenseTensor, Leg
-from oracles import degree_map, relabel
+from oracles import degree_map, edge_projector, relabel, scale
 
 _SZ = np.diag([1.0, -1.0])
 REL = 1e-12
@@ -62,8 +61,8 @@ def _reference_weight(tn, messages, loop, factors) -> complex:
                               {e: f"{e}@{v}" for (e, _) in g.incident(v)}))
         for (e, n) in g.incident(v):
             if e not in loop.edges:
-                pieces.append(relabel(messages.message(n, v), {
-                    e: f"{e}@{v}"}).scale(1.0 / messages.sqrt_inner(e)))
+                pieces.append(scale(relabel(messages.message(n, v), {
+                    e: f"{e}@{v}"}), 1.0 / messages.sqrt_inner(e)))
     pieces += [edge_projector(messages, e) for e in loop.edges]
     denom = np.prod([factors[v] for v in loop.vertices])
     return _einsum(pieces) / denom
@@ -76,8 +75,8 @@ def _reference_region(tn, messages, R, replacements) -> complex:
         pieces.append(replacements.get(v, tn.tensors[v]))
         for (e, n) in tn.graph.incident(v):
             if n not in R.vertices:
-                pieces.append(messages.message(n, v).scale(
-                    1.0 / messages.sqrt_inner(e)))
+                pieces.append(scale(messages.message(n, v),
+                                    1.0 / messages.sqrt_inner(e)))
     return _einsum(pieces)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bptn.bp import bp_iterate, self_consistency_residual, uniform_messages
+from bptn.bp import bp_iterate, uniform_messages
 from bptn.errors import FieldNonzero
 from bptn.models import (IsingParams, _ising_tn, ising_exact_logZ,
                          ising_insertion, ising_network,
@@ -13,6 +13,7 @@ from bptn.models import (IsingParams, _ising_tn, ising_exact_logZ,
                          single_loop_network)
 from bptn.network import build_norm_network, exact_contract
 from bptn.tnio import load_network, save_network
+from oracles import self_consistency_residual
 
 
 def _spin_sum_logZ(p: IsingParams):

@@ -24,8 +24,6 @@ CALLERS = [PACKAGE, ROOT / "demos", ROOT / "perfbench"]
 ALLOWED = {
     "peps_statevector": "the statevector oracle for PEPS norms and "
                         "expectation values",
-    "self_consistency_residual": "the fixed-point oracle: the defect of "
-                                 "the BP equations at a message set",
     "load_messages": "README's bit-exact message round trip, checked by "
                      "test_acceptance_11",
     "save_network": "the writer of that round trip; the CLI reads network "

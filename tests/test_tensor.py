@@ -59,7 +59,7 @@ def test_inner_is_bilinear_no_conjugation():
 
 def test_relabel_and_scale():
     a = t([("x", 2), ("y", 2)], np.eye(2))
-    b = oracles.relabel(a, {"x": "z"}).scale(2.0)
+    b = oracles.scale(oracles.relabel(a, {"x": "z"}), 2.0)
     assert sorted(b.leg_ids) == ["y", "z"]
     assert np.allclose(np.sort(b.data.ravel()), [0, 0, 2, 2])
 
