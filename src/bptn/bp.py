@@ -5,8 +5,8 @@ excitation projectors and stability probes.
 Messages live on directed edges (v, w) as vectors on the edge leg and are
 kept at unit 2-norm with the phase fixed so the largest-magnitude
 component is real positive.  The bond inner products I_vw use the bilinear
-pairing; square roots take the principal branch (recorded per edge --
-downstream only closed products of them are used, so branches cancel).
+pairing; square roots take the principal branch, edge by edge --
+downstream only closed products of them are used, so branches cancel.
 
 The sweep is compiled once per call of ``bp_iterate`` or
 ``stability_probe`` (``_Plan``).  The messages of each bond dimension are
@@ -28,6 +28,13 @@ for reference: the golden ``bp`` body pins ``residual`` (a difference
 near ``tol``) and ``growth_ratio`` (a finite difference at step 1e-7) at
 1e-12 relative.
 
+A ``MessageSet`` builds the inner products, the scaled into-messages
+and the projectors of all its edges in one stacked pass per bond
+dimension on first use, bit for bit the per-edge forms: ``(a * b).sum(1)``
+sums each row as ``np.sum`` sums one, and broadcast products and
+quotients round elementwise.  The reciprocal ``1.0 / sqrt(I)`` stays a
+Python scalar complex division per edge; numpy's differs in the last bit.
+
 Bit for bit is also why shape groups are not merged by permuting every
 tensor so that each step contracts its last axis: a matmul rounds by the
 memory layout of its operands, and a column-major view and a row-major
@@ -45,7 +52,7 @@ import numpy as np
 from .errors import (DegenerateInnerProduct, DimensionMismatch,
                      NumericalCollapse, ZeroLocalFactor)
 from .network import TensorNetwork
-from .tensor import DenseTensor, Leg, contract_many, inner
+from .tensor import DenseTensor, Leg, contract_many
 
 I_FLOOR = 1e-12
 Z_FLOOR = 1e-12
@@ -108,8 +115,7 @@ def _median(xs: list) -> float:
 
 
 class MessageSet:
-    """Directed-edge messages plus cached bond inner products, edge
-    projectors and dressed site tensors, the local factors among them."""
+    """Directed-edge messages, their edge tables and dressed tensors."""
 
     def __init__(self, tn: TensorNetwork, messages: dict):
         self.tn = tn
@@ -120,80 +126,93 @@ class MessageSet:
             if e is None:
                 raise KeyError(f"no edge between {v!r} and {w!r}")
             self.messages[(v, w)] = m
-        self._inner = {}
-        self._sqrt = {}
-        self._proj = {}
+        self._edges = None
         self._dressed = {}
-        self._scaled = {}
 
-    def message(self, v, w) -> DenseTensor:
-        return self.messages[(str(v), str(w))]
+    def _tables(self) -> tuple:
+        """({e: I_e}, {(n, v): mu_{n->v}/sqrt(I_e)}, {e: P_perp}) of the
+        edges with both messages, built on first use; an edge with |I_e|
+        below the floor has I_e only, which ``inner_product`` refuses."""
+        if self._edges is None:
+            inner, into, proj, by_dim = {}, {}, {}, {}
+            for e, (u, w) in self.tn.graph.edges.items():
+                if (u, w) in self.messages and (w, u) in self.messages:
+                    by_dim.setdefault(self.tn.bond_dims[e], []).append(
+                        (e, u, w))
+            for d, edges in by_dim.items():
+                a = np.array([self.messages[u, w].data for _, u, w in edges])
+                b = np.array([self.messages[w, u].data for _, u, w in edges])
+                prods = (a * b).sum(1)
+                inner.update(zip([e for e, _, _ in edges], prods.tolist()))
+                keep = [k for k, i in enumerate(prods.tolist())
+                        if abs(i) >= I_FLOOR]
+                a, b, prods = a[keep], b[keep], prods[keep]
+                r = np.array([1.0 / cmath.sqrt(i) for i in prods.tolist()])
+                p = (np.eye(d, dtype=complex) - b[:, :, None] * a[:, None, :]
+                     / prods[:, None, None])
+                for k, x, y, q in zip(keep, a * r[:, None], b * r[:, None], p):
+                    e, u, w = edges[k]
+                    into[u, w], into[w, u], proj[e] = x, y, q
+            self._edges = inner, into, proj
+        return self._edges
 
     def inner_product(self, e) -> complex:
-        """I_vw = mu_{v->w} * mu_{w->v} on edge e (cached)."""
+        """I_vw = mu_{v->w} * mu_{w->v} on edge e."""
         e = str(e)
-        if e not in self._inner:
-            u, w = self.tn.graph.endpoints(e)
-            val = inner(self.messages[(u, w)], self.messages[(w, u)])
-            if abs(val) < I_FLOOR:
-                raise DegenerateInnerProduct(
-                    f"|I| = {abs(val):.3e} below floor on edge {e!r}")
-            self._inner[e] = val
-        return self._inner[e]
-
-    def sqrt_inner(self, e) -> complex:
-        """Principal-branch sqrt of I_vw, recorded per edge."""
-        e = str(e)
-        if e not in self._sqrt:
-            self._sqrt[e] = cmath.sqrt(self.inner_product(e))
-        return self._sqrt[e]
+        val = self._tables()[0][e]
+        if abs(val) < I_FLOOR:
+            raise DegenerateInnerProduct(
+                f"|I| = {abs(val):.3e} below floor on edge {e!r}")
+        return val
 
     def projector(self, e) -> np.ndarray:
-        """P_perp on edge e = (u, v), its axes in ``endpoints(e)`` order
-        (cached): P[i, j] = delta_ij - mu_{v->u}[i] mu_{u->v}[j] / I.  Each
-        side carries the message flowing *into* that side's vertex, so the
+        """P_perp on edge e = (u, v), its axes in ``endpoints(e)`` order:
+        P[i, j] = delta_ij - mu_{v->u}[i] mu_{u->v}[j] / I.  Each side
+        carries the message flowing *into* that side's vertex, so the
         contraction with a BP-consistent environment vanishes on either
         side."""
-        e = str(e)
-        if e not in self._proj:
-            u, v = self.tn.graph.endpoints(e)
-            I = self.inner_product(e)
-            self._proj[e] = (np.eye(self.tn.bond_dims[e], dtype=complex)
-                             - np.outer(self.message(v, u).data,
-                                        self.message(u, v).data) / I)
-        return self._proj[e]
+        e, proj = str(e), self._tables()[2]
+        if e not in proj:
+            self.inner_product(e)   # refuses the edge
+        return proj[e]
 
     def dressed(self, requests) -> list:
         """(leg ids, array) of each (v, tensor, kept) request: ``tensor`` at
         vertex v with mu_{n->v}/sqrt(I_e) absorbed on every incident edge
-        e not in the frozenset ``kept``.  The kept legs stay open under
-        their edge ids, in the tensor's sorted leg order; with no kept
-        edge the array holds the scalar z_v.
+        e not in ``kept``, a sorted tuple of edge ids.  The kept legs stay
+        open under their edge ids, in the tensor's sorted leg order; with
+        no kept edge the array holds the scalar z_v.
 
         The requests not cached are built in one ``contract_many`` call,
-        one stacked one-leg matmul per message and tensor structure.
-        Cached per (v, tensor object, kept edges); the entry holds the
-        tensor, so its id cannot be reused while the entry lives, and
-        networks that share these messages but swap one site tensor (the
-        decorated networks of an insertion) get entries of their own.
+        one stacked one-leg matmul per message and tensor structure: the
+        tensor's legs are numbered by position, and each message's leg by
+        the position of its edge on the tensor.  Cached per (v, tensor
+        object, kept edges); the entry holds the tensor, so its id cannot
+        be reused while the entry lives, and networks that share these
+        messages but swap one site tensor (the decorated networks of an
+        insertion) get entries of their own.
         """
-        todo = {(v, id(t), kept): (v, t, kept) for v, t, kept in requests
-                if (v, id(t), kept) not in self._dressed}
-        pools = [[(tuple(tensor.leg_ids), tensor.data)] + [
-            ((e,), self._into(n, v, e))
-            for (e, n) in self.tn.graph.incident(v) if e not in kept]
-            for v, tensor, kept in todo.values()]
-        for (key, (_, tensor, _)), out in zip(todo.items(),
-                                              contract_many(pools)):
-            self._dressed[key] = (tensor, out)
-        return [self._dressed[v, id(t), kept][1] for v, t, kept in requests]
-
-    def _into(self, n, v, e):
-        """mu_{n->v} / sqrt(I_e) on edge e (cached)."""
-        if (n, v) not in self._scaled:
-            self._scaled[n, v] = (self.message(n, v).data
-                                  * (1.0 / self.sqrt_inner(e)))
-        return self._scaled[n, v]
+        keys = [(v, id(t), kept) for v, t, kept in requests]
+        todo = {key: request for key, request in zip(keys, requests)
+                if key not in self._dressed}
+        into, stars, pools = self._tables()[1], {}, []
+        for v, tensor, kept in todo.values():
+            if (v, id(tensor)) not in stars:
+                ids = tensor.leg_ids
+                stars[v, id(tensor)] = ids, tuple(range(len(ids))), [
+                    (e, (ids.index(e),), (n, v))
+                    for e, n in self.tn.graph.incident(v)]
+            _, legs, messages = stars[v, id(tensor)]
+            # inner_product refuses an edge the tables left out
+            pools.append([(legs, tensor.data)] + [
+                (x, into[m] if m in into else self.inner_product(e))
+                for e, x, m in messages if e not in kept])
+        for (key, (v, tensor, _)), (legs, data) in zip(todo.items(),
+                                                       contract_many(pools)):
+            ids = stars[v, id(tensor)][0]
+            self._dressed[key] = (tensor, (tuple([ids[x] for x in legs]),
+                                           data))
+        return [self._dressed[key][1] for key in keys]
 
 
 class BPResult:
@@ -381,7 +400,7 @@ def local_factors(tn, messages: MessageSet, vertices) -> dict:
     every leg, from one ``dressed`` call; the one z floor."""
     vertices = [str(v) for v in vertices]
     out = {v: complex(z) for v, (_, z) in zip(vertices, messages.dressed(
-        [(v, tn.tensors[v], frozenset()) for v in vertices]))}
+        [(v, tn.tensors[v], ()) for v in vertices]))}
     for v, z in out.items():
         if abs(z) < Z_FLOOR:
             raise ZeroLocalFactor(f"|z_v| below floor at vertex {v!r}")

@@ -489,19 +489,22 @@ _SUBCOMMANDS = [
 ]
 
 
-def build_parser():
+def build_parser(only=None):
+    """Every subcommand's parser, or ``only``'s alone with the same usage."""
     ap = argparse.ArgumentParser(
         prog="bptn",
         description="BP tensor-network contraction with loop/cluster/"
                     "cumulant/region corrections")
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="subcommand", required=True)
+    sub = ap.add_subparsers(dest="subcommand", required=True, metavar=only and
+                            "{" + ",".join(s[0] for s in _SUBCOMMANDS) + "}")
     for name, fn, help_, options in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=help_)
-        for option in options:
-            flags, settings = _OPTIONS[option]
-            p.add_argument(*flags, **settings)
-        p.set_defaults(func=fn)
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_)
+            for option in options:
+                flags, settings = _OPTIONS[option]
+                p.add_argument(*flags, **settings)
+            p.set_defaults(func=fn)
     return ap
 
 
@@ -515,7 +518,9 @@ def _check_truncations(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    named = argv[:1] and argv[0] in [s[0] for s in _SUBCOMMANDS]
+    args = build_parser(argv[0] if named else None).parse_args(argv)
     try:
         _check_truncations(args)
         return args.func(args)

@@ -237,23 +237,31 @@ def region_partition(tn: TensorNetwork, messages: MessageSet, jobs) -> list:
     """(Xi_tilde(R), Xi(R)) for each (region R, replacements) job: the
     boundary-message contraction of the region and its BP-normalized value,
     all in one ``contract_closed`` call.  ``replacements`` substitutes site
-    tensors (operator insertions) inside the region; the region legs are
-    named by edge id."""
-    g = tn.graph
-    supports = [sorted(R.vertices) for R, _ in jobs]
+    tensors (operator insertions) inside the region.  A region's edges
+    are numbered once, by first appearance along its sorted support."""
+    incident = {v: sorted(tn.graph.incident(v)) for v in tn.graph.vertices}
+    regions, sites = {}, []     # vertex set -> [(vertex, kept edges, legs)]
+    for R, _ in jobs:
+        if R.vertices not in regions:
+            index, regions[R.vertices] = {}, []
+            for v in sorted(R.vertices):
+                kept, legs = [], []
+                for e, w in incident[v]:
+                    if w in R.vertices:
+                        kept.append(e)
+                        legs.append(index.setdefault(e, len(index)))
+                regions[R.vertices].append((v, tuple(kept), tuple(legs)))
+        sites.append(regions[R.vertices])
     pieces = iter(messages.dressed([
-        (v, replacements.get(v, tn.tensors[v]),
-         frozenset(e for (e, _) in g.incident(v) if e in R.edges))
-        for (R, replacements), support in zip(jobs, supports)
-        for v in support]))
-    raws = contract_network([[next(pieces) for _ in support]
-                             for support in supports],
-                            size_cap=DEFAULT_SIZE_CAP)
+        (v, replacements.get(v, tn.tensors[v]), kept)
+        for (_, replacements), job in zip(jobs, sites) for v, kept, _ in job]))
+    raws = contract_network([[(legs, next(pieces)[1]) for _, _, legs in job]
+                             for job in sites], size_cap=DEFAULT_SIZE_CAP)
     factors = local_factors(tn, messages, dict.fromkeys(
-        v for support in supports for v in support))
-    return [(raw, raw / math.prod((factors[v] for v in support),
+        v for job in regions.values() for v, _, _ in job))
+    return [(raw, raw / math.prod((factors[v] for v, _, _ in job),
                                   start=1.0 + 0j))
-            for raw, support in zip(raws, supports)]
+            for raw, job in zip(raws, sites)]
 
 
 def region_free_energy(tn, messages, poset):

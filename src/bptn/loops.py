@@ -139,40 +139,42 @@ def excitation_weight(messages: MessageSet, jobs, base) -> list:
     """Normalized weights Z_l of (network, loop) jobs, each contracted on
     its loop's support, all in one ``contract_closed`` call.
 
-    A support network lists its tensors in the order of ``_walk`` on its
-    loop, computed once per loop, with the walk's leg numbers as leg ids:
-    the dressed site tensors, their loop legs in crossing order (a
-    transposed view where that is not the sorted order they come in), then
-    the projectors, transposed where the walk crosses an edge against its
-    endpoint order.  The local
-    factors z_v that normalize the weights are those of the network
-    ``base``, multiplied in sorted vertex order; an undecorated background
-    for decorated jobs gives the bar-normalized weights used by the
+    Each support network is listed in walk order, its legs numbered by
+    the walk and passed to the kernel as they are: a dressed tensor is
+    transposed into crossing order where its sorted legs are not, and a
+    projector where the walk crosses its edge against endpoint order.
+    Walk, numbers, permutations and projectors are built once per loop
+    key.  The local factors z_v that normalize the weights are those of
+    ``base``, multiplied in sorted vertex order; an undecorated base for
+    decorated jobs gives the bar-normalized weights of the
     derivative-form estimators.
     """
     factors = local_factors(base, messages, dict.fromkeys(
         v for _, loop in jobs for v in loop.vertices))
     keys = [loop.key for _, loop in jobs]
     walks = {}  # loop key -> (sites, projectors, support in sorted order)
+    oriented = {}  # (edge, from vertex) -> the projector along the crossing
     for (tn, _), key in zip(jobs, keys):
         if key in walks:
             continue
         order, legs, crossings = _walk(tn.graph, key)
-        sites = []
+        sites, projectors = [], []
         for v in order:
-            kept = [e for e, _ in legs[v]]
-            ranks = sorted(kept)  # the order of a dressed tensor's legs
-            sites.append((v, kept, tuple([n for _, n in legs[v]]), None if
-                          ranks == kept else [ranks.index(e) for e in kept]))
-        projectors = [((2 * k, 2 * k + 1), messages.projector(e) if
-                       tn.graph.edges[e][0] == a else messages.projector(e).T)
-                      for k, (e, a, _) in enumerate(crossings)]
+            kept, numbers = zip(*legs[v])
+            ranks = tuple(sorted(kept))  # the order of a dressed tensor's legs
+            sites.append((v, ranks, numbers, None if ranks == kept else
+                          [ranks.index(e) for e in kept]))
+        for k, (e, a, _) in enumerate(crossings):
+            if (e, a) not in oriented:
+                p = messages.projector(e)
+                oriented[e, a] = p if tn.graph.edges[e][0] == a else p.T
+            projectors.append(((2 * k, 2 * k + 1), oriented[e, a]))
         walks[key] = sites, projectors, sorted(order)
     dressed = iter(messages.dressed([
-        (v, tn.tensors[v], frozenset(kept)) for (tn, _), key in zip(jobs, keys)
+        (v, tn.tensors[v], kept) for (tn, _), key in zip(jobs, keys)
         for v, kept, _, _ in walks[key][0]]))
-    pools = [[(ids, data if perm is None else data.transpose(perm))
-              for (_, _, ids, perm), (_, data) in zip(walks[key][0], dressed)]
+    pools = [[(legs, data if perm is None else data.transpose(perm))
+              for (_, _, legs, perm), (_, data) in zip(walks[key][0], dressed)]
              + walks[key][1] for key in keys]
     return [raw / math.prod((factors[v] for v in walks[key][2]),
                             start=1.0 + 0j)

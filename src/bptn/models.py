@@ -230,13 +230,6 @@ def random_peps(rows: int, cols: int, D: int = 2, phys_dim: int = 2,
     return TensorNetwork(graph, {e: D for e in edges}, tensors, phys)
 
 
-def peps_statevector(peps: TensorNetwork) -> DenseTensor:
-    """Full state tensor over the physical legs (statevector oracle)."""
-    from .tensor import contract_network
-
-    return contract_network(peps.tensors.values())
-
-
 def random_tree_network(n: int, D: int = 2, seed=0) -> TensorNetwork:
     """Random-attachment tree with random complex tensors."""
     rng = np.random.default_rng(seed)

@@ -24,7 +24,8 @@ from collections import deque
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingPhysicalLeg, RegionMismatch
+from .errors import (DimensionMismatch, MissingPhysicalLeg, NumericalCollapse,
+                     RegionMismatch)
 from .tensor import DenseTensor, Leg, contract_network
 
 DEFAULT_SIZE_CAP = 2 ** 26
@@ -128,8 +129,10 @@ def exact_contract(tn: TensorNetwork) -> complex:
     """Full contraction of a closed network; ground-truth oracle."""
     if not tn.is_closed:
         raise MissingPhysicalLeg("exact_contract needs a closed network")
-    result = contract_network(tn.tensors.values(), size_cap=DEFAULT_SIZE_CAP)
-    return result.item()
+    z = contract_network(tn.tensors.values(), size_cap=DEFAULT_SIZE_CAP).item()
+    if not np.isfinite(z):
+        raise NumericalCollapse(f"exact contraction is not finite: {z}")
+    return z
 
 
 def _double_tensor(t: DenseTensor, pid: str, op=None) -> DenseTensor:

@@ -93,7 +93,7 @@ class InsertionProblem:
             base = local_factors(self.base, self.messages, self.region_ids)
             self._alphas = {r: complex(z) / base[r] for r, (_, z) in zip(
                 self.region_ids, self.messages.dressed([
-                    (r, self.replacements[r], frozenset())
+                    (r, self.replacements[r], ())
                     for r in self.region_ids]))}
         return self._alphas
 

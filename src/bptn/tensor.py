@@ -9,6 +9,11 @@ of tensors is independent of construction history.
 networks by structure and runs each step of a group's greedy pair plan
 once, as a stacked matmul on raw arrays, bit for bit what ``np.tensordot``
 gives one pair at a time (the per-call form ``tests/oracles.py`` keeps).
+Its legs are integers 0..L-1 per pool, numbered by the caller, who knows
+the pool's shape: ``contract_network`` by first appearance of a leg id,
+``loops.excitation_weight`` by its walk, ``MessageSet.dressed`` by tensor
+position, ``cumulants.region_partition`` once per region.  A plan knows
+legs only by number, so pools of one shape numbered alike share it.
 
 The pairing used throughout is the *bilinear* star contraction -- no
 complex conjugation is ever implied.  All operations are pure.
@@ -90,17 +95,6 @@ def contract_pair(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     return contract_network([a, b])
 
 
-def inner(a: DenseTensor, b: DenseTensor) -> complex:
-    """Bilinear full pairing over identical leg sets (no conjugation)."""
-    if a.leg_ids != b.leg_ids:
-        raise DimensionMismatch(
-            f"inner needs identical leg sets: {a.leg_ids} vs {b.leg_ids}")
-    for la, lb in zip(a.legs, b.legs):
-        if la.dim != lb.dim:
-            raise DimensionMismatch(f"leg {la.id!r}: dim {la.dim} vs {lb.dim}")
-    return complex(np.sum(a.data * b.data))
-
-
 # Greedy pair plans, keyed by network structure (see ``_groups``).  A plan
 # depends only on the structure, never on values, so sharing it between
 # callers is safe; the dict is emptied when it reaches _PLAN_CACHE_MAX.
@@ -132,8 +126,8 @@ def _plan(struct, dims):
     steps = []
     while len(pool) > 1:
         pairs = shared or {(p, q): 1 for p in pool for q in pool if p < q}
-        out_size, p, q = min((sizes[p] * sizes[q] // (c * c), p, q)
-                             for (p, q), c in pairs.items())
+        out_size, p, q = min([(sizes[p] * sizes[q] // (c * c), p, q)
+                              for (p, q), c in pairs.items()])
         order = list(pool)
         i, j = order.index(p), order.index(q)
         a, b, c = pool.pop(p), pool.pop(q), pairs[p, q]
@@ -142,7 +136,7 @@ def _plan(struct, dims):
         ax_j = [b.index(x) for x in common]
         free_a = [k for k, x in enumerate(a) if x not in common]
         free_b = [k for k, x in enumerate(b) if x not in common]
-        rest = tuple(a[k] for k in free_a) + tuple(b[k] for k in free_b)
+        rest = tuple([a[k] for k in free_a] + [b[k] for k in free_b])
         steps.append((i, j, tuple(ax_i), tuple(ax_j), out_size, (
             (0, *[k + 1 for k in free_a + ax_i]), (-1, sizes[p] // c, c),
             (0, *[k + 1 for k in ax_j + free_b]), (-1, c, sizes[q] // c),
@@ -150,8 +144,10 @@ def _plan(struct, dims):
         t = len(struct) + len(steps)
         pool[t], sizes[t] = rest, out_size
         shared = {k: v for k, v in shared.items() if p not in k and q not in k}
-        for x in a + b:
-            owners[x] = [k for k in owners[x] if k != p and k != q]
+        for x in a:
+            owners[x].remove(p)
+        for x in b:
+            owners[x].remove(q)
         for x in rest:
             for o in owners[x]:
                 shared[o, t] = shared.get((o, t), 1) * dims[x]
@@ -160,33 +156,30 @@ def _plan(struct, dims):
 
 
 def _groups(pools) -> dict:
-    """{structure: [(pool index, {leg id: integer})]}: each pool's leg ids
-    interned to integers in order of first appearance, and a structure
-    the per-array integer legs plus the dims."""
+    """{(structure, dims): [pool index]}: a structure is each array's leg
+    tuple, dims the dimension of each leg 0..L-1."""
     found = {}
     for n, pool in enumerate(pools):
-        index = {}
-        struct = tuple([tuple([index.setdefault(leg, len(index))
-                               for leg in ids]) for ids, _ in pool])
-        found.setdefault((struct, tuple([data.shape for _, data in pool])),
-                         []).append((n, index))
+        found.setdefault(tuple([(legs, data.shape) for legs, data in pool]),
+                         []).append(n)
     groups = {}
-    for (struct, shapes), members in found.items():
+    for layout, members in found.items():
         dims = {}
-        for legs, shape in zip(struct, shapes):
+        for legs, shape in layout:
             for x, dim in zip(legs, shape):
                 if dims.setdefault(x, dim) != dim:
-                    raise DimensionMismatch(f"leg {list(members[0][1])[x]!r}: "
-                                            f"dim {dims[x]} vs {dim}")
-        key = (struct, tuple(dims[x] for x in range(len(dims))))
+                    raise DimensionMismatch(f"leg {x}: dim {dims[x]} vs {dim}")
+        key = (tuple([legs for legs, _ in layout]),
+               tuple(dims[x] for x in range(len(dims))))
         groups.setdefault(key, []).extend(members)
     return groups
 
 
 def contract_many(pools, size_cap: int | None = None) -> list:
-    """Contract many networks at once: (open leg ids, array) per pool.
+    """Contract many networks at once: (open legs, array) per pool.
 
-    A pool is a sequence of (leg ids, array) pairs.  Pools of one
+    A pool is a sequence of (legs, array) pairs, legs a tuple of the
+    integers 0..L-1 that its caller numbers them by.  Pools of one
     structure share a greedy pair plan, computed once and cached, and
     each plan step runs once per structure on the stacked arrays: a pair
     sharing legs is one batched matmul of the matrices ``np.tensordot``
@@ -201,8 +194,8 @@ def contract_many(pools, size_cap: int | None = None) -> list:
         steps, legs = _PLANS.get(key) or _PLANS.setdefault(key, _plan(*key))
         # scalars (no legs) stay lists of their arrays, and so do outer
         # products, row by row: np.multiply.outer rounds by memory layout
-        arrays = [np.array([pools[n][k][1] for n, _ in members]) if legs_k
-                  else [pools[n][k][1] for n, _ in members]
+        arrays = [np.array([pools[n][k][1] for n in members]) if legs_k
+                  else [pools[n][k][1] for n in members]
                   for k, legs_k in enumerate(key[0])] or [
                       [np.ones(1, dtype=complex)] * len(members)]
         for i, j, _, _, out_size, matmul in steps:
@@ -223,9 +216,8 @@ def contract_many(pools, size_cap: int | None = None) -> list:
         rows = arrays[0]
         if isinstance(rows, list):
             rows = [np.reshape(r, [key[1][x] for x in legs]) for r in rows]
-        for row, (n, index) in enumerate(members):
-            ids = list(index) if legs else ()
-            out[n] = (tuple(ids[x] for x in legs), rows[row])
+        for row, n in enumerate(members):
+            out[n] = (legs, rows[row])
     return out
 
 
@@ -241,6 +233,9 @@ def contract_network(tensors: Iterable[DenseTensor],
                      size_cap: int | None = None) -> DenseTensor:
     """Contract one network (see ``contract_many``); disconnected pieces
     end up combined by outer products at the end."""
-    ((ids, data),) = contract_many(
-        [[(t.leg_ids, t.data) for t in tensors]], size_cap)
-    return DenseTensor(list(zip(ids, data.shape)), data)
+    index = {}      # leg id -> its number, in order of first appearance
+    ((legs, data),) = contract_many([[(tuple([
+        index.setdefault(l.id, len(index)) for l in t.legs]), t.data)
+        for t in tensors]], size_cap)
+    ids = list(index)
+    return DenseTensor([(ids[x], n) for x, n in zip(legs, data.shape)], data)

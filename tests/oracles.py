@@ -19,8 +19,14 @@ contracted one incoming message at a time.  A loop weight's support is
 listed in the order of a recursive depth-first walk of the loop, as the
 engine lists it, or in the sorted vertex and edge order that the walk
 replaced.  ``relabel`` renames legs for the reference forms that name
-them per endpoint."""
+them per endpoint.  The bond inner products, scaled messages and edge
+projectors are built one edge at a time, as before ``MessageSet``
+stacked them.  The bulk kernel as it was before its callers numbered
+their own legs interns every pool's leg ids, and the dressed tensors,
+loop weights and region values that called it are kept with it.  The
+statevector of a PEPS is its full contraction."""
 
+import cmath
 import functools
 import math
 
@@ -36,7 +42,9 @@ from bptn.errors import (CombinatorialBudgetExceeded, DimensionMismatch,
                          NumericalCollapse, TooLarge)
 from bptn.loops import GeneralizedLoop
 from bptn.network import DEFAULT_SIZE_CAP, is_connected, set_bits
-from bptn.tensor import DenseTensor, Leg, contract_pair
+from bptn.loops import _walk
+from bptn.tensor import DenseTensor, Leg, _plan, contract_pair
+from bptn.tensor import contract_network as bulk_contract_network
 
 
 def mobius_subset(A, B) -> int:
@@ -104,18 +112,53 @@ def self_consistency_residual(tn, messages: MessageSet) -> float:
     return _defect(*_normalize_both(_sweep(plan, old), old))
 
 
+# --- the per-edge tables ---------------------------------------------------
+
+def inner(a: DenseTensor, b: DenseTensor) -> complex:
+    """Bilinear full pairing over identical leg sets (no conjugation)."""
+    if a.leg_ids != b.leg_ids:
+        raise DimensionMismatch(
+            f"inner needs identical leg sets: {a.leg_ids} vs {b.leg_ids}")
+    for la, lb in zip(a.legs, b.legs):
+        if la.dim != lb.dim:
+            raise DimensionMismatch(f"leg {la.id!r}: dim {la.dim} vs {lb.dim}")
+    return complex(np.sum(a.data * b.data))
+
+
+def inner_product(messages: MessageSet, e) -> complex:
+    """I_e = mu_{u->v} * mu_{v->u} on edge e = (u, v), one edge at a time;
+    unfloored."""
+    u, v = messages.tn.graph.endpoints(e)
+    return inner(messages.messages[u, v], messages.messages[v, u])
+
+
+def sqrt_inner(messages: MessageSet, e) -> complex:
+    """Principal-branch sqrt of I_e."""
+    return cmath.sqrt(inner_product(messages, e))
+
+
+def into(messages: MessageSet, n, v, e) -> np.ndarray:
+    """mu_{n->v} / sqrt(I_e) on edge e, scaled by the Python reciprocal."""
+    return messages.messages[n, v].data * (1.0 / sqrt_inner(messages, e))
+
+
+def projector(messages: MessageSet, e) -> np.ndarray:
+    """P_perp on edge e = (u, v), axes in ``endpoints(e)`` order:
+    delta_ij - mu_{v->u}[i] mu_{u->v}[j] / I."""
+    u, v = messages.tn.graph.endpoints(e)
+    return (np.eye(messages.tn.bond_dims[e], dtype=complex)
+            - np.outer(messages.messages[v, u].data,
+                       messages.messages[u, v].data)
+            / inner_product(messages, e))
+
+
 def edge_projector(messages: MessageSet, e) -> DenseTensor:
-    """P_perp on edge e = (u, v), legs '<e>@<u>' and '<e>@<v>':
-    P[i, j] = delta_ij - mu_{v->u}[i] mu_{u->v}[j] / I."""
+    """``projector`` as a tensor with legs '<e>@<u>' and '<e>@<v>'."""
     e = str(e)
-    tn = messages.tn
-    u, v = tn.graph.endpoints(e)
-    d = tn.bond_dims[e]
-    I = messages.inner_product(e)
-    into_u = messages.message(v, u).data
-    into_v = messages.message(u, v).data
-    data = np.eye(d, dtype=complex) - np.outer(into_u, into_v) / I
-    return DenseTensor([Leg(f"{e}@{u}", d), Leg(f"{e}@{v}", d)], data)
+    u, v = messages.tn.graph.endpoints(e)
+    d = messages.tn.bond_dims[e]
+    return DenseTensor([Leg(f"{e}@{u}", d), Leg(f"{e}@{v}", d)],
+                       projector(messages, e))
 
 
 def bp_iterate(tn, messages: MessageSet, damping=DEFAULT_DAMPING,
@@ -635,8 +678,8 @@ def local_factor(messages, v, tensor) -> complex:
     v = str(v)
     t, denom = tensor, 1.0 + 0j
     for (e, n) in messages.tn.graph.incident(v):
-        t = contract_pair(t, messages.message(n, v))
-        denom *= messages.sqrt_inner(e)
+        t = contract_pair(t, messages.messages[n, v])
+        denom *= sqrt_inner(messages, e)
     return t.item() / denom
 
 
@@ -647,8 +690,8 @@ def dressed(messages, v, tensor, kept) -> DenseTensor:
     pieces = [relabel(tensor, {e: f"{e}@{v}" for e in kept})]
     for (e, n) in messages.tn.graph.incident(v):
         if e not in kept:
-            pieces.append(scale(messages.message(n, v),
-                                1.0 / messages.sqrt_inner(e)))
+            pieces.append(scale(messages.messages[n, v],
+                                1.0 / sqrt_inner(messages, e)))
     return contract_network(pieces)
 
 
@@ -741,3 +784,135 @@ def region_partition(tn, messages, R, replacements=None):
     for z in local_factors(tn, messages, sorted(R.vertices)).values():
         denom *= z
     return raw, raw / denom
+
+
+# --- the interning bulk path ------------------------------------------------
+
+def _interned_groups(pools) -> dict:
+    """{structure: [(pool index, {leg id: integer})]}: each pool's leg ids
+    interned to integers in order of first appearance, and a structure
+    the per-array integer legs plus the dims."""
+    found = {}
+    for n, pool in enumerate(pools):
+        index = {}
+        struct = tuple([tuple([index.setdefault(leg, len(index))
+                               for leg in ids]) for ids, _ in pool])
+        found.setdefault((struct, tuple([data.shape for _, data in pool])),
+                         []).append((n, index))
+    groups = {}
+    for (struct, shapes), members in found.items():
+        dims = {}
+        for legs, shape in zip(struct, shapes):
+            for x, dim in zip(legs, shape):
+                if dims.setdefault(x, dim) != dim:
+                    raise DimensionMismatch(f"leg {list(members[0][1])[x]!r}: "
+                                            f"dim {dims[x]} vs {dim}")
+        key = (struct, tuple(dims[x] for x in range(len(dims))))
+        groups.setdefault(key, []).extend(members)
+    return groups
+
+
+def interning_contract_many(pools, size_cap=None) -> list:
+    """The bulk kernel as it was before its callers numbered their own
+    legs: (open leg ids, array) per pool of (leg ids, array) pairs, every
+    pool's leg ids interned one at a time; each group's plan computed
+    anew."""
+    out = [None] * len(pools)
+    for key, members in _interned_groups(pools).items():
+        steps, legs = _plan(*key)
+        arrays = [np.array([pools[n][k][1] for n, _ in members]) if legs_k
+                  else [pools[n][k][1] for n, _ in members]
+                  for k, legs_k in enumerate(key[0])] or [
+                      [np.ones(1, dtype=complex)] * len(members)]
+        for i, j, _, _, out_size, matmul in steps:
+            if size_cap is not None and out_size > size_cap:
+                raise TooLarge(f"intermediate with {out_size} entries "
+                               f"exceeds cap {size_cap}")
+            b = arrays.pop(j)
+            a = arrays.pop(i)
+            if matmul is None:
+                arrays.append([np.multiply.outer(x, y) for x, y in zip(a, b)])
+                continue
+            perm_a, mat_a, perm_b, mat_b, shape = matmul
+            a = a.transpose(perm_a).reshape(mat_a)
+            b = b.transpose(perm_b).reshape(mat_b)
+            arrays.append((np.matmul(a, b) if mat_a[2] > 1 else np.array(
+                [np.dot(x, y) for x, y in zip(a, b)])).reshape(shape))
+        rows = arrays[0]
+        if isinstance(rows, list):
+            rows = [np.reshape(r, [key[1][x] for x in legs]) for r in rows]
+        for row, (n, index) in enumerate(members):
+            ids = list(index) if legs else ()
+            out[n] = (tuple(ids[x] for x in legs), rows[row])
+    return out
+
+
+def interning_dressed(messages: MessageSet, requests) -> list:
+    """``MessageSet.dressed`` as it was: (leg ids, array) per (v, tensor,
+    kept) request, the tensor's string leg ids and each message's edge id
+    interned by ``interning_contract_many``, each message scaled one edge
+    at a time (``into``); nothing cached."""
+    g = messages.tn.graph
+    return interning_contract_many([
+        [(tuple(tensor.leg_ids), tensor.data)]
+        + [((e,), into(messages, n, v, e))
+           for (e, n) in g.incident(v) if e not in kept]
+        for v, tensor, kept in requests])
+
+
+def _interning_factors(tn, messages, vertices) -> dict:
+    return {v: complex(z) for v, (_, z) in zip(vertices, interning_dressed(
+        messages, [(v, tn.tensors[v], ()) for v in vertices]))}
+
+
+def interning_excitation_weight(messages: MessageSet, jobs, base) -> list:
+    """``loops.excitation_weight`` as it was: each support network in walk
+    order with the walk's leg numbers as leg ids, interned again by
+    ``interning_contract_many``; the projectors built one edge at a
+    time."""
+    factors = _interning_factors(base, messages, sorted(
+        {v for _, loop in jobs for v in loop.vertices}))
+    pools, supports = [], []
+    for tn, loop in jobs:
+        order, legs, crossings = _walk(tn.graph, loop.key)
+        pieces = interning_dressed(messages, [
+            (v, tn.tensors[v], frozenset(e for e, _ in legs[v]))
+            for v in order])
+        pool = []
+        for v, (ids, data) in zip(order, pieces):
+            pool.append((tuple(n for _, n in legs[v]), data.transpose(
+                [ids.index(e) for e, _ in legs[v]])))
+        pools.append(pool + [
+            ((2 * k, 2 * k + 1), projector(messages, e)
+             if tn.graph.endpoints(e)[0] == a else projector(messages, e).T)
+            for k, (e, a, _) in enumerate(crossings)])
+        supports.append(sorted(order))
+    raws = [complex(data.item())
+            for _, data in interning_contract_many(pools)]
+    return [raw / math.prod((factors[v] for v in support), start=1.0 + 0j)
+            for raw, support in zip(raws, supports)]
+
+
+def interning_region_partition(tn, messages: MessageSet, jobs) -> list:
+    """``cumulants.region_partition`` as it was: the dressed tensors with
+    their region legs named by edge id, interned again pool by pool."""
+    g = tn.graph
+    supports = [sorted(R.vertices) for R, _ in jobs]
+    pieces = iter(interning_dressed(messages, [
+        (v, replacements.get(v, tn.tensors[v]),
+         frozenset(e for (e, _) in g.incident(v) if e in R.edges))
+        for (R, replacements), support in zip(jobs, supports)
+        for v in support]))
+    raws = [complex(data.item()) for _, data in interning_contract_many(
+        [[next(pieces) for _ in support] for support in supports],
+        size_cap=DEFAULT_SIZE_CAP)]
+    factors = _interning_factors(tn, messages, sorted(
+        {v for support in supports for v in support}))
+    return [(raw, raw / math.prod((factors[v] for v in support),
+                                  start=1.0 + 0j))
+            for raw, support in zip(raws, supports)]
+
+
+def peps_statevector(peps) -> DenseTensor:
+    """Full state tensor over the physical legs (statevector oracle)."""
+    return bulk_contract_network(peps.tensors.values())

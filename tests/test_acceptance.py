@@ -28,7 +28,7 @@ from bptn.loops import (GeneralizedLoop, enumerate_loops, evaluate_weights,
                         loop_decay_profile)
 from bptn.models import (IsingParams, ising_exact_logZ, ising_insertion,
                          ising_network, ising_paramagnetic_messages,
-                         peps_statevector, random_peps, random_tree_network,
+                         random_peps, random_tree_network,
                          single_loop_network)
 from bptn.network import (Graph, build_norm_network, exact_contract,
                           peps_replacements)
@@ -37,7 +37,8 @@ from bptn.observables import (InsertionProblem, correlation_length,
                               expval_cumulant_tensors,
                               expval_derivative_tensors, expval_ratio_tensors,
                               expval_region_sum_tensors)
-from oracles import counting_number_free_energy, mobius_subset
+from oracles import (counting_number_free_energy, mobius_subset,
+                     peps_statevector)
 
 SZ = np.diag([1.0, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -59,6 +59,32 @@ def test_bp_iterate_reaches_fixed_point():
     assert self_consistency_residual(tn, res.messages) < 1e-10
 
 
+def test_degenerate_edge_refused_where_it_is_read():
+    """The stacked edge tables leave out an edge whose bilinear norm is
+    below the floor.  Reading it, as its inner product, its projector or
+    a message dressed across it, raises DegenerateInnerProduct; the other
+    edges, and a tensor dressed with that edge kept, stay usable."""
+    tn = ising_network(IsingParams(L=3, beta=0.2))
+    msgs = dict(uniform_messages(tn).messages)
+    e0 = sorted(tn.graph.edges)[0]
+    u, w = tn.graph.endpoints(e0)
+    null = DenseTensor([Leg(e0, 2)], np.array([1.0, 1j]) / math.sqrt(2))
+    msgs[u, w] = msgs[w, u] = null
+    ms = MessageSet(tn, msgs)
+    for read in (ms.inner_product, ms.projector):
+        with pytest.raises(DegenerateInnerProduct):
+            read(e0)
+    e1 = sorted(tn.graph.edges)[-1]
+    assert not {u, w} & set(tn.graph.endpoints(e1))
+    assert np.array_equal(ms.projector(e1), oracles.projector(ms, e1))
+    with pytest.raises(DegenerateInnerProduct):
+        ms.dressed([(u, tn.tensors[u], ())])
+    kept = tuple(sorted(e for e, _ in tn.graph.incident(u)))
+    ((ids, data),) = ms.dressed([(u, tn.tensors[u], kept)])
+    assert list(ids) == tn.tensors[u].leg_ids
+    assert np.array_equal(data, tn.tensors[u].data)
+
+
 @pytest.mark.parametrize("spec", ["ising:L=3,beta=0.3,h=0.1", "loop:n=4",
                                   "tree:n=12,D=3"])
 def test_projector_is_the_oracle_edge_projector(spec):
@@ -82,8 +108,8 @@ def test_edge_projector_annihilates_messages():
     e = sorted(tn.graph.edges)[0]
     u, v = tn.graph.endpoints(e)
     proj = edge_projector(ms, e)
-    into_u = oracles.relabel(ms.message(v, u), {e: f"{e}@{u}"})
-    into_v = oracles.relabel(ms.message(u, v), {e: f"{e}@{v}"})
+    into_u = oracles.relabel(ms.messages[v, u], {e: f"{e}@{u}"})
+    into_v = oracles.relabel(ms.messages[u, v], {e: f"{e}@{v}"})
     from bptn.tensor import contract_pair
 
     assert np.linalg.norm(contract_pair(proj, into_u).data) < 1e-10
@@ -150,7 +176,7 @@ def test_local_factor_cached_per_tensor_object(monkeypatch):
         return bulk(pools)
 
     def z(messages, tensor):
-        ((ids, data),) = messages.dressed([(site, tensor, frozenset())])
+        ((ids, data),) = messages.dressed([(site, tensor, ())])
         assert ids == ()
         return complex(data)
 

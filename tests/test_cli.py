@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bptn.cli
 from bptn.cli import main
 from bptn.models import IsingParams, ising_network
 from bptn.network import Graph, TensorNetwork
@@ -380,6 +381,76 @@ def test_exit_2_on_option_the_subcommand_does_not_read(argv, capsys):
         run(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def _parsed(parse, argv, capsys):
+    """(exit code, stdout, stderr) of ``parse(argv)``; 0 when it returns."""
+    try:
+        parse(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", [s[0] for s in bptn.cli._SUBCOMMANDS])
+def test_subcommand_parser_matches_full_parser(name, capsys, monkeypatch):
+    """``main`` builds only the parser of the subcommand its first
+    argument names.  Its help, an unknown option, an option without its
+    value and (for ``scan``, the one subcommand with required options) a
+    missing required option give the same stdout, stderr and exit code as
+    the parser of every subcommand."""
+    def fail(args):
+        raise AssertionError("a subcommand ran on a refused command line")
+
+    monkeypatch.setattr(bptn.cli, "_check_truncations", fail)
+    argvs = [[name, "--help"], [name, "--no-such-option"], [name, "--seed"]]
+    if name == "scan":
+        argvs.append([name, "--seed", "1"])
+    for argv in argvs:
+        full = _parsed(bptn.cli.build_parser().parse_args, argv, capsys)
+        assert full[0] == (0 if "--help" in argv else 2), argv
+        assert full[1] or full[2], argv
+        assert _parsed(bptn.cli.main, argv, capsys) == full, argv
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["nope"],
+                                  ["--seed", "1", "bp"]])
+def test_full_parser_when_no_subcommand_comes_first(argv, capsys):
+    """Without a subcommand as the first argument ``main`` parses with
+    every subcommand's parser: help, version and refusals as before."""
+    full = _parsed(bptn.cli.build_parser().parse_args, argv, capsys)
+    assert _parsed(bptn.cli.main, argv, capsys) == full
+    assert full[0] in (0, 2)
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["bptn", "contract-exact", "--generate",
+                                      "loop:n=4"])
+    assert main() == 0
+    assert "partition_function" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["contract-exact", "--generate", "ising:L=3,beta=200"],
+    ["contract-exact", "--generate", "ising:L=3,beta=400"],
+    # BP and the expansions are finite here, but Z overflows
+    ["free-energy", "--generate", "ising:L=4,beta=30", "-m", "2", "-k", "0",
+     "--reference", "exact"],
+    ["expval", "--generate", "ising:L=4,beta=30,h=0.1", "-m", "2",
+     "--reference", "exact"],
+    ["correlator", "--generate", "ising:L=4,beta=30,h=0.1", "-m", "2",
+     "--distances", "1", "--reference", "exact"],
+])
+def test_exit_3_on_exact_contraction_that_is_not_finite(argv, capsys):
+    """Not a ``nan`` or ``inf`` reference in the CSV: exit 3."""
+    with np.errstate(all="ignore"):
+        assert run(argv) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("numerical error: exact contraction is not "
+                              "finite")
 
 
 def test_exit_2_on_missing_file(tmp_path):

@@ -23,7 +23,8 @@ import bptn.cumulants
 import bptn.loops
 import bptn.tensor
 import oracles
-from bptn.bp import bp_iterate, local_factors, uniform_messages
+from bptn.bp import (bp_iterate, local_factors, random_messages,
+                     uniform_messages)
 from bptn.cli import main
 from bptn.cumulants import find_regions, region_partition
 from bptn.errors import TooLarge
@@ -36,6 +37,7 @@ from bptn.network import (Graph, TensorNetwork, build_norm_network,
 from bptn.observables import InsertionProblem
 from bptn.tensor import DenseTensor, Leg
 from oracles import degree_map, edge_projector, relabel, scale
+from test_bp_sweep import CASES
 
 _SZ = np.diag([1.0, -1.0])
 REL = 1e-12
@@ -61,8 +63,8 @@ def _reference_weight(tn, messages, loop, factors) -> complex:
                               {e: f"{e}@{v}" for (e, _) in g.incident(v)}))
         for (e, n) in g.incident(v):
             if e not in loop.edges:
-                pieces.append(scale(relabel(messages.message(n, v), {
-                    e: f"{e}@{v}"}), 1.0 / messages.sqrt_inner(e)))
+                pieces.append(scale(relabel(messages.messages[n, v], {
+                    e: f"{e}@{v}"}), 1.0 / oracles.sqrt_inner(messages, e)))
     pieces += [edge_projector(messages, e) for e in loop.edges]
     denom = np.prod([factors[v] for v in loop.vertices])
     return _einsum(pieces) / denom
@@ -75,8 +77,8 @@ def _reference_region(tn, messages, R, replacements) -> complex:
         pieces.append(replacements.get(v, tn.tensors[v]))
         for (e, n) in tn.graph.incident(v):
             if n not in R.vertices:
-                pieces.append(scale(messages.message(n, v),
-                                    1.0 / messages.sqrt_inner(e)))
+                pieces.append(scale(messages.messages[n, v],
+                                    1.0 / oracles.sqrt_inner(messages, e)))
     return _einsum(pieces)
 
 
@@ -396,13 +398,20 @@ def _record_bulk_calls(monkeypatch):
     return calls, keys
 
 
+_ARGVS = {
+    "ising_free_energy": ["free-energy", "--generate", "ising:L=5,beta=0.2",
+                          "-m", "6", "-k", "6"],
+    "peps_expval": ["expval", "--generate",
+                    "peps:rows=5,cols=5,D=2,perturbation=0.25", "--site",
+                    _PEPS_SITE, "-m", "7", "-k", "6", "--seed", "11"],
+}
+
+
 @pytest.mark.parametrize("argv, want_calls, structures", [
-    (["free-energy", "--generate", "ising:L=5,beta=0.2", "-m", "6", "-k",
-      "6"], [("bptn.loops", 85, 3), ("bptn.cumulants", 85, 8)], 11),
-    (["expval", "--generate", "peps:rows=5,cols=5,D=2,perturbation=0.25",
-      "--site", _PEPS_SITE, "-m", "7", "-k", "6", "--seed", "11"],
-     [("bptn.loops", 160, 8), ("bptn.loops", 36, 4),
-      ("bptn.cumulants", 50, 10)], 18),
+    (_ARGVS["ising_free_energy"],
+     [("bptn.loops", 85, 3), ("bptn.cumulants", 85, 8)], 11),
+    (_ARGVS["peps_expval"], [("bptn.loops", 160, 8), ("bptn.loops", 36, 4),
+                             ("bptn.cumulants", 50, 10)], 18),
 ], ids=["ising_free_energy", "peps_expval"])
 def test_bulk_group_counts(argv, want_calls, structures, monkeypatch,
                            tmp_path):
@@ -419,6 +428,19 @@ def test_bulk_group_counts(argv, want_calls, structures, monkeypatch,
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
     assert calls == want_calls
     assert len(keys) == structures
+
+
+@pytest.mark.parametrize("name, plans", [("ising_free_energy", 22),
+                                         ("peps_expval", 40)])
+def test_plans_built_per_call(name, plans, monkeypatch, tmp_path):
+    """A call that starts with no plan cached builds 22 greedy plans on
+    the ``ising_free_energy`` argv and 40 on ``peps_expval``, one per
+    structure of every bulk call (weights, regions, dressed tensors and
+    z_v): callers that number their own legs give one shape one
+    structure, as interning its leg ids did."""
+    monkeypatch.setattr(bptn.tensor, "_PLANS", {})
+    assert main(_ARGVS[name] + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert len(bptn.tensor._PLANS) == plans
 
 
 def test_congruent_strings_share_one_structure(monkeypatch):
@@ -514,3 +536,92 @@ def test_region_path_size_cap(monkeypatch, tmp_path):
             (R, {}) for R in find_regions(ising_network(
                 IsingParams(L=5, beta=0.2)).graph, 6)])
     assert main(argv) == 4
+
+
+# --- caller-numbered legs and stacked edge tables against the interning path
+
+def _message_sets(case):
+    """A ``CASES`` network and two message sets on it: its BP start and
+    random complex messages."""
+    tn, start = CASES[case]()
+    return tn, [start, random_messages(tn, seed=7)]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_edge_tables_match_per_edge_forms(case):
+    """The one stacked pass gives every edge's inner product, scaled
+    messages and projector bit for bit as they are built one edge at a
+    time."""
+    tn, sets = _message_sets(case)
+    for ms in sets:
+        for e, (u, w) in tn.graph.edges.items():
+            assert ms.inner_product(e) == oracles.inner_product(ms, e)
+            assert np.array_equal(ms.projector(e), oracles.projector(ms, e))
+            for n, v in ((u, w), (w, u)):
+                assert np.array_equal(ms._tables()[1][n, v],
+                                      oracles.into(ms, n, v, e))
+
+
+def _assert_same_pieces(got, want):
+    assert len(got) == len(want)
+    for (ids, data), (want_ids, want_data) in zip(got, want):
+        assert ids == want_ids
+        assert np.array_equal(data, want_data)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_dressed_matches_interning_path(case):
+    """Every site tensor with every subset of its edges kept, its legs
+    numbered by position and each message's by its slot, equals the
+    dressed tensor whose leg ids the kernel interned."""
+    tn, sets = _message_sets(case)
+    requests = []
+    for v in tn.graph.vertices:
+        edges = sorted(e for e, _ in tn.graph.incident(v))
+        requests += [(v, tn.tensors[v], kept) for r in range(len(edges) + 1)
+                     for kept in itertools.combinations(edges, r)]
+    for ms in sets:
+        _assert_same_pieces(ms.dressed(requests),
+                            oracles.interning_dressed(ms, requests))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_weights_match_interning_path(case):
+    """The loops of every ``CASES`` network, their walk's leg numbers
+    passed as they are, weigh what interning those numbers gave."""
+    tn, sets = _message_sets(case)
+    jobs = [(tn, loop) for loop in enumerate_loops(tn.graph, 6)]
+    for ms in sets:
+        assert excitation_weight(ms, jobs, tn) == \
+            oracles.interning_excitation_weight(ms, jobs, tn)
+
+
+def test_decorated_weights_match_interning_path():
+    """The ``peps_expval`` strings with and without the insertion, in one
+    call, as the interning path weighs them."""
+    tn, ms, repl = _benchmark_problem("peps_expval")
+    prob = InsertionProblem(tn, ms, repl)
+    (rid,) = prob.region_ids
+    jobs = [(prob.network(inserted), loop) for loop in prob.strings(7)
+            for inserted in (frozenset(), frozenset([rid]))
+            if rid in loop.vertices or not inserted]
+    assert len(jobs) == 196
+    assert excitation_weight(ms, jobs, tn) == \
+        oracles.interning_excitation_weight(ms, jobs, tn)
+
+
+def test_regions_with_replacements_match_interning_path(ising_field, peps33):
+    """Regions numbered once each, with and without a replaced site
+    tensor, equal the values the interning path gives."""
+    p, tn, ms = ising_field
+    repl = ising_insertion(tn, p, {"1,1": _SZ})
+    jobs = [(R, r) for R in find_regions(tn.graph, 6) for r in ({}, repl)]
+    assert region_partition(tn, ms, jobs) == \
+        oracles.interning_region_partition(tn, ms, jobs)
+    peps, tn, ms = peps33
+    repl = peps_replacements(peps, {"1,1": _SZ})
+    jobs = [(R, r) for R in find_regions(tn.graph, 7, "1,1")
+            for r in ({}, repl)]
+    assert len(jobs) == 22
+    assert region_partition(tn, ms, jobs) == \
+        oracles.interning_region_partition(tn, ms, jobs)

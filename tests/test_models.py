@@ -8,12 +8,12 @@ from bptn.bp import bp_iterate, uniform_messages
 from bptn.errors import FieldNonzero
 from bptn.models import (IsingParams, _ising_tn, ising_exact_logZ,
                          ising_insertion, ising_network,
-                         ising_paramagnetic_messages, peps_statevector,
+                         ising_paramagnetic_messages,
                          random_peps, random_tree_network,
                          single_loop_network)
 from bptn.network import build_norm_network, exact_contract
 from bptn.tnio import load_network, save_network
-from oracles import self_consistency_residual
+from oracles import peps_statevector, self_consistency_residual
 
 
 def _spin_sum_logZ(p: IsingParams):

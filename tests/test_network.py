@@ -11,7 +11,7 @@ import oracles
 from bptn.errors import (DimensionMismatch, InvalidNetworkFile,
                          MissingPhysicalLeg, RegionMismatch)
 from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
-                         peps_statevector, random_peps)
+                         random_peps)
 from bptn.network import (Graph, TensorNetwork, _double_tensor, bfs,
                           build_norm_network, connected_subsets,
                           exact_contract, grown_sets, peps_replacements,
@@ -342,7 +342,7 @@ def test_double_tensor_vs_einsum():
 def test_norm_network_equals_statevector_norm():
     peps = random_peps(2, 3, D=2, perturbation=0.3, seed=2)
     tn = build_norm_network(peps)
-    psi = peps_statevector(peps)
+    psi = oracles.peps_statevector(peps)
     norm2 = float(np.sum(np.abs(psi.data) ** 2))
     assert abs(exact_contract(tn) - norm2) < 1e-10 * norm2
 
@@ -350,7 +350,7 @@ def test_norm_network_equals_statevector_norm():
 def test_insert_operator_matches_statevector():
     peps = random_peps(2, 2, D=2, perturbation=0.3, seed=4)
     tn = build_norm_network(peps)
-    psi = peps_statevector(peps).data  # axes follow sorted site ids
+    psi = oracles.peps_statevector(peps).data  # axes follow sorted site ids
     sz = np.diag([1.0, -1.0])
     num = exact_contract(tn.replace_tensors(
         peps_replacements(peps, {"0,1": sz})))

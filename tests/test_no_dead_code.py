@@ -22,8 +22,6 @@ PACKAGE = ROOT / "src" / "bptn"
 CALLERS = [PACKAGE, ROOT / "demos", ROOT / "perfbench"]
 
 ALLOWED = {
-    "peps_statevector": "the statevector oracle for PEPS norms and "
-                        "expectation values",
     "load_messages": "README's bit-exact message round trip, checked by "
                      "test_acceptance_11",
     "save_network": "the writer of that round trip; the CLI reads network "

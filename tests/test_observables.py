@@ -7,7 +7,7 @@ import pytest
 from bptn.bp import bp_iterate, uniform_messages
 from bptn.errors import InsufficientPoints, PCapExceeded
 from bptn.models import (IsingParams, ising_insertion, ising_network,
-                         peps_statevector, random_peps)
+                         random_peps)
 from bptn.network import build_norm_network, exact_contract, peps_replacements
 from bptn.observables import (Estimate, InsertionProblem, correlation_length,
                               correlator_ratio_tensors, expval_bp_tensors,

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import oracles
 from bptn.errors import DimensionMismatch, LegCollision, TooLarge
 from bptn.tensor import (DenseTensor, Leg, _plan, contract_closed,
-                         contract_many, contract_network, contract_pair,
-                         inner)
+                         contract_many, contract_network, contract_pair)
+from oracles import inner
 
 
 def t(ids_dims, data):
@@ -192,21 +192,37 @@ def test_contract_network_matches_einsum(net):
         assert np.all(np.abs(got.data - want) <= 1e-12 * scale)
 
 
+def _numbered(pool):
+    """(the pool with its leg ids numbered in order of first appearance,
+    the ids by number)."""
+    index = {}
+    return [(tuple(index.setdefault(i, len(index)) for i in ids), data)
+            for ids, data in pool], list(index)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_networks(), min_size=1, max_size=4))
 def test_contract_many_matches_per_call_oracle(nets):
     """Each network of a bulk call, and its renamed copy in the same call
     (same structure, so one group), equals the per-call ``np.tensordot``
-    oracle bit for bit."""
+    oracle bit for bit; numbered by the caller, it equals the kernel that
+    interned leg ids itself under ``==``."""
     tens = []
     for net in nets:
         rng = np.random.default_rng(net[2])
         tens += [_random_tensors(net, rng),
                  _random_tensors(net, rng, _renamed)]
-    got = contract_many([[(x.leg_ids, x.data) for x in ts] for ts in tens])
-    for ts, (ids, data) in zip(tens, got):
+    pools = [[(x.leg_ids, x.data) for x in ts] for ts in tens]
+    numbered = [_numbered(pool) for pool in pools]
+    got = contract_many([pool for pool, _ in numbered])
+    interned = oracles.interning_contract_many(pools)
+    for ts, (_, ids), (legs, data), (want_ids, want_data) in zip(
+            tens, numbered, got, interned):
+        assert tuple(ids[x] for x in legs) == want_ids
+        assert np.array_equal(data, want_data)
         want = oracles.contract_network(ts)
-        out = DenseTensor(list(zip(ids, np.shape(data))), data)
+        out = DenseTensor([(ids[x], n) for x, n in zip(legs, np.shape(data))],
+                          data)
         assert out.leg_ids == want.leg_ids
         assert np.array_equal(out.data, want.data)
 
@@ -236,23 +252,22 @@ def test_plan_matches_search_over_every_pair(structure):
     assert (tuple(s[:5] for s in steps), out) == oracles.plan(struct, dims)
 
 
-_CLOSED = [(("x",), np.ones(2)), (("x",), np.ones(2))]
+_CLOSED = [((0,), np.ones(2)), ((0,), np.ones(2))]
 
 
 def test_contract_many_dim_clash_in_any_pool():
     with pytest.raises(DimensionMismatch):
-        contract_many([_CLOSED,
-                       [(("x",), np.ones(2)), (("x",), np.ones(3))]])
+        contract_many([_CLOSED, [((0,), np.ones(2)), ((0,), np.ones(3))]])
 
 
 def test_contract_closed_refuses_open_legs():
     assert contract_closed([_CLOSED]) == [2.0]
     with pytest.raises(DimensionMismatch):
-        contract_closed([_CLOSED, [(("x", "y"), np.ones((2, 2)))]])
+        contract_closed([_CLOSED, [((0, 1), np.ones((2, 2)))]])
 
 
 def test_contract_many_size_cap():
-    small = [(("x",), np.ones(2)), (("x", "y"), np.ones((2, 3)))]
+    small = [((0,), np.ones(2)), ((0, 1), np.ones((2, 3)))]
     assert contract_many([small], size_cap=3)[0][1].shape == (3,)
     with pytest.raises(TooLarge):
         contract_many([small], size_cap=2)
