@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -521,6 +522,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     named = argv[:1] and argv[0] in [s[0] for s in _SUBCOMMANDS]
     args = build_parser(argv[0] if named else None).parse_args(argv)
+    # A run leaves no reference cycles, so the cyclic collector would only
+    # walk its live objects again and again; it resumes as the caller had it.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         _check_truncations(args)
         return args.func(args)
@@ -536,6 +541,9 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

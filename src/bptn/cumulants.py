@@ -1,9 +1,10 @@
 """Cluster-cumulant machinery and the region-based expansion.
 
 Restricted partition functions Xi(B) are hard-core loop-gas sums over a
-finite loop subset; cumulants K(Gamma) are their inclusion-exclusion
-(Moebius) transform on the subset lattice and resum all multiplicities of
-a loop set at once.  The region formulation evaluates Xi directly as a
+finite loop subset, built bottom up as one table over all subsets of a
+cluster; cumulants K(Gamma) are their inclusion-exclusion (Moebius)
+transform on the subset lattice and resum all multiplicities of a loop
+set at once.  The region formulation evaluates Xi directly as a
 small tensor contraction with BP messages on the region boundary, with
 integer counting numbers assigned top-down through the intersection-closed
 region poset; the values a resummation needs are one bulk contraction
@@ -33,30 +34,32 @@ RESTRICTED_CAP = 20
 DEFAULT_BUDGET = 10 ** 7  # vertex sets the region finder grows
 
 
-def restricted_partition(loops, weight_table: dict) -> complex:
-    """Xi(B) = 1 + sum over compatible sub-families of prod Z_l, for the
-    sequence of distinct loops B."""
+def restricted_partition(loops, weight_table: dict) -> list:
+    """Xi(S) = 1 + sum over compatible sub-families of prod Z_l, for every
+    subset S of the sequence of distinct loops, indexed by bit mask, so
+    entry -1 is Xi of them all.
+
+    Bottom up: Xi(S) = Xi(S - i) + Z_i Xi(S - i - N(i)), where i is the
+    lowest index in S and N(i) the loops that overlap loop i.
+    """
     n = len(loops)
     if n > RESTRICTED_CAP:
         raise CapExceeded(
             f"|B| = {n} exceeds restricted-partition cap {RESTRICTED_CAP}")
-    incompat = [0] * n
+    keep = [-1] * n  # the loops compatible with loop i
     for i in range(n):
         for j in range(i + 1, n):
             if loops_overlap(loops[i], loops[j]):
-                incompat[i] |= 1 << j
-                incompat[j] |= 1 << i
+                keep[i] &= ~(1 << j)
+                keep[j] &= ~(1 << i)
     z = [weight_table[l.key] for l in loops]
-
-    def rec(i, banned):
-        if i == n:
-            return 1.0 + 0j
-        val = rec(i + 1, banned)
-        if not banned & (1 << i):
-            val += z[i] * rec(i + 1, banned | incompat[i])
-        return val
-
-    return rec(0, 0)
+    xi = [1.0 + 0j] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        rest = mask ^ low
+        xi[mask] = xi[rest] + z[i] * xi[rest & keep[i]]
+    return xi
 
 
 def guarded_log(xi: complex, what: str) -> complex:
@@ -77,11 +80,10 @@ def cumulant(gamma: Cluster, weight_table: dict) -> complex:
     if not is_connected(range(n), overlap_neighbors(loops).__getitem__):
         return 0.0 + 0j
     total = 0.0 + 0j
-    for mask in range(1 << n):
-        sub = [loops[i] for i in range(n) if mask & (1 << i)]
-        xi = restricted_partition(sub, weight_table)
-        sign = -1 if (n - len(sub)) % 2 else 1
-        total += sign * guarded_log(xi, f"Xi({len(sub)} loops)")
+    for mask, xi in enumerate(restricted_partition(loops, weight_table)):
+        size = mask.bit_count()
+        sign = -1 if (n - size) % 2 else 1
+        total += sign * guarded_log(xi, f"Xi({size} loops)")
     return total
 
 
@@ -129,7 +131,7 @@ def cumulant_free_energy(tn, messages, excitations, m: int,
 class Region:
     """Connected vertex-induced subgraph used in the region expansion."""
 
-    __slots__ = ("vertices", "edges", "level")
+    __slots__ = ("vertices", "edges", "level", "key")
 
     def __init__(self, g: Graph, vertices, level):
         self.vertices = frozenset(str(v) for v in vertices)
@@ -137,10 +139,7 @@ class Region:
                                for (e, w) in g.incident(v)
                                if w in self.vertices)
         self.level = level
-
-    @property
-    def key(self):
-        return tuple(sorted(self.vertices))
+        self.key = tuple(sorted(self.vertices))
 
     def __eq__(self, other):
         return isinstance(other, Region) and self.vertices == other.vertices

@@ -43,6 +43,8 @@ class IsingParams:
             raise ValueError("L >= 2 required")
         if self.beta <= 0:
             raise ValueError("beta > 0 required")
+        if not (math.isfinite(self.beta) and math.isfinite(self.h)):
+            raise ValueError("finite beta and h required")
         if self.topology not in ("torus", "cylinder"):
             raise ValueError(f"unknown topology {self.topology!r}")
 
@@ -206,6 +208,8 @@ def single_loop_network(n: int, seed=0) -> TensorNetwork:
 def random_peps(rows: int, cols: int, D: int = 2, phys_dim: int = 2,
                 perturbation: float = 0.1, seed=0) -> TensorNetwork:
     """Open-boundary PEPS: product |0> plus a Gaussian perturbation."""
+    if not math.isfinite(perturbation):
+        raise ValueError("finite perturbation required")
     rng = np.random.default_rng(seed)
     vertices = [f"{i},{j}" for i in range(rows) for j in range(cols)]
     edges = {}

@@ -333,25 +333,36 @@ def grown_sets(g: Graph, size: int, terminals=(), anchor=None,
         if not lolly:  # reach[d]: the vertices within d of what ends a path
             reach = [vm | ends if leafy else vm]
             for _ in range(room):
-                out = 0
-                for x in set_bits(reach[-1]):
-                    out |= adj[x]
+                out, m = 0, reach[-1]
+                while m:
+                    low = m & -m
+                    m ^= low
+                    out |= adj[low.bit_length() - 1]
                 reach.append(reach[-1] | out & allow)
-        for v0 in set_bits(vm):
+        roots = vm
+        while roots:
+            low = roots & -roots
+            roots ^= low
             # (its end, its new vertices, its edges, length, the one before)
-            stack = [(v0, 0, 0, 0, 0)]
+            stack = [(low.bit_length() - 1, 0, 0, 0, 0)]
             while stack:
                 u, pm, pe, n, back = stack.pop()
                 grown = []
                 hit = adj[u] & (vm | pm if leafy else vm) & ~back
-                for w in set_bits(hit):
-                    e = bond[u, w]
+                while hit:
+                    low = hit & -hit
+                    hit ^= low
+                    e = bond[u, low.bit_length() - 1]
                     if not e & em:
                         grown.append((vm | pm, em | pe | e))
                 free = adj[u] & allow & ~(vm | pm)
                 if leafy:
-                    for w in set_bits(free & ends):
-                        grown.append((vm | pm | 1 << w, em | pe | bond[u, w]))
+                    t = free & ends
+                    while t:
+                        low = t & -t
+                        t ^= low
+                        grown.append((vm | pm | low,
+                                      em | pe | bond[u, low.bit_length() - 1]))
                 for new in grown:
                     if new[key] not in seen:
                         seen.add(new[key])
@@ -360,6 +371,9 @@ def grown_sets(g: Graph, size: int, terminals=(), anchor=None,
                 if n < room:
                     if not lolly:
                         free &= reach[room - n]
-                    for w in set_bits(free):
-                        stack.append((w, pm | 1 << w, pe | bond[u, w],
+                    while free:
+                        low = free & -free
+                        free ^= low
+                        w = low.bit_length() - 1
+                        stack.append((w, pm | low, pe | bond[u, w],
                                       n + 1, 1 << u))

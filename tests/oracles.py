@@ -1,6 +1,8 @@
 """Reference forms that the tests compare the engine against; the
 program itself never evaluates them: the cumulant expansion in its
-counting-number and Moebius forms; the per-edge BP sweep, iteration
+counting-number and Moebius forms; the restricted partition function
+Xi(B) by recursion, one subset per call, that the bottom-up table over
+all subsets of a cluster replaced; the per-edge BP sweep, iteration
 and stability probe that the compiled sweep in ``bptn.bp`` replaced; the
 tuple-and-frozenset subset walk that the bit-mask walk in
 ``bptn.network`` replaced, and the loop sets it finds on the overlap graph
@@ -36,8 +38,11 @@ from bptn.bp import (DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOL,
                      PROBE_EPSILON, PROBE_PERTURBATIONS, PROBE_SWEEPS,
                      BPResult, MessageSet, _defect, _normalize_both, _Plan,
                      _sweep, bp_log_partition, local_factors)
-from bptn.cumulants import (DEFAULT_BUDGET, Region, counting_numbers,
-                            guarded_log, restricted_partition)
+from bptn.clusters import loops_overlap, overlap_neighbors
+from bptn.cumulants import (DEFAULT_BUDGET, RESTRICTED_CAP, Region,
+                            counting_numbers, guarded_log,
+                            restricted_partition as xi_table)
+from bptn.errors import CapExceeded
 from bptn.errors import (CombinatorialBudgetExceeded, DimensionMismatch,
                          NumericalCollapse, TooLarge)
 from bptn.loops import GeneralizedLoop
@@ -56,6 +61,48 @@ def mobius_subset(A, B) -> int:
     return -1 if (len(sb) - len(sa)) % 2 else 1
 
 
+def restricted_partition(loops, weight_table: dict) -> complex:
+    """Xi(B) = 1 + sum over compatible sub-families of prod Z_l, for the
+    sequence of distinct loops B, by take-or-leave recursion over the loops
+    in order."""
+    n = len(loops)
+    if n > RESTRICTED_CAP:
+        raise CapExceeded(
+            f"|B| = {n} exceeds restricted-partition cap {RESTRICTED_CAP}")
+    incompat = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if loops_overlap(loops[i], loops[j]):
+                incompat[i] |= 1 << j
+                incompat[j] |= 1 << i
+    z = [weight_table[l.key] for l in loops]
+
+    def rec(i, banned):
+        if i == n:
+            return 1.0 + 0j
+        val = rec(i + 1, banned)
+        if not banned & (1 << i):
+            val += z[i] * rec(i + 1, banned | incompat[i])
+        return val
+
+    return rec(0, 0)
+
+
+def cumulant(gamma, weight_table: dict) -> complex:
+    """K(Gamma) with one recursive Xi per subset of the cluster."""
+    loops = gamma.loops
+    n = len(loops)
+    if not is_connected(range(n), overlap_neighbors(loops).__getitem__):
+        return 0.0 + 0j
+    total = 0.0 + 0j
+    for mask in range(1 << n):
+        sub = [loops[i] for i in range(n) if mask & (1 << i)]
+        xi = restricted_partition(sub, weight_table)
+        sign = -1 if (n - len(sub)) % 2 else 1
+        total += sign * guarded_log(xi, f"Xi({len(sub)} loops)")
+    return total
+
+
 def counting_number_free_energy(tn, messages, subsets, weight_table):
     """Equivalent counting-number form: F = F_BP - sum b(B) log Xi(B)."""
     b = counting_numbers({s.key: frozenset(s.loops) for s in subsets})
@@ -64,7 +111,7 @@ def counting_number_free_energy(tn, messages, subsets, weight_table):
         if b[s.key] == 0:
             continue
         corr += b[s.key] * guarded_log(
-            restricted_partition(s.loops, weight_table), "Xi(B)")
+            xi_table(s.loops, weight_table)[-1], "Xi(B)")
     f_bp = -bp_log_partition(tn, messages)
     return f_bp - corr, corr
 

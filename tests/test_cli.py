@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 
 import bptn.cli
 from bptn.cli import main
+from bptn.errors import NumericalCollapse, TooLarge
 from bptn.models import IsingParams, ising_network
 from bptn.network import Graph, TensorNetwork
 from bptn.tensor import DenseTensor, Leg
@@ -497,6 +500,36 @@ def test_exit_2_on_bad_generator():
                 "--sweep", "beta=0.1:0.2:0", "-m", "4"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bp", "--generate", "ising:L=3,beta=nan"],
+    ["bp", "--generate", "ising:L=3,beta=inf"],
+    ["bp", "--generate", "ising:L=3,h=nan"],
+    ["bp", "--generate", "ising:L=3,h=inf"],
+    ["bp", "--generate", "ising:L=3,h=-inf"],
+    ["expval", "--generate", "peps:rows=2,cols=2,perturbation=nan", "-m", "4"],
+    ["expval", "--generate", "peps:rows=2,cols=2,perturbation=inf", "-m", "4"],
+    ["scan", "--generate", "ising:L=3,beta=0.2", "--sweep", "beta=nan:0.3:2",
+     "-m", "4"],
+    ["regions", "--generate", "ising:L=3,beta=nan"],
+])
+def test_exit_2_on_non_finite_generator_parameter(argv, tmp_path, capsys,
+                                                  monkeypatch):
+    """A non-finite beta, h or perturbation is refused as a bad spec
+    before BP runs, with no CSV written."""
+    import bptn.bp
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(bptn.bp, "_sweep", no_sweep)
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad generator spec ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, key", [
     (["bp", "--generate", "ising:L=3,betta=0.9"], "'betta'"),
     # the sweep key goes into the generator spec of every row
@@ -623,3 +656,77 @@ def test_exit_4_on_enumeration_budget(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "edge-subset enumeration exceeded budget" in out.err
+
+
+# --- the cyclic collector --------------------------------------------------
+
+def _cyclic_garbage(argv):
+    """The objects in the reference cycles one ``main`` call leaves, kept by
+    DEBUG_SAVEALL with the collector off for the call."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def test_run_leaves_no_cyclic_garbage_that_grows_with_the_work(tmp_path):
+    """The engine makes no reference cycles: a larger expansion leaves the
+    same cyclic garbage (the parser's) as a smaller one, and none of it
+    is a bptn function."""
+    argv = ["free-energy", "--generate", "ising:L=4,beta=0.2", "-k", "4",
+            "--out", str(tmp_path / "f.csv")]
+    _cyclic_garbage(argv + ["-m", "6"])  # first-call imports and caches
+    small = _cyclic_garbage(argv + ["-m", "6"])
+    large = _cyclic_garbage(argv + ["-m", "8"])
+    assert len(small) == len(large)
+    assert not [f for f in small + large if isinstance(f, types.FunctionType)
+                and f.__module__.startswith("bptn")]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, error, code", [
+    (["contract-exact", "--generate", "loop:n=4"], None, 0),
+    (["bp", "--generate", "ising:L=3,beta=nan"], None, 2),
+    (["contract-exact", "--generate", "loop:n=4"], NumericalCollapse, 3),
+    (["contract-exact", "--generate", "loop:n=4"], TooLarge, 4),
+    (["contract-exact", "--no-such-option"], None, SystemExit),
+])
+def test_main_pauses_and_restores_the_collector(argv, error, code, enabled,
+                                                monkeypatch, capsys):
+    """``main`` runs the command with the collector off and leaves it as
+    the caller had it, on every exit code and on argparse's exit."""
+    seen = []
+    check = bptn.cli._check_truncations
+
+    def record(args):
+        seen.append(gc.isenabled())
+        check(args)
+
+    def fail(tn):
+        raise error("raised by the test")
+
+    monkeypatch.setattr(bptn.cli, "_check_truncations", record)
+    if error:
+        monkeypatch.setattr(bptn.cli, "exact_contract", fail)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert seen == []
+        else:
+            assert main(argv) == code
+            assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
