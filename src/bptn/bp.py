@@ -8,32 +8,29 @@ component is real positive.  The bond inner products I_vw use the bilinear
 pairing; square roots take the principal branch, edge by edge --
 downstream only closed products of them are used, so branches cancel.
 
-The sweep is compiled once per call of ``bp_iterate`` or
-``stability_probe`` (``_Plan``).  The messages of each bond dimension are
-the rows of one stacked complex array, (rows, d), or (C, rows, d) with a
-leading chain axis that carries C independent message sets; the stability
-probe advances all its chains in one sweep.  Updates that share a tensor
-shape and a sequence of contracted leg positions form a group.  A sweep
-gathers the message rows its steps read once per bond dimension, then
-runs one batched one-leg matmul per (group, leg), each reading a basic
-slice of that gather, the group's first matrix built once by the plan.
-It returns the raw updates; each caller normalizes them in one stacked
-call per bond dimension, its rows concatenated with whatever else that
-caller normalizes (``bp_iterate``: the messages the sweep read, for the
-defect).  Both functions work on the stacked arrays and build a
-``MessageSet`` only for what they return.  The result is bit-identical
+A ``MessageSet`` keeps the messages of each bond dimension d as the
+rows of one complex (rows, d) array, at the rows its network's ``_Plan``
+gives, and carries that plan, which ``bp_iterate`` passes on to the set
+it returns.  ``bp_iterate`` and ``stability_probe`` compile the sweep
+once per call.  A sweep also takes (C, rows, d) arrays, whose leading
+chain axis carries C independent message sets; the stability probe
+advances all its chains in one sweep.  A sweep returns the raw updates;
+each caller normalizes them in one stacked call per bond dimension, its
+rows concatenated with whatever else it normalizes (``bp_iterate``: the
+messages the sweep read, for the defect).  The result is bit-identical
 to the per-edge ``contract_pair`` path the compiled sweep replaced, and
-each probe chain to running it alone, as ``tests/oracles.py`` keeps them
-for reference: the golden ``bp`` body pins ``residual`` (a difference
-near ``tol``) and ``growth_ratio`` (a finite difference at step 1e-7) at
-1e-12 relative.
+each probe chain to running it alone, as ``tests/oracles.py`` keeps
+them for reference: the golden ``bp`` body pins ``residual`` (a
+difference near ``tol``) and ``growth_ratio`` (a finite difference at
+step 1e-7) at 1e-12 relative.
 
 A ``MessageSet`` builds the inner products, the scaled into-messages
-and the projectors of all its edges in one stacked pass per bond
-dimension on first use, bit for bit the per-edge forms: ``(a * b).sum(1)``
-sums each row as ``np.sum`` sums one, and broadcast products and
-quotients round elementwise.  The reciprocal ``1.0 / sqrt(I)`` stays a
-Python scalar complex division per edge; numpy's differs in the last bit.
+and the projectors of all its edges on first use, one gather of each
+side's rows per bond dimension, bit for bit the per-edge forms:
+``(a * b).sum(1)`` sums each row as ``np.sum`` sums one, and broadcast
+products and quotients round elementwise.  The reciprocal
+``1.0 / sqrt(I)`` stays a Python scalar complex division per edge;
+numpy's differs in the last bit.
 
 Bit for bit is also why shape groups are not merged by permuting every
 tensor so that each step contracts its last axis: a matmul rounds by the
@@ -46,13 +43,14 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import (DegenerateInnerProduct, DimensionMismatch,
                      NumericalCollapse, ZeroLocalFactor)
 from .network import TensorNetwork
-from .tensor import DenseTensor, Leg, contract_many
+from .tensor import contract_many
 
 I_FLOOR = 1e-12
 Z_FLOOR = 1e-12
@@ -115,33 +113,46 @@ def _median(xs: list) -> float:
 
 
 class MessageSet:
-    """Directed-edge messages, their edge tables and dressed tensors."""
+    """Directed-edge messages, their edge tables and dressed tensors.
+
+    The messages of bond dimension d are the rows of ``data[d]``, one
+    complex (rows, d) array; ``plan`` is the layout of ``tn``, and
+    ``plan.slot`` maps a directed edge (v, w) to its (d, row).
+    """
 
     def __init__(self, tn: TensorNetwork, messages: dict):
-        self.tn = tn
-        self.messages = {}
-        for (v, w), m in messages.items():
-            v, w = str(v), str(w)
-            e = tn.graph.edge_between(v, w)
-            if e is None:
-                raise KeyError(f"no edge between {v!r} and {w!r}")
-            self.messages[(v, w)] = m
-        self._edges = None
-        self._dressed = {}
+        """{(v, w): DenseTensor} with one message on every directed edge
+        of ``tn``, stacked; ``DimensionMismatch`` for an edge that is
+        missing or not ``tn``'s."""
+        given = {(str(v), str(w)): m.data for (v, w), m in messages.items()}
+        plan = _Plan(tn)
+        for v, w in sorted(given.keys() ^ plan.slot.keys())[:1]:
+            raise DimensionMismatch(f"{v}->{w}: " + (
+                "no such edge" if (v, w) in given else "no message"))
+        data = plan.empty()
+        for key, (d, r) in plan.slot.items():
+            data[d][r] = given[key]
+        self.tn, self.plan, self.data = tn, plan, data
+        self._edges, self._dressed = None, {}
+
+    @classmethod
+    def _stacked(cls, plan, data: dict) -> MessageSet:
+        """The messages ``data`` in ``plan``'s slots, taken as they are."""
+        ms = cls.__new__(cls)
+        ms.tn, ms.plan, ms.data = plan.tn, plan, data
+        ms._edges, ms._dressed = None, {}
+        return ms
 
     def _tables(self) -> tuple:
-        """({e: I_e}, {(n, v): mu_{n->v}/sqrt(I_e)}, {e: P_perp}) of the
-        edges with both messages, built on first use; an edge with |I_e|
-        below the floor has I_e only, which ``inner_product`` refuses."""
+        """({e: I_e}, {(n, v): mu_{n->v}/sqrt(I_e)}, {e: P_perp}) of every
+        edge, built on first use; an edge with |I_e| below the floor has
+        I_e only, which ``inner_product`` refuses."""
         if self._edges is None:
-            inner, into, proj, by_dim = {}, {}, {}, {}
-            for e, (u, w) in self.tn.graph.edges.items():
-                if (u, w) in self.messages and (w, u) in self.messages:
-                    by_dim.setdefault(self.tn.bond_dims[e], []).append(
-                        (e, u, w))
-            for d, edges in by_dim.items():
-                a = np.array([self.messages[u, w].data for _, u, w in edges])
-                b = np.array([self.messages[w, u].data for _, u, w in edges])
+            inner, into, proj = {}, {}, {}
+            slot = self.plan.slot
+            for d, edges in self.plan.bonds.items():
+                a = self.data[d][[slot[u, w][1] for _, u, w in edges]]
+                b = self.data[d][[slot[w, u][1] for _, u, w in edges]]
                 prods = (a * b).sum(1)
                 inner.update(zip([e for e, _, _ in edges], prods.tolist()))
                 keep = [k for k, i in enumerate(prods.tolist())
@@ -215,54 +226,43 @@ class MessageSet:
         return [self._dressed[key][1] for key in keys]
 
 
-class BPResult:
-    def __init__(self, messages, residual, iterations, converged):
-        self.messages = messages
-        self.residual = residual
-        self.iterations = iterations
-        self.converged = converged
+BPResult = namedtuple("BPResult", "messages residual iterations converged")
 
 
 def uniform_messages(tn: TensorNetwork) -> MessageSet:
-    msgs = {}
-    for e, (u, v) in tn.graph.edges.items():
-        d = tn.bond_dims[e]
-        vec = DenseTensor([Leg(e, d)], np.full(d, 1.0 / math.sqrt(d)))
-        msgs[(u, v)] = vec
-        msgs[(v, u)] = vec
-    return MessageSet(tn, msgs)
+    plan = _Plan(tn)
+    return MessageSet._stacked(plan, {
+        d: np.full((n, d), 1.0 / math.sqrt(d), dtype=complex)
+        for d, n in plan.rows.items()})
 
 
 def random_messages(tn: TensorNetwork, seed=0) -> MessageSet:
-    rng = np.random.default_rng(seed)
-    msgs = {}
-    for e, (u, v) in tn.graph.edges.items():
-        d = tn.bond_dims[e]
-        for pair in ((u, v), (v, u)):
-            data = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            msgs[pair] = DenseTensor([Leg(e, d)],
-                                     _normalize_rows(data[None])[0])
-    return MessageSet(tn, msgs)
+    """Normalized complex Gaussian messages, drawn in ``plan.keys`` order."""
+    plan, rng = _Plan(tn), np.random.default_rng(seed)
+    data = plan.empty()
+    for key, _ in plan.keys:
+        d, r = plan.slot[key]
+        data[d][r] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return MessageSet._stacked(plan, {d: _normalize_rows(x)
+                                      for d, x in data.items()})
 
 
 class _Plan:
-    """One network's BP sweep, compiled.
+    """One network's message layout, and its BP sweep compiled on demand.
 
-    The messages of one bond dimension d are the rows of one (rows, d)
-    array, or of a (C, rows, d) array that carries C independent message
-    sets (the stability probe's chains); ``slot`` maps a directed edge
-    (v, w) to (d, row), with rows in sorted edge order.  The update of v->w
-    stars T_v with the messages into v on every other incident edge, one
-    leg at a time in ``incident`` order.  Updates with the same tensor
-    shape and the same sequence of contracted leg positions form a group;
-    each step of a group is one stacked (C, B, rest, d) @ (C, B, d, 1)
-    matmul, the product ``np.tensordot`` forms for one update.  A group's
-    tensors are stacked once with a leading axis of length 1, which the
-    first matmul broadcasts against the chains, and its first matrix is
-    built from that stack here, by the expression the sweep uses for the
-    later ones, so it has their view-or-copy memory layout.  ``reads``
-    lists, per bond dimension, the message rows of every step in group
-    order; each step reads its own slice of them.
+    ``slot`` maps a directed edge (v, w) to (d, row) in the stacks, rows
+    in sorted edge order; ``keys`` lists the directed edges in sweep order
+    with their edge, and ``bonds`` the edges (e, u, w) of each bond
+    dimension in ``tn.graph.edges`` order.  The update of v->w stars T_v
+    with the messages into v on every other incident edge, one leg at a
+    time in ``incident`` order.  Updates with the same tensor shape and
+    the same sequence of contracted leg positions form a group; each step
+    of a group is one stacked (C, B, rest, d) @ (C, B, d, 1) matmul, the
+    product ``np.tensordot`` forms for one update.  A group's tensors are
+    stacked once with a leading axis of length 1, which the first matmul
+    broadcasts against the chains, and its first matrix is built from
+    that stack by ``compile``, by the expression the sweep uses for the
+    later ones, so it has their view-or-copy memory layout.
     """
 
     def __init__(self, tn: TensorNetwork):
@@ -270,7 +270,7 @@ class _Plan:
             raise DimensionMismatch("BP runs on closed networks; this one "
                                     "has physical legs")
         self.tn = tn
-        self.keys = []      # directed edges in sweep order, with their edge
+        self.keys = []
         for e, (u, v) in tn.graph.edges.items():
             self.keys += [((u, v), e), ((v, u), e)]
         self.slot, self.rows = {}, {}
@@ -284,7 +284,15 @@ class _Plan:
                  for d in self.dims}
         self.sorted_rows = np.array(
             [start[d] + r for _, (d, r) in sorted(self.slot.items())])
-        groups = {}
+        self.bonds = {}
+        for e, (u, w) in tn.graph.edges.items():
+            self.bonds.setdefault(tn.bond_dims[e], []).append((e, u, w))
+
+    def compile(self) -> tuple:
+        """(groups, reads), ``reads`` the message rows of every step in
+        group order per bond dimension, each step reading a slice of them.
+        Not kept: the stacks copy each site tensor once per update."""
+        tn, groups = self.tn, {}
         for (v, w), e in self.keys:
             t = tn.tensors[v]
             ids, positions, sources = t.leg_ids, [], []
@@ -300,7 +308,7 @@ class _Plan:
         # (axis permutation that moves the leg last, matrix shape, leg dim,
         # slice of reads[leg dim], shape after it), the first step's
         # permutation None; -1 is the chain axis
-        self.groups, reads = [], {}
+        out, reads = [], {}
         for (shape, positions), items in groups.items():
             tensors, sources, outs = zip(*items)
             shape, steps, b = list(shape), [], len(items)
@@ -316,25 +324,13 @@ class _Plan:
                 steps.append((perm, mat, d, slice(len(seen), len(seen) + b),
                               (-1, b, *shape)))
                 seen += rows
-            self.groups.append((t, steps, outs[0][0],
-                                np.array([r for _, r in outs])))
-        self.reads = {d: np.array(rows) for d, rows in reads.items()}
+            out.append((t, steps, outs[0][0], np.array([r for _, r in outs])))
+        return out, {d: np.array(rows) for d, rows in reads.items()}
 
-    def stack(self, messages: MessageSet) -> dict:
-        """{d: (rows, d) array} of the messages' data."""
-        out = {d: np.empty((n, d), dtype=complex)
-               for d, n in self.rows.items()}
-        for key, _ in self.keys:
-            d, r = self.slot[key]
-            out[d][r] = messages.messages[key].data
-        return out
-
-    def message_set(self, msgs: dict) -> MessageSet:
-        out = {}
-        for key, e in self.keys:
-            d, r = self.slot[key]
-            out[key] = DenseTensor([Leg(e, d)], msgs[d][r])
-        return MessageSet(self.tn, out)
+    def empty(self, *lead) -> dict:
+        """{d: uninitialized complex (*lead, rows, d) array}."""
+        return {d: np.empty((*lead, n, d), dtype=complex)
+                for d, n in self.rows.items()}
 
     def norms(self, msgs: dict) -> list:
         """2-norm of each chain's messages together, for (C, rows, d)
@@ -364,12 +360,14 @@ def _defect(new: dict, old: dict) -> float:
         new[d] - old[d]).tolist()])
 
 
-def _sweep(plan: _Plan, msgs: dict) -> dict:
-    """One synchronous sweep: every raw (unnormalized) update, stacked as
-    ``msgs``, (rows, d) or (C, rows, d) per bond dimension d."""
-    read = {d: msgs[d][..., rows, :, None] for d, rows in plan.reads.items()}
+def _sweep(compiled: tuple, msgs: dict) -> dict:
+    """One synchronous sweep of a compiled plan: every raw (unnormalized)
+    update, stacked as ``msgs``, (rows, d) or (C, rows, d) per bond
+    dimension d."""
+    groups, reads = compiled
+    read = {d: msgs[d][..., rows, :, None] for d, rows in reads.items()}
     raw = {d: np.empty_like(m) for d, m in msgs.items()}
-    for t, steps, out_d, out_rows in plan.groups:
+    for t, steps, out_d, out_rows in groups:
         for perm, mat, d, rows, shape in steps:
             if perm is not None:
                 t = t.transpose(perm).reshape(mat)
@@ -381,18 +379,18 @@ def _sweep(plan: _Plan, msgs: dict) -> dict:
 def bp_iterate(tn: TensorNetwork, messages: MessageSet,
                damping=DEFAULT_DAMPING, tol=DEFAULT_TOL) -> BPResult:
     """Synchronous damped BP iteration to a fixed point, starting from
-    ``messages`` (left unchanged)."""
-    plan = _Plan(tn)
-    old = plan.stack(messages)
-    residual = math.inf
+    ``messages`` on ``tn``'s edges (left unchanged)."""
+    plan = messages.plan if messages.tn is tn else _Plan(tn)
+    compiled, old, residual = plan.compile(), messages.data, math.inf
     for it in range(1, DEFAULT_MAX_ITERS + 1):
-        new, now = _normalize_both(_sweep(plan, old), old)
+        new, now = _normalize_both(_sweep(compiled, old), old)
         residual = _defect(new, now)
         old = {d: _normalize_rows((1.0 - damping) * x + damping * old[d])
                for d, x in new.items()}
         if residual <= tol:
-            return BPResult(plan.message_set(old), residual, it, True)
-    return BPResult(plan.message_set(old), residual, DEFAULT_MAX_ITERS, False)
+            break
+    return BPResult(MessageSet._stacked(plan, old), residual, it,
+                    residual <= tol)
 
 
 def local_factors(tn, messages: MessageSet, vertices) -> dict:
@@ -440,13 +438,12 @@ def stability_probe(tn, messages: MessageSet, seed=0):
     norm, and it stops, dropping out of the stack, once that norm is 0.
     Each chain's numbers are bit for bit those of running it alone.
     """
-    plan = _Plan(tn)
+    plan = messages.plan if messages.tn is tn else _Plan(tn)
     if not plan.dims:       # no message to perturb
         return "inconclusive", float("nan")
-    rng = np.random.default_rng(seed)
-    base = {d: _normalize_rows(x) for d, x in plan.stack(messages).items()}
-    v = {d: np.empty((PROBE_PERTURBATIONS, n, d), dtype=complex)
-         for d, n in plan.rows.items()}
+    compiled, rng = plan.compile(), np.random.default_rng(seed)
+    base = {d: _normalize_rows(x) for d, x in messages.data.items()}
+    v = plan.empty(PROBE_PERTURBATIONS)
     for c in range(PROBE_PERTURBATIONS):
         for key in sorted(plan.slot):
             d, r = plan.slot[key]
@@ -464,8 +461,8 @@ def stability_probe(tn, messages: MessageSet, seed=0):
             norms = [norms[i] for i in keep]
             v = {d: x[keep] for d, x in v.items()}
         step = (PROBE_EPSILON / np.array(norms))[:, None, None]
-        upd = _sweep(plan, {d: _normalize_rows(x + step * v[d])
-                            for d, x in base.items()})
+        upd = _sweep(compiled, {d: _normalize_rows(x + step * v[d])
+                                for d, x in base.items()})
         # twice, as the per-edge path did: not idempotent in the last bits
         v = {d: (_normalize_rows(_normalize_rows(upd[d])) - x)
              / PROBE_EPSILON

@@ -113,28 +113,31 @@ def generate(spec: str, seed: int) -> Problem:
             f"unknown {kind} parameter {', '.join(map(repr, unknown))} in "
             f"{spec!r}; known: {', '.join(_GENERATOR_KEYS[kind])}")
     try:
-        if kind == "ising":
-            p = IsingParams(L=int(kv.get("L", 4)),
-                            beta=float(kv.get("beta", 0.2)),
-                            h=float(kv.get("h", 0.0)),
-                            topology=kv.get("topology", "torus"))
-            return Problem(ising_network(p), ising=p)
-        if kind == "peps":
-            peps = random_peps(int(kv.get("rows", 2)), int(kv.get("cols", 3)),
-                               D=int(kv.get("D", 2)),
-                               phys_dim=int(kv.get("phys_dim", 2)),
-                               perturbation=float(kv.get("perturbation", 0.1)),
-                               seed=seed)
-            return Problem(build_norm_network(peps), peps=peps)
-        if kind == "tree":
-            return Problem(random_tree_network(int(kv.get("n", 12)),
-                                               D=int(kv.get("D", 2)),
-                                               seed=seed))
-        if kind == "loop":
-            return Problem(single_loop_network(int(kv.get("n", 6)),
-                                               seed=seed))
-    except (TypeError, ValueError) as exc:
+        with np.errstate(all="ignore"):     # an overflow is refused below
+            if kind == "ising":
+                p = IsingParams(L=int(kv.get("L", 4)),
+                                beta=float(kv.get("beta", 0.2)),
+                                h=float(kv.get("h", 0.0)),
+                                topology=kv.get("topology", "torus"))
+                prob = Problem(ising_network(p), ising=p)
+            elif kind == "peps":
+                peps = random_peps(
+                    int(kv.get("rows", 2)), int(kv.get("cols", 3)),
+                    D=int(kv.get("D", 2)), phys_dim=int(kv.get("phys_dim", 2)),
+                    perturbation=float(kv.get("perturbation", 0.1)), seed=seed)
+                prob = Problem(build_norm_network(peps), peps=peps)
+            elif kind == "tree":
+                prob = Problem(random_tree_network(
+                    int(kv.get("n", 12)), D=int(kv.get("D", 2)), seed=seed))
+            else:
+                prob = Problem(single_loop_network(int(kv.get("n", 6)),
+                                                   seed=seed))
+        if not all(np.isfinite(t.data).all()
+                   for t in prob.tn.tensors.values()):
+            raise OverflowError("a site tensor overflows")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad generator spec {spec!r}: {exc}") from exc
+    return prob
 
 
 def _load_problem(args) -> Problem:
@@ -269,7 +272,7 @@ def cmd_free_energy(args):
     m = args.max_weight
     fr = free_energy_truncated(prob.tn, messages, loops, m,
                                weight_table=table)
-    f_cum, _, _ = cumulant_free_energy(prob.tn, messages, loops, m, table)
+    f_cum, _ = cumulant_free_energy(prob.tn, messages, fr.clusters, table)
     rows = [
         {"method": "bp", "truncation": 0, "f_re": _fmt(fr.f_bp.real),
          "f_im": _fmt(fr.f_bp.imag)},

@@ -204,9 +204,10 @@ def cluster_value(cluster: Cluster, weight_table: dict) -> complex:
 
 
 class FreeEnergyResult:
-    def __init__(self, f_bp, f_m):
+    def __init__(self, f_bp, f_m, clusters):
         self.f_bp = f_bp          # complex: -log Z_BP (principal branch)
         self.f_m = f_m            # complex truncated free energy
+        self.clusters = clusters  # the clusters summed, for reuse
 
 
 def free_energy_truncated(tn, messages, excitations, m: int,
@@ -222,4 +223,4 @@ def free_energy_truncated(tn, messages, excitations, m: int,
         if c.weight > m:
             continue
         total += float(ursell(c)) * cluster_value(c, weight_table)
-    return FreeEnergyResult(f_bp, f_bp - total)
+    return FreeEnergyResult(f_bp, f_bp - total, clusters)

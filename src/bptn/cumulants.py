@@ -22,8 +22,7 @@ import math
 from itertools import chain, combinations, islice, product
 
 from .bp import MessageSet, bp_log_partition, local_factors
-from .clusters import (Cluster, enumerate_clusters, loops_overlap,
-                       overlap_neighbors)
+from .clusters import Cluster, loops_overlap, overlap_neighbors
 from .errors import BranchCrossing, CapExceeded, CombinatorialBudgetExceeded
 from .network import (DEFAULT_SIZE_CAP, Graph, TensorNetwork, grown_sets,
                       is_connected, set_bits)
@@ -87,12 +86,11 @@ def cumulant(gamma: Cluster, weight_table: dict) -> complex:
     return total
 
 
-def connected_loop_subsets(excitations, max_weight: int, anchor=None):
-    """All connected subsets of distinct loops with total weight <= m: the
-    clusters of ``enumerate_clusters`` whose multiplicities are all 1, in
+def connected_loop_subsets(clusters) -> list:
+    """The connected subsets of distinct loops among ``clusters`` (a list
+    from ``enumerate_clusters``): those whose multiplicities are all 1, in
     its order."""
-    return [c for c in enumerate_clusters(excitations, max_weight, anchor)
-            if c.n_loops == len(c.members)]
+    return [c for c in clusters if c.n_loops == len(c.members)]
 
 
 def counting_numbers(poset: dict) -> dict:
@@ -112,18 +110,13 @@ def counting_numbers(poset: dict) -> dict:
     return b
 
 
-def cumulant_free_energy(tn, messages, excitations, m: int,
-                         weight_table: dict):
-    """F = F_BP - sum of K(Gamma) over connected subsets, weight <= m.
-
-    Returns (F, correction, subsets) with the subset list for reuse.
-    """
-    subsets = connected_loop_subsets(excitations, m)
+def cumulant_free_energy(tn, messages, clusters, weight_table: dict):
+    """(F, correction): F = F_BP - sum of K(Gamma) over the connected
+    subsets in ``clusters``."""
     corr = 0.0 + 0j
-    for s in subsets:
+    for s in connected_loop_subsets(clusters):
         corr += cumulant(s, weight_table)
-    f_bp = -bp_log_partition(tn, messages)
-    return f_bp - corr, corr, subsets
+    return -bp_log_partition(tn, messages) - corr, corr
 
 
 # --- regions ---------------------------------------------------------------

@@ -76,30 +76,35 @@ def _ising_pairs(p: IsingParams):
 
 
 def _bond_roots(pairs: dict, beta: float) -> dict:
-    """Edge id -> sqrt bond matrix, from a pair->multiplicity map."""
-    roots = {}
-    for key, mult in pairs.items():
-        u, v = sorted(key)
-        roots[f"{u}|{v}"] = _sqrt_bond_matrix(mult * beta)
-    return roots
+    """Edge id -> sqrt bond matrix, from a pair->multiplicity map; one
+    matrix per multiplicity, shared by its edges."""
+    by_mult = {m: _sqrt_bond_matrix(m * beta) for m in set(pairs.values())}
+    return {"|".join(sorted(key)): by_mult[m] for key, m in pairs.items()}
 
 
-def _site_tensor(graph: Graph, v: str, roots: dict, beta: float, hv: float,
-                 gate: np.ndarray) -> DenseTensor:
-    """T^G_v = sum_{s,t} G[t,s] e^{beta h_v s} prod_e sqrtM_e[t, i_e]:
-    the site tensor with the 2x2 gate G acting on the spin the bonds see."""
-    inc = graph.incident(v)
-    data = np.zeros((2,) * len(inc), dtype=complex)
-    for si, s in enumerate((+1, -1)):
-        w = math.exp(beta * hv * s)
-        for ti in range(2):
-            if gate[ti, si] == 0:
-                continue
-            block = np.array(gate[ti, si] * w, dtype=complex)
-            for (e, _) in inc:
-                block = np.multiply.outer(block, roots[e][ti])
-            data += block
-    return DenseTensor([Leg(e, 2) for (e, _) in inc], data)
+def _site_tensors(graph: Graph, roots: dict, beta: float, jobs) -> dict:
+    """{v: T^G_v} of each (v, h_v, G) job, T^G_v = sum_{s,t} G[t,s]
+    e^{beta h_v s} prod_e sqrtM_e[t, i_e]: the site tensor with the 2x2
+    gate G acting on the spin the bonds see.  Sites with the same incident
+    roots, field and gate share one array; each has its own legs."""
+    arrays, out = {}, {}
+    for v, hv, gate in jobs:
+        inc = graph.incident(v)
+        key = tuple(id(roots[e]) for e, _ in inc), hv, gate.tobytes()
+        if key not in arrays:
+            data = np.zeros((2,) * len(inc), dtype=complex)
+            for si, s in enumerate((+1, -1)):
+                w = math.exp(beta * hv * s)
+                for ti in range(2):
+                    if gate[ti, si] == 0:
+                        continue
+                    block = np.array(gate[ti, si] * w, dtype=complex)
+                    for (e, _) in inc:
+                        block = np.multiply.outer(block, roots[e][ti])
+                    data += block
+            arrays[key] = data
+        out[v] = DenseTensor([Leg(e, 2) for (e, _) in inc], arrays[key])
+    return out
 
 
 _IDENTITY = np.eye(2, dtype=complex)
@@ -112,10 +117,8 @@ def _ising_tn(vertices, pairs: dict, beta: float, fields: dict) -> TensorNetwork
         u, v = sorted(key)
         edges[f"{u}|{v}"] = (u, v)
     graph = Graph(vertices, edges)
-    roots = _bond_roots(pairs, beta)
-    tensors = {v: _site_tensor(graph, v, roots, beta, fields.get(v, 0.0),
-                               _IDENTITY)
-               for v in graph.vertices}
+    tensors = _site_tensors(graph, _bond_roots(pairs, beta), beta, [
+        (v, fields.get(v, 0.0), _IDENTITY) for v in graph.vertices])
     return TensorNetwork(graph, {e: 2 for e in edges}, tensors)
 
 
@@ -145,9 +148,9 @@ def ising_insertion(tn: TensorNetwork, p: IsingParams, gates: dict) -> dict:
     G = identity returns the original tensor.
     """
     roots = _bond_roots(_ising_pairs(p), p.beta)
-    return {str(v): _site_tensor(tn.graph, str(v), roots, p.beta, p.h,
-                                 np.asarray(gate, dtype=complex))
-            for v, gate in gates.items()}
+    return _site_tensors(tn.graph, roots, p.beta, [
+        (str(v), p.h, np.asarray(gate, dtype=complex))
+        for v, gate in gates.items()])
 
 
 def ising_exact_logZ(p: IsingParams) -> float:

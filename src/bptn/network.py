@@ -125,6 +125,7 @@ class TensorNetwork:
         return TensorNetwork(self.graph, self.bond_dims, tensors, self.phys_dims)
 
 
+@np.errstate(all="ignore")          # a Z that overflows is refused below
 def exact_contract(tn: TensorNetwork) -> complex:
     """Full contraction of a closed network; ground-truth oracle."""
     if not tn.is_closed:

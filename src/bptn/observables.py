@@ -116,19 +116,22 @@ class InsertionProblem:
         return self._memoized(("strings", m), lambda: enumerate_strings(
             self.base.graph, self.region_ids, m))
 
+    def _anchored(self, m):
+        """Clusters of weight <= m whose support meets the first region,
+        enumerated once; ``clusters`` and ``loop_subsets`` filter them."""
+        return self._memoized(("anchored", m), lambda: enumerate_clusters(
+            self.strings(m), m, anchor={self.region_ids[0]}))
+
     def clusters(self, m):
         """Clusters of weight <= m whose support holds every region."""
-        def build():
-            found = enumerate_clusters(self.strings(m), m,
-                                       anchor={self.region_ids[0]})
-            return [c for c in found
-                    if all(r in c.support for r in self.region_ids)]
-        return self._memoized(("clusters", m), build)
+        return self._memoized(("clusters", m), lambda: [
+            c for c in self._anchored(m)
+            if all(r in c.support for r in self.region_ids)])
 
     def loop_subsets(self, m):
         """Connected string subsets of weight <= m at the first region."""
         return self._memoized(("subsets", m), lambda: connected_loop_subsets(
-            self.strings(m), m, anchor={self.region_ids[0]}))
+            self._anchored(m)))
 
     def regions(self, k):
         """Region poset of size <= k anchored at the first region."""

@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 
-from .errors import InvalidNetworkFile
+from .errors import DimensionMismatch, InvalidNetworkFile
 from .network import Graph, TensorNetwork
 from .tensor import DenseTensor, Leg
 
@@ -44,12 +44,9 @@ def network_to_dict(tn: TensorNetwork, messages=None) -> dict:
         doc["physical"] = dict(tn.phys_dims)
     if messages is not None:
         doc["messages"] = {
-            f"{v}->{w}": {
-                "re": np.real(m.data).ravel().tolist(),
-                "im": np.imag(m.data).ravel().tolist(),
-            }
-            for (v, w), m in sorted(messages.messages.items())
-        }
+            f"{v}->{w}": {"re": messages.data[d][r].real.tolist(),
+                          "im": messages.data[d][r].imag.tolist()}
+            for (v, w), (d, r) in sorted(messages.plan.slot.items())}
     return doc
 
 
@@ -155,7 +152,7 @@ def _read(path, parse, *args):
             _fail(path, f"not valid JSON ({exc})")
     try:
         return parse(doc, *args)
-    except InvalidNetworkFile as exc:
+    except (InvalidNetworkFile, DimensionMismatch) as exc:
         raise InvalidNetworkFile(f"{path}: {exc}") from None
 
 

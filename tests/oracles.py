@@ -26,7 +26,10 @@ projectors are built one edge at a time, as before ``MessageSet``
 stacked them.  The bulk kernel as it was before its callers numbered
 their own legs interns every pool's leg ids, and the dressed tensors,
 loop weights and region values that called it are kept with it.  The
-statevector of a PEPS is its full contraction."""
+statevector of a PEPS is its full contraction.  The per-edge messages,
+random and uniform, are drawn as before ``MessageSet`` stacked them; the
+classical Ising site tensors are built one site at a time from one bond
+root per pair, as before the generator shared them."""
 
 import cmath
 import functools
@@ -36,7 +39,7 @@ import numpy as np
 
 from bptn.bp import (DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOL,
                      PROBE_EPSILON, PROBE_PERTURBATIONS, PROBE_SWEEPS,
-                     BPResult, MessageSet, _defect, _normalize_both, _Plan,
+                     BPResult, MessageSet, _defect, _normalize_both,
                      _sweep, bp_log_partition, local_factors)
 from bptn.clusters import loops_overlap, overlap_neighbors
 from bptn.cumulants import (DEFAULT_BUDGET, RESTRICTED_CAP, Region,
@@ -46,6 +49,7 @@ from bptn.errors import CapExceeded
 from bptn.errors import (CombinatorialBudgetExceeded, DimensionMismatch,
                          NumericalCollapse, TooLarge)
 from bptn.loops import GeneralizedLoop
+from bptn.models import _sqrt_bond_matrix
 from bptn.network import DEFAULT_SIZE_CAP, is_connected, set_bits
 from bptn.loops import _walk
 from bptn.tensor import DenseTensor, Leg, _plan, contract_pair
@@ -140,10 +144,23 @@ def raw_update(tn, msgs, v, w, e):
     return t
 
 
-def sweep(tn, messages: MessageSet):
-    """One synchronous sweep; returns dict of normalized updates."""
+def message(messages: MessageSet, v, w) -> DenseTensor:
+    """The message v->w of a stacked set, as a tensor on its edge's leg."""
+    d, r = messages.plan.slot[v, w]
+    return DenseTensor([Leg(messages.tn.graph.edge_between(v, w), d)],
+                       messages.data[d][r])
+
+
+def per_edge(messages: MessageSet) -> dict:
+    """{(v, w): ``message``} of every directed edge, in sorted order."""
+    return {key: message(messages, *key) for key in sorted(
+        messages.plan.slot)}
+
+
+def sweep(tn, msgs: dict):
+    """One synchronous sweep of the per-edge messages ``msgs``; returns
+    dict of normalized updates."""
     out = {}
-    msgs = messages.messages
     for e, (u, v) in tn.graph.edges.items():
         for (a, b) in ((u, v), (v, u)):
             upd = raw_update(tn, msgs, a, b, e)
@@ -154,9 +171,56 @@ def sweep(tn, messages: MessageSet):
 def self_consistency_residual(tn, messages: MessageSet) -> float:
     """Max aligned 2-norm defect of the fixed-point equations, from one
     compiled sweep of ``bptn.bp``."""
-    plan = _Plan(tn)
-    old = plan.stack(messages)
-    return _defect(*_normalize_both(_sweep(plan, old), old))
+    old = messages.data
+    return _defect(*_normalize_both(_sweep(messages.plan.compile(), old),
+                                    old))
+
+
+def random_messages(tn, seed=0) -> dict:
+    """{(v, w): message} drawn edge by edge in ``tn.graph.edges`` order,
+    (u, v) before (v, u), each normalized alone."""
+    rng = np.random.default_rng(seed)
+    msgs = {}
+    for e, (u, v) in tn.graph.edges.items():
+        d = tn.bond_dims[e]
+        for pair in ((u, v), (v, u)):
+            data = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            msgs[pair] = DenseTensor([Leg(e, d)], normalize(data))
+    return msgs
+
+
+def uniform_messages(tn) -> dict:
+    """{(v, w): the uniform message 1/sqrt(d) on every component}."""
+    msgs = {}
+    for e, (u, v) in tn.graph.edges.items():
+        d = tn.bond_dims[e]
+        vec = DenseTensor([Leg(e, d)], np.full(d, 1.0 / math.sqrt(d)))
+        msgs[(u, v)] = msgs[(v, u)] = vec
+    return msgs
+
+
+# --- the per-site Ising tensors --------------------------------------------
+
+def ising_site_tensor(tn, pairs: dict, beta, v, hv, gate) -> DenseTensor:
+    """T^G_v = sum_{s,t} G[t,s] e^{beta h_v s} prod_e sqrtM_e[t, i_e] at
+    vertex v of the Ising network ``tn`` built from the pair->multiplicity
+    map ``pairs``, its roots computed per pair."""
+    roots = {}
+    for key, mult in pairs.items():
+        u, w = sorted(key)
+        roots[f"{u}|{w}"] = _sqrt_bond_matrix(mult * beta)
+    inc = tn.graph.incident(v)
+    data = np.zeros((2,) * len(inc), dtype=complex)
+    for si, s in enumerate((+1, -1)):
+        w = math.exp(beta * hv * s)
+        for ti in range(2):
+            if gate[ti, si] == 0:
+                continue
+            block = np.array(gate[ti, si] * w, dtype=complex)
+            for (e, _) in inc:
+                block = np.multiply.outer(block, roots[e][ti])
+            data += block
+    return DenseTensor([Leg(e, 2) for (e, _) in inc], data)
 
 
 # --- the per-edge tables ---------------------------------------------------
@@ -176,7 +240,7 @@ def inner_product(messages: MessageSet, e) -> complex:
     """I_e = mu_{u->v} * mu_{v->u} on edge e = (u, v), one edge at a time;
     unfloored."""
     u, v = messages.tn.graph.endpoints(e)
-    return inner(messages.messages[u, v], messages.messages[v, u])
+    return inner(message(messages, u, v), message(messages, v, u))
 
 
 def sqrt_inner(messages: MessageSet, e) -> complex:
@@ -186,7 +250,7 @@ def sqrt_inner(messages: MessageSet, e) -> complex:
 
 def into(messages: MessageSet, n, v, e) -> np.ndarray:
     """mu_{n->v} / sqrt(I_e) on edge e, scaled by the Python reciprocal."""
-    return messages.messages[n, v].data * (1.0 / sqrt_inner(messages, e))
+    return message(messages, n, v).data * (1.0 / sqrt_inner(messages, e))
 
 
 def projector(messages: MessageSet, e) -> np.ndarray:
@@ -194,8 +258,8 @@ def projector(messages: MessageSet, e) -> np.ndarray:
     delta_ij - mu_{v->u}[i] mu_{u->v}[j] / I."""
     u, v = messages.tn.graph.endpoints(e)
     return (np.eye(messages.tn.bond_dims[e], dtype=complex)
-            - np.outer(messages.messages[v, u].data,
-                       messages.messages[u, v].data)
+            - np.outer(message(messages, v, u).data,
+                       message(messages, u, v).data)
             / inner_product(messages, e))
 
 
@@ -212,30 +276,31 @@ def bp_iterate(tn, messages: MessageSet, damping=DEFAULT_DAMPING,
                tol=DEFAULT_TOL) -> BPResult:
     """Synchronous damped BP iteration to a fixed point, starting from
     ``messages`` (left unchanged)."""
-    residual = math.inf
+    msgs, residual = per_edge(messages), math.inf
     for it in range(1, DEFAULT_MAX_ITERS + 1):
-        upd = sweep(tn, messages)
+        upd = sweep(tn, msgs)
         residual = 0.0
         mixed = {}
         for key, new in upd.items():
-            old = messages.messages[key]
+            old = msgs[key]
             residual = max(residual, float(
                 np.linalg.norm(new.data - normalize(old.data))))
             data = (1.0 - damping) * new.data + damping * old.data
             mixed[key] = DenseTensor(new.legs, normalize(data))
-        messages = MessageSet(tn, mixed)
+        msgs = mixed
         if residual <= tol:
-            return BPResult(messages, residual, it, True)
-    return BPResult(messages, residual, DEFAULT_MAX_ITERS, False)
+            return BPResult(MessageSet(tn, msgs), residual, it, True)
+    return BPResult(MessageSet(tn, msgs), residual, DEFAULT_MAX_ITERS, False)
 
 
 def stability_probe(tn, messages: MessageSet, seed=0):
     """Finite-difference power iteration on the Jacobian of one normalized
     synchronous sweep at the fixed point; (classification, growth)."""
     rng = np.random.default_rng(seed)
-    keys = sorted(messages.messages)
-    base = {k: normalize(messages.messages[k].data) for k in keys}
-    legs = {k: messages.messages[k].legs for k in keys}
+    msgs = per_edge(messages)
+    keys = sorted(msgs)
+    base = {k: normalize(msgs[k].data) for k in keys}
+    legs = {k: msgs[k].legs for k in keys}
     growths = []
     for _ in range(PROBE_PERTURBATIONS):
         v = {k: rng.standard_normal(base[k].shape)
@@ -246,11 +311,10 @@ def stability_probe(tn, messages: MessageSet, seed=0):
                                  for x in v.values()))
             if norm == 0:
                 break
-            cur = MessageSet(tn, {
-                k: DenseTensor(legs[k],
-                               normalize(base[k] + (PROBE_EPSILON / norm)
-                                         * v[k]))
-                for k in keys})
+            cur = {k: DenseTensor(legs[k],
+                                  normalize(base[k] + (PROBE_EPSILON / norm)
+                                            * v[k]))
+                   for k in keys}
             upd = sweep(tn, cur)
             v = {k: (normalize(upd[k].data) - base[k]) / PROBE_EPSILON
                  for k in keys}
@@ -725,7 +789,7 @@ def local_factor(messages, v, tensor) -> complex:
     v = str(v)
     t, denom = tensor, 1.0 + 0j
     for (e, n) in messages.tn.graph.incident(v):
-        t = contract_pair(t, messages.messages[n, v])
+        t = contract_pair(t, message(messages, n, v))
         denom *= sqrt_inner(messages, e)
     return t.item() / denom
 
@@ -737,7 +801,7 @@ def dressed(messages, v, tensor, kept) -> DenseTensor:
     pieces = [relabel(tensor, {e: f"{e}@{v}" for e in kept})]
     for (e, n) in messages.tn.graph.incident(v):
         if e not in kept:
-            pieces.append(scale(messages.messages[n, v],
+            pieces.append(scale(message(messages, n, v),
                                 1.0 / sqrt_inner(messages, e)))
     return contract_network(pieces)
 

@@ -65,7 +65,7 @@ def test_degenerate_edge_refused_where_it_is_read():
     a message dressed across it, raises DegenerateInnerProduct; the other
     edges, and a tensor dressed with that edge kept, stay usable."""
     tn = ising_network(IsingParams(L=3, beta=0.2))
-    msgs = dict(uniform_messages(tn).messages)
+    msgs = oracles.per_edge(uniform_messages(tn))
     e0 = sorted(tn.graph.edges)[0]
     u, w = tn.graph.endpoints(e0)
     null = DenseTensor([Leg(e0, 2)], np.array([1.0, 1j]) / math.sqrt(2))
@@ -108,8 +108,8 @@ def test_edge_projector_annihilates_messages():
     e = sorted(tn.graph.edges)[0]
     u, v = tn.graph.endpoints(e)
     proj = edge_projector(ms, e)
-    into_u = oracles.relabel(ms.messages[v, u], {e: f"{e}@{u}"})
-    into_v = oracles.relabel(ms.messages[u, v], {e: f"{e}@{v}"})
+    into_u = oracles.relabel(oracles.message(ms, v, u), {e: f"{e}@{u}"})
+    into_v = oracles.relabel(oracles.message(ms, u, v), {e: f"{e}@{v}"})
     from bptn.tensor import contract_pair
 
     assert np.linalg.norm(contract_pair(proj, into_u).data) < 1e-10
@@ -191,7 +191,7 @@ def test_local_factor_cached_per_tensor_object(monkeypatch):
     prob = InsertionProblem(tn, ms, {site: sz})
     assert prob.alphas() == {site: decorated / base}
     assert built == [5, 5]
-    fresh = MessageSet(tn, ms.messages)
+    fresh = MessageSet(tn, oracles.per_edge(ms))
     assert z(fresh, sz) == decorated
     assert local_factors(tn, fresh, [site])[site] == base
 
@@ -256,9 +256,7 @@ def test_normalize_rows_refuses_a_norm_that_is_not_finite(bad):
 @pytest.mark.parametrize("argv", [
     # the update norms overflow to inf in the first sweep
     ["bp", "--generate", "ising:L=3,beta=200"],
-    # the site tensors themselves overflow, and the sweep gives nan
-    ["bp", "--generate", "ising:L=3,beta=400"],
-    ["free-energy", "--generate", "ising:L=3,beta=400", "-m", "4"],
+    ["free-energy", "--generate", "ising:L=3,beta=200", "-m", "4"],
 ])
 def test_cli_exits_3_on_messages_that_are_not_finite(argv, capsys):
     """Not a converged run with nan rows: a numerical error, exit 3."""
@@ -278,6 +276,19 @@ def test_bp_refuses_open_network():
     peps = random_peps(2, 2, D=2, seed=0)
     with pytest.raises(DimensionMismatch):
         bp_iterate(peps, uniform_messages(peps))
+
+
+def test_message_set_refuses_a_missing_or_unknown_edge():
+    """Every directed edge of the network needs a message, and only its
+    edges may have one: refused where the set is built."""
+    tn = ising_network(IsingParams(L=3, beta=0.2))
+    msgs = oracles.per_edge(uniform_messages(tn))
+    (u, w), m = next(iter(msgs.items()))
+    with pytest.raises(DimensionMismatch, match=f"^{u}->{w}: no message$"):
+        MessageSet(tn, {k: x for k, x in msgs.items() if k != (u, w)})
+    with pytest.raises(DimensionMismatch,
+                       match="^0,0->1,1: no such edge$"):
+        MessageSet(tn, {**msgs, ("0,0", "1,1"): m})
 
 
 def test_degenerate_inner_product_guard():

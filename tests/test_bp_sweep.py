@@ -60,10 +60,11 @@ CASES = {
 
 
 def _assert_same_messages(a, b):
-    assert list(a.messages) == list(b.messages)
-    for key in a.messages:
-        assert a.messages[key].legs == b.messages[key].legs
-        assert np.array_equal(a.messages[key].data, b.messages[key].data), key
+    a, b = oracles.per_edge(a), oracles.per_edge(b)
+    assert list(a) == list(b)
+    for key in a:
+        assert a[key].legs == b[key].legs
+        assert np.array_equal(a[key].data, b[key].data), key
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -78,9 +79,9 @@ def test_compiled_bp_matches_per_edge_path(case):
     # bit for bit, and nan where the probe has nothing to perturb
     np.testing.assert_equal(stability_probe(tn, got.messages, seed=3),
                             oracles.stability_probe(tn, want.messages, seed=3))
-    upd = oracles.sweep(tn, start)
+    upd = oracles.sweep(tn, oracles.per_edge(start))
     defect = max([0.0] + [float(np.linalg.norm(
-        upd[k].data - oracles.normalize(start.messages[k].data)))
+        upd[k].data - oracles.normalize(oracles.message(start, *k).data)))
         for k in upd])
     assert oracles.self_consistency_residual(tn, start) == defect
 
@@ -120,9 +121,9 @@ def test_sweep_calls_are_counted_per_sweep(monkeypatch):
     calls = []
     sweep = bptn.bp._sweep
 
-    def counting(plan, msgs):
+    def counting(compiled, msgs):
         calls.append({m.shape[:-2] for m in msgs.values()})
-        return sweep(plan, msgs)
+        return sweep(compiled, msgs)
 
     monkeypatch.setattr(bptn.bp, "_sweep", counting)
     tn = generate("ising:L=3,beta=0.34,h=0.05", 0).tn
@@ -174,12 +175,13 @@ def test_chain_stacked_sweep_matches_separate_sweeps(case):
     raw and normalized."""
     tn = CHAIN_CASES[case]()
     plan = _Plan(tn)
-    chains = [plan.stack(random_messages(tn, seed=s)) for s in range(3)]
-    stacked = _sweep(plan, {d: np.stack([c[d] for c in chains])
-                            for d in plan.dims})
+    compiled = plan.compile()
+    chains = [random_messages(tn, seed=s).data for s in range(3)]
+    stacked = _sweep(compiled, {d: np.stack([c[d] for c in chains])
+                                for d in plan.dims})
     assert len(plan.dims) == (2 if case == "two_dims" else 1)
     for c, msgs in enumerate(chains):
-        alone = _sweep(plan, msgs)
+        alone = _sweep(compiled, msgs)
         for d in plan.dims:
             assert np.array_equal(stacked[d][c], alone[d]), (c, d)
             assert np.array_equal(_normalize_rows(stacked[d])[c],
@@ -192,7 +194,7 @@ def _first_matrices(tn, plan):
     contracted leg is last, reshaped to (1, B, rest, leg dim)."""
     key = {slot: k for k, slot in plan.slot.items()}
     edge = dict(plan.keys)
-    for t, steps, out_d, out_rows in plan.groups:
+    for t, steps, out_d, out_rows in plan.compile()[0]:
         if not steps:
             continue
         updates = [key[out_d, r] for r in out_rows]
@@ -215,7 +217,7 @@ def test_first_matrix_keeps_the_layout_of_the_sweep_expression(case):
           else CASES[case]()[0])
     plan = _Plan(tn)
     found = list(_first_matrices(tn, plan))
-    assert len(found) == sum(1 for g in plan.groups if g[1])
+    assert len(found) == sum(1 for g in plan.compile()[0] if g[1])
     for got, want in found:
         assert got.shape == want.shape and got.strides == want.strides
         assert np.array_equal(got, want)
@@ -314,3 +316,56 @@ def test_bp_run_does_not_import_numpy_ma():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("case", ["bp_stability", "mixed_dims", "peps_5x5",
+                                  "edgeless"])
+def test_start_messages_match_per_edge_draws(case):
+    """``random_messages`` draws in the order the per-edge form drew, each
+    message normalized as it was alone, and ``uniform_messages`` stacks
+    the per-edge uniform vectors."""
+    tn = CASES[case]()[0]
+    for got, want in [(random_messages(tn, seed=4),
+                       oracles.random_messages(tn, seed=4)),
+                      (uniform_messages(tn), oracles.uniform_messages(tn))]:
+        got = oracles.per_edge(got)
+        assert list(got) == sorted(want)
+        for key, m in want.items():
+            assert got[key].legs == m.legs
+            assert np.array_equal(got[key].data, m.data), key
+
+
+def test_bp_run_builds_one_plan_and_no_message_tensor(monkeypatch, capsys):
+    """A ``bp`` run builds one plan, which the start messages, the
+    iteration, its result and the stability probe share, and compiles its
+    sweep once per call; the messages stay stacked, so it builds no
+    ``DenseTensor`` at all."""
+    import bptn.cli
+
+    spec = "ising:L=3,beta=0.34,h=0.05"
+    prob = generate(spec, 0)
+    plans, compiles, tensors = [], [], []
+
+    class CountedPlan(_Plan):
+        def __init__(self, tn):
+            plans.append(tn)
+            super().__init__(tn)
+
+        def compile(self):
+            compiles.append(self)
+            return super().compile()
+
+    init = DenseTensor.__init__
+
+    def counted_tensor(self, legs, data):
+        tensors.append(len(legs))
+        init(self, legs, data)
+
+    monkeypatch.setattr(bptn.cli, "generate", lambda spec, seed: prob)
+    monkeypatch.setattr(bptn.bp, "_Plan", CountedPlan)
+    monkeypatch.setattr(DenseTensor, "__init__", counted_tensor)
+    assert bptn.cli.main(["bp", "--generate", spec]) == 0
+    capsys.readouterr()
+    assert plans == [prob.tn]
+    assert len(compiles) == 2
+    assert tensors == []

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -436,8 +437,33 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["free-energy", "--generate", "ising:L=3,beta=0.3", "-m", "4", "-k", "4"],
+    ["expval", "--generate", "ising:L=3,beta=0.3,h=0.1", "-m", "4"],
+])
+def test_clusters_are_enumerated_once_per_run(argv, monkeypatch, capsys):
+    """``free-energy`` sums its clusters and cumulants over one cluster
+    list, and ``expval``'s estimators filter one anchored enumeration."""
+    import bptn.clusters
+    import bptn.cumulants
+    import bptn.observables
+
+    calls = []
+    enumerate_clusters = bptn.clusters.enumerate_clusters
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return enumerate_clusters(*args, **kwargs)
+
+    for module in (bptn.clusters, bptn.cumulants, bptn.observables):
+        monkeypatch.setattr(module, "enumerate_clusters", counting,
+                            raising=False)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["contract-exact", "--generate", "ising:L=3,beta=200"],
-    ["contract-exact", "--generate", "ising:L=3,beta=400"],
     # BP and the expansions are finite here, but Z overflows
     ["free-energy", "--generate", "ising:L=4,beta=30", "-m", "2", "-k", "0",
      "--reference", "exact"],
@@ -447,8 +473,10 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
      "--distances", "1", "--reference", "exact"],
 ])
 def test_exit_3_on_exact_contraction_that_is_not_finite(argv, capsys):
-    """Not a ``nan`` or ``inf`` reference in the CSV: exit 3."""
-    with np.errstate(all="ignore"):
+    """Not a ``nan`` or ``inf`` reference in the CSV: exit 3, with no
+    numpy warning before the error line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert run(argv) == 3
     out = capsys.readouterr()
     assert out.out == ""
@@ -511,11 +539,20 @@ def test_exit_2_on_bad_generator():
     ["scan", "--generate", "ising:L=3,beta=0.2", "--sweep", "beta=nan:0.3:2",
      "-m", "4"],
     ["regions", "--generate", "ising:L=3,beta=nan"],
+    # finite parameters whose site tensors overflow
+    ["bp", "--generate", "ising:L=3,beta=400"],
+    ["free-energy", "--generate", "ising:L=3,beta=400", "-m", "4"],
+    ["contract-exact", "--generate", "ising:L=3,beta=400"],
+    # e^(beta h) overflows a float
+    ["bp", "--generate", "ising:L=3,beta=1,h=1000"],
+    # the double tensors of the norm network overflow
+    ["bp", "--generate", "peps:rows=2,cols=2,perturbation=1e300"],
 ])
 def test_exit_2_on_non_finite_generator_parameter(argv, tmp_path, capsys,
                                                   monkeypatch):
-    """A non-finite beta, h or perturbation is refused as a bad spec
-    before BP runs, with no CSV written."""
+    """A non-finite beta, h or perturbation, or one whose site tensors
+    overflow, is refused as a bad spec before BP runs, with no CSV written
+    and no numpy warning."""
     import bptn.bp
 
     def no_sweep(*args):
@@ -523,7 +560,9 @@ def test_exit_2_on_non_finite_generator_parameter(argv, tmp_path, capsys,
 
     monkeypatch.setattr(bptn.bp, "_sweep", no_sweep)
     out = tmp_path / "out.csv"
-    assert run(argv + ["--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: bad generator spec ")

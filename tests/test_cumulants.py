@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import bptn.cumulants
 import bptn.network
+from bptn.bp import bp_log_partition
 from bptn.cli import main
-from bptn.clusters import Cluster, free_energy_truncated, ursell
+from bptn.clusters import (Cluster, enumerate_clusters, free_energy_truncated,
+                           ursell)
 from bptn.cumulants import (Region, connected_loop_subsets,
                             counting_numbers, cumulant, cumulant_free_energy,
                             find_regions, region_free_energy, region_partition,
@@ -171,7 +173,7 @@ def test_connected_loop_subsets_match_multiplicity_free_clusters():
     with every multiplicity 1, sorted by (weight, key)."""
     p, tn, ms, loops, table = _ising_setup(L=3, beta=0.2, m=6)
     for anchor in (None, {"1,1"}):
-        subs = connected_loop_subsets(loops, 6, anchor)
+        subs = connected_loop_subsets(enumerate_clusters(loops, 6, anchor))
         want = sorted((Cluster((l, 1) for l in members) for members
                        in oracles.anchored_loop_sets(loops, 6, anchor)),
                       key=lambda c: (c.weight, c.key))
@@ -180,15 +182,37 @@ def test_connected_loop_subsets_match_multiplicity_free_clusters():
 
 def test_cumulant_form_equals_counting_number_form():
     p, tn, ms, loops, table = _ising_setup(L=4, beta=0.2, m=6)
-    f1, corr1, subs = cumulant_free_energy(tn, ms, loops, 6, table)
+    clusters = enumerate_clusters(loops, 6)
+    f1, corr1 = cumulant_free_energy(tn, ms, clusters, table)
+    subs = connected_loop_subsets(clusters)
     f2, corr2 = counting_number_free_energy(tn, ms, subs, table)
     assert abs(f1 - f2) < 1e-12
+
+
+def test_free_energy_sums_share_one_cluster_list():
+    """The cluster sum hands its cluster list to the cumulant sum; each
+    sum equals its sum over an enumeration of its own, the cumulant sum
+    over the multiplicity-free clusters of that enumeration."""
+    p, tn, ms, loops, table = _ising_setup(L=4, beta=0.2, m=6)
+    fr = free_energy_truncated(tn, ms, loops, 6, weight_table=table)
+    fresh = enumerate_clusters(loops, 6)
+    assert [c.key for c in fr.clusters] == [c.key for c in fresh]
+    alone = free_energy_truncated(tn, ms, loops, 6, weight_table=table,
+                                  clusters=fresh)
+    assert (fr.f_bp, fr.f_m) == (alone.f_bp, alone.f_m)
+    f_cum, corr = cumulant_free_energy(tn, ms, fr.clusters, table)
+    want = 0.0 + 0j
+    for s in enumerate_clusters(loops, 6):
+        if all(eta == 1 for _, eta in s.members):
+            want += cumulant(s, table)
+    assert corr == want
+    assert f_cum == -bp_log_partition(tn, ms) - want
 
 
 def test_counting_numbers_loops_telescoping():
     """By construction sum of b over supersets-or-equal of any subset is 1."""
     p, tn, ms, loops, table = _ising_setup(L=3, beta=0.2, m=6)
-    subs = connected_loop_subsets(loops, 6)
+    subs = connected_loop_subsets(enumerate_clusters(loops, 6))
     frozen = {s.key: frozenset(s.loops) for s in subs}
     b = counting_numbers(frozen)
     for s in subs[:30]:
@@ -199,7 +223,8 @@ def test_counting_numbers_loops_telescoping():
 def test_cumulant_free_energy_beats_bp():
     p, tn, ms, loops, table = _ising_setup(L=4, beta=0.2, m=8)
     f_exact = -ising_exact_logZ(p)
-    f, corr, _ = cumulant_free_energy(tn, ms, loops, 8, table)
+    f, corr = cumulant_free_energy(tn, ms, enumerate_clusters(loops, 8),
+                                   table)
     f_bp = f + corr
     assert abs(f - f_exact) < 1e-2 * abs(f_bp - f_exact)
 
@@ -250,7 +275,8 @@ def test_region_free_energy_matches_matched_cumulants():
     p, tn, ms, loops, table = _ising_setup(L=4, beta=0.2, m=8)
     poset = find_regions(tn.graph, 4)
     f_r, corr_r = region_free_energy(tn, ms, poset)
-    contained = [s for s in connected_loop_subsets(loops, 8)
+    subsets = connected_loop_subsets(enumerate_clusters(loops, 8))
+    contained = [s for s in subsets
                  if any(all(l.vertices <= r.vertices and l.edges <= r.edges
                             for l in s.loops) for r in poset)]
     corr_k = sum(cumulant(s, table) for s in contained)

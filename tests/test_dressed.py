@@ -63,8 +63,10 @@ def _reference_weight(tn, messages, loop, factors) -> complex:
                               {e: f"{e}@{v}" for (e, _) in g.incident(v)}))
         for (e, n) in g.incident(v):
             if e not in loop.edges:
-                pieces.append(scale(relabel(messages.messages[n, v], {
-                    e: f"{e}@{v}"}), 1.0 / oracles.sqrt_inner(messages, e)))
+                into = relabel(oracles.message(messages, n, v),
+                               {e: f"{e}@{v}"})
+                pieces.append(scale(into,
+                                    1.0 / oracles.sqrt_inner(messages, e)))
     pieces += [edge_projector(messages, e) for e in loop.edges]
     denom = np.prod([factors[v] for v in loop.vertices])
     return _einsum(pieces) / denom
@@ -77,7 +79,7 @@ def _reference_region(tn, messages, R, replacements) -> complex:
         pieces.append(replacements.get(v, tn.tensors[v]))
         for (e, n) in tn.graph.incident(v):
             if n not in R.vertices:
-                pieces.append(scale(messages.messages[n, v],
+                pieces.append(scale(oracles.message(messages, n, v),
                                     1.0 / oracles.sqrt_inner(messages, e)))
     return _einsum(pieces)
 

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from bptn.bp import bp_iterate, uniform_messages
 from bptn.errors import FieldNonzero
-from bptn.models import (IsingParams, _ising_tn, ising_exact_logZ,
-                         ising_insertion, ising_network,
+from bptn.models import (IsingParams, _ising_pairs, _ising_tn,
+                         ising_exact_logZ, ising_insertion, ising_network,
                          ising_paramagnetic_messages,
                          random_peps, random_tree_network,
                          single_loop_network)
@@ -195,3 +196,28 @@ def test_generators_roundtrip_through_interchange_format(tmp_path):
         assert back.phys_dims == tn.phys_dims
         for v in tn.graph.vertices:
             assert np.array_equal(back.tensors[v].data, tn.tensors[v].data)
+
+
+@pytest.mark.parametrize("topology", ["torus", "cylinder"])
+@pytest.mark.parametrize("L", [2, 3, 5])
+def test_ising_site_tensors_match_the_per_site_build(L, topology):
+    """Each site tensor, and each insertion, is the per-site build from
+    one root per pair, bit for bit; sites with the same incident root
+    multiplicities share one array."""
+    p = IsingParams(L=L, beta=0.3, h=0.15, topology=topology)
+    tn = ising_network(p)
+    pairs = _ising_pairs(p)
+    gates = {"0,1": np.diag([1.0, -1.0]), "1,0": [[0.0, 1.0], [1.0, 0.0]]}
+    built = [(v, t, np.eye(2)) for v, t in tn.tensors.items()] + [
+        (v, t, gates[v]) for v, t in ising_insertion(tn, p, gates).items()]
+    for v, t, gate in built:
+        want = oracles.ising_site_tensor(tn, pairs, p.beta, v, p.h,
+                                         np.asarray(gate, dtype=complex))
+        assert t.legs == want.legs
+        assert np.array_equal(t.data, want.data), v
+    mult = {"|".join(sorted(key)): m for key, m in pairs.items()}
+    kinds = {tuple(mult[e] for e, _ in tn.graph.incident(v))
+             for v in tn.graph.vertices}
+    arrays = {t.data.__array_interface__["data"][0]
+              for t in tn.tensors.values()}
+    assert len(arrays) == len(kinds)

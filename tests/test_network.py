@@ -384,6 +384,22 @@ def test_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(a.data, b.data)  # bit-exact
 
 
+def test_load_messages_refuses_a_missing_directed_edge(tmp_path):
+    """A message section without one directed edge is refused on load,
+    with the file and the edge named, not at the first BP read."""
+    from bptn.bp import uniform_messages
+
+    tn = ising_network(IsingParams(L=3, beta=0.2))
+    doc = network_to_dict(tn, uniform_messages(tn))
+    key = sorted(doc["messages"])[3]
+    del doc["messages"][key]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidNetworkFile) as exc:
+        load_messages(path, load_network(path))
+    assert str(exc.value) == f"{path}: {key}: no message"
+
+
 def test_roundtrip_peps_with_messages(tmp_path):
     from bptn.bp import bp_iterate, uniform_messages
 
@@ -394,8 +410,9 @@ def test_roundtrip_peps_with_messages(tmp_path):
     save_network(path, tn, messages=ms)
     back = load_network(path)
     ms2 = load_messages(path, back)
-    for key, m in ms.messages.items():
-        assert np.array_equal(m.data, ms2.messages[key].data)
+    assert ms2.plan.slot == ms.plan.slot
+    for d, x in ms.data.items():
+        assert np.array_equal(x, ms2.data[d])
     path2 = tmp_path / "peps.json"
     save_network(path2, peps)
     back2 = load_network(path2)

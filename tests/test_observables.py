@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bptn.bp import bp_iterate, uniform_messages
+from bptn.clusters import enumerate_clusters
 from bptn.errors import InsufficientPoints, PCapExceeded
 from bptn.models import (IsingParams, ising_insertion, ising_network,
                          random_peps)
@@ -30,6 +31,22 @@ def _problem(peps23, *insertions):
     ops = {v: op for ins in insertions for v, op in ins.items()}
     return InsertionProblem(peps23.tn, peps23.messages,
                             peps_replacements(peps23.peps, ops))
+
+
+def test_clusters_and_subsets_filter_one_enumeration(peps23):
+    """``clusters`` and ``loop_subsets`` filter one anchored enumeration:
+    the lists that enumerations of their own give, for one region and for
+    two."""
+    m = 6
+    for ops in ({"0,1": SZ}, {"0,0": SZ, "1,2": SX}):
+        prob = _problem(peps23, ops)
+        rids = prob.region_ids
+        found = enumerate_clusters(prob.strings(m), m, anchor={rids[0]})
+        assert [c.key for c in prob.clusters(m)] == [
+            c.key for c in found if all(r in c.support for r in rids)]
+        found = enumerate_clusters(prob.strings(m), m, anchor={rids[0]})
+        assert [c.key for c in prob.loop_subsets(m)] == [
+            c.key for c in found if all(eta == 1 for _, eta in c.members)]
 
 
 # --- identity invariant -----------------------------------------------------
