@@ -376,6 +376,7 @@ def _sweep(compiled: tuple, msgs: dict) -> dict:
     return raw
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused by _normalize_rows
 def bp_iterate(tn: TensorNetwork, messages: MessageSet,
                damping=DEFAULT_DAMPING, tol=DEFAULT_TOL) -> BPResult:
     """Synchronous damped BP iteration to a fixed point, starting from
@@ -422,6 +423,7 @@ def bp_free_energy(tn, messages: MessageSet):
 
 # --- stability -------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")  # refused by _normalize_rows
 def stability_probe(tn, messages: MessageSet, seed=0):
     """Classify a fixed point by the dominant eigenvalue of the sweep map.
 

@@ -16,6 +16,7 @@ n_loops, capped).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .bp import bp_log_partition
@@ -47,10 +48,7 @@ class Cluster:
         self.members = members
         self.weight = sum(l.weight * eta for l, eta in members)
         self.n_loops = sum(eta for _, eta in members)
-        sup = set()
-        for l, _ in members:
-            sup |= l.vertices
-        self.support = frozenset(sup)
+        self.support = frozenset().union(*(l.vertices for l, _ in members))
 
     @property
     def loops(self):
@@ -73,9 +71,8 @@ class Cluster:
 
 def interaction_graph(cluster: Cluster):
     """(n nodes, adjacency bitmasks) of the cluster's interaction graph."""
-    nodes = []
-    for idx, (l, eta) in enumerate(cluster.members):
-        nodes.extend([idx] * eta)
+    nodes = [i for i, (_, eta) in enumerate(cluster.members)
+             for _ in range(eta)]
     n = len(nodes)
     loops = cluster.loops
     adj = [0] * n
@@ -110,8 +107,7 @@ def ursell(cluster: Cluster, cap: int = DEFAULT_URSELL_CAP) -> Fraction:
     # via g(S) = f(S) - sum_{S1 proper subset, anchor in S1} g(S1) f(S\S1)
     # where f(T) = [T has no internal edges].
     g = {}
-    masks = [m for m in range(1, full + 1)]
-    for mask in masks:
+    for mask in range(1, full + 1):
         anchor = (mask & -mask)
         total = 1 if _edgeless(mask, adj) else 0
         sub = (mask - 1) & mask
@@ -122,10 +118,8 @@ def ursell(cluster: Cluster, cap: int = DEFAULT_URSELL_CAP) -> Fraction:
                     total -= g[sub]
             sub = (sub - 1) & mask
         g[mask] = total
-    denom = 1
-    for _, eta in cluster.members:
-        denom *= math.factorial(eta)
-    return Fraction(g[full], denom)
+    return Fraction(g[full], math.prod(math.factorial(eta)
+                                       for _, eta in cluster.members))
 
 
 def overlap_neighbors(loops, max_weight=math.inf):
@@ -203,11 +197,17 @@ def cluster_value(cluster: Cluster, weight_table: dict) -> complex:
     return val
 
 
-class FreeEnergyResult:
-    def __init__(self, f_bp, f_m, clusters):
-        self.f_bp = f_bp          # complex: -log Z_BP (principal branch)
-        self.f_m = f_m            # complex truncated free energy
-        self.clusters = clusters  # the clusters summed, for reuse
+def cluster_sums(clusters, tables) -> list:
+    """Sum of phi(W) Z_W over ``clusters``, one per weight table."""
+    sums = [0.0 + 0j] * len(tables)
+    for c in clusters:
+        phi = float(ursell(c))
+        sums = [s + phi * cluster_value(c, t) for s, t in zip(sums, tables)]
+    return sums
+
+
+# f_bp = -log Z_BP (principal branch), f_m = F_m, and the clusters summed
+FreeEnergyResult = namedtuple("FreeEnergyResult", "f_bp f_m clusters")
 
 
 def free_energy_truncated(tn, messages, excitations, m: int,
@@ -218,9 +218,6 @@ def free_energy_truncated(tn, messages, excitations, m: int,
     if clusters is None:
         clusters = enumerate_clusters(excitations, m)
     f_bp = -bp_log_partition(tn, messages)
-    total = 0.0 + 0j
-    for c in clusters:
-        if c.weight > m:
-            continue
-        total += float(ursell(c)) * cluster_value(c, weight_table)
+    (total,) = cluster_sums([c for c in clusters if c.weight <= m],
+                            [weight_table])
     return FreeEnergyResult(f_bp, f_bp - total, clusters)

@@ -110,12 +110,18 @@ def counting_numbers(poset: dict) -> dict:
     return b
 
 
+def cumulant_sums(subsets, tables) -> list:
+    """Sum of K(Gamma) over the loop ``subsets``, one per weight table."""
+    sums = [0.0 + 0j] * len(tables)
+    for g in subsets:
+        sums = [s + cumulant(g, t) for s, t in zip(sums, tables)]
+    return sums
+
+
 def cumulant_free_energy(tn, messages, clusters, weight_table: dict):
     """(F, correction): F = F_BP - sum of K(Gamma) over the connected
     subsets in ``clusters``."""
-    corr = 0.0 + 0j
-    for s in connected_loop_subsets(clusters):
-        corr += cumulant(s, weight_table)
+    (corr,) = cumulant_sums(connected_loop_subsets(clusters), [weight_table])
     return -bp_log_partition(tn, messages) - corr, corr
 
 

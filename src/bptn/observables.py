@@ -3,21 +3,18 @@
 Every estimator is a resummation of one expansion, owned by an
 ``InsertionProblem``: a closed background network, a converged
 MessageSet, and the insertion's {site: replacement tensor} map, each site
-one region (for a PEPS norm network the tensors are double tensors with
-the operator sandwiched, from ``network.peps_replacements``; for
-classical networks any modified site tensor).  The object enumerates
-strings, clusters, connected loop subsets and regions once per truncation
-and caches every weight, so estimators that share an object share that
-work.  Each estimator asks for its whole weight table first (``weigh``),
-which the object computes in one bulk contraction; its sums then read the
-cache.
+one region (PEPS double tensors from ``network.peps_replacements``, or any
+modified site tensor).  The object enumerates strings, clusters, loop
+subsets and regions once per truncation and caches every weight, so
+estimators that share it share that work; a pair's expansion also holds
+each site's own clusters (``clusters(m, sites)``).
 
-Weight conventions: for a decorated network X the bar-normalized weight
-Zbar^X_l divides by the *undecorated* local factors; the ratio-normalized
-weight Z^X_l divides by the decorated ones, i.e. Z^X_l =
-Zbar^X_l / prod of BP expectations over the inserted sites in the
-support.  Ratio/cumulant estimators use the ratio normalization; the
-derivative (polynomial) estimator uses the bar normalization and never
+A ratio-form estimator is one cluster sum, ``cluster_sums`` or
+``cumulant_sums``, under several weight lookups (``table``): log<O> =
+log alpha + S_O - S_0 with S_X = sum of phi(W) prod_l (Z^X_l)^eta.  The
+ratio-normalized Z^X_l is the bar-normalized Zbar^X_l, which divides by
+the undecorated local factors, over the BP expectations of the inserted
+sites on l.  The derivative (polynomial) estimator reads Zbar and never
 divides by a loop weight.
 """
 
@@ -29,8 +26,8 @@ import math
 import numpy as np
 
 from .bp import MessageSet, local_factors
-from .clusters import Cluster, enumerate_clusters, ursell
-from .cumulants import connected_loop_subsets, counting_numbers, cumulant
+from .clusters import Cluster, cluster_sums, enumerate_clusters, ursell
+from .cumulants import connected_loop_subsets, counting_numbers, cumulant_sums
 # the name perfbench/tracing.py wraps
 from .cumulants import find_regions as find_regions_local
 from .cumulants import region_partition
@@ -87,8 +84,8 @@ class InsertionProblem:
 
     def alphas(self):
         """BP expectation of the insertion at each region; the decorated
-        z_v is unfloored, since 0 is an expectation (``ratio_weight``
-        refuses to divide by it)."""
+        z_v is unfloored, since 0 is an expectation (``table`` refuses to
+        divide by it)."""
         if self._alphas is None:
             base = local_factors(self.base, self.messages, self.region_ids)
             self._alphas = {r: complex(z) / base[r] for r, (_, z) in zip(
@@ -117,21 +114,27 @@ class InsertionProblem:
             self.base.graph, self.region_ids, m))
 
     def _anchored(self, m):
-        """Clusters of weight <= m whose support meets the first region,
+        """Clusters of weight <= m whose support meets a region,
         enumerated once; ``clusters`` and ``loop_subsets`` filter them."""
         return self._memoized(("anchored", m), lambda: enumerate_clusters(
-            self.strings(m), m, anchor={self.region_ids[0]}))
+            self.strings(m), m, anchor=self.region_ids))
 
-    def clusters(self, m):
-        """Clusters of weight <= m whose support holds every region."""
-        return self._memoized(("clusters", m), lambda: [
-            c for c in self._anchored(m)
-            if all(r in c.support for r in self.region_ids)])
+    def clusters(self, m, sites=None):
+        """Clusters of weight <= m whose support holds ``sites`` (every
+        region by default) and none of whose strings has a leaf at another
+        region: those of the expansion with only ``sites`` inserted."""
+        sites = tuple(self.region_ids if sites is None else sites)
+        ends = [{e for e, _ in self.base.graph.incident(r)}
+                for r in self.region_ids if r not in sites]
+        return self._memoized(("clusters", m, sites), lambda: [
+            c for c in self._anchored(m) if all(r in c.support for r in sites)
+            and not any(len(l.edges & e) == 1 for l in c.loops for e in ends)])
 
     def loop_subsets(self, m):
         """Connected string subsets of weight <= m at the first region."""
         return self._memoized(("subsets", m), lambda: connected_loop_subsets(
-            self._anchored(m)))
+            [c for c in self._anchored(m)
+             if self.region_ids[0] in c.support]))
 
     def regions(self, k):
         """Region poset of size <= k anchored at the first region."""
@@ -162,18 +165,19 @@ class InsertionProblem:
         return self._weights[loop.key, frozenset(
             r for r in inserted if r in loop.vertices)]
 
-    def ratio_weight(self, loop, inserted=frozenset()) -> complex:
-        """Weight on the decorated network, decorated-z normalized."""
-        val = self.bar_weight(loop, inserted)
-        for r in sorted(inserted):
-            if r in loop.vertices:
-                a = self.alphas()[r]
-                if abs(a) < 1e-12:
-                    raise ZeroLocalFactor(
-                        f"BP expectation at region {r!r} below floor; "
-                        "ratio normalization undefined")
-                val /= a
-        return val
+    def table(self, clusters, inserted=()) -> dict:
+        """{loop key: Z^X_l} over the loops of ``clusters``, X the
+        ``inserted`` regions: the bar weight over the BP expectation of
+        each region of X on the loop, weighed as ``weigh`` does."""
+        loops = list({l.key: l for c in clusters for l in c.loops}.values())
+        self.weigh(loops, self.region_ids)
+        a = self.alphas()
+        for r in inserted:
+            if abs(a[r]) < 1e-12 and any(r in l.vertices for l in loops):
+                raise ZeroLocalFactor(f"BP expectation at region {r!r} below "
+                                      "floor; ratio normalization undefined")
+        return {l.key: self.bar_weight(l, inserted) / math.prod(
+            a[r] for r in inserted if r in l.vertices) for l in loops}
 
 
 # --- multilinear cluster polynomials (derivative forms) --------------------
@@ -234,18 +238,18 @@ def expval_bp_tensors(prob: InsertionProblem) -> Estimate:
     return Estimate(prob.alphas()[rid], "BP")
 
 
+def _ratio_expval(prob: InsertionProblem, m, r) -> complex:
+    """alpha_r exp(S_r - S_0) over the clusters with only region r
+    inserted: the ratio-form expectation at r."""
+    clusters = prob.clusters(m, (r,))
+    s_r, s_0 = cluster_sums(clusters, [prob.table(clusters, (r,)),
+                                       prob.table(clusters)])
+    return prob.alphas()[r] * cmath.exp(s_r - s_0)
+
+
 def expval_ratio_tensors(prob: InsertionProblem, m) -> Estimate:
     (rid,) = prob.region_ids
-    prob.weigh((l for c in prob.clusters(m) for l, _ in c.members), [rid])
-    total = 0.0 + 0j
-    for c in prob.clusters(m):
-        zo = 1.0 + 0j
-        z = 1.0 + 0j
-        for l, eta in c.members:
-            zo *= prob.ratio_weight(l, frozenset([rid])) ** eta
-            z *= prob.bar_weight(l) ** eta
-        total += float(ursell(c)) * (zo - z)
-    return Estimate(prob.alphas()[rid] * cmath.exp(total), f"ratio({m})")
+    return Estimate(_ratio_expval(prob, m, rid), f"ratio({m})")
 
 
 def expval_derivative_tensors(prob: InsertionProblem, m) -> Estimate:
@@ -265,17 +269,13 @@ def expval_derivative_tensors(prob: InsertionProblem, m) -> Estimate:
 
 
 def expval_cumulant_tensors(prob: InsertionProblem, m) -> Estimate:
+    """alpha exp(K_O - K_0), K_X the loop subsets' cumulants under X."""
     (rid,) = prob.region_ids
-    strings = prob.strings(m)
     subsets = prob.loop_subsets(m)
-    prob.weigh(strings, [rid])
-    base_table = {l.key: prob.bar_weight(l) for l in strings}
-    dec_table = {l.key: prob.ratio_weight(l, frozenset([rid]))
-                 for l in strings}
-    total = 0.0 + 0j
-    for s in subsets:
-        total += cumulant(s, dec_table) - cumulant(s, base_table)
-    return Estimate(prob.alphas()[rid] * cmath.exp(total), f"cumulant({m})")
+    k_o, k_0 = cumulant_sums(subsets, [prob.table(subsets, (rid,)),
+                                       prob.table(subsets)])
+    return Estimate(prob.alphas()[rid] * cmath.exp(k_o - k_0),
+                    f"cumulant({m})")
 
 
 def expval_region_sum_tensors(prob: InsertionProblem, k) -> Estimate:
@@ -297,23 +297,17 @@ def expval_region_sum_tensors(prob: InsertionProblem, k) -> Estimate:
 # --- correlators -----------------------------------------------------------
 
 def correlator_ratio_tensors(prob: InsertionProblem, m) -> Estimate:
-    """Connected two-point correlator in the ratio normalization; the
-    prefactors are the single-region ratio estimates at the same m."""
+    """Connected two-point correlator in the ratio normalization,
+    e_a e_b (exp(S_ab + S_0 - S_a - S_b) - 1) over the clusters that hold
+    both regions.  The prefactors e_r are the ratio-form expectations at
+    the same m, read from the clusters of the same expansion that end on
+    r alone."""
     a, b = prob.region_ids
-    prob.weigh((l for c in prob.clusters(m) for l, _ in c.members), [a, b])
-    total = 0.0 + 0j
-    for c in prob.clusters(m):
-        z = zo_a = zo_b = zo_ab = 1.0 + 0j
-        for l, eta in c.members:
-            z *= prob.bar_weight(l) ** eta
-            zo_a *= prob.ratio_weight(l, frozenset([a])) ** eta
-            zo_b *= prob.ratio_weight(l, frozenset([b])) ** eta
-            zo_ab *= prob.ratio_weight(l, frozenset([a, b])) ** eta
-        total += float(ursell(c)) * (zo_ab + z - zo_a - zo_b)
-    ea, eb = (expval_ratio_tensors(InsertionProblem(
-        prob.base, prob.messages, {r: prob.replacements[r]}), m).value
-        for r in (a, b))
-    val = ea * eb * (cmath.exp(total) - 1.0)
+    clusters = prob.clusters(m)
+    s_ab, s_0, s_a, s_b = cluster_sums(clusters, [
+        prob.table(clusters, x) for x in ((a, b), (), (a,), (b,))])
+    val = (_ratio_expval(prob, m, a) * _ratio_expval(prob, m, b)
+           * (cmath.exp(s_ab + s_0 - s_a - s_b) - 1.0))
     return Estimate(val, f"ratio({m})", prob.distance, prob.paths)
 
 

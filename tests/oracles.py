@@ -29,7 +29,11 @@ loop weights and region values that called it are kept with it.  The
 statevector of a PEPS is its full contraction.  The per-edge messages,
 random and uniform, are drawn as before ``MessageSet`` stacked them; the
 classical Ising site tensors are built one site at a time from one bond
-root per pair, as before the generator shared them."""
+root per pair, as before the generator shared them.  The ratio-form
+estimators are kept as they were before one cluster sum served them: one
+product per weight lookup inside each cluster's term, the cumulant
+estimator's tables over every string, and a correlator's prefactors from
+two single-region problems of their own."""
 
 import cmath
 import functools
@@ -41,16 +45,18 @@ from bptn.bp import (DEFAULT_DAMPING, DEFAULT_MAX_ITERS, DEFAULT_TOL,
                      PROBE_EPSILON, PROBE_PERTURBATIONS, PROBE_SWEEPS,
                      BPResult, MessageSet, _defect, _normalize_both,
                      _sweep, bp_log_partition, local_factors)
-from bptn.clusters import loops_overlap, overlap_neighbors
+from bptn.clusters import loops_overlap, overlap_neighbors, ursell
 from bptn.cumulants import (DEFAULT_BUDGET, RESTRICTED_CAP, Region,
                             counting_numbers, guarded_log,
                             restricted_partition as xi_table)
+from bptn.cumulants import cumulant as engine_cumulant
 from bptn.errors import CapExceeded
 from bptn.errors import (CombinatorialBudgetExceeded, DimensionMismatch,
-                         NumericalCollapse, TooLarge)
+                         NumericalCollapse, TooLarge, ZeroLocalFactor)
 from bptn.loops import GeneralizedLoop
 from bptn.models import _sqrt_bond_matrix
 from bptn.network import DEFAULT_SIZE_CAP, is_connected, set_bits
+from bptn.observables import InsertionProblem
 from bptn.loops import _walk
 from bptn.tensor import DenseTensor, Leg, _plan, contract_pair
 from bptn.tensor import contract_network as bulk_contract_network
@@ -1022,6 +1028,71 @@ def interning_region_partition(tn, messages: MessageSet, jobs) -> list:
     return [(raw, raw / math.prod((factors[v] for v in support),
                                   start=1.0 + 0j))
             for raw, support in zip(raws, supports)]
+
+
+def ratio_weight(prob, loop, inserted=frozenset()) -> complex:
+    """Weight on the decorated network, decorated-z normalized."""
+    val = prob.bar_weight(loop, inserted)
+    for r in sorted(inserted):
+        if r in loop.vertices:
+            a = prob.alphas()[r]
+            if abs(a) < 1e-12:
+                raise ZeroLocalFactor(
+                    f"BP expectation at region {r!r} below floor; "
+                    "ratio normalization undefined")
+            val /= a
+    return val
+
+
+def expval_ratio(prob, m) -> complex:
+    """alpha exp(sum of phi(W) (Z^O_W - Z_W)), each Z_W its own product."""
+    (rid,) = prob.region_ids
+    prob.weigh((l for c in prob.clusters(m) for l, _ in c.members), [rid])
+    total = 0.0 + 0j
+    for c in prob.clusters(m):
+        zo = 1.0 + 0j
+        z = 1.0 + 0j
+        for l, eta in c.members:
+            zo *= ratio_weight(prob, l, frozenset([rid])) ** eta
+            z *= prob.bar_weight(l) ** eta
+        total += float(ursell(c)) * (zo - z)
+    return prob.alphas()[rid] * cmath.exp(total)
+
+
+def expval_cumulant(prob, m) -> complex:
+    """alpha exp(sum of K^O - K over the connected loop subsets), from
+    tables over every string."""
+    (rid,) = prob.region_ids
+    strings = prob.strings(m)
+    prob.weigh(strings, [rid])
+    base_table = {l.key: prob.bar_weight(l) for l in strings}
+    dec_table = {l.key: ratio_weight(prob, l, frozenset([rid]))
+                 for l in strings}
+    total = 0.0 + 0j
+    for s in prob.loop_subsets(m):
+        total += (engine_cumulant(s, dec_table)
+                  - engine_cumulant(s, base_table))
+    return prob.alphas()[rid] * cmath.exp(total)
+
+
+def correlator_ratio(prob, m) -> complex:
+    """The ratio-form connected correlator, four products per cluster,
+    its prefactors from a single-region problem at each site."""
+    a, b = prob.region_ids
+    prob.weigh((l for c in prob.clusters(m) for l, _ in c.members), [a, b])
+    total = 0.0 + 0j
+    for c in prob.clusters(m):
+        z = zo_a = zo_b = zo_ab = 1.0 + 0j
+        for l, eta in c.members:
+            z *= prob.bar_weight(l) ** eta
+            zo_a *= ratio_weight(prob, l, frozenset([a])) ** eta
+            zo_b *= ratio_weight(prob, l, frozenset([b])) ** eta
+            zo_ab *= ratio_weight(prob, l, frozenset([a, b])) ** eta
+        total += float(ursell(c)) * (zo_ab + z - zo_a - zo_b)
+    ea, eb = (expval_ratio(InsertionProblem(
+        prob.base, prob.messages, {r: prob.replacements[r]}), m)
+        for r in (a, b))
+    return ea * eb * (cmath.exp(total) - 1.0)
 
 
 def peps_statevector(peps) -> DenseTensor:

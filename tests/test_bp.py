@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,15 +260,18 @@ def test_normalize_rows_refuses_a_norm_that_is_not_finite(bad):
     ["free-energy", "--generate", "ising:L=3,beta=200", "-m", "4"],
 ])
 def test_cli_exits_3_on_messages_that_are_not_finite(argv, capsys):
-    """Not a converged run with nan rows: a numerical error, exit 3."""
+    """Not a converged run with nan rows: a numerical error, exit 3, and
+    the refusal is the only line on stderr, with no numpy warning before
+    it."""
     from bptn.cli import main
 
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(argv) == 3
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("numerical error: message update is not "
-                              "finite")
+    assert out.err == ("numerical error: message update is not finite: "
+                       "its norm overflowed or is nan\n")
 
 
 def test_bp_refuses_open_network():

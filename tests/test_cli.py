@@ -179,7 +179,7 @@ def test_correlator_exact_reference_contracts_shared_site_once(
 def test_estimators_share_one_string_enumeration(tmp_path, monkeypatch):
     """expval enumerates strings once for all its series estimators.  A
     correlator pair enumerates them once for the derivative and the ratio
-    form, plus once for each single-region ratio prefactor."""
+    form."""
     import bptn.observables
 
     calls = []
@@ -199,7 +199,7 @@ def test_estimators_share_one_string_enumeration(tmp_path, monkeypatch):
                 "--site", "0,0", "--distances", "2", "-m", "2",
                 "--out", str(tmp_path / "corr.csv")]) == 0
     assert len(_rows(tmp_path / "corr.csv")) == 2
-    assert len(calls) == 6
+    assert len(calls) == 2
 
 
 def test_free_energy_computes_each_local_factor_once(tmp_path, monkeypatch):

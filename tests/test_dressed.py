@@ -412,16 +412,16 @@ _ARGVS = {
 @pytest.mark.parametrize("argv, want_calls, structures", [
     (_ARGVS["ising_free_energy"],
      [("bptn.loops", 85, 3), ("bptn.cumulants", 85, 8)], 11),
-    (_ARGVS["peps_expval"], [("bptn.loops", 160, 8), ("bptn.loops", 36, 4),
+    (_ARGVS["peps_expval"], [("bptn.loops", 160, 8),
                              ("bptn.cumulants", 50, 10)], 18),
 ], ids=["ising_free_energy", "peps_expval"])
 def test_bulk_group_counts(argv, want_calls, structures, monkeypatch,
                            tmp_path):
     """The benchmark argvs contract 170 weights and regions in 11
-    structures, and 246 in 18.  Each table is one bulk call: the ratio
-    estimator's weights (160), the cumulant estimator's strings outside
-    every cluster (36) and the region values (50, raw and decorated).  A
-    table asked for piece by piece would make more calls and run more
+    structures, and 210 in 18.  Each table is one bulk call: the ratio
+    estimator's weights (160), which the derivative and cumulant
+    estimators read too, and the region values (50, raw and decorated).
+    A table asked for piece by piece would make more calls and run more
     groups.  The weights are walk-ordered, so each loop shape is one
     structure: the 85 Ising loops are rings of 4, 5 and 6 edges, and the
     160 PEPS pools are 7 string shapes, one of them (the 1x2 rectangle

@@ -1,14 +1,19 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from bptn.bp import bp_iterate, uniform_messages
 from bptn.clusters import enumerate_clusters
 from bptn.errors import InsufficientPoints, PCapExceeded
-from bptn.models import (IsingParams, ising_insertion, ising_network,
-                         random_peps)
+from bptn.loops import enumerate_strings
+from bptn.models import (IsingParams, _ising_tn, ising_insertion,
+                         ising_network, random_peps)
 from bptn.network import build_norm_network, exact_contract, peps_replacements
 from bptn.observables import (Estimate, InsertionProblem, correlation_length,
                               correlator_ratio_tensors, expval_bp_tensors,
@@ -33,10 +38,30 @@ def _problem(peps23, *insertions):
                             peps_replacements(peps23.peps, ops))
 
 
+def _ends_at(g, loop, v) -> bool:
+    """Whether ``v`` is a leaf of the string: one of its edges meets v."""
+    return sum(v in g.endpoints(e) for e in loop.edges) == 1
+
+
+def _assert_pair_filters_single_sites(pair, m):
+    """For each site r of ``pair``: the pair's strings with no leaf at the
+    other site are the strings ending on r alone, and the pair's clusters
+    at r alone are the single-site problem's, in keys and order."""
+    g = pair.base.graph
+    for r, other in (pair.region_ids, pair.region_ids[::-1]):
+        assert [l.key for l in pair.strings(m)
+                if not _ends_at(g, l, other)] == [
+            l.key for l in enumerate_strings(g, [r], m)]
+        single = InsertionProblem(pair.base, pair.messages,
+                                  {r: pair.replacements[r]})
+        assert [c.key for c in pair.clusters(m, (r,))] == [
+            c.key for c in single.clusters(m)]
+
+
 def test_clusters_and_subsets_filter_one_enumeration(peps23):
     """``clusters`` and ``loop_subsets`` filter one anchored enumeration:
     the lists that enumerations of their own give, for one region and for
-    two."""
+    two, and for each site of a pair the clusters of that site alone."""
     m = 6
     for ops in ({"0,1": SZ}, {"0,0": SZ, "1,2": SX}):
         prob = _problem(peps23, ops)
@@ -47,6 +72,26 @@ def test_clusters_and_subsets_filter_one_enumeration(peps23):
         found = enumerate_clusters(prob.strings(m), m, anchor={rids[0]})
         assert [c.key for c in prob.loop_subsets(m)] == [
             c.key for c in found if all(eta == 1 for _, eta in c.members)]
+    for m in (3, 5, 7):
+        _assert_pair_filters_single_sites(
+            _problem(peps23, {"0,0": SZ, "1,2": SX}), m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+             max_size=n * (n - 1) // 2),
+    st.permutations([str(v) for v in range(n)]),
+    st.integers(0, 7))))
+def test_pair_expansion_holds_each_single_site(case):
+    """The filter identity on random graphs, any two sites of them."""
+    present, order, m = case
+    pairs = {frozenset(uv): 1 for uv, keep in zip(
+        itertools.combinations(sorted(order), 2), present) if keep}
+    tn = _ising_tn(order, pairs, 0.2, {})
+    a, b = order[:2]
+    _assert_pair_filters_single_sites(InsertionProblem(
+        tn, uniform_messages(tn), {a: tn.tensors[a], b: tn.tensors[b]}), m)
 
 
 # --- identity invariant -----------------------------------------------------
@@ -161,6 +206,53 @@ def test_ratio_and_derivative_correlators_agree():
     d = expval_derivative_tensors(prob, 6)
     # the forms differ only in how omitted higher orders are resummed
     assert abs(r.value - d.value) < 1e-10
+
+
+# --- one cluster sum against the estimators it replaced --------------------
+
+def _close(got, want):
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+def _readme_ising(L):
+    """The README examples' Ising torus at beta = 0.25, h = 0.2."""
+    p = IsingParams(L=L, beta=0.25, h=0.2)
+    tn = ising_network(p)
+    return p, tn, bp_iterate(tn, uniform_messages(tn)).messages
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_ratio_correlator_matches_its_oracle(m):
+    """On the README ``correlator`` spec, at d = 1-3 and truncation m + d,
+    the ratio correlator from one expansion per pair equals the one from
+    three problems per pair and four products per cluster."""
+    p, tn, ms = _readme_ising(4)
+    a = ising_insertion(tn, p, {"0,0": SZ})
+    for d, site in ((1, "0,1"), (2, "0,2"), (3, "1,2")):
+        both = {**a, **ising_insertion(tn, p, {site: SZ})}
+        _close(correlator_ratio_tensors(
+            InsertionProblem(tn, ms, both), m + d).value,
+            oracles.correlator_ratio(InsertionProblem(tn, ms, both), m + d))
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_ratio_correlator_matches_its_oracle_on_a_peps_pair(peps23, m):
+    ops = ({"0,0": SZ}, {"1,2": SX})
+    _close(correlator_ratio_tensors(_problem(peps23, *ops), m).value,
+           oracles.correlator_ratio(_problem(peps23, *ops), m))
+
+
+def test_ratio_and_cumulant_expvals_match_their_oracles(peps23):
+    """On the README ``expval`` spec and on a PEPS site, each estimator
+    and its oracle on a fresh problem."""
+    p, tn, ms = _readme_ising(3)
+    repl = ising_insertion(tn, p, {"1,1": SZ})
+    for problem in (lambda: InsertionProblem(tn, ms, repl),
+                    lambda: _problem(peps23, {"0,1": SZ})):
+        _close(expval_ratio_tensors(problem(), 6).value,
+               oracles.expval_ratio(problem(), 6))
+        _close(expval_cumulant_tensors(problem(), 6).value,
+               oracles.expval_cumulant(problem(), 6))
 
 
 # --- one expansion shared by every estimator --------------------------------
