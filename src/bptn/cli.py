@@ -338,8 +338,11 @@ def cmd_correlator(args):
     if args.site_b == a:
         raise ConfigError(f"--site-b {a!r} is the site itself: the two "
                           "insertion regions share vertices")
-    res = _converge(prob, args)
     dist, _ = bfs(prob.tn.graph, {a})
+    if args.site_b in prob.tn.graph.vertices and args.site_b not in dist:
+        raise ConfigError(f"--site-b {args.site_b!r} is not connected to "
+                          f"site {a!r}: no string joins them")
+    res = _converge(prob, args)
     if args.site_b:
         pairs = [(a, args.site_b)]
     else:  # distance scan: first vertex at each distance, in vertex order

@@ -14,8 +14,10 @@ A ratio-form estimator is one cluster sum, ``cluster_sums`` or
 log alpha + S_O - S_0 with S_X = sum of phi(W) prod_l (Z^X_l)^eta.  The
 ratio-normalized Z^X_l is the bar-normalized Zbar^X_l, which divides by
 the undecorated local factors, over the BP expectations of the inserted
-sites on l.  The derivative (polynomial) estimator reads Zbar and never
-divides by a loop weight.
+sites on l.  The derivative estimator takes the lambda_1...lambda_p
+coefficient of the same sum, each loop's weight a first-order polynomial
+in the regions' source strengths lambda_x built from its Zbar^X_l; it
+never divides by a loop weight.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 import numpy as np
 
 from .bp import MessageSet, local_factors
-from .clusters import Cluster, cluster_sums, enumerate_clusters, ursell
+from .clusters import cluster_sums, cluster_value, enumerate_clusters, ursell
 from .cumulants import connected_loop_subsets, counting_numbers, cumulant_sums
 # the name perfbench/tracing.py wraps
 from .cumulants import find_regions as find_regions_local
@@ -143,13 +145,13 @@ class InsertionProblem:
 
     # -- weights ------------------------------------------------------------
 
-    def weigh(self, loops, regions):
-        """Bar weights of each loop with every subset of the ``regions``
-        on it inserted: the table an estimator reads, computed in one bulk
-        call for the entries not cached yet."""
+    def weigh(self, loops):
+        """Bar weights of each loop with every subset of the regions on it
+        inserted: the table an estimator reads, computed in one bulk call
+        for the entries not cached yet."""
         todo = {}
         for loop in loops:
-            on = [r for r in regions if r in loop.vertices]
+            on = [r for r in self.region_ids if r in loop.vertices]
             for mask in range(1 << len(on)):
                 inserted = frozenset(r for k, r in enumerate(on)
                                      if mask >> k & 1)
@@ -170,7 +172,7 @@ class InsertionProblem:
         ``inserted`` regions: the bar weight over the BP expectation of
         each region of X on the loop, weighed as ``weigh`` does."""
         loops = list({l.key: l for c in clusters for l in c.loops}.values())
-        self.weigh(loops, self.region_ids)
+        self.weigh(loops)
         a = self.alphas()
         for r in inserted:
             if abs(a[r]) < 1e-12 and any(r in l.vertices for l in loops):
@@ -180,54 +182,48 @@ class InsertionProblem:
             a[r] for r in inserted if r in l.vertices) for l in loops}
 
 
-# --- multilinear cluster polynomials (derivative forms) --------------------
+# --- first-order weights (derivative forms) -------------------------------
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            ex = tuple(x + y for x, y in zip(ea, eb))
-            if any(x > 1 for x in ex):
-                continue  # cannot contribute to the multilinear coefficient
-            out[ex] = out.get(ex, 0.0 + 0j) + ca * cb
-    return out
+class _Jet(dict):
+    """An element of C[lambda_1..lambda_p]/(lambda_i^2), {monomial bit
+    mask: coefficient} with absent monomials zero.  It multiplies as
+    ``cluster_value`` needs: by another element (subset convolution) or a
+    scalar, and ``**`` is repeated ``*``."""
 
+    def __mul__(self, other):
+        out = _Jet()
+        for s, a in self.items():
+            for t, b in other.items():
+                if not s & t:
+                    out[s | t] = out.get(s | t, 0.0 + 0j) + a * b
+        return out
 
-def _loop_poly(prob: InsertionProblem, loop, var_regions) -> dict:
-    """Z_{l,lambda} to first order in each lambda: exponent tuple -> coeff.
+    def __rmul__(self, scalar):
+        return _Jet({0: scalar}) * self
 
-    coeff(S) = sum_{T subset S} (-1)^{|S|-|T|} Zbar^T_l prod_{x in S-T}
-    alpha_x, nonzero only when every region in S touches the support.
-    """
-    p = len(var_regions)
-    alph = prob.alphas()
-    poly = {}
-    touching = [i for i, r in enumerate(var_regions) if r in loop.vertices]
-    for smask in range(1 << len(touching)):
-        S = [touching[i] for i in range(len(touching)) if smask & (1 << i)]
-        coeff = 0.0 + 0j
-        for tmask in range(1 << len(S)):
-            T = [S[i] for i in range(len(S)) if tmask & (1 << i)]
-            sign = -1 if (len(S) - len(T)) % 2 else 1
-            val = prob.bar_weight(loop, frozenset(var_regions[i] for i in T))
-            for i in S:
-                if i not in T:
-                    val *= alph[var_regions[i]]
-            coeff += sign * val
-        ex = tuple(1 if i in S else 0 for i in range(p))
-        poly[ex] = coeff
-    return poly
+    def __pow__(self, eta):
+        return math.prod([self] * eta)
 
 
-def _cluster_mixed_coeff(prob, cluster: Cluster, var_regions) -> complex:
-    """Coefficient of lambda_1...lambda_p in prod_l Z_{l,lambda}^eta."""
-    p = len(var_regions)
-    poly = {(0,) * p: 1.0 + 0j}
-    for l, eta in cluster.members:
-        lp = _loop_poly(prob, l, var_regions)
-        for _ in range(eta):
-            poly = _poly_mul(poly, lp)
-    return poly.get((1,) * p, 0.0 + 0j)
+def _jet_table(prob: InsertionProblem, clusters) -> dict:
+    """{loop key: Z_l to first order in each region's source lambda_x}
+    over the loops of ``clusters``.  The coefficient of S is
+    sum_{T subset S} Zbar^T_l prod_{x in S-T} (-alpha_x), nonzero only
+    when every region of S lies on l; T runs up by mask and x in region
+    order, the order that keeps each value bit for bit."""
+    loops = list({l.key: l for c in clusters for l in c.loops}.values())
+    prob.weigh(loops)
+    rids, alph = prob.region_ids, prob.alphas()
+    masks = range(1 << len(rids))
+    at = [[r for i, r in enumerate(rids) if s >> i & 1] for s in masks]
+    table = {}
+    for l in loops:
+        table[l.key] = jet = _Jet()
+        for s in (s for s in masks if l.vertices.issuperset(at[s])):
+            jet[s] = sum((math.prod([-alph[r] for r in at[s - t]],
+                                    start=prob.bar_weight(l, at[t]))
+                          for t in masks if t & s == t), 0.0 + 0j)
+    return table
 
 
 # --- expectation estimators ------------------------------------------------
@@ -253,16 +249,16 @@ def expval_ratio_tensors(prob: InsertionProblem, m) -> Estimate:
 
 
 def expval_derivative_tensors(prob: InsertionProblem, m) -> Estimate:
-    """Joint cumulant of the p <= P_CAP region insertions by multilinear
-    cluster differentiation: the expectation value for p = 1, the
-    connected correlator for p = 2."""
-    rids = tuple(prob.region_ids)
+    """Joint cumulant of the p <= P_CAP region insertions, the sum of
+    phi(W) times the lambda_1...lambda_p coefficient of Z_W: the
+    expectation value for p = 1, the connected correlator for p = 2."""
+    rids = prob.region_ids
     if len(rids) > P_CAP:
         raise PCapExceeded(f"p = {len(rids)} exceeds cap {P_CAP}")
-    prob.weigh((l for c in prob.clusters(m) for l, _ in c.members), rids)
+    table, top = _jet_table(prob, prob.clusters(m)), (1 << len(rids)) - 1
     total = 0.0 + 0j
     for c in prob.clusters(m):
-        total += float(ursell(c)) * _cluster_mixed_coeff(prob, c, rids)
+        total += float(ursell(c)) * cluster_value(c, table)[top]
     if len(rids) == 1:
         total += prob.alphas()[rids[0]]
     return Estimate(total, f"derivative({m})", prob.distance, prob.paths)

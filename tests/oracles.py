@@ -33,7 +33,9 @@ root per pair, as before the generator shared them.  The ratio-form
 estimators are kept as they were before one cluster sum served them: one
 product per weight lookup inside each cluster's term, the cumulant
 estimator's tables over every string, and a correlator's prefactors from
-two single-region problems of their own."""
+two single-region problems of their own.  The derivative form is kept as
+it was before its loop weights went through ``cluster_value``: a
+polynomial per cluster, multiplied out member by member."""
 
 import cmath
 import functools
@@ -1047,7 +1049,7 @@ def ratio_weight(prob, loop, inserted=frozenset()) -> complex:
 def expval_ratio(prob, m) -> complex:
     """alpha exp(sum of phi(W) (Z^O_W - Z_W)), each Z_W its own product."""
     (rid,) = prob.region_ids
-    prob.weigh((l for c in prob.clusters(m) for l, _ in c.members), [rid])
+    prob.weigh(l for c in prob.clusters(m) for l, _ in c.members)
     total = 0.0 + 0j
     for c in prob.clusters(m):
         zo = 1.0 + 0j
@@ -1064,7 +1066,7 @@ def expval_cumulant(prob, m) -> complex:
     tables over every string."""
     (rid,) = prob.region_ids
     strings = prob.strings(m)
-    prob.weigh(strings, [rid])
+    prob.weigh(strings)
     base_table = {l.key: prob.bar_weight(l) for l in strings}
     dec_table = {l.key: ratio_weight(prob, l, frozenset([rid]))
                  for l in strings}
@@ -1079,7 +1081,7 @@ def correlator_ratio(prob, m) -> complex:
     """The ratio-form connected correlator, four products per cluster,
     its prefactors from a single-region problem at each site."""
     a, b = prob.region_ids
-    prob.weigh((l for c in prob.clusters(m) for l, _ in c.members), [a, b])
+    prob.weigh(l for c in prob.clusters(m) for l, _ in c.members)
     total = 0.0 + 0j
     for c in prob.clusters(m):
         z = zo_a = zo_b = zo_ab = 1.0 + 0j
@@ -1093,6 +1095,67 @@ def correlator_ratio(prob, m) -> complex:
         prob.base, prob.messages, {r: prob.replacements[r]}), m)
         for r in (a, b))
     return ea * eb * (cmath.exp(total) - 1.0)
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            ex = tuple(x + y for x, y in zip(ea, eb))
+            if any(x > 1 for x in ex):
+                continue  # cannot contribute to the multilinear coefficient
+            out[ex] = out.get(ex, 0.0 + 0j) + ca * cb
+    return out
+
+
+def _loop_poly(prob: InsertionProblem, loop, var_regions) -> dict:
+    """Z_{l,lambda} to first order in each lambda: exponent tuple -> coeff.
+
+    coeff(S) = sum_{T subset S} (-1)^{|S|-|T|} Zbar^T_l prod_{x in S-T}
+    alpha_x, nonzero only when every region in S touches the support.
+    """
+    p = len(var_regions)
+    alph = prob.alphas()
+    poly = {}
+    touching = [i for i, r in enumerate(var_regions) if r in loop.vertices]
+    for smask in range(1 << len(touching)):
+        S = [touching[i] for i in range(len(touching)) if smask & (1 << i)]
+        coeff = 0.0 + 0j
+        for tmask in range(1 << len(S)):
+            T = [S[i] for i in range(len(S)) if tmask & (1 << i)]
+            sign = -1 if (len(S) - len(T)) % 2 else 1
+            val = prob.bar_weight(loop, frozenset(var_regions[i] for i in T))
+            for i in S:
+                if i not in T:
+                    val *= alph[var_regions[i]]
+            coeff += sign * val
+        ex = tuple(1 if i in S else 0 for i in range(p))
+        poly[ex] = coeff
+    return poly
+
+
+def _cluster_mixed_coeff(prob, cluster, var_regions) -> complex:
+    """Coefficient of lambda_1...lambda_p in prod_l Z_{l,lambda}^eta."""
+    p = len(var_regions)
+    poly = {(0,) * p: 1.0 + 0j}
+    for l, eta in cluster.members:
+        lp = _loop_poly(prob, l, var_regions)
+        for _ in range(eta):
+            poly = _poly_mul(poly, lp)
+    return poly.get((1,) * p, 0.0 + 0j)
+
+
+def expval_derivative(prob, m) -> complex:
+    """The derivative form with each cluster's polynomial multiplied out
+    member by member, each loop's polynomial rebuilt per member."""
+    rids = tuple(prob.region_ids)
+    prob.weigh(l for c in prob.clusters(m) for l, _ in c.members)
+    total = 0.0 + 0j
+    for c in prob.clusters(m):
+        total += float(ursell(c)) * _cluster_mixed_coeff(prob, c, rids)
+    if len(rids) == 1:
+        total += prob.alphas()[rids[0]]
+    return total
 
 
 def peps_statevector(peps) -> DenseTensor:

@@ -15,7 +15,7 @@ import bptn.cli
 from bptn.cli import main
 from bptn.errors import NumericalCollapse, TooLarge
 from bptn.models import IsingParams, ising_network
-from bptn.network import Graph, TensorNetwork
+from bptn.network import Graph, TensorNetwork, phys_leg
 from bptn.tensor import DenseTensor, Leg
 from bptn.tnio import network_to_dict, save_network
 
@@ -516,6 +516,39 @@ def test_exit_2_on_correlator_pair_on_one_site(tmp_path, capsys,
                 "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "share vertices" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_exit_2_on_correlator_pair_in_two_components(tmp_path, capsys,
+                                                     monkeypatch):
+    """A pair in two connected components of a PEPS file is refused before
+    BP runs: no string joins them."""
+    import bptn.bp
+
+    g = Graph(["A0", "A1", "B0", "B1"],
+              {"a": ("A0", "A1"), "b": ("B0", "B1")})
+    rng = np.random.default_rng(0)
+    tensors = {}
+    for v in g.vertices:
+        data = 0.2 * rng.standard_normal((2, 2))
+        data[0, 0] += 1.0
+        tensors[v] = DenseTensor([Leg(e, 2) for e, _ in g.incident(v)]
+                                 + [Leg(phys_leg(v), 2)], data)
+    path = tmp_path / "two.json"
+    save_network(path, TensorNetwork(g, {"a": 2, "b": 2}, tensors,
+                                     {v: 2 for v in g.vertices}))
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(bptn.bp, "_sweep", no_sweep)
+    out = tmp_path / "out.csv"
+    assert run(["correlator", "--input", str(path), "--site", "A0",
+                "--site-b", "B0", "-m", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --site-b 'B0' is not connected to site "
+                            "'A0': no string joins them\n")
     assert captured.out == ""
     assert not out.exists()
 

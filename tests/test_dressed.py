@@ -146,7 +146,7 @@ def test_bar_weights_on_decorated_networks_match_reference(peps33):
              if min(degree_map(prob.base.graph, l.edges).values()) < 2}
     assert open_strings
     for loop in strings:
-        prob.weigh([loop], [rid])
+        prob.weigh([loop])
         fac = local_factors(prob.base, prob.messages, loop.vertices)
         for inserted in ({frozenset()} | ({frozenset([rid])}
                                            if loop in decorated else set())):
@@ -254,7 +254,7 @@ def _assert_bar_weights_match_oracle(prob, loops, regions):
     """One ``weigh`` call caches every bar weight of the loops with and
     without the regions, each equal to the per-call oracle's bit for
     bit."""
-    prob.weigh(loops, regions)
+    prob.weigh(loops)
     for loop in loops:
         fac = local_factors(prob.base, prob.messages, loop.vertices)
         on = [r for r in regions if r in loop.vertices]
@@ -331,7 +331,7 @@ def _assert_near_sorted_order(prob, loops, regions):
     regions, within 1e-12 relative of the sorted-order oracle; a string
     with a leaf and no insertion vanishes at the fixed point, so there
     both are rounding noise below 1e-12 and only that is asserted."""
-    prob.weigh(loops, regions)
+    prob.weigh(loops)
     g = prob.base.graph
     for loop in loops:
         fac = local_factors(prob.base, prob.messages, loop.vertices)

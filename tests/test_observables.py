@@ -255,6 +255,71 @@ def test_ratio_and_cumulant_expvals_match_their_oracles(peps23):
                oracles.expval_cumulant(problem(), 6))
 
 
+# --- the derivative form against the polynomial it replaced ----------------
+
+def _peps_expval_problem():
+    """The benchmark's ``peps_expval`` expansion: site 2,2 of the 5x5 PEPS
+    at perturbation 0.25 and seed 11."""
+    peps = random_peps(5, 5, D=2, perturbation=0.25, seed=11)
+    tn = build_norm_network(peps)
+    ms = bp_iterate(tn, uniform_messages(tn)).messages
+    repl = peps_replacements(peps, {"2,2": SZ})
+    return lambda: InsertionProblem(tn, ms, repl)
+
+
+def _third_cumulant_problem():
+    """The three-region expansion of
+    ``test_acceptance_9_third_joint_cumulant``."""
+    peps = random_peps(2, 3, D=2, perturbation=0.35, seed=11)
+    tn = build_norm_network(peps)
+    ms = bp_iterate(tn, uniform_messages(tn), tol=1e-13).messages
+    repl = peps_replacements(peps, {s: SZ for s in ("0,0", "0,2", "1,1")})
+    return lambda: InsertionProblem(tn, ms, repl)
+
+
+def test_derivative_form_matches_its_oracle(peps23):
+    """The derivative form through ``cluster_value`` equals, bit for bit,
+    the per-cluster polynomial it replaced, each on a fresh problem: the
+    README ``expval`` and the ``peps_expval`` expectation (p = 1), the
+    README ``correlator`` at d = 1-3 and truncation m + d for m = 2 and
+    4 and a PEPS pair (p = 2), and a third joint cumulant (p = 3)."""
+    p3, tn3, ms3 = _readme_ising(3)
+    cases = [(lambda: InsertionProblem(
+        tn3, ms3, ising_insertion(tn3, p3, {"1,1": SZ})), 6),
+        (_peps_expval_problem(), 7),
+        (lambda: _problem(peps23, {"0,0": SZ}, {"1,2": SX}), 6),
+        (_third_cumulant_problem(), 8)]
+    p4, tn4, ms4 = _readme_ising(4)
+    a = ising_insertion(tn4, p4, {"0,0": SZ})
+    for d, site in ((1, "0,1"), (2, "0,2"), (3, "1,2")):
+        both = {**a, **ising_insertion(tn4, p4, {site: SZ})}
+        cases += [(lambda both=both: InsertionProblem(tn4, ms4, both), m + d)
+                  for m in (2, 4)]
+    for problem, m in cases:
+        assert (expval_derivative_tensors(problem(), m).value
+                == oracles.expval_derivative(problem(), m))
+
+
+def test_derivative_form_builds_each_loop_once(monkeypatch):
+    """One call builds each distinct loop's first-order weight once: the
+    coefficient of each region set S on the loop reads the bar weight of
+    every T in S, 3^k reads for a loop holding k regions."""
+    prob = _third_cumulant_problem()()
+    loops = {l.key: l for c in prob.clusters(8) for l in c.loops}.values()
+    want = sum(3 ** sum(r in l.vertices for r in prob.region_ids)
+               for l in loops)
+    reads = []
+    bar_weight = InsertionProblem.bar_weight
+
+    def counted(*args):
+        reads.append(args)
+        return bar_weight(*args)
+
+    monkeypatch.setattr(InsertionProblem, "bar_weight", counted)
+    expval_derivative_tensors(prob, 8)
+    assert len(reads) == want == 387
+
+
 # --- one expansion shared by every estimator --------------------------------
 
 _ONE_REGION = [("bp", lambda prob, m: expval_bp_tensors(prob)),
