@@ -190,14 +190,6 @@ def _emit(args, fieldnames, rows, summary_lines=()):
         print(line, file=sys.stderr)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, complex):
-        return repr(x)
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _converge(prob: Problem, args):
     # Settings under which BP cannot converge would run the full sweep cap
     # twice before failing; refuse them before the first sweep.
@@ -230,9 +222,8 @@ def _weighed_loops(prob: Problem, args):
 def cmd_contract_exact(args):
     prob = _load_problem(args)
     z = exact_contract(prob.tn)
-    rows = [{"quantity": "partition_function", "re": _fmt(z.real),
-             "im": _fmt(z.imag)},
-            {"quantity": "log_abs", "re": _fmt(math.log(abs(z))), "im": "0.0"}]
+    rows = [{"quantity": "partition_function", "re": z.real, "im": z.imag},
+            {"quantity": "log_abs", "re": math.log(abs(z)), "im": 0.0}]
     _emit(args, ["quantity", "re", "im"], rows,
           [f"Z = {z}"])
     return 0
@@ -245,9 +236,9 @@ def cmd_bp(args):
     verdict, ratio = stability_probe(prob.tn, res.messages, seed=args.seed)
     rows = [{
         "converged": res.converged, "iterations": res.iterations,
-        "residual": _fmt(res.residual),
-        "log_partition_abs": _fmt(log_abs), "phase": _fmt(phase),
-        "stability": verdict, "growth_ratio": _fmt(ratio),
+        "residual": res.residual,
+        "log_partition_abs": log_abs, "phase": phase,
+        "stability": verdict, "growth_ratio": ratio,
     }]
     _emit(args, list(rows[0]), rows,
           [f"BP {'converged' if res.converged else 'FAILED'} in "
@@ -259,9 +250,8 @@ def cmd_bp(args):
 def cmd_loops(args):
     _, loops, table = _weighed_loops(_load_problem(args), args)
     rows, notes = loop_decay_profile(table)
-    out = [{k: _fmt(v) for k, v in r.items()} for r in rows]
     _emit(args, ["weight", "parity", "n_loops", "max_abs", "c_estimate"],
-          out, [f"{len(loops)} loops up to weight {args.max_weight}"] +
+          rows, [f"{len(loops)} loops up to weight {args.max_weight}"] +
           list(notes))
     return 0
 
@@ -273,27 +263,21 @@ def cmd_free_energy(args):
     fr = free_energy_truncated(prob.tn, messages, loops, m,
                                weight_table=table)
     f_cum, _ = cumulant_free_energy(prob.tn, messages, fr.clusters, table)
-    rows = [
-        {"method": "bp", "truncation": 0, "f_re": _fmt(fr.f_bp.real),
-         "f_im": _fmt(fr.f_bp.imag)},
-        {"method": "cluster", "truncation": m, "f_re": _fmt(fr.f_m.real),
-         "f_im": _fmt(fr.f_m.imag)},
-        {"method": "cumulant", "truncation": m, "f_re": _fmt(f_cum.real),
-         "f_im": _fmt(f_cum.imag)},
-    ]
+    estimates = [("bp", 0, fr.f_bp), ("cluster", m, fr.f_m),
+                 ("cumulant", m, f_cum)]
     if args.region_size:
         poset = find_regions(prob.tn.graph, args.region_size)
         f_reg, _ = region_free_energy(prob.tn, messages, poset)
-        rows.append({"method": "region", "truncation": args.region_size,
-                     "f_re": _fmt(f_reg.real), "f_im": _fmt(f_reg.imag)})
+        estimates.append(("region", args.region_size, f_reg))
     fields = ["method", "truncation", "f_re", "f_im"]
+    rows = [dict(zip(fields, (method, n, f.real, f.imag)))
+            for method, n, f in estimates]
     if args.reference == "exact":
-        ref = cmath.log(exact_contract(prob.tn))
+        ref = -cmath.log(exact_contract(prob.tn))
         fields += ["f_ref_re", "abs_error"]
-        for r in rows:
-            r["f_ref_re"] = _fmt((-ref).real)
-            r["abs_error"] = _fmt(abs(complex(float(r["f_re"]),
-                                              float(r["f_im"])) - (-ref)))
+        for r, (_, _, f) in zip(rows, estimates):
+            r["f_ref_re"] = ref.real
+            r["abs_error"] = abs(f - ref)
     _emit(args, fields, rows, [f"F_bp={fr.f_bp:.10g}  F_{m}={fr.f_m:.10g}"])
     return 0
 
@@ -318,12 +302,12 @@ def cmd_expval(args):
     ] + ([expval_region_sum_tensors(expansion, k)] if k else [])
     rows = []
     for e in estimates:
-        row = {"method": e.method, "value_re": _fmt(e.value.real),
-               "value_im": _fmt(e.value.imag)}
+        row = {"method": e.method, "value_re": e.value.real,
+               "value_im": e.value.imag}
         if ref is not None:
-            row["reference_re"] = _fmt(ref.real)
-            row["abs_error"] = _fmt(abs(e.value - ref))
-            row["rel_error"] = _fmt(abs(e.value - ref) / max(abs(ref), 1e-300))
+            row["reference_re"] = ref.real
+            row["abs_error"] = abs(e.value - ref)
+            row["rel_error"] = abs(e.value - ref) / max(abs(ref), 1e-300)
         rows.append(row)
     _emit(args, list(rows[0]), rows,
           [f"site {site}: " + ", ".join(
@@ -339,10 +323,6 @@ def cmd_correlator(args):
         raise ConfigError(f"--site-b {a!r} is the site itself: the two "
                           "insertion regions share vertices")
     dist, _ = bfs(prob.tn.graph, {a})
-    if args.site_b in prob.tn.graph.vertices and args.site_b not in dist:
-        raise ConfigError(f"--site-b {args.site_b!r} is not connected to "
-                          f"site {a!r}: no string joins them")
-    res = _converge(prob, args)
     if args.site_b:
         pairs = [(a, args.site_b)]
     else:  # distance scan: first vertex at each distance, in vertex order
@@ -354,34 +334,40 @@ def cmd_correlator(args):
     if not pairs:
         raise ConfigError(f"no site within --distances {args.distances} "
                           f"of site {a!r}")
+    # every refusal comes before BP: a site not in the network (insertion
+    # refuses it), then a pair that no string joins
+    inserts = [prob.insertion(v) for _, v in pairs]
+    if args.site_b and args.site_b not in dist:
+        raise ConfigError(f"--site-b {args.site_b!r} is not connected to "
+                          f"site {a!r}: no string joins them")
+    res = _converge(prob, args)
     if args.reference == "exact":
         z = exact_contract(prob.tn)
         za = exact_contract(prob.tn.replace_tensors(ra)) / z
     rows, ests, summary = [], [], []
-    for u, v in pairs:
-        rb = prob.insertion(v)
+    for (u, v), rb in zip(pairs, inserts):
         both = {**ra, **rb}
-        m = args.max_weight + dist.get(v, math.inf)
+        m = args.max_weight + dist[v]
         pair = InsertionProblem(prob.tn, res.messages, both)
         cd = expval_derivative_tensors(pair, m)
         try:
             cr = correlator_ratio_tensors(pair, m)
-            ratio_re = _fmt(cr.value.real)
+            ratio_re = cr.value.real
         except (EngineError, OverflowError) as exc:
-            ratio_re = "nan"
+            ratio_re = math.nan
             summary.append(f"ratio_re = nan for sites {u!r} and {v!r}: "
                            f"{type(exc).__name__}: {exc}")
         ests.append(cd)
         row = {"site_a": u, "site_b": v, "distance": cd.distance,
-               "truncation": m, "derivative_re": _fmt(cd.value.real),
-               "derivative_im": _fmt(cd.value.imag), "ratio_re": ratio_re}
+               "truncation": m, "derivative_re": cd.value.real,
+               "derivative_im": cd.value.imag, "ratio_re": ratio_re}
         if args.reference == "exact":
             zb = exact_contract(prob.tn.replace_tensors(rb)) / z
             zab = exact_contract(prob.tn.replace_tensors(both)) / z
             exact = zab - za * zb
-            row["reference_re"] = _fmt(exact.real)
-            row["rel_error"] = _fmt(abs(cd.value - exact) /
-                                    max(abs(exact), 1e-300))
+            row["reference_re"] = exact.real
+            row["rel_error"] = abs(cd.value - exact) / max(abs(exact),
+                                                           1e-300)
         rows.append(row)
     if len({e.distance for e in ests}) >= 3:
         xi, diag = correlation_length(ests)
@@ -435,11 +421,11 @@ def cmd_scan(args):
                      if r["parity"] == "odd"), default=math.nan)
         fr = free_energy_truncated(prob.tn, messages, loops, args.max_weight,
                                    weight_table=table)
-        row = {name: _fmt(float(val)), "c_even": _fmt(c_even),
-               "c_odd": _fmt(c_odd), "f_m_re": _fmt(fr.f_m.real)}
+        row = {name: float(val), "c_even": c_even, "c_odd": c_odd,
+               "f_m_re": fr.f_m.real}
         if args.reference == "exact" and prob.ising is not None:
             f_exact = -ising_exact_logZ(prob.ising)
-            row["abs_error"] = _fmt(abs(fr.f_m.real - f_exact))
+            row["abs_error"] = abs(fr.f_m.real - f_exact)
         rows.append(row)
     _emit(args, list(rows[0]), rows, [f"{len(rows)} sweep points"])
     return 0

@@ -26,7 +26,7 @@ import numpy as np
 from .bp import MessageSet, uniform_messages
 from .errors import FieldNonzero
 from .network import Graph, TensorNetwork, phys_leg
-from .tensor import DenseTensor, Leg
+from .tensor import DenseTensor
 
 
 # --- classical Ising -------------------------------------------------------
@@ -103,7 +103,7 @@ def _site_tensors(graph: Graph, roots: dict, beta: float, jobs) -> dict:
                         block = np.multiply.outer(block, roots[e][ti])
                     data += block
             arrays[key] = data
-        out[v] = DenseTensor([Leg(e, 2) for (e, _) in inc], arrays[key])
+        out[v] = DenseTensor([e for (e, _) in inc], arrays[key])
     return out
 
 
@@ -171,11 +171,11 @@ def ising_exact_logZ(p: IsingParams) -> float:
         w = p.beta * (energy + site)
         wmax = w.max()
         return float(wmax + math.log(np.exp(w - wmax).sum()))
-    if p.topology != "torus":
-        raise ValueError("transfer-matrix oracle: uniform torus only")
-    # column-to-column transfer matrix on the torus
+    # column-to-column transfer matrix; rows wrap only on the torus
     confs = np.array(list(itertools.product((1, -1), repeat=L)))
     intra = np.einsum("ci,ci->c", confs, np.roll(confs, -1, axis=1))
+    if p.topology == "cylinder":
+        intra -= confs[:, -1] * confs[:, 0]
     fieldt = confs.sum(axis=1)
     inter = confs @ confs.T
     logT = (p.beta * inter
@@ -204,7 +204,7 @@ def single_loop_network(n: int, seed=0) -> TensorNetwork:
         left, right = f"e{(i - 1) % n}", f"e{i}"
         data = np.eye(2) + 0.3 * (rng.standard_normal((2, 2))
                                   + 1j * rng.standard_normal((2, 2)))
-        tensors[f"v{i}"] = DenseTensor([Leg(left, 2), Leg(right, 2)], data)
+        tensors[f"v{i}"] = DenseTensor([left, right], data)
     return TensorNetwork(graph, {e: 2 for e in edges}, tensors)
 
 
@@ -226,13 +226,13 @@ def random_peps(rows: int, cols: int, D: int = 2, phys_dim: int = 2,
     tensors, phys = {}, {}
     for v in vertices:
         inc = graph.incident(v)
-        legs = [Leg(e, D) for (e, _) in inc] + [Leg(phys_leg(v), phys_dim)]
-        shape = tuple(l.dim for l in legs)
+        shape = (D,) * len(inc) + (phys_dim,)
         data = perturbation * (rng.standard_normal(shape)
                                + 1j * rng.standard_normal(shape))
         base = np.zeros(shape, dtype=complex)
         base[(0,) * len(shape)] = 1.0  # product |0> on trivial bond sector
-        tensors[v] = DenseTensor(legs, base + data)
+        tensors[v] = DenseTensor([e for (e, _) in inc] + [phys_leg(v)],
+                                 base + data)
         phys[v] = phys_dim
     return TensorNetwork(graph, {e: D for e in edges}, tensors, phys)
 
@@ -252,5 +252,5 @@ def random_tree_network(n: int, D: int = 2, seed=0) -> TensorNetwork:
         shape = (D,) * len(inc)
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         data /= np.linalg.norm(data)
-        tensors[v] = DenseTensor([Leg(e, D) for (e, _) in inc], data)
+        tensors[v] = DenseTensor([e for (e, _) in inc], data)
     return TensorNetwork(graph, {e: D for e in edges}, tensors)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MissingPhysicalLeg, NumericalCollapse,
                      RegionMismatch)
-from .tensor import DenseTensor, Leg, contract_network
+from .tensor import DenseTensor, contract_network
 
 DEFAULT_SIZE_CAP = 2 ** 26
 
@@ -104,14 +104,14 @@ class TensorNetwork:
                 raise DimensionMismatch(
                     f"vertex {v!r}: tensor legs {sorted(t.leg_ids)} != "
                     f"incident legs {sorted(want)}")
-            for l in t.legs:
-                if l.id in self.bond_dims and l.dim != self.bond_dims[l.id]:
+            for x, dim in zip(t.leg_ids, t.data.shape):
+                if x in self.bond_dims and dim != self.bond_dims[x]:
                     raise DimensionMismatch(
-                        f"vertex {v!r}, leg {l.id!r}: dim {l.dim} != "
-                        f"bond dim {self.bond_dims[l.id]}")
-                if l.id == phys_leg(v) and l.dim != self.phys_dims.get(v):
+                        f"vertex {v!r}, leg {x!r}: dim {dim} != "
+                        f"bond dim {self.bond_dims[x]}")
+                if x == phys_leg(v) and dim != self.phys_dims.get(v):
                     raise DimensionMismatch(
-                        f"vertex {v!r}: physical dim {l.dim} != declared "
+                        f"vertex {v!r}: physical dim {dim} != declared "
                         f"{self.phys_dims.get(v)}")
 
     @property
@@ -150,12 +150,11 @@ def _double_tensor(t: DenseTensor, pid: str, op=None) -> DenseTensor:
         op = np.asarray(op, dtype=complex)
         ket = np.moveaxis(np.tensordot(ket, op, axes=([p_ax], [1])), -1, p_ax)
     d = np.tensordot(ket, np.conj(t.data), axes=(p_ax, p_ax))
-    bond_legs = [l for l in t.legs if l.id != pid]
-    k = len(bond_legs)
+    k = len(ids) - 1
     # interleave (ket_1, bra_1, ket_2, bra_2, ...) then fuse each pair
     perm = [x for i in range(k) for x in (i, i + k)]
-    d = np.transpose(d, perm).reshape([l.dim ** 2 for l in bond_legs])
-    return DenseTensor([Leg(l.id, l.dim ** 2) for l in bond_legs], d)
+    d = np.transpose(d, perm).reshape([n * n for n in d.shape[:k]])
+    return DenseTensor([x for x in ids if x != pid], d)
 
 
 def build_norm_network(peps: TensorNetwork) -> TensorNetwork:

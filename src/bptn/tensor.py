@@ -1,9 +1,9 @@
 """Minimal dense labeled-leg tensor kernel.
 
-Tensors carry an ordered list of legs, each a (string id, dimension) pair,
-and a complex ndarray whose axes follow the leg order.  After every
-operation legs are brought to canonical (sorted-by-id) order, so equality
-of tensors is independent of construction history.
+A tensor is its leg ids and a complex ndarray whose axes follow them; a
+leg's dimension is its axis length.  The ids are kept in canonical
+(sorted) order, so equality of tensors is independent of construction
+history.
 
 ``contract_many`` is the one contraction kernel: it groups many small
 networks by structure and runs each step of a group's greedy pair plan
@@ -29,64 +29,32 @@ import numpy as np
 from .errors import DimensionMismatch, LegCollision, TooLarge
 
 
-class Leg:
-    """A labeled tensor leg. ``id`` is a string, ``dim`` a positive int."""
-
-    __slots__ = ("id", "dim")
-
-    def __init__(self, id: str, dim: int):
-        if dim < 1:
-            raise DimensionMismatch(f"leg {id!r}: dim must be >= 1, got {dim}")
-        self.id = str(id)
-        self.dim = int(dim)
-
-    def __repr__(self):
-        return f"Leg({self.id!r}, {self.dim})"
-
-    def __eq__(self, other):
-        return isinstance(other, Leg) and self.id == other.id and self.dim == other.dim
-
-    def __hash__(self):
-        return hash((self.id, self.dim))
-
-
 class DenseTensor:
-    """Dense complex tensor with canonically ordered labeled legs."""
+    """Dense complex tensor: leg ids, sorted, and an array whose axes
+    follow them, so each leg's dimension is its axis length."""
 
-    __slots__ = ("legs", "data")
+    __slots__ = ("leg_ids", "data")
 
-    def __init__(self, legs: Sequence[Leg], data):
-        legs = [l if isinstance(l, Leg) else Leg(*l) for l in legs]
-        ids = [l.id for l in legs]
+    def __init__(self, leg_ids: Sequence[str], data):
+        ids = [str(x) for x in leg_ids]
         if len(set(ids)) != len(ids):
             raise LegCollision(f"duplicate leg ids on one tensor: {ids}")
         data = np.asarray(data, dtype=complex)
-        shape = tuple(l.dim for l in legs)
-        if data.size != math.prod(shape):
+        if data.ndim != len(ids) or 0 in data.shape:
             raise DimensionMismatch(
-                f"data size {data.size} does not match leg dims {shape}")
-        data = data.reshape(shape)
-        # canonical order: sort legs by id, permute axes accordingly
-        order = sorted(range(len(legs)), key=ids.__getitem__)
-        if order != list(range(len(legs))):
-            legs = [legs[i] for i in order]
-            data = np.transpose(data, order)
-        self.legs = legs
-        self.data = np.ascontiguousarray(data)
-
-    # -- conveniences -------------------------------------------------------
-
-    @property
-    def leg_ids(self):
-        return [l.id for l in self.legs]
+                f"data shape {data.shape} does not fit leg ids {ids}")
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        self.leg_ids = [ids[i] for i in order]
+        # asarray keeps a scalar 0-d, where ascontiguousarray makes it (1,)
+        self.data = np.asarray(np.transpose(data, order), order="C")
 
     def item(self) -> complex:
-        if self.legs:
+        if self.leg_ids:
             raise DimensionMismatch("item() on a non-scalar tensor")
         return complex(self.data.item())
 
     def __repr__(self):
-        return f"DenseTensor(legs={self.legs!r}, shape={self.data.shape})"
+        return f"DenseTensor({self.leg_ids!r}, shape={self.data.shape})"
 
 
 def contract_pair(a: DenseTensor, b: DenseTensor) -> DenseTensor:
@@ -235,7 +203,7 @@ def contract_network(tensors: Iterable[DenseTensor],
     end up combined by outer products at the end."""
     index = {}      # leg id -> its number, in order of first appearance
     ((legs, data),) = contract_many([[(tuple([
-        index.setdefault(l.id, len(index)) for l in t.legs]), t.data)
+        index.setdefault(x, len(index)) for x in t.leg_ids]), t.data)
         for t in tensors]], size_cap)
     ids = list(index)
-    return DenseTensor([(ids[x], n) for x, n in zip(legs, data.shape)], data)
+    return DenseTensor([ids[x] for x in legs], data)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidNetworkFile
 from .network import Graph, TensorNetwork
-from .tensor import DenseTensor, Leg
+from .tensor import DenseTensor
 
 
 def network_to_dict(tn: TensorNetwork, messages=None) -> dict:
@@ -36,7 +36,7 @@ def network_to_dict(tn: TensorNetwork, messages=None) -> dict:
         t = tn.tensors[v]
         doc["tensors"][v] = {
             "legs": t.leg_ids,
-            "dims": [l.dim for l in t.legs],
+            "dims": list(t.data.shape),
             "re": np.real(t.data).ravel().tolist(),
             "im": np.imag(t.data).ravel().tolist(),
         }
@@ -133,8 +133,7 @@ def network_from_dict(doc: dict) -> TensorNetwork:
             _fail(f"tensors/{v}",
                   f"data length {data.size} != prod(dims) {want}")
         try:
-            tensors[v] = DenseTensor(
-                [Leg(l, d) for l, d in zip(legs, dims)], data)
+            tensors[v] = DenseTensor(legs, data.reshape(dims))
         except Exception as exc:
             _fail(f"tensors/{v}", str(exc))
     try:
@@ -178,7 +177,7 @@ def _messages_from_dict(doc, tn: TensorNetwork):
         data = _data(where, rec)
         if data.size != tn.bond_dims[e]:
             _fail(where, "length does not match bond dim")
-        msgs[(v, w)] = DenseTensor([Leg(e, tn.bond_dims[e])], data)
+        msgs[(v, w)] = DenseTensor([e], data)
     return MessageSet(tn, msgs)
 
 

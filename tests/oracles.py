@@ -60,7 +60,7 @@ from bptn.models import _sqrt_bond_matrix
 from bptn.network import DEFAULT_SIZE_CAP, is_connected, set_bits
 from bptn.observables import InsertionProblem
 from bptn.loops import _walk
-from bptn.tensor import DenseTensor, Leg, _plan, contract_pair
+from bptn.tensor import DenseTensor, _plan, contract_pair
 from bptn.tensor import contract_network as bulk_contract_network
 
 
@@ -155,7 +155,7 @@ def raw_update(tn, msgs, v, w, e):
 def message(messages: MessageSet, v, w) -> DenseTensor:
     """The message v->w of a stacked set, as a tensor on its edge's leg."""
     d, r = messages.plan.slot[v, w]
-    return DenseTensor([Leg(messages.tn.graph.edge_between(v, w), d)],
+    return DenseTensor([messages.tn.graph.edge_between(v, w)],
                        messages.data[d][r])
 
 
@@ -172,7 +172,7 @@ def sweep(tn, msgs: dict):
     for e, (u, v) in tn.graph.edges.items():
         for (a, b) in ((u, v), (v, u)):
             upd = raw_update(tn, msgs, a, b, e)
-            out[(a, b)] = DenseTensor(upd.legs, normalize(upd.data))
+            out[(a, b)] = DenseTensor(upd.leg_ids, normalize(upd.data))
     return out
 
 
@@ -193,7 +193,7 @@ def random_messages(tn, seed=0) -> dict:
         d = tn.bond_dims[e]
         for pair in ((u, v), (v, u)):
             data = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            msgs[pair] = DenseTensor([Leg(e, d)], normalize(data))
+            msgs[pair] = DenseTensor([e], normalize(data))
     return msgs
 
 
@@ -202,7 +202,7 @@ def uniform_messages(tn) -> dict:
     msgs = {}
     for e, (u, v) in tn.graph.edges.items():
         d = tn.bond_dims[e]
-        vec = DenseTensor([Leg(e, d)], np.full(d, 1.0 / math.sqrt(d)))
+        vec = DenseTensor([e], np.full(d, 1.0 / math.sqrt(d)))
         msgs[(u, v)] = msgs[(v, u)] = vec
     return msgs
 
@@ -228,7 +228,7 @@ def ising_site_tensor(tn, pairs: dict, beta, v, hv, gate) -> DenseTensor:
             for (e, _) in inc:
                 block = np.multiply.outer(block, roots[e][ti])
             data += block
-    return DenseTensor([Leg(e, 2) for (e, _) in inc], data)
+    return DenseTensor([e for (e, _) in inc], data)
 
 
 # --- the per-edge tables ---------------------------------------------------
@@ -238,9 +238,9 @@ def inner(a: DenseTensor, b: DenseTensor) -> complex:
     if a.leg_ids != b.leg_ids:
         raise DimensionMismatch(
             f"inner needs identical leg sets: {a.leg_ids} vs {b.leg_ids}")
-    for la, lb in zip(a.legs, b.legs):
-        if la.dim != lb.dim:
-            raise DimensionMismatch(f"leg {la.id!r}: dim {la.dim} vs {lb.dim}")
+    for x, da, db in zip(a.leg_ids, a.data.shape, b.data.shape):
+        if da != db:
+            raise DimensionMismatch(f"leg {x!r}: dim {da} vs {db}")
     return complex(np.sum(a.data * b.data))
 
 
@@ -275,9 +275,7 @@ def edge_projector(messages: MessageSet, e) -> DenseTensor:
     """``projector`` as a tensor with legs '<e>@<u>' and '<e>@<v>'."""
     e = str(e)
     u, v = messages.tn.graph.endpoints(e)
-    d = messages.tn.bond_dims[e]
-    return DenseTensor([Leg(f"{e}@{u}", d), Leg(f"{e}@{v}", d)],
-                       projector(messages, e))
+    return DenseTensor([f"{e}@{u}", f"{e}@{v}"], projector(messages, e))
 
 
 def bp_iterate(tn, messages: MessageSet, damping=DEFAULT_DAMPING,
@@ -294,7 +292,7 @@ def bp_iterate(tn, messages: MessageSet, damping=DEFAULT_DAMPING,
             residual = max(residual, float(
                 np.linalg.norm(new.data - normalize(old.data))))
             data = (1.0 - damping) * new.data + damping * old.data
-            mixed[key] = DenseTensor(new.legs, normalize(data))
+            mixed[key] = DenseTensor(new.leg_ids, normalize(data))
         msgs = mixed
         if residual <= tol:
             return BPResult(MessageSet(tn, msgs), residual, it, True)
@@ -308,7 +306,7 @@ def stability_probe(tn, messages: MessageSet, seed=0):
     msgs = per_edge(messages)
     keys = sorted(msgs)
     base = {k: normalize(msgs[k].data) for k in keys}
-    legs = {k: msgs[k].legs for k in keys}
+    legs = {k: msgs[k].leg_ids for k in keys}
     growths = []
     for _ in range(PROBE_PERTURBATIONS):
         v = {k: rng.standard_normal(base[k].shape)
@@ -777,18 +775,17 @@ def contract_network(tensors, size_cap=None) -> DenseTensor:
     if len(pool) == 1:
         return pool[0]
     ids, data = contract_pool([(t.leg_ids, t.data) for t in pool], size_cap)
-    return DenseTensor(list(zip(ids, data.shape)), data)
+    return DenseTensor(ids, data)
 
 
 def relabel(t: DenseTensor, mapping: dict) -> DenseTensor:
     """A copy of ``t`` with leg ids renamed via ``mapping`` (id -> new id)."""
-    legs = [Leg(mapping.get(l.id, l.id), l.dim) for l in t.legs]
-    return DenseTensor(legs, t.data)
+    return DenseTensor([mapping.get(x, x) for x in t.leg_ids], t.data)
 
 
 def scale(t: DenseTensor, c) -> DenseTensor:
     """``t`` times the scalar ``c``."""
-    return DenseTensor(t.legs, t.data * c)
+    return DenseTensor(t.leg_ids, t.data * c)
 
 
 def local_factor(messages, v, tensor) -> complex:

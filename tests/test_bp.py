@@ -17,7 +17,7 @@ from bptn.models import (IsingParams, ising_insertion, ising_network,
                          random_tree_network, single_loop_network)
 from bptn.network import exact_contract
 from bptn.observables import InsertionProblem
-from bptn.tensor import DenseTensor, Leg
+from bptn.tensor import DenseTensor
 from oracles import edge_projector, self_consistency_residual
 from test_bp_sweep import _mixed_dims
 
@@ -69,7 +69,7 @@ def test_degenerate_edge_refused_where_it_is_read():
     msgs = oracles.per_edge(uniform_messages(tn))
     e0 = sorted(tn.graph.edges)[0]
     u, w = tn.graph.endpoints(e0)
-    null = DenseTensor([Leg(e0, 2)], np.array([1.0, 1j]) / math.sqrt(2))
+    null = DenseTensor([e0], np.array([1.0, 1j]) / math.sqrt(2))
     msgs[u, w] = msgs[w, u] = null
     ms = MessageSet(tn, msgs)
     for read in (ms.inner_product, ms.projector):
@@ -223,7 +223,7 @@ def test_local_factors_match_per_message_oracle(name):
     rng = np.random.default_rng(7)
     for v in tn.graph.vertices[:3]:
         t = tn.tensors[v]
-        repl = DenseTensor(t.legs, t.data * (1 + 0.5 * rng.standard_normal(
+        repl = DenseTensor(t.leg_ids, t.data * (1 + 0.5 * rng.standard_normal(
             t.data.shape)))
         (alpha,) = InsertionProblem(tn, ms, {v: repl}).alphas().values()
         want = (oracles.local_factor(ms, v, repl)
@@ -235,7 +235,7 @@ def test_numerical_collapse_on_zero_tensor():
     from bptn.network import Graph, TensorNetwork
 
     g = Graph(["a", "b"], {"e": ("a", "b")})
-    zero = DenseTensor([Leg("e", 2)], [0.0, 0.0])
+    zero = DenseTensor(["e"], [0.0, 0.0])
     tn = TensorNetwork(g, {"e": 2}, {"a": zero, "b": zero})
     with pytest.raises(NumericalCollapse):
         bp_iterate(tn, uniform_messages(tn))
@@ -302,8 +302,8 @@ def test_degenerate_inner_product_guard():
     msgs = {}
     for e, (u, v) in tn.graph.edges.items():
         vec = np.array([1.0, 1j]) / math.sqrt(2)
-        msgs[(u, v)] = DenseTensor([Leg(e, 2)], vec)
-        msgs[(v, u)] = DenseTensor([Leg(e, 2)], vec)
+        msgs[(u, v)] = DenseTensor([e], vec)
+        msgs[(v, u)] = DenseTensor([e], vec)
     ms = MessageSet(tn, msgs)
     e0 = sorted(tn.graph.edges)[0]
     with pytest.raises(DegenerateInnerProduct):

@@ -26,7 +26,7 @@ from bptn.bp import (PROBE_PERTURBATIONS, PROBE_SWEEPS, _normalize_rows,
 from bptn.cli import generate
 from bptn.models import IsingParams, ising_network
 from bptn.network import Graph, TensorNetwork
-from bptn.tensor import DenseTensor, Leg
+from bptn.tensor import DenseTensor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,7 +63,7 @@ def _assert_same_messages(a, b):
     a, b = oracles.per_edge(a), oracles.per_edge(b)
     assert list(a) == list(b)
     for key in a:
-        assert a[key].legs == b[key].legs
+        assert a[key].leg_ids == b[key].leg_ids
         assert np.array_equal(a[key].data, b[key].data), key
 
 
@@ -144,9 +144,9 @@ def _square_with_diagonal(dims):
     g = Graph("abcd", edges)
     tensors = {}
     for v in g.vertices:
-        legs = [Leg(e, dims[e]) for e, _ in g.incident(v)]
+        legs = [e for e, _ in g.incident(v)]
         tensors[v] = DenseTensor(
-            legs, 0.5 + rng.random(tuple(l.dim for l in legs)))
+            legs, 0.5 + rng.random(tuple(dims[e] for e in legs)))
     return TensorNetwork(g, dims, tensors)
 
 
@@ -287,7 +287,7 @@ def test_probe_collapses_on_rank_one_tensors():
     e0 = np.array([1.0, 0.0])
     tensors = {}
     for v in g.vertices:
-        legs = [Leg(e, 2) for e, _ in g.incident(v)]
+        legs = [e for e, _ in g.incident(v)]
         data = (0.5 + rng.random()) * e0
         for _ in legs[1:]:
             data = np.multiply.outer(data, e0)
@@ -331,7 +331,7 @@ def test_start_messages_match_per_edge_draws(case):
         got = oracles.per_edge(got)
         assert list(got) == sorted(want)
         for key, m in want.items():
-            assert got[key].legs == m.legs
+            assert got[key].leg_ids == m.leg_ids
             assert np.array_equal(got[key].data, m.data), key
 
 

@@ -16,7 +16,7 @@ from bptn.cli import main
 from bptn.errors import NumericalCollapse, TooLarge
 from bptn.models import IsingParams, ising_network
 from bptn.network import Graph, TensorNetwork, phys_leg
-from bptn.tensor import DenseTensor, Leg
+from bptn.tensor import DenseTensor
 from bptn.tnio import network_to_dict, save_network
 
 
@@ -281,6 +281,19 @@ def test_scan_subcommand(tmp_path):
     assert errs[0] < errs[1] < errs[2]  # error grows toward criticality
 
 
+def test_scan_reference_on_a_cylinder_past_the_spin_sum(tmp_path):
+    """L=5 is past the spin-sum cutoff: the cylinder's exact reference
+    comes from the transfer matrix with open rows."""
+    out = tmp_path / "scan.csv"
+    assert run(["scan", "--generate", "ising:L=5,beta=0.2,topology=cylinder",
+                "--sweep", "beta=0.1:0.2:2", "-m", "4",
+                "--reference", "exact", "--out", str(out)]) == 0
+    rows = _rows(out)
+    assert [float(r["beta"]) for r in rows] == [0.1, 0.2]
+    errs = [float(r["abs_error"]) for r in rows]
+    assert 0 < errs[0] < errs[1] < 0.01
+
+
 @pytest.mark.parametrize("spec", ["tree:n=1", "peps:rows=1,cols=1"])
 def test_bp_on_edgeless_network(tmp_path, spec):
     """One vertex and no edge: BP converges at once, and the stability
@@ -520,6 +533,25 @@ def test_exit_2_on_correlator_pair_on_one_site(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_exit_2_on_correlator_site_b_not_in_the_network(tmp_path, capsys,
+                                                       monkeypatch):
+    """A --site-b that is not a vertex is refused before BP runs."""
+    import bptn.bp
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(bptn.bp, "_sweep", no_sweep)
+    out = tmp_path / "out.csv"
+    assert run(["correlator", "--generate", "ising:L=3,beta=0.2,h=0.1",
+                "--site", "0,0", "--site-b", "9,9", "-m", "2",
+                "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: site '9,9' not in the network\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_exit_2_on_correlator_pair_in_two_components(tmp_path, capsys,
                                                      monkeypatch):
     """A pair in two connected components of a PEPS file is refused before
@@ -533,8 +565,8 @@ def test_exit_2_on_correlator_pair_in_two_components(tmp_path, capsys,
     for v in g.vertices:
         data = 0.2 * rng.standard_normal((2, 2))
         data[0, 0] += 1.0
-        tensors[v] = DenseTensor([Leg(e, 2) for e, _ in g.incident(v)]
-                                 + [Leg(phys_leg(v), 2)], data)
+        tensors[v] = DenseTensor([e for e, _ in g.incident(v)]
+                                 + [phys_leg(v)], data)
     path = tmp_path / "two.json"
     save_network(path, TensorNetwork(g, {"a": 2, "b": 2}, tensors,
                                      {v: 2 for v in g.vertices}))
@@ -696,7 +728,7 @@ def test_exit_2_on_malformed_network_file(tmp_path, capsys, change, where):
 
 def test_exit_3_on_numerical_collapse(tmp_path):
     g = Graph(["a", "b"], {"e": ("a", "b")})
-    zero = DenseTensor([Leg("e", 2)], [0.0, 0.0])
+    zero = DenseTensor(["e"], [0.0, 0.0])
     tn = TensorNetwork(g, {"e": 2}, {"a": zero, "b": zero})
     path = tmp_path / "zero.json"
     save_network(path, tn)

@@ -35,7 +35,7 @@ from bptn.models import (IsingParams, ising_insertion, ising_network,
 from bptn.network import (Graph, TensorNetwork, build_norm_network,
                           peps_replacements)
 from bptn.observables import InsertionProblem
-from bptn.tensor import DenseTensor, Leg
+from bptn.tensor import DenseTensor
 from oracles import degree_map, edge_projector, relabel, scale
 from test_bp_sweep import CASES
 
@@ -47,8 +47,8 @@ def _einsum(pieces) -> complex:
     labels = {}
     args = []
     for p in pieces:
-        args += [p.data.reshape([l.dim for l in p.legs]),
-                 [labels.setdefault(i, len(labels)) for i in p.leg_ids]]
+        args += [p.data, [labels.setdefault(i, len(labels))
+                          for i in p.leg_ids]]
     assert len(labels) <= 52, "einsum's sublist form takes 52 labels"
     return complex(np.einsum(*args, [], optimize="greedy"))
 
@@ -195,9 +195,9 @@ def _prefix_network():
     rng = np.random.default_rng(3)
     tensors = {}
     for v in g.vertices:
-        legs = [Leg(e, dims[e]) for (e, _) in g.incident(v)]
+        legs = [e for (e, _) in g.incident(v)]
         tensors[v] = DenseTensor(legs, rng.uniform(
-            0.5, 1.5, [l.dim for l in legs]))
+            0.5, 1.5, [dims[e] for e in legs]))
     tn = TensorNetwork(g, dims, tensors)
     res = bp_iterate(tn, uniform_messages(tn), tol=1e-13)
     assert res.converged
@@ -223,7 +223,7 @@ def test_prefix_edge_ids_match_oracle():
         assert want != 0 and _close(table[loop.key], want), loop
     b = tn.tensors["b"]
     scale = np.linspace(0.5, 1.5, b.data.size).reshape(b.data.shape)
-    repl = {"b": DenseTensor(b.legs, b.data * scale)}
+    repl = {"b": DenseTensor(b.leg_ids, b.data * scale)}
     jobs = [(R, r) for R in find_regions(g, 4) for r in ({}, repl)]
     assert any("b" in R.vertices and len(R.edges) > 1 for R, _ in jobs)
     for (R, r), got in zip(jobs, region_partition(tn, ms, jobs)):

@@ -60,10 +60,11 @@ def test_ising_exact_logZ_vs_independent_spin_sum():
 
 def test_transfer_matrix_branch_matches_tensor_contraction():
     """The transfer-matrix branch (L=5 > brute-force cutoff) against exact
-    contraction of the partition-function network."""
-    p = IsingParams(L=5, beta=0.25, h=0.1)
-    z = exact_contract(ising_network(p))
-    assert abs(ising_exact_logZ(p) - math.log(z.real)) < 1e-9
+    contraction of the partition-function network, on both topologies."""
+    for topology in ("torus", "cylinder"):
+        p = IsingParams(L=5, beta=0.25, h=0.1, topology=topology)
+        z = exact_contract(ising_network(p))
+        assert abs(ising_exact_logZ(p) - math.log(z.real)) < 1e-9, topology
 
 
 def test_paramagnetic_messages_are_fixed_point():
@@ -88,7 +89,7 @@ def test_ising_insertion_identity_gate_is_noop():
         out = ising_insertion(tn, p,
                               {v: np.eye(2) for v in tn.graph.vertices})
         for v in tn.graph.vertices:
-            assert out[v].legs == tn.tensors[v].legs
+            assert out[v].leg_ids == tn.tensors[v].leg_ids
             assert np.array_equal(out[v].data, tn.tensors[v].data), v
 
 
@@ -187,6 +188,7 @@ def test_generators_roundtrip_through_interchange_format(tmp_path):
         random_peps(2, 2, D=2, perturbation=0.3, seed=5),
         random_tree_network(6, D=2, seed=6),
         single_loop_network(5, seed=7),
+        random_tree_network(1, seed=8),  # one tensor with no legs: 0-d
     ]
     for i, tn in enumerate(cases):
         path = tmp_path / f"case{i}.json"
@@ -213,7 +215,7 @@ def test_ising_site_tensors_match_the_per_site_build(L, topology):
     for v, t, gate in built:
         want = oracles.ising_site_tensor(tn, pairs, p.beta, v, p.h,
                                          np.asarray(gate, dtype=complex))
-        assert t.legs == want.legs
+        assert t.leg_ids == want.leg_ids
         assert np.array_equal(t.data, want.data), v
     mult = {"|".join(sorted(key)): m for key, m in pairs.items()}
     kinds = {tuple(mult[e] for e, _ in tn.graph.incident(v))
