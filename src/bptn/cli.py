@@ -349,14 +349,14 @@ def cmd_correlator(args):
         both = {**ra, **rb}
         m = args.max_weight + dist[v]
         pair = InsertionProblem(prob.tn, res.messages, both)
-        cd = expval_derivative_tensors(pair, m)
-        try:
+        try:  # first: its one weight call serves the derivative form too
             cr = correlator_ratio_tensors(pair, m)
             ratio_re = cr.value.real
         except (EngineError, OverflowError) as exc:
             ratio_re = math.nan
             summary.append(f"ratio_re = nan for sites {u!r} and {v!r}: "
                            f"{type(exc).__name__}: {exc}")
+        cd = expval_derivative_tensors(pair, m)
         ests.append(cd)
         row = {"site_a": u, "site_b": v, "distance": cd.distance,
                "truncation": m, "derivative_re": cd.value.real,

@@ -76,7 +76,8 @@ def cumulant(gamma: Cluster, weight_table: dict) -> complex:
     """
     loops = gamma.loops
     n = len(loops)
-    if not is_connected(range(n), overlap_neighbors(loops).__getitem__):
+    if not is_connected((1 << n) - 1, [sum(1 << j for j in nb)
+                                       for nb in overlap_neighbors(loops)]):
         return 0.0 + 0j
     total = 0.0 + 0j
     for mask, xi in enumerate(restricted_partition(loops, weight_table)):
@@ -97,16 +98,14 @@ def counting_numbers(poset: dict) -> dict:
     """Top-down counting numbers of a poset given as {key: member set}.
 
     Maximal elements get 1; b(x) = 1 - sum of b over the strict supersets
-    of x in the poset.  Returns {key: int}.
+    of x in the poset.  Returns {key: int}.  Each member is a bit, so a
+    member set is an integer mask.
     """
-    order = sorted(poset, key=lambda k: (-len(poset[k]), k))
-    b = {}
-    for i, k in enumerate(order):
-        total = 1
-        for k2 in order[:i]:
-            if poset[k] < poset[k2]:
-                total -= b[k2]
-        b[k] = total
+    bit, b, done = {}, {}, []  # done: (mask, b) of each key so far
+    for k in sorted(poset, key=lambda k: (-len(poset[k]), k)):
+        m = sum(1 << bit.setdefault(x, len(bit)) for x in poset[k])
+        b[k] = 1 - sum(c for m2, c in done if m2 & m == m != m2)
+        done.append((m, b[k]))
     return b
 
 
@@ -128,17 +127,20 @@ def cumulant_free_energy(tn, messages, clusters, weight_table: dict):
 # --- regions ---------------------------------------------------------------
 
 class Region:
-    """Connected vertex-induced subgraph used in the region expansion."""
+    """Connected vertex-induced subgraph used in the region expansion,
+    built from its vertex mask over ``g.vertices``."""
 
     __slots__ = ("vertices", "edges", "level", "key")
 
-    def __init__(self, g: Graph, vertices, level):
-        self.vertices = frozenset(str(v) for v in vertices)
-        self.edges = frozenset(e for v in self.vertices
-                               for (e, w) in g.incident(v)
-                               if w in self.vertices)
+    def __init__(self, g: Graph, mask, level):
+        self.key = tuple(g.vertices[i] for i in set_bits(mask))
+        self.vertices = frozenset(self.key)
+        touched = inside = 0  # an edge touched twice is inside
+        for i in set_bits(mask):
+            inside |= touched & g.inc[i]
+            touched |= g.inc[i]
+        self.edges = frozenset(g.edge_ids[j] for j in set_bits(inside))
         self.level = level
-        self.key = tuple(sorted(self.vertices))
 
     def __eq__(self, other):
         return isinstance(other, Region) and self.vertices == other.vertices
@@ -160,16 +162,16 @@ def find_regions(g: Graph, k: int, anchor=None):
     connected and leafless; with one, when it is connected and holds the
     anchor, once the branches that do not end on the anchor are cut off.
 
-    Vertex sets are bit masks over ``g.vertices``; ``grown_sets`` grows
-    the level-0 candidates by vertex, each connected and without leaves
-    but the anchor.  The closure is semi-naive: a level pairs only the
-    newest regions with the earlier ones and with each other, and judges
-    each intersection once.
+    Vertex sets stay bit masks over ``g.vertices`` until each becomes a
+    Region; ``grown_sets`` grows the level-0 candidates by vertex, each
+    connected and without leaves but the anchor.  The closure is
+    semi-naive: a level pairs only the newest regions with the earlier
+    ones and with each other, and judges each intersection once.  The
+    regions of each level do not depend on the order of the grown sets,
+    and a level is listed sorted by key.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
-    adj = [sum(1 << j for j in nb) for nb in nbrs]
-    pinned = 0 if anchor is None else 1 << index[str(anchor)]
+    adj = g.adj
+    pinned = 0 if anchor is None else 1 << g.vertices.index(str(anchor))
 
     def leaves(mask):
         """The vertices of ``mask`` other than the anchor with induced
@@ -194,7 +196,7 @@ def find_regions(g: Graph, k: int, anchor=None):
             maximal.append(p)
 
     def keep(p):
-        if not is_connected(set_bits(p), nbrs.__getitem__):
+        if not is_connected(p, adj):
             return None
         if anchor is None:
             return None if leaves(p) else p
@@ -225,9 +227,8 @@ def find_regions(g: Graph, k: int, anchor=None):
         levels.append(fresh)
     out = []
     for level, masks in enumerate(levels):
-        regions = [Region(g, map(g.vertices.__getitem__, set_bits(s)), level)
-                   for s in masks]
-        out += sorted(regions, key=lambda r: r.key)
+        out += sorted((Region(g, s, level) for s in masks),
+                      key=lambda r: r.key)
     return out
 
 

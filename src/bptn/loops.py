@@ -66,7 +66,7 @@ def connected_edge_subsets(g: Graph, max_weight: int, terminals=()):
     """Each string of at most ``max_weight`` edges once, as its sorted edge
     ids, grown from cycles and terminals by ``network.grown_sets``.
     ``DEFAULT_ENUM_BUDGET`` bounds the strings grown."""
-    edge_ids, budget = sorted(g.edges), DEFAULT_ENUM_BUDGET
+    edge_ids, budget = g.edge_ids, DEFAULT_ENUM_BUDGET
     for grown, (_, edges) in enumerate(grown_sets(g, max_weight, terminals)):
         if grown >= budget:
             raise CombinatorialBudgetExceeded(

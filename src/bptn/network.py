@@ -62,6 +62,18 @@ class Graph:
             self._adj[v].append((e, u))
         for v in self._adj:
             self._adj[v].sort()
+        # each vertex's neighbours and incident edges as bit masks over
+        # ``vertices`` and ``edge_ids``; two neighbours share one edge
+        index = {v: i for i, v in enumerate(self.vertices)}
+        self.edge_ids = sorted(self.edges)
+        self.adj, self.inc = [0] * len(index), [0] * len(index)
+        for j, e in enumerate(self.edge_ids):
+            a, b = (index[v] for v in self.edges[e])
+            self.adj[a] |= 1 << b
+            self.adj[b] |= 1 << a
+            self.inc[a] |= 1 << j
+            self.inc[b] |= 1 << j
+        self._cycles = (0, ())  # (size, the cycles up to it): see grown_sets
 
     def neighbors(self, v):
         return [w for (_, w) in self._adj[str(v)]]
@@ -214,22 +226,23 @@ def set_bits(mask):
         mask ^= low
 
 
-def is_connected(items, neighbors) -> bool:
-    """Whether ``items`` is nonempty and connected, where ``neighbors(x)``
-    gives the neighbours of x (those outside ``items`` are ignored)."""
-    items = set(items)
-    if not items:
-        return False
-    start = next(iter(items))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in neighbors(x):
-            if y in items and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen == items
+def spread(adj, mask):
+    """The union of the neighbour masks ``adj[i]`` over the bits of
+    ``mask``."""
+    out = 0
+    for i in set_bits(mask):
+        out |= adj[i]
+    return out
+
+
+def is_connected(mask, adj) -> bool:
+    """Whether the bit mask ``mask`` is nonzero and connected, ``adj[i]``
+    the neighbour mask of bit i: a breadth-first search inside it."""
+    reached = front = mask & -mask
+    while front:
+        front = spread(adj, front) & mask & ~reached
+        reached |= front
+    return reached == mask != 0
 
 
 def connected_subsets(nbrs, weights, max_weight):
@@ -276,7 +289,7 @@ def grown_sets(g: Graph, size: int, terminals=(), anchor=None,
                by_vertex=False):
     """Each connected set in which no vertex but a terminal is a leaf,
     once, as (vertex mask, edge mask) over ``g.vertices`` and
-    ``sorted(g.edges)``.  By edge, a set has at most ``size`` edges.
+    ``g.edge_ids``.  By edge, a set has at most ``size`` edges.
     ``by_vertex``, it has at most ``size`` vertices, a leaf has fewer than
     two neighbours in it, ``anchor`` is the one terminal and in every set,
     and the edge mask spans the set with no leaf but the anchor.
@@ -289,7 +302,14 @@ def grown_sets(g: Graph, size: int, terminals=(), anchor=None,
     one-vertex set it grows from (the anchor is itself yielded).  A path
     goes on only while what could end it is within reach of the size
     left, or a lollipop may fit; sets are deduplicated by key (the edge
-    mask; by vertex, the vertex mask).
+    mask; by vertex, the vertex mask), and by vertex a full set does not
+    grow, as a chord keeps its key.
+
+    The cycles are searched once per graph: a walk with neither terminals
+    nor anchor that runs to its end keeps them on ``g``, and a later walk
+    of no larger size grows from those that fit (and from its terminals)
+    instead.  So the order of the sets, and by vertex the edge mask of a
+    key, may differ from walk to walk.
 
     Every valid set S is grown.  Take a spanning edge set F of S that
     stays valid and drops no edge it could (S itself, by edge), and call
@@ -305,40 +325,37 @@ def grown_sets(g: Graph, size: int, terminals=(), anchor=None,
     piece takes the anchor, and as F is minimal each takes a vertex, so a
     step grows S from a smaller valid set.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    adj, bond = [0] * len(index), {}
-    for i, e in enumerate(sorted(g.edges)):
-        a, b = (index[v] for v in g.edges[e])
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-        bond[a, b] = bond[b, a] = 1 << i
-    ends = sum(1 << index[v] for v in terminals)
-    # (vertex mask, edge mask, the vertices a path may take); a leaf may
-    # form in a set that a path may take every vertex from
+    adj, inc, key = g.adj, g.inc, 0 if by_vertex else 1
+    ends = sum(1 << g.vertices.index(v) for v in terminals)
+    searched, cycles = g._cycles
+    # todo: (vertex mask, edge mask, the vertices a path may take); a leaf
+    # may form in a set that a path may take every vertex from.  The seeds
+    # that fit (a cycle has as many vertices as edges) are yielded first.
     if anchor is not None:
-        todo = [(1 << index[str(anchor)], 0, -1)] if size > 0 else []
-        yield from (root[:2] for root in todo)
+        seeds, todo = [(1 << g.vertices.index(str(anchor)), 0)], []
+    elif size <= searched:  # an earlier walk found the cycles
+        seeds, todo = cycles, [(1 << s, 0, -1) for s in set_bits(ends)]
     else:
+        seeds, cycles = [], set()
         todo = [(1 << s, 0, -1 if ends >> s & 1 else -2 << s)
-                for s in range(len(index))]
-    seen, key = set(), 0 if by_vertex else 1
+                for s in range(len(adj))]
+    seeds = {new[key]: new for new in seeds if new[0].bit_count() <= size}
+    seen = set(seeds)
+    yield from seeds.values()
+    todo += [(*new, -1) for new in seeds.values()]
     while todo:
         vm, em, allow = todo.pop()
-        # the new vertices a path may take (by edge, its edges but the last)
+        # the new vertices a path may take (by edge, its edges but the
+        # last); by vertex, a full set takes only chords, which keep its key
         room = size - (vm.bit_count() if by_vertex else em.bit_count() + 1)
-        if room < 0:
+        if room < by_vertex:
             continue
         leafy = allow == -1
         lolly = leafy and room >= 3  # a stem and a cycle may fit
         if not lolly:  # reach[d]: the vertices within d of what ends a path
             reach = [vm | ends if leafy else vm]
             for _ in range(room):
-                out, m = 0, reach[-1]
-                while m:
-                    low = m & -m
-                    m ^= low
-                    out |= adj[low.bit_length() - 1]
-                reach.append(reach[-1] | out & allow)
+                reach.append(reach[-1] | spread(adj, reach[-1]) & allow)
         roots = vm
         while roots:
             low = roots & -roots
@@ -352,7 +369,7 @@ def grown_sets(g: Graph, size: int, terminals=(), anchor=None,
                 while hit:
                     low = hit & -hit
                     hit ^= low
-                    e = bond[u, low.bit_length() - 1]
+                    e = inc[u] & inc[low.bit_length() - 1]
                     if not e & em:
                         grown.append((vm | pm, em | pe | e))
                 free = adj[u] & allow & ~(vm | pm)
@@ -361,8 +378,10 @@ def grown_sets(g: Graph, size: int, terminals=(), anchor=None,
                     while t:
                         low = t & -t
                         t ^= low
-                        grown.append((vm | pm | low,
-                                      em | pe | bond[u, low.bit_length() - 1]))
+                        e = inc[u] & inc[low.bit_length() - 1]
+                        grown.append((vm | pm | low, em | pe | e))
+                if not leafy:  # a root's search: these are its cycles
+                    cycles.update(grown)
                 for new in grown:
                     if new[key] not in seen:
                         seen.add(new[key])
@@ -375,5 +394,7 @@ def grown_sets(g: Graph, size: int, terminals=(), anchor=None,
                         low = free & -free
                         free ^= low
                         w = low.bit_length() - 1
-                        stack.append((w, pm | low, pe | bond[u, w],
+                        stack.append((w, pm | low, pe | inc[u] & inc[w],
                                       n + 1, 1 << u))
+    if anchor is None and not ends and size > searched:  # searched them all
+        g._cycles = size, cycles

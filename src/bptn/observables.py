@@ -297,9 +297,11 @@ def correlator_ratio_tensors(prob: InsertionProblem, m) -> Estimate:
     e_a e_b (exp(S_ab + S_0 - S_a - S_b) - 1) over the clusters that hold
     both regions.  The prefactors e_r are the ratio-form expectations at
     the same m, read from the clusters of the same expansion that end on
-    r alone."""
+    r alone.  One bulk call weighs the strings of all three."""
     a, b = prob.region_ids
     clusters = prob.clusters(m)
+    ends = [c for r in (a, b) for c in prob.clusters(m, (r,))]
+    prob.weigh([l for c in clusters + ends for l in c.loops])
     s_ab, s_0, s_a, s_b = cluster_sums(clusters, [
         prob.table(clusters, x) for x in ((a, b), (), (a,), (b,))])
     val = (_ratio_expval(prob, m, a) * _ratio_expval(prob, m, b)

@@ -57,7 +57,7 @@ from bptn.errors import (CombinatorialBudgetExceeded, DimensionMismatch,
                          NumericalCollapse, TooLarge, ZeroLocalFactor)
 from bptn.loops import GeneralizedLoop
 from bptn.models import _sqrt_bond_matrix
-from bptn.network import DEFAULT_SIZE_CAP, is_connected, set_bits
+from bptn.network import DEFAULT_SIZE_CAP, set_bits
 from bptn.observables import InsertionProblem
 from bptn.loops import _walk
 from bptn.tensor import DenseTensor, _plan, contract_pair
@@ -98,6 +98,25 @@ def restricted_partition(loops, weight_table: dict) -> complex:
         return val
 
     return rec(0, 0)
+
+
+def is_connected(items, neighbors) -> bool:
+    """Whether ``items`` is nonempty and connected, where ``neighbors(x)``
+    gives the neighbours of x (those outside ``items`` are ignored): the
+    set form that the bit-mask search in ``bptn.network`` replaced."""
+    items = set(items)
+    if not items:
+        return False
+    start = next(iter(items))
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in neighbors(x):
+            if y in items and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen == items
 
 
 def cumulant(gamma, weight_table: dict) -> complex:
@@ -488,8 +507,10 @@ def _intersection_closure(g, maximal, keep):
     intersection.  ``keep(p)`` turns an intersection into the region it
     adds (a frozenset), or None to drop it.  Returns the regions level by
     level (0 = maximal)."""
-    levels = [[Region(g, s, 0)
-               for s in sorted(maximal, key=sorted)]]
+    def region(s, level):
+        return Region(g, sum(1 << g.vertices.index(v) for v in s), level)
+
+    levels = [[region(s, 0) for s in sorted(maximal, key=sorted)]]
     known = {r.vertices for r in levels[0]}
     while True:
         fresh = []
@@ -503,7 +524,7 @@ def _intersection_closure(g, maximal, keep):
                 if p is None or p in known:
                     continue
                 known.add(p)
-                fresh.append(Region(g, p, len(levels)))
+                fresh.append(region(p, len(levels)))
         if not fresh:
             break
         fresh.sort(key=lambda r: r.key)

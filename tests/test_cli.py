@@ -202,6 +202,30 @@ def test_estimators_share_one_string_enumeration(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_correlator_pair_weighs_its_strings_in_one_call(tmp_path,
+                                                         monkeypatch):
+    """A correlator pair weighs its own strings and both prefactors' (the
+    strings that end on one site alone) in one bulk call, which the
+    derivative form then reads: one ``excitation_weight`` call per pair
+    (three each when every prefactor was weighed on its own), and the
+    same 144 weights in all."""
+    import bptn.observables
+
+    jobs = []
+    weigh = bptn.observables.excitation_weight
+
+    def counting(messages, pairs, base):
+        jobs.append(len(pairs))
+        return weigh(messages, pairs, base)
+
+    monkeypatch.setattr(bptn.observables, "excitation_weight", counting)
+    assert run(["correlator", "--generate", "ising:L=3,beta=0.25,h=0.2",
+                "--site", "0,0", "--distances", "2", "-m", "2",
+                "--out", str(tmp_path / "corr.csv")]) == 0
+    assert len(_rows(tmp_path / "corr.csv")) == 2
+    assert jobs == [24, 120]
+
+
 def test_free_energy_computes_each_local_factor_once(tmp_path, monkeypatch):
     """Every layer reads z_v from the one MessageSet cache of dressed
     tensors: on the benchmark's 5x5 torus each of the 25 z_v is built
@@ -333,10 +357,14 @@ def test_csv_deterministic_modulo_timestamp(tmp_path):
      "--site", "0,1", "-m", "4", "-k", "4"],
     ["correlator", "--generate", "ising:L=3,beta=0.25,h=0.2",
      "--site", "0,0", "--site-b", "1,1", "-m", "2"],
-], ids=["expval", "correlator"])
+    ["free-energy", "--generate", "ising:L=4,beta=0.2", "-m", "4",
+     "-k", "4"],
+    ["regions", "--generate", "ising:L=4,beta=0.2", "-k", "6"],
+], ids=["expval", "correlator", "free-energy", "regions"])
 def test_csv_body_independent_of_hash_seed(argv):
     """Products over vertex and region sets run in sorted order, so the
-    body does not depend on the per-process string hash salt."""
+    body does not depend on the per-process string hash salt; nor do the
+    counting numbers, whose member bits follow set iteration order."""
     root = Path(__file__).resolve().parents[1]
     bodies = set()
     for seed in range(4):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bptn.cumulants
+import bptn.loops
 import bptn.network
 from bptn.bp import bp_log_partition
 from bptn.cli import main
@@ -19,9 +20,10 @@ from bptn.cumulants import (Region, connected_loop_subsets,
                             restricted_partition)
 from bptn.errors import (BranchCrossing, CapExceeded,
                          CombinatorialBudgetExceeded)
-from bptn.loops import GeneralizedLoop, enumerate_loops, evaluate_weights
+from bptn.loops import (GeneralizedLoop, enumerate_loops, enumerate_strings,
+                        evaluate_weights)
 from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
-                         ising_paramagnetic_messages)
+                         ising_paramagnetic_messages, random_peps)
 from bptn.network import Graph
 import oracles
 from oracles import counting_number_free_energy, mobius_subset
@@ -295,6 +297,25 @@ def test_find_regions_local_anchoring():
         assert all(d >= 2 for v, d in deg.items() if v != "1,1")
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2),
+    st.integers(0, (1 << n) - 1))))
+def test_region_is_the_subgraph_its_mask_induces(case):
+    """A Region built from a vertex mask holds the vertices of its bits,
+    keyed in sorted order, and every edge with both ends among them."""
+    n, present, mask = case
+    g = Graph(range(n), {f"{u}-{v}": (u, v) for (u, v), keep in zip(
+        itertools.combinations(range(n), 2), present) if keep})
+    vertices = {g.vertices[i] for i in bptn.network.set_bits(mask)}
+    r = Region(g, mask, 3)
+    assert (r.key, r.vertices, r.level) == (
+        tuple(sorted(vertices)), vertices, 3)
+    assert r.edges == {e for e, (u, v) in g.edges.items()
+                       if u in vertices and v in vertices}
+
+
 def _region_rows(poset):
     return [(r.key, r.level, tuple(sorted(r.edges))) for r in poset]
 
@@ -395,3 +416,123 @@ def test_region_walk_budget(monkeypatch, capsys):
     assert main(["regions", "--generate", "ising:L=4,beta=0.2",
                  "-k", "6"]) == 4
     capsys.readouterr()
+
+
+# --- one cycle search per graph ----------------------------------------------
+
+def _walk_graph(name):
+    """(graph, anchor, terminals) for the cycle-sharing tests."""
+    if name == "K6":
+        return _K6, "2", ("1", "4")
+    if name == "peps4":
+        return random_peps(4, 4).graph, "1,1", ("1,2", "2,1")
+    g = ising_network(IsingParams(L=int(name[-1]), beta=0.2)).graph
+    return g, "1,1", ("1,2", "3,0")
+
+
+def _walks(g, m, k, anchor, terminals):
+    """Each walk on ``g`` by name: the loops, the strings at
+    ``terminals``, the vertex sets grown with and without ``anchor``, and
+    the regions with and without it, each in a form that compares by
+    value."""
+    def vertex_sets(anchor):
+        return sorted(vm for vm, _ in bptn.network.grown_sets(
+            g, k, anchor=anchor, by_vertex=True))
+
+    return {
+        "loops": lambda: [l.key for l in enumerate_loops(g, m)],
+        "strings": lambda: [l.key for l in enumerate_strings(
+            g, terminals, m)],
+        "vertex sets": lambda: vertex_sets(None),
+        "anchored sets": lambda: vertex_sets(anchor),
+        "regions": lambda: _region_rows(find_regions(g, k)),
+        "anchored regions": lambda: _region_rows(find_regions(g, k, anchor)),
+    }
+
+
+@pytest.mark.parametrize("name, m, k", [
+    *[(f"torus{L}", m, k) for L in (4, 5)
+      for m, k in ((6, 6), (4, 6), (8, 4))],
+    ("peps4", 6, 6), ("K6", 6, 6), ("K6", 4, 6), ("K6", 6, 4)])
+def test_walks_on_one_graph_match_fresh_graphs(name, m, k):
+    """The first complete walk without terminals on a graph keeps its
+    simple cycles, and every later walk of no larger size grows from them
+    instead of searching again.  Whatever the order of the walks, each
+    gives what it gives on a graph of its own, and that equals the
+    leaf-pruned walks.  K6 has a chord at every pair."""
+    g, anchor, terminals = _walk_graph(name)
+
+    def fresh():
+        return Graph(g.vertices, g.edges)
+
+    want = {walk: run() for walk, run in _walks(
+        fresh(), m, k, anchor, terminals).items()}
+    for walk in want:  # each on a graph of its own
+        assert _walks(fresh(), m, k, anchor, terminals)[walk]() == want[walk]
+    assert want["loops"] == oracles.leaf_pruned_strings(g, (), m)[0]
+    assert want["strings"] == oracles.leaf_pruned_strings(g, terminals, m)[0]
+    assert want["vertex sets"] == sorted(
+        oracles.leaf_pruned_vertex_sets(g, k)[0])
+    assert want["anchored sets"] == sorted(
+        oracles.leaf_pruned_vertex_sets(g, k, anchor)[0])
+    for order in (list(want), list(reversed(want)),
+                  ["regions", "strings", "loops", "anchored regions",
+                   "anchored sets", "vertex sets"]):
+        shared = fresh()
+        walks = _walks(shared, m, k, anchor, terminals)
+        assert {walk: walks[walk]() for walk in order} == want
+        assert shared._cycles[0] == max(m, k)
+
+
+def test_a_walk_the_budget_stops_keeps_no_cycles(monkeypatch):
+    """Only a complete walk keeps its cycles: after the loop and region
+    walks on the 5x5 torus stop at a budget of 50 (of 85 sets each), the
+    graph holds none, and the next walks find every loop and region."""
+    g = ising_network(IsingParams(L=5, beta=0.2)).graph
+    fresh = Graph(g.vertices, g.edges)
+    want = [l.key for l in enumerate_loops(fresh, 6)], _region_rows(
+        find_regions(fresh, 6))
+    monkeypatch.setattr(bptn.loops, "DEFAULT_ENUM_BUDGET", 50)
+    monkeypatch.setattr(bptn.cumulants, "DEFAULT_BUDGET", 50)
+    with pytest.raises(CombinatorialBudgetExceeded):
+        enumerate_loops(g, 6)
+    with pytest.raises(CombinatorialBudgetExceeded):
+        find_regions(g, 6)
+    assert g._cycles[0] == 0
+    monkeypatch.undo()
+    assert _region_rows(find_regions(g, 6)) == want[1]
+    assert g._cycles[0] == 6 and len(g._cycles[1]) == 85
+    assert [l.key for l in enumerate_loops(g, 6)] == want[0]
+
+
+def _superset_counting_numbers(poset):
+    """The definition: b(x) = 1 - sum of b over the strict supersets of x,
+    the largest first, on the member sets as frozensets."""
+    order = sorted(poset, key=lambda k: (-len(poset[k]), k))
+    b = {}
+    for i, k in enumerate(order):
+        b[k] = 1 - sum(b[k2] for k2 in order[:i] if poset[k] < poset[k2])
+    return b
+
+
+@pytest.mark.parametrize("L, k, anchor", [
+    (4, 4, None), (4, 6, None), (4, 8, None), (5, 6, None), (5, 8, None),
+    ("peps", 4, "1,1"), ("peps", 6, "1,1"), ("peps", 8, "1,1")])
+def test_counting_numbers_match_their_definition_on_regions(L, k, anchor):
+    """The mask form of the counting numbers equals the superset sum over
+    frozensets on the region posets of the tori and of an anchored 4x4
+    PEPS."""
+    g = (random_peps(4, 4) if L == "peps"
+         else ising_network(IsingParams(L=L, beta=0.2))).graph
+    poset = {r.key: r.vertices for r in find_regions(g, k, anchor)}
+    assert counting_numbers(poset) == _superset_counting_numbers(poset)
+
+
+def test_counting_numbers_match_their_definition_on_loop_subsets():
+    """Members need not be vertices: on the loop-subset poset of the 3x3
+    torus at m = 6 the members are loops."""
+    _, _, _, loops, _ = _ising_setup(L=3, beta=0.2, m=6)
+    poset = {s.key: frozenset(s.loops) for s in connected_loop_subsets(
+        enumerate_clusters(loops, 6))}
+    assert len(poset) > 100
+    assert counting_numbers(poset) == _superset_counting_numbers(poset)

@@ -14,8 +14,8 @@ from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
                          random_peps)
 from bptn.network import (Graph, TensorNetwork, _double_tensor, bfs,
                           build_norm_network, connected_subsets,
-                          exact_contract, grown_sets, peps_replacements,
-                          phys_leg, set_bits)
+                          exact_contract, grown_sets, is_connected,
+                          peps_replacements, phys_leg, set_bits)
 from bptn.tensor import DenseTensor
 from bptn.tnio import (load_messages, load_network, network_from_dict,
                        network_to_dict, save_network)
@@ -259,6 +259,22 @@ def test_grown_sets_match_leaf_pruned_walks(case):
     assert len(grown) == len(set(grown))
     assert sorted(grown) == sorted(
         oracles.leaf_pruned_vertex_sets(g, size, anchor)[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2),
+    st.integers(0, (1 << n) - 1))))
+def test_is_connected_matches_the_set_search(case):
+    """The breadth-first search over neighbour masks agrees with the set
+    search it replaced, on random graphs and vertex sets, the empty set
+    included."""
+    n, present, mask = case
+    g = Graph(range(n), {f"{u}-{v}": (u, v) for (u, v), keep in zip(
+        itertools.combinations(range(n), 2), present) if keep})
+    assert is_connected(mask, g.adj) == oracles.is_connected(
+        [g.vertices[i] for i in set_bits(mask)], g.neighbors)
 
 
 def test_grown_sets_grow_a_lollipop_at_the_size_limit():
