@@ -116,8 +116,9 @@ class MessageSet:
     """Directed-edge messages, their edge tables and dressed tensors.
 
     The messages of bond dimension d are the rows of ``data[d]``, one
-    complex (rows, d) array; ``plan`` is the layout of ``tn``, and
-    ``plan.slot`` maps a directed edge (v, w) to its (d, row).
+    complex (rows, d) array; ``plan`` is the layout of the network
+    ``plan.tn``, and ``plan.slot`` maps a directed edge (v, w) to its
+    (d, row).
     """
 
     def __init__(self, tn: TensorNetwork, messages: dict):
@@ -132,14 +133,14 @@ class MessageSet:
         data = plan.empty()
         for key, (d, r) in plan.slot.items():
             data[d][r] = given[key]
-        self.tn, self.plan, self.data = tn, plan, data
+        self.plan, self.data = plan, data
         self._edges, self._dressed = None, {}
 
     @classmethod
     def _stacked(cls, plan, data: dict) -> MessageSet:
         """The messages ``data`` in ``plan``'s slots, taken as they are."""
         ms = cls.__new__(cls)
-        ms.tn, ms.plan, ms.data = plan.tn, plan, data
+        ms.plan, ms.data = plan, data
         ms._edges, ms._dressed = None, {}
         return ms
 
@@ -212,7 +213,7 @@ class MessageSet:
                 ids = tensor.leg_ids
                 stars[v, id(tensor)] = ids, tuple(range(len(ids))), [
                     (e, (ids.index(e),), (n, v))
-                    for e, n in self.tn.graph.incident(v)]
+                    for e, n in self.plan.tn.graph.incident(v)]
             _, legs, messages = stars[v, id(tensor)]
             # inner_product refuses an edge the tables left out
             pools.append([(legs, tensor.data)] + [
@@ -381,7 +382,7 @@ def bp_iterate(tn: TensorNetwork, messages: MessageSet,
                damping=DEFAULT_DAMPING, tol=DEFAULT_TOL) -> BPResult:
     """Synchronous damped BP iteration to a fixed point, starting from
     ``messages`` on ``tn``'s edges (left unchanged)."""
-    plan = messages.plan if messages.tn is tn else _Plan(tn)
+    plan = messages.plan if messages.plan.tn is tn else _Plan(tn)
     compiled, old, residual = plan.compile(), messages.data, math.inf
     for it in range(1, DEFAULT_MAX_ITERS + 1):
         new, now = _normalize_both(_sweep(compiled, old), old)
@@ -440,7 +441,7 @@ def stability_probe(tn, messages: MessageSet, seed=0):
     norm, and it stops, dropping out of the stack, once that norm is 0.
     Each chain's numbers are bit for bit those of running it alone.
     """
-    plan = messages.plan if messages.tn is tn else _Plan(tn)
+    plan = messages.plan if messages.plan.tn is tn else _Plan(tn)
     if not plan.dims:       # no message to perturb
         return "inconclusive", float("nan")
     compiled, rng = plan.compile(), np.random.default_rng(seed)

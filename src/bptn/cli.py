@@ -399,20 +399,25 @@ def cmd_scan(args):
     try:
         name, _, rng = args.sweep.partition("=")
         start, stop, steps = rng.split(":")
-        values = np.linspace(float(start), float(stop), int(steps))
+        start, stop, steps = float(start), float(stop), int(steps)
     except ValueError as exc:
         raise ConfigError(f"bad sweep spec {args.sweep!r}") from exc
-    if not values.size:
+    if steps < 1:
         raise ConfigError(f"sweep spec {args.sweep!r} has no steps")
     kind, kv = _parse_spec(args.generate)
     if kind != "ising":
         raise ConfigError("scan currently sweeps ising generator parameters")
+
+    def point(val):  # the generator spec at one sweep value
+        return "ising:" + ",".join(f"{k}={v}" for k, v in {
+            **kv, name: repr(float(val))}.items())
+
+    if not math.isfinite(stop - start):  # np.linspace would warn
+        for bound in (start, stop):       # the generator refuses one
+            generate(point(bound), args.seed)
     rows = []
-    for val in values:
-        kv2 = dict(kv)
-        kv2[name] = repr(float(val))
-        spec = "ising:" + ",".join(f"{k}={v}" for k, v in kv2.items())
-        prob = generate(spec, args.seed)
+    for val in np.linspace(start, stop, steps):
+        prob = generate(point(val), args.seed)
         messages, loops, table = _weighed_loops(prob, args)
         profile, _ = loop_decay_profile(table)
         c_even = min((r["c_estimate"] for r in profile
@@ -501,9 +506,9 @@ def build_parser(only=None):
     return ap
 
 
-def _check_truncations(args):
-    """Refuse a negative ``-m`` or ``-k``; 0 is a valid truncation."""
-    for name in ("max_weight", "region_size"):
+def _check_counts(args):
+    """Refuse a negative ``-m``, ``-k`` or ``--seed``; 0 is valid."""
+    for name in ("max_weight", "region_size", "seed"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             raise ConfigError(f"{'/'.join(_OPTIONS[name][0])} must be >= 0, "
@@ -519,7 +524,7 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        _check_truncations(args)
+        _check_counts(args)
         return args.func(args)
     except (ConfigError, InvalidNetworkFile, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -119,7 +119,7 @@ def _ising_tn(vertices, pairs: dict, beta: float, fields: dict) -> TensorNetwork
     graph = Graph(vertices, edges)
     tensors = _site_tensors(graph, _bond_roots(pairs, beta), beta, [
         (v, fields.get(v, 0.0), _IDENTITY) for v in graph.vertices])
-    return TensorNetwork(graph, {e: 2 for e in edges}, tensors)
+    return TensorNetwork(graph, tensors)
 
 
 def ising_network(p: IsingParams) -> TensorNetwork:
@@ -154,24 +154,9 @@ def ising_insertion(tn: TensorNetwork, p: IsingParams, gates: dict) -> dict:
 
 
 def ising_exact_logZ(p: IsingParams) -> float:
-    """Exact log Z: brute-force spin sum (L <= 4) or transfer matrix."""
+    """Exact log Z from the column-to-column transfer matrix."""
     L = p.L
-    if L * L <= 16:
-        pairs = _ising_pairs(p)
-        n = L * L
-        idx = {f"{i},{j}": i * L + j for i in range(L) for j in range(L)}
-        spins = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
-        energy = np.zeros(2 ** n)
-        for key, mult in pairs.items():
-            u, v = sorted(key)
-            energy += mult * spins[:, idx[u]] * spins[:, idx[v]]
-        site = np.zeros(2 ** n)
-        for v in idx:
-            site += p.h * spins[:, idx[v]]
-        w = p.beta * (energy + site)
-        wmax = w.max()
-        return float(wmax + math.log(np.exp(w - wmax).sum()))
-    # column-to-column transfer matrix; rows wrap only on the torus
+    # rows wrap only on the torus
     confs = np.array(list(itertools.product((1, -1), repeat=L)))
     intra = np.einsum("ci,ci->c", confs, np.roll(confs, -1, axis=1))
     if p.topology == "cylinder":
@@ -205,12 +190,14 @@ def single_loop_network(n: int, seed=0) -> TensorNetwork:
         data = np.eye(2) + 0.3 * (rng.standard_normal((2, 2))
                                   + 1j * rng.standard_normal((2, 2)))
         tensors[f"v{i}"] = DenseTensor([left, right], data)
-    return TensorNetwork(graph, {e: 2 for e in edges}, tensors)
+    return TensorNetwork(graph, tensors)
 
 
 def random_peps(rows: int, cols: int, D: int = 2, phys_dim: int = 2,
                 perturbation: float = 0.1, seed=0) -> TensorNetwork:
     """Open-boundary PEPS: product |0> plus a Gaussian perturbation."""
+    if min(rows, cols, D, phys_dim) < 1:
+        raise ValueError("rows, cols, D and phys_dim >= 1 required")
     if not math.isfinite(perturbation):
         raise ValueError("finite perturbation required")
     rng = np.random.default_rng(seed)
@@ -223,7 +210,7 @@ def random_peps(rows: int, cols: int, D: int = 2, phys_dim: int = 2,
             if i + 1 < rows:
                 edges[f"{i},{j}|{i + 1},{j}"] = (f"{i},{j}", f"{i + 1},{j}")
     graph = Graph(vertices, edges)
-    tensors, phys = {}, {}
+    tensors = {}
     for v in vertices:
         inc = graph.incident(v)
         shape = (D,) * len(inc) + (phys_dim,)
@@ -233,12 +220,13 @@ def random_peps(rows: int, cols: int, D: int = 2, phys_dim: int = 2,
         base[(0,) * len(shape)] = 1.0  # product |0> on trivial bond sector
         tensors[v] = DenseTensor([e for (e, _) in inc] + [phys_leg(v)],
                                  base + data)
-        phys[v] = phys_dim
-    return TensorNetwork(graph, {e: D for e in edges}, tensors, phys)
+    return TensorNetwork(graph, tensors)
 
 
 def random_tree_network(n: int, D: int = 2, seed=0) -> TensorNetwork:
     """Random-attachment tree with random complex tensors."""
+    if min(n, D) < 1:
+        raise ValueError("n >= 1 and D >= 1 required")
     rng = np.random.default_rng(seed)
     vertices = [f"v{i}" for i in range(n)]
     edges = {}
@@ -253,4 +241,4 @@ def random_tree_network(n: int, D: int = 2, seed=0) -> TensorNetwork:
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         data /= np.linalg.norm(data)
         tensors[v] = DenseTensor([e for (e, _) in inc], data)
-    return TensorNetwork(graph, {e: D for e in edges}, tensors)
+    return TensorNetwork(graph, tensors)

@@ -3,7 +3,8 @@
 A TensorNetwork is a simple graph (no self-loops, no parallel edges) whose
 vertices hold DenseTensors.  A closed network's tensors have exactly the
 incident edge ids as legs; the PEPS form additionally carries one physical
-leg per site, with id ``phys_leg(v)``.
+leg per site, with id ``phys_leg(v)``.  Every dimension is a tensor axis
+length, recorded nowhere else.
 
 Exact contraction is a greedy pairwise contraction used as ground truth at
 desk scale -- correctness over speed.
@@ -93,38 +94,33 @@ class Graph:
 
 
 class TensorNetwork:
-    """Graph + per-edge bond dims + per-vertex tensors (+ physical dims)."""
+    """Graph + per-vertex tensors.  ``bond_dims`` and ``phys_dims`` are
+    read off the tensors: {edge: dim}, and {vertex: dim} of each vertex
+    whose tensor has a physical leg."""
 
-    def __init__(self, graph: Graph, bond_dims: dict, tensors: dict,
-                 phys_dims: dict | None = None):
+    def __init__(self, graph: Graph, tensors: dict):
         self.graph = graph
-        self.bond_dims = {str(e): int(d) for e, d in bond_dims.items()}
-        self.phys_dims = {str(v): int(d) for v, d in (phys_dims or {}).items()}
         self.tensors = {str(v): t for v, t in tensors.items()}
         self._validate()
 
     def _validate(self):
-        if set(self.bond_dims) != set(self.graph.edges):
-            raise DimensionMismatch("bond_dims keys must equal edge ids")
         if set(self.tensors) != set(self.graph.vertices):
             raise DimensionMismatch("tensors keys must equal vertex ids")
+        self.bond_dims, self.phys_dims = {}, {}
         for v, t in self.tensors.items():
             want = {e for (e, _) in self.graph.incident(v)}
-            if v in self.phys_dims:
-                want.add(phys_leg(v))
-            if set(t.leg_ids) != want:
+            if set(t.leg_ids) - {phys_leg(v)} != want:
                 raise DimensionMismatch(
                     f"vertex {v!r}: tensor legs {sorted(t.leg_ids)} != "
-                    f"incident legs {sorted(want)}")
+                    f"incident legs {sorted(want)} (and at most "
+                    f"{phys_leg(v)!r})")
             for x, dim in zip(t.leg_ids, t.data.shape):
-                if x in self.bond_dims and dim != self.bond_dims[x]:
+                if x == phys_leg(v):
+                    self.phys_dims[v] = dim
+                elif self.bond_dims.setdefault(x, dim) != dim:
                     raise DimensionMismatch(
-                        f"vertex {v!r}, leg {x!r}: dim {dim} != "
-                        f"bond dim {self.bond_dims[x]}")
-                if x == phys_leg(v) and dim != self.phys_dims.get(v):
-                    raise DimensionMismatch(
-                        f"vertex {v!r}: physical dim {dim} != declared "
-                        f"{self.phys_dims.get(v)}")
+                        f"edge {x!r}: dim {dim} at vertex {v!r} != dim "
+                        f"{self.bond_dims[x]} at its other end")
 
     @property
     def is_closed(self) -> bool:
@@ -134,7 +130,7 @@ class TensorNetwork:
         tensors = dict(self.tensors)
         for v, t in replacements.items():
             tensors[str(v)] = t
-        return TensorNetwork(self.graph, self.bond_dims, tensors, self.phys_dims)
+        return TensorNetwork(self.graph, tensors)
 
 
 @np.errstate(all="ignore")          # a Z that overflows is refused below
@@ -174,10 +170,9 @@ def build_norm_network(peps: TensorNetwork) -> TensorNetwork:
     missing = [v for v in peps.graph.vertices if v not in peps.phys_dims]
     if missing:
         raise MissingPhysicalLeg(f"no physical leg at vertices {missing}")
-    tensors = {v: _double_tensor(peps.tensors[v], phys_leg(v))
-               for v in peps.graph.vertices}
-    bond_dims = {e: d * d for e, d in peps.bond_dims.items()}
-    return TensorNetwork(peps.graph, bond_dims, tensors)
+    return TensorNetwork(peps.graph, {
+        v: _double_tensor(peps.tensors[v], phys_leg(v))
+        for v in peps.graph.vertices})
 
 
 def peps_replacements(peps: TensorNetwork, ops: dict) -> dict:

@@ -112,9 +112,6 @@ def network_from_dict(doc: dict) -> TensorNetwork:
         _fail("edges", str(exc))
     phys = {str(v): _dim(f"physical/{v}", d) for v, d in
             _json("physical", doc.get("physical", {}), dict).items()}
-    for v in phys:
-        if v not in graph._adj:
-            _fail(f"physical/{v}", "unknown vertex")
     tensors = {}
     records = _json("tensors", doc["tensors"], dict)
     for v in vertices:
@@ -137,9 +134,19 @@ def network_from_dict(doc: dict) -> TensorNetwork:
         except Exception as exc:
             _fail(f"tensors/{v}", str(exc))
     try:
-        return TensorNetwork(graph, bond_dims, tensors, phys)
+        tn = TensorNetwork(graph, tensors)
     except Exception as exc:
         _fail("network", str(exc))
+    # the declared dimensions must be the tensors' own
+    for i, (e, d) in enumerate(bond_dims.items()):
+        if d != tn.bond_dims[e]:
+            _fail(f"edges[{i}]", f"dim {d} != {tn.bond_dims[e]}, the "
+                  "dim of its tensors' legs")
+    for v in sorted(phys.keys() | tn.phys_dims.keys()):
+        if phys.get(v) != tn.phys_dims.get(v):
+            _fail(f"physical/{v}", f"declared dim {phys.get(v)} != "
+                  f"{tn.phys_dims.get(v)}, the dim of its physical leg")
+    return tn
 
 
 def _read(path, parse, *args):

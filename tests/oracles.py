@@ -174,7 +174,7 @@ def raw_update(tn, msgs, v, w, e):
 def message(messages: MessageSet, v, w) -> DenseTensor:
     """The message v->w of a stacked set, as a tensor on its edge's leg."""
     d, r = messages.plan.slot[v, w]
-    return DenseTensor([messages.tn.graph.edge_between(v, w)],
+    return DenseTensor([messages.plan.tn.graph.edge_between(v, w)],
                        messages.data[d][r])
 
 
@@ -266,7 +266,7 @@ def inner(a: DenseTensor, b: DenseTensor) -> complex:
 def inner_product(messages: MessageSet, e) -> complex:
     """I_e = mu_{u->v} * mu_{v->u} on edge e = (u, v), one edge at a time;
     unfloored."""
-    u, v = messages.tn.graph.endpoints(e)
+    u, v = messages.plan.tn.graph.endpoints(e)
     return inner(message(messages, u, v), message(messages, v, u))
 
 
@@ -283,8 +283,8 @@ def into(messages: MessageSet, n, v, e) -> np.ndarray:
 def projector(messages: MessageSet, e) -> np.ndarray:
     """P_perp on edge e = (u, v), axes in ``endpoints(e)`` order:
     delta_ij - mu_{v->u}[i] mu_{u->v}[j] / I."""
-    u, v = messages.tn.graph.endpoints(e)
-    return (np.eye(messages.tn.bond_dims[e], dtype=complex)
+    u, v = messages.plan.tn.graph.endpoints(e)
+    return (np.eye(messages.plan.tn.bond_dims[e], dtype=complex)
             - np.outer(message(messages, v, u).data,
                        message(messages, u, v).data)
             / inner_product(messages, e))
@@ -293,7 +293,7 @@ def projector(messages: MessageSet, e) -> np.ndarray:
 def edge_projector(messages: MessageSet, e) -> DenseTensor:
     """``projector`` as a tensor with legs '<e>@<u>' and '<e>@<v>'."""
     e = str(e)
-    u, v = messages.tn.graph.endpoints(e)
+    u, v = messages.plan.tn.graph.endpoints(e)
     return DenseTensor([f"{e}@{u}", f"{e}@{v}"], projector(messages, e))
 
 
@@ -814,7 +814,7 @@ def local_factor(messages, v, tensor) -> complex:
     one incoming message at a time; unfloored."""
     v = str(v)
     t, denom = tensor, 1.0 + 0j
-    for (e, n) in messages.tn.graph.incident(v):
+    for (e, n) in messages.plan.tn.graph.incident(v):
         t = contract_pair(t, message(messages, n, v))
         denom *= sqrt_inner(messages, e)
     return t.item() / denom
@@ -825,7 +825,7 @@ def dressed(messages, v, tensor, kept) -> DenseTensor:
     incident edge e not in ``kept``; each kept leg e is renamed
     ``'<e>@<v>'``."""
     pieces = [relabel(tensor, {e: f"{e}@{v}" for e in kept})]
-    for (e, n) in messages.tn.graph.incident(v):
+    for (e, n) in messages.plan.tn.graph.incident(v):
         if e not in kept:
             pieces.append(scale(message(messages, n, v),
                                 1.0 / sqrt_inner(messages, e)))
@@ -989,7 +989,7 @@ def interning_dressed(messages: MessageSet, requests) -> list:
     kept) request, the tensor's string leg ids and each message's edge id
     interned by ``interning_contract_many``, each message scaled one edge
     at a time (``into``); nothing cached."""
-    g = messages.tn.graph
+    g = messages.plan.tn.graph
     return interning_contract_many([
         [(tuple(tensor.leg_ids), tensor.data)]
         + [((e,), into(messages, n, v, e))

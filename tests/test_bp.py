@@ -236,7 +236,7 @@ def test_numerical_collapse_on_zero_tensor():
 
     g = Graph(["a", "b"], {"e": ("a", "b")})
     zero = DenseTensor(["e"], [0.0, 0.0])
-    tn = TensorNetwork(g, {"e": 2}, {"a": zero, "b": zero})
+    tn = TensorNetwork(g, {"a": zero, "b": zero})
     with pytest.raises(NumericalCollapse):
         bp_iterate(tn, uniform_messages(tn))
 

@@ -147,7 +147,7 @@ def _square_with_diagonal(dims):
         legs = [e for e, _ in g.incident(v)]
         tensors[v] = DenseTensor(
             legs, 0.5 + rng.random(tuple(dims[e] for e in legs)))
-    return TensorNetwork(g, dims, tensors)
+    return TensorNetwork(g, tensors)
 
 
 def _two_dims():
@@ -292,7 +292,7 @@ def test_probe_collapses_on_rank_one_tensors():
         for _ in legs[1:]:
             data = np.multiply.outer(data, e0)
         tensors[v] = DenseTensor(legs, data)
-    tn = TensorNetwork(g, {e: 2 for e in g.edges}, tensors)
+    tn = TensorNetwork(g, tensors)
     # undamped, the fixed point is e0 on every edge, exactly
     res = bp_iterate(tn, uniform_messages(tn), damping=0.0)
     assert res.converged and res.residual == 0.0

@@ -14,7 +14,7 @@ import pytest
 import bptn.cli
 from bptn.cli import main
 from bptn.errors import NumericalCollapse, TooLarge
-from bptn.models import IsingParams, ising_network
+from bptn.models import IsingParams, ising_network, random_peps
 from bptn.network import Graph, TensorNetwork, phys_leg
 from bptn.tensor import DenseTensor
 from bptn.tnio import network_to_dict, save_network
@@ -22,6 +22,18 @@ from bptn.tnio import network_to_dict, save_network
 
 def run(argv):
     return main(argv)
+
+
+def _run_process(argv, **env):
+    """The completed ``python -m bptn.cli`` process of ``argv``, with
+    ``env`` added to the environment."""
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "bptn.cli"] + argv,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
 
 
 def _body(path):
@@ -365,15 +377,9 @@ def test_csv_body_independent_of_hash_seed(argv):
     """Products over vertex and region sets run in sorted order, so the
     body does not depend on the per-process string hash salt; nor do the
     counting numbers, whose member bits follow set iteration order."""
-    root = Path(__file__).resolve().parents[1]
     bodies = set()
     for seed in range(4):
-        env = dict(os.environ, PYTHONHASHSEED=str(seed))
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run([sys.executable, "-m", "bptn.cli"] + argv,
-                              env=env, capture_output=True, text=True,
-                              timeout=300)
+        proc = _run_process(argv, PYTHONHASHSEED=str(seed))
         assert proc.returncode == 0, proc.stderr
         bodies.add("\n".join(l for l in proc.stdout.splitlines()
                              if not l.startswith("# timestamp=")))
@@ -385,6 +391,9 @@ def test_csv_body_independent_of_hash_seed(argv):
      "298a84ab56710f50"),
     (["regions", "--generate", "ising:L=4,beta=0.2", "-k", "4"],
      "7ebb7b1202ff057d"),
+    # a valid seed passes the check for a negative one unchanged
+    (["bp", "--generate", "ising:L=3,beta=0.2", "--seed", "3"],
+     "95335fdaae9aca32"),
 ])
 def test_config_fingerprint_survives_option_removal(tmp_path, argv, config):
     """Options a subcommand never read are gone from it; their former
@@ -449,7 +458,7 @@ def test_subcommand_parser_matches_full_parser(name, capsys, monkeypatch):
     def fail(args):
         raise AssertionError("a subcommand ran on a refused command line")
 
-    monkeypatch.setattr(bptn.cli, "_check_truncations", fail)
+    monkeypatch.setattr(bptn.cli, "_check_counts", fail)
     argvs = [[name, "--help"], [name, "--no-such-option"], [name, "--seed"]]
     if name == "scan":
         argvs.append([name, "--seed", "1"])
@@ -596,8 +605,7 @@ def test_exit_2_on_correlator_pair_in_two_components(tmp_path, capsys,
         tensors[v] = DenseTensor([e for e, _ in g.incident(v)]
                                  + [phys_leg(v)], data)
     path = tmp_path / "two.json"
-    save_network(path, TensorNetwork(g, {"a": 2, "b": 2}, tensors,
-                                     {v: 2 for v in g.vertices}))
+    save_network(path, TensorNetwork(g, tensors))
 
     def no_sweep(*args):
         raise AssertionError("a sweep ran")
@@ -660,6 +668,42 @@ def test_exit_2_on_non_finite_generator_parameter(argv, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: bad generator spec ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    # a generator spec with nothing in it, or a zero dimension
+    (["bp", "--generate", "peps:rows=2,cols=2,D=0"],
+     "bad generator spec 'peps:rows=2,cols=2,D=0': rows, cols, D and "
+     "phys_dim >= 1 required"),
+    (["bp", "--generate", "peps:rows=2,cols=2,phys_dim=0"],
+     "bad generator spec 'peps:rows=2,cols=2,phys_dim=0': rows, cols, D "
+     "and phys_dim >= 1 required"),
+    (["bp", "--generate", "peps:rows=0,cols=2"],
+     "bad generator spec 'peps:rows=0,cols=2': rows, cols, D and "
+     "phys_dim >= 1 required"),
+    (["bp", "--generate", "tree:n=0"],
+     "bad generator spec 'tree:n=0': n >= 1 and D >= 1 required"),
+    (["bp", "--generate", "tree:n=3,D=0"],
+     "bad generator spec 'tree:n=3,D=0': n >= 1 and D >= 1 required"),
+    # a negative seed, before any generator or the stability probe sees it
+    (["bp", "--generate", "ising:L=3,beta=0.2", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["bp", "--generate", "peps:rows=2,cols=2", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["bp", "--generate", "tree:n=3", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    # a sweep bound np.linspace would overflow on
+    (["scan", "--generate", "ising:L=4,beta=0.2", "--sweep", "h=0:1e400:2",
+      "-m", "2"],
+     "bad generator spec 'ising:L=4,beta=0.2,h=inf': finite beta and h "
+     "required"),
+])
+def test_exit_2_with_one_line_on_degenerate_input(argv, line):
+    """Exit 2 with the refusal as the one stderr line: no traceback, no
+    numpy warning, no CSV."""
+    proc = _run_process(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", f"error: {line}\n")
 
 
 @pytest.mark.parametrize("argv, key", [
@@ -754,10 +798,35 @@ def test_exit_2_on_malformed_network_file(tmp_path, capsys, change, where):
     assert out.err.startswith(f"error: {path}: {where}: ")
 
 
+@pytest.mark.parametrize("change, where, message", [
+    (_set(["edges", 0, "dim"], 3), "edges[0]",
+     "dim 3 != 2, the dim of its tensors' legs"),
+    (_set(["physical", "0,1"], 3), "physical/0,1",
+     "declared dim 3 != 2, the dim of its physical leg"),
+    (lambda doc: doc["physical"].pop("0,1"), "physical/0,1",
+     "declared dim None != 2, the dim of its physical leg"),
+    (_set(["physical", "x"], 2), "physical/x",
+     "declared dim 2 != None, the dim of its physical leg"),
+], ids=["edge_dim", "physical_dim", "physical_missing", "physical_unknown"])
+def test_exit_2_on_declared_dim_that_is_not_the_tensors(tmp_path, capsys,
+                                                        change, where,
+                                                        message):
+    """A file declares each edge's dim and each physical dim beside the
+    tensors that carry them; a declaration the tensors do not bear out
+    exits 2 with a path-qualified message."""
+    doc = network_to_dict(random_peps(2, 2, seed=0))
+    change(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["contract-exact", "--input", str(path)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {path}: {where}: {message}\n")
+
+
 def test_exit_3_on_numerical_collapse(tmp_path):
     g = Graph(["a", "b"], {"e": ("a", "b")})
     zero = DenseTensor(["e"], [0.0, 0.0])
-    tn = TensorNetwork(g, {"e": 2}, {"a": zero, "b": zero})
+    tn = TensorNetwork(g, {"a": zero, "b": zero})
     path = tmp_path / "zero.json"
     save_network(path, tn)
     assert run(["bp", "--input", str(path)]) == 3
@@ -837,7 +906,7 @@ def test_main_pauses_and_restores_the_collector(argv, error, code, enabled,
     """``main`` runs the command with the collector off and leaves it as
     the caller had it, on every exit code and on argparse's exit."""
     seen = []
-    check = bptn.cli._check_truncations
+    check = bptn.cli._check_counts
 
     def record(args):
         seen.append(gc.isenabled())
@@ -846,7 +915,7 @@ def test_main_pauses_and_restores_the_collector(argv, error, code, enabled,
     def fail(tn):
         raise error("raised by the test")
 
-    monkeypatch.setattr(bptn.cli, "_check_truncations", record)
+    monkeypatch.setattr(bptn.cli, "_check_counts", record)
     if error:
         monkeypatch.setattr(bptn.cli, "exact_contract", fail)
     was = gc.isenabled()

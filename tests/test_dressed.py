@@ -198,7 +198,7 @@ def _prefix_network():
         legs = [e for (e, _) in g.incident(v)]
         tensors[v] = DenseTensor(legs, rng.uniform(
             0.5, 1.5, [dims[e] for e in legs]))
-    tn = TensorNetwork(g, dims, tensors)
+    tn = TensorNetwork(g, tensors)
     res = bp_iterate(tn, uniform_messages(tn), tol=1e-13)
     assert res.converged
     return tn, res.messages

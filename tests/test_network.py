@@ -31,7 +31,7 @@ def ring(n=4, D=2, seed=0):
         legs = [e for (e, _) in g.incident(v)]
         tensors[v] = DenseTensor(legs, rng.standard_normal((D, D))
                                  + 1j * rng.standard_normal((D, D)))
-    return TensorNetwork(g, {e: D for e in edges}, tensors)
+    return TensorNetwork(g, tensors)
 
 
 # -- graph ------------------------------------------------------------------
@@ -299,11 +299,29 @@ def test_network_validates_legs():
     g = Graph(["a", "b"], {"e": ("a", "b")})
     good = DenseTensor(["e"], [1.0, 2.0])
     bad = DenseTensor(["f"], [1.0, 2.0])
-    TensorNetwork(g, {"e": 2}, {"a": good, "b": good})
+    tn = TensorNetwork(g, {"a": good, "b": good})
+    assert (tn.bond_dims, tn.phys_dims, tn.is_closed) == ({"e": 2}, {}, True)
     with pytest.raises(DimensionMismatch):
-        TensorNetwork(g, {"e": 2}, {"a": good, "b": bad})
-    with pytest.raises(DimensionMismatch):
-        TensorNetwork(g, {"e": 3}, {"a": good, "b": good})
+        TensorNetwork(g, {"a": good, "b": bad})
+    # at most one more leg, the vertex's own physical leg
+    open_a = DenseTensor(["e", phys_leg("a")], np.ones((2, 3)))
+    tn = TensorNetwork(g, {"a": open_a, "b": good})
+    assert (tn.bond_dims, tn.phys_dims) == ({"e": 2}, {"a": 3})
+    for legs in (["e", phys_leg("b")], ["e", phys_leg("a"), "f"]):
+        with pytest.raises(DimensionMismatch):
+            TensorNetwork(g, {"a": DenseTensor(legs, np.ones((2,) * len(
+                legs))), "b": good})
+
+
+def test_network_refuses_an_edge_its_ends_give_two_dims():
+    """The two tensors on an edge must agree on its dimension; it is
+    recorded nowhere else."""
+    g = Graph(["a", "b", "c"], {"e": ("a", "b"), "f": ("b", "c")})
+    with pytest.raises(DimensionMismatch, match="edge 'f': dim 3 at vertex "
+                       "'c' != dim 2 at its other end"):
+        TensorNetwork(g, {"a": DenseTensor(["e"], np.ones(2)),
+                          "b": DenseTensor(["e", "f"], np.ones((2, 2))),
+                          "c": DenseTensor(["f"], np.ones(3))})
 
 
 def test_exact_contract_vs_brute_force():
