@@ -19,7 +19,7 @@ from bptn.network import exact_contract
 for n, D, seed in ((8, 2, 0), (14, 3, 1), (20, 4, 2)):
     tn = random_tree_network(n, D=D, seed=seed)
     res = bp_iterate(tn, uniform_messages(tn), tol=1e-13)
-    z_bp = cmath.exp(bp_log_partition(tn, res.messages))
+    z_bp = cmath.exp(bp_log_partition(res.messages))
     z = exact_contract(tn)
     n_loops = len(enumerate_loops(tn.graph, n))
     print(f"tree n={n:2d} D={D}: converged in {res.iterations:3d} sweeps, "

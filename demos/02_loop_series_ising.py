@@ -20,7 +20,7 @@ p = IsingParams(L=4, beta=0.2)
 tn = ising_network(p)
 ms = ising_paramagnetic_messages(p, tn)
 loops = enumerate_loops(tn.graph, 8)
-table = evaluate_weights(tn, ms, loops)
+table = evaluate_weights(ms, loops)
 
 print(f"{len(loops)} generalized loops up to weight 8")
 print(f"plaquette weight {table[loops[0].key].real:.8f} "
@@ -29,7 +29,7 @@ print(f"plaquette weight {table[loops[0].key].real:.8f} "
 f_exact = -ising_exact_logZ(p)
 print(f"\n{'m':>3} {'F_m':>16} {'rel. error':>12}")
 for m in (0, 4, 6, 8):
-    fr = free_energy_truncated(tn, ms, loops, m, weight_table=table)
+    fr = free_energy_truncated(ms, loops, m, weight_table=table)
     f = fr.f_bp if m == 0 else fr.f_m
     print(f"{m:>3} {f.real:16.10f} {abs(f - f_exact) / abs(f_exact):12.2e}")
 print(f"  exact {f_exact:14.10f}")

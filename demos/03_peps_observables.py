@@ -33,7 +33,7 @@ exact = exact_contract(tn.replace_tensors(repl)) / exact_contract(tn)
 print(f"exact <sigma_z> at site (0,1): {exact.real:.10f}\n")
 
 # one expansion object shared by every estimator and truncation
-prob = InsertionProblem(tn, res.messages, repl)
+prob = InsertionProblem(res.messages, repl)
 print(f"{'estimator':>16} {'value':>14} {'abs. error':>12}")
 e = expval_bp_tensors(prob)
 print(f"{'BP':>16} {e.value.real:14.10f} {abs(e.value - exact):12.2e}")

@@ -24,7 +24,7 @@ def growth(beta):
     p = IsingParams(L=4, beta=beta)
     tn = ising_network(p)
     ms = ising_paramagnetic_messages(p, tn)
-    verdict, g = stability_probe(tn, ms, seed=0)
+    verdict, g = stability_probe(ms, seed=0)
     return verdict, g
 
 
@@ -47,5 +47,5 @@ for beta in (0.20, 0.30, 0.40, 0.44):
     p = IsingParams(L=4, beta=beta)
     tn = ising_network(p)
     ms = ising_paramagnetic_messages(p, tn)
-    rows, _ = loop_decay_profile(evaluate_weights(tn, ms, loops))
+    rows, _ = loop_decay_profile(evaluate_weights(ms, loops))
     print(f"{beta:6.2f} {rows[0]['c_estimate']:10.6f}")

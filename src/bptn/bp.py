@@ -178,7 +178,7 @@ class MessageSet:
         return val
 
     def projector(self, e) -> np.ndarray:
-        """P_perp on edge e = (u, v), its axes in ``endpoints(e)`` order:
+        """P_perp on edge e = (u, v), its axes in ``graph.edges[e]`` order:
         P[i, j] = delta_ij - mu_{v->u}[i] mu_{u->v}[j] / I.  Each side
         carries the message flowing *into* that side's vertex, so the
         contraction with a BP-consistent environment vanishes on either
@@ -200,9 +200,8 @@ class MessageSet:
         tensor's legs are numbered by position, and each message's leg by
         the position of its edge on the tensor.  Cached per (v, tensor
         object, kept edges); the entry holds the tensor, so its id cannot
-        be reused while the entry lives, and networks that share these
-        messages but swap one site tensor (the decorated networks of an
-        insertion) get entries of their own.
+        be reused while the entry lives, and the replacement tensors of an
+        insertion get entries of their own.
         """
         keys = [(v, id(t), kept) for v, t, kept in requests]
         todo = {key: request for key, request in zip(keys, requests)
@@ -395,29 +394,29 @@ def bp_iterate(tn: TensorNetwork, messages: MessageSet,
                     residual <= tol)
 
 
-def local_factors(tn, messages: MessageSet, vertices) -> dict:
-    """{v: z_v} of ``tn``'s site tensors at ``vertices``, each dressed on
-    every leg, from one ``dressed`` call; the one z floor."""
-    vertices = [str(v) for v in vertices]
+def local_factors(messages: MessageSet, vertices) -> dict:
+    """{v: z_v} of the messages' site tensors at ``vertices``, each dressed
+    on every leg, from one ``dressed`` call; the one z floor."""
+    vertices, tensors = [str(v) for v in vertices], messages.plan.tn.tensors
     out = {v: complex(z) for v, (_, z) in zip(vertices, messages.dressed(
-        [(v, tn.tensors[v], ()) for v in vertices]))}
+        [(v, tensors[v], ()) for v in vertices]))}
     for v, z in out.items():
         if abs(z) < Z_FLOOR:
             raise ZeroLocalFactor(f"|z_v| below floor at vertex {v!r}")
     return out
 
 
-def bp_log_partition(tn, messages: MessageSet) -> complex:
+def bp_log_partition(messages: MessageSet) -> complex:
     """Sum of principal-branch log z_v; Re gives log|Z_BP|."""
     total = 0.0 + 0j
-    for z in local_factors(tn, messages, tn.graph.vertices).values():
+    for z in local_factors(messages, messages.plan.tn.graph.vertices).values():
         total += cmath.log(z)
     return total
 
-def bp_free_energy(tn, messages: MessageSet):
+def bp_free_energy(messages: MessageSet):
     """(log|Z_BP|, phase in (-pi, pi], the exact remainder of Im log Z_BP
     with a signed zero read as 0.0); F_BP = -log Z_BP."""
-    logz = bp_log_partition(tn, messages)
+    logz = bp_log_partition(messages)
     phase = math.remainder(logz.imag, 2 * math.pi)
     return logz.real, math.pi if phase == -math.pi else phase + 0.0
 
@@ -425,7 +424,7 @@ def bp_free_energy(tn, messages: MessageSet):
 # --- stability -------------------------------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")  # refused by _normalize_rows
-def stability_probe(tn, messages: MessageSet, seed=0):
+def stability_probe(messages: MessageSet, seed=0):
     """Classify a fixed point by the dominant eigenvalue of the sweep map.
 
     Finite-difference power iteration on the Jacobian of one normalized
@@ -441,7 +440,7 @@ def stability_probe(tn, messages: MessageSet, seed=0):
     norm, and it stops, dropping out of the stack, once that norm is 0.
     Each chain's numbers are bit for bit those of running it alone.
     """
-    plan = messages.plan if messages.plan.tn is tn else _Plan(tn)
+    plan = messages.plan
     if not plan.dims:       # no message to perturb
         return "inconclusive", float("nan")
     compiled, rng = plan.compile(), np.random.default_rng(seed)

@@ -214,7 +214,7 @@ def _weighed_loops(prob: Problem, args):
     the start of ``loops``, ``free-energy`` and each ``scan`` point."""
     messages = _converge(prob, args).messages
     loops = enumerate_loops(prob.tn.graph, args.max_weight)
-    return messages, loops, evaluate_weights(prob.tn, messages, loops)
+    return messages, loops, evaluate_weights(messages, loops)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -232,8 +232,8 @@ def cmd_contract_exact(args):
 def cmd_bp(args):
     prob = _load_problem(args)
     res = _converge(prob, args)
-    log_abs, phase = bp_free_energy(prob.tn, res.messages)
-    verdict, ratio = stability_probe(prob.tn, res.messages, seed=args.seed)
+    log_abs, phase = bp_free_energy(res.messages)
+    verdict, ratio = stability_probe(res.messages, seed=args.seed)
     rows = [{
         "converged": res.converged, "iterations": res.iterations,
         "residual": res.residual,
@@ -260,20 +260,20 @@ def cmd_free_energy(args):
     prob = _load_problem(args)
     messages, loops, table = _weighed_loops(prob, args)
     m = args.max_weight
-    fr = free_energy_truncated(prob.tn, messages, loops, m,
-                               weight_table=table)
-    f_cum, _ = cumulant_free_energy(prob.tn, messages, fr.clusters, table)
+    fr = free_energy_truncated(messages, loops, m, weight_table=table)
+    f_cum, _ = cumulant_free_energy(messages, fr.clusters, table)
     estimates = [("bp", 0, fr.f_bp), ("cluster", m, fr.f_m),
                  ("cumulant", m, f_cum)]
     if args.region_size:
         poset = find_regions(prob.tn.graph, args.region_size)
-        f_reg, _ = region_free_energy(prob.tn, messages, poset)
+        f_reg, _ = region_free_energy(messages, poset)
         estimates.append(("region", args.region_size, f_reg))
     fields = ["method", "truncation", "f_re", "f_im"]
     rows = [dict(zip(fields, (method, n, f.real, f.imag)))
             for method, n, f in estimates]
     if args.reference == "exact":
-        ref = -cmath.log(exact_contract(prob.tn))
+        ref = (-ising_exact_logZ(prob.ising) if prob.ising is not None
+               else -cmath.log(exact_contract(prob.tn)))
         fields += ["f_ref_re", "abs_error"]
         for r, (_, _, f) in zip(rows, estimates):
             r["f_ref_re"] = ref.real
@@ -293,7 +293,7 @@ def cmd_expval(args):
     if args.reference == "exact":
         z = exact_contract(prob.tn)
         ref = exact_contract(prob.tn.replace_tensors(repl)) / z
-    expansion = InsertionProblem(prob.tn, res.messages, repl)
+    expansion = InsertionProblem(res.messages, repl)
     estimates = [
         expval_bp_tensors(expansion),
         expval_ratio_tensors(expansion, m),
@@ -348,7 +348,7 @@ def cmd_correlator(args):
     for (u, v), rb in zip(pairs, inserts):
         both = {**ra, **rb}
         m = args.max_weight + dist[v]
-        pair = InsertionProblem(prob.tn, res.messages, both)
+        pair = InsertionProblem(res.messages, both)
         try:  # first: its one weight call serves the derivative form too
             cr = correlator_ratio_tensors(pair, m)
             ratio_re = cr.value.real
@@ -408,15 +408,21 @@ def cmd_scan(args):
     if kind != "ising":
         raise ConfigError("scan currently sweeps ising generator parameters")
 
+    def value(x):  # a grid point as the generator reads it
+        if name == "L" and not float(x).is_integer():
+            raise ConfigError(f"sweep spec {args.sweep!r}: L = {float(x)!r} "
+                              "is not an integer")
+        return int(x) if name == "L" else float(x)
+
     def point(val):  # the generator spec at one sweep value
         return "ising:" + ",".join(f"{k}={v}" for k, v in {
-            **kv, name: repr(float(val))}.items())
+            **kv, name: repr(val)}.items())
 
     if not math.isfinite(stop - start):  # np.linspace would warn
         for bound in (start, stop):       # the generator refuses one
-            generate(point(bound), args.seed)
+            generate(point(value(bound)), args.seed)
     rows = []
-    for val in np.linspace(start, stop, steps):
+    for val in [value(x) for x in np.linspace(start, stop, steps)]:
         prob = generate(point(val), args.seed)
         messages, loops, table = _weighed_loops(prob, args)
         profile, _ = loop_decay_profile(table)
@@ -424,9 +430,9 @@ def cmd_scan(args):
                       if r["parity"] == "even"), default=math.nan)
         c_odd = min((r["c_estimate"] for r in profile
                      if r["parity"] == "odd"), default=math.nan)
-        fr = free_energy_truncated(prob.tn, messages, loops, args.max_weight,
+        fr = free_energy_truncated(messages, loops, args.max_weight,
                                    weight_table=table)
-        row = {name: float(val), "c_even": c_even, "c_odd": c_odd,
+        row = {name: val, "c_even": c_even, "c_odd": c_odd,
                "f_m_re": fr.f_m.real}
         if args.reference == "exact" and prob.ising is not None:
             f_exact = -ising_exact_logZ(prob.ising)

@@ -59,12 +59,6 @@ class Cluster:
     def key(self):
         return tuple((l.key, eta) for l, eta in self.members)
 
-    def __eq__(self, other):
-        return isinstance(other, Cluster) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
     def __repr__(self):
         return f"Cluster({[(list(l.key), eta) for l, eta in self.members]})"
 
@@ -95,12 +89,13 @@ def _edgeless(mask: int, adj) -> bool:
     return True
 
 
-def ursell(cluster: Cluster, cap: int = DEFAULT_URSELL_CAP) -> Fraction:
+def ursell(cluster: Cluster) -> Fraction:
     """Exact Ursell coefficient phi(W); 0 for disconnected clusters, whose
-    interaction graph has no connected spanning edge subset."""
-    if cluster.n_loops > cap:
-        raise CapExceeded(
-            f"n_loops {cluster.n_loops} exceeds Ursell cap {cap}")
+    interaction graph has no connected spanning edge subset.
+    ``DEFAULT_URSELL_CAP`` bounds the loops of a cluster."""
+    if cluster.n_loops > DEFAULT_URSELL_CAP:
+        raise CapExceeded(f"n_loops {cluster.n_loops} exceeds Ursell cap "
+                          f"{DEFAULT_URSELL_CAP}")
     n, adj = interaction_graph(cluster)
     full = (1 << n) - 1
     # g(S) = sum over connected spanning edge subsets of S of (-1)^{|C|}
@@ -210,14 +205,11 @@ def cluster_sums(clusters, tables) -> list:
 FreeEnergyResult = namedtuple("FreeEnergyResult", "f_bp f_m clusters")
 
 
-def free_energy_truncated(tn, messages, excitations, m: int,
-                          weight_table: dict,
-                          clusters=None) -> FreeEnergyResult:
+def free_energy_truncated(messages, excitations, m: int,
+                          weight_table: dict) -> FreeEnergyResult:
     """F_m = F_BP - sum over connected clusters |W| <= m of phi(W) Z_W,
     with each Z_l looked up in ``weight_table`` by loop key."""
-    if clusters is None:
-        clusters = enumerate_clusters(excitations, m)
-    f_bp = -bp_log_partition(tn, messages)
-    (total,) = cluster_sums([c for c in clusters if c.weight <= m],
-                            [weight_table])
+    clusters = enumerate_clusters(excitations, m)
+    f_bp = -bp_log_partition(messages)
+    (total,) = cluster_sums(clusters, [weight_table])
     return FreeEnergyResult(f_bp, f_bp - total, clusters)

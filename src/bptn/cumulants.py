@@ -24,8 +24,8 @@ from itertools import chain, combinations, islice, product
 from .bp import MessageSet, bp_log_partition, local_factors
 from .clusters import Cluster, loops_overlap, overlap_neighbors
 from .errors import BranchCrossing, CapExceeded, CombinatorialBudgetExceeded
-from .network import (DEFAULT_SIZE_CAP, Graph, TensorNetwork, grown_sets,
-                      is_connected, set_bits)
+from .network import (DEFAULT_SIZE_CAP, Graph, grown_sets, is_connected,
+                      set_bits)
 # under the name perfbench/tracing.py wraps
 from .tensor import contract_closed as contract_network
 
@@ -117,11 +117,11 @@ def cumulant_sums(subsets, tables) -> list:
     return sums
 
 
-def cumulant_free_energy(tn, messages, clusters, weight_table: dict):
+def cumulant_free_energy(messages, clusters, weight_table: dict):
     """(F, correction): F = F_BP - sum of K(Gamma) over the connected
     subsets in ``clusters``."""
     (corr,) = cumulant_sums(connected_loop_subsets(clusters), [weight_table])
-    return -bp_log_partition(tn, messages) - corr, corr
+    return -bp_log_partition(messages) - corr, corr
 
 
 # --- regions ---------------------------------------------------------------
@@ -141,12 +141,6 @@ class Region:
             touched |= g.inc[i]
         self.edges = frozenset(g.edge_ids[j] for j in set_bits(inside))
         self.level = level
-
-    def __eq__(self, other):
-        return isinstance(other, Region) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
 
     def __repr__(self):
         return f"Region({sorted(self.vertices)})"
@@ -200,8 +194,6 @@ def find_regions(g: Graph, k: int, anchor=None):
             return None
         if anchor is None:
             return None if leaves(p) else p
-        if not p & pinned:
-            return None
         while drop := leaves(p):
             p &= ~drop
         return p
@@ -232,12 +224,13 @@ def find_regions(g: Graph, k: int, anchor=None):
     return out
 
 
-def region_partition(tn: TensorNetwork, messages: MessageSet, jobs) -> list:
+def region_partition(messages: MessageSet, jobs) -> list:
     """(Xi_tilde(R), Xi(R)) for each (region R, replacements) job: the
     boundary-message contraction of the region and its BP-normalized value,
     all in one ``contract_closed`` call.  ``replacements`` substitutes site
     tensors (operator insertions) inside the region.  A region's edges
     are numbered once, by first appearance along its sorted support."""
+    tn = messages.plan.tn
     incident = {v: sorted(tn.graph.incident(v)) for v in tn.graph.vertices}
     regions, sites = {}, []     # vertex set -> [(vertex, kept edges, legs)]
     for R, _ in jobs:
@@ -256,20 +249,20 @@ def region_partition(tn: TensorNetwork, messages: MessageSet, jobs) -> list:
         for (_, replacements), job in zip(jobs, sites) for v, kept, _ in job]))
     raws = contract_network([[(legs, next(pieces)[1]) for _, _, legs in job]
                              for job in sites], size_cap=DEFAULT_SIZE_CAP)
-    factors = local_factors(tn, messages, dict.fromkeys(
+    factors = local_factors(messages, dict.fromkeys(
         v for job in regions.values() for v, _, _ in job))
     return [(raw, raw / math.prod((factors[v] for v, _, _ in job),
                                   start=1.0 + 0j))
             for raw, job in zip(raws, sites)]
 
 
-def region_free_energy(tn, messages, poset):
+def region_free_energy(messages, poset):
     """F = F_BP - sum b(R) log Xi(R) over the region poset."""
     b = counting_numbers({r.key: r.vertices for r in poset})
     poset = [r for r in poset if b[r.key] != 0]
     corr = 0.0 + 0j
     for r, (_, xi) in zip(poset, region_partition(
-            tn, messages, [(r, {}) for r in poset])):
+            messages, [(r, {}) for r in poset])):
         corr += b[r.key] * guarded_log(xi, f"Xi({r.key})")
-    f_bp = -bp_log_partition(tn, messages)
+    f_bp = -bp_log_partition(messages)
     return f_bp - corr, corr

@@ -47,16 +47,9 @@ class GeneralizedLoop:
 
     def __init__(self, g: Graph, edges):
         self.edges = frozenset(str(e) for e in edges)
-        self.vertices = frozenset(v for e in self.edges
-                                  for v in g.endpoints(e))
+        self.vertices = frozenset(v for e in self.edges for v in g.edges[e])
         self.weight = len(self.edges)
         self.key = tuple(sorted(self.edges))  # canonical identity
-
-    def __eq__(self, other):
-        return isinstance(other, GeneralizedLoop) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
 
     def __repr__(self):
         return f"GeneralizedLoop({list(self.key)})"
@@ -135,26 +128,28 @@ def _walk(g: Graph, edges) -> tuple:
     return order, legs, crossings
 
 
-def excitation_weight(messages: MessageSet, jobs, base) -> list:
-    """Normalized weights Z_l of (network, loop) jobs, each contracted on
-    its loop's support, all in one ``contract_closed`` call.
+def excitation_weight(messages: MessageSet, jobs) -> list:
+    """Normalized weights Z_l of (replacements, loop) jobs, each contracted
+    on its loop's support, all in one ``contract_closed`` call;
+    ``replacements`` substitutes site tensors (an operator insertion).
 
     Each support network is listed in walk order, its legs numbered by
     the walk and passed to the kernel as they are: a dressed tensor is
     transposed into crossing order where its sorted legs are not, and a
     projector where the walk crosses its edge against endpoint order.
     Walk, numbers, permutations and projectors are built once per loop
-    key.  The local factors z_v that normalize the weights are those of
-    ``base``, multiplied in sorted vertex order; an undecorated base for
-    decorated jobs gives the bar-normalized weights of the
-    derivative-form estimators.
+    key.  The local factors z_v that normalize the weights are the
+    messages' own, undecorated, multiplied in sorted vertex order: with
+    replacements, the bar-normalized weights of the derivative-form
+    estimators.
     """
-    factors = local_factors(base, messages, dict.fromkeys(
+    tn = messages.plan.tn
+    factors = local_factors(messages, dict.fromkeys(
         v for _, loop in jobs for v in loop.vertices))
     keys = [loop.key for _, loop in jobs]
     walks = {}  # loop key -> (sites, projectors, support in sorted order)
     oriented = {}  # (edge, from vertex) -> the projector along the crossing
-    for (tn, _), key in zip(jobs, keys):
+    for key in keys:
         if key in walks:
             continue
         order, legs, crossings = _walk(tn.graph, key)
@@ -171,7 +166,8 @@ def excitation_weight(messages: MessageSet, jobs, base) -> list:
             projectors.append(((2 * k, 2 * k + 1), oriented[e, a]))
         walks[key] = sites, projectors, sorted(order)
     dressed = iter(messages.dressed([
-        (v, tn.tensors[v], kept) for (tn, _), key in zip(jobs, keys)
+        (v, replacements.get(v, tn.tensors[v]), kept)
+        for (replacements, _), key in zip(jobs, keys)
         for v, kept, _, _ in walks[key][0]]))
     pools = [[(legs, data if perm is None else data.transpose(perm))
               for (_, _, legs, perm), (_, data) in zip(walks[key][0], dressed)]
@@ -181,10 +177,10 @@ def excitation_weight(messages: MessageSet, jobs, base) -> list:
             for raw, key in zip(contract_network(pools), keys)]
 
 
-def evaluate_weights(tn, messages, loops) -> dict:
+def evaluate_weights(messages, loops) -> dict:
     """Weight table {loop.key: Z_l} for a loop list."""
     return dict(zip([l.key for l in loops], excitation_weight(
-        messages, [(tn, l) for l in loops], tn)))
+        messages, [({}, l) for l in loops])))
 
 
 def loop_decay_profile(weight_table: dict):

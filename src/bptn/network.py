@@ -76,15 +76,9 @@ class Graph:
             self.inc[b] |= 1 << j
         self._cycles = (0, ())  # (size, the cycles up to it): see grown_sets
 
-    def neighbors(self, v):
-        return [w for (_, w) in self._adj[str(v)]]
-
     def incident(self, v):
         """Sorted list of (edge id, neighbor) pairs at v."""
         return list(self._adj[str(v)])
-
-    def endpoints(self, e):
-        return self.edges[str(e)]
 
     def edge_between(self, u, v):
         for (e, w) in self._adj[str(u)]:
@@ -203,7 +197,7 @@ def bfs(g: Graph, A):
     q = deque(dist)
     while q:
         v = q.popleft()
-        for w in g.neighbors(v):
+        for _, w in g.incident(v):
             if w not in dist:
                 dist[w] = dist[v] + 1
                 paths[w] = 0

@@ -1,8 +1,8 @@
 """Observable and correlator estimators on a BP background.
 
 Every estimator is a resummation of one expansion, owned by an
-``InsertionProblem``: a closed background network, a converged
-MessageSet, and the insertion's {site: replacement tensor} map, each site
+``InsertionProblem``: a converged MessageSet on a closed background
+network, and the insertion's {site: replacement tensor} map, each site
 one region (PEPS double tensors from ``network.peps_replacements``, or any
 modified site tensor).  The object enumerates strings, clusters, loop
 subsets and regions once per truncation and caches every weight, so
@@ -35,7 +35,7 @@ from .cumulants import find_regions as find_regions_local
 from .cumulants import region_partition
 from .errors import InsufficientPoints, PCapExceeded, ZeroLocalFactor
 from .loops import enumerate_strings, excitation_weight
-from .network import TensorNetwork, bfs
+from .network import bfs
 
 P_CAP = 3
 
@@ -56,29 +56,30 @@ class Estimate:
 
 
 class InsertionProblem:
-    """One insertion's expansion: network, messages, regions, and the
-    strings, clusters, loop subsets, regions and weights built on it.
+    """One insertion's expansion: messages, regions, and the strings,
+    clusters, loop subsets, regions and weights built on them.
 
     ``replacements`` is the {site: replacement DenseTensor} map of the
     insertion; each site is one region, and ``region_ids`` lists them in
-    the map's key order.  For two regions ``distance`` and ``paths`` hold
-    their graph distance and the number of shortest paths between them
-    (inf and 0 when they are not connected); otherwise both are None.
+    the map's key order.  ``base`` is the messages' network; a site it
+    lacks, or a tensor whose legs do not fit its site, is refused with
+    ``DimensionMismatch``.  For two regions ``distance`` and ``paths``
+    hold their graph distance and the number of shortest paths between
+    them (inf and 0 when they are not connected); otherwise both are None.
     """
 
-    def __init__(self, tn: TensorNetwork, messages: MessageSet,
-                 replacements: dict):
-        self.base = tn
+    def __init__(self, messages: MessageSet, replacements: dict):
+        self.base = messages.plan.tn
         self.messages = messages
         self.replacements = dict(replacements)
+        self.base.replace_tensors(self.replacements)  # refuses a misfit
         self.region_ids = list(self.replacements)
         self.distance = self.paths = None
         if len(self.region_ids) == 2:
             a, b = self.region_ids
-            dist, paths = bfs(tn.graph, {a})
+            dist, paths = bfs(self.base.graph, {a})
             self.distance, self.paths = dist.get(b, math.inf), paths.get(b, 0)
         self._weights = {}       # (loop key, inserted-region frozenset) -> value
-        self._decorated = {}     # inserted-region frozenset -> network
         self._alphas = None
         self._memo = {}          # (what, truncation) -> enumeration result
 
@@ -89,19 +90,12 @@ class InsertionProblem:
         z_v is unfloored, since 0 is an expectation (``table`` refuses to
         divide by it)."""
         if self._alphas is None:
-            base = local_factors(self.base, self.messages, self.region_ids)
+            base = local_factors(self.messages, self.region_ids)
             self._alphas = {r: complex(z) / base[r] for r, (_, z) in zip(
                 self.region_ids, self.messages.dressed([
                     (r, self.replacements[r], ())
                     for r in self.region_ids]))}
         return self._alphas
-
-    def network(self, inserted) -> TensorNetwork:
-        key = frozenset(inserted)
-        if key not in self._decorated:
-            self._decorated[key] = self.base.replace_tensors(
-                {r: self.replacements[r] for r in key})
-        return self._decorated[key]
 
     # -- the expansion, once per truncation ---------------------------------
 
@@ -156,14 +150,15 @@ class InsertionProblem:
                 inserted = frozenset(r for k, r in enumerate(on)
                                      if mask >> k & 1)
                 if (loop.key, inserted) not in self._weights:
-                    todo[loop.key, inserted] = (self.network(inserted), loop)
+                    todo[loop.key, inserted] = (
+                        {r: self.replacements[r] for r in inserted}, loop)
         if todo:
             self._weights.update(zip(todo, excitation_weight(
-                self.messages, list(todo.values()), self.base)))
+                self.messages, list(todo.values()))))
 
     def bar_weight(self, loop, inserted=frozenset()) -> complex:
-        """Weight on the decorated network, base-z normalized: an entry of
-        the table ``weigh`` computed."""
+        """Weight with the ``inserted`` regions replaced, base-z
+        normalized: an entry of the table ``weigh`` computed."""
         return self._weights[loop.key, frozenset(
             r for r in inserted if r in loop.vertices)]
 
@@ -282,7 +277,7 @@ def expval_region_sum_tensors(prob: InsertionProblem, k) -> Estimate:
     b = counting_numbers({r.key: r.vertices for r in poset})
     repl = {rid: prob.replacements[rid]}
     poset = [r for r in poset if b[r.key] != 0]
-    values = region_partition(prob.base, prob.messages, [
+    values = region_partition(prob.messages, [
         (r, replacements) for replacements in ({}, repl) for r in poset])
     total = 0.0 + 0j
     for r, (raw, _), (raw_o, _) in zip(poset, values, values[len(poset):]):

@@ -17,7 +17,7 @@ class Ising44:
         self.tn = ising_network(self.params)
         self.messages = ising_paramagnetic_messages(self.params, self.tn)
         self.loops = enumerate_loops(self.tn.graph, 8)
-        self.table = evaluate_weights(self.tn, self.messages, self.loops)
+        self.table = evaluate_weights(self.messages, self.loops)
 
 
 @pytest.fixture(scope="session")

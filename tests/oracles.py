@@ -134,7 +134,7 @@ def cumulant(gamma, weight_table: dict) -> complex:
     return total
 
 
-def counting_number_free_energy(tn, messages, subsets, weight_table):
+def counting_number_free_energy(messages, subsets, weight_table):
     """Equivalent counting-number form: F = F_BP - sum b(B) log Xi(B)."""
     b = counting_numbers({s.key: frozenset(s.loops) for s in subsets})
     corr = 0.0 + 0j
@@ -143,7 +143,7 @@ def counting_number_free_energy(tn, messages, subsets, weight_table):
             continue
         corr += b[s.key] * guarded_log(
             xi_table(s.loops, weight_table)[-1], "Xi(B)")
-    f_bp = -bp_log_partition(tn, messages)
+    f_bp = -bp_log_partition(messages)
     return f_bp - corr, corr
 
 
@@ -195,7 +195,7 @@ def sweep(tn, msgs: dict):
     return out
 
 
-def self_consistency_residual(tn, messages: MessageSet) -> float:
+def self_consistency_residual(messages: MessageSet) -> float:
     """Max aligned 2-norm defect of the fixed-point equations, from one
     compiled sweep of ``bptn.bp``."""
     old = messages.data
@@ -266,7 +266,7 @@ def inner(a: DenseTensor, b: DenseTensor) -> complex:
 def inner_product(messages: MessageSet, e) -> complex:
     """I_e = mu_{u->v} * mu_{v->u} on edge e = (u, v), one edge at a time;
     unfloored."""
-    u, v = messages.plan.tn.graph.endpoints(e)
+    u, v = messages.plan.tn.graph.edges[e]
     return inner(message(messages, u, v), message(messages, v, u))
 
 
@@ -281,9 +281,9 @@ def into(messages: MessageSet, n, v, e) -> np.ndarray:
 
 
 def projector(messages: MessageSet, e) -> np.ndarray:
-    """P_perp on edge e = (u, v), axes in ``endpoints(e)`` order:
+    """P_perp on edge e = (u, v), axes in ``graph.edges[e]`` order:
     delta_ij - mu_{v->u}[i] mu_{u->v}[j] / I."""
-    u, v = messages.plan.tn.graph.endpoints(e)
+    u, v = messages.plan.tn.graph.edges[e]
     return (np.eye(messages.plan.tn.bond_dims[e], dtype=complex)
             - np.outer(message(messages, v, u).data,
                        message(messages, u, v).data)
@@ -293,7 +293,7 @@ def projector(messages: MessageSet, e) -> np.ndarray:
 def edge_projector(messages: MessageSet, e) -> DenseTensor:
     """``projector`` as a tensor with legs '<e>@<u>' and '<e>@<v>'."""
     e = str(e)
-    u, v = messages.plan.tn.graph.endpoints(e)
+    u, v = messages.plan.tn.graph.edges[e]
     return DenseTensor([f"{e}@{u}", f"{e}@{v}"], projector(messages, e))
 
 
@@ -318,10 +318,10 @@ def bp_iterate(tn, messages: MessageSet, damping=DEFAULT_DAMPING,
     return BPResult(MessageSet(tn, msgs), residual, DEFAULT_MAX_ITERS, False)
 
 
-def stability_probe(tn, messages: MessageSet, seed=0):
+def stability_probe(messages: MessageSet, seed=0):
     """Finite-difference power iteration on the Jacobian of one normalized
     synchronous sweep at the fixed point; (classification, growth)."""
-    rng = np.random.default_rng(seed)
+    tn, rng = messages.plan.tn, np.random.default_rng(seed)
     msgs = per_edge(messages)
     keys = sorted(msgs)
     base = {k: normalize(msgs[k].data) for k in keys}
@@ -462,11 +462,16 @@ def enumerate_strings(g, terminals, max_weight):
     return out
 
 
+def neighbors(g, v) -> list:
+    """The neighbours of vertex v, in ``incident`` order."""
+    return [w for _, w in g.incident(v)]
+
+
 def degree_map(g, edges):
     """{vertex: number of ``edges`` incident to it}."""
     deg = {}
     for e in edges:
-        for v in g.endpoints(e):
+        for v in g.edges[e]:
             deg[v] = deg.get(v, 0) + 1
     return deg
 
@@ -480,7 +485,7 @@ def _induced_edges(g, vset):
 def _induced_degrees(g, vset):
     deg = {v: 0 for v in vset}
     for e in _induced_edges(g, vset):
-        u, v = g.endpoints(e)
+        u, v = g.edges[e]
         deg[u] += 1
         deg[v] += 1
     return deg
@@ -491,7 +496,7 @@ def _vertex_subsets(g, k: int, root=None):
     ``root`` given, only those containing it."""
     verts = sorted(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
-    nbrs = [[index[w] for w in g.neighbors(v)] for v in verts]
+    nbrs = [[index[w] for w in neighbors(g, v)] for v in verts]
     roots = None if root is None else [index[str(root)]]
     count = 0
     for cur in connected_subsets(nbrs, [1] * len(verts), k, roots):
@@ -546,7 +551,7 @@ def find_regions(g, k: int):
 
     def keep(p):
         # a leafless connected intersection is a region of its own
-        if (p and is_connected(p, g.neighbors)
+        if (p and is_connected(p, functools.partial(neighbors, g))
                 and all(d >= 2 for d in _induced_degrees(g, p).values())):
             return p
         return None
@@ -564,9 +569,10 @@ def find_regions_local(g, k: int, A):
         if all(d >= 2 for v, d in deg.items() if v != A):
             candidates.append(vset)
     maximal = [s for s in candidates if not any(s < t for t in candidates)]
+    nbrs = functools.partial(neighbors, g)
 
     def keep(p):
-        if A not in p or not is_connected(p, g.neighbors):
+        if A not in p or not is_connected(p, nbrs):
             return None
         p = set(p)
         # prune branches not ending on A
@@ -686,7 +692,7 @@ def leaf_pruned_vertex_sets(g, k: int, anchor=None):
     stops growing once a leaf can no longer close: it has no neighbour
     left to take, or taking the ones it needs would exceed k vertices."""
     index = {v: i for i, v in enumerate(g.vertices)}
-    nbrs = [[index[w] for w in g.neighbors(v)] for v in g.vertices]
+    nbrs = [[index[w] for w in neighbors(g, v)] for v in g.vertices]
     adj = [sum(1 << j for j in nb) for nb in nbrs]
     roots = None if anchor is None else [index[str(anchor)]]
     pinned = sum(1 << r for r in roots or ())
@@ -873,13 +879,13 @@ def _normalized(raw, factors, vertices) -> complex:
     return raw / denom
 
 
-def excitation_weight(tn, messages, loop, factors=None) -> complex:
-    """Normalized weight Z_l of one excitation, its support listed in
-    ``walk`` order as the engine lists it: the dressed tensors, their loop
-    legs in crossing order, then the projectors, oriented along the walk.
-    ``factors`` defaults to ``tn``'s own local factors."""
-    if factors is None:
-        factors = local_factors(tn, messages, loop.vertices)
+def excitation_weight(tn, messages, loop) -> complex:
+    """Normalized weight Z_l of one excitation on ``tn``, its support
+    listed in ``walk`` order as the engine lists it: the dressed tensors,
+    their loop legs in crossing order, then the projectors, oriented along
+    the walk; normalized by the messages' own local factors, so a ``tn``
+    with tensors replaced gives the bar weight."""
+    factors = local_factors(messages, loop.vertices)
     order, legs, crossings = walk(tn.graph, loop.edges)
     pool = [_along(dressed(messages, v, tn.tensors[v], legs[v]),
                    [f"{e}@{v}" for e in legs[v]]) for v in order]
@@ -889,12 +895,11 @@ def excitation_weight(tn, messages, loop, factors=None) -> complex:
     return _normalized(complex(raw.item()), factors, loop.vertices)
 
 
-def sorted_excitation_weight(tn, messages, loop, factors=None) -> complex:
+def sorted_excitation_weight(tn, messages, loop) -> complex:
     """``excitation_weight`` with the support listed in the sorted order
     the walk replaced: the dressed tensors by vertex id, then the
     projectors by edge id, each with its legs sorted."""
-    if factors is None:
-        factors = local_factors(tn, messages, loop.vertices)
+    factors = local_factors(messages, loop.vertices)
     g = tn.graph
     pieces = [dressed(
         messages, v, tn.tensors[v],
@@ -918,7 +923,7 @@ def region_partition(tn, messages, R, replacements=None):
             {f"{e}@{v}": e for e in internal}))
     raw = contract_network(pieces, size_cap=DEFAULT_SIZE_CAP).item()
     denom = 1.0 + 0j
-    for z in local_factors(tn, messages, sorted(R.vertices)).values():
+    for z in local_factors(messages, sorted(R.vertices)).values():
         denom *= z
     return raw, raw / denom
 
@@ -997,31 +1002,33 @@ def interning_dressed(messages: MessageSet, requests) -> list:
         for v, tensor, kept in requests])
 
 
-def _interning_factors(tn, messages, vertices) -> dict:
+def _interning_factors(messages, vertices) -> dict:
+    tensors = messages.plan.tn.tensors
     return {v: complex(z) for v, (_, z) in zip(vertices, interning_dressed(
-        messages, [(v, tn.tensors[v], ()) for v in vertices]))}
+        messages, [(v, tensors[v], ()) for v in vertices]))}
 
 
-def interning_excitation_weight(messages: MessageSet, jobs, base) -> list:
+def interning_excitation_weight(messages: MessageSet, jobs) -> list:
     """``loops.excitation_weight`` as it was: each support network in walk
     order with the walk's leg numbers as leg ids, interned again by
     ``interning_contract_many``; the projectors built one edge at a
     time."""
-    factors = _interning_factors(base, messages, sorted(
+    tn = messages.plan.tn
+    factors = _interning_factors(messages, sorted(
         {v for _, loop in jobs for v in loop.vertices}))
     pools, supports = [], []
-    for tn, loop in jobs:
+    for replacements, loop in jobs:
         order, legs, crossings = _walk(tn.graph, loop.key)
         pieces = interning_dressed(messages, [
-            (v, tn.tensors[v], frozenset(e for e, _ in legs[v]))
-            for v in order])
+            (v, replacements.get(v, tn.tensors[v]),
+             frozenset(e for e, _ in legs[v])) for v in order])
         pool = []
         for v, (ids, data) in zip(order, pieces):
             pool.append((tuple(n for _, n in legs[v]), data.transpose(
                 [ids.index(e) for e, _ in legs[v]])))
         pools.append(pool + [
             ((2 * k, 2 * k + 1), projector(messages, e)
-             if tn.graph.endpoints(e)[0] == a else projector(messages, e).T)
+             if tn.graph.edges[e][0] == a else projector(messages, e).T)
             for k, (e, a, _) in enumerate(crossings)])
         supports.append(sorted(order))
     raws = [complex(data.item())
@@ -1030,9 +1037,10 @@ def interning_excitation_weight(messages: MessageSet, jobs, base) -> list:
             for raw, support in zip(raws, supports)]
 
 
-def interning_region_partition(tn, messages: MessageSet, jobs) -> list:
+def interning_region_partition(messages: MessageSet, jobs) -> list:
     """``cumulants.region_partition`` as it was: the dressed tensors with
     their region legs named by edge id, interned again pool by pool."""
+    tn = messages.plan.tn
     g = tn.graph
     supports = [sorted(R.vertices) for R, _ in jobs]
     pieces = iter(interning_dressed(messages, [
@@ -1043,7 +1051,7 @@ def interning_region_partition(tn, messages: MessageSet, jobs) -> list:
     raws = [complex(data.item()) for _, data in interning_contract_many(
         [[next(pieces) for _ in support] for support in supports],
         size_cap=DEFAULT_SIZE_CAP)]
-    factors = _interning_factors(tn, messages, sorted(
+    factors = _interning_factors(messages, sorted(
         {v for support in supports for v in support}))
     return [(raw, raw / math.prod((factors[v] for v in support),
                                   start=1.0 + 0j))
@@ -1051,7 +1059,8 @@ def interning_region_partition(tn, messages: MessageSet, jobs) -> list:
 
 
 def ratio_weight(prob, loop, inserted=frozenset()) -> complex:
-    """Weight on the decorated network, decorated-z normalized."""
+    """Weight with the ``inserted`` regions replaced, decorated-z
+    normalized."""
     val = prob.bar_weight(loop, inserted)
     for r in sorted(inserted):
         if r in loop.vertices:
@@ -1110,8 +1119,7 @@ def correlator_ratio(prob, m) -> complex:
             zo_ab *= ratio_weight(prob, l, frozenset([a, b])) ** eta
         total += float(ursell(c)) * (zo_ab + z - zo_a - zo_b)
     ea, eb = (expval_ratio(InsertionProblem(
-        prob.base, prob.messages, {r: prob.replacements[r]}), m)
-        for r in (a, b))
+        prob.messages, {r: prob.replacements[r]}), m) for r in (a, b))
     return ea * eb * (cmath.exp(total) - 1.0)
 
 

@@ -57,7 +57,7 @@ def test_acceptance_1_trees_exact():
         tn = random_tree_network(n, D=D, seed=1000 + trial)
         res = bp_iterate(tn, uniform_messages(tn), tol=1e-13)
         assert res.converged
-        z_bp = cmath.exp(bp_log_partition(tn, res.messages))
+        z_bp = cmath.exp(bp_log_partition(res.messages))
         z = exact_contract(tn)
         assert abs(z_bp - z) <= 1e-10 * max(abs(z), 1e-30), (n, D, trial)
     assert time.perf_counter() - t0 < 10.0
@@ -73,8 +73,8 @@ def test_acceptance_2_single_loop_identity():
         assert res.converged
         loops = enumerate_loops(tn.graph, n)
         assert len(loops) == 1
-        zl = evaluate_weights(tn, res.messages, loops)[loops[0].key]
-        z_bp = cmath.exp(bp_log_partition(tn, res.messages))
+        zl = evaluate_weights(res.messages, loops)[loops[0].key]
+        z_bp = cmath.exp(bp_log_partition(res.messages))
         z = exact_contract(tn)
         assert abs(z - z_bp * (1 + zl)) <= 1e-10 * abs(z), n
 
@@ -222,7 +222,6 @@ class Ising66:
         self.tn = ising_network(self.params)
         self.graph = self.tn.graph
         self.loops = enumerate_loops(self.graph, 8)
-        self.clusters = enumerate_clusters(self.loops, 8)
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +236,7 @@ def test_acceptance_5_loop_decay(ising66):
     weights vanish to 1e-12; under two minutes."""
     t0 = time.perf_counter()
     ms = ising_paramagnetic_messages(ising66.params, ising66.tn)
-    table = evaluate_weights(ising66.tn, ms, ising66.loops)
+    table = evaluate_weights(ms, ising66.loops)
     for key, z in table.items():
         if len(key) % 2 == 1:
             assert abs(z) <= 1e-12, key
@@ -261,7 +260,7 @@ def test_acceptance_6_stability_bisection():
         p = IsingParams(L=4, beta=beta)
         tn = ising_network(p)
         ms = ising_paramagnetic_messages(p, tn)
-        _, g = stability_probe(tn, ms, seed=0)
+        _, g = stability_probe(ms, seed=0)
         return g
 
     lo, hi = 0.30, 0.40
@@ -288,22 +287,22 @@ def test_acceptance_7_free_energy_series(ising44):
     f_exact = -ising_exact_logZ(ising44.params)
     errs = {}
     for m in (4, 6, 8):
-        fr = free_energy_truncated(tn, ms, loops, m, weight_table=table)
+        fr = free_energy_truncated(ms, loops, m, weight_table=table)
         errs[m] = abs(fr.f_m - f_exact)
     assert errs[4] > errs[6] > errs[8]
     assert errs[8] <= 1e-4 * abs(f_exact)
 
     # (a) cumulant form == counting-number form on the same subsets
     clusters = enumerate_clusters(loops, 8)
-    f_k, corr_k = cumulant_free_energy(tn, ms, clusters, table)
+    f_k, corr_k = cumulant_free_energy(ms, clusters, table)
     subsets = connected_loop_subsets(clusters)
-    f_b, corr_b = counting_number_free_energy(tn, ms, subsets, table)
+    f_b, corr_b = counting_number_free_energy(ms, subsets, table)
     assert abs(f_k - f_b) <= 1e-9
 
     # (b) region correction == sum of cumulants over subsets contained in
     # some region of the poset
     poset = find_regions(tn.graph, 4)
-    _, corr_r = region_free_energy(tn, ms, poset)
+    _, corr_r = region_free_energy(ms, poset)
     corr_match = sum(
         cumulant(s, table) for s in subsets
         if any(all(l.vertices <= r.vertices and l.edges <= r.edges
@@ -334,7 +333,7 @@ def test_acceptance_8_expval_suite_peps():
     assert res.converged
     repl = peps_replacements(peps, {"0,1": SZ})
     want = exact_contract(tn.replace_tensors(repl)) / exact_contract(tn)
-    prob = InsertionProblem(tn, res.messages, repl)
+    prob = InsertionProblem(res.messages, repl)
     for fn in (expval_ratio_tensors, expval_derivative_tensors,
                expval_cumulant_tensors):
         errs = [abs(fn(prob, m).value - want) for m in (4, 6, 8)]
@@ -357,7 +356,7 @@ def test_acceptance_8_expval_suite_ising():
     ms = res.messages
     repl = ising_insertion(tn, p, {"1,1": SZ})
     want = exact_contract(tn.replace_tensors(repl)) / exact_contract(tn)
-    prob = InsertionProblem(tn, ms, repl)
+    prob = InsertionProblem(ms, repl)
     estimators = {"ratio": expval_ratio_tensors,
                   "derivative": expval_derivative_tensors,
                   "cumulant": expval_cumulant_tensors}
@@ -396,7 +395,7 @@ class CorrScan:
             self.exact[d] = exact_contract(
                 tn.replace_tensors(both)) / z
             est = expval_derivative_tensors(
-                InsertionProblem(tn, ms, both), d + 4)
+                InsertionProblem(ms, both), d + 4)
             assert est.distance == d
             self.estimates.append(est)
 
@@ -531,7 +530,7 @@ def test_acceptance_9_estimator_agreement(corr_scan):
     op = SZ + 0.4 * SX
     a = peps_replacements(peps, {"0,0": op})
     b = peps_replacements(peps, {"0,2": op})
-    prob = InsertionProblem(tn, ms, {**a, **b})
+    prob = InsertionProblem(ms, {**a, **b})
     r = correlator_ratio_tensors(prob, 6)
     d = expval_derivative_tensors(prob, 6)
     assert abs(r.value - d.value) <= 1e-10
@@ -545,7 +544,7 @@ def test_acceptance_9_third_joint_cumulant():
     ms = bp_iterate(tn, uniform_messages(tn), tol=1e-13).messages
     sites = ("0,0", "0,2", "1,1")
     repls = peps_replacements(peps, {s: SZ for s in sites})
-    got = expval_derivative_tensors(InsertionProblem(tn, ms, repls), 8).value
+    got = expval_derivative_tensors(InsertionProblem(ms, repls), 8).value
 
     z = exact_contract(tn)
 
@@ -570,10 +569,8 @@ def test_acceptance_10_error_monotone_toward_critical(ising66):
         p = IsingParams(L=6, beta=beta)
         tn = ising_network(p)
         ms = ising_paramagnetic_messages(p, tn)
-        table = evaluate_weights(tn, ms, ising66.loops)
-        fr = free_energy_truncated(tn, ms, ising66.loops, 8,
-                                   weight_table=table,
-                                   clusters=ising66.clusters)
+        table = evaluate_weights(ms, ising66.loops)
+        fr = free_energy_truncated(ms, ising66.loops, 8, weight_table=table)
         errs.append(abs(fr.f_m - (-ising_exact_logZ(p))))
     assert errs[0] < errs[1] < errs[2] < errs[3], errs
 

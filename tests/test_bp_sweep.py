@@ -77,13 +77,13 @@ def test_compiled_bp_matches_per_edge_path(case):
         want.residual, want.iterations, want.converged)
     assert got.converged
     # bit for bit, and nan where the probe has nothing to perturb
-    np.testing.assert_equal(stability_probe(tn, got.messages, seed=3),
-                            oracles.stability_probe(tn, want.messages, seed=3))
+    np.testing.assert_equal(stability_probe(got.messages, seed=3),
+                            oracles.stability_probe(want.messages, seed=3))
     upd = oracles.sweep(tn, oracles.per_edge(start))
     defect = max([0.0] + [float(np.linalg.norm(
         upd[k].data - oracles.normalize(oracles.message(start, *k).data)))
         for k in upd])
-    assert oracles.self_consistency_residual(tn, start) == defect
+    assert oracles.self_consistency_residual(start) == defect
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
@@ -131,7 +131,7 @@ def test_sweep_calls_are_counted_per_sweep(monkeypatch):
     assert len(calls) == res.iterations == 215
     assert calls == [{()}] * 215
     calls.clear()
-    stability_probe(tn, res.messages)
+    stability_probe(res.messages)
     assert calls == [{(PROBE_PERTURBATIONS,)}] * PROBE_SWEEPS
 
 
@@ -230,8 +230,8 @@ def test_batched_probe_matches_per_chain_oracle(case):
     assert res.converged
     for seed in (0, 3, 7):
         np.testing.assert_equal(
-            stability_probe(tn, res.messages, seed=seed),
-            oracles.stability_probe(tn, res.messages, seed=seed))
+            stability_probe(res.messages, seed=seed),
+            oracles.stability_probe(res.messages, seed=seed))
 
 
 @pytest.mark.parametrize("chains", [1, 2, 3])
@@ -242,10 +242,10 @@ def test_probe_median_over_odd_and_even_chain_counts(monkeypatch, chains):
     monkeypatch.setattr(oracles, "PROBE_PERTURBATIONS", chains)
     tn = generate("ising:L=3,beta=0.34,h=0.05", 0).tn
     res = bp_iterate(tn, uniform_messages(tn))
-    got = stability_probe(tn, res.messages, seed=3)
+    got = stability_probe(res.messages, seed=3)
     assert got[0] == "stable"
     np.testing.assert_equal(got,
-                            oracles.stability_probe(tn, res.messages, seed=3))
+                            oracles.stability_probe(res.messages, seed=3))
 
 
 def test_probe_drops_a_chain_whose_norm_is_zero(monkeypatch):
@@ -271,10 +271,10 @@ def test_probe_drops_a_chain_whose_norm_is_zero(monkeypatch):
     zeros = 2 * 2 * len(tn.graph.edges)
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: ZeroFirstChain(seed, zeros))
-    got = stability_probe(tn, res.messages, seed=3)
+    got = stability_probe(res.messages, seed=3)
     assert got[0] == "stable"
     np.testing.assert_equal(got,
-                            oracles.stability_probe(tn, res.messages, seed=3))
+                            oracles.stability_probe(res.messages, seed=3))
 
 
 def test_probe_collapses_on_rank_one_tensors():
@@ -297,8 +297,8 @@ def test_probe_collapses_on_rank_one_tensors():
     res = bp_iterate(tn, uniform_messages(tn), damping=0.0)
     assert res.converged and res.residual == 0.0
     want = ("inconclusive", float("nan"))
-    np.testing.assert_equal(oracles.stability_probe(tn, res.messages), want)
-    np.testing.assert_equal(stability_probe(tn, res.messages), want)
+    np.testing.assert_equal(oracles.stability_probe(res.messages), want)
+    np.testing.assert_equal(stability_probe(res.messages), want)
 
 
 def test_bp_run_does_not_import_numpy_ma():

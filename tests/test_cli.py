@@ -1,3 +1,4 @@
+import cmath
 import gc
 import json
 import math
@@ -14,8 +15,9 @@ import pytest
 import bptn.cli
 from bptn.cli import main
 from bptn.errors import NumericalCollapse, TooLarge
-from bptn.models import IsingParams, ising_network, random_peps
-from bptn.network import Graph, TensorNetwork, phys_leg
+from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
+                         random_peps)
+from bptn.network import Graph, TensorNetwork, exact_contract, phys_leg
 from bptn.tensor import DenseTensor
 from bptn.tnio import network_to_dict, save_network
 
@@ -108,6 +110,22 @@ def test_free_energy_with_reference(tmp_path):
     assert set(rows) == {"bp", "cluster", "cumulant", "region"}
     assert float(rows["cluster"]["abs_error"]) < float(
         rows["bp"]["abs_error"])
+
+
+@pytest.mark.parametrize("L", [4, 10])
+def test_free_energy_reference_of_an_ising_generator(tmp_path, L):
+    """An Ising generator's exact reference is the transfer-matrix log Z:
+    at L = 10, past what exact contraction holds, it is read as it is; at
+    L = 4 it agrees with exact contraction to 1e-12 relative."""
+    p = IsingParams(L=L, beta=0.2)
+    out = tmp_path / "fe.csv"
+    assert run(["free-energy", "--generate", f"ising:L={L},beta=0.2",
+                "-m", "4", "--reference", "exact", "--out", str(out)]) == 0
+    refs = {float(r["f_ref_re"]) for r in _rows(out)}
+    assert refs == {-ising_exact_logZ(p)}
+    if L == 4:
+        want = -cmath.log(exact_contract(ising_network(p))).real
+        assert abs(refs.pop() - want) <= 1e-12 * abs(want)
 
 
 def test_expval_subcommand(tmp_path):
@@ -226,9 +244,9 @@ def test_correlator_pair_weighs_its_strings_in_one_call(tmp_path,
     jobs = []
     weigh = bptn.observables.excitation_weight
 
-    def counting(messages, pairs, base):
+    def counting(messages, pairs):
         jobs.append(len(pairs))
-        return weigh(messages, pairs, base)
+        return weigh(messages, pairs)
 
     monkeypatch.setattr(bptn.observables, "excitation_weight", counting)
     assert run(["correlator", "--generate", "ising:L=3,beta=0.25,h=0.2",
@@ -328,6 +346,44 @@ def test_scan_reference_on_a_cylinder_past_the_spin_sum(tmp_path):
     assert [float(r["beta"]) for r in rows] == [0.1, 0.2]
     errs = [float(r["abs_error"]) for r in rows]
     assert 0 < errs[0] < errs[1] < 0.01
+
+
+def test_scan_sweeps_the_lattice_size(tmp_path):
+    """``L`` sweeps as the generator reads it, an integer; each row is the
+    one-point scan of its own lattice."""
+    out = tmp_path / "scan.csv"
+    assert run(["scan", "--generate", "ising:L=3,beta=0.2",
+                "--sweep", "L=3:5:3", "-m", "4", "--reference", "exact",
+                "--out", str(out)]) == 0
+    rows = _rows(out)
+    assert [r["L"] for r in rows] == ["3", "4", "5"]
+    for r in rows:
+        one = tmp_path / f"L{r['L']}.csv"
+        assert run(["scan", "--generate", f"ising:L={r['L']},beta=0.2",
+                    "--sweep", "beta=0.2:0.2:1", "-m", "4",
+                    "--reference", "exact", "--out", str(one)]) == 0
+        (want,) = _rows(one)
+        assert [r[k] for k in ("c_even", "c_odd", "f_m_re", "abs_error")] \
+            == [want[k] for k in ("c_even", "c_odd", "f_m_re", "abs_error")]
+
+
+def test_scan_refuses_a_lattice_size_that_is_not_an_integer(
+        tmp_path, capsys, monkeypatch):
+    """A grid point L = 3.5 is refused with one stderr line and exit 2
+    before BP runs for any point of the grid."""
+    import bptn.bp
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(bptn.bp, "_sweep", no_sweep)
+    out = tmp_path / "scan.csv"
+    assert run(["scan", "--generate", "ising:L=3,beta=0.2",
+                "--sweep", "L=3:4:3", "-m", "4", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: sweep spec 'L=3:4:3': L = 3.5 is not an integer\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["tree:n=1", "peps:rows=1,cols=1"])
@@ -514,17 +570,25 @@ def test_clusters_are_enumerated_once_per_run(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["contract-exact", "--generate", "ising:L=3,beta=200"],
-    # BP and the expansions are finite here, but Z overflows
-    ["free-energy", "--generate", "ising:L=4,beta=30", "-m", "2", "-k", "0",
+    # BP and the expansions are finite here, but Z overflows; read from a
+    # file, the network has no transfer-matrix reference
+    ["free-energy", "--input", "ising:L=4,beta=30", "-m", "2", "-k", "0",
      "--reference", "exact"],
     ["expval", "--generate", "ising:L=4,beta=30,h=0.1", "-m", "2",
      "--reference", "exact"],
     ["correlator", "--generate", "ising:L=4,beta=30,h=0.1", "-m", "2",
      "--distances", "1", "--reference", "exact"],
 ])
-def test_exit_3_on_exact_contraction_that_is_not_finite(argv, capsys):
+def test_exit_3_on_exact_contraction_that_is_not_finite(argv, tmp_path,
+                                                         capsys):
     """Not a ``nan`` or ``inf`` reference in the CSV: exit 3, with no
-    numpy warning before the error line."""
+    numpy warning before the error line.  An ``--input`` names the
+    generator spec of the network saved to the file read."""
+    if "--input" in argv:
+        k = argv.index("--input") + 1
+        path = tmp_path / "net.json"
+        save_network(path, bptn.cli.generate(argv[k], 0).tn)
+        argv = argv[:k] + [str(path)] + argv[k + 1:]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv) == 3

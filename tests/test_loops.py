@@ -28,7 +28,7 @@ def brute_force_connected_subsets(g, max_weight):
             # connectivity via union-find over touched vertices
             verts = {}
             for e in combo:
-                u, v = g.endpoints(e)
+                u, v = g.edges[e]
                 verts.setdefault(u, u)
                 verts.setdefault(v, v)
 
@@ -39,7 +39,7 @@ def brute_force_connected_subsets(g, max_weight):
                 return x
 
             for e in combo:
-                u, v = g.endpoints(e)
+                u, v = g.edges[e]
                 verts[find(u)] = find(v)
             roots = {find(x) for x in verts}
             if len(roots) == 1:
@@ -152,9 +152,9 @@ def test_single_loop_weight_is_exact_correction():
     res = bp_iterate(tn, uniform_messages(tn), tol=1e-13)
     assert res.converged
     (loop,) = enumerate_loops(tn.graph, 6)
-    zl = evaluate_weights(tn, res.messages, [loop])[loop.key]
+    zl = evaluate_weights(res.messages, [loop])[loop.key]
     z = exact_contract(tn)
-    z_bp = np.exp(bp_log_partition(tn, res.messages))
+    z_bp = np.exp(bp_log_partition(res.messages))
     assert abs(z / z_bp - (1 + zl)) < 1e-12
 
 
@@ -164,7 +164,7 @@ def test_plaquette_weight_tanh_oracle():
     tn = ising_network(p)
     ms = ising_paramagnetic_messages(p, tn)
     loops = enumerate_loops(tn.graph, 4)
-    for w in evaluate_weights(tn, ms, loops).values():
+    for w in evaluate_weights(ms, loops).values():
         assert abs(w - math.tanh(0.2) ** 4) < 1e-14
 
 
@@ -176,7 +176,7 @@ def test_open_strings_vanish_without_insertion():
     opens = [s for s in strings if any(
         d < 2 for d in oracles.degree_map(tn.graph, s.edges).values())]
     assert opens, "expected open strings in scope"
-    for w in evaluate_weights(tn, ms, opens[:40]).values():
+    for w in evaluate_weights(ms, opens[:40]).values():
         assert abs(w) < 1e-13
 
 
@@ -195,11 +195,11 @@ def test_weight_locality_matches_global_contraction():
     tn = single_loop_network(5, seed=4)
     res = bp_iterate(tn, uniform_messages(tn), tol=1e-13)
     (loop,) = enumerate_loops(tn.graph, 5)
-    local = evaluate_weights(tn, res.messages, [loop])[loop.key]
+    local = evaluate_weights(res.messages, [loop])[loop.key]
     # global: on the single loop the support is the whole network, so the
     # locally computed value must reproduce Z/Z_BP - 1
     z = exact_contract(tn)
-    z_bp = np.exp(bp_log_partition(tn, res.messages))
+    z_bp = np.exp(bp_log_partition(res.messages))
     assert abs(local - (z / z_bp - 1)) < 1e-12
 
 
@@ -208,7 +208,7 @@ def test_loop_decay_profile_analytic():
     tn = ising_network(p)
     ms = ising_paramagnetic_messages(p, tn)
     loops = enumerate_loops(tn.graph, 6)
-    rows, notes = loop_decay_profile(evaluate_weights(tn, ms, loops))
+    rows, notes = loop_decay_profile(evaluate_weights(ms, loops))
     c_expected = -math.log(math.tanh(0.2))
     for row in rows:
         assert row["parity"] == "even"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from bptn.bp import bp_iterate, uniform_messages
 from bptn.clusters import enumerate_clusters
-from bptn.errors import InsufficientPoints, PCapExceeded
+from bptn.errors import DimensionMismatch, InsufficientPoints, PCapExceeded
 from bptn.loops import enumerate_strings
 from bptn.models import (IsingParams, _ising_tn, ising_insertion,
                          ising_network, random_peps)
@@ -20,6 +20,7 @@ from bptn.observables import (Estimate, InsertionProblem, correlation_length,
                               expval_cumulant_tensors,
                               expval_derivative_tensors, expval_ratio_tensors,
                               expval_region_sum_tensors)
+from bptn.tensor import DenseTensor
 
 SZ = np.diag([1.0, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -34,13 +35,13 @@ def _exact_expval(peps, ins):
 def _problem(peps23, *insertions):
     """The expansion of one region per insertion site on the 2x3 PEPS."""
     ops = {v: op for ins in insertions for v, op in ins.items()}
-    return InsertionProblem(peps23.tn, peps23.messages,
+    return InsertionProblem(peps23.messages,
                             peps_replacements(peps23.peps, ops))
 
 
 def _ends_at(g, loop, v) -> bool:
     """Whether ``v`` is a leaf of the string: one of its edges meets v."""
-    return sum(v in g.endpoints(e) for e in loop.edges) == 1
+    return sum(v in g.edges[e] for e in loop.edges) == 1
 
 
 def _assert_pair_filters_single_sites(pair, m):
@@ -52,10 +53,22 @@ def _assert_pair_filters_single_sites(pair, m):
         assert [l.key for l in pair.strings(m)
                 if not _ends_at(g, l, other)] == [
             l.key for l in enumerate_strings(g, [r], m)]
-        single = InsertionProblem(pair.base, pair.messages,
+        single = InsertionProblem(pair.messages,
                                   {r: pair.replacements[r]})
         assert [c.key for c in pair.clusters(m, (r,))] == [
             c.key for c in single.clusters(m)]
+
+
+def test_insertion_that_does_not_fit_is_refused_at_construction(peps23):
+    """A replacement whose legs or bond dimensions do not fit its site, or
+    a site the network lacks, raises ``DimensionMismatch`` when the
+    problem is built, before any weight is asked for."""
+    t = peps23.tn.tensors["0,1"]
+    other = peps23.tn.tensors["1,1"]
+    wide = DenseTensor(t.leg_ids, np.ones([2 * d for d in t.data.shape]))
+    for repl in ({"0,1": other}, {"0,1": wide}, {"9,9": t}):
+        with pytest.raises(DimensionMismatch):
+            InsertionProblem(peps23.messages, repl)
 
 
 def test_clusters_and_subsets_filter_one_enumeration(peps23):
@@ -91,7 +104,7 @@ def test_pair_expansion_holds_each_single_site(case):
     tn = _ising_tn(order, pairs, 0.2, {})
     a, b = order[:2]
     _assert_pair_filters_single_sites(InsertionProblem(
-        tn, uniform_messages(tn), {a: tn.tensors[a], b: tn.tensors[b]}), m)
+        uniform_messages(tn), {a: tn.tensors[a], b: tn.tensors[b]}), m)
 
 
 # --- identity invariant -----------------------------------------------------
@@ -147,7 +160,7 @@ def test_classical_magnetization_vs_exact():
     repl = ising_insertion(tn, p, {"1,1": SZ})
     dec = tn.replace_tensors(repl)
     want = exact_contract(dec) / exact_contract(tn)
-    prob = InsertionProblem(tn, ms, repl)
+    prob = InsertionProblem(ms, repl)
     err6 = abs(expval_derivative_tensors(prob, 6).value - want)
     err8 = abs(expval_derivative_tensors(prob, 8).value - want)
     err_bp = abs(expval_bp_tensors(prob).value - want)
@@ -180,7 +193,7 @@ def test_correlator_derivative_matches_exact_connected():
     eab = _exact_expval(peps, {"0,0": SZ, "1,1": SZ})
     want = eab - ea * eb
     got = expval_derivative_tensors(InsertionProblem(
-        tn, ms, {**peps_replacements(peps, a), **peps_replacements(peps, b)}),
+        ms, {**peps_replacements(peps, a), **peps_replacements(peps, b)}),
         12).value
     assert abs(got - want) < 1e-6 * abs(want)
 
@@ -201,7 +214,7 @@ def test_ratio_and_derivative_correlators_agree():
     op = SZ + 0.4 * SX
     a = peps_replacements(peps, {"0,0": op})
     b = peps_replacements(peps, {"0,2": op})
-    prob = InsertionProblem(tn, ms, {**a, **b})
+    prob = InsertionProblem(ms, {**a, **b})
     r = correlator_ratio_tensors(prob, 6)
     d = expval_derivative_tensors(prob, 6)
     # the forms differ only in how omitted higher orders are resummed
@@ -231,8 +244,8 @@ def test_ratio_correlator_matches_its_oracle(m):
     for d, site in ((1, "0,1"), (2, "0,2"), (3, "1,2")):
         both = {**a, **ising_insertion(tn, p, {site: SZ})}
         _close(correlator_ratio_tensors(
-            InsertionProblem(tn, ms, both), m + d).value,
-            oracles.correlator_ratio(InsertionProblem(tn, ms, both), m + d))
+            InsertionProblem(ms, both), m + d).value,
+            oracles.correlator_ratio(InsertionProblem(ms, both), m + d))
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -247,7 +260,7 @@ def test_ratio_and_cumulant_expvals_match_their_oracles(peps23):
     and its oracle on a fresh problem."""
     p, tn, ms = _readme_ising(3)
     repl = ising_insertion(tn, p, {"1,1": SZ})
-    for problem in (lambda: InsertionProblem(tn, ms, repl),
+    for problem in (lambda: InsertionProblem(ms, repl),
                     lambda: _problem(peps23, {"0,1": SZ})):
         _close(expval_ratio_tensors(problem(), 6).value,
                oracles.expval_ratio(problem(), 6))
@@ -264,7 +277,7 @@ def _peps_expval_problem():
     tn = build_norm_network(peps)
     ms = bp_iterate(tn, uniform_messages(tn)).messages
     repl = peps_replacements(peps, {"2,2": SZ})
-    return lambda: InsertionProblem(tn, ms, repl)
+    return lambda: InsertionProblem(ms, repl)
 
 
 def _third_cumulant_problem():
@@ -274,7 +287,7 @@ def _third_cumulant_problem():
     tn = build_norm_network(peps)
     ms = bp_iterate(tn, uniform_messages(tn), tol=1e-13).messages
     repl = peps_replacements(peps, {s: SZ for s in ("0,0", "0,2", "1,1")})
-    return lambda: InsertionProblem(tn, ms, repl)
+    return lambda: InsertionProblem(ms, repl)
 
 
 def test_derivative_form_matches_its_oracle(peps23):
@@ -285,7 +298,7 @@ def test_derivative_form_matches_its_oracle(peps23):
     4 and a PEPS pair (p = 2), and a third joint cumulant (p = 3)."""
     p3, tn3, ms3 = _readme_ising(3)
     cases = [(lambda: InsertionProblem(
-        tn3, ms3, ising_insertion(tn3, p3, {"1,1": SZ})), 6),
+        ms3, ising_insertion(tn3, p3, {"1,1": SZ})), 6),
         (_peps_expval_problem(), 7),
         (lambda: _problem(peps23, {"0,0": SZ}, {"1,2": SX}), 6),
         (_third_cumulant_problem(), 8)]
@@ -293,7 +306,7 @@ def test_derivative_form_matches_its_oracle(peps23):
     a = ising_insertion(tn4, p4, {"0,0": SZ})
     for d, site in ((1, "0,1"), (2, "0,2"), (3, "1,2")):
         both = {**a, **ising_insertion(tn4, p4, {site: SZ})}
-        cases += [(lambda both=both: InsertionProblem(tn4, ms4, both), m + d)
+        cases += [(lambda both=both: InsertionProblem(ms4, both), m + d)
                   for m in (2, 4)]
     for problem, m in cases:
         assert (expval_derivative_tensors(problem(), m).value
