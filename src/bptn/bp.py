@@ -47,8 +47,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import (DegenerateInnerProduct, DimensionMismatch,
-                     NumericalCollapse, ZeroLocalFactor)
+from .errors import InputError, NumericalError
 from .network import TensorNetwork
 from .tensor import contract_many
 
@@ -79,7 +78,7 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
     """Each row (last axis) of a (..., d) array at unit 2-norm, its
-    largest-magnitude component real positive; ``NumericalCollapse``
+    largest-magnitude component real positive; ``NumericalError``
     when a row's norm is below 1e-14, infinite or nan.
 
     Bit for bit what normalizing each row alone gives: divide by
@@ -94,7 +93,7 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     n = _row_norms(x)
     low, high = n.min(), n.max()    # nan if any norm is
     if not (low >= 1e-14 and high < math.inf):
-        raise NumericalCollapse(
+        raise NumericalError(
             "message update collapsed to zero" if low < 1e-14 else
             "message update is not finite: its norm overflowed or is nan")
     x = x / n[:, None]
@@ -123,12 +122,12 @@ class MessageSet:
 
     def __init__(self, tn: TensorNetwork, messages: dict):
         """{(v, w): DenseTensor} with one message on every directed edge
-        of ``tn``, stacked; ``DimensionMismatch`` for an edge that is
+        of ``tn``, stacked; ``InputError`` for an edge that is
         missing or not ``tn``'s."""
         given = {(str(v), str(w)): m.data for (v, w), m in messages.items()}
         plan = _Plan(tn)
         for v, w in sorted(given.keys() ^ plan.slot.keys())[:1]:
-            raise DimensionMismatch(f"{v}->{w}: " + (
+            raise InputError(f"{v}->{w}: " + (
                 "no such edge" if (v, w) in given else "no message"))
         data = plan.empty()
         for key, (d, r) in plan.slot.items():
@@ -173,7 +172,7 @@ class MessageSet:
         e = str(e)
         val = self._tables()[0][e]
         if abs(val) < I_FLOOR:
-            raise DegenerateInnerProduct(
+            raise NumericalError(
                 f"|I| = {abs(val):.3e} below floor on edge {e!r}")
         return val
 
@@ -267,8 +266,8 @@ class _Plan:
 
     def __init__(self, tn: TensorNetwork):
         if not tn.is_closed:
-            raise DimensionMismatch("BP runs on closed networks; this one "
-                                    "has physical legs")
+            raise InputError("BP runs on closed networks; this one "
+                             "has physical legs")
         self.tn = tn
         self.keys = []
         for e, (u, v) in tn.graph.edges.items():
@@ -402,7 +401,7 @@ def local_factors(messages: MessageSet, vertices) -> dict:
         [(v, tensors[v], ()) for v in vertices]))}
     for v, z in out.items():
         if abs(z) < Z_FLOOR:
-            raise ZeroLocalFactor(f"|z_v| below floor at vertex {v!r}")
+            raise NumericalError(f"|z_v| below floor at vertex {v!r}")
     return out
 
 

@@ -1,9 +1,11 @@
 """Batch front-end: load or generate networks, run the engine, emit CSV.
 
-Exit codes: 0 ok, 2 config/input error, 3 numerical error, 4 budget or
-cap exceeded.  CSV outputs carry a config fingerprint and the engine
-version as comment header lines; bodies are byte-stable across reruns at
-a fixed seed (the timestamp header line is the only varying part).
+Exit codes: 0 ok, 2 config/input error (``InputError``, ``OSError``),
+3 numerical error (``NumericalError``, ``OverflowError``), 4 budget or cap
+exceeded (``BudgetError``).  CSV outputs carry a config fingerprint and
+the engine version as comment header lines; bodies are byte-stable across
+reruns at a fixed seed (the timestamp header line is the only varying
+part).
 """
 
 from __future__ import annotations
@@ -27,10 +29,7 @@ from .bp import (DEFAULT_DAMPING, DEFAULT_TOL, bp_free_energy, bp_iterate,
 from .clusters import free_energy_truncated
 from .cumulants import (counting_numbers, cumulant_free_energy, find_regions,
                         region_free_energy)
-from .errors import (BranchCrossing, CapExceeded, CombinatorialBudgetExceeded,
-                     DegenerateInnerProduct, EngineError, InvalidNetworkFile,
-                     NumericalCollapse, PCapExceeded, TooLarge,
-                     ZeroLocalFactor)
+from .errors import BudgetError, InputError, NumericalError
 from .loops import enumerate_loops, evaluate_weights, loop_decay_profile
 from .models import (IsingParams, ising_exact_logZ, ising_insertion,
                      ising_network, random_peps, random_tree_network,
@@ -45,16 +44,6 @@ from .tnio import load_network
 
 _SZ = np.diag([1.0, -1.0])
 
-_CAP_ERRORS = (CombinatorialBudgetExceeded, CapExceeded, TooLarge,
-               PCapExceeded)
-_NUMERICAL_ERRORS = (NumericalCollapse, DegenerateInnerProduct,
-                     ZeroLocalFactor, BranchCrossing)
-
-
-class ConfigError(Exception):
-    pass
-
-
 class Problem:
     """A prepared network plus whatever the generator knows about it."""
 
@@ -67,12 +56,12 @@ class Problem:
         """Replacement tensors for the default observable at one site."""
         site = str(site)
         if site not in self.tn.graph.vertices:
-            raise ConfigError(f"site {site!r} not in the network")
+            raise InputError(f"site {site!r} not in the network")
         if self.ising is not None:
             return ising_insertion(self.tn, self.ising, {site: _SZ})
         if self.peps is not None:
             return peps_replacements(self.peps, {site: _SZ})
-        raise ConfigError(
+        raise InputError(
             "expval/correlator need a generated model (ising/peps) or a "
             "PEPS input file; a bare closed network has no observable")
 
@@ -84,7 +73,7 @@ def _parse_spec(spec: str):
         if not kv:
             continue
         if "=" not in kv:
-            raise ConfigError(f"bad generator parameter {kv!r} in {spec!r}")
+            raise InputError(f"bad generator parameter {kv!r} in {spec!r}")
         k, v = kv.split("=", 1)
         params[k.strip()] = v.strip()
     return kind.strip(), params
@@ -106,10 +95,10 @@ def generate(spec: str, seed: int) -> Problem:
     """
     kind, kv = _parse_spec(spec)
     if kind not in _GENERATOR_KEYS:
-        raise ConfigError(f"unknown generator kind {kind!r}")
+        raise InputError(f"unknown generator kind {kind!r}")
     unknown = sorted(set(kv) - set(_GENERATOR_KEYS[kind]))
     if unknown:
-        raise ConfigError(
+        raise InputError(
             f"unknown {kind} parameter {', '.join(map(repr, unknown))} in "
             f"{spec!r}; known: {', '.join(_GENERATOR_KEYS[kind])}")
     try:
@@ -136,13 +125,13 @@ def generate(spec: str, seed: int) -> Problem:
                    for t in prob.tn.tensors.values()):
             raise OverflowError("a site tensor overflows")
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad generator spec {spec!r}: {exc}") from exc
+        raise InputError(f"bad generator spec {spec!r}: {exc}") from exc
     return prob
 
 
 def _load_problem(args) -> Problem:
     if bool(args.input) == bool(args.generate):
-        raise ConfigError("exactly one of --input / --generate is required")
+        raise InputError("exactly one of --input / --generate is required")
     if args.input:
         tn = load_network(args.input)
         peps = None
@@ -194,16 +183,16 @@ def _converge(prob: Problem, args):
     # Settings under which BP cannot converge would run the full sweep cap
     # twice before failing; refuse them before the first sweep.
     if not 0.0 <= args.damping < 1.0:
-        raise ConfigError(f"--damping must be in [0, 1), got {args.damping}")
+        raise InputError(f"--damping must be in [0, 1), got {args.damping}")
     if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ConfigError(f"--tol must be finite and positive, got {args.tol}")
+        raise InputError(f"--tol must be finite and positive, got {args.tol}")
     res = bp_iterate(prob.tn, uniform_messages(prob.tn), damping=args.damping,
                      tol=args.tol)
     if not res.converged:
         res2 = bp_iterate(prob.tn, random_messages(prob.tn, seed=args.seed),
                           damping=args.damping, tol=args.tol)
         if not res2.converged:
-            raise NumericalCollapse(
+            raise NumericalError(
                 f"BP did not converge (residual {res.residual:.3e})")
         res = res2
     return res
@@ -320,8 +309,8 @@ def cmd_correlator(args):
     a = args.site or prob.tn.graph.vertices[0]
     ra = prob.insertion(a)  # refuses a site not in the network
     if args.site_b == a:
-        raise ConfigError(f"--site-b {a!r} is the site itself: the two "
-                          "insertion regions share vertices")
+        raise InputError(f"--site-b {a!r} is the site itself: the two "
+                         "insertion regions share vertices")
     dist, _ = bfs(prob.tn.graph, {a})
     if args.site_b:
         pairs = [(a, args.site_b)]
@@ -332,14 +321,14 @@ def cmd_correlator(args):
         pairs = [(a, first[d]) for d in range(1, args.distances + 1)
                  if d in first]
     if not pairs:
-        raise ConfigError(f"no site within --distances {args.distances} "
-                          f"of site {a!r}")
+        raise InputError(f"no site within --distances {args.distances} "
+                         f"of site {a!r}")
     # every refusal comes before BP: a site not in the network (insertion
     # refuses it), then a pair that no string joins
     inserts = [prob.insertion(v) for _, v in pairs]
     if args.site_b and args.site_b not in dist:
-        raise ConfigError(f"--site-b {args.site_b!r} is not connected to "
-                          f"site {a!r}: no string joins them")
+        raise InputError(f"--site-b {args.site_b!r} is not connected to "
+                         f"site {a!r}: no string joins them")
     res = _converge(prob, args)
     if args.reference == "exact":
         z = exact_contract(prob.tn)
@@ -352,7 +341,7 @@ def cmd_correlator(args):
         try:  # first: its one weight call serves the derivative form too
             cr = correlator_ratio_tensors(pair, m)
             ratio_re = cr.value.real
-        except (EngineError, OverflowError) as exc:
+        except (NumericalError, BudgetError, OverflowError) as exc:
             ratio_re = math.nan
             summary.append(f"ratio_re = nan for sites {u!r} and {v!r}: "
                            f"{type(exc).__name__}: {exc}")
@@ -401,17 +390,17 @@ def cmd_scan(args):
         start, stop, steps = rng.split(":")
         start, stop, steps = float(start), float(stop), int(steps)
     except ValueError as exc:
-        raise ConfigError(f"bad sweep spec {args.sweep!r}") from exc
+        raise InputError(f"bad sweep spec {args.sweep!r}") from exc
     if steps < 1:
-        raise ConfigError(f"sweep spec {args.sweep!r} has no steps")
+        raise InputError(f"sweep spec {args.sweep!r} has no steps")
     kind, kv = _parse_spec(args.generate)
     if kind != "ising":
-        raise ConfigError("scan currently sweeps ising generator parameters")
+        raise InputError("scan currently sweeps ising generator parameters")
 
     def value(x):  # a grid point as the generator reads it
         if name == "L" and not float(x).is_integer():
-            raise ConfigError(f"sweep spec {args.sweep!r}: L = {float(x)!r} "
-                              "is not an integer")
+            raise InputError(f"sweep spec {args.sweep!r}: L = {float(x)!r} "
+                             "is not an integer")
         return int(x) if name == "L" else float(x)
 
     def point(val):  # the generator spec at one sweep value
@@ -517,8 +506,8 @@ def _check_counts(args):
     for name in ("max_weight", "region_size", "seed"):
         value = getattr(args, name, None)
         if value is not None and value < 0:
-            raise ConfigError(f"{'/'.join(_OPTIONS[name][0])} must be >= 0, "
-                              f"got {value}")
+            raise InputError(f"{'/'.join(_OPTIONS[name][0])} must be >= 0, "
+                             f"got {value}")
 
 
 def main(argv=None) -> int:
@@ -532,18 +521,15 @@ def main(argv=None) -> int:
     try:
         _check_counts(args)
         return args.func(args)
-    except (ConfigError, InvalidNetworkFile, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _CAP_ERRORS as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 4
-    except (_NUMERICAL_ERRORS + (OverflowError,)) as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except BudgetError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 4
     finally:
         if enabled:
             gc.enable()

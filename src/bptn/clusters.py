@@ -20,7 +20,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .bp import bp_log_partition
-from .errors import CapExceeded, CombinatorialBudgetExceeded
+from .errors import BudgetError
 from .loops import GeneralizedLoop
 from .network import connected_subsets
 
@@ -94,7 +94,7 @@ def ursell(cluster: Cluster) -> Fraction:
     interaction graph has no connected spanning edge subset.
     ``DEFAULT_URSELL_CAP`` bounds the loops of a cluster."""
     if cluster.n_loops > DEFAULT_URSELL_CAP:
-        raise CapExceeded(f"n_loops {cluster.n_loops} exceeds Ursell cap "
+        raise BudgetError(f"n_loops {cluster.n_loops} exceeds Ursell cap "
                           f"{DEFAULT_URSELL_CAP}")
     n, adj = interaction_graph(cluster)
     full = (1 << n) - 1
@@ -177,7 +177,7 @@ def enumerate_clusters(excitations, max_weight: int, anchor=None):
         weights = [l.weight for l in members]
         for etas in _multiplicities(weights, max_weight - sum(weights)):
             if len(out) >= budget:
-                raise CombinatorialBudgetExceeded(
+                raise BudgetError(
                     f"cluster enumeration exceeded budget {budget}")
             out.append(Cluster(zip(members, etas)))
     out.sort(key=lambda c: (c.weight, c.key))

@@ -23,7 +23,7 @@ from itertools import chain, combinations, islice, product
 
 from .bp import MessageSet, bp_log_partition, local_factors
 from .clusters import Cluster, loops_overlap, overlap_neighbors
-from .errors import BranchCrossing, CapExceeded, CombinatorialBudgetExceeded
+from .errors import BudgetError, NumericalError
 from .network import (DEFAULT_SIZE_CAP, Graph, grown_sets, is_connected,
                       set_bits)
 # under the name perfbench/tracing.py wraps
@@ -43,7 +43,7 @@ def restricted_partition(loops, weight_table: dict) -> list:
     """
     n = len(loops)
     if n > RESTRICTED_CAP:
-        raise CapExceeded(
+        raise BudgetError(
             f"|B| = {n} exceeds restricted-partition cap {RESTRICTED_CAP}")
     keep = [-1] * n  # the loops compatible with loop i
     for i in range(n):
@@ -63,7 +63,7 @@ def restricted_partition(loops, weight_table: dict) -> list:
 
 def guarded_log(xi: complex, what: str) -> complex:
     if xi == 0 or (xi.real <= 0 and abs(xi.imag) <= 1e-14 * abs(xi.real)):
-        raise BranchCrossing(
+        raise NumericalError(
             f"{what} = {xi} on or across the principal-branch cut")
     return cmath.log(xi)
 
@@ -180,7 +180,7 @@ def find_regions(g: Graph, k: int, anchor=None):
     sets = [mask for mask, _ in islice(grown_sets(
         g, k, anchor=anchor, by_vertex=True), DEFAULT_BUDGET + 1)]
     if len(sets) > DEFAULT_BUDGET:
-        raise CombinatorialBudgetExceeded(
+        raise BudgetError(
             f"vertex-subset enumeration exceeded budget {DEFAULT_BUDGET}")
     # largest first, so a set is maximal unless it lies in an earlier
     # maximal one

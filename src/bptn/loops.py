@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 
 from .bp import MessageSet, local_factors
-from .errors import CombinatorialBudgetExceeded
+from .errors import BudgetError
 from .network import Graph, grown_sets, set_bits
 # under the name perfbench/tracing.py wraps
 from .tensor import contract_closed as contract_network
@@ -62,7 +62,7 @@ def connected_edge_subsets(g: Graph, max_weight: int, terminals=()):
     edge_ids, budget = g.edge_ids, DEFAULT_ENUM_BUDGET
     for grown, (_, edges) in enumerate(grown_sets(g, max_weight, terminals)):
         if grown >= budget:
-            raise CombinatorialBudgetExceeded(
+            raise BudgetError(
                 f"edge-subset enumeration exceeded budget {budget}")
         yield tuple(edge_ids[i] for i in set_bits(edges))
 

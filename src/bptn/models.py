@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bp import MessageSet, uniform_messages
-from .errors import FieldNonzero
+from .errors import InputError
 from .network import Graph, TensorNetwork, phys_leg
 from .tensor import DenseTensor
 
@@ -134,7 +134,7 @@ def ising_paramagnetic_messages(p: IsingParams,
     """The analytic symmetric fixed point of ``tn = ising_network(p)``:
     uniform messages on every edge."""
     if p.h != 0.0:
-        raise FieldNonzero("paramagnetic fixed point requires zero field")
+        raise InputError("paramagnetic fixed point requires zero field")
     return uniform_messages(tn)
 
 

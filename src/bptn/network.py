@@ -25,8 +25,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import (DimensionMismatch, MissingPhysicalLeg, NumericalCollapse,
-                     RegionMismatch)
+from .errors import InputError, NumericalError
 from .tensor import DenseTensor, contract_network
 
 DEFAULT_SIZE_CAP = 2 ** 26
@@ -49,12 +48,12 @@ class Graph:
         for e, (u, v) in edges.items():
             e, u, v = str(e), str(u), str(v)
             if u == v:
-                raise DimensionMismatch(f"edge {e!r} is a self-loop at {u!r}")
+                raise InputError(f"edge {e!r} is a self-loop at {u!r}")
             if u not in vset or v not in vset:
-                raise DimensionMismatch(f"edge {e!r} touches unknown vertex")
+                raise InputError(f"edge {e!r} touches unknown vertex")
             pair = frozenset((u, v))
             if pair in seen_pairs:
-                raise DimensionMismatch(f"parallel edge {e!r} between {u!r},{v!r}")
+                raise InputError(f"parallel edge {e!r} between {u!r},{v!r}")
             seen_pairs.add(pair)
             self.edges[e] = (u, v)
         self._adj = {v: [] for v in self.vertices}
@@ -99,12 +98,12 @@ class TensorNetwork:
 
     def _validate(self):
         if set(self.tensors) != set(self.graph.vertices):
-            raise DimensionMismatch("tensors keys must equal vertex ids")
+            raise InputError("tensors keys must equal vertex ids")
         self.bond_dims, self.phys_dims = {}, {}
         for v, t in self.tensors.items():
             want = {e for (e, _) in self.graph.incident(v)}
             if set(t.leg_ids) - {phys_leg(v)} != want:
-                raise DimensionMismatch(
+                raise InputError(
                     f"vertex {v!r}: tensor legs {sorted(t.leg_ids)} != "
                     f"incident legs {sorted(want)} (and at most "
                     f"{phys_leg(v)!r})")
@@ -112,7 +111,7 @@ class TensorNetwork:
                 if x == phys_leg(v):
                     self.phys_dims[v] = dim
                 elif self.bond_dims.setdefault(x, dim) != dim:
-                    raise DimensionMismatch(
+                    raise InputError(
                         f"edge {x!r}: dim {dim} at vertex {v!r} != dim "
                         f"{self.bond_dims[x]} at its other end")
 
@@ -131,10 +130,10 @@ class TensorNetwork:
 def exact_contract(tn: TensorNetwork) -> complex:
     """Full contraction of a closed network; ground-truth oracle."""
     if not tn.is_closed:
-        raise MissingPhysicalLeg("exact_contract needs a closed network")
+        raise InputError("exact_contract needs a closed network")
     z = contract_network(tn.tensors.values(), size_cap=DEFAULT_SIZE_CAP).item()
     if not np.isfinite(z):
-        raise NumericalCollapse(f"exact contraction is not finite: {z}")
+        raise NumericalError(f"exact contraction is not finite: {z}")
     return z
 
 
@@ -163,7 +162,7 @@ def build_norm_network(peps: TensorNetwork) -> TensorNetwork:
     """Closed network for <psi|psi> with per-site double tensors."""
     missing = [v for v in peps.graph.vertices if v not in peps.phys_dims]
     if missing:
-        raise MissingPhysicalLeg(f"no physical leg at vertices {missing}")
+        raise InputError(f"no physical leg at vertices {missing}")
     return TensorNetwork(peps.graph, {
         v: _double_tensor(peps.tensors[v], phys_leg(v))
         for v in peps.graph.vertices})
@@ -177,11 +176,11 @@ def peps_replacements(peps: TensorNetwork, ops: dict) -> dict:
     for v, op in ops.items():
         v, op = str(v), np.asarray(op, dtype=complex)
         if v not in peps.phys_dims:
-            raise RegionMismatch(
+            raise InputError(
                 f"vertex {v!r} not in network or not physical")
         d = peps.phys_dims[v]
         if op.shape != (d, d):
-            raise RegionMismatch(
+            raise InputError(
                 f"vertex {v!r}: operator shape {op.shape} != ({d}, {d})")
         out[v] = _double_tensor(peps.tensors[v], phys_leg(v), op)
     return out

@@ -33,7 +33,7 @@ from .cumulants import connected_loop_subsets, counting_numbers, cumulant_sums
 # the name perfbench/tracing.py wraps
 from .cumulants import find_regions as find_regions_local
 from .cumulants import region_partition
-from .errors import InsufficientPoints, PCapExceeded, ZeroLocalFactor
+from .errors import BudgetError, InputError, NumericalError
 from .loops import enumerate_strings, excitation_weight
 from .network import bfs
 
@@ -63,7 +63,7 @@ class InsertionProblem:
     insertion; each site is one region, and ``region_ids`` lists them in
     the map's key order.  ``base`` is the messages' network; a site it
     lacks, or a tensor whose legs do not fit its site, is refused with
-    ``DimensionMismatch``.  For two regions ``distance`` and ``paths``
+    ``InputError``.  For two regions ``distance`` and ``paths``
     hold their graph distance and the number of shortest paths between
     them (inf and 0 when they are not connected); otherwise both are None.
     """
@@ -171,8 +171,8 @@ class InsertionProblem:
         a = self.alphas()
         for r in inserted:
             if abs(a[r]) < 1e-12 and any(r in l.vertices for l in loops):
-                raise ZeroLocalFactor(f"BP expectation at region {r!r} below "
-                                      "floor; ratio normalization undefined")
+                raise NumericalError(f"BP expectation at region {r!r} below "
+                                     "floor; ratio normalization undefined")
         return {l.key: self.bar_weight(l, inserted) / math.prod(
             a[r] for r in inserted if r in l.vertices) for l in loops}
 
@@ -249,7 +249,7 @@ def expval_derivative_tensors(prob: InsertionProblem, m) -> Estimate:
     expectation value for p = 1, the connected correlator for p = 2."""
     rids = prob.region_ids
     if len(rids) > P_CAP:
-        raise PCapExceeded(f"p = {len(rids)} exceeds cap {P_CAP}")
+        raise BudgetError(f"p = {len(rids)} exceeds cap {P_CAP}")
     table, top = _jet_table(prob, prob.clusters(m)), (1 << len(rids)) - 1
     total = 0.0 + 0j
     for c in prob.clusters(m):
@@ -332,7 +332,7 @@ def correlation_length(estimates):
     """
     pts = [e for e in estimates if abs(e.value) > 0]
     if len({e.distance for e in pts}) < 3:
-        raise InsufficientPoints(
+        raise InputError(
             "need >= 3 distances with nonzero correlators")
     d = np.array([float(e.distance) for e in pts])
     y = np.log([abs(e.value) for e in pts])

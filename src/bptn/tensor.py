@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, LegCollision, TooLarge
+from .errors import BudgetError, InputError
 
 
 class DenseTensor:
@@ -38,10 +38,10 @@ class DenseTensor:
     def __init__(self, leg_ids: Sequence[str], data):
         ids = [str(x) for x in leg_ids]
         if len(set(ids)) != len(ids):
-            raise LegCollision(f"duplicate leg ids on one tensor: {ids}")
+            raise InputError(f"duplicate leg ids on one tensor: {ids}")
         data = np.asarray(data, dtype=complex)
         if data.ndim != len(ids) or 0 in data.shape:
-            raise DimensionMismatch(
+            raise InputError(
                 f"data shape {data.shape} does not fit leg ids {ids}")
         order = sorted(range(len(ids)), key=ids.__getitem__)
         self.leg_ids = [ids[i] for i in order]
@@ -50,7 +50,7 @@ class DenseTensor:
 
     def item(self) -> complex:
         if self.leg_ids:
-            raise DimensionMismatch("item() on a non-scalar tensor")
+            raise InputError("item() on a non-scalar tensor")
         return complex(self.data.item())
 
     def __repr__(self):
@@ -136,7 +136,7 @@ def _groups(pools) -> dict:
         for legs, shape in layout:
             for x, dim in zip(legs, shape):
                 if dims.setdefault(x, dim) != dim:
-                    raise DimensionMismatch(f"leg {x}: dim {dims[x]} vs {dim}")
+                    raise InputError(f"leg {x}: dim {dims[x]} vs {dim}")
         key = (tuple([legs for legs, _ in layout]),
                tuple(dims[x] for x in range(len(dims))))
         groups.setdefault(key, []).extend(members)
@@ -168,8 +168,8 @@ def contract_many(pools, size_cap: int | None = None) -> list:
                       [np.ones(1, dtype=complex)] * len(members)]
         for i, j, _, _, out_size, matmul in steps:
             if size_cap is not None and out_size > size_cap:
-                raise TooLarge(f"intermediate with {out_size} entries "
-                               f"exceeds cap {size_cap}")
+                raise BudgetError(f"intermediate with {out_size} entries "
+                                  f"exceeds cap {size_cap}")
             b = arrays.pop(j)
             a = arrays.pop(i)
             if matmul is None:
@@ -193,7 +193,7 @@ def contract_closed(pools, size_cap: int | None = None) -> list:
     """The scalar value of each closed pool (see ``contract_many``)."""
     out = contract_many(pools, size_cap)
     if any(ids for ids, _ in out):
-        raise DimensionMismatch("open legs on a closed network")
+        raise InputError("open legs on a closed network")
     return [complex(data.item()) for _, data in out]
 
 

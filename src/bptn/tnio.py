@@ -20,7 +20,7 @@ import json
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidNetworkFile
+from .errors import InputError
 from .network import Graph, TensorNetwork
 from .tensor import DenseTensor
 
@@ -43,6 +43,8 @@ def network_to_dict(tn: TensorNetwork, messages=None) -> dict:
     if tn.phys_dims:
         doc["physical"] = dict(tn.phys_dims)
     if messages is not None:
+        if messages.plan.tn is not tn:
+            raise InputError("the messages are of another network")
         doc["messages"] = {
             f"{v}->{w}": {"re": messages.data[d][r].real.tolist(),
                           "im": messages.data[d][r].imag.tolist()}
@@ -51,13 +53,14 @@ def network_to_dict(tn: TensorNetwork, messages=None) -> dict:
 
 
 def save_network(path, tn: TensorNetwork, messages=None):
+    doc = network_to_dict(tn, messages)  # refusals come before the file
     with open(path, "w") as f:
-        json.dump(network_to_dict(tn, messages), f)
+        json.dump(doc, f)
         f.write("\n")
 
 
 def _fail(path, msg):
-    raise InvalidNetworkFile(f"{path}: {msg}")
+    raise InputError(f"{path}: {msg}")
 
 
 def _json(path, value, kind):
@@ -158,8 +161,8 @@ def _read(path, parse, *args):
             _fail(path, f"not valid JSON ({exc})")
     try:
         return parse(doc, *args)
-    except (InvalidNetworkFile, DimensionMismatch) as exc:
-        raise InvalidNetworkFile(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def load_network(path) -> TensorNetwork:

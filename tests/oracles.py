@@ -52,9 +52,7 @@ from bptn.cumulants import (DEFAULT_BUDGET, RESTRICTED_CAP, Region,
                             counting_numbers, guarded_log,
                             restricted_partition as xi_table)
 from bptn.cumulants import cumulant as engine_cumulant
-from bptn.errors import CapExceeded
-from bptn.errors import (CombinatorialBudgetExceeded, DimensionMismatch,
-                         NumericalCollapse, TooLarge, ZeroLocalFactor)
+from bptn.errors import BudgetError, InputError, NumericalError
 from bptn.loops import GeneralizedLoop
 from bptn.models import _sqrt_bond_matrix
 from bptn.network import DEFAULT_SIZE_CAP, set_bits
@@ -79,7 +77,7 @@ def restricted_partition(loops, weight_table: dict) -> complex:
     in order."""
     n = len(loops)
     if n > RESTRICTED_CAP:
-        raise CapExceeded(
+        raise BudgetError(
             f"|B| = {n} exceeds restricted-partition cap {RESTRICTED_CAP}")
     incompat = [0] * n
     for i in range(n):
@@ -153,7 +151,7 @@ def normalize(data: np.ndarray) -> np.ndarray:
     """Unit 2-norm, largest-magnitude component real positive."""
     n = np.linalg.norm(data)
     if n < 1e-14:
-        raise NumericalCollapse("message update collapsed to zero")
+        raise NumericalError("message update collapsed to zero")
     data = data / n
     k = int(np.argmax(np.abs(data)))
     phase = data[k] / abs(data[k])
@@ -255,11 +253,11 @@ def ising_site_tensor(tn, pairs: dict, beta, v, hv, gate) -> DenseTensor:
 def inner(a: DenseTensor, b: DenseTensor) -> complex:
     """Bilinear full pairing over identical leg sets (no conjugation)."""
     if a.leg_ids != b.leg_ids:
-        raise DimensionMismatch(
+        raise InputError(
             f"inner needs identical leg sets: {a.leg_ids} vs {b.leg_ids}")
     for x, da, db in zip(a.leg_ids, a.data.shape, b.data.shape):
         if da != db:
-            raise DimensionMismatch(f"leg {x!r}: dim {da} vs {db}")
+            raise InputError(f"leg {x!r}: dim {da} vs {db}")
     return complex(np.sum(a.data * b.data))
 
 
@@ -502,7 +500,7 @@ def _vertex_subsets(g, k: int, root=None):
     for cur in connected_subsets(nbrs, [1] * len(verts), k, roots):
         count += 1
         if count > DEFAULT_BUDGET:
-            raise CombinatorialBudgetExceeded(
+            raise BudgetError(
                 f"vertex-subset enumeration exceeded budget {DEFAULT_BUDGET}")
         yield frozenset(verts[i] for i in cur)
 
@@ -776,7 +774,7 @@ def contract_pool(pool, size_cap=None) -> tuple:
                 dims.append(dim)
                 ids.append(leg)
             elif dims[x] != dim:
-                raise DimensionMismatch(
+                raise InputError(
                     f"leg {leg!r}: dim {dims[x]} vs {dim}")
             legs.append(x)
         struct.append(tuple(legs))
@@ -786,7 +784,7 @@ def contract_pool(pool, size_cap=None) -> tuple:
     arrays = [np.array(data, order="C") for _, data in pool]
     for i, j, ax_i, ax_j, out_size in steps:
         if size_cap is not None and out_size > size_cap:
-            raise TooLarge(
+            raise BudgetError(
                 f"intermediate with {out_size} entries exceeds cap {size_cap}")
         b = arrays.pop(j)
         a = arrays.pop(i)
@@ -947,8 +945,8 @@ def _interned_groups(pools) -> dict:
         for legs, shape in zip(struct, shapes):
             for x, dim in zip(legs, shape):
                 if dims.setdefault(x, dim) != dim:
-                    raise DimensionMismatch(f"leg {list(members[0][1])[x]!r}: "
-                                            f"dim {dims[x]} vs {dim}")
+                    raise InputError(f"leg {list(members[0][1])[x]!r}: "
+                                     f"dim {dims[x]} vs {dim}")
         key = (struct, tuple(dims[x] for x in range(len(dims))))
         groups.setdefault(key, []).extend(members)
     return groups
@@ -968,8 +966,8 @@ def interning_contract_many(pools, size_cap=None) -> list:
                       [np.ones(1, dtype=complex)] * len(members)]
         for i, j, _, _, out_size, matmul in steps:
             if size_cap is not None and out_size > size_cap:
-                raise TooLarge(f"intermediate with {out_size} entries "
-                               f"exceeds cap {size_cap}")
+                raise BudgetError(f"intermediate with {out_size} entries "
+                                  f"exceeds cap {size_cap}")
             b = arrays.pop(j)
             a = arrays.pop(i)
             if matmul is None:
@@ -1066,7 +1064,7 @@ def ratio_weight(prob, loop, inserted=frozenset()) -> complex:
         if r in loop.vertices:
             a = prob.alphas()[r]
             if abs(a) < 1e-12:
-                raise ZeroLocalFactor(
+                raise NumericalError(
                     f"BP expectation at region {r!r} below floor; "
                     "ratio normalization undefined")
             val /= a

@@ -14,7 +14,7 @@ import pytest
 
 import bptn.cli
 from bptn.cli import main
-from bptn.errors import NumericalCollapse, TooLarge
+from bptn.errors import BudgetError, InputError, NumericalError
 from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
                          random_peps)
 from bptn.network import Graph, TensorNetwork, exact_contract, phys_leg
@@ -175,7 +175,7 @@ def test_correlator_ratio_failure_is_reported(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     notes = [l for l in lines if l.startswith("ratio_re = nan")]
     assert notes == [f"ratio_re = nan for sites '0,0' and {b!r}: "
-                     "ZeroLocalFactor: BP expectation at region '0,0' below "
+                     "NumericalError: BP expectation at region '0,0' below "
                      "floor; ratio normalization undefined"
                      for b in ("0,1", "0,2", "1,2")]
     assert not any("R^2 = " in l for l in notes)
@@ -897,15 +897,33 @@ def test_exit_3_on_numerical_collapse(tmp_path):
 
 
 def test_exit_4_on_size_cap(monkeypatch):
-    # TooLarge from the contraction size cap maps to the budget exit code
+    # BudgetError from the contraction size cap maps to the budget exit code
     import bptn.cli
-    from bptn.errors import TooLarge
 
     def boom(tn):
-        raise TooLarge("intermediate exceeds cap")
+        raise BudgetError("intermediate exceeds cap")
 
     monkeypatch.setattr(bptn.cli, "exact_contract", boom)
     assert run(["contract-exact", "--generate", "loop:n=4"]) == 4
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (InputError, 2, "error"),
+    (NumericalError, 3, "numerical error"),
+    (BudgetError, 4, "budget exceeded"),
+    (OverflowError, 3, "numerical error"),
+    (OSError, 2, "error"),
+])
+def test_each_error_class_has_one_exit_code(error, code, prefix,
+                                            monkeypatch, capsys):
+    """``main`` maps each error class to its exit code and prints one
+    stderr line, the code's prefix and the message, and no CSV."""
+    def fail(tn):
+        raise error("raised by the test")
+
+    monkeypatch.setattr(bptn.cli, "exact_contract", fail)
+    assert run(["contract-exact", "--generate", "loop:n=4"]) == code
+    assert capsys.readouterr() == ("", f"{prefix}: raised by the test\n")
 
 
 def test_exit_4_on_enumeration_budget(monkeypatch, capsys):
@@ -961,8 +979,8 @@ def test_run_leaves_no_cyclic_garbage_that_grows_with_the_work(tmp_path):
 @pytest.mark.parametrize("argv, error, code", [
     (["contract-exact", "--generate", "loop:n=4"], None, 0),
     (["bp", "--generate", "ising:L=3,beta=nan"], None, 2),
-    (["contract-exact", "--generate", "loop:n=4"], NumericalCollapse, 3),
-    (["contract-exact", "--generate", "loop:n=4"], TooLarge, 4),
+    (["contract-exact", "--generate", "loop:n=4"], NumericalError, 3),
+    (["contract-exact", "--generate", "loop:n=4"], BudgetError, 4),
     (["contract-exact", "--no-such-option"], None, SystemExit),
 ])
 def test_main_pauses_and_restores_the_collector(argv, error, code, enabled,

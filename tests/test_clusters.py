@@ -14,7 +14,7 @@ from bptn.clusters import (Cluster, FreeEnergyResult, anchored_loop_sets,
                            cluster_value, enumerate_clusters,
                            free_energy_truncated, interaction_graph,
                            loops_overlap, ursell)
-from bptn.errors import CapExceeded, CombinatorialBudgetExceeded
+from bptn.errors import BudgetError
 from bptn.loops import GeneralizedLoop, enumerate_loops, evaluate_weights
 from bptn.models import (IsingParams, ising_exact_logZ, ising_network,
                          ising_paramagnetic_messages)
@@ -113,7 +113,7 @@ def test_ursell_vs_brute_force_edge_scan():
 def test_ursell_cap(monkeypatch):
     g, _, _ = _chain_graph(3)
     l = _loop_on(g, ["e0"])
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetError, match="^n_loops 9 exceeds Ursell cap"):
         ursell(Cluster([(l, 9)]))
     monkeypatch.setattr(bptn.clusters, "DEFAULT_URSELL_CAP", 9)
     assert ursell(Cluster([(l, 9)])) == Fraction(1, 9)
@@ -162,7 +162,7 @@ def test_enumerate_clusters_budget(monkeypatch):
     g = ising_network(p).graph
     loops = enumerate_loops(g, 8)
     monkeypatch.setattr(bptn.clusters, "DEFAULT_CLUSTER_BUDGET", 10)
-    with pytest.raises(CombinatorialBudgetExceeded,
+    with pytest.raises(BudgetError,
                        match="cluster enumeration exceeded budget 10"):
         enumerate_clusters(loops, 8)
 

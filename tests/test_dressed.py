@@ -27,7 +27,7 @@ from bptn.bp import (bp_iterate, local_factors, random_messages,
                      uniform_messages)
 from bptn.cli import main
 from bptn.cumulants import find_regions, region_partition
-from bptn.errors import TooLarge
+from bptn.errors import BudgetError
 from bptn.loops import (GeneralizedLoop, enumerate_loops, evaluate_weights,
                         excitation_weight)
 from bptn.models import (IsingParams, ising_insertion, ising_network,
@@ -519,7 +519,7 @@ def test_walk_crosses_each_edge_once(case):
 def test_region_path_size_cap(monkeypatch, tmp_path):
     """The bulk region contraction keeps the size cap: at the largest
     intermediate of the ``ising_free_energy`` regions it runs, one entry
-    below it raises TooLarge, and the CLI exits 4."""
+    below it raises BudgetError, and the CLI exits 4."""
     argv = ["free-energy", "--generate", "ising:L=5,beta=0.2", "-m", "2",
             "-k", "6", "--out", str(tmp_path / "fe.csv")]
     pools = []
@@ -537,7 +537,7 @@ def test_region_path_size_cap(monkeypatch, tmp_path):
     monkeypatch.setattr(bptn.cumulants, "DEFAULT_SIZE_CAP", largest)
     assert main(argv) == 0
     monkeypatch.setattr(bptn.cumulants, "DEFAULT_SIZE_CAP", largest - 1)
-    with pytest.raises(TooLarge):
+    with pytest.raises(BudgetError, match=f"exceeds cap {largest - 1}$"):
         region_partition(_benchmark_problem("ising_free_energy")[1], [
             (R, {}) for R in find_regions(ising_network(
                 IsingParams(L=5, beta=0.2)).graph, 6)])

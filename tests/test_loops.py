@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import bptn.loops
 import oracles
 from bptn.bp import bp_iterate, bp_log_partition, uniform_messages
-from bptn.errors import CombinatorialBudgetExceeded
+from bptn.errors import BudgetError
 from bptn.loops import (GeneralizedLoop, connected_edge_subsets,
                         enumerate_loops, enumerate_strings,
                         evaluate_weights, loop_decay_profile)
@@ -131,7 +131,7 @@ def test_enumeration_budget(monkeypatch):
     monkeypatch.setattr(bptn.loops, "DEFAULT_ENUM_BUDGET", 100)
     p = IsingParams(L=4, beta=0.2)
     g = ising_network(p).graph
-    with pytest.raises(CombinatorialBudgetExceeded,
+    with pytest.raises(BudgetError,
                        match="edge-subset enumeration exceeded budget 100"):
         list(connected_edge_subsets(g, 8))
 

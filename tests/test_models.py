@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from bptn.bp import bp_iterate, uniform_messages
-from bptn.errors import FieldNonzero
+from bptn.errors import InputError
 from bptn.models import (IsingParams, _ising_pairs, _ising_tn,
                          ising_exact_logZ, ising_insertion, ising_network,
                          ising_paramagnetic_messages,
@@ -82,7 +82,8 @@ def test_paramagnetic_messages_are_fixed_point():
 
 def test_paramagnetic_messages_require_zero_field():
     p = IsingParams(L=4, beta=0.3, h=0.1)
-    with pytest.raises(FieldNonzero):
+    with pytest.raises(InputError, match="^paramagnetic fixed point "
+                       "requires zero field$"):
         ising_paramagnetic_messages(p, ising_network(p))
 
 

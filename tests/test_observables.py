@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from bptn.bp import bp_iterate, uniform_messages
 from bptn.clusters import enumerate_clusters
-from bptn.errors import DimensionMismatch, InsufficientPoints, PCapExceeded
+from bptn.errors import BudgetError, InputError, NumericalError
 from bptn.loops import enumerate_strings
 from bptn.models import (IsingParams, _ising_tn, ising_insertion,
                          ising_network, random_peps)
@@ -61,13 +61,16 @@ def _assert_pair_filters_single_sites(pair, m):
 
 def test_insertion_that_does_not_fit_is_refused_at_construction(peps23):
     """A replacement whose legs or bond dimensions do not fit its site, or
-    a site the network lacks, raises ``DimensionMismatch`` when the
+    a site the network lacks, raises ``InputError`` when the
     problem is built, before any weight is asked for."""
     t = peps23.tn.tensors["0,1"]
     other = peps23.tn.tensors["1,1"]
     wide = DenseTensor(t.leg_ids, np.ones([2 * d for d in t.data.shape]))
-    for repl in ({"0,1": other}, {"0,1": wide}, {"9,9": t}):
-        with pytest.raises(DimensionMismatch):
+    for repl, message in (
+            ({"0,1": other}, "^vertex '0,1': tensor legs"),
+            ({"0,1": wide}, "^edge .* at its other end$"),
+            ({"9,9": t}, "^tensors keys must equal vertex ids$")):
+        with pytest.raises(InputError, match=message):
             InsertionProblem(peps23.messages, repl)
 
 
@@ -201,7 +204,7 @@ def test_correlator_derivative_matches_exact_connected():
 def test_ppoint_cap(peps23):
     prob = _problem(peps23, *({v: SZ}
                               for v in ("0,0", "0,1", "0,2", "1,0")))
-    with pytest.raises(PCapExceeded):
+    with pytest.raises(BudgetError, match="^p = 4 exceeds cap 3$"):
         expval_derivative_tensors(prob, 4)
 
 
@@ -408,9 +411,10 @@ def test_correlation_length_plain_diagnostics_ignore_paths():
 
 
 def test_correlation_length_needs_three_distances():
-    with pytest.raises(InsufficientPoints):
+    need = "^need >= 3 distances with nonzero correlators$"
+    with pytest.raises(InputError, match=need):
         correlation_length([_fake(1, 0.5), _fake(2, 0.3)])
-    with pytest.raises(InsufficientPoints):
+    with pytest.raises(InputError, match=need):
         correlation_length([_fake(1, 0.0), _fake(2, 0.3), _fake(3, 0.2)])
 
 
