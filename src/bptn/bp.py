@@ -8,21 +8,21 @@ component is real positive.  The bond inner products I_vw use the bilinear
 pairing; square roots take the principal branch, edge by edge --
 downstream only closed products of them are used, so branches cancel.
 
-A ``MessageSet`` keeps the messages of each bond dimension d as the
-rows of one complex (rows, d) array, at the rows its network's ``_Plan``
-gives, and carries that plan, which ``bp_iterate`` passes on to the set
-it returns.  ``bp_iterate`` and ``stability_probe`` compile the sweep
-once per call.  A sweep also takes (C, rows, d) arrays, whose leading
-chain axis carries C independent message sets; the stability probe
-advances all its chains in one sweep.  A sweep returns the raw updates;
-each caller normalizes them in one stacked call per bond dimension, its
-rows concatenated with whatever else it normalizes (``bp_iterate``: the
-messages the sweep read, for the defect).  The result is bit-identical
-to the per-edge ``contract_pair`` path the compiled sweep replaced, and
-each probe chain to running it alone, as ``tests/oracles.py`` keeps
-them for reference: the golden ``bp`` body pins ``residual`` (a
-difference near ``tol``) and ``growth_ratio`` (a finite difference at
-step 1e-7) at 1e-12 relative.
+A ``MessageSet`` keeps the messages of each bond dimension d as the rows
+of one complex (rows, d) array, at the rows its network's ``_Plan`` gives,
+and carries that plan, which ``bp_iterate`` passes on to the set it
+returns.  The plan compiles its sweep once.  A sweep also takes
+(C, rows, d) arrays, whose leading axis carries C independent message
+sets (the probe's chains); the first sweep of each shape binds buffers
+to the plan for the gathered rows and every matmul's operands and output.
+A sweep returns the raw updates; each caller normalizes them in one
+stacked call per bond dimension, its rows concatenated with whatever else
+it normalizes (``bp_iterate``: the messages the sweep read, for the
+defect).  The result is bit-identical to the per-edge ``contract_pair``
+path the compiled sweep replaced, and each probe chain to running it
+alone (``tests/oracles.py`` keeps both): the golden ``bp`` body pins
+``residual`` (a difference near ``tol``) and ``growth_ratio`` (a finite
+difference at step 1e-7) at 1e-12 relative.
 
 A ``MessageSet`` builds the inner products, the scaled into-messages
 and the projectors of all its edges on first use, one gather of each
@@ -91,7 +91,7 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     """
     shape, x = x.shape, x.reshape(-1, x.shape[-1])
     n = _row_norms(x)
-    low, high = n.min(), n.max()    # nan if any norm is
+    low, high = np.minimum.reduce(n), np.maximum.reduce(n)  # nan if any is
     if not (low >= 1e-14 and high < math.inf):
         raise NumericalError(
             "message update collapsed to zero" if low < 1e-14 else
@@ -139,8 +139,7 @@ class MessageSet:
     def _stacked(cls, plan, data: dict) -> MessageSet:
         """The messages ``data`` in ``plan``'s slots, taken as they are."""
         ms = cls.__new__(cls)
-        ms.plan, ms.data = plan, data
-        ms._edges, ms._dressed = None, {}
+        ms.plan, ms.data, ms._edges, ms._dressed = plan, data, None, {}
         return ms
 
     def _tables(self) -> tuple:
@@ -247,7 +246,7 @@ def random_messages(tn: TensorNetwork, seed=0) -> MessageSet:
 
 
 class _Plan:
-    """One network's message layout, and its BP sweep compiled on demand.
+    """One network's message layout, and its BP sweep, compiled once.
 
     ``slot`` maps a directed edge (v, w) to (d, row) in the stacks, rows
     in sorted edge order; ``keys`` lists the directed edges in sweep order
@@ -257,21 +256,18 @@ class _Plan:
     time in ``incident`` order.  Updates with the same tensor shape and
     the same sequence of contracted leg positions form a group; each step
     of a group is one stacked (C, B, rest, d) @ (C, B, d, 1) matmul, the
-    product ``np.tensordot`` forms for one update.  A group's tensors are
-    stacked once with a leading axis of length 1, which the first matmul
-    broadcasts against the chains, and its first matrix is built from
-    that stack by ``compile``, by the expression the sweep uses for the
-    later ones, so it has their view-or-copy memory layout.
+    product ``np.tensordot`` forms for one update.
     """
 
     def __init__(self, tn: TensorNetwork):
         if not tn.is_closed:
             raise InputError("BP runs on closed networks; this one "
                              "has physical legs")
-        self.tn = tn
-        self.keys = []
+        self.tn, self._compiled = tn, None
+        self.keys, self.bonds = [], {}
         for e, (u, v) in tn.graph.edges.items():
             self.keys += [((u, v), e), ((v, u), e)]
+            self.bonds.setdefault(tn.bond_dims[e], []).append((e, u, v))
         self.slot, self.rows = {}, {}
         for key, e in sorted(self.keys):
             d = tn.bond_dims[e]
@@ -283,48 +279,45 @@ class _Plan:
                  for d in self.dims}
         self.sorted_rows = np.array(
             [start[d] + r for _, (d, r) in sorted(self.slot.items())])
-        self.bonds = {}
-        for e, (u, w) in tn.graph.edges.items():
-            self.bonds.setdefault(tn.bond_dims[e], []).append((e, u, w))
 
     def compile(self) -> tuple:
-        """(groups, reads), ``reads`` the message rows of every step in
-        group order per bond dimension, each step reading a slice of them.
-        Not kept: the stacks copy each site tensor once per update."""
+        """(groups, reads, bound), built once and kept: ``reads`` the
+        message rows of every step in group order per bond dimension, each
+        step reading a slice of them; ``bound`` the buffers of ``_sweep``."""
+        if self._compiled is not None:
+            return self._compiled
         tn, groups = self.tn, {}
         for (v, w), e in self.keys:
             t = tn.tensors[v]
-            ids, positions, sources = t.leg_ids, [], []
-            for (e2, n) in tn.graph.incident(v):
+            ids, positions, sources = list(t.leg_ids), [], []
+            for e2, n in tn.graph.incident(v):
                 if e2 != e:
-                    k = ids.index(e2)
-                    positions.append(k)
-                    sources.append(self.slot[(n, v)][1])
-                    ids = ids[:k] + ids[k + 1:]
+                    positions.append(ids.index(e2))
+                    sources.append(self.slot[n, v][1])
+                    ids.remove(e2)
             groups.setdefault((t.data.shape, tuple(positions)), []).append(
                 (t.data, sources, self.slot[(v, w)]))
         # (first matrix, steps, output bond dim, output rows), each step
-        # (axis permutation that moves the leg last, matrix shape, leg dim,
-        # slice of reads[leg dim], shape after it), the first step's
-        # permutation None; -1 is the chain axis
+        # (axis to move last, matrix shape, leg dim, slice of reads[leg
+        # dim], shape after it, whose -1 is the chain axis).  The first
+        # matrix is built here, on a chain axis of length 1: its axis is -1.
         out, reads = [], {}
         for (shape, positions), items in groups.items():
             tensors, sources, outs = zip(*items)
             shape, steps, b = list(shape), [], len(items)
             t = np.stack(tensors)[None]
             for k, rows in zip(positions, zip(*sources)):
-                axes = list(range(len(shape) + 2))
-                perm = tuple(axes[:k + 2] + axes[k + 3:] + [k + 2])
-                d = shape.pop(k)
+                d, axis = shape.pop(k), k + 2
                 mat = (-1, b, math.prod(shape), d)
                 if not steps:
-                    t, perm = t.transpose(perm).reshape(mat), None
+                    t, axis = np.moveaxis(t, axis, -1).reshape(mat), -1
                 seen = reads.setdefault(d, [])
-                steps.append((perm, mat, d, slice(len(seen), len(seen) + b),
+                steps.append((axis, mat, d, slice(len(seen), len(seen) + b),
                               (-1, b, *shape)))
                 seen += rows
             out.append((t, steps, outs[0][0], np.array([r for _, r in outs])))
-        return out, {d: np.array(rows) for d, rows in reads.items()}
+        self._compiled = out, {d: np.array(r) for d, r in reads.items()}, {}
+        return self._compiled
 
     def empty(self, *lead) -> dict:
         """{d: uninitialized complex (*lead, rows, d) array}."""
@@ -360,19 +353,39 @@ def _defect(new: dict, old: dict) -> float:
 
 
 def _sweep(compiled: tuple, msgs: dict) -> dict:
-    """One synchronous sweep of a compiled plan: every raw (unnormalized)
-    update, stacked as ``msgs``, (rows, d) or (C, rows, d) per bond
-    dimension d."""
-    groups, reads = compiled
-    read = {d: msgs[d][..., rows, :, None] for d, rows in reads.items()}
-    raw = {d: np.empty_like(m) for d, m in msgs.items()}
-    for t, steps, out_d, out_rows in groups:
-        for perm, mat, d, rows, shape in steps:
-            if perm is not None:
-                t = t.transpose(perm).reshape(mat)
-            t = np.matmul(t, read[d][..., rows, :, :]).reshape(shape)
-        raw[out_d][..., out_rows, :] = t
-    return raw
+    """Every raw (unnormalized) update of one synchronous sweep, in fresh
+    arrays stacked as ``msgs``: (rows, d) or (C, rows, d) per bond dimension
+    d.  Each later matrix is the view, or the copy ``copy`` refills, that
+    ``moveaxis().reshape()`` gives; last steps fill ``outs`` in group order."""
+    groups, reads, bound = compiled
+    key = tuple(m.shape for m in msgs.values())
+    if key not in bound:
+        gather = {d: np.take(msgs[d], r, axis=-2) for d, r in reads.items()}
+        outs = {d: np.empty_like(m) for d, m in msgs.items()}
+        ops, seq = [], {d: [] for d in msgs}
+        for t, steps, out_d, out_rows in groups:
+            lo, seq[out_d] = len(seq[out_d]), seq[out_d] + out_rows.tolist()
+            dst = outs[out_d][..., lo:len(seq[out_d]), :, None]
+            for axis, mat, d, rows, shape in steps:
+                src = np.moveaxis(t, axis, -1)
+                t, vecs = src.reshape(mat), gather[d][..., rows, :, None]
+                copy = (None if np.shares_memory(t, src)
+                        else (t.reshape(src.shape), src))
+                out = np.matmul(t, vecs)
+                out = dst.reshape(out.shape) if len(shape) == 3 else out
+                ops.append((copy, t, vecs, out))
+                t = out.reshape(shape)
+            dst[..., 0] = t
+        inv = {d: np.argsort(rows) for d, rows in seq.items()}
+        bound[key] = gather, ops, outs, inv
+    gather, ops, outs, inv = bound[key]
+    for d, rows in reads.items():
+        np.take(msgs[d], rows, axis=-2, out=gather[d], mode="clip")
+    for copy, mat, vecs, out in ops:
+        if copy:
+            np.copyto(*copy)
+        np.matmul(mat, vecs, out=out)
+    return {d: np.take(x, inv[d], axis=-2) for d, x in outs.items()}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # refused by _normalize_rows
@@ -412,6 +425,7 @@ def bp_log_partition(messages: MessageSet) -> complex:
         total += cmath.log(z)
     return total
 
+
 def bp_free_energy(messages: MessageSet):
     """(log|Z_BP|, phase in (-pi, pi], the exact remainder of Im log Z_BP
     with a signed zero read as 0.0); F_BP = -log Z_BP."""
@@ -446,10 +460,8 @@ def stability_probe(messages: MessageSet, seed=0):
     base = {d: _normalize_rows(x) for d, x in messages.data.items()}
     v = plan.empty(PROBE_PERTURBATIONS)
     for c in range(PROBE_PERTURBATIONS):
-        for key in sorted(plan.slot):
-            d, r = plan.slot[key]
-            v[d][c, r] = (rng.standard_normal((d,))
-                          + 1j * rng.standard_normal((d,)))
+        for _, (d, r) in sorted(plan.slot.items()):
+            v[d][c, r] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     lams = [[] for _ in range(PROBE_PERTURBATIONS)]
     live = list(range(PROBE_PERTURBATIONS))     # chain of each stack row
     norms = plan.norms(v)
@@ -458,15 +470,13 @@ def stability_probe(messages: MessageSet, seed=0):
         if not keep:
             break
         if len(keep) < len(live):
-            live = [live[i] for i in keep]
-            norms = [norms[i] for i in keep]
+            live, norms = [live[i] for i in keep], [norms[i] for i in keep]
             v = {d: x[keep] for d, x in v.items()}
         step = (PROBE_EPSILON / np.array(norms))[:, None, None]
         upd = _sweep(compiled, {d: _normalize_rows(x + step * v[d])
                                 for d, x in base.items()})
         # twice, as the per-edge path did: not idempotent in the last bits
-        v = {d: (_normalize_rows(_normalize_rows(upd[d])) - x)
-             / PROBE_EPSILON
+        v = {d: (_normalize_rows(_normalize_rows(upd[d])) - x) / PROBE_EPSILON
              for d, x in base.items()}
         norms = plan.norms(v)
         for c, lam in zip(live, norms):

@@ -10,9 +10,11 @@ difference near ``tol``) and ``growth_ratio`` (a finite difference at step
 that.
 """
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -337,9 +339,10 @@ def test_start_messages_match_per_edge_draws(case):
 
 def test_bp_run_builds_one_plan_and_no_message_tensor(monkeypatch, capsys):
     """A ``bp`` run builds one plan, which the start messages, the
-    iteration, its result and the stability probe share, and compiles its
-    sweep once per call; the messages stay stacked, so it builds no
-    ``DenseTensor`` at all."""
+    iteration, its result and the stability probe share; the plan builds
+    its sweep once and binds its buffers once per chain shape, the
+    iteration's and the probe's.  The messages stay stacked, so the run
+    builds no ``DenseTensor`` at all."""
     import bptn.cli
 
     spec = "ising:L=3,beta=0.34,h=0.05"
@@ -352,8 +355,8 @@ def test_bp_run_builds_one_plan_and_no_message_tensor(monkeypatch, capsys):
             super().__init__(tn)
 
         def compile(self):
-            compiles.append(self)
-            return super().compile()
+            compiles.append(super().compile())
+            return compiles[-1]
 
     init = DenseTensor.__init__
 
@@ -367,5 +370,76 @@ def test_bp_run_builds_one_plan_and_no_message_tensor(monkeypatch, capsys):
     assert bptn.cli.main(["bp", "--generate", spec]) == 0
     capsys.readouterr()
     assert plans == [prob.tn]
-    assert len(compiles) == 2
+    # called by the iteration and by the probe, built on the first call
+    assert len(compiles) == 2 and compiles[1] is compiles[0]
+    assert [key[0][:-2] for key in compiles[0][2]] == [
+        (), (PROBE_PERTURBATIONS,)]
     assert tensors == []
+
+
+REUSE_CASES = dict(CHAIN_CASES, tree=lambda: CASES["tree"]()[0])
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_sweep_updates_survive_the_next_sweep(case):
+    """A sweep returns fresh arrays: the next sweep of the same compiled
+    plan, on other messages, refills the plan's buffers but leaves the
+    updates already returned as they were."""
+    tn = REUSE_CASES[case]()
+    compiled = _Plan(tn).compile()
+    first = _sweep(compiled, random_messages(tn, seed=1).data)
+    kept = {d: x.copy() for d, x in first.items()}
+    again = _sweep(compiled, random_messages(tn, seed=2).data)
+    for d, x in kept.items():
+        assert np.array_equal(first[d], x)
+        assert not np.array_equal(again[d], x)
+
+
+@pytest.mark.parametrize("case", sorted(REUSE_CASES))
+def test_alternating_chain_shapes_match_fresh_plans(case):
+    """One compiled plan swept on (rows, d) and (3, rows, d) stacks in
+    turn gives, each time, bit for bit what a freshly compiled plan gives
+    on its first sweep."""
+    tn = REUSE_CASES[case]()
+    compiled = _Plan(tn).compile()
+    for s in range(3):
+        chains = [random_messages(tn, seed=10 * s + c).data for c in range(3)]
+        for msgs in (chains[s], {d: np.stack([c[d] for c in chains])
+                                 for d in chains[0]}):
+            got = _sweep(compiled, msgs)
+            want = _sweep(_Plan(tn).compile(), msgs)
+            assert list(got) == list(want)
+            for d in want:
+                assert np.array_equal(got[d], want[d]), (s, d)
+    assert len(compiled[2]) == 2
+
+
+def _arrays(x):
+    """Every ndarray in nested tuples, lists and dict values."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (tuple, list, dict)):
+        for y in x.values() if isinstance(x, dict) else x:
+            yield from _arrays(y)
+
+
+def test_plans_of_different_networks_share_no_buffers():
+    """Two networks with the same tensor shapes get buffers of their own,
+    and sweeping one does not move the other's updates; the buffers live
+    on the plan and go with it."""
+    nets = [generate(spec, 0).tn for spec in ("ising:L=3,beta=0.34,h=0.05",
+                                              "ising:L=3,beta=0.3,h=0.1")]
+    plans = [_Plan(tn) for tn in nets]
+    msgs = [random_messages(tn, seed=4).data for tn in nets]
+    want = [_sweep(_Plan(tn).compile(), m) for tn, m in zip(nets, msgs)]
+    for _ in range(2):
+        for plan, m, w in zip(plans, msgs, want):
+            got = _sweep(plan.compile(), m)
+            assert all(np.array_equal(got[d], w[d]) for d in w)
+    a, b = (list(_arrays(plan.compile()[2])) for plan in plans)
+    assert a and b
+    assert not any(np.shares_memory(x, y) for x in a for y in b)
+    refs = [weakref.ref(x) for x in a]
+    del plans[0], a
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)

@@ -896,17 +896,6 @@ def test_exit_3_on_numerical_collapse(tmp_path):
     assert run(["bp", "--input", str(path)]) == 3
 
 
-def test_exit_4_on_size_cap(monkeypatch):
-    # BudgetError from the contraction size cap maps to the budget exit code
-    import bptn.cli
-
-    def boom(tn):
-        raise BudgetError("intermediate exceeds cap")
-
-    monkeypatch.setattr(bptn.cli, "exact_contract", boom)
-    assert run(["contract-exact", "--generate", "loop:n=4"]) == 4
-
-
 @pytest.mark.parametrize("error, code, prefix", [
     (InputError, 2, "error"),
     (NumericalError, 3, "numerical error"),
