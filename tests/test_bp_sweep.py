@@ -214,7 +214,7 @@ def _first_matrices(tn, plan):
 def test_first_matrix_keeps_the_layout_of_the_sweep_expression(case):
     """A matmul rounds by the memory layout of its operands, so the first
     matrix built once per plan must be the view or the copy that
-    ``transpose(perm).reshape(mat)`` gives, values and strides alike."""
+    ``moveaxis(...).reshape(mat)`` gives, values and strides alike."""
     tn = (CHAIN_CASES[case[6:]]() if case.startswith("chain:")
           else CASES[case]()[0])
     plan = _Plan(tn)
