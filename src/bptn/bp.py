@@ -355,7 +355,7 @@ def _sweep(compiled: tuple, msgs: dict) -> dict:
     """Every raw update of one synchronous sweep, in fresh arrays stacked as
     ``msgs``.  Each later matrix is the view, or the copy ``copy`` refills,
     that ``moveaxis().reshape()`` gives; last steps fill ``outs`` in group
-    order.  ``np.take`` buffers ``out`` in its default mode, not in "clip"."""
+    order.  Mode "clip", as ``np.take`` buffers ``out`` in mode "raise"."""
     groups, reads, bound = compiled
     key = tuple(m.shape for m in msgs.values())
     if key not in bound:
