@@ -11,13 +11,13 @@ downstream only closed products of them are used, so branches cancel.
 A ``MessageSet`` keeps the messages of each bond dimension d as the rows
 of one complex (rows, d) array, at the rows its network's ``_Plan`` gives,
 and carries that plan, which ``bp_iterate`` passes on to the set it
-returns.  The plan compiles its sweep once.  A sweep also takes
-(C, rows, d) arrays, whose leading axis carries C independent message
-sets (the probe's chains); the first sweep of each shape binds buffers
-to the plan for the gathered rows and every matmul's operands and output.
-A sweep returns the raw updates; each caller normalizes them in one
-stacked call per bond dimension, its rows concatenated with whatever else
-it normalizes (``bp_iterate``: the messages the sweep read, for the
+returns.  Each BP call compiles a sweep for the shape of its stacks,
+(rows, d) or (C, rows, d) whose leading axis carries C independent
+message sets (the probe's chains), bound to buffers for the gathered rows
+and every matmul's operands and output, and drops it when it returns.  A
+sweep returns the raw updates; each caller normalizes them in one stacked
+call per bond dimension, its rows concatenated with whatever else it
+normalizes (``bp_iterate``: the messages the sweep read, for the
 defect).  The result is bit-identical to the per-edge ``contract_pair``
 path the compiled sweep replaced, and each probe chain to running it
 alone (``tests/oracles.py`` keeps both): the golden ``bp`` body pins
@@ -246,7 +246,7 @@ def random_messages(tn: TensorNetwork, seed=0) -> MessageSet:
 
 
 class _Plan:
-    """One network's message layout, and its BP sweep, compiled once.
+    """One network's message layout; each BP call compiles its own sweep.
 
     ``slot`` maps a directed edge (v, w) to (d, row) in the stacks, rows
     in sorted edge order; ``keys`` lists the directed edges in sweep order
@@ -263,7 +263,7 @@ class _Plan:
         if not tn.is_closed:
             raise InputError("BP runs on closed networks; this one "
                              "has physical legs")
-        self.tn, self._compiled = tn, None
+        self.tn = tn
         self.keys, self.bonds = [], {}
         for e, (u, v) in tn.graph.edges.items():
             self.keys += [((u, v), e), ((v, u), e)]
@@ -280,13 +280,14 @@ class _Plan:
         self.sorted_rows = np.array(
             [start[d] + r for _, (d, r) in sorted(self.slot.items())])
 
-    def compile(self) -> tuple:
-        """(groups, reads, bound), built once and kept: ``reads`` the
-        message rows of every step in group order per bond dimension, each
-        step reading a slice of them; ``bound`` the buffers of ``_sweep``."""
-        if self._compiled is not None:
-            return self._compiled
-        tn, groups = self.tn, {}
+    def compile(self, lead=()) -> tuple:
+        """The BP sweep of (*lead, rows, d) stacks, bound to buffers that
+        only the caller holds: ({d: (rows read, gather buffer)}, steps,
+        outputs in group order, {d: take back to slot order}), each step
+        (refill of its matrix or None, matrix, vectors, output).  A group's
+        first matrix, on a chain axis of length 1, is never refilled; each
+        matmul runs once here, on zeros, to make its output buffer."""
+        tn, groups, reads = self.tn, {}, dict.fromkeys(self.dims, 0)
         for (v, w), e in self.keys:
             t = tn.tensors[v]
             ids, positions, sources = list(t.leg_ids), [], []
@@ -294,29 +295,38 @@ class _Plan:
                 if e2 != e:
                     positions.append(ids.index(e2))
                     sources.append(self.slot[n, v][1])
+                    reads[tn.bond_dims[e2]] += 1
                     ids.remove(e2)
             groups.setdefault((t.data.shape, tuple(positions)), []).append(
                 (t.data, sources, self.slot[(v, w)]))
-        # (first matrix, steps, output bond dim, output rows), each step
-        # (axis to move last, matrix shape, leg dim, slice of reads[leg
-        # dim], shape after it, whose -1 is the chain axis).  The first
-        # matrix is built here, on a chain axis of length 1: its axis is -1.
-        out, reads = [], {}
+        gather = {d: (np.zeros((*lead, n, d), dtype=complex), [])
+                  for d, n in reads.items() if n}
+        outs, ops, seq = self.empty(*lead), [], {d: [] for d in self.dims}
         for (shape, positions), items in groups.items():
-            ts, sources, outs = zip(*items)
-            shape, steps, b, t = list(shape), [], len(ts), np.stack(ts)[None]
-            for k, rows in zip(positions, zip(*sources)):
-                d, axis = shape.pop(k), k + 2
-                mat = (-1, b, math.prod(shape), d)
-                if not steps:
-                    t, axis = np.moveaxis(t, axis, -1).reshape(mat), -1
-                seen = reads.setdefault(d, [])
-                steps.append((axis, mat, d, slice(len(seen), len(seen) + b),
-                              (-1, b, *shape)))
+            ts, sources, slots = zip(*items)
+            shape, b, t = list(shape), len(ts), np.stack(ts)[None]
+            out_d = slots[0][0]
+            lo = len(seq[out_d])
+            seq[out_d] += [r for _, r in slots]
+            dst = outs[out_d][..., lo:lo + b, :, None]
+            for i, (k, rows) in enumerate(zip(positions, zip(*sources))):
+                d = shape.pop(k)
+                buf, seen = gather[d]
+                vecs = buf[..., len(seen):len(seen) + b, :, None]
                 seen += rows
-            out.append((t, steps, outs[0][0], np.array([r for _, r in outs])))
-        self._compiled = out, {d: np.array(r) for d, r in reads.items()}, {}
-        return self._compiled
+                src = np.moveaxis(t, k + 2, -1)
+                t = src.reshape(-1, b, math.prod(shape), d)
+                copy = (None if not i or np.shares_memory(t, src)
+                        else (t.reshape(src.shape), src))
+                out = np.matmul(t, vecs)
+                out = dst.reshape(out.shape) if len(shape) == 1 else out
+                ops.append((copy, t, vecs, out))
+                t = out.reshape(-1, b, *shape)
+            dst[..., 0] = t
+        inv = {d: np.array(sorted(range(len(r)), key=r.__getitem__))
+               for d, r in seq.items()}   # np.argsort adds 0.25 MB of RSS
+        return ({d: (np.array(r), buf) for d, (buf, r) in gather.items()},
+                ops, outs, inv)
 
     def empty(self, *lead) -> dict:
         """{d: uninitialized complex (*lead, rows, d) array}."""
@@ -352,35 +362,14 @@ def _defect(new: dict, old: dict) -> float:
 
 
 def _sweep(compiled: tuple, msgs: dict) -> dict:
-    """Every raw update of one synchronous sweep, in fresh arrays stacked as
-    ``msgs``.  Each later matrix is the view, or the copy ``copy`` refills,
-    that ``moveaxis().reshape()`` gives; last steps fill ``outs`` in group
-    order.  Mode "clip", as ``np.take`` buffers ``out`` in mode "raise"."""
-    groups, reads, bound = compiled
-    key = tuple(m.shape for m in msgs.values())
-    if key not in bound:
-        gather = {d: np.take(msgs[d], r, axis=-2) for d, r in reads.items()}
-        outs = {d: np.empty_like(m) for d, m in msgs.items()}
-        ops, seq = [], {d: [] for d in msgs}
-        for t, steps, out_d, out_rows in groups:
-            lo, seq[out_d] = len(seq[out_d]), seq[out_d] + out_rows.tolist()
-            dst = outs[out_d][..., lo:len(seq[out_d]), :, None]
-            for axis, mat, d, rows, shape in steps:
-                src = np.moveaxis(t, axis, -1)
-                t, vecs = src.reshape(mat), gather[d][..., rows, :, None]
-                copy = (None if np.shares_memory(t, src)
-                        else (t.reshape(src.shape), src))
-                out = np.matmul(t, vecs)
-                out = dst.reshape(out.shape) if len(shape) == 3 else out
-                ops.append((copy, t, vecs, out))
-                t = out.reshape(shape)
-            dst[..., 0] = t
-        inv = {d: np.array(sorted(range(len(r)), key=r.__getitem__))
-               for d, r in seq.items()}   # np.argsort adds 0.25 MB of RSS
-        bound[key] = gather, ops, outs, inv
-    gather, ops, outs, inv = bound[key]
-    for d, rows in reads.items():
-        np.take(msgs[d], rows, axis=-2, out=gather[d], mode="clip")
+    """Every raw update of one synchronous sweep, in fresh arrays stacked
+    as ``msgs``, which have the shape ``compiled`` was built for: gather,
+    the steps (refilling a matrix first where ``moveaxis().reshape()``
+    copies), take back to slot order.  Mode "clip", as ``np.take``
+    buffers ``out`` in mode "raise"."""
+    gather, ops, outs, inv = compiled
+    for d, (rows, buf) in gather.items():
+        np.take(msgs[d], rows, axis=-2, out=buf, mode="clip")
     for copy, mat, vecs, out in ops:
         if copy:
             np.copyto(*copy)
@@ -393,8 +382,9 @@ def bp_iterate(tn: TensorNetwork, messages: MessageSet,
                damping=DEFAULT_DAMPING, tol=DEFAULT_TOL) -> BPResult:
     """Synchronous damped BP iteration to a fixed point, starting from
     ``messages`` on ``tn``'s edges (left unchanged)."""
-    plan = messages.plan if messages.plan.tn is tn else _Plan(tn)
-    compiled, old, residual = plan.compile(), messages.data, math.inf
+    if messages.plan.tn is not tn:
+        raise InputError("the messages are of another network")
+    compiled, old, residual = messages.plan.compile(), messages.data, math.inf
     for it in range(1, DEFAULT_MAX_ITERS + 1):
         new, now = _normalize_both(_sweep(compiled, old), old)
         residual = _defect(new, now)
@@ -402,7 +392,7 @@ def bp_iterate(tn: TensorNetwork, messages: MessageSet,
                for d, x in new.items()}
         if residual <= tol:
             break
-    return BPResult(MessageSet._stacked(plan, old), residual, it,
+    return BPResult(MessageSet._stacked(messages.plan, old), residual, it,
                     residual <= tol)
 
 
@@ -456,9 +446,9 @@ def stability_probe(messages: MessageSet, seed=0):
     plan = messages.plan
     if not plan.dims:       # no message to perturb
         return "inconclusive", float("nan")
-    compiled, rng = plan.compile(), np.random.default_rng(seed)
+    compiled = plan.compile((PROBE_PERTURBATIONS,))
     base = {d: _normalize_rows(x) for d, x in messages.data.items()}
-    v = plan.empty(PROBE_PERTURBATIONS)
+    rng, v = np.random.default_rng(seed), plan.empty(PROBE_PERTURBATIONS)
     for c in range(PROBE_PERTURBATIONS):
         for _, (d, r) in sorted(plan.slot.items()):
             v[d][c, r] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -472,6 +462,7 @@ def stability_probe(messages: MessageSet, seed=0):
         if len(keep) < len(live):
             live, norms = [live[i] for i in keep], [norms[i] for i in keep]
             v = {d: x[keep] for d, x in v.items()}
+            compiled = plan.compile((len(keep),))
         step = (PROBE_EPSILON / np.array(norms))[:, None, None]
         upd = _sweep(compiled, {d: _normalize_rows(x + step * v[d])
                                 for d, x in base.items()})

@@ -193,7 +193,8 @@ def _converge(prob: Problem, args):
                           damping=args.damping, tol=args.tol)
         if not res2.converged:
             raise NumericalError(
-                f"BP did not converge (residual {res.residual:.3e})")
+                f"BP did not converge (residual {res.residual:.3e} from "
+                f"uniform messages, {res2.residual:.3e} from random ones)")
         res = res2
     return res
 

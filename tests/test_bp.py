@@ -295,6 +295,16 @@ def test_message_set_refuses_a_missing_or_unknown_edge():
         MessageSet(tn, {**msgs, ("0,0", "1,1"): m})
 
 
+def test_bp_iterate_refuses_messages_of_another_network():
+    """Messages carry the plan of their network; started on another one,
+    smaller or larger, the iteration refuses them before any sweep."""
+    small, large = (ising_network(IsingParams(L=L, beta=0.3)) for L in (3, 4))
+    for tn, other in [(large, small), (small, large)]:
+        with pytest.raises(InputError,
+                           match="^the messages are of another network$"):
+            bp_iterate(tn, uniform_messages(other))
+
+
 def test_degenerate_inner_product_guard():
     p = IsingParams(L=2, beta=0.2)
     tn = ising_network(p)

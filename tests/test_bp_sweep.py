@@ -173,15 +173,16 @@ CHAIN_CASES = {
 
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
 def test_chain_stacked_sweep_matches_separate_sweeps(case):
-    """One sweep over C stacked message sets is C sweeps, bit for bit,
-    raw and normalized."""
+    """One sweep over C stacked message sets, compiled for that stack, is
+    C sweeps compiled for one message set, bit for bit, raw and
+    normalized."""
     tn = CHAIN_CASES[case]()
     plan = _Plan(tn)
-    compiled = plan.compile()
     chains = [random_messages(tn, seed=s).data for s in range(3)]
-    stacked = _sweep(compiled, {d: np.stack([c[d] for c in chains])
-                                for d in plan.dims})
+    stacked = _sweep(plan.compile((3,)), {d: np.stack([c[d] for c in chains])
+                                          for d in plan.dims})
     assert len(plan.dims) == (2 if case == "two_dims" else 1)
+    compiled = plan.compile()
     for c, msgs in enumerate(chains):
         alone = _sweep(compiled, msgs)
         for d in plan.dims:
@@ -191,36 +192,44 @@ def test_chain_stacked_sweep_matches_separate_sweeps(case):
 
 
 def _first_matrices(tn, plan):
-    """(the plan's first matrix, the same built from the group's site
-    tensors) per group with a step: the stack moved so the first
-    contracted leg is last, reshaped to (1, B, rest, leg dim)."""
-    key = {slot: k for k, slot in plan.slot.items()}
-    edge = dict(plan.keys)
-    for t, steps, out_d, out_rows in plan.compile()[0]:
-        if not steps:
-            continue
-        updates = [key[out_d, r] for r in out_rows]
-        v, w = updates[0]
-        first = next(e for e, _ in tn.graph.incident(v) if e != edge[v, w])
-        k = tn.tensors[v].leg_ids.index(first)
-        stack = np.stack([tn.tensors[u].data for u, _ in updates])[None]
-        d = stack.shape[k + 2]
-        yield t, np.moveaxis(stack, k + 2, -1).reshape(
-            -1, len(updates), stack[0, 0].size // d, d)
+    """The first matrix of each group with a step, built from the group's
+    site tensors: the stack moved so the first contracted leg is last,
+    reshaped to (1, B, rest, leg dim).  Groups in the order of their first
+    update in ``plan.keys``."""
+    groups = {}
+    for (v, w), e in plan.keys:
+        t = tn.tensors[v]
+        ids, positions = list(t.leg_ids), []
+        for e2, _ in tn.graph.incident(v):
+            if e2 != e:
+                positions.append(ids.index(e2))
+                ids.remove(e2)
+        groups.setdefault((t.data.shape, tuple(positions)), []).append(
+            t.data)
+    for (shape, positions), ts in groups.items():
+        if positions:
+            stack, k = np.stack(ts)[None], positions[0]
+            yield np.moveaxis(stack, k + 2, -1).reshape(
+                -1, len(ts), stack[0, 0].size // shape[k], shape[k])
 
 
 @pytest.mark.parametrize("case", sorted(CASES) + [
     f"chain:{c}" for c in sorted(CHAIN_CASES)])
 def test_first_matrix_keeps_the_layout_of_the_sweep_expression(case):
     """A matmul rounds by the memory layout of its operands, so the first
-    matrix built once per plan must be the view or the copy that
-    ``moveaxis(...).reshape(mat)`` gives, values and strides alike."""
+    matrix that ``compile`` builds must be the view or the copy that
+    ``moveaxis(...).reshape(mat)`` gives, values and strides alike, and no
+    sweep refills it.  Compiled for three chains, the first matrices are
+    the steps' matrices with a chain axis of length 1."""
     tn = (CHAIN_CASES[case[6:]]() if case.startswith("chain:")
           else CASES[case]()[0])
     plan = _Plan(tn)
+    firsts = [(copy, mat) for copy, mat, _, _ in plan.compile((3,))[1]
+              if mat.shape[0] == 1]
     found = list(_first_matrices(tn, plan))
-    assert len(found) == sum(1 for g in plan.compile()[0] if g[1])
-    for got, want in found:
+    assert len(firsts) == len(found)
+    for (copy, got), want in zip(firsts, found):
+        assert copy is None
         assert got.shape == want.shape and got.strides == want.strides
         assert np.array_equal(got, want)
 
@@ -339,24 +348,39 @@ def test_start_messages_match_per_edge_draws(case):
 
 def test_bp_run_builds_one_plan_and_no_message_tensor(monkeypatch, capsys):
     """A ``bp`` run builds one plan, which the start messages, the
-    iteration, its result and the stability probe share; the plan builds
-    its sweep once and binds its buffers once per chain shape, the
-    iteration's and the probe's.  The messages stay stacked, so the run
+    iteration, its result and the stability probe share.  The iteration
+    compiles a sweep for one message set and the probe one for its
+    chains; each drops its sweep when it returns, though the messages,
+    which carry the plan, live on.  The messages stay stacked, so the run
     builds no ``DenseTensor`` at all."""
     import bptn.cli
 
     spec = "ising:L=3,beta=0.34,h=0.05"
     prob = generate(spec, 0)
-    plans, compiles, tensors = [], [], []
+    plans, compiles, tensors, refs = [], [], [], []
 
     class CountedPlan(_Plan):
         def __init__(self, tn):
             plans.append(tn)
             super().__init__(tn)
 
-        def compile(self):
-            compiles.append(super().compile())
-            return compiles[-1]
+        def compile(self, lead=()):
+            compiled = super().compile(lead)
+            compiles.append(lead)
+            refs.extend(weakref.ref(x) for x in _arrays(compiled))
+            return compiled
+
+    def all_dropped():
+        gc.collect()
+        return refs and [ref() for ref in refs] == [None] * len(refs)
+
+    probe = bptn.cli.stability_probe
+
+    def checked_probe(messages, seed):
+        assert compiles == [()] and all_dropped()
+        out = probe(messages, seed=seed)
+        assert compiles == [(), (PROBE_PERTURBATIONS,)] and all_dropped()
+        return out
 
     init = DenseTensor.__init__
 
@@ -365,15 +389,13 @@ def test_bp_run_builds_one_plan_and_no_message_tensor(monkeypatch, capsys):
         init(self, legs, data)
 
     monkeypatch.setattr(bptn.cli, "generate", lambda spec, seed: prob)
+    monkeypatch.setattr(bptn.cli, "stability_probe", checked_probe)
     monkeypatch.setattr(bptn.bp, "_Plan", CountedPlan)
     monkeypatch.setattr(DenseTensor, "__init__", counted_tensor)
     assert bptn.cli.main(["bp", "--generate", spec]) == 0
     capsys.readouterr()
     assert plans == [prob.tn]
-    # called by the iteration and by the probe, built on the first call
-    assert len(compiles) == 2 and compiles[1] is compiles[0]
-    assert [key[0][:-2] for key in compiles[0][2]] == [
-        (), (PROBE_PERTURBATIONS,)]
+    assert compiles == [(), (PROBE_PERTURBATIONS,)] and all_dropped()
     assert tensors == []
 
 
@@ -383,8 +405,8 @@ REUSE_CASES = dict(CHAIN_CASES, tree=lambda: CASES["tree"]()[0])
 @pytest.mark.parametrize("case", sorted(REUSE_CASES))
 def test_sweep_updates_survive_the_next_sweep(case):
     """A sweep returns fresh arrays: the next sweep of the same compiled
-    plan, on other messages, refills the plan's buffers but leaves the
-    updates already returned as they were."""
+    sweep, on other messages, refills its buffers but leaves the updates
+    already returned as they were."""
     tn = REUSE_CASES[case]()
     compiled = _Plan(tn).compile()
     first = _sweep(compiled, random_messages(tn, seed=1).data)
@@ -397,21 +419,29 @@ def test_sweep_updates_survive_the_next_sweep(case):
 
 @pytest.mark.parametrize("case", sorted(REUSE_CASES))
 def test_alternating_chain_shapes_match_fresh_plans(case):
-    """One compiled plan swept on (rows, d) and (3, rows, d) stacks in
-    turn gives, each time, bit for bit what a freshly compiled plan gives
-    on its first sweep."""
+    """Sweeps compiled for (rows, d) and for (3, rows, d) stacks, each
+    reused on its own shape in turn, give each time bit for bit what a
+    fresh compile gives on its first sweep.  A stack of the other shape
+    fails loudly and rebinds nothing."""
     tn = REUSE_CASES[case]()
-    compiled = _Plan(tn).compile()
+    plan = _Plan(tn)
+    compiled = {lead: plan.compile(lead) for lead in [(), (3,)]}
+    arrays = {lead: list(_arrays(c)) for lead, c in compiled.items()}
     for s in range(3):
         chains = [random_messages(tn, seed=10 * s + c).data for c in range(3)]
-        for msgs in (chains[s], {d: np.stack([c[d] for c in chains])
-                                 for d in chains[0]}):
-            got = _sweep(compiled, msgs)
-            want = _sweep(_Plan(tn).compile(), msgs)
+        stacks = {(): chains[s], (3,): {d: np.stack([c[d] for c in chains])
+                                        for d in chains[0]}}
+        for lead, msgs in stacks.items():
+            got = _sweep(compiled[lead], msgs)
+            want = _sweep(_Plan(tn).compile(lead), msgs)
             assert list(got) == list(want)
             for d in want:
-                assert np.array_equal(got[d], want[d]), (s, d)
-    assert len(compiled[2]) == 2
+                assert np.array_equal(got[d], want[d]), (s, lead, d)
+            with pytest.raises(ValueError):
+                _sweep(compiled[lead], stacks[(3,) if lead == () else ()])
+            now = list(_arrays(compiled[lead]))
+            assert len(now) == len(arrays[lead])
+            assert all(x is y for x, y in zip(now, arrays[lead]))
 
 
 def _arrays(x):
@@ -426,7 +456,7 @@ def _arrays(x):
 def test_plans_of_different_networks_share_no_buffers():
     """Two networks with the same tensor shapes get buffers of their own,
     and sweeping one does not move the other's updates; the buffers live
-    on the plan and go with it."""
+    on the compiled sweep and go with it."""
     nets = [generate(spec, 0).tn for spec in ("ising:L=3,beta=0.34,h=0.05",
                                               "ising:L=3,beta=0.3,h=0.1")]
     plans = [_Plan(tn) for tn in nets]
@@ -436,7 +466,7 @@ def test_plans_of_different_networks_share_no_buffers():
         for plan, m, w in zip(plans, msgs, want):
             got = _sweep(plan.compile(), m)
             assert all(np.array_equal(got[d], w[d]) for d in w)
-    a, b = (list(_arrays(plan.compile()[2])) for plan in plans)
+    a, b = (list(_arrays(plan.compile())) for plan in plans)
     assert a and b
     assert not any(np.shares_memory(x, y) for x in a for y in b)
     refs = [weakref.ref(x) for x in a]

@@ -802,6 +802,59 @@ def test_exit_2_on_impossible_bp_settings(flag, value, capsys, monkeypatch):
     assert out.err.startswith(f"error: {flag} must be")
 
 
+def _recorded_bp_iterate(monkeypatch, results, unconverged=()):
+    """Patch ``bptn.cli.bp_iterate`` to append (start messages, result) of
+    each call to ``results``, the calls numbered in ``unconverged`` marked
+    not converged."""
+    iterate = bptn.cli.bp_iterate
+
+    def recorded(tn, messages, **kw):
+        res = iterate(tn, messages, **kw)
+        if len(results) in unconverged:
+            res = res._replace(converged=False)
+        results.append((messages, res))
+        return res
+
+    monkeypatch.setattr(bptn.cli, "bp_iterate", recorded)
+
+
+def test_bp_restarts_from_random_messages(tmp_path, monkeypatch):
+    """When BP from uniform messages does not converge, it runs again from
+    the random messages of ``--seed``, and the run reports that result."""
+    import bptn.bp
+
+    spec, results = "ising:L=3,beta=0.34,h=0.05", []
+    _recorded_bp_iterate(monkeypatch, results, unconverged=[0])
+    out = tmp_path / "bp.csv"
+    assert run(["bp", "--generate", spec, "--seed", "2",
+                "--out", str(out)]) == 0
+    (_, first), (start, second) = results
+    tn = bptn.cli.generate(spec, 2).tn
+    for d, x in bptn.bp.random_messages(tn, seed=2).data.items():
+        assert np.array_equal(start.data[d], x)
+    (row,) = _rows(out)
+    assert second.converged and first.iterations != second.iterations
+    assert (row["converged"], row["iterations"], row["residual"]) == (
+        "True", str(second.iterations), repr(second.residual))
+
+
+def test_exit_3_when_neither_start_converges(monkeypatch, capsys):
+    """With the sweep cap patched down to 3, neither the uniform nor the
+    random start converges: exit 3, no CSV, and one stderr line that
+    quotes the residual of each."""
+    import bptn.bp
+
+    results = []
+    _recorded_bp_iterate(monkeypatch, results)
+    monkeypatch.setattr(bptn.bp, "DEFAULT_MAX_ITERS", 3)
+    assert run(["bp", "--generate", "ising:L=3,beta=0.34,h=0.05"]) == 3
+    (_, uniform), (_, random) = results
+    assert capsys.readouterr() == ("", (
+        f"numerical error: BP did not converge (residual "
+        f"{uniform.residual:.3e} from uniform messages, "
+        f"{random.residual:.3e} from random ones)\n"))
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["loops", "-m", "-1"], "--max-weight/-m"),
     (["free-energy", "-m", "-3", "-k", "-2"], "--max-weight/-m"),
